@@ -6,18 +6,22 @@
      host:   tosa -> linalg                     (reference interpreter)
      upmem:  tosa -> linalg -> cinm -> cnm -> upmem   (machine simulator)
      cim:    tosa -> linalg -> cinm -> cim [-> unroll] -> memristor -> licm
+     hetero: tosa -> linalg -> cinm -> partition -> the cim lowering, then
+             the upmem lowering (multi-stream executor)
+
+   Every backend executes through one runner: Machine_set picks the
+   simulators, and one report builder reads each simulator's stats.
 *)
 
 open Cinm_ir
 open Cinm_transforms
 open Cinm_interp
 module Usim = Cinm_upmem_sim
-module Msim = Cinm_memristor_sim
-module Camsim = Cinm_cam_sim
 module Cpu = Cinm_cpu_sim
 module Trace = Cinm_support.Trace
 module Log = Cinm_support.Log
 module Config = Cinm_support.Config
+module Sched = Cinm_support.Schedule
 
 let () = Cinm_dialects.Registry.ensure_all ()
 
@@ -35,93 +39,76 @@ let cim_target =
     ~policy:{ Target_select.default_policy with cim_gemm_threshold = 2 }
     ()
 
+(* The front end: the host backends stop at linalg, every device lowering
+   (and the CPU fallback) continues from cinm. *)
+let to_linalg = [ Torch_to_tosa.pass; Tosa_to_linalg.pass ]
+let to_cinm = to_linalg @ [ Linalg_to_cinm.pass ]
+
+(* ranks scale the DPU grid like extra DIMMs (per-rank fault domains live
+   in the simulator, not the lowering) *)
+let total_dpus (c : Backend.upmem_config) =
+  c.Backend.ranks * c.Backend.dimms * c.Backend.dpus_per_dimm
+
+let upmem_lowering (c : Backend.upmem_config) =
+  [
+    Cinm_to_cnm.pass
+      ~options:
+        {
+          Cinm_to_cnm.dpus = total_dpus c;
+          tasklets = c.Backend.tasklets;
+          optimize = c.Backend.optimize;
+          max_rows_per_launch = c.Backend.max_rows_per_launch;
+        }
+      ();
+    Cnm_to_upmem.pass
+      ~options:
+        { Cnm_to_upmem.default_options with dpus_per_dimm = c.Backend.dpus_per_dimm }
+      ();
+  ]
+
+let cim_lowering (c : Backend.cim_config) =
+  [
+    Cinm_to_cam.pass; Cinm_to_rtm.pass ();
+    Cinm_to_cim.pass
+      ~options:
+        {
+          Cinm_to_cim.rows = c.Backend.rows;
+          cols = c.Backend.cols;
+          tiles = c.Backend.tiles;
+          input_chunk = c.Backend.input_chunk;
+          interchange = c.Backend.min_writes;
+          parallel = c.Backend.parallel;
+        }
+      ();
+    Loop_unroll.pass;
+    Cim_to_memristor.assign_pass ~tiles:c.Backend.tiles; Cim_to_memristor.pass;
+    Licm.pass; Licm.pass;
+  ]
+
 let pipeline (backend : Backend.t) : Pass.t list =
   match backend with
-  | Backend.Host_xeon | Backend.Host_arm -> [ Torch_to_tosa.pass; Tosa_to_linalg.pass ]
+  | Backend.Host_xeon | Backend.Host_arm -> to_linalg
   | Backend.Upmem c ->
-    let cnm_opts =
-      {
-        (* ranks scale the DPU grid like extra DIMMs (per-rank fault
-           domains live in the simulator, not the lowering) *)
-        Cinm_to_cnm.dpus =
-          c.Backend.ranks * c.Backend.dimms * c.Backend.dpus_per_dimm;
-        tasklets = c.Backend.tasklets;
-        optimize = c.Backend.optimize;
-        max_rows_per_launch = c.Backend.max_rows_per_launch;
-      }
-    in
-    let up_opts =
-      { Cnm_to_upmem.default_options with dpus_per_dimm = c.Backend.dpus_per_dimm }
-    in
-    [
-      Torch_to_tosa.pass; Tosa_to_linalg.pass; Linalg_to_cinm.pass;
-      force_target "cnm"; Ew_fusion.pass;
-      Cinm_to_cnm.pass ~options:cnm_opts (); Cnm_to_upmem.pass ~options:up_opts ();
-      Canonicalize.pass;
-    ]
-  | Backend.Cim c ->
-    let cim_opts =
-      {
-        Cinm_to_cim.rows = c.Backend.rows;
-        cols = c.Backend.cols;
-        tiles = c.Backend.tiles;
-        input_chunk = c.Backend.input_chunk;
-        interchange = c.Backend.min_writes;
-        parallel = c.Backend.parallel;
-      }
-    in
-    [
-      Torch_to_tosa.pass; Tosa_to_linalg.pass; Linalg_to_cinm.pass; cim_target;
-      Cinm_to_cam.pass; Cinm_to_rtm.pass ();
-      Cinm_to_cim.pass ~options:cim_opts (); Loop_unroll.pass;
-      Cim_to_memristor.assign_pass ~tiles:c.Backend.tiles; Cim_to_memristor.pass;
-      Licm.pass; Licm.pass; Canonicalize.pass;
-    ]
+    to_cinm
+    @ [ force_target "cnm"; Ew_fusion.pass ]
+    @ upmem_lowering c @ [ Canonicalize.pass ]
+  | Backend.Cim c -> to_cinm @ [ cim_target ] @ cim_lowering c @ [ Canonicalize.pass ]
   | Backend.Hetero (u, ci) ->
     (* one module partitioned across all devices: the dependency-aware
        partitioner replaces forced target selection, then *every* device
        lowering runs — each claims the ops whose "target" the partitioner
        assigned to it, everything left runs natively on the host *)
-    let total_dpus = u.Backend.ranks * u.Backend.dimms * u.Backend.dpus_per_dimm in
-    let cnm_opts =
-      {
-        Cinm_to_cnm.dpus = total_dpus;
-        tasklets = u.Backend.tasklets;
-        optimize = u.Backend.optimize;
-        max_rows_per_launch = u.Backend.max_rows_per_launch;
-      }
-    in
-    let up_opts =
-      { Cnm_to_upmem.default_options with dpus_per_dimm = u.Backend.dpus_per_dimm }
-    in
-    let cim_opts =
-      {
-        Cinm_to_cim.rows = ci.Backend.rows;
-        cols = ci.Backend.cols;
-        tiles = ci.Backend.tiles;
-        input_chunk = ci.Backend.input_chunk;
-        interchange = ci.Backend.min_writes;
-        parallel = ci.Backend.parallel;
-      }
-    in
     let part_policy =
       {
         Partition.default_policy with
-        Partition.upmem_dpus = total_dpus;
+        Partition.upmem_dpus = total_dpus u;
         cim_rows = ci.Backend.rows;
         cim_cols = ci.Backend.cols;
       }
     in
-    [
-      Torch_to_tosa.pass; Tosa_to_linalg.pass; Linalg_to_cinm.pass;
-      Partition.pass ~policy:part_policy (); Ew_fusion.pass;
-      Cinm_to_cam.pass; Cinm_to_rtm.pass ();
-      Cinm_to_cim.pass ~options:cim_opts (); Loop_unroll.pass;
-      Cim_to_memristor.assign_pass ~tiles:ci.Backend.tiles; Cim_to_memristor.pass;
-      Licm.pass; Licm.pass;
-      Cinm_to_cnm.pass ~options:cnm_opts (); Cnm_to_upmem.pass ~options:up_opts ();
-      Canonicalize.pass;
-    ]
+    to_cinm
+    @ [ Partition.pass ~policy:part_policy (); Ew_fusion.pass ]
+    @ cim_lowering ci @ upmem_lowering u @ [ Canonicalize.pass ]
 
 (* One host-clock driver span (compile / execute), emitted even when [f]
    raises so the trace shows where a failing run died. The same timing
@@ -172,14 +159,13 @@ let clone_module (m : Func.modul) =
   List.iter (fun f -> Func.add_func m' (Func.clone f)) m.Func.funcs;
   m'
 
-(* The degradation path when a device lowering fails: lower the pristine
-   module to scf loops for the host interpreter (cinm→scf applies to ops
-   without a device target, which a fresh front-end run leaves unset). *)
-let cpu_fallback_pipeline =
-  [
-    Torch_to_tosa.pass; Tosa_to_linalg.pass; Linalg_to_cinm.pass;
-    Cinm_to_scf.pass; Canonicalize.pass;
-  ]
+(* The degradation path when a device lowering or launch fails: lower the
+   pristine module [m] to scf loops for the host interpreter (cinm→scf
+   applies to ops without a device target, which a fresh front-end run
+   leaves unset) and record why. *)
+let cpu_fallback ?verify ?config backend diag m =
+  Pass.run_pipeline ?verify ?config (to_cinm @ [ Cinm_to_scf.pass; Canonicalize.pass ]) m;
+  { modul = m; backend; fallback = Some diag }
 
 let compile ?(verify = true) ?(fallback = true) ?config backend (m : Func.modul)
     : compiled =
@@ -204,8 +190,7 @@ let compile ?(verify = true) ?(fallback = true) ?config backend (m : Func.modul)
         | Some r when r.Pass.diag = diag ->
           Log.warn "crash reproducer for the failed lowering: %s" r.Pass.path
         | _ -> ());
-        Pass.run_pipeline ~verify ?config cpu_fallback_pipeline snap;
-        { modul = snap; backend; fallback = Some diag }))
+        cpu_fallback ~verify ?config backend diag snap))
 
 let compile_func ?verify ?fallback ?config backend (f : Func.t) : compiled =
   let m = Func.create_module () in
@@ -214,11 +199,7 @@ let compile_func ?verify ?fallback ?config backend (f : Func.t) : compiled =
 
 (* ----- execution ----- *)
 
-let upmem_sim_config (c : Backend.upmem_config) =
-  {
-    (Usim.Config.default ~ranks:c.Backend.ranks ~dimms:c.Backend.dimms ()) with
-    Usim.Config.dpus_per_dimm = c.Backend.dpus_per_dimm;
-  }
+let upmem_sim_config = Machine_set.upmem_sim_config
 
 (* The machine fault plan a request's config asks for: an explicit plan
    overrides the process default (CINM_FAULTS via Fault.default), which
@@ -226,73 +207,108 @@ let upmem_sim_config (c : Backend.upmem_config) =
 let machine_faults config =
   match config with Some { Config.faults = Some p; _ } -> Some (Some p) | _ -> None
 
-(* Run an already-lowered upmem-level function on the machine simulator
-   (used both by the driver and by the hand-written PrIM baselines). *)
-let run_upmem_func ?(backend_name = "upmem") ?host_model ?modul ?config
-    ~sim_config f args =
-  let machine = Usim.Machine.create ?faults:(machine_faults config) sim_config in
-  let profile = Profile.create () in
-  let results, _ =
-    with_span ?config ("execute:" ^ backend_name) @@ fun () ->
-    Compile.run_func
-      ~hooks:[ Usim.Machine.hook machine ]
-      ~profile ?modul ?config f args
-  in
-  let stats = machine.Usim.Machine.stats in
-  let host_model = Option.value host_model ~default:Cpu.Model.xeon_opt in
+(* The host model a backend is costed on when the caller names none:
+   cpu-opt for the xeon host and as the UPMEM host; the in-order ARM core
+   orchestrates the accelerators and runs everything not offloaded
+   (paper §4.1). *)
+let default_host_model = function
+  | Backend.Host_xeon | Backend.Upmem _ -> Cpu.Model.xeon_opt
+  | Backend.Host_arm | Backend.Cim _ | Backend.Hetero _ -> Cpu.Model.arm_inorder
+
+(* The one report builder. Each simulator's stats contribute a fragment;
+   device time and energy are their sums, counters their concatenation.
+   A single-stream run totals host + device; an overlapped run ([summary])
+   reports the critical path of the merged schedule, which is >= the
+   busiest engine and <= host_s + device_s. With no simulator the host
+   estimate is the whole report. *)
+let report ~backend_name ~host_model ~profile ?summary machines : Report.t =
   let host = Cpu.Model.estimate host_model profile in
-  let device_s = Usim.Stats.total_s stats in
-  (* With tracing live, the report's time breakdown is *derived from the
-     trace* rather than read off the stats in parallel: the machine emits
-     one span per bucket increment, in increment order, so the folded
-     span durations reproduce the stats fields bit for bit (asserted by
-     test_trace). With tracing off, trace_pid stays 0 and the stats are
-     used directly — identical values either way. *)
-  let breakdown =
-    let pid = machine.Usim.Machine.trace_pid in
-    if pid > 0 then
-      [
-        ("cpu->dpu", Trace.device_total ~pid "cpu->dpu");
-        ("kernel", Trace.device_total ~pid "kernel");
-        ("dpu->cpu", Trace.device_total ~pid "dpu->cpu");
-      ]
-    else
-      [
-        ("cpu->dpu", stats.Usim.Stats.host_to_device_s);
-        ("kernel", stats.Usim.Stats.kernel_s);
-        ("dpu->cpu", stats.Usim.Stats.device_to_host_s);
-      ]
+  let frags = Machine_set.fragments machines in
+  let sum field = List.fold_left (fun acc fr -> acc +. field fr) 0.0 frags in
+  let device_s = sum (fun fr -> fr.Machine_set.device_s) in
+  let energy_j = sum (fun fr -> fr.Machine_set.energy_j) +. host.Cpu.Model.energy_j in
+  let breakdown, counters =
+    match frags with
+    | [] ->
+      ( [ ("compute", host.Cpu.Model.compute_s); ("memory", host.Cpu.Model.memory_s) ],
+        [ ("ops", Profile.total_scalar_ops profile) ] )
+    | _ ->
+      ( List.concat_map (fun fr -> fr.Machine_set.breakdown) frags,
+        List.concat_map (fun fr -> fr.Machine_set.counters) frags )
   in
-  (* the machine dies with this run and gathers copy out of device
-     buffers, so their storage can recycle through the arena now *)
-  Usim.Machine.recycle machine;
-  ( results,
-    {
-      Report.backend = backend_name;
-      total_s = host.Cpu.Model.time_s +. device_s;
-      host_s = host.Cpu.Model.time_s;
-      device_s;
-      breakdown;
-      energy_j = stats.Usim.Stats.energy_j +. host.Cpu.Model.energy_j;
-      counters =
-        ([
-           ("launches", stats.Usim.Stats.launches);
-           ("dpu_instructions", stats.Usim.Stats.dpu_instructions);
-           ("dma_bytes", stats.Usim.Stats.dma_bytes);
-           ("transferred_bytes", stats.Usim.Stats.transferred_bytes);
-         ]
-        @
-        (* only surfaced under an active fault plan, keeping fault-free
-           reports byte-identical to the pre-fault-model ones *)
-        if stats.Usim.Stats.retries = 0 && stats.Usim.Stats.failed_dpus = 0 then
-          []
-        else
-          [
-            ("retries", stats.Usim.Stats.retries);
-            ("failed_dpus", stats.Usim.Stats.failed_dpus);
-          ]);
-      tracks = [];
-    } )
+  let total_s, host_s, device_s, breakdown, tracks =
+    match summary with
+    | None ->
+      (host.Cpu.Model.time_s +. device_s, host.Cpu.Model.time_s, device_s, breakdown, [])
+    | Some s ->
+      let busy pred =
+        List.fold_left
+          (fun acc (t : Sched.track) ->
+            if pred (String.equal Sched.host_machine t.Sched.tr_machine) then
+              acc +. t.Sched.tr_compute_s +. t.Sched.tr_dma_s
+            else acc)
+          0.0 s.Sched.tracks
+      in
+      ( s.Sched.e2e_s,
+        busy Fun.id,
+        busy not,
+        [
+          ("e2e_overlapped", s.Sched.e2e_s);
+          ("e2e_sequential", s.Sched.seq_s);
+          ("max_channel_busy", s.Sched.max_channel_busy_s);
+        ]
+        @ List.concat_map
+            (fun (t : Sched.track) ->
+              [
+                (t.Sched.tr_machine ^ ".compute", t.Sched.tr_compute_s);
+                (t.Sched.tr_machine ^ ".dma", t.Sched.tr_dma_s);
+                (t.Sched.tr_machine ^ ".idle", t.Sched.tr_idle_s);
+              ])
+            s.Sched.tracks,
+        s.Sched.tracks )
+  in
+  {
+    Report.backend = backend_name;
+    total_s;
+    host_s;
+    device_s;
+    breakdown;
+    energy_j;
+    counters;
+    tracks;
+  }
+
+(* The one runner behind every backend: [f] runs with the set's hooks,
+   single-stream on the interpreter, or ([overlapped]) node by node on the
+   multi-stream executor. *)
+let execute ?modul ?config ~backend_name ~host_model ~overlapped machines f args =
+  let results, profile, summary =
+    with_span ?config ("execute:" ^ backend_name) @@ fun () ->
+    if overlapped then
+      let host_cost p = (Cpu.Model.estimate host_model p).Cpu.Model.time_s in
+      let o = Stream_exec.run ?config ?modul ~host_cost ~machines f args in
+      (o.Stream_exec.results, o.Stream_exec.profile, Some o.Stream_exec.summary)
+    else
+      let results, profile =
+        Compile.run_func ~hooks:(Machine_set.hooks machines) ?modul ?config f args
+      in
+      (results, profile, None)
+  in
+  let r = report ~backend_name ~host_model ~profile ?summary machines in
+  Machine_set.recycle machines;
+  (results, r)
+
+(* Run an already-lowered upmem-level function on a UPMEM machine of a
+   given simulator config (the hand-written PrIM baselines and the bench
+   harness's scaled machines). *)
+let run_upmem_func ?(backend_name = "upmem") ?(host_model = Cpu.Model.xeon_opt) ?modul
+    ?config ~sim_config f args =
+  let machines =
+    (* [sim_config] replaces the UPMEM geometry of the default backend *)
+    Machine_set.create ?faults:(machine_faults config) ~upmem:sim_config
+      (Backend.Upmem (Backend.default_upmem ()))
+  in
+  execute ?modul ?config ~backend_name ~host_model ~overlapped:false machines f args
 
 let run ?(fname = "") ?host_model ?config (compiled : compiled)
     (args : Rtval.t list) : Rtval.t list * Report.t =
@@ -301,192 +317,19 @@ let run ?(fname = "") ?host_model ?config (compiled : compiled)
     | "" -> List.hd compiled.modul.Func.funcs
     | name -> Func.find_func_exn compiled.modul name
   in
-  let backend_name = Backend.to_string compiled.backend in
-  let run_on_host ~backend_name model =
-    let results, profile =
-      with_span ?config ("execute:" ^ backend_name) @@ fun () ->
-      Compile.run_func ~modul:compiled.modul ?config f args
-    in
-    let est = Cpu.Model.estimate model profile in
-    ( results,
-      {
-        Report.backend = backend_name;
-        total_s = est.Cpu.Model.time_s;
-        host_s = est.Cpu.Model.time_s;
-        device_s = 0.0;
-        breakdown =
-          [ ("compute", est.Cpu.Model.compute_s); ("memory", est.Cpu.Model.memory_s) ];
-        energy_j = est.Cpu.Model.energy_j;
-        counters = [ ("ops", Profile.total_scalar_ops profile) ];
-        tracks = [];
-      } )
+  (* a failed device lowering left the scf CPU lowering in the module:
+     it runs on the host interpreter *)
+  let backend, suffix =
+    match compiled.fallback with
+    | Some _ -> (Backend.Host_xeon, "+cpu-fallback")
+    | None -> (compiled.backend, "")
   in
-  match compiled.backend with
-  | _ when compiled.fallback <> None ->
-    (* device lowering failed at compile time: the module holds the scf
-       CPU lowering; run it on the host interpreter *)
-    run_on_host
-      ~backend_name:(backend_name ^ "+cpu-fallback")
-      (Option.value host_model ~default:Cpu.Model.xeon_opt)
-  | Backend.Host_xeon | Backend.Host_arm ->
-    let model =
-      match (host_model, compiled.backend) with
-      | Some m, _ -> m
-      | None, Backend.Host_xeon -> Cpu.Model.xeon_opt
-      | None, _ -> Cpu.Model.arm_inorder
-    in
-    run_on_host ~backend_name model
-  | Backend.Upmem c ->
-    run_upmem_func ~backend_name ?host_model ~modul:compiled.modul ?config
-      ~sim_config:(upmem_sim_config c) f args
-  | Backend.Cim c ->
-    let machine =
-      Msim.Machine.create
-        ?faults:(machine_faults config)
-        {
-          (Msim.Config.default ~tiles:c.Backend.tiles ()) with
-          Msim.Config.rows = c.Backend.rows;
-          cols = c.Backend.cols;
-        }
-    in
-    let cam = Camsim.Cam_machine.create (Camsim.Cam_machine.default_config ()) in
-    let profile = Profile.create () in
-    let results, _ =
-      with_span ?config ("execute:" ^ backend_name) @@ fun () ->
-      Compile.run_func
-        ~hooks:[ Msim.Machine.hook machine; Camsim.Cam_machine.hook cam ]
-        ~profile ~modul:compiled.modul ?config f args
-    in
-    let stats = machine.Msim.Machine.stats in
-    let cam_stats = cam.Camsim.Cam_machine.stats in
-    (* the ARM core orchestrates the accelerator and runs everything that
-       is not matmul-like (paper §4.1) *)
-    let host = Cpu.Model.estimate Cpu.Model.arm_inorder profile in
-    let device_s = Msim.Stats.total_s stats +. cam_stats.Camsim.Cam_machine.busy_s in
-    (* trace-derived when live, stats-derived when off; see run_upmem_func *)
-    let breakdown =
-      let pid = machine.Msim.Machine.trace_pid in
-      if pid > 0 then
-        [
-          ("program", Trace.device_total ~pid "program");
-          ("mvm", Trace.device_total ~pid "mvm");
-          ("io", Trace.device_total ~pid "io");
-        ]
-      else
-        [
-          ("program", stats.Msim.Stats.program_s);
-          ("mvm", stats.Msim.Stats.compute_s);
-          ("io", stats.Msim.Stats.io_s);
-        ]
-    in
-    (* tile staging copies die with the machine; MVM results were fresh *)
-    Msim.Machine.recycle machine;
-    ( results,
-      {
-        Report.backend = backend_name;
-        total_s = host.Cpu.Model.time_s +. device_s;
-        host_s = host.Cpu.Model.time_s;
-        device_s;
-        breakdown;
-        energy_j =
-          stats.Msim.Stats.energy_j +. cam_stats.Camsim.Cam_machine.energy_j
-          +. host.Cpu.Model.energy_j;
-        counters =
-          [
-            ("crossbar_writes", stats.Msim.Stats.store_ops);
-            ("cells_written", stats.Msim.Stats.cells_written);
-            ("mvms", stats.Msim.Stats.mvms);
-            ("cam_searches", cam_stats.Camsim.Cam_machine.cam_searches);
-            ("rtm_reads", cam_stats.Camsim.Cam_machine.rtm_reads);
-          ];
-        tracks = [];
-      } )
-  | Backend.Hetero (u, ci) ->
-    let machines =
-      {
-        Stream_exec.upmem =
-          Usim.Machine.create ?faults:(machine_faults config) (upmem_sim_config u);
-        memristor =
-          Msim.Machine.create
-            ?faults:(machine_faults config)
-            {
-              (Msim.Config.default ~tiles:ci.Backend.tiles ()) with
-              Msim.Config.rows = ci.Backend.rows;
-              cols = ci.Backend.cols;
-            };
-        cam = Camsim.Cam_machine.create (Camsim.Cam_machine.default_config ());
-      }
-    in
-    (* as on the cim path, the in-order ARM core orchestrates the
-       accelerators and runs whatever the partitioner kept on the host *)
-    let host_model = Option.value host_model ~default:Cpu.Model.arm_inorder in
-    let host_cost p = (Cpu.Model.estimate host_model p).Cpu.Model.time_s in
-    let outcome =
-      with_span ?config ("execute:" ^ backend_name) @@ fun () ->
-      Stream_exec.run ?config ~modul:compiled.modul ~host_cost ~machines f args
-    in
-    let s = outcome.Stream_exec.summary in
-    let ustats = machines.Stream_exec.upmem.Usim.Machine.stats in
-    let mstats = machines.Stream_exec.memristor.Msim.Machine.stats in
-    let cstats = machines.Stream_exec.cam.Camsim.Cam_machine.stats in
-    Usim.Machine.recycle machines.Stream_exec.upmem;
-    Msim.Machine.recycle machines.Stream_exec.memristor;
-    let module Sched = Cinm_support.Schedule in
-    let track_busy pred =
-      List.fold_left
-        (fun acc (t : Sched.track) ->
-          if pred t.Sched.tr_machine then
-            acc +. t.Sched.tr_compute_s +. t.Sched.tr_dma_s
-          else acc)
-        0.0 s.Sched.tracks
-    in
-    let host_energy = (Cpu.Model.estimate host_model outcome.Stream_exec.profile).Cpu.Model.energy_j in
-    ( outcome.Stream_exec.results,
-      {
-        (* e2e is the overlapped critical path: >= the busiest engine,
-           <= host_s + device_s (the single-stream sum) *)
-        Report.backend = backend_name;
-        total_s = s.Sched.e2e_s;
-        host_s = track_busy (String.equal Sched.host_machine);
-        device_s = track_busy (fun m -> not (String.equal Sched.host_machine m));
-        breakdown =
-          [
-            ("e2e_overlapped", s.Sched.e2e_s);
-            ("e2e_sequential", s.Sched.seq_s);
-            ("max_channel_busy", s.Sched.max_channel_busy_s);
-          ]
-          @ List.concat_map
-              (fun (t : Sched.track) ->
-                [
-                  (t.Sched.tr_machine ^ ".compute", t.Sched.tr_compute_s);
-                  (t.Sched.tr_machine ^ ".dma", t.Sched.tr_dma_s);
-                  (t.Sched.tr_machine ^ ".idle", t.Sched.tr_idle_s);
-                ])
-              s.Sched.tracks;
-        energy_j =
-          Usim.Stats.(ustats.energy_j)
-          +. mstats.Msim.Stats.energy_j
-          +. cstats.Camsim.Cam_machine.energy_j +. host_energy;
-        counters =
-          [
-            ("launches", ustats.Usim.Stats.launches);
-            ("dma_bytes", ustats.Usim.Stats.dma_bytes);
-            ("transferred_bytes", ustats.Usim.Stats.transferred_bytes);
-            ("mvms", mstats.Msim.Stats.mvms);
-            ("cells_written", mstats.Msim.Stats.cells_written);
-            ("cam_searches", cstats.Camsim.Cam_machine.cam_searches);
-            ("rtm_reads", cstats.Camsim.Cam_machine.rtm_reads);
-          ]
-          @
-          if ustats.Usim.Stats.retries = 0 && ustats.Usim.Stats.failed_dpus = 0
-          then []
-          else
-            [
-              ("retries", ustats.Usim.Stats.retries);
-              ("failed_dpus", ustats.Usim.Stats.failed_dpus);
-            ];
-        tracks = s.Sched.tracks;
-      } )
+  execute ~modul:compiled.modul ?config
+    ~backend_name:(Backend.to_string compiled.backend ^ suffix)
+    ~host_model:(Option.value host_model ~default:(default_host_model backend))
+    ~overlapped:(match backend with Backend.Hetero _ -> true | _ -> false)
+    (Machine_set.create ?faults:(machine_faults config) backend)
+    f args
 
 (* Compile and run in one step (used by examples and the bench harness). *)
 let compile_and_run ?verify ?fallback ?host_model ?config backend f args =
@@ -502,6 +345,5 @@ let compile_and_run ?verify ?fallback ?host_model ?config backend f args =
     Log.warn "%s; degrading to host execution" msg;
     let m = Func.create_module () in
     Func.add_func m (Func.clone f);
-    Pass.run_pipeline ?verify ?config cpu_fallback_pipeline m;
     let diag = { Pass.pass = "execute"; op = None; message = msg } in
-    run ?host_model ?config { modul = m; backend; fallback = Some diag } args
+    run ?host_model ?config (cpu_fallback ?verify ?config backend diag m) args

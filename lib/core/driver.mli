@@ -8,7 +8,8 @@ module Usim = Cinm_upmem_sim
 module Cpu = Cinm_cpu_sim
 
 (** The pass pipeline for a backend (host: front-end only; upmem:
-    tosa→linalg→cinm→cnm→upmem; cim: …→cim→memristor with unroll/LICM). *)
+    tosa→linalg→cinm→cnm→upmem; cim: …→cim→memristor with unroll/LICM;
+    hetero: …→cinm→partition, then the cim and the upmem lowerings). *)
 val pipeline : Backend.t -> Pass.t list
 
 type compiled = {
@@ -43,8 +44,10 @@ val compile_func :
 (** UPMEM simulator configuration corresponding to a backend config. *)
 val upmem_sim_config : Backend.upmem_config -> Usim.Config.t
 
-(** Run an already-lowered upmem-level function on the machine simulator
-    (also used directly by the hand-written PrIM baselines). *)
+(** Run an already-lowered upmem-level function on a UPMEM machine built
+    from [sim_config], through the same runner and report builder as
+    {!run} (also used directly by the hand-written PrIM baselines).
+    [host_model] defaults to the Xeon [cpu-opt] model. *)
 val run_upmem_func :
   ?backend_name:string ->
   ?host_model:Cpu.Model.t ->
@@ -56,7 +59,11 @@ val run_upmem_func :
   Rtval.t list * Report.t
 
 (** Execute a compiled module's function ([fname] defaults to the first)
-    on the backend's simulator; returns results and the report. *)
+    on the backend's simulators ({!Machine_set.create}); returns results
+    and the report, built from the simulators' stats alone. The host side
+    is costed on [host_model], by default [cpu-opt] for the Xeon host,
+    UPMEM and a CPU fallback, and the in-order ARM core for the ARM host,
+    CIM and hetero. *)
 val run :
   ?fname:string ->
   ?host_model:Cpu.Model.t ->

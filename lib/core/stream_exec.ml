@@ -51,24 +51,14 @@ module Schedule = Cinm_support.Schedule
 module Vec = Cinm_support.Vec
 module Pool = Cinm_support.Pool
 
-type machines = {
-  upmem : Usim.Machine.t;
-  memristor : Msim.Machine.t;
-  cam : Camsim.Cam_machine.t;
-}
+type machines = Machine_set.t
 
-let hooks_of ms =
-  [
-    Usim.Machine.hook ms.upmem;
-    Msim.Machine.hook ms.memristor;
-    Camsim.Cam_machine.hook ms.cam;
-  ]
-
-let events_of ms = function
-  | "upmem" -> ms.upmem.Usim.Machine.events
-  | "memristor" -> ms.memristor.Msim.Machine.events
-  | "cam" -> ms.cam.Camsim.Cam_machine.events
-  | m -> invalid_arg ("Stream_exec: unknown machine " ^ m)
+let events_of (ms : machines) m =
+  match (m, ms) with
+  | "upmem", { Machine_set.upmem = Some u; _ } -> u.Usim.Machine.events
+  | "memristor", { Machine_set.memristor = Some x; _ } -> x.Msim.Machine.events
+  | "cam", { Machine_set.cam = Some c; _ } -> c.Camsim.Cam_machine.events
+  | _ -> invalid_arg ("Stream_exec: no " ^ m ^ " machine in the set")
 
 (* Which simulator a dialect's ops land on. cnm/cim ops that survive to
    execution are handled by the upmem/memristor hooks respectively. *)
@@ -235,7 +225,7 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
     (args : Rtval.t list) : outcome =
   let nodes = build_nodes f in
   let n = Array.length nodes in
-  let hooks = hooks_of machines in
+  let hooks = Machine_set.hooks machines in
   let glock = Mutex.create () in
   let genv : (int, Rtval.t) Hashtbl.t = Hashtbl.create (4 * (n + 1)) in
   List.iter2

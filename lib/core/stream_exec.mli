@@ -15,14 +15,9 @@
 open Cinm_ir
 open Cinm_interp
 
-type machines = {
-  upmem : Cinm_upmem_sim.Machine.t;
-  memristor : Cinm_memristor_sim.Machine.t;
-  cam : Cinm_cam_sim.Cam_machine.t;
-}
-
-(** The three machine hooks, in dispatch order. *)
-val hooks_of : machines -> Interp.hook list
+(** The simulators the nodes drive; a node whose ops target a machine
+    the set lacks fails with [Invalid_argument]. *)
+type machines = Machine_set.t
 
 type outcome = {
   results : Rtval.t list;

@@ -83,9 +83,3 @@ let estimate (m : t) (p : Profile.t) : result =
   let memory_s = dram_bytes /. m.mem_bandwidth in
   let time_s = Float.max compute_s memory_s in
   { time_s; energy_j = time_s *. m.power_w; compute_s; memory_s }
-
-(* Convenience: run a host-level function on the reference interpreter and
-   estimate its time on this CPU model. *)
-let run_and_estimate (m : t) f args =
-  let results, profile = Compile.run_func f args in
-  (results, estimate m profile)

@@ -29,7 +29,3 @@ type result = { time_s : float; energy_j : float; compute_s : float; memory_s : 
 
 (** Roofline estimate: max(compute time, DRAM traffic / bandwidth). *)
 val estimate : t -> Profile.t -> result
-
-(** Run a host-level function on the reference interpreter and estimate it
-    on this model. *)
-val run_and_estimate : t -> Cinm_ir.Func.t -> Rtval.t list -> Rtval.t list * result

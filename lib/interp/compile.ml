@@ -69,18 +69,14 @@ let backend_of_string_exn s =
     invalid_arg
       (Printf.sprintf "CINM_INTERP=%s: unknown interpreter backend (tree|compiled)" s)
 
-(* The process default comes from the Config snapshot (CINM_INTERP). *)
-let initial_backend () =
+(* The process default is the Config default's [interp] (CINM_INTERP);
+   [set_backend] writes it there, so there is one source of truth. *)
+let backend () =
   match (Config.default ()).Config.interp with
   | "" -> Tree
   | s -> backend_of_string_exn s
 
-let backend_ref = ref (initial_backend ())
-let backend () = !backend_ref
-
-let set_backend b =
-  backend_ref := b;
-  Config.update_default (fun c -> { c with Config.interp = backend_name b })
+let set_backend b = Config.update_default (fun c -> { c with Config.interp = backend_name b })
 
 (* The backend a given execution context asked for: its [interp] field
    when set (per-request choice carried on the context, so even machine

@@ -20,7 +20,11 @@ open Cinm_ir
 
 type backend = Tree | Compiled
 
+(** The process default: the [interp] field of
+    {!Cinm_support.Config.default} ([""] means [Tree]). *)
 val backend : unit -> backend
+
+(** Set the process default, i.e. the Config default's [interp]. *)
 val set_backend : backend -> unit
 val backend_of_string : string -> backend option
 val backend_name : backend -> string

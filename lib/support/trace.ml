@@ -13,8 +13,8 @@
    increment emits exactly one span with that cost as its duration, and
    the fold below adds them back in emission order. Same floats, same
    order, same rounding — the trace-derived totals are bit-identical to
-   the stats fields, which is what lets Report.breakdown be *derived*
-   from the trace without perturbing fault-free --json output.
+   the stats fields. Reports read the stats alone; the fold is a view of
+   them, which test_trace asserts bucket by bucket.
 
    Per-request capture: a domain can open a capture ([with_capture]) that
    collects every event it emits into a private, domain-local buffer —

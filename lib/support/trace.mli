@@ -94,8 +94,8 @@ val device_events : unit -> event list
 (** Sum of the durations of device-clock spans in a category (optionally
     restricted to one device pid), folded in emission order — the same
     additions, in the same order, as the simulator stats buckets, so the
-    result is bit-identical to them. [Report.breakdown] derives from
-    this when tracing is live. Inside a capture (with global tracing
+    result is bit-identical to them. Reports read the stats; this fold
+    is the view tests assert against them. Inside a capture (with global tracing
     off) the fold runs over the capture's private buffer, which holds
     the same spans in the same order. *)
 val device_total : ?pid:int -> string -> float

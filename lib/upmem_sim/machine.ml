@@ -135,7 +135,8 @@ let create ?(faults = Fault.default ()) config =
    The device clock position is the stats total: each accounting bucket
    increment emits exactly one span whose [dur] is the increment, so
    folding span durations in emission order reproduces the stats fields
-   bit for bit (Report derives its breakdown from that fold). *)
+   bit for bit. Reports read the stats; the fold is a view of them,
+   asserted by test_trace. *)
 
 let tracing m =
   Trace.enabled ()

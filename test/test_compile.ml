@@ -297,6 +297,39 @@ let test_watchdog_default_off () =
     (fun () -> Compile.run_func f [])
     (fun (r1, _) (r2, _) -> Alcotest.(check bool) "both complete" true (r1 = [] && r2 = []))
 
+(* ----- process defaults ----- *)
+
+(* The interpreter choice has one source of truth: the Config default. *)
+let test_backend_reads_config_default () =
+  let module Config = Cinm_support.Config in
+  let saved = Config.default () in
+  Fun.protect ~finally:(fun () -> Config.set_default saved) @@ fun () ->
+  Config.set_default { saved with Config.interp = "compiled" };
+  Alcotest.(check bool) "compiled" true (Compile.backend () = Compile.Compiled);
+  Config.set_default { saved with Config.interp = "tree" };
+  Alcotest.(check bool) "tree" true (Compile.backend () = Compile.Tree)
+
+(* Driver.run costs the host side of a CIM run on the model it is given
+   (default: the in-order ARM core). *)
+let test_cim_host_model () =
+  let module Cpu = Cinm_cpu_sim.Model in
+  let backend = Backend.Cim (Backend.default_cim ()) in
+  let args () = [ Rtval.Tensor (iota [| 32; 16 |]); Rtval.Tensor (iota [| 16; 8 |]) ] in
+  let c = Driver.compile_func backend (build_mm 32 16 8 ()) in
+  let _, arm = Driver.run c (args ()) in
+  let _, xeon = Driver.run ~host_model:Cpu.xeon_opt c (args ()) in
+  let machines = Cinm_core.Machine_set.create ~faults:None backend in
+  let _, profile =
+    Compile.run_func
+      ~hooks:(Cinm_core.Machine_set.hooks machines)
+      ~modul:c.Driver.modul (List.hd c.Driver.modul.Func.funcs) (args ())
+  in
+  let est m = (Cpu.estimate m profile).Cpu.time_s in
+  Alcotest.(check (float 0.0)) "default host is the ARM core" (est Cpu.arm_inorder)
+    arm.Report.host_s;
+  Alcotest.(check (float 0.0)) "host_model is honoured" (est Cpu.xeon_opt) xeon.Report.host_s;
+  Alcotest.(check bool) "the two models differ" true (xeon.Report.host_s <> arm.Report.host_s)
+
 (* ----- bench --json differential ----- *)
 
 (* wall_s is the one field that legitimately differs between two runs;
@@ -376,6 +409,11 @@ let () =
           Alcotest.test_case "error parity" `Quick test_error_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "watchdog off by default" `Quick test_watchdog_default_off;
+        ] );
+      ( "defaults",
+        [ Alcotest.test_case "backend reads the Config default" `Quick
+            test_backend_reads_config_default;
+          Alcotest.test_case "cim honours host_model" `Quick test_cim_host_model;
         ] );
       ( "bench-json",
         [ Alcotest.test_case "bit-identical at jobs 1 and 4" `Quick

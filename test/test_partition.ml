@@ -120,19 +120,7 @@ let test_partition_fattr () =
 
 (* ----- overlap-correctness differential ----- *)
 
-let fresh_machines () =
-  let u, ci = hetero_configs () in
-  {
-    Stream_exec.upmem = Usim.Machine.create ~faults:None (Driver.upmem_sim_config u);
-    memristor =
-      Msim.Machine.create ~faults:None
-        {
-          (Msim.Config.default ~tiles:ci.Backend.tiles ()) with
-          Msim.Config.rows = ci.Backend.rows;
-          cols = ci.Backend.cols;
-        };
-    cam = Camsim.Cam_machine.create (Camsim.Cam_machine.default_config ());
-  }
+let fresh_machines () = Machine_set.create ~faults:None backend
 
 let host_cost p =
   (Cinm_cpu_sim.Model.estimate Cinm_cpu_sim.Model.arm_inorder p)
@@ -165,21 +153,18 @@ let test_overlap_differential () =
             (Rtval.as_tensor a) (Rtval.as_tensor c))
         seq.Stream_exec.results ovl.Stream_exec.results;
       (* ... and so must every machine's stats ... *)
-      Alcotest.(check bool)
-        (b.Benchmark.name ^ ": upmem stats identical")
-        true
-        (Usim.Stats.equal seq_m.Stream_exec.upmem.Usim.Machine.stats
-           ovl_m.Stream_exec.upmem.Usim.Machine.stats);
-      Alcotest.(check bool)
-        (b.Benchmark.name ^ ": memristor stats identical")
-        true
-        (seq_m.Stream_exec.memristor.Msim.Machine.stats
-        = ovl_m.Stream_exec.memristor.Msim.Machine.stats);
-      Alcotest.(check bool)
-        (b.Benchmark.name ^ ": cam stats identical")
-        true
-        (seq_m.Stream_exec.cam.Camsim.Cam_machine.stats
-        = ovl_m.Stream_exec.cam.Camsim.Cam_machine.stats);
+      let stats_equal name eq get =
+        Alcotest.(check bool)
+          (b.Benchmark.name ^ ": " ^ name ^ " stats identical")
+          true
+          (eq (get seq_m) (get ovl_m))
+      in
+      stats_equal "upmem" Usim.Stats.equal (fun ms ->
+          (Option.get ms.Machine_set.upmem).Usim.Machine.stats);
+      stats_equal "memristor" ( = ) (fun ms ->
+          (Option.get ms.Machine_set.memristor).Msim.Machine.stats);
+      stats_equal "cam" ( = ) (fun ms ->
+          (Option.get ms.Machine_set.cam).Camsim.Cam_machine.stats);
       (* ... and the schedule summary, which is a pure function of the
          event logs *)
       let ss = seq.Stream_exec.summary and os = ovl.Stream_exec.summary in

@@ -1,7 +1,8 @@
 (* Tests for the unified tracing & metrics layer (Cinm_support.Trace /
    Log): Perfetto-shaped JSON export, bit-identical simulated-time tracks
-   across job counts, per-pattern rewrite hit counting, reports
-   unperturbed by tracing, failing-pass spans, and the leveled logger. *)
+   across job counts, per-pattern rewrite hit counting, the trace as a
+   bit-exact view of simulator stats (reports unperturbed by tracing),
+   failing-pass spans, and the leveled logger. *)
 
 open Cinm_ir
 open Cinm_dialects
@@ -13,6 +14,7 @@ module Log = Cinm_support.Log
 module Fault = Cinm_support.Fault
 module Pool = Cinm_support.Pool
 module Usim = Cinm_upmem_sim
+module Msim = Cinm_memristor_sim
 module T = Types
 
 let () = Registry.ensure_all ()
@@ -366,41 +368,79 @@ let test_pattern_hits () =
   Alcotest.(check bool) "span ops_delta arg" true
     (List.mem ("ops_delta", Trace.Int (-5)) span.Trace.args)
 
-(* ----- tracing does not perturb reports ----- *)
+(* ----- the trace is a view of the stats ----- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Reports read the simulators' stats; the device-clock trace must be a
+   view of the same numbers. Per backend: the traced report equals the
+   untraced one, and on a traced machine set running the same module,
+   each machine's spans folded per category reproduce its stats buckets
+   bit for bit (every bucket increment emits one span, in order). *)
+let check_trace_view backend build args =
+  Trace.disable ();
+  Trace.clear ();
+  let compiled () = Driver.compile_func backend (build ()) in
+  let _, off = Driver.run (compiled ()) (args ()) in
+  with_tracing @@ fun () ->
+  let c = compiled () in
+  let _, on = Driver.run c (args ()) in
+  Alcotest.(check bool) "traced report = untraced report" true (off = on);
+  let ms = Machine_set.create ~faults:None backend in
+  let f = List.hd c.Driver.modul.Func.funcs in
+  (match backend with
+  | Backend.Hetero _ ->
+    ignore
+      (Stream_exec.run ~modul:c.Driver.modul ~host_cost:(fun _ -> 0.0) ~machines:ms f
+         (args ()))
+  | _ ->
+    ignore (Compile.run_func ~hooks:(Machine_set.hooks ms) ~modul:c.Driver.modul f (args ())));
+  let check ~pid buckets =
+    Alcotest.(check bool) "machine traced" true (pid > 0);
+    List.iter
+      (fun (cat, v) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "fold of %S spans = stats bucket %h" cat v)
+          true
+          (bits_equal (Trace.device_total ~pid cat) v))
+      buckets
+  in
+  Option.iter
+    (fun (m : Usim.Machine.t) ->
+      let s = m.Usim.Machine.stats in
+      check ~pid:m.Usim.Machine.trace_pid
+        [
+          ("cpu->dpu", s.Usim.Stats.host_to_device_s);
+          ("kernel", s.Usim.Stats.kernel_s);
+          ("dpu->cpu", s.Usim.Stats.device_to_host_s);
+        ])
+    ms.Machine_set.upmem;
+  Option.iter
+    (fun (m : Msim.Machine.t) ->
+      let s = m.Msim.Machine.stats in
+      check ~pid:m.Msim.Machine.trace_pid
+        [
+          ("program", s.Msim.Stats.program_s);
+          ("mvm", s.Msim.Stats.compute_s);
+          ("io", s.Msim.Stats.io_s);
+        ])
+    ms.Machine_set.memristor
 
 let test_report_unperturbed () =
-  Trace.disable ();
-  Trace.clear ();
-  let backend =
-    Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:8 ~tasklets:4 ())
-  in
-  let _, off = Driver.compile_and_run backend (build_mm 32 8 6 ()) (mm_args ()) in
-  let _, on =
-    with_tracing @@ fun () ->
-    Driver.compile_and_run backend (build_mm 32 8 6 ()) (mm_args ())
-  in
-  (* the traced run derives its breakdown from the trace; it must be
-     bit-identical to the stats-derived one (same floats, same order) *)
-  Alcotest.(check bool) "breakdown identical" true
-    (off.Report.breakdown = on.Report.breakdown);
-  Alcotest.(check bool) "device time identical" true
-    (off.Report.device_s = on.Report.device_s);
-  Alcotest.(check bool) "counters identical" true
-    (off.Report.counters = on.Report.counters)
+  check_trace_view
+    (Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:8 ~tasklets:4 ()))
+    (build_mm 32 8 6) mm_args
 
 let test_cim_report_unperturbed () =
-  Trace.disable ();
-  Trace.clear ();
-  let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
-  let _, off = Driver.compile_and_run backend (build_mm 32 8 6 ()) (mm_args ()) in
-  let _, on =
-    with_tracing @@ fun () ->
-    Driver.compile_and_run backend (build_mm 32 8 6 ()) (mm_args ())
-  in
-  Alcotest.(check bool) "cim breakdown identical" true
-    (off.Report.breakdown = on.Report.breakdown);
-  Alcotest.(check bool) "cim device time identical" true
-    (off.Report.device_s = on.Report.device_s)
+  check_trace_view
+    (Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()))
+    (build_mm 32 8 6) mm_args
+
+let test_hetero_report_unperturbed () =
+  let b = Cinm_benchmarks.Hetero_kernels.mix () in
+  check_trace_view
+    (Backend.default_hetero ~ranks:4 ~dimms:2 ~dpus_per_dimm:8 ())
+    b.Cinm_benchmarks.Benchmark.build b.Cinm_benchmarks.Benchmark.inputs
 
 (* ----- a failing pass still gets its span, with the diag attached ----- *)
 
@@ -504,6 +544,8 @@ let () =
             test_report_unperturbed;
           Alcotest.test_case "cim report unperturbed by tracing" `Quick
             test_cim_report_unperturbed;
+          Alcotest.test_case "hetero report unperturbed by tracing" `Quick
+            test_hetero_report_unperturbed;
           Alcotest.test_case "failing pass still gets a span" `Quick
             test_failing_pass_span;
           Alcotest.test_case "disabled tracing is a no-op" `Quick test_disabled_noop;
