@@ -34,11 +34,7 @@ module Json = Cinm_serve_lib.Json
 module Config = Cinm_support.Config
 
 let known_codes =
-  [
-    "parse_error"; "oversized"; "bad_request"; "unknown_benchmark";
-    "pass_failed"; "watchdog"; "deadline_exceeded"; "cancelled";
-    "overloaded"; "shutting_down"; "internal";
-  ]
+  List.map Cinm_serve_lib.Protocol.code_name Cinm_serve_lib.Protocol.all_codes
 
 (* ----- request mix ----- *)
 

@@ -39,14 +39,6 @@
                                      dump it to stderr at exit; report
                                      and --json minus wall_s are
                                      byte-identical either way)
-          main.exe --batch ...      (run the selected experiments
-                                     concurrently on the domain pool,
-                                     buffering output per experiment;
-                                     printed report and --json minus
-                                     wall_s are byte-identical to a
-                                     sequential run. CINM_BENCH_BATCH=1
-                                     equivalent; --trace forces
-                                     sequential)
           main.exe --faults SPEC --seed N
                                     (seeded fault injection, e.g.
                                      dpu_fail=0.05; the retry/remap runtime
@@ -68,71 +60,36 @@ let scaled_dpus_per_dimm = 8
 
 let quick = ref false
 
-(* ----- output routing (--batch) -----
-
-   All experiment printing flows through these shims. Sequentially (the
-   default) they write straight to stdout. Under --batch each experiment
-   runs on a pool domain with a per-domain buffer installed; the buffers
-   are flushed in canonical experiment order once the batch completes, so
-   batched output is byte-identical to a sequential run. *)
-
-let out_buf : Buffer.t option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
-
-let print_string s =
-  match Domain.DLS.get out_buf with
-  | Some b -> Buffer.add_string b s
-  | None -> Stdlib.print_string s
-
-let print_endline s =
-  print_string s;
-  print_string "\n"
-
-let print_newline () = print_string "\n"
-
-module Printf = struct
-  include Printf
-
-  let printf fmt = Printf.ksprintf print_string fmt
-end
-
 (* ----- measurement accounting (--json) ----- *)
 
 (* Simulated seconds and run counts accumulate while an experiment
    executes; [timed] snapshots them per experiment and --json dumps the
-   records for regression tracking across PRs. The accumulators are
-   per-domain so batched experiments (each pinned to one pool domain for
-   its whole duration) never race. *)
-let sim_acc : (float ref * int ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref 0.0, ref 0))
+   records for regression tracking across PRs. *)
+let sim_s_acc = ref 0.0
+let sim_runs_acc = ref 0
 
 (* Per-machine simulated-time tracks (multi-stream executor runs only),
    summed across the runs of one experiment in first-appearance order.
    Empty for the single-device experiments, whose --json records are
    byte-identical to before the field existed. *)
-let tracks_acc : (string * (float * float * float)) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let tracks_acc : (string * (float * float * float)) list ref = ref []
 
 (* Named per-benchmark scalars an experiment wants pinned in --json (the
    hetero overlap ratios, the per-rank scaling curve). Experiments that
    never call [note_series] keep their records byte-identical. *)
-let series_acc : (string * float) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let series_acc : (string * float) list ref = ref []
 
-let note_series name v =
-  let s = Domain.DLS.get series_acc in
-  s := !s @ [ (name, v) ]
+let note_series name v = series_acc := !series_acc @ [ (name, v) ]
 
 let note_report (r : Report.t) =
-  let sim_s_acc, sim_runs_acc = Domain.DLS.get sim_acc in
   sim_s_acc := !sim_s_acc +. r.Report.total_s;
   incr sim_runs_acc;
   let module Sched = Cinm_support.Schedule in
-  let tracks = Domain.DLS.get tracks_acc in
   List.iter
     (fun (t : Sched.track) ->
       let m = t.Sched.tr_machine in
       let c, d, i =
-        Option.value ~default:(0.0, 0.0, 0.0) (List.assoc_opt m !tracks)
+        Option.value ~default:(0.0, 0.0, 0.0) (List.assoc_opt m !tracks_acc)
       in
       let entry =
         ( m,
@@ -140,10 +97,10 @@ let note_report (r : Report.t) =
             d +. t.Sched.tr_dma_s,
             i +. t.Sched.tr_idle_s ) )
       in
-      tracks :=
-        if List.mem_assoc m !tracks then
-          List.map (fun (m', v) -> if m' = m then entry else (m', v)) !tracks
-        else !tracks @ [ entry ])
+      tracks_acc :=
+        if List.mem_assoc m !tracks_acc then
+          List.map (fun (m', v) -> if m' = m then entry else (m', v)) !tracks_acc
+        else !tracks_acc @ [ entry ])
     r.Report.tracks
 
 (* Every simulated run flows through these shims, so the accounting covers
@@ -184,11 +141,10 @@ type json_record = {
 }
 
 let timed name f =
-  let sim_s_acc, sim_runs_acc = Domain.DLS.get sim_acc in
   sim_s_acc := 0.0;
   sim_runs_acc := 0;
-  (Domain.DLS.get tracks_acc) := [];
-  (Domain.DLS.get series_acc) := [];
+  tracks_acc := [];
+  series_acc := [];
   let module Trace = Cinm_support.Trace in
   let span_t0 = if Trace.enabled () then Trace.now_host () else 0.0 in
   let t0 = Unix.gettimeofday () in
@@ -206,8 +162,8 @@ let timed name f =
     wall_s;
     sim_s = !sim_s_acc;
     runs = !sim_runs_acc;
-    tracks = !(Domain.DLS.get tracks_acc);
-    series = !(Domain.DLS.get series_acc);
+    tracks = !tracks_acc;
+    series = !series_acc;
   }
 
 let write_json path recs =
@@ -937,46 +893,15 @@ let run_experiment name =
 let all_experiments =
   [ "fig10"; "fig10-energy"; "fig11"; "fig12"; "tab4"; "tab5"; "dialects"; "ablation" ]
 
-(* Batched execution: experiments are independent (each builds its own
-   benchmark descriptors and machines), so they can share the domain
-   pool. Nested machine-level [Pool.run] calls inside an experiment fall
-   back to sequential execution via the pool's re-entrancy guard, and
-   sim stats are host-order-deterministic by construction, so the --json
-   records (minus wall_s) and the printed report are byte-identical to a
-   sequential run. Output is buffered per experiment (see [out_buf]) and
-   flushed in canonical order. *)
-let run_batch cmds =
-  let arr = Array.of_list cmds in
-  let n = Array.length arr in
-  let outputs = Array.make n "" in
-  let recs : json_record option array = Array.make n None in
-  let pool = Cinm_support.Pool.default () in
-  Fun.protect
-    ~finally:(fun () -> Array.iter Stdlib.print_string outputs)
-    (fun () ->
-      Cinm_support.Pool.run pool n (fun i ->
-          let b = Buffer.create 65536 in
-          Domain.DLS.set out_buf (Some b);
-          Fun.protect
-            ~finally:(fun () ->
-              Domain.DLS.set out_buf None;
-              outputs.(i) <- Buffer.contents b)
-            (fun () -> recs.(i) <- Some (run_experiment arr.(i)))));
-  Array.to_list recs |> List.filter_map Fun.id
-
 let () =
   let json_out = ref None in
   let trace_out = ref None in
   let fault_rates = ref None in
   let fault_seed = ref None in
-  let batch = ref (Sys.getenv_opt "CINM_BENCH_BATCH" <> None) in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
       quick := true;
-      parse acc rest
-    | "--batch" :: rest ->
-      batch := true;
       parse acc rest
     | "--faults" :: spec :: rest -> (
       match Cinm_support.Fault.parse spec with
@@ -1016,7 +941,7 @@ let () =
     | "--strict" :: rest ->
       (* verify + print->parse->print fixpoint after every pass; the
          compile stage gets slower but --json output is unchanged *)
-      Cinm_ir.Pass.set_strict true;
+      Cinm_support.Config.update_default (fun c -> { c with strict = true });
       parse acc rest
     | "--interp" :: b :: rest -> (
       match Cinm_interp.Compile.backend_of_string b with
@@ -1062,7 +987,7 @@ let () =
       | Some s -> { plan with Cinm_support.Fault.seed = s }
       | None -> plan
     in
-    Cinm_support.Fault.set_default (Some plan);
+    Cinm_support.Config.update_default (fun c -> { c with faults = Some plan });
     Printf.eprintf "[bench] fault injection enabled: %s\n%!"
       (Cinm_support.Fault.to_string plan)
   | None, Some _ ->
@@ -1074,12 +999,7 @@ let () =
     | [] | [ "all" ] -> all_experiments
     | cmds -> cmds
   in
-  let records =
-    (* tracing needs the sequential host timeline, so --trace wins *)
-    if !batch && List.length cmds > 1 && not (Cinm_support.Trace.enabled ())
-    then run_batch cmds
-    else List.map run_experiment cmds
-  in
+  let records = List.map run_experiment cmds in
   Option.iter (fun path -> write_json path records) !json_out;
   Option.iter
     (fun file ->

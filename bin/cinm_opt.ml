@@ -49,8 +49,11 @@ let run passes_arg verify_only verify_each reproducer_dir run_reproducer
   else begin
     if trace_out <> "" then Trace.enable ();
     if pass_stats then Trace.Metrics.enable ();
-    if verify_each then Pass.set_strict true;
-    if reproducer_dir <> "" then Pass.set_reproducer_dir (Some reproducer_dir);
+    if verify_each then
+      Cinm_support.Config.update_default (fun c -> { c with strict = true });
+    if reproducer_dir <> "" then
+      Cinm_support.Config.update_default (fun c ->
+          { c with reproducer_dir = Some reproducer_dir });
     if print_ir_after_all then Pass.set_ir_dump Pass.Dump_after_all
     else if print_ir_after_change then Pass.set_ir_dump Pass.Dump_after_change;
     let finish code =

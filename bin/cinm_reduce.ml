@@ -61,21 +61,19 @@ let exec_outcome backend m : string =
     let args = List.map synth_arg f.Func.arg_tys in
     if List.exists Option.is_none args then "<unsynthesizable arguments>"
     else begin
-      Compile.set_backend backend;
-      match
-        Compile.run_in_module ~max_steps:20_000_000 m f.Func.fname
-          (List.map Option.get args)
-      with
+      let config =
+        {
+          (Cinm_support.Config.default ()) with
+          interp = Compile.backend_name backend;
+          max_steps = 20_000_000;
+        }
+      in
+      match Compile.run_in_module ~config m f.Func.fname (List.map Option.get args) with
       | results, _ -> String.concat "; " (List.map Rtval.to_string results)
       | exception e -> "raised: " ^ Printexc.to_string e
     end)
 
-let backends_disagree m =
-  let saved = Compile.backend () in
-  Fun.protect
-    ~finally:(fun () -> Compile.set_backend saved)
-    (fun () ->
-      exec_outcome Compile.Tree m <> exec_outcome Compile.Compiled m)
+let backends_disagree m = exec_outcome Compile.Tree m <> exec_outcome Compile.Compiled m
 
 (* --exec-backend: the oracle's device-vs-reference differential, through
    the full driver (lowering pipeline + simulator), not just the two host
@@ -113,7 +111,7 @@ let run input passes_arg exec_mode exec_backend exec_faults fault_seed out
   in
   (* predicate runs must not litter the reproducer dir with their own
      failures *)
-  Pass.set_reproducer_dir None;
+  Cinm_support.Config.update_default (fun c -> { c with reproducer_dir = None });
   let exec_differential =
     if exec_faults then
       Some ("fault-plan vs fault-free", fun c -> faults_disagree ~seed:fault_seed c)

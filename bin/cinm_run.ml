@@ -21,16 +21,18 @@ let benchmarks () : (string * Benchmark.t) list =
 
 let run list_benchmarks bench_name backend_name dimms dpus_per_dimm tasklets optimize
     min_writes parallel show_ir trace_out interp strict max_steps =
-  if strict then Cinm_ir.Pass.set_strict true;
-  if max_steps > 0 then Cinm_interp.Interp.set_default_max_steps max_steps;
   (match interp with
-  | "" -> ()
-  | s -> (
-    match Cinm_interp.Compile.backend_of_string s with
-    | Some b -> Cinm_interp.Compile.set_backend b
-    | None ->
-      Printf.eprintf "unknown interpreter backend %S (tree|compiled)\n" s;
-      exit 1));
+  | "" | "tree" | "compiled" -> ()
+  | s ->
+    Printf.eprintf "unknown interpreter backend %S (tree|compiled)\n" s;
+    exit 1);
+  Cinm_support.Config.update_default (fun c ->
+      {
+        c with
+        strict = strict || c.strict;
+        max_steps = (if max_steps > 0 then max_steps else c.max_steps);
+        interp = (if interp <> "" then interp else c.interp);
+      });
   if list_benchmarks then begin
     List.iter
       (fun (name, (b : Benchmark.t)) ->

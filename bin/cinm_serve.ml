@@ -10,8 +10,9 @@
      {"op":"shutdown"}
 
    Environment variables (CINM_STRICT, CINM_MAX_STEPS, CINM_INTERP,
-   CINM_PASS_BUDGET_S, CINM_REPRODUCER_DIR) seed the base config exactly
-   as they seed the one-shot CLI; per-request fields override it. *)
+   CINM_PASS_BUDGET_S, CINM_REPRODUCER_DIR, CINM_FAULTS) seed the base
+   config exactly as they seed the one-shot CLI; per-request fields
+   override it, and "faults": "" asks for a fault-free run. *)
 
 open Cmdliner
 module Config = Cinm_support.Config

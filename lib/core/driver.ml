@@ -115,7 +115,7 @@ let pipeline (backend : Backend.t) : Pass.t list =
    feeds the phase histograms (cinm_driver_compile_seconds /
    cinm_driver_execute_seconds) when metrics are collected; with both
    tracing and metrics off this is a single branch around [f]. *)
-let with_span ?config name f =
+let with_span ~config name f =
   let tracing = Trace.enabled () and metrics = Trace.Metrics.enabled () in
   if not (tracing || metrics) then f ()
   else begin
@@ -125,10 +125,8 @@ let with_span ?config name f =
         let dur = Trace.now_host () -. t0 in
         if tracing then begin
           let args =
-            match config with
-            | Some c when c.Config.req_id <> "" ->
-              [ ("req_id", Trace.Str c.Config.req_id) ]
-            | _ -> []
+            if config.Config.req_id = "" then []
+            else [ ("req_id", Trace.Str config.Config.req_id) ]
           in
           Trace.complete ~cat:"driver" ~args ~clock:Trace.Host
             ~pid:Trace.host_pid ~track:"driver" ~ts:t0 ~dur name
@@ -163,23 +161,23 @@ let clone_module (m : Func.modul) =
    pristine module [m] to scf loops for the host interpreter (cinm→scf
    applies to ops without a device target, which a fresh front-end run
    leaves unset) and record why. *)
-let cpu_fallback ?verify ?config backend diag m =
-  Pass.run_pipeline ?verify ?config (to_cinm @ [ Cinm_to_scf.pass; Canonicalize.pass ]) m;
+let cpu_fallback ?verify ~config backend diag m =
+  Pass.run_pipeline ?verify ~config (to_cinm @ [ Cinm_to_scf.pass; Canonicalize.pass ]) m;
   { modul = m; backend; fallback = Some diag }
 
-let compile ?(verify = true) ?(fallback = true) ?config backend (m : Func.modul)
-    : compiled =
-  with_span ?config ("compile:" ^ Backend.to_string backend) @@ fun () ->
+let compile ?(verify = true) ?(fallback = true) ?(config = Config.default ()) backend
+    (m : Func.modul) : compiled =
+  with_span ~config ("compile:" ^ Backend.to_string backend) @@ fun () ->
   match backend with
   | Backend.Host_xeon | Backend.Host_arm ->
-    Pass.run_pipeline ~verify ?config (pipeline backend) m;
+    Pass.run_pipeline ~verify ~config (pipeline backend) m;
     { modul = m; backend; fallback = None }
   | Backend.Upmem _ | Backend.Cim _ | Backend.Hetero _ -> (
     (* device lowerings can fail on capacity/config limits; keep a pristine
        snapshot so the failed (possibly half-transformed) module can be
        abandoned and re-lowered for the CPU *)
     let snapshot = if fallback then Some (clone_module m) else None in
-    match Pass.run_pipeline_result ~verify ?config (pipeline backend) m with
+    match Pass.run_pipeline_result ~verify ~config (pipeline backend) m with
     | Ok () -> { modul = m; backend; fallback = None }
     | Error diag -> (
       match snapshot with
@@ -190,7 +188,7 @@ let compile ?(verify = true) ?(fallback = true) ?config backend (m : Func.modul)
         | Some r when r.Pass.diag = diag ->
           Log.warn "crash reproducer for the failed lowering: %s" r.Pass.path
         | _ -> ());
-        cpu_fallback ~verify ?config backend diag snap))
+        cpu_fallback ~verify ~config backend diag snap))
 
 let compile_func ?verify ?fallback ?config backend (f : Func.t) : compiled =
   let m = Func.create_module () in
@@ -200,12 +198,6 @@ let compile_func ?verify ?fallback ?config backend (f : Func.t) : compiled =
 (* ----- execution ----- *)
 
 let upmem_sim_config = Machine_set.upmem_sim_config
-
-(* The machine fault plan a request's config asks for: an explicit plan
-   overrides the process default (CINM_FAULTS via Fault.default), which
-   machines apply when the argument is omitted. *)
-let machine_faults config =
-  match config with Some { Config.faults = Some p; _ } -> Some (Some p) | _ -> None
 
 (* The host model a backend is costed on when the caller names none:
    cpu-opt for the xeon host and as the UPMEM host; the in-order ARM core
@@ -281,16 +273,16 @@ let report ~backend_name ~host_model ~profile ?summary machines : Report.t =
 (* The one runner behind every backend: [f] runs with the set's hooks,
    single-stream on the interpreter, or ([overlapped]) node by node on the
    multi-stream executor. *)
-let execute ?modul ?config ~backend_name ~host_model ~overlapped machines f args =
+let execute ?modul ~config ~backend_name ~host_model ~overlapped machines f args =
   let results, profile, summary =
-    with_span ?config ("execute:" ^ backend_name) @@ fun () ->
+    with_span ~config ("execute:" ^ backend_name) @@ fun () ->
     if overlapped then
       let host_cost p = (Cpu.Model.estimate host_model p).Cpu.Model.time_s in
-      let o = Stream_exec.run ?config ?modul ~host_cost ~machines f args in
+      let o = Stream_exec.run ~config ?modul ~host_cost ~machines f args in
       (o.Stream_exec.results, o.Stream_exec.profile, Some o.Stream_exec.summary)
     else
       let results, profile =
-        Compile.run_func ~hooks:(Machine_set.hooks machines) ?modul ?config f args
+        Compile.run_func ~hooks:(Machine_set.hooks machines) ?modul ~config f args
       in
       (results, profile, None)
   in
@@ -302,15 +294,15 @@ let execute ?modul ?config ~backend_name ~host_model ~overlapped machines f args
    given simulator config (the hand-written PrIM baselines and the bench
    harness's scaled machines). *)
 let run_upmem_func ?(backend_name = "upmem") ?(host_model = Cpu.Model.xeon_opt) ?modul
-    ?config ~sim_config f args =
+    ?(config = Config.default ()) ~sim_config f args =
   let machines =
     (* [sim_config] replaces the UPMEM geometry of the default backend *)
-    Machine_set.create ?faults:(machine_faults config) ~upmem:sim_config
+    Machine_set.create ~faults:config.Config.faults ~upmem:sim_config
       (Backend.Upmem (Backend.default_upmem ()))
   in
-  execute ?modul ?config ~backend_name ~host_model ~overlapped:false machines f args
+  execute ?modul ~config ~backend_name ~host_model ~overlapped:false machines f args
 
-let run ?(fname = "") ?host_model ?config (compiled : compiled)
+let run ?(fname = "") ?host_model ?(config = Config.default ()) (compiled : compiled)
     (args : Rtval.t list) : Rtval.t list * Report.t =
   let f =
     match fname with
@@ -324,17 +316,18 @@ let run ?(fname = "") ?host_model ?config (compiled : compiled)
     | Some _ -> (Backend.Host_xeon, "+cpu-fallback")
     | None -> (compiled.backend, "")
   in
-  execute ~modul:compiled.modul ?config
+  execute ~modul:compiled.modul ~config
     ~backend_name:(Backend.to_string compiled.backend ^ suffix)
     ~host_model:(Option.value host_model ~default:(default_host_model backend))
     ~overlapped:(match backend with Backend.Hetero _ -> true | _ -> false)
-    (Machine_set.create ?faults:(machine_faults config) backend)
+    (Machine_set.create ~faults:config.Config.faults backend)
     f args
 
 (* Compile and run in one step (used by examples and the bench harness). *)
-let compile_and_run ?verify ?fallback ?host_model ?config backend f args =
-  let compiled = compile_func ?verify ?fallback ?config backend (Func.clone f) in
-  match run ?host_model ?config compiled args with
+let compile_and_run ?verify ?fallback ?host_model ?(config = Config.default ()) backend f
+    args =
+  let compiled = compile_func ?verify ?fallback ~config backend (Func.clone f) in
+  match run ?host_model ~config compiled args with
   | result -> result
   | exception Usim.Machine.Insufficient_capacity msg
     when fallback <> Some false ->
@@ -346,4 +339,4 @@ let compile_and_run ?verify ?fallback ?host_model ?config backend f args =
     let m = Func.create_module () in
     Func.add_func m (Func.clone f);
     let diag = { Pass.pass = "execute"; op = None; message = msg } in
-    run ?host_model ?config (cpu_fallback ?verify ?config backend diag m) args
+    run ?host_model ~config (cpu_fallback ?verify ~config backend diag m) args

@@ -31,8 +31,9 @@ type compiled = {
     [config] is a per-request {!Cinm_support.Config} snapshot threaded
     through the pass pipelines (strict/budget/reproducers) and, in the
     run entry points below, the interpreter (watchdog/deadline/cancel/
-    backend) and the machine simulators (fault plan). Omitted, process
-    defaults apply — the one-shot CLI behavior. *)
+    backend) and the machine simulators (fault plan; [None] =
+    fault-free). Omitted, {!Cinm_support.Config.default} applies — the
+    one-shot CLI behavior. *)
 val compile :
   ?verify:bool -> ?fallback:bool -> ?config:Cinm_support.Config.t -> Backend.t ->
   Func.modul -> compiled

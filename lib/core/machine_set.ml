@@ -19,13 +19,13 @@ let upmem_sim_config (c : Backend.upmem_config) =
     Usim.Config.dpus_per_dimm = c.Backend.dpus_per_dimm;
   }
 
-let create ?faults ?upmem (backend : Backend.t) =
+let create ~faults ?upmem (backend : Backend.t) =
   let upmem_machine u =
-    Some (Usim.Machine.create ?faults (Option.value upmem ~default:(upmem_sim_config u)))
+    Some (Usim.Machine.create ~faults (Option.value upmem ~default:(upmem_sim_config u)))
   in
   let crossbar (c : Backend.cim_config) =
     Some
-      (Msim.Machine.create ?faults
+      (Msim.Machine.create ~faults
          {
            (Msim.Config.default ~tiles:c.Backend.tiles ()) with
            Msim.Config.rows = c.Backend.rows;

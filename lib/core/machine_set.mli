@@ -14,12 +14,11 @@ type t = {
 (** UPMEM simulator configuration corresponding to a backend config. *)
 val upmem_sim_config : Backend.upmem_config -> Cinm_upmem_sim.Config.t
 
-(** The machines [backend] needs. [faults] is the machine fault plan
-    (omitted: the process default, see {!Cinm_support.Fault.default});
-    [upmem] replaces the UPMEM geometry derived from the backend, for
-    callers that run hand-tuned simulator configurations. *)
+(** The machines [backend] needs, under the fault plan [faults] ([None] =
+    fault-free); [upmem] replaces the UPMEM geometry derived from the
+    backend, for callers that run hand-tuned simulator configurations. *)
 val create :
-  ?faults:Cinm_support.Fault.plan option ->
+  faults:Cinm_support.Fault.plan option ->
   ?upmem:Cinm_upmem_sim.Config.t ->
   Backend.t ->
   t

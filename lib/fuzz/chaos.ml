@@ -13,11 +13,7 @@ type report = {
 }
 
 let known_codes =
-  [
-    "parse_error"; "oversized"; "bad_request"; "unknown_benchmark";
-    "pass_failed"; "watchdog"; "deadline_exceeded"; "cancelled"; "overloaded";
-    "shutting_down"; "internal";
-  ]
+  List.map Cinm_serve_lib.Protocol.code_name Cinm_serve_lib.Protocol.all_codes
 
 let benchmarks = [| "va"; "red"; "mm"; "mv" |]
 let max_line = 4096

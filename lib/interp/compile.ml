@@ -995,26 +995,19 @@ let run_region ctx region args = run (prepare ctx region) ctx args
 
 (* ----- entry points (drop-in for Interp.run_func / run_in_module) ----- *)
 
-let run_func ?(hooks = []) ?profile ?modul ?max_steps ?config (f : Func.t)
+let run_func ?(hooks = []) ?profile ?modul ?(config = Config.default ()) (f : Func.t)
     (args : Rtval.t list) : Rtval.t list * Profile.t =
-  let chosen =
-    match config with
-    | Some c when c.Config.interp <> "" -> backend_of_string_exn c.Config.interp
-    | _ -> backend ()
-  in
-  match chosen with
-  | Tree -> Interp.run_func ~hooks ?profile ?modul ?max_steps ?config f args
+  let ctx = Interp.create_ctx ~hooks ?profile ?modul ~fname:f.Func.fname ~config () in
+  match backend_of_ctx ctx with
+  | Tree ->
+    let results = Interp.eval_region ctx f.Func.body args in
+    (results, ctx.Interp.profile)
   | Compiled ->
-    let ctx =
-      Interp.create_ctx ~hooks ?profile ?modul ~fname:f.Func.fname ?max_steps
-        ?config ()
-    in
     let code = get_code f.Func.body in
     let caps = Array.map (fun v -> Interp.lookup ctx v) code.cap_values in
     let results = exec code ctx caps args in
     (results, ctx.Interp.profile)
 
-let run_in_module ?(hooks = []) ?profile ?max_steps ?config (m : Func.modul)
-    name args =
+let run_in_module ?(hooks = []) ?profile ?config (m : Func.modul) name args =
   let f = Func.find_func_exn m name in
-  run_func ~hooks ?profile ~modul:m ?max_steps ?config f args
+  run_func ~hooks ?profile ~modul:m ?config f args

@@ -71,17 +71,15 @@ val cache_stats : unit -> cache_stats
     (counted under [evictions]). Default 1024. *)
 val set_max_cache_entries : int -> unit
 
-(** Backend-dispatching drop-in for {!Interp.run_func}. [max_steps]
-    bounds the watchdog budget for this run (default: the
-    [CINM_MAX_STEPS] setting); the diagnostic is identical under both
-    backends. [config] supplies the per-request backend choice (its
-    [interp] field, when non-empty, overrides the process default),
-    watchdog budget, deadline and cancellation flag. *)
+(** Backend-dispatching drop-in for {!Interp.run_func}. [config]
+    (default: {!Cinm_support.Config.default}) supplies the backend choice
+    (its [interp] field; [""] means {!backend}), the watchdog budget, the
+    deadline and the cancellation flag. The watchdog diagnostic is
+    identical under both backends. *)
 val run_func :
   ?hooks:Interp.hook list ->
   ?profile:Profile.t ->
   ?modul:Func.modul ->
-  ?max_steps:int ->
   ?config:Cinm_support.Config.t ->
   Func.t ->
   Rtval.t list ->
@@ -91,7 +89,6 @@ val run_func :
 val run_in_module :
   ?hooks:Interp.hook list ->
   ?profile:Profile.t ->
-  ?max_steps:int ->
   ?config:Cinm_support.Config.t ->
   Func.modul ->
   string ->

@@ -67,14 +67,6 @@ exception Interp_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Interp_error s)) fmt
 
-(* Default step budget; the process-level Config snapshot owns the
-   CINM_MAX_STEPS parse (0 = unlimited). *)
-let default_max_steps = ref (Config.default ()).Config.max_steps
-
-let set_default_max_steps n =
-  default_max_steps := max 0 n;
-  Config.update_default (fun c -> { c with Config.max_steps = max 0 n })
-
 (* Watchdog check, shared verbatim by the tree-walker and the closure
    compiler. It counts its own invocations (loop back-edges and calls)
    rather than consulting the profile, so even a loop whose body is pure
@@ -97,7 +89,7 @@ let check_steps ctx (op_name : string) =
     incr ctx.steps;
     if ctx.max_steps > 0 && !(ctx.steps) > ctx.max_steps then
       err
-        "watchdog: function @%s exceeded the step budget at %s: %d steps (max %d); raise CINM_MAX_STEPS / ?max_steps"
+        "watchdog: function @%s exceeded the step budget at %s: %d steps (max %d); raise the config's max_steps (CINM_MAX_STEPS)"
         ctx.fname op_name !(ctx.steps) ctx.max_steps;
     if Atomic.get ctx.cancel then
       raise
@@ -687,34 +679,21 @@ and eval_elementwise ctx op opname =
 
 (* ----- entry points ----- *)
 
-let create_ctx ?(hooks = []) ?profile ?modul ?(fname = "<main>") ?max_steps
-    ?config () =
+let create_ctx ?(hooks = []) ?profile ?modul ?(fname = "<main>")
+    ?(config = Config.default ()) () =
   let profile = match profile with Some p -> p | None -> Profile.create () in
-  (* explicit argument > request config > process default *)
-  let max_steps =
-    match (max_steps, config) with
-    | Some n, _ -> max 0 n
-    | None, Some c -> c.Config.max_steps
-    | None, None -> !default_max_steps
-  in
-  let deadline, cancel, interp =
-    match config with
-    | Some c -> (c.Config.deadline, c.Config.cancel, c.Config.interp)
-    | None -> (0., Config.never_cancelled, "")
-  in
   { env = Hashtbl.create 256; profile; hooks; modul; device = Host;
-    cmpi_preds = Hashtbl.create 8; fname; max_steps; steps = ref 0;
-    deadline; cancel; interp; scratch = None }
+    cmpi_preds = Hashtbl.create 8; fname;
+    max_steps = max 0 config.Config.max_steps; steps = ref 0;
+    deadline = config.Config.deadline; cancel = config.Config.cancel;
+    interp = config.Config.interp; scratch = None }
 
-let run_func ?(hooks = []) ?profile ?modul ?max_steps ?config (f : Func.t)
+let run_func ?(hooks = []) ?profile ?modul ?config (f : Func.t)
     (args : Rtval.t list) : Rtval.t list * Profile.t =
-  let ctx =
-    create_ctx ~hooks ?profile ?modul ~fname:f.Func.fname ?max_steps ?config ()
-  in
+  let ctx = create_ctx ~hooks ?profile ?modul ~fname:f.Func.fname ?config () in
   let results = eval_region ctx f.Func.body args in
   (results, ctx.profile)
 
-let run_in_module ?(hooks = []) ?profile ?max_steps ?config (m : Func.modul)
-    name args =
+let run_in_module ?(hooks = []) ?profile ?config (m : Func.modul) name args =
   let f = Func.find_func_exn m name in
-  run_func ~hooks ?profile ~modul:m ?max_steps ?config f args
+  run_func ~hooks ?profile ~modul:m ?config f args

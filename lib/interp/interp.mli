@@ -62,10 +62,6 @@ and hook = ctx -> Ir.op -> Rtval.t array -> Rtval.t list option
 
 exception Interp_error of string
 
-(** Default watchdog step budget for new contexts, initialised from
-    [CINM_MAX_STEPS] (0 = unlimited). *)
-val set_default_max_steps : int -> unit
-
 (** Count one watchdog step (a loop back-edge or call) and raise
     {!Interp_error} when the context's budget is exhausted, naming the
     executing function, the op at which the budget tripped and the step
@@ -128,21 +124,18 @@ val create_ctx :
   ?profile:Profile.t ->
   ?modul:Func.modul ->
   ?fname:string ->
-  ?max_steps:int ->
   ?config:Cinm_support.Config.t ->
   unit ->
   ctx
 
 (** Run a function; returns its results and the accumulated profile.
-    [max_steps] bounds the watchdog budget for this run (default: the
-    [CINM_MAX_STEPS] setting). [config] is a per-request snapshot
-    supplying max-steps (unless given explicitly), deadline, cancellation
-    flag and interpreter backend. *)
+    [config] (default: {!Cinm_support.Config.default}) supplies the
+    watchdog step budget ([max_steps], 0 = unlimited), the deadline, the
+    cancellation flag and the interpreter backend. *)
 val run_func :
   ?hooks:hook list ->
   ?profile:Profile.t ->
   ?modul:Func.modul ->
-  ?max_steps:int ->
   ?config:Cinm_support.Config.t ->
   Func.t ->
   Rtval.t list ->
@@ -152,7 +145,6 @@ val run_func :
 val run_in_module :
   ?hooks:hook list ->
   ?profile:Profile.t ->
-  ?max_steps:int ->
   ?config:Cinm_support.Config.t ->
   Func.modul ->
   string ->

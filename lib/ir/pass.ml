@@ -65,33 +65,16 @@ let split_op message =
      String.trim (String.sub message (i + 1) (String.length message - i - 1)))
   | _ -> (None, message)
 
-(* ----- strict checking mode (mlir's -verify-each equivalent, plus a
-   print->parse->print fixpoint assertion catching printer/parser drift
-   and unprintable attributes). Off by default: the uninstrumented fast
-   path and byte-stable bench output are untouched. ----- *)
-
-(* The process defaults live in {!Cinm_support.Config} (parsed from the
-   environment exactly once); the setters below are the CLI-facing
-   mutators and delegate there. Runners take an optional per-request
-   [?config] snapshot that overrides the process default wholesale —
-   that is what lets a server run concurrent pipelines with different
-   strictness/budgets without racing on process state. *)
-
-let strict_mode = ref (Config.default ()).Config.strict
-
-let set_strict b =
-  strict_mode := b;
-  Config.update_default (fun c -> { c with Config.strict = b })
-
-let strict_enabled () = !strict_mode
-
-(* ----- per-pass wall-time budget ----- *)
-
-let pass_budget_s = ref (Config.default ()).Config.pass_budget_s
-
-let set_pass_budget_s b =
-  pass_budget_s := b;
-  Config.update_default (fun c -> { c with Config.pass_budget_s = b })
+(* ----- run settings: strict checking (mlir's -verify-each equivalent,
+   plus a print->parse->print fixpoint assertion catching printer/parser
+   drift and unprintable attributes), the per-pass wall-time budget
+   (over-budget completion is a pass failure) and the reproducer
+   directory. They come from the run's {!Cinm_support.Config}: the
+   runners' [?config] when given, else the process default. A server
+   passes one snapshot per request, so concurrent pipelines with
+   different settings never race on process state. All are off by
+   default: the uninstrumented fast path and byte-stable bench output are
+   untouched. ----- *)
 
 (* ----- crash reproducers (mlir's --mlir-pass-pipeline-crash-reproducer).
 
@@ -102,12 +85,6 @@ let set_pass_budget_s b =
    [cinm_opt --run-reproducer] invocation. ----- *)
 
 type reproducer = { path : string; pipeline : string list; diag : diag }
-
-let reproducer_dir = ref (Config.default ()).Config.reproducer_dir
-
-let set_reproducer_dir d =
-  reproducer_dir := d;
-  Config.update_default (fun c -> { c with Config.reproducer_dir = d })
 
 (* Domain-local: a server runs each request's pipeline on one pool
    domain, so concurrent requests never observe each other's reproducer
@@ -245,17 +222,6 @@ let first_diff_line a b =
   in
   go 1 (la, lb)
 
-(* Effective per-run settings: the request snapshot when given, else the
-   process defaults the CLI setters mutate. *)
-let eff_strict config =
-  match config with Some c -> c.Config.strict | None -> !strict_mode
-
-let eff_budget config =
-  match config with Some c -> c.Config.pass_budget_s | None -> !pass_budget_s
-
-let eff_reproducer_dir config =
-  match config with Some c -> c.Config.reproducer_dir | None -> !reproducer_dir
-
 (* Strict mode's print->parse->print fixpoint assertion. *)
 let strict_roundtrip pass_name m =
   let txt = Printer.module_to_string m in
@@ -279,9 +245,9 @@ let strict_roundtrip pass_name m =
            "strict round-trip after %s: print->parse->print is not a fixpoint%s"
            pass_name detail)
 
-let run_one_result ?(verify = true) ?config pass m =
-  let strict = eff_strict config in
-  let budget = eff_budget config in
+let run_one_result ?(verify = true) ?(config = Config.default ()) pass m =
+  let strict = config.Config.strict in
+  let budget = config.Config.pass_budget_s in
   let fail message =
     let op, message = split_op message in
     Error { pass = pass.pass_name; op; message }
@@ -372,10 +338,8 @@ let run_one_result ?(verify = true) ?config pass m =
         | Error d -> [ ("error", Trace.Str (diag_to_string d)) ]
       in
       let rid =
-        match config with
-        | Some c when c.Config.req_id <> "" ->
-          [ ("req_id", Trace.Str c.Config.req_id) ]
-        | _ -> []
+        if config.Config.req_id = "" then []
+        else [ ("req_id", Trace.Str config.Config.req_id) ]
       in
       Trace.complete ~cat:"pass"
         ~args:
@@ -402,8 +366,8 @@ let run_one ?verify ?config pass m =
   | Ok () -> ()
   | Error d -> raise (Pass_failed d)
 
-let run_pipeline_result ?verify ?(trace = false) ?config passes m =
-  let repro_dir = eff_reproducer_dir config in
+let run_pipeline_result ?verify ?(trace = false) ?(config = Config.default ()) passes m =
+  let repro_dir = config.Config.reproducer_dir in
   let rec go pipeline =
     match pipeline with
     | [] -> Ok ()
@@ -412,7 +376,7 @@ let run_pipeline_result ?verify ?(trace = false) ?config passes m =
          (or cancelled by the server) aborts before the next pass starts;
          Config.Cancelled propagates — it is not a pass failure and must
          not trigger degradation paths like the CPU fallback *)
-      (match config with Some c -> Config.check c | None -> ());
+      Config.check config;
       if trace then Log.info "running pass %s" pass.pass_name
       else Log.debug "running pass %s" pass.pass_name;
       (* pre-pass snapshot, taken only when reproducers are live: the
@@ -420,16 +384,14 @@ let run_pipeline_result ?verify ?(trace = false) ?config passes m =
       let snapshot =
         if repro_dir = None then None else Some (Printer.module_to_string m)
       in
-      match run_one_result ?verify ?config pass m with
+      match run_one_result ?verify ~config pass m with
       | Ok () -> go rest
       | Error d ->
         (match (snapshot, repro_dir) with
         | Some txt, Some dir ->
-          let req_id =
-            match config with Some c -> c.Config.req_id | None -> ""
-          in
           ignore
-            (write_reproducer ~req_id ~dir ~strict:(eff_strict config)
+            (write_reproducer ~req_id:config.Config.req_id ~dir
+               ~strict:config.Config.strict
                ~pipeline:(List.map (fun p -> p.pass_name) pipeline)
                ~diag:d txt)
         | _ -> ());

@@ -29,41 +29,33 @@ val diag_to_string : diag -> string
 
 exception Pass_failed of diag
 
-(** {2 Strict checking}
+(** {2 Run settings}
 
-    With strict mode on (MLIR's [-verify-each] plus a textual round-trip
-    assertion), every pass run verifies the module {e and} asserts that
-    print→parse→print reaches a fixpoint, converting printer/parser drift
-    into a structured pass failure. Off by default so the uninstrumented
-    fast path and byte-stable bench output are untouched; also enabled by
-    [CINM_STRICT=1]. *)
+    The runners read their settings from a {!Cinm_support.Config.t}: the
+    [?config] argument when given, else {!Cinm_support.Config.default}.
 
-val set_strict : bool -> unit
+    - [strict] (MLIR's [-verify-each] plus a textual round-trip
+      assertion; [CINM_STRICT=1]): every pass run verifies the module
+      {e and} asserts that print→parse→print reaches a fixpoint,
+      converting printer/parser drift into a structured pass failure.
+    - [pass_budget_s] (seconds; [CINM_PASS_BUDGET_S]): a pass that
+      completes over budget is converted into a pass failure, which stops
+      the pipeline and routes through the reproducer path.
+    - [reproducer_dir] ([CINM_REPRODUCER_DIR]): see below.
 
-val strict_enabled : unit -> bool
-
-(** {2 Per-pass wall-time budget}
-
-    With a budget set (seconds; also via [CINM_PASS_BUDGET_S]), a pass
-    that completes over budget is converted into a pass failure, which
-    stops the pipeline and routes through the reproducer path. [None]
-    (the default) disables the check and keeps the fast path. *)
-
-val set_pass_budget_s : float option -> unit
+    All are off by default, so the uninstrumented fast path and
+    byte-stable bench output are untouched. *)
 
 (** {2 Crash reproducers}
 
-    With a reproducer directory configured (also via
-    [CINM_REPRODUCER_DIR]), {!run_pipeline_result} snapshots the IR before
-    each pass and, when one fails, writes a standalone
-    [<pass>-<n>.reproducer.mlir] file holding the pre-failure IR plus a
-    [// cinm-opt --passes <failing,and,remaining>] header, so the exact
-    failure replays with one [cinm_opt --run-reproducer] invocation
-    (MLIR's pass-pipeline crash reproducers). *)
+    With a reproducer directory configured, {!run_pipeline_result}
+    snapshots the IR before each pass and, when one fails, writes a
+    standalone [<pass>-<n>.reproducer.mlir] file holding the pre-failure
+    IR plus a [// cinm-opt --passes <failing,and,remaining>] header, so
+    the exact failure replays with one [cinm_opt --run-reproducer]
+    invocation (MLIR's pass-pipeline crash reproducers). *)
 
 type reproducer = { path : string; pipeline : string list; diag : diag }
-
-val set_reproducer_dir : string option -> unit
 
 (** The fuzzing seed to record in reproducer headers ([// fuzz-seed: N]),
     so an artifact names the exact [cinm_fuzz] invocation that replays
@@ -99,9 +91,8 @@ val count_ops : Func.modul -> int
     discard it (drivers re-lower a pristine clone). A failing pass still
     gets its span, with an [error] attribute holding the diagnostic.
 
-    [config] is a per-request {!Cinm_support.Config} snapshot; when given
-    it overrides the process-level strict/budget/reproducer settings
-    wholesale, so concurrent pipelines never race on process state. *)
+    [config] (default: {!Cinm_support.Config.default}) supplies the
+    strict and budget settings. *)
 val run_one_result :
   ?verify:bool -> ?config:Cinm_support.Config.t -> t -> Func.modul ->
   (unit, diag) result
@@ -111,8 +102,8 @@ val run_one : ?verify:bool -> ?config:Cinm_support.Config.t -> t -> Func.modul -
 
 (** Run passes in order, stopping at the first failure. [trace] promotes
     the per-pass progress line from debug to info level (see
-    {!Cinm_support.Log}). With [config], the runner checks the request's
-    deadline/cancel flag between passes and raises
+    {!Cinm_support.Log}). The runner checks the config's deadline and
+    cancel flag between passes and raises
     {!Cinm_support.Config.Cancelled} — deliberately not a pass failure,
     so cancellation aborts outright instead of triggering fallbacks. *)
 val run_pipeline_result :

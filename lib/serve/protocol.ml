@@ -87,6 +87,12 @@ let code_name = function
   | Shutting_down -> "shutting_down"
   | Internal -> "internal"
 
+let all_codes =
+  [
+    Parse_error_code; Oversized; Bad_request; Unknown_benchmark; Pass_failed;
+    Watchdog; Deadline_exceeded; Cancelled; Overloaded; Shutting_down; Internal;
+  ]
+
 (* ----- request decoding ----- *)
 
 (* A typed optional field: [Ok None] when absent, [Error _] when present

@@ -16,7 +16,9 @@ type request = {
   max_steps : int option;
   deadline_s : float option;
   pass_budget_s : float option;
-  faults : string option;  (** raw fault spec, e.g. "dpu_fail=0.05,seed=7" *)
+  faults : string option;
+      (** raw fault spec, e.g. "dpu_fail=0.05,seed=7"; [""] = fault-free,
+          absent = the server's base plan *)
   fallback : bool;  (** CPU fallback on device-lowering failure *)
   check : bool;  (** verify device results against the host reference *)
   repeats : int;  (** bench: number of timed runs *)
@@ -41,6 +43,9 @@ type error_code =
   | Internal
 
 val code_name : error_code -> string
+
+(** Every error code, in declaration order. *)
+val all_codes : error_code list
 
 (** Decode a parsed JSON request. [Error] carries a bad-request message
     (missing op, mistyped field, out-of-range knob). Unknown fields are

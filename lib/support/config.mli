@@ -7,7 +7,9 @@
     cooperative cancellation flag. The environment is parsed exactly once
     ({!from_env}); a server snapshots one [t] per request and threads it
     through the pass manager, driver and interpreter, so concurrent
-    requests never race on process state. *)
+    requests never race on process state. Every runner uses its explicit
+    [?config] when given, else {!default}; there is no other store of
+    these settings. *)
 
 type t = {
   strict : bool;
@@ -16,7 +18,7 @@ type t = {
   reproducer_dir : string option;  (** crash-reproducer output directory *)
   max_steps : int;  (** interpreter watchdog budget; 0 = unlimited *)
   interp : string;  (** "tree" | "compiled" | "" = process default *)
-  faults : Fault.plan option;  (** [None] = the process-default plan *)
+  faults : Fault.plan option;  (** [None] = fault-free *)
   deadline : float;  (** absolute host time (Unix epoch); 0. = none *)
   cancel : bool Atomic.t;  (** cooperative cancellation flag *)
   req_id : string;
@@ -35,14 +37,17 @@ exception Cancelled of string
 val never_cancelled : bool Atomic.t
 
 (** Parse the environment (CINM_STRICT, CINM_PASS_BUDGET_S,
-    CINM_REPRODUCER_DIR, CINM_MAX_STEPS, CINM_INTERP) into a snapshot.
-    Fault plans stay with {!Fault.default}, which owns CINM_FAULTS. *)
+    CINM_REPRODUCER_DIR, CINM_MAX_STEPS, CINM_INTERP) into a snapshot. A
+    set variable whose value does not parse is ignored with a warning
+    naming it. The fault plan is {!Fault.default}, which owns
+    CINM_FAULTS. *)
 val from_env : unit -> t
 
-(** The mutable process default: [from_env] on first use, mutated by the
-    CLI entry points via the legacy setters. *)
+(** The process default: [from_env] on first use, then whatever the CLI
+    entry points set. Its [faults] is always {!Fault.default}. *)
 val default : unit -> t
 
+(** Replace the process default; [faults] goes to {!Fault.set_default}. *)
 val set_default : t -> unit
 
 (** [update_default f] replaces the process default with [f (default ())]. *)

@@ -157,10 +157,9 @@ let to_string p =
 
 (* ----- the process-wide default plan ----- *)
 
-(* Like [Pool.default]: simulators pick the default plan up at creation
-   unless one is passed explicitly, so [CINM_FAULTS] (or the bench
-   harness's --faults flag via [set_default]) reaches every machine
-   without threading a parameter through each call site. *)
+(* Simulators pick the default plan up at creation unless one is passed
+   explicitly. This is also the [faults] field of [Config.default ()]:
+   Config reads and writes the plan here, so the two cannot disagree. *)
 
 let parsed_env = ref false
 let default_plan : plan option ref = ref None

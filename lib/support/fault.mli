@@ -55,10 +55,11 @@ val to_string : plan -> string
 (** {1 Process-wide default} *)
 
 val default : unit -> plan option
-(** The default plan picked up by simulators at creation: parsed once
-    from [CINM_FAULTS] unless overridden by {!set_default}. [None] means
-    fault-free. *)
+(** The process default plan, picked up by simulators created without
+    one: parsed once from [CINM_FAULTS] unless overridden by
+    {!set_default}. [None] means fault-free. This is the one store behind
+    the [faults] field of {!Config.default}. *)
 
 val set_default : plan option -> unit
-(** Override the default plan (e.g. from [bench --faults]); suppresses
-    [CINM_FAULTS] parsing. *)
+(** Override the default plan; suppresses [CINM_FAULTS] parsing.
+    {!Config.set_default} writes here too. *)

@@ -234,14 +234,16 @@ let run p n f =
 (* ----- the process-wide default pool ----- *)
 
 let env_jobs () =
-  match Sys.getenv_opt "CINM_JOBS" with
+  match Option.map String.trim (Sys.getenv_opt "CINM_JOBS") with
+  | None | Some "" -> None
   | Some s -> (
-    match int_of_string_opt (String.trim s) with
+    match int_of_string_opt s with
     | Some j when j >= 1 -> Some j
     (* 0 = auto-detect, same as unset: size by the machine *)
     | Some 0 -> Some (Domain.recommended_domain_count ())
-    | _ -> None)
-  | None -> None
+    | _ ->
+      Log.warn "ignoring CINM_JOBS=%S: expected a non-negative integer" s;
+      None)
 
 let default_pool : t option ref = ref None
 

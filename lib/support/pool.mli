@@ -50,10 +50,15 @@ val shutdown : t -> unit
 (** True once {!shutdown} has begun ([submit] will refuse). *)
 val shutting_down : t -> bool
 
-(** The process-wide pool, sized by [CINM_JOBS] when set (and valid),
-    else [Domain.recommended_domain_count]. [CINM_JOBS=0] means
-    auto-detect — the same machine-sized default as leaving it unset.
-    Created on first use; torn down via [at_exit]. *)
+(** The pool size [CINM_JOBS] asks for: [None] when unset, or (with a
+    warning naming the value) when it is not a non-negative integer.
+    [CINM_JOBS=0] means auto-detect — the same machine-sized default as
+    leaving it unset. *)
+val env_jobs : unit -> int option
+
+(** The process-wide pool, sized by {!env_jobs} when given, else
+    [Domain.recommended_domain_count]. Created on first use; torn down
+    via [at_exit]. *)
 val default : unit -> t
 
 (** Replace the default pool with one of the given size (the [--jobs]

@@ -15,6 +15,7 @@ module Fault = Cinm_support.Fault
 module Driver = Cinm_core.Driver
 module Backend = Cinm_core.Backend
 module Report = Cinm_core.Report
+module Config = Cinm_support.Config
 
 let () = Registry.ensure_all ()
 
@@ -271,7 +272,7 @@ let test_watchdog_parity () =
     and step = Arith.const_index b 1 in
     Scf_d.for0 b ~lb ~ub ~step (fun _ _ -> ());
     Func_d.return b [];
-    Compile.run_func ~max_steps:1000 f []
+    Compile.run_func ~config:{ (Config.default ()) with Config.max_steps = 1000 } f []
   in
   let e_tree = with_backend Compile.Tree (fun () -> catch spin) in
   let e_comp = with_backend Compile.Compiled (fun () -> catch spin) in
@@ -299,15 +300,72 @@ let test_watchdog_default_off () =
 
 (* ----- process defaults ----- *)
 
-(* The interpreter choice has one source of truth: the Config default. *)
+(* Every run setting has one source of truth: the Config default, which
+   runs that pass no config read. *)
 let test_backend_reads_config_default () =
-  let module Config = Cinm_support.Config in
   let saved = Config.default () in
   Fun.protect ~finally:(fun () -> Config.set_default saved) @@ fun () ->
   Config.set_default { saved with Config.interp = "compiled" };
   Alcotest.(check bool) "compiled" true (Compile.backend () = Compile.Compiled);
   Config.set_default { saved with Config.interp = "tree" };
-  Alcotest.(check bool) "tree" true (Compile.backend () = Compile.Tree)
+  Alcotest.(check bool) "tree" true (Compile.backend () = Compile.Tree);
+  (* the pass manager: strict, pass budget, reproducer dir *)
+  let dir = Filename.temp_file "cinm-config-repro" "" in
+  Sys.remove dir;
+  Config.set_default
+    { saved with Config.strict = true; pass_budget_s = Some 0.0; reproducer_dir = Some dir };
+  let nop = Pass.create ~name:"nop" (fun _ -> ()) in
+  let unverified () =
+    let m = Func.create_module () in
+    let f = Func.create ~name:"bad" ~arg_tys:[] ~result_tys:[] in
+    let b = Builder.for_func f in
+    Builder.build0 b "bogus.op";
+    Func_d.return b [];
+    Func.add_func m f;
+    m
+  in
+  (match Pass.run_one_result ~verify:false nop (unverified ()) with
+  | Error d ->
+    Alcotest.(check bool) "strict verifies" true (contains d.Pass.message "verification")
+  | Ok () -> Alcotest.fail "strict did not reach the pass manager");
+  let valid () =
+    let m = Func.create_module () in
+    Func.add_func m (build_mm 2 2 2 ());
+    m
+  in
+  (match Pass.run_pipeline_result [ nop ] (valid ()) with
+  | Error d ->
+    Alcotest.(check bool) "pass budget" true (contains d.Pass.message "wall-time budget")
+  | Ok () -> Alcotest.fail "the pass budget did not reach the pass manager");
+  (match Pass.last_reproducer () with
+  | Some r ->
+    Alcotest.(check string) "reproducer dir" dir (Filename.dirname r.Pass.path);
+    Sys.remove r.Pass.path;
+    Sys.rmdir dir
+  | None -> Alcotest.fail "the reproducer dir did not reach the pass manager");
+  (* the interpreter watchdog and the machines' fault plan *)
+  let plan = Result.get_ok (Fault.parse "dpu_fail=0.2,seed=3") in
+  Config.set_default { saved with Config.max_steps = 1000; faults = Some plan };
+  Alcotest.(check bool) "Fault.default is the same store" true (Fault.default () = Some plan);
+  let spin () =
+    let f = Func.create ~name:"spin" ~arg_tys:[] ~result_tys:[] in
+    let b = Builder.for_func f in
+    let lb = Arith.const_index b 0
+    and ub = Arith.const_index b 100_000
+    and step = Arith.const_index b 1 in
+    Scf_d.for0 b ~lb ~ub ~step (fun _ _ -> ());
+    Func_d.return b [];
+    Compile.run_func f []
+  in
+  Alcotest.(check bool) "max_steps" true
+    (match catch spin with Some e -> contains e "max 1000" | None -> false);
+  let backend = Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:8 ~tasklets:4 ()) in
+  let _, r =
+    Driver.compile_and_run backend (build_mm 32 8 6 ())
+      [ Rtval.Tensor (iota [| 32; 8 |]); Rtval.Tensor (iota [| 8; 6 |]) ]
+  in
+  Alcotest.(check bool) "faults" true
+    (Option.value ~default:0 (List.assoc_opt "failed_dpus" r.Report.counters) > 0)
 
 (* Driver.run costs the host side of a CIM run on the model it is given
    (default: the in-order ARM core). *)

@@ -7,6 +7,14 @@ open Cinm_dialects
 open Cinm_transforms
 module Reduce = Cinm_reduce_lib.Reduce
 module T = Types
+module Config = Cinm_support.Config
+
+(* A copy of the process default with [f] applied, for one explicit run. *)
+let config f = f (Config.default ())
+
+(* Predicate runs go through the process default: keep them from writing
+   reproducers when CINM_REPRODUCER_DIR is set. *)
+let no_reproducers () = Config.update_default (fun c -> { c with Config.reproducer_dir = None })
 
 let () = Registry.ensure_all ()
 
@@ -53,18 +61,13 @@ let pipeline_diag m =
 
 (* ----- crash reproducers ----- *)
 
-let with_reproducer_dir dir f =
-  Pass.set_reproducer_dir (Some dir);
-  Fun.protect ~finally:(fun () -> Pass.set_reproducer_dir None) f
-
 let test_reproducer_written_and_replays () =
   let m = build_bloated_module () in
-  let dir = "repro_out" in
+  let config = config (fun c -> { c with Config.reproducer_dir = Some "repro_out" }) in
   let diag =
-    with_reproducer_dir dir (fun () ->
-        match Pass.run_pipeline_result (failing_pipeline ()) m with
-        | Ok () -> Alcotest.fail "seeded pipeline unexpectedly succeeded"
-        | Error d -> d)
+    match Pass.run_pipeline_result ~config (failing_pipeline ()) m with
+    | Ok () -> Alcotest.fail "seeded pipeline unexpectedly succeeded"
+    | Error d -> d
   in
   Alcotest.(check string) "failing pass" "debug-fail-on-gemm" diag.Pass.pass;
   let repro =
@@ -96,10 +99,10 @@ let test_reproducer_written_and_replays () =
       (Pass.diag_to_string d))
 
 let test_reproducer_not_written_when_disabled () =
-  Pass.set_reproducer_dir None;
+  let config = config (fun c -> { c with Config.reproducer_dir = None }) in
   let before = Pass.last_reproducer () in
   let m = build_bloated_module () in
-  (match Pass.run_pipeline_result (failing_pipeline ()) m with
+  (match Pass.run_pipeline_result ~config (failing_pipeline ()) m with
   | Ok () -> Alcotest.fail "seeded pipeline unexpectedly succeeded"
   | Error _ -> ());
   let same =
@@ -113,23 +116,20 @@ let test_reproducer_not_written_when_disabled () =
 (* ----- per-pass wall-time budget ----- *)
 
 let test_pass_budget_exceeded () =
-  Pass.set_pass_budget_s (Some 0.0);
-  Fun.protect
-    ~finally:(fun () -> Pass.set_pass_budget_s None)
-    (fun () ->
-      let m = build_bloated_module () in
-      let nop = Pass.create ~name:"nop" (fun _ -> ()) in
-      match Pass.run_one_result nop m with
-      | Ok () -> Alcotest.fail "expected a budget failure"
-      | Error d ->
-        Alcotest.(check string) "failing pass" "nop" d.Pass.pass;
-        Alcotest.(check bool) "names the budget" true
-          (let s = d.Pass.message in
-           let rec mem i =
-             i + 16 <= String.length s
-             && (String.sub s i 16 = "wall-time budget" || mem (i + 1))
-           in
-           mem 0))
+  let config = config (fun c -> { c with Config.pass_budget_s = Some 0.0 }) in
+  let m = build_bloated_module () in
+  let nop = Pass.create ~name:"nop" (fun _ -> ()) in
+  match Pass.run_one_result ~config nop m with
+  | Ok () -> Alcotest.fail "expected a budget failure"
+  | Error d ->
+    Alcotest.(check string) "failing pass" "nop" d.Pass.pass;
+    Alcotest.(check bool) "names the budget" true
+      (let s = d.Pass.message in
+       let rec mem i =
+         i + 16 <= String.length s
+         && (String.sub s i 16 = "wall-time budget" || mem (i + 1))
+       in
+       mem 0)
 
 (* ----- strict mode gating ----- *)
 
@@ -146,24 +146,19 @@ let test_strict_forces_verification () =
     m
   in
   let nop = Pass.create ~name:"nop" (fun _ -> ()) in
-  let was = Pass.strict_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Pass.set_strict was)
-    (fun () ->
-      Pass.set_strict false;
-      (match Pass.run_one_result ~verify:false nop (broken ()) with
-      | Ok () -> ()
-      | Error d ->
-        Alcotest.failf "unexpected failure with strict off: %s" (Pass.diag_to_string d));
-      Pass.set_strict true;
-      match Pass.run_one_result ~verify:false nop (broken ()) with
-      | Ok () -> Alcotest.fail "strict mode did not verify"
-      | Error _ -> ())
+  let strict s = config (fun c -> { c with Config.strict = s }) in
+  (match Pass.run_one_result ~verify:false ~config:(strict false) nop (broken ()) with
+  | Ok () -> ()
+  | Error d ->
+    Alcotest.failf "unexpected failure with strict off: %s" (Pass.diag_to_string d));
+  match Pass.run_one_result ~verify:false ~config:(strict true) nop (broken ()) with
+  | Ok () -> Alcotest.fail "strict mode did not verify"
+  | Error _ -> ()
 
 (* ----- cinm-reduce ----- *)
 
 let test_reduce_shrinks_preserving_failure () =
-  Pass.set_reproducer_dir None;
+  no_reproducers ();
   let m = build_bloated_module () in
   let ops_before = Pass.count_ops m in
   Alcotest.(check bool) "module is >= 50 ops" true (ops_before >= 50);
@@ -201,7 +196,7 @@ let test_reduce_collapses_live_chains () =
      through a long accumulator chain into the returned value. Every link
      is live, so only the operand-forwarding move can shorten the path —
      constant replacement would sever the gemm from the return. *)
-  Pass.set_reproducer_dir None;
+  no_reproducers ();
   let m = Func.create_module () in
   let f =
     Func.create ~name:"chain" ~arg_tys:[ tensor [| 2; 2 |]; tensor [| 2; 2 |] ]
@@ -301,7 +296,7 @@ let test_exec_backend_rejects_unknown () =
 
 let test_reduce_keeps_interesting_input_intact () =
   (* reduction of an already-minimal module is the identity *)
-  Pass.set_reproducer_dir None;
+  no_reproducers ();
   let m = Func.create_module () in
   let f =
     Func.create ~name:"tiny" ~arg_tys:[ tensor [| 2; 2 |]; tensor [| 2; 2 |] ]

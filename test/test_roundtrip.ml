@@ -171,17 +171,13 @@ let test_strict_pipeline () =
     f
   in
   Func.add_func m f;
-  let was = Pass.strict_enabled () in
-  Fun.protect
-    ~finally:(fun () -> Pass.set_strict was)
-    (fun () ->
-      Pass.set_strict true;
-      let backend =
-        Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ())
-      in
-      match Pass.run_pipeline_result (Driver.pipeline backend) m with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "strict pipeline failed: %s" (Pass.diag_to_string d))
+  let config = { (Cinm_support.Config.default ()) with Cinm_support.Config.strict = true } in
+  let backend =
+    Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ())
+  in
+  match Pass.run_pipeline_result ~config (Driver.pipeline backend) m with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "strict pipeline failed: %s" (Pass.diag_to_string d)
 
 let () =
   Alcotest.run "roundtrip"

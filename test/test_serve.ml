@@ -371,6 +371,31 @@ let test_daemon_degraded_and_reproducer () =
             | None -> Alcotest.fail "no reproducer path in error detail")
           | None -> Alcotest.fail "no error object")))
 
+(* The base config carries the process fault plan: a request that names
+   no plan inherits it, and ["faults": ""] asks for a fault-free run. *)
+let test_daemon_base_faults () =
+  let module Fault = Cinm_support.Fault in
+  let saved = Fault.default () in
+  Fault.set_default (Result.to_option (Fault.parse "dpu_fail=0.2"));
+  Fun.protect ~finally:(fun () -> Fault.set_default saved) @@ fun () ->
+  with_daemon (fun socket ->
+      let c = Client.connect ~attempts:40 socket in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          let run faults = Client.request c (Client.make_request ~benchmark:"va" ?faults "run") in
+          let failed r = Option.value ~default:0 (Json.int_field r "failed_dpus") in
+          let inherited = run None in
+          Alcotest.(check (option bool)) "inherited ok" (Some true) (Json.bool_field inherited "ok");
+          Alcotest.(check (option bool)) "inherited degraded" (Some true)
+            (Json.bool_field inherited "degraded");
+          Alcotest.(check bool) "inherited dpus failed" true (failed inherited > 0);
+          let clean = run (Some "") in
+          Alcotest.(check (option bool)) "fault-free ok" (Some true) (Json.bool_field clean "ok");
+          Alcotest.(check (option bool)) "fault-free not degraded" (Some false)
+            (Json.bool_field clean "degraded");
+          Alcotest.(check int) "fault-free dpus" 0 (failed clean)))
+
 (* Concurrent clients with *different* per-request configs: watchdogged
    requests trip, unbounded ones succeed — configs never bleed across
    requests sharing the pool. *)
@@ -646,6 +671,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_daemon_errors;
           Alcotest.test_case "degraded+reproducer" `Quick
             test_daemon_degraded_and_reproducer;
+          Alcotest.test_case "base fault plan" `Quick test_daemon_base_faults;
           Alcotest.test_case "concurrent configs" `Quick
             test_daemon_concurrent_configs;
           Alcotest.test_case "admission+shutdown" `Quick

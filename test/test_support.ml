@@ -81,6 +81,42 @@ let test_linearize_bounds () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected out-of-bounds failure"
 
+(* A set variable whose value does not parse is ignored with a warning
+   naming the variable and the value, never silently. *)
+let test_env_bad_values_warn () =
+  let vars = [ "CINM_MAX_STEPS"; "CINM_PASS_BUDGET_S"; "CINM_JOBS" ] in
+  let warnings = ref [] in
+  Log.set_level Log.Warn;
+  Log.set_sink (Some (fun _ line -> warnings := line :: !warnings));
+  Fun.protect
+    ~finally:(fun () ->
+      Log.set_sink None;
+      List.iter (fun v -> Unix.putenv v "") vars)
+  @@ fun () ->
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let set values = List.iter2 Unix.putenv vars values in
+  set [ "1e6"; "abc"; "four" ];
+  let c = Config.from_env () in
+  Alcotest.(check int) "max_steps ignored" 0 c.Config.max_steps;
+  Alcotest.(check (option (float 0.0))) "budget ignored" None c.Config.pass_budget_s;
+  Alcotest.(check (option int)) "jobs ignored" None (Pool.env_jobs ());
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) ("warns about " ^ needle) true
+        (List.exists (fun w -> contains w needle) !warnings))
+    [ "CINM_MAX_STEPS=\"1e6\""; "CINM_PASS_BUDGET_S=\"abc\""; "CINM_JOBS=\"four\"" ];
+  warnings := [];
+  set [ "1000"; "0.5"; "3" ];
+  let c = Config.from_env () in
+  Alcotest.(check int) "max_steps" 1000 c.Config.max_steps;
+  Alcotest.(check (option (float 0.0))) "budget" (Some 0.5) c.Config.pass_budget_s;
+  Alcotest.(check (option int)) "jobs" (Some 3) (Pool.env_jobs ());
+  Alcotest.(check (list string)) "valid values parse silently" [] !warnings
+
 let () =
   Alcotest.run "support"
     [
@@ -98,4 +134,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_linearize_roundtrip;
           Alcotest.test_case "linearize bounds" `Quick test_linearize_bounds;
         ] );
+      ("env", [ Alcotest.test_case "bad values warn" `Quick test_env_bad_values_warn ]);
     ]

@@ -343,14 +343,12 @@ let test_pattern_hits () =
   let pass = Pass.of_patterns ~name:"test-erase" [ erase "test.nop"; erase "test.other" ] in
   (* the synthetic test.* ops are unregistered, so keep strict mode (which
      forces verification even with ~verify:false) out of this run *)
-  let was = Pass.strict_enabled () in
-  Pass.set_strict false;
-  Fun.protect
-    ~finally:(fun () -> Pass.set_strict was)
-    (fun () ->
-      match Pass.run_one_result ~verify:false pass m with
-      | Ok () -> ()
-      | Error d -> Alcotest.failf "pass failed: %s" (Pass.diag_to_string d));
+  let config =
+    { (Cinm_support.Config.default ()) with Cinm_support.Config.strict = false }
+  in
+  (match Pass.run_one_result ~verify:false ~config pass m with
+  | Ok () -> ()
+  | Error d -> Alcotest.failf "pass failed: %s" (Pass.diag_to_string d));
   Alcotest.(check int) "pattern0 hits" 3
     (Trace.Metrics.get "rewrite.test-erase.pattern0");
   Alcotest.(check int) "pattern1 hits" 2
