@@ -86,8 +86,9 @@ let cmd =
           value & opt int 0
           & info [ "jobs" ] ~docv:"N"
               ~doc:
-                "Worker-domain count (0 = the default pool, sized by \
-                 CINM_JOBS or the machine).")
+                "Domain-pool size, the calling domain included: requests \
+                 execute on max(1, N-1) worker domains (0 = the default \
+                 pool, sized by CINM_JOBS or the machine).")
       $ Arg.(
           value & opt int 64
           & info [ "max-inflight" ] ~docv:"N"

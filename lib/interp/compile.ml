@@ -113,6 +113,7 @@ type cstate = {
   mutable nint : int;
   slots : (int, int) Hashtbl.t;  (** vid -> encoded slot *)
   mutable caps : (Ir.value * int) list;  (** reverse order of first use *)
+  in_place : (int, unit) Hashtbl.t;  (** oids of updates that write in place *)
 }
 
 (* A value lives in the int frame iff its static type guarantees its
@@ -235,6 +236,198 @@ let free_values (op : Ir.op) : Ir.value list =
     in
     Array.iter go_region op.Ir.regions;
     List.rev !acc
+  end
+
+(* ----- ownership: which tensor updates may write in place ----- *)
+
+(* The tree-walker gives tensors value semantics: [tensor.insert_slice],
+   [tensor.insert] and [cinm.merge_partial] return fresh storage and leave
+   their destination as it was. Compiled code may instead write into the
+   destination when nothing can observe the difference: the destination
+   is *owned* (no other live value reaches its storage) and the update is
+   its *last use*. Both are decided here, once per unit, from the IR.
+
+   A value is owned when
+   - an op of the [fresh_result] allow-list produced it, or
+   - it is an [scf.for] iteration argument, or the matching loop result,
+     whose init is owned and dies at the loop and whose yielded value is
+     owned and dies at the yield.
+   Nothing else is: function and region arguments, captures, constants,
+   hook and call results, views that share a payload ([tensor.reshape],
+   [cinm.expand]), [arith.select] and [scf.if] results.
+
+   An op is a value's last use when it sits in the value's defining block
+   and every other use of the value, counted through nested regions, is a
+   [copying_read] earlier in that block. The block rule keeps a loop from
+   updating, on its second trip, a value defined outside it. *)
+
+(* Ops whose tensor results are always fresh storage. *)
+let fresh_result name =
+  Interp.is_elementwise name
+  ||
+  match name with
+  | "tensor.empty" | "tensor.extract_slice" | "tensor.pad" | "tensor.insert_slice"
+  | "tensor.insert" | "cinm.merge_partial" | "cinm.not" | "tosa.add" | "cinm.gemm"
+  | "linalg.matmul" | "tosa.matmul" | "cinm.gemv" | "linalg.matvec" ->
+    true
+  | _ -> false
+
+(* The operand an update op writes into when it runs in place. *)
+let update_dest = function
+  | "tensor.insert_slice" | "tensor.insert" -> Some 1
+  | "cinm.merge_partial" -> Some 0
+  | _ -> None
+
+(* Reads that copy out of their operand 0 and keep no reference to it. *)
+let copying_read = function "tensor.extract_slice" | "tensor.extract" -> true | _ -> false
+
+(* The yield of an [scf.for] that carries values and that [compile_for]
+   compiles natively. *)
+let for_yield (op : Ir.op) =
+  let n_res = Array.length op.Ir.results in
+  if
+    op.Ir.name <> "scf.for" || n_res = 0
+    || Ir.num_operands op <> n_res + 3
+    || Array.length op.Ir.regions <> 1
+    || Ir.num_blocks op.Ir.regions.(0) = 0
+  then None
+  else
+    let body = Ir.entry_block op.Ir.regions.(0) in
+    match Ir.last_op body with
+    | Some y
+      when Array.length body.Ir.args = n_res + 1
+           && Interp.is_terminator y
+           && Array.length y.Ir.operands = n_res ->
+      Some (body, y)
+    | _ -> None
+
+(* One use of a value, seen from the value's defining block: [user] is the
+   op of that block, at index [at], that performs it; [operand] is the
+   operand position when the value is [user]'s own operand, -1 when the
+   use sits in one of [user]'s nested regions (or, with [at = max_int],
+   outside the defining block's scope). *)
+type site = { user : Ir.op; at : int; operand : int }
+
+type producer = Fresh | Carried of Ir.op * int  (** scf.for, carried index *)
+
+(* [owned v] and [last_use v u pos] (is [u], using [v] as its operand
+   [pos], the last use of [v]?) over the values and ops of [region]. *)
+let ownership (region : Ir.region) =
+  let def_block = Hashtbl.create 64 (* vid -> bid *) in
+  let op_pos = Hashtbl.create 64 (* oid -> (bid, index) *) in
+  let producers = Hashtbl.create 64 (* vid -> producer *) in
+  let loops = ref [] (* (scf.for, yield, carried index) *) in
+  let rec defs (r : Ir.region) =
+    Ir.iter_blocks
+      (fun b ->
+        Array.iter (fun (v : Ir.value) -> Hashtbl.replace def_block v.Ir.vid b.Ir.bid) b.Ir.args;
+        for i = 0 to Ir.num_ops b - 1 do
+          let op = Ir.op_at b i in
+          Hashtbl.replace op_pos op.Ir.oid (b.Ir.bid, i);
+          Array.iter (fun (v : Ir.value) -> Hashtbl.replace def_block v.Ir.vid b.Ir.bid) op.Ir.results;
+          if fresh_result op.Ir.name then
+            Array.iter (fun (v : Ir.value) -> Hashtbl.replace producers v.Ir.vid Fresh) op.Ir.results;
+          (match for_yield op with
+          | Some (body, y) ->
+            Array.iteri
+              (fun k (v : Ir.value) ->
+                Hashtbl.replace producers v.Ir.vid (Carried (op, k));
+                Hashtbl.replace producers body.Ir.args.(k + 1).Ir.vid (Carried (op, k));
+                loops := (op, y, k) :: !loops)
+              op.Ir.results
+          | None -> ());
+          Array.iter defs op.Ir.regions
+        done)
+      r
+  in
+  defs region;
+  let sites = Hashtbl.create 64 (* vid -> site list *) in
+  let add (v : Ir.value) s =
+    Hashtbl.replace sites v.Ir.vid (s :: Option.value ~default:[] (Hashtbl.find_opt sites v.Ir.vid))
+  in
+  (* [scope]: (bid, op, index) of the op being walked and of every op
+     enclosing it, innermost first *)
+  let rec uses scope (r : Ir.region) =
+    Ir.iter_blocks
+      (fun b ->
+        for i = 0 to Ir.num_ops b - 1 do
+          let op = Ir.op_at b i in
+          let scope = (b.Ir.bid, op, i) :: scope in
+          Array.iteri
+            (fun k (v : Ir.value) ->
+              match Hashtbl.find_opt def_block v.Ir.vid with
+              | None -> () (* a capture *)
+              | Some bid ->
+                let rec find operand = function
+                  | [] -> add v { user = op; at = max_int; operand = -1 }
+                  | (b', user, at) :: rest ->
+                    if b' = bid then add v { user; at; operand } else find (-1) rest
+                in
+                find k scope)
+            op.Ir.operands;
+          Array.iter (uses scope) op.Ir.regions
+        done)
+      r
+  in
+  uses [] region;
+  let last_use (v : Ir.value) (u : Ir.op) pos =
+    match (Hashtbl.find_opt def_block v.Ir.vid, Hashtbl.find_opt op_pos u.Ir.oid) with
+    | Some bid, Some (ubid, uat) when bid = ubid ->
+      List.for_all
+        (fun s ->
+          if s.user.Ir.oid = u.Ir.oid then s.operand = pos
+          else s.operand = 0 && s.at < uat && copying_read s.user.Ir.name)
+        (Option.value ~default:[] (Hashtbl.find_opt sites v.Ir.vid))
+    | _ -> false
+  in
+  (* carried values start presumed owned and are struck off until the rule
+     holds for every survivor (nested loops presume each other) *)
+  let carried = Hashtbl.create 16 in
+  List.iter (fun (f, _, k) -> Hashtbl.replace carried (f.Ir.oid, k) true) !loops;
+  let owned (v : Ir.value) =
+    match Hashtbl.find_opt producers v.Ir.vid with
+    | Some Fresh -> true
+    | Some (Carried (f, k)) -> Hashtbl.find carried (f.Ir.oid, k)
+    | None -> false
+  in
+  let rec settle () =
+    let changed = ref false in
+    List.iter
+      (fun (f, y, k) ->
+        let init = f.Ir.operands.(k + 3) and out = y.Ir.operands.(k) in
+        if
+          Hashtbl.find carried (f.Ir.oid, k)
+          && not (owned init && last_use init f (k + 3) && owned out && last_use out y k)
+        then begin
+          Hashtbl.replace carried (f.Ir.oid, k) false;
+          changed := true
+        end)
+      !loops;
+    if !changed then settle ()
+  in
+  settle ();
+  (owned, last_use)
+
+(* The update ops of [region] that may write in place, in program order. *)
+let in_place_ops (region : Ir.region) : Ir.op list =
+  let updates = ref [] in
+  Ir.walk_region
+    (fun op ->
+      match update_dest op.Ir.name with
+      | Some pos when pos < Ir.num_operands op && Ir.num_results op = 1 ->
+        updates := (op, pos) :: !updates
+      | _ -> ())
+    region;
+  (* most units (every DPU kernel) update nothing: skip the analysis *)
+  if !updates = [] then []
+  else begin
+    let owned, last_use = ownership region in
+    List.rev
+      (List.filter_map
+         (fun ((u : Ir.op), pos) ->
+           let d = u.Ir.operands.(pos) in
+           if owned d && last_use d u pos then Some u else None)
+         !updates)
   end
 
 (* ----- the generic fallback ----- *)
@@ -362,6 +555,11 @@ and compile_native st (op : Ir.op) : instr option =
   | "memref.alloc" | "upmem.wram_alloc" -> Some (compile_alloc st op)
   | "memref.load" | "tensor.extract" -> Some (compile_indexed_load st op)
   | "memref.store" -> Some (compile_store st op)
+  | "tensor.insert_slice" when Hashtbl.mem st.in_place op.Ir.oid ->
+    Some (compile_insert_slice st op)
+  | "tensor.insert" when Hashtbl.mem st.in_place op.Ir.oid -> Some (compile_insert st op)
+  | "cinm.merge_partial" when Hashtbl.mem st.in_place op.Ir.oid ->
+    Some (compile_merge_partial st op)
   | name -> (
     match int_binop_spec name with
     | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
@@ -688,6 +886,65 @@ and compile_store st op =
       p.Profile.stores <- p.Profile.stores + 1;
       Tensor.set m idx v
 
+(* The in-place forms of the three update ops (see [in_place_ops]):
+   the same operand reads, errors and profile increments as their
+   [Interp.eval_op] case, but the result is the destination itself,
+   written in place, instead of an updated copy. *)
+and compile_insert_slice st op =
+  let offsets = Ir.ints_attr op "offsets" in
+  let n_dyn = Ir.num_operands op - 2 in
+  (* a dynamic-offset count that is not the rank fails in the tree-walker
+     at runtime: let it *)
+  if n_dyn <> 0 && n_dyn <> Array.length offsets then raise Punt;
+  let src_s = use_slot st op.Ir.operands.(0) in
+  let dst_s = use_slot st op.Ir.operands.(1) in
+  let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 2)) in
+  let r = def_slot st op.Ir.results.(0) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let src = Rtval.as_tensor (get_rt gf iframe src_s) in
+    let dv = get_rt gf iframe dst_s in
+    let dst = Rtval.as_tensor dv in
+    let offsets =
+      if n_dyn = 0 then offsets
+      else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
+    in
+    Interp.account_move p (Tensor.num_elements src);
+    Tensor.write_slice src dst ~offsets;
+    set_rt gf iframe r dv
+
+and compile_insert st op =
+  let v_s = use_slot st op.Ir.operands.(0) in
+  let dst_s = use_slot st op.Ir.operands.(1) in
+  let idx_s = Array.init (Ir.num_operands op - 2) (fun i -> use_slot st op.Ir.operands.(i + 2)) in
+  let r = def_slot st op.Ir.results.(0) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let dv = get_rt gf iframe dst_s in
+    let dst = Rtval.as_tensor dv in
+    let idx = Array.map (fun s -> geti gf iframe s) idx_s in
+    p.Profile.stores <- p.Profile.stores + 1;
+    if Types.is_float_dtype dst.Tensor.dtype then Tensor.set_f dst idx (getf gf iframe v_s)
+    else Tensor.set dst idx (geti gf iframe v_s);
+    set_rt gf iframe r dv
+
+and compile_merge_partial st op =
+  let binop = Ir.str_attr op "op" in
+  let a_s = use_slot st op.Ir.operands.(0) in
+  let b_s = use_slot st op.Ir.operands.(1) in
+  let r = def_slot st op.Ir.results.(0) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let av = get_rt gf iframe a_s in
+    let a = Rtval.as_tensor av in
+    let b = Rtval.as_tensor (get_rt gf iframe b_s) in
+    Interp.account_elementwise p (Tensor.num_elements a);
+    Tensor.map2_in_place binop a b;
+    set_rt gf iframe r av
+
 (* Compile a block's ops in program order (order matters: a definition
    must claim its slot before any use, otherwise the use would be
    misclassified as a capture). Returns the instruction sequence and, when
@@ -863,7 +1120,16 @@ and compile_parallel st op =
 (* ----- unit compilation, cache, execution ----- *)
 
 let compile_unit (region : Ir.region) : code =
-  let st = { ngen = 0; nint = 0; slots = Hashtbl.create 64; caps = [] } in
+  let st =
+    {
+      ngen = 0;
+      nint = 0;
+      slots = Hashtbl.create 64;
+      caps = [];
+      in_place = Hashtbl.create 8;
+    }
+  in
+  List.iter (fun (op : Ir.op) -> Hashtbl.replace st.in_place op.Ir.oid ()) (in_place_ops region);
   let block = Ir.entry_block region in
   let arg_slots = Array.map (fun v -> def_slot st v) block.Ir.args in
   let body, term = compile_block st block in

@@ -34,6 +34,13 @@ val backend_name : backend -> string
     process default. @raise Invalid_argument on an unknown name. *)
 val backend_of_ctx : Interp.ctx -> backend
 
+(** The update ops of a region ([tensor.insert_slice], [tensor.insert],
+    [cinm.merge_partial]) that compiled code runs in place, in program
+    order: each one's destination is owned (no other live value reaches
+    its storage) and dies at the update. Every other update copies its
+    destination, like the tree-walker. DESIGN.md states the rule. *)
+val in_place_ops : Ir.region -> Ir.op list
+
 (** A region resolved for execution under the currently selected backend:
     either the region itself (tree) or cached compiled code with its
     captured values resolved from the preparing context. *)

@@ -95,6 +95,16 @@ val bucket_div : int
 (** Count one scalar integer binop in the given bucket. *)
 val account_int_binop : Profile.t -> int -> unit
 
+(** The bulk-op accounting of [eval_op]: [n] elementwise results (one ALU
+    op, two loads, one store each) and [n] moved elements (one load, one
+    store each). *)
+val account_elementwise : Profile.t -> int -> unit
+
+val account_move : Profile.t -> int -> unit
+
+(** The [cinm.*] and [linalg.*] elementwise binops ([cinm.add], ...). *)
+val is_elementwise : string -> bool
+
 (** Allocation point of [memref.alloc]/[upmem.wram_alloc] under both
     backends: arena-recycled and recorded when the context has a
     [scratch] list, fresh {!Tensor.zeros} otherwise. *)

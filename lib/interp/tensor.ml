@@ -176,37 +176,58 @@ let float_binop name : float -> float -> float =
   | "max" -> max
   | _ -> invalid_arg ("Tensor.float_binop: " ^ name)
 
-let map2 name a b =
+(* Fresh zeroed storage with [t]'s shape, dtype and payload layout. *)
+let zeros_like t =
+  let data =
+    match t.data with
+    | I a -> I (Array.make (Array.length a) 0)
+    | I8 b -> I8 (Bytes.make (Bytes.length b) '\000')
+    | I16 b -> I16 (Bytes.make (Bytes.length b) '\000')
+    | F a -> F (Array.make (Array.length a) 0.0)
+  in
+  { t with data }
+
+(* [out.(i) <- name a.(i) b.(i)] for every element. [out] has [a]'s shape
+   and layout; it may be [a] itself, since each element is read before it
+   is written. *)
+let map2_to name a b out =
   if a.shape <> b.shape then invalid_arg "Tensor.map2: shape mismatch";
-  match (a.data, b.data) with
-  | I x, I y ->
+  match (a.data, b.data, out.data) with
+  | I x, I y, I z ->
     (* binop and dtype resolved once, not per element; every index is in
-       range (x and y have equal shapes) *)
+       range (x, y and z have equal shapes) *)
     let f = int_binop name in
     let n = Array.length x in
-    let out = Array.make n 0 in
     (match a.dtype with
     | Types.I64 ->
       for i = 0 to n - 1 do
-        Array.unsafe_set out i
-          (f (Array.unsafe_get x i) (Array.unsafe_get y i))
+        Array.unsafe_set z i (f (Array.unsafe_get x i) (Array.unsafe_get y i))
       done
     | dt ->
       for i = 0 to n - 1 do
-        Array.unsafe_set out i
-          (wrap dt (f (Array.unsafe_get x i) (Array.unsafe_get y i)))
-      done);
-    { a with data = I out }
-  | F x, F y ->
-    { a with data = F (Array.init (Array.length x) (fun i -> float_binop name x.(i) y.(i))) }
-  | (I _ | I8 _ | I16 _), (I _ | I8 _ | I16 _) ->
+        Array.unsafe_set z i (wrap dt (f (Array.unsafe_get x i) (Array.unsafe_get y i)))
+      done)
+  | F x, F y, F z ->
+    let n = Array.length x in
+    if n > 0 then begin
+      let f = float_binop name in
+      for i = 0 to n - 1 do
+        z.(i) <- f x.(i) y.(i)
+      done
+    end
+  | (I _ | I8 _ | I16 _), (I _ | I8 _ | I16 _), _ ->
     let f = int_binop name in
-    let out = zeros a.shape a.dtype in
     for i = 0 to num_elements a - 1 do
       set_int out i (f (get_int a i) (get_int b i))
-    done;
-    out
+    done
   | _ -> invalid_arg "Tensor.map2: mixed payloads"
+
+let map2 name a b =
+  let out = zeros_like a in
+  map2_to name a b out;
+  out
+
+let map2_in_place name a b = map2_to name a b a
 
 let map_not a =
   match a.data with
@@ -584,15 +605,12 @@ let reshape t new_shape =
     invalid_arg "Tensor.reshape: element count mismatch";
   { t with shape = new_shape }
 
-(* Copy a [sizes]-shaped region between two integer payloads, one
-   innermost-dimension row per [Array.blit]. The callers' slow paths pay a
-   [delinearize] (and its allocations) per *element*; these staging moves
-   run once per tile per loop iteration in the lowered CIM/CNM programs,
-   so they are squarely on the hot path. Caller has validated bounds and
-   that both tensors share a dtype (values are already wrapped, so a raw
-   copy is bit-identical to the get/set round-trip). *)
-let blit_region (s : int array) src_shape src_off (d : int array) dst_shape dst_off
-    sizes =
+(* Copy a [sizes]-shaped region between two payloads of one layout, one
+   innermost-dimension row per [copy_row sbase dbase len] call. The slow
+   path of [copy_region] pays a [delinearize] (and its allocations) per
+   *element*; these staging moves run once per tile per loop iteration in
+   the lowered CIM/CNM programs, so they are squarely on the hot path. *)
+let blit_region copy_row src_shape src_off dst_shape dst_off sizes =
   let rank = Array.length sizes in
   let row = sizes.(rank - 1) in
   let outer = ref 1 in
@@ -607,7 +625,7 @@ let blit_region (s : int array) src_shape src_off (d : int array) dst_shape dst_
       sbase := (!sbase * src_shape.(i)) + c + src_off.(i);
       dbase := (!dbase * dst_shape.(i)) + c + dst_off.(i)
     done;
-    Array.blit s !sbase d !dbase row;
+    copy_row !sbase !dbase row;
     let j = ref (rank - 2) in
     let carry = ref true in
     while !carry && !j >= 0 do
@@ -631,78 +649,57 @@ let region_in_bounds shape off sizes =
   done;
   !ok
 
-let pad t ~low ~high =
-  let rank = Array.length t.shape in
-  let out_shape = Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape in
-  let out = zeros out_shape t.dtype in
-  (match (t.data, out.data) with
-  | I s, I d when rank > 0 && region_in_bounds out_shape low t.shape ->
-    blit_region s t.shape (Array.make rank 0) d out_shape low t.shape
-  | F _, F _ when rank > 0 && region_in_bounds out_shape low t.shape ->
-    let n = num_elements t in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize t.shape off in
-      let out_idx = Array.init rank (fun i -> idx.(i) + low.(i)) in
-      set_float out (Util.linearize out_shape out_idx) (get_float t off)
+(* Copy the [sizes]-shaped region of [src] at [src_off] into [dst] at
+   [dst_off]: the one mover behind [pad], [extract_slice] and
+   [insert_slice]. In bounds and with one dtype, every payload layout
+   takes the row blit (values are already wrapped, so a raw copy is
+   bit-identical to the get/set round-trip). Anything else copies element
+   by element through [get_int]/[set_int], which raises on the first
+   out-of-bounds index. *)
+let copy_region src ~src_off dst ~dst_off ~sizes =
+  let slow () =
+    for off = 0 to Util.product_of_shape sizes - 1 do
+      let idx = Util.delinearize sizes off in
+      let s_idx = Array.init (Array.length src.shape) (fun i -> idx.(i) + src_off.(i)) in
+      let d_idx = Array.init (Array.length dst.shape) (fun i -> idx.(i) + dst_off.(i)) in
+      set_int dst (Util.linearize dst.shape d_idx)
+        (get_int src (Util.linearize src.shape s_idx))
     done
-  | _ ->
-    let n = num_elements t in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize t.shape off in
-      let out_idx = Array.init rank (fun i -> idx.(i) + low.(i)) in
-      set_int out (Util.linearize out_shape out_idx) (get_int t off)
-    done);
+  in
+  if
+    Array.length sizes > 0
+    && src.dtype = dst.dtype
+    && region_in_bounds src.shape src_off sizes
+    && region_in_bounds dst.shape dst_off sizes
+  then
+    let blit row = blit_region row src.shape src_off dst.shape dst_off sizes in
+    match (src.data, dst.data) with
+    | I s, I d -> blit (fun so d_o n -> Array.blit s so d d_o n)
+    | F s, F d -> blit (fun so d_o n -> Array.blit s so d d_o n)
+    | I8 s, I8 d -> blit (fun so d_o n -> Bytes.blit s so d d_o n)
+    | I16 s, I16 d -> blit (fun so d_o n -> Bytes.blit s (2 * so) d (2 * d_o) (2 * n))
+    | _ -> slow ()
+  else slow ()
+
+let pad t ~low ~high =
+  let out = zeros (Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape) t.dtype in
+  let rank = Array.length t.shape in
+  copy_region t ~src_off:(Array.make rank 0) out ~dst_off:low ~sizes:t.shape;
   out
 
 let extract_slice t ~offsets ~sizes =
-  let rank = Array.length t.shape in
   let out = zeros sizes t.dtype in
-  (match (t.data, out.data) with
-  | I s, I d when rank > 0 && region_in_bounds t.shape offsets sizes ->
-    blit_region s t.shape offsets d sizes (Array.make rank 0) sizes
-  | F _, F _ when rank > 0 && region_in_bounds t.shape offsets sizes ->
-    let n = Util.product_of_shape sizes in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize sizes off in
-      let src_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_float out off (get_float t (Util.linearize t.shape src_idx))
-    done
-  | _ ->
-    let n = Util.product_of_shape sizes in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize sizes off in
-      let src_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_int out off (get_int t (Util.linearize t.shape src_idx))
-    done);
+  copy_region t ~src_off:offsets out ~dst_off:(Array.make (Array.length sizes) 0) ~sizes;
   out
+
+let write_slice src dst ~offsets =
+  copy_region src ~src_off:(Array.make (Array.length src.shape) 0) dst ~dst_off:offsets
+    ~sizes:src.shape
 
 (* Value semantics: returns a fresh tensor with [src] written at [offsets]. *)
 let insert_slice src dst ~offsets =
   let out = copy dst in
-  let rank = Array.length dst.shape in
-  (match (src.data, out.data) with
-  | I s, I d
-    when rank > 0
-         && src.dtype = dst.dtype
-         && region_in_bounds dst.shape offsets src.shape ->
-    blit_region s src.shape (Array.make rank 0) d dst.shape offsets src.shape
-  | F _, F _
-    when rank > 0
-         && src.dtype = dst.dtype
-         && region_in_bounds dst.shape offsets src.shape ->
-    let n = num_elements src in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize src.shape off in
-      let dst_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_float out (Util.linearize dst.shape dst_idx) (get_float src off)
-    done
-  | _ ->
-    let n = num_elements src in
-    for off = 0 to n - 1 do
-      let idx = Util.delinearize src.shape off in
-      let dst_idx = Array.init rank (fun i -> idx.(i) + offsets.(i)) in
-      set_int out (Util.linearize dst.shape dst_idx) (get_int src off)
-    done);
+  write_slice src out ~offsets;
   out
 
 let im2col img ~kh ~kw =

@@ -70,6 +70,11 @@ val int_binop : string -> int -> int -> int
 
 val float_binop : string -> float -> float -> float
 val map2 : string -> t -> t -> t
+
+(** [map2_in_place name a b] stores [map2 name a b] into [a]'s storage.
+    Only for an [a] no other live value shares. *)
+val map2_in_place : string -> t -> t -> unit
+
 val map_not : t -> t
 val fill_scalar : int array -> Types.dtype -> int -> t
 
@@ -118,6 +123,10 @@ val extract_slice : t -> offsets:int array -> sizes:int array -> t
 
 (** Value semantics: a fresh tensor with [src] written at [offsets]. *)
 val insert_slice : t -> t -> offsets:int array -> t
+
+(** [write_slice src dst ~offsets] stores [insert_slice src dst ~offsets]
+    into [dst]'s storage. Only for a [dst] no other live value shares. *)
+val write_slice : t -> t -> offsets:int array -> unit
 
 val im2col : t -> kh:int -> kw:int -> t
 

@@ -827,13 +827,13 @@ let register_server_gauges srv =
   M.register_gauge ~help:"Pool tasks currently executing"
     "cinm_serve_pool_active" (fun () ->
       float_of_int (Pool.stats srv.pool).Pool.st_active);
-  M.register_gauge ~help:"Domain-pool worker count" "cinm_serve_pool_workers"
-    (fun () -> float_of_int (Pool.stats srv.pool).Pool.st_jobs);
+  M.register_gauge ~help:"Domain-pool worker domains spawned" "cinm_serve_pool_workers"
+    (fun () -> float_of_int (Pool.stats srv.pool).Pool.st_workers);
   M.register_gauge ~help:"Executing pool tasks over workers (0..1)"
     "cinm_serve_pool_utilization" (fun () ->
       let s = Pool.stats srv.pool in
-      if s.Pool.st_jobs = 0 then 0.0
-      else float_of_int s.Pool.st_active /. float_of_int s.Pool.st_jobs);
+      if s.Pool.st_workers = 0 then 0.0
+      else float_of_int s.Pool.st_active /. float_of_int s.Pool.st_workers);
   M.register_gauge ~help:"Pipeline-cache entries"
     "cinm_serve_pipeline_cache_entries" (fun () ->
       float_of_int (Cache.stats srv.cache).Cache.entries);
@@ -881,13 +881,17 @@ let create (opts : opts) : t =
     end
   in
   (* With dedicated workers ([jobs > 0]) the daemon optimizes for request
-     throughput: each request runs single-threaded on its worker domain
-     and the *default* pool is shrunk to one, so a request's device loops
-     (the simulators parallel-for DPU lanes over the default pool) run
-     inline instead of contending — N concurrent requests beat one
-     request's DPU loop going N-wide. With [jobs = 0] the daemon shares
-     the default pool and keeps the one-shot CLI behavior (a single
-     request's launches go parallel). *)
+     throughput: each request runs single-threaded as a task on one of
+     the pool's worker domains. A [jobs]-sized pool spawns
+     [max 1 (jobs - 1)] workers (the calling domain, which runs the
+     accept loop, never takes tasks), so that many requests execute at
+     once: one for [--jobs 1] and [--jobs 2]. The *default* pool is
+     shrunk to one, so a request's device loops (the simulators
+     parallel-for DPU lanes over the default pool) run inline instead of
+     contending — concurrent requests beat one request's DPU loop going
+     wide. With [jobs = 0] the daemon shares the default pool and keeps
+     the one-shot CLI behavior (a single request's launches go
+     parallel). *)
   let pool =
     if opts.jobs > 0 then begin
       Pool.set_default_jobs 1;

@@ -147,13 +147,13 @@ let pending p =
   Mutex.unlock p.mutex;
   n
 
-type stats = { st_jobs : int; st_queued : int; st_active : int; st_par_busy : bool }
+type stats = { st_workers : int; st_queued : int; st_active : int; st_par_busy : bool }
 
 let stats p =
   Mutex.lock p.mutex;
   let s =
     {
-      st_jobs = p.jobs;
+      st_workers = List.length p.workers;
       st_queued = Queue.length p.tasks;
       st_active = p.active_tasks;
       st_par_busy = p.busy;

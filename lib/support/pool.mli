@@ -33,10 +33,12 @@ val submit : t -> (unit -> unit) -> bool
 (** Tasks accepted but not yet finished (queued + executing). *)
 val pending : t -> int
 
-(** One consistent sample of the pool's load, for gauges: worker count,
-    tasks still queued, tasks executing, and whether a parallel-for is
-    in flight. *)
-type stats = { st_jobs : int; st_queued : int; st_active : int; st_par_busy : bool }
+(** One consistent sample of the pool's load, for gauges: worker domains
+    spawned so far (0 until the first [submit] or parallel [run]; a
+    [submit] spawns [max 1 (jobs - 1)], the calling domain being the
+    rest), tasks still queued, tasks executing, and whether a
+    parallel-for is in flight. *)
+type stats = { st_workers : int; st_queued : int; st_active : int; st_par_busy : bool }
 
 val stats : t -> stats
 

@@ -1,7 +1,10 @@
-(* Allocation-budget smoke test: the compiled backend's scalar hot path
-   (scf.for driving memref load / arith / store on the int frame) must not
-   allocate per iteration. A regression back to per-element Rtval boxing
-   costs >= 3 minor words per iteration and trips the budget below. *)
+(* Allocation-budget smoke tests for the compiled backend:
+   - the scalar hot path (scf.for driving memref load / arith / store on
+     the int frame) must not allocate per iteration. A regression back to
+     per-element Rtval boxing costs >= 3 minor words per iteration and
+     trips the budget below;
+   - a tile loop writes into its owned, loop-carried destination in place
+     instead of copying the whole destination per tile. *)
 
 open Cinm_ir
 open Cinm_dialects
@@ -59,6 +62,58 @@ let test_compiled_loop_alloc_budget () =
            (budget %.0f) — per-element boxing is back"
           delta iters budget)
 
+(* 64 16x16 tiles written by tensor.insert_slice into a 256x256
+   tensor.empty carried through an scf.for: the shape of the tile loops
+   cinm-to-cim emits. *)
+let tile_loop () =
+  let f =
+    Func.create ~name:"tiles"
+      ~arg_tys:[ T.Tensor ([| 16; 16 |], T.I32) ]
+      ~result_tys:[ T.Tensor ([| 256; 256 |], T.I32) ]
+  in
+  let b = Builder.for_func f in
+  let acc = Tensor_d.empty b [| 256; 256 |] T.I32 in
+  let c0 = Arith.const_index b 0
+  and c1 = Arith.const_index b 1
+  and c16 = Arith.const_index b 16
+  and c64 = Arith.const_index b 64 in
+  let out =
+    Scf_d.for_ b ~lb:c0 ~ub:c64 ~step:c1 ~init:[ acc ] (fun bb i iters ->
+        let row = Arith.muli bb (Arith.divsi bb i c16) c16 in
+        let col = Arith.muli bb (Arith.remsi bb i c16) c16 in
+        [ Tensor_d.insert_slice bb (Func.param f 0) iters.(0) ~offsets:[| 0; 0 |]
+            ~dyn_offsets:[ row; col ] ])
+  in
+  Func_d.return b out;
+  f
+
+let test_tile_loop_in_place () =
+  let f = tile_loop () in
+  let tile = Tensor.init [| 16; 16 |] (fun i -> i + 1) in
+  let run () =
+    match Compile.run_func f [ Rtval.Tensor tile ] with
+    | [ v ], _ -> Rtval.as_tensor v
+    | _ -> Alcotest.fail "expected one result"
+  in
+  let expect = with_backend Compile.Tree run in
+  with_backend Compile.Compiled (fun () ->
+      ignore (run ());
+      let before = Gc.allocated_bytes () in
+      let got = run () in
+      let delta = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) "same result as the tree-walker" true (Tensor.equal expect got);
+      Alcotest.(check int) "tile (63, 255)" 256 (Tensor.get got [| 63; 255 |]);
+      Alcotest.(check int) "below the tiles" 0 (Tensor.get got [| 64; 0 |]);
+      (* one 256x256 destination plus O(tiles) change; a copy per tile
+         would be 64 destinations *)
+      let word = float_of_int (Sys.word_size / 8) in
+      let budget = 2.0 *. 256.0 *. 256.0 *. word in
+      if delta > budget then
+        Alcotest.failf
+          "tile loop allocated %.0f bytes (budget %.0f): the destination is \
+           copied per tile (64 copies = %.0f bytes)"
+          delta budget (64.0 *. 256.0 *. 256.0 *. word))
+
 let () =
   Alcotest.run "alloc_budget"
     [
@@ -66,5 +121,6 @@ let () =
         [
           Alcotest.test_case "hot loop stays unboxed" `Quick
             test_compiled_loop_alloc_budget;
+          Alcotest.test_case "tile loop updates in place" `Quick test_tile_loop_in_place;
         ] );
     ]

@@ -218,6 +218,133 @@ let test_scf_if_cmpi_memref () =
       Alcotest.(check bool) "then-branch value" true (m1 = [ Rtval.Int 3 ]);
       Alcotest.(check bool) "else-branch value" true (p1 = [ Rtval.Int 25 ]))
 
+(* ----- in-place tensor updates ----- *)
+
+(* Run [f] under both backends on the caller's [inputs]: results and
+   profiles must be equal, and the inputs unchanged afterwards. Returns
+   the names of the update ops compiled code runs in place. *)
+let in_place_parity name (f : Func.t) inputs =
+  let before = List.map Tensor.copy inputs in
+  let run () = Compile.run_func f (List.map (fun t -> Rtval.Tensor t) inputs) in
+  differential run (fun (r1, p1) (r2, p2) ->
+      check_tensors (name ^ ": results") (List.map Rtval.as_tensor r1)
+        (List.map Rtval.as_tensor r2);
+      Alcotest.(check bool) (name ^ ": profiles") true (Profile.equal p1 p2));
+  check_tensors (name ^ ": inputs unchanged") before inputs;
+  List.map (fun (op : Ir.op) -> op.Ir.name) (Compile.in_place_ops f.Func.body)
+
+(* f(tile : 4x4, base : 8x8) -> results of [body] *)
+let tile_func ~results body =
+  let f =
+    Func.create ~name:"upd" ~arg_tys:[ tensor [| 4; 4 |]; tensor [| 8; 8 |] ]
+      ~result_tys:(List.init results (fun _ -> tensor [| 8; 8 |]))
+  in
+  let b = Builder.for_func f in
+  Func_d.return b (body b (Func.param f 0) (Func.param f 1));
+  f
+
+let copy_of b base = Tensor_d.extract_slice b base ~offsets:[| 0; 0 |] ~sizes:[| 8; 8 |] ~dyn_offsets:[]
+let put b tile dst = Tensor_d.insert_slice b tile dst ~offsets:[| 2; 2 |] ~dyn_offsets:[]
+
+let test_in_place_keeps_copies () =
+  let tile = iota [| 4; 4 |] and base = Tensor.init [| 8; 8 |] (fun i -> 100 + i) in
+  let cases =
+    [
+      ("function argument", tile_func ~results:1 (fun b tile base -> [ put b tile base ]));
+      ( "used after the insert",
+        tile_func ~results:2 (fun b tile base ->
+            let d = copy_of b base in
+            [ put b tile d; d ]) );
+      ( "loop init used after the loop",
+        tile_func ~results:2 (fun b tile base ->
+            let d = copy_of b base in
+            let lb = Arith.const_index b 0
+            and ub = Arith.const_index b 2
+            and step = Arith.const_index b 1 in
+            let r =
+              Scf_d.for_ b ~lb ~ub ~step ~init:[ d ] (fun bb i it ->
+                  [ Tensor_d.insert_slice bb tile it.(0) ~offsets:[| 0; 0 |]
+                      ~dyn_offsets:[ i; i ] ])
+            in
+            r @ [ d ]) );
+      ( "through tensor.reshape",
+        tile_func ~results:2 (fun b tile base ->
+            let d = copy_of b base in
+            [ put b tile (Tensor_d.reshape b d [| 8; 8 |]); d ]) );
+      ( "through cinm.expand",
+        tile_func ~results:2 (fun b tile base ->
+            let d = copy_of b base in
+            [ put b tile (Cinm_d.expand b d ~shape:[| 8; 8 |]); d ]) );
+      ( "chosen by arith.select",
+        tile_func ~results:3 (fun b tile base ->
+            let d1 = copy_of b base and d2 = copy_of b base in
+            let c = Arith.cmpi b Arith.Slt (Arith.constant b 0) (Arith.constant b 1) in
+            [ put b tile (Arith.select b c d1 d2); d1; d2 ]) );
+      ( "yielded by scf.if",
+        tile_func ~results:2 (fun b tile base ->
+            let d = copy_of b base in
+            let c = Arith.cmpi b Arith.Slt (Arith.constant b 0) (Arith.constant b 1) in
+            let s =
+              Scf_d.if_ b c
+                ~then_:(fun _ -> [ d ])
+                ~else_:(fun bb -> [ copy_of bb base ])
+                ~result_tys:[ tensor [| 8; 8 |] ]
+            in
+            [ put b tile (List.hd s); d ]) );
+    ]
+  in
+  List.iter
+    (fun (name, f) ->
+      Alcotest.(check (list string)) (name ^ ": copies") []
+        (in_place_parity name f [ tile; base ]))
+    cases
+
+(* The cinm-to-cim tile loop: a loop-carried accumulator (two nested
+   loops, so each loop's ownership presumes the other's) read by
+   extract_slice, merged, and written back by insert_slice. *)
+let test_in_place_tile_accumulate () =
+  let f =
+    tile_func ~results:1 (fun b tile base ->
+        let acc = Tensor_d.empty b [| 8; 8 |] T.I32 in
+        let c0 = Arith.const_index b 0
+        and c1 = Arith.const_index b 1
+        and c2 = Arith.const_index b 2
+        and c4 = Arith.const_index b 4 in
+        Scf_d.for_ b ~lb:c0 ~ub:c2 ~step:c1 ~init:[ acc ] (fun bb i outer ->
+            let row = Arith.muli bb i c4 in
+            Scf_d.for_ bb ~lb:c0 ~ub:c2 ~step:c1 ~init:[ outer.(0) ] (fun bj j inner ->
+                let col = Arith.muli bj j c4 in
+                let part =
+                  Tensor_d.extract_slice bj inner.(0) ~offsets:[| 0; 0 |] ~sizes:[| 4; 4 |]
+                    ~dyn_offsets:[ row; col ]
+                in
+                let src =
+                  Tensor_d.extract_slice bj base ~offsets:[| 0; 0 |] ~sizes:[| 4; 4 |]
+                    ~dyn_offsets:[ row; col ]
+                in
+                let m = Cinm_d.merge_partial bj ~op:"add" part (Cinm_d.add bj tile src) in
+                [ Tensor_d.insert_slice bj m inner.(0) ~offsets:[| 0; 0 |]
+                    ~dyn_offsets:[ row; col ] ])))
+  in
+  let tile = iota [| 4; 4 |] and base = Tensor.init [| 8; 8 |] (fun i -> 100 + i) in
+  Alcotest.(check (list string)) "merge and insert go in place"
+    [ "cinm.merge_partial"; "tensor.insert_slice" ]
+    (in_place_parity "tile accumulate" f [ tile; base ])
+
+let test_in_place_scalar_insert () =
+  let f = Func.create ~name:"squares" ~arg_tys:[] ~result_tys:[ tensor [| 8 |] ] in
+  let b = Builder.for_func f in
+  let acc = Tensor_d.empty b [| 8 |] T.I32 in
+  let r =
+    Scf_d.for_ b ~lb:(Arith.const_index b 0) ~ub:(Arith.const_index b 8)
+      ~step:(Arith.const_index b 1) ~init:[ acc ] (fun bb i it ->
+        let v = Arith.index_cast bb i ~to_ty:(T.Scalar T.I32) in
+        [ Tensor_d.insert bb (Arith.muli bb v v) it.(0) [ i ] ])
+  in
+  Func_d.return b r;
+  Alcotest.(check (list string)) "insert goes in place" [ "tensor.insert" ]
+    (in_place_parity "scalar insert" f [])
+
 (* ----- error parity ----- *)
 
 let catch run =
@@ -467,6 +594,12 @@ let () =
           Alcotest.test_case "error parity" `Quick test_error_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "watchdog off by default" `Quick test_watchdog_default_off;
+        ] );
+      ( "in-place",
+        [ Alcotest.test_case "aliased or live destinations copy" `Quick
+            test_in_place_keeps_copies;
+          Alcotest.test_case "tile accumulate loop" `Quick test_in_place_tile_accumulate;
+          Alcotest.test_case "scalar insert loop" `Quick test_in_place_scalar_insert;
         ] );
       ( "defaults",
         [ Alcotest.test_case "backend reads the Config default" `Quick

@@ -177,6 +177,38 @@ let test_pool_tasks () =
   Pool.run p 10 (fun i -> ignore (Atomic.fetch_and_add sum i));
   Alcotest.(check int) "post-shutdown run" 45 (Atomic.get sum)
 
+(* The pool's gauges count the worker domains it really spawned: a
+   jobs-sized pool keeps the calling domain, so [--jobs 2] has one worker
+   and a single running task is full utilization. *)
+let test_pool_stats () =
+  let p = Pool.create ~jobs:2 () in
+  Alcotest.(check int) "no workers before the first task" 0 (Pool.stats p).Pool.st_workers;
+  let m = Mutex.create () and go = Condition.create () and release = ref false in
+  let started = Atomic.make false in
+  ignore
+    (Pool.submit p (fun () ->
+         Atomic.set started true;
+         Mutex.lock m;
+         while not !release do
+           Condition.wait go m
+         done;
+         Mutex.unlock m));
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let s = Pool.stats p in
+  Alcotest.(check int) "jobs 2 spawns one worker" 1 s.Pool.st_workers;
+  Alcotest.(check int) "the task is executing" 1 s.Pool.st_active;
+  Mutex.lock m;
+  release := true;
+  Condition.broadcast go;
+  Mutex.unlock m;
+  Pool.shutdown p;
+  let p4 = Pool.create ~jobs:4 () in
+  ignore (Pool.submit p4 ignore);
+  Alcotest.(check int) "jobs 4 spawns three workers" 3 (Pool.stats p4).Pool.st_workers;
+  Pool.shutdown p4
+
 (* ----- the daemon, end to end ----- *)
 
 let fresh_socket () =
@@ -541,7 +573,13 @@ let test_daemon_metrics_endpoint () =
           (match Json.member "gauges" m with
           | Some (Json.Obj fields) ->
             Alcotest.(check bool) "uptime gauge present" true
-              (List.mem_assoc "cinm_serve_uptime_seconds" fields)
+              (List.mem_assoc "cinm_serve_uptime_seconds" fields);
+            (* the daemon runs --jobs 2: one worker domain *)
+            Alcotest.(check bool) "pool workers gauge counts spawned workers" true
+              (match List.assoc_opt "cinm_serve_pool_workers" fields with
+              | Some (Json.Float w) -> w = 1.0
+              | Some (Json.Int w) -> w = 1
+              | _ -> false)
           | _ -> Alcotest.fail "no gauges object")))
 
 let test_daemon_req_id () =
@@ -664,7 +702,10 @@ let () =
           Alcotest.test_case "reject" `Quick test_protocol_reject;
         ] );
       ("cache", [ Alcotest.test_case "fifo" `Quick test_cache_fifo ]);
-      ("pool", [ Alcotest.test_case "tasks" `Quick test_pool_tasks ]);
+      ( "pool",
+        [ Alcotest.test_case "tasks" `Quick test_pool_tasks;
+          Alcotest.test_case "stats count spawned workers" `Quick test_pool_stats;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "basics" `Quick test_daemon_basics;
