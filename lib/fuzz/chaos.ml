@@ -1,6 +1,7 @@
 module Server = Cinm_serve_lib.Server
 module Client = Cinm_serve_lib.Client
 module Json = Cinm_serve_lib.Json
+module Exposition = Cinm_serve_lib.Exposition
 
 type report = {
   sent : int;
@@ -159,6 +160,7 @@ let run ?socket ?(requests = 400) ?(clients = 8) ?(seed = 0) () =
     if external_daemon then None
     else begin
       (try Unix.unlink sock with Unix.Unix_error _ -> ());
+      let metrics_port = Exposition.free_port () in
       let opts =
         {
           (Server.default_opts ~socket_path:sock ()) with
@@ -166,10 +168,11 @@ let run ?socket ?(requests = 400) ?(clients = 8) ?(seed = 0) () =
           max_inflight = 64;
           max_request_bytes = max_line;
           drain_grace_s = 30.0;
+          metrics_port;
         }
       in
       let srv = Server.create opts in
-      Some (Thread.create Server.run srv)
+      Some (Thread.create Server.run srv, metrics_port)
     end
   in
   let per = max 1 (requests / clients) in
@@ -198,12 +201,17 @@ let run ?socket ?(requests = 400) ?(clients = 8) ?(seed = 0) () =
   Thread.join disc_thread;
   let sent = (clients * per) + disconnects in
   let counters_total = if external_daemon then -1 else scrape_counters_total ~socket:sock in
+  let exposition =
+    match daemon with
+    | Some (_, port) -> Result.map ignore (Exposition.scrape ~port)
+    | None -> Ok ()
+  in
   let clean_drain =
     if external_daemon then true
     else
       match daemon with
       | None -> true
-      | Some thread -> (
+      | Some (thread, _) -> (
         match
           let c = Client.connect sock in
           let resp = Client.request c (Client.make_request "shutdown") in
@@ -238,5 +246,9 @@ let run ?socket ?(requests = 400) ?(clients = 8) ?(seed = 0) () =
       Printf.sprintf "responses_total=%d outside [%d, %d]" counters_total
         answered sent
       :: !violations;
+  (match exposition with
+  | Ok () -> ()
+  | Error problems ->
+    violations := ("invalid exposition: " ^ String.concat "; " problems) :: !violations);
   if not clean_drain then violations := "shutdown drain was not clean" :: !violations;
   { sent; disconnects; ok; errors; counters_total; clean_drain; violations = !violations }

@@ -1,6 +1,7 @@
 (** Chaos mode: a seeded hostile client mix against a live [cinm_serve],
     asserting the protocol invariants (structured error taxonomy, id
-    echo, outcome counters summing to requests, clean drain).
+    echo, outcome counters summing to requests, a valid Prometheus
+    exposition, clean drain). This is the one hostile-traffic harness.
 
     The mix interleaves well-formed run/compile/health requests with
     malformed JSON, oversized lines, watchdog bait, microscopic
@@ -20,8 +21,10 @@ type report = {
 }
 
 (** Drive the chaos mix. With [socket] the harness targets an external
-    daemon (and skips the counter-sum and drain checks, which assume
-    exclusive use of an in-process server); without, it starts its own. *)
+    daemon (and skips the counter-sum, exposition and drain checks, which
+    assume exclusive use of an in-process server); without, it starts its
+    own, with a metrics listener whose [GET /metrics] must pass
+    {!Cinm_serve_lib.Exposition.check}. *)
 val run :
   ?socket:string ->
   ?requests:int ->

@@ -1157,7 +1157,7 @@ let compile_unit (region : Ir.region) : code =
    re-compilation is cheap relative to execution). *)
 let cache : (int, code) Hashtbl.t = Hashtbl.create 64
 let cache_mutex = Mutex.create ()
-let max_cache_entries = ref 1024
+let max_cache_entries = 1024
 
 type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
@@ -1177,8 +1177,6 @@ let cache_stats () =
   in
   Mutex.unlock cache_mutex;
   s
-
-let set_max_cache_entries n = max_cache_entries := max 1 n
 
 let clear_cache () =
   Mutex.lock cache_mutex;
@@ -1201,7 +1199,7 @@ let get_code (region : Ir.region) : code =
           c
         | None ->
           incr stats_misses;
-          if Hashtbl.length cache >= !max_cache_entries then begin
+          if Hashtbl.length cache >= max_cache_entries then begin
             stats_evictions := !stats_evictions + Hashtbl.length cache;
             Hashtbl.reset cache
           end;

@@ -74,10 +74,6 @@ type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val cache_stats : unit -> cache_stats
 
-(** Cap on cached compiled units; at the cap the cache is bulk-reset
-    (counted under [evictions]). Default 1024. *)
-val set_max_cache_entries : int -> unit
-
 (** Backend-dispatching drop-in for {!Interp.run_func}. [config]
     (default: {!Cinm_support.Config.default}) supplies the backend choice
     (its [interp] field; [""] means {!backend}), the watchdog budget, the

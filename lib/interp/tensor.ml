@@ -172,8 +172,9 @@ let float_binop name : float -> float -> float =
   | "sub" -> ( -. )
   | "mul" -> ( *. )
   | "div" -> ( /. )
-  | "min" -> min
-  | "max" -> max
+  (* arith.minf/maxf semantics, as every lowering emits: NaN wins, -0 < +0 *)
+  | "min" -> Float.min
+  | "max" -> Float.max
   | _ -> invalid_arg ("Tensor.float_binop: " ^ name)
 
 (* Fresh zeroed storage with [t]'s shape, dtype and payload layout. *)

@@ -99,10 +99,9 @@ type conn = {
   mutable refs : int;  (** outstanding worker tasks for this connection *)
 }
 
+(* Outcome counts beyond [by_code], which alone counts responses by code
+   (served, ok and errors are derived from it). *)
 type counters = {
-  mutable served : int;  (** responses written, ok or error *)
-  mutable ok : int;
-  mutable errors : int;
   mutable degraded : int;
   mutable rejected : int;  (** overloaded + shutting_down + oversized *)
 }
@@ -176,9 +175,6 @@ let send srv conn (resp : Json.t) =
   let code = response_code resp in
   let is_degraded = Json.bool_field resp "degraded" = Some true in
   Mutex.lock srv.mutex;
-  srv.counters.served <- srv.counters.served + 1;
-  if code <> "ok" then srv.counters.errors <- srv.counters.errors + 1
-  else srv.counters.ok <- srv.counters.ok + 1;
   if is_degraded then srv.counters.degraded <- srv.counters.degraded + 1;
   Hashtbl.replace srv.by_code code
     (1 + Option.value (Hashtbl.find_opt srv.by_code code) ~default:0);
@@ -466,15 +462,14 @@ let health_response srv (req : P.request) ~req_id =
 
 let stats_response srv (req : P.request) ~req_id =
   Mutex.lock srv.mutex;
-  let c = srv.counters in
-  let served = c.served and ok = c.ok and errors = c.errors in
-  let degraded = c.degraded and rejected = c.rejected in
+  let degraded = srv.counters.degraded and rejected = srv.counters.rejected in
   let inflight = srv.inflight in
-  let by_code =
-    Hashtbl.fold (fun code n acc -> (code, Json.Int n) :: acc) srv.by_code []
-  in
+  let by_code = List.sort compare (List.of_seq (Hashtbl.to_seq srv.by_code)) in
   Mutex.unlock srv.mutex;
-  let by_code = List.sort (fun (a, _) (b, _) -> compare a b) by_code in
+  let served = List.fold_left (fun acc (_, n) -> acc + n) 0 by_code in
+  let ok = Option.value (List.assoc_opt "ok" by_code) ~default:0 in
+  let errors = served - ok in
+  let by_code = List.map (fun (code, n) -> (code, Json.Int n)) by_code in
   let pc = Cache.stats srv.cache in
   let cc = Compile.cache_stats () in
   let ar = Tensor.Arena.stats () in
@@ -944,7 +939,7 @@ let create (opts : opts) : t =
       conns = [];
       inflight = 0;
       draining = false;
-      counters = { served = 0; ok = 0; errors = 0; degraded = 0; rejected = 0 };
+      counters = { degraded = 0; rejected = 0 };
       by_code = Hashtbl.create 16;
       live = Hashtbl.create 64;
       seq = 0;

@@ -122,6 +122,3 @@ let check c =
       (Cancelled
          (Printf.sprintf "deadline exceeded (%.3fs past)"
             (Unix.gettimeofday () -. c.deadline)))
-
-let remaining_s c =
-  if c.deadline <= 0.0 then None else Some (c.deadline -. Unix.gettimeofday ())

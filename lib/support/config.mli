@@ -59,6 +59,3 @@ val past_deadline : t -> bool
 (** @raise Cancelled when cancelled or past the deadline. *)
 val check : t -> unit
 
-(** Seconds until the deadline ([None] when there is none); may be
-    negative when already past. *)
-val remaining_s : t -> float option

@@ -407,8 +407,6 @@ module Metrics = struct
   let register_gauge ?(help = "") name fn =
     locked (fun () -> Hashtbl.replace gauge_fns name (help, fn))
 
-  let unregister_gauge name = locked (fun () -> Hashtbl.remove gauge_fns name)
-
   let set_gauge ?(help = "") name v =
     if enabled () then
       locked (fun () ->

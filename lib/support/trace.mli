@@ -165,8 +165,6 @@ module Metrics : sig
       previous registration under the same name. *)
   val register_gauge : ?help:string -> string -> (unit -> float) -> unit
 
-  val unregister_gauge : string -> unit
-
   (** {2 Typed handles}
 
       Interned once; {!add}/{!record} are lock-free single-domain

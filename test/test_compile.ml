@@ -155,6 +155,56 @@ let test_cim_differential () =
       Alcotest.(check string)
         "cim reports identical" (Report.to_string rep1) (Report.to_string rep2))
 
+(* ----- float min/max: NaN and signed zero ----- *)
+
+(* cinm.min/max and the min/max reductions over f32 with NaN and +-0
+   operands: the host kernels (tree and compiled), the UPMEM lowering and
+   cinm-to-scf (both arith.minf/maxf) must agree bit for bit. *)
+let test_float_min_max_engines () =
+  let f32 = T.Tensor ([| 4 |], T.F32) in
+  let build () =
+    let f =
+      Func.create ~name:"minmax" ~arg_tys:[ f32; f32 ]
+        ~result_tys:[ f32; f32; T.Scalar T.F32; T.Scalar T.F32 ]
+    in
+    let b = Builder.for_func f in
+    let x = Func.param f 0 and y = Func.param f 1 in
+    Func_d.return b
+      [ Cinm_d.min_ b x y; Cinm_d.max_ b x y;
+        Cinm_d.reduce b ~op:"min" x; Cinm_d.reduce b ~op:"max" y ];
+    f
+  in
+  let args () =
+    [ Rtval.Tensor (Tensor.of_float_array ~dtype:T.F32 [| 4 |] [| Float.nan; 1.0; 0.0; -0.0 |]);
+      Rtval.Tensor (Tensor.of_float_array ~dtype:T.F32 [| 4 |] [| 1.0; Float.nan; -0.0; 0.0 |]) ]
+  in
+  let bits rs =
+    List.concat_map
+      (function
+        | Rtval.Tensor t -> List.init (Tensor.num_elements t) (fun i -> Tensor.get_float t i)
+        | v -> [ Rtval.as_float v ])
+      rs
+    |> List.map (fun v -> Printf.sprintf "%Lx" (Int64.bits_of_float v))
+  in
+  let on_driver backend () =
+    bits (fst (Driver.compile_and_run ~fallback:false backend (build ()) (args ())))
+  in
+  let host = on_driver Backend.Host_xeon in
+  let tree = with_backend Compile.Tree host and compiled = with_backend Compile.Compiled host in
+  let upmem =
+    on_driver (Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:2 ())) ()
+  in
+  let scf =
+    let m = Func.create_module () in
+    Func.add_func m (build ());
+    Pass.run_pipeline [ Cinm_to_scf.pass ] m;
+    bits (fst (Interp.run_func (List.hd m.Func.funcs) (args ())))
+  in
+  let show = String.concat " " in
+  List.iter
+    (fun (name, got) -> Alcotest.(check string) name (show scf) (show got))
+    [ ("host tree", tree); ("host compiled", compiled); ("upmem", upmem) ]
+
 (* ----- hand-built scf control flow ----- *)
 
 (* Loop-carried swap: yield (b, a + b) permutes the iteration-argument
@@ -517,37 +567,6 @@ let test_cim_host_model () =
 
 (* ----- bench --json differential ----- *)
 
-(* wall_s is the one field that legitimately differs between two runs;
-   everything else (names, sim_s, runs, jobs, schema) must match byte for
-   byte. *)
-let strip_wall s =
-  let b = Buffer.create (String.length s) in
-  let n = String.length s in
-  let key = "\"wall_s\":" in
-  let klen = String.length key in
-  let i = ref 0 in
-  while !i < n do
-    if !i + klen <= n && String.sub s !i klen = key then begin
-      i := !i + klen;
-      while !i < n && s.[!i] <> ',' do
-        incr i
-      done;
-      if !i < n then incr i;
-      if !i < n && s.[!i] = ' ' then incr i
-    end
-    else begin
-      Buffer.add_char b s.[!i];
-      incr i
-    end
-  done;
-  Buffer.contents b
-
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 (* locate the bench executable relative to this test binary, so the test
    works under both `dune runtest` (cwd test/) and `dune exec` (cwd root) *)
 let bench_exe =
@@ -565,18 +584,18 @@ let bench_json ~interp ~jobs =
   in
   let rc = Sys.command cmd in
   Alcotest.(check int) (Printf.sprintf "bench exit (%s)" cmd) 0 rc;
-  let s = read_file out in
+  let doc = Cinm_check.Bench_pin.load out in
   Sys.remove out;
-  strip_wall s
+  doc
 
 let test_bench_json_differential () =
   List.iter
     (fun jobs ->
-      let t = bench_json ~interp:"tree" ~jobs in
-      let c = bench_json ~interp:"compiled" ~jobs in
-      Alcotest.(check string)
+      let tree = bench_json ~interp:"tree" ~jobs in
+      let compiled = bench_json ~interp:"compiled" ~jobs in
+      Alcotest.(check (list string))
         (Printf.sprintf "--json identical minus wall_s at --jobs %d" jobs)
-        t c)
+        [] (Cinm_check.Bench_pin.diff ~pin:tree compiled))
     [ 1; 4 ]
 
 let () =
@@ -587,6 +606,8 @@ let () =
             test_upmem_gemm_wram_opt;
           Alcotest.test_case "fault scenarios" `Quick test_faults_differential;
           Alcotest.test_case "cim matmul report" `Quick test_cim_differential;
+          Alcotest.test_case "float min/max NaN and signed zero" `Quick
+            test_float_min_max_engines;
         ] );
       ( "control-flow",
         [ Alcotest.test_case "loop-carried swap (fib)" `Quick test_scf_loop_carried;

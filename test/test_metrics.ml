@@ -1,7 +1,8 @@
 (* Tests for the Trace.Metrics registry: log-bucketed histogram geometry,
    exact shard merging across domains under concurrent snapshot churn,
-   and the Prometheus text exposition (ordering, escaping, cumulative
-   buckets).
+   the Prometheus text exposition (ordering, escaping, cumulative
+   buckets), and the exposition checker that loadgen, chaos and the smoke
+   checks share.
 
    This binary owns the (process-global) registry: it resets it between
    cases, which the other test binaries never observe. *)
@@ -205,6 +206,41 @@ let test_prometheus_merged_histogram () =
      go 0);
   M.reset ()
 
+(* ----- the exposition checker ----- *)
+
+module Exposition = Cinm_serve_lib.Exposition
+
+let test_checker_accepts_registry () =
+  M.reset ();
+  M.enable ();
+  M.add (M.counter ~help:"Responses" "resp_total{code=\"ok\"}") 2;
+  M.set_gauge "inflight" 3.0;
+  let h = M.histogram "lat_seconds" in
+  List.iter (M.record h) [ 0.001; 0.002; 0.5 ];
+  let r = Exposition.check (M.to_prometheus ()) in
+  M.reset ();
+  Alcotest.(check (list string)) "no problems" [] r.Exposition.problems;
+  Alcotest.(check (list (pair string string)))
+    "families"
+    [ ("inflight", "gauge"); ("lat_seconds", "histogram"); ("resp_total", "counter") ]
+    r.Exposition.families
+
+let test_checker_rejects () =
+  let rejects name body =
+    Alcotest.(check bool) name true ((Exposition.check body).Exposition.problems <> [])
+  in
+  let histogram ~inf ~count =
+    Printf.sprintf
+      "# TYPE h histogram\nh_bucket{le=\"0.1\"} 1\nh_bucket{le=\"+Inf\"} %d\nh_sum 0.2\nh_count %d\n"
+      inf count
+  in
+  Alcotest.(check (list string)) "a consistent histogram passes" []
+    (Exposition.check (histogram ~inf:2 ~count:2)).Exposition.problems;
+  rejects "+Inf bucket differs from _count" (histogram ~inf:2 ~count:3);
+  rejects "duplicate TYPE" "# TYPE c counter\n# TYPE c counter\nc 1\n";
+  rejects "malformed sample line" "# TYPE c counter\nc one\n";
+  rejects "bad metric name" "9c 1\n"
+
 let () =
   Alcotest.run "metrics"
     [
@@ -220,5 +256,10 @@ let () =
             test_prometheus_exposition;
           Alcotest.test_case "merged histogram" `Quick
             test_prometheus_merged_histogram;
+        ] );
+      ( "exposition checker",
+        [
+          Alcotest.test_case "accepts the registry" `Quick test_checker_accepts_registry;
+          Alcotest.test_case "rejects malformed text" `Quick test_checker_rejects;
         ] );
     ]

@@ -242,6 +242,21 @@ let code_of resp =
   | Some err -> Json.string_field err "code"
   | None -> None
 
+(* The stats op; its served and errors counts must be views of by_code. *)
+let check_stats c =
+  let st = Client.request c (Client.make_request "stats") in
+  let field k = Option.value (Json.int_field st k) ~default:(-1) in
+  let by_code =
+    match Json.member "by_code" st with
+    | Some (Json.Obj codes) -> codes
+    | _ -> Alcotest.fail "stats without by_code"
+  in
+  let total = List.fold_left (fun acc (_, n) -> acc + Option.value (Json.get_int n) ~default:0) 0 by_code in
+  let ok = Option.value (Option.bind (List.assoc_opt "ok" by_code) Json.get_int) ~default:0 in
+  Alcotest.(check int) "served = sum of by_code" total (field "served");
+  Alcotest.(check int) "errors = served - ok" (total - ok) (field "errors");
+  st
+
 let test_daemon_basics () =
   with_daemon (fun socket ->
       let c = Client.connect ~attempts:40 socket in
@@ -253,6 +268,10 @@ let test_daemon_basics () =
             (Json.bool_field h "ok");
           Alcotest.(check (option string)) "status" (Some "ok")
             (Json.string_field h "status");
+          Alcotest.(check bool) "health lists the catalog" true
+            (match Json.member "benchmarks" h with
+            | Some (Json.List bs) -> List.mem (Json.String "va") bs
+            | _ -> false);
           (* run: first compile misses the pipeline cache, second hits *)
           let r1 =
             Client.request c (Client.make_request ~benchmark:"sel" "run")
@@ -289,7 +308,7 @@ let test_daemon_basics () =
           Alcotest.(check bool) "ops counted" true
             (match Json.int_field co "ops" with Some n -> n > 0 | None -> false);
           (* stats reflect the traffic *)
-          let st = Client.request c (Client.make_request "stats") in
+          let st = check_stats c in
           Alcotest.(check bool) "served some" true
             (match Json.int_field st "served" with
             | Some n -> n >= 5
@@ -341,7 +360,10 @@ let test_daemon_errors () =
           (* the daemon is still healthy after all of the failures *)
           let r = Client.request c (Client.make_request ~benchmark:"va" "run") in
           Alcotest.(check (option bool)) "still serving" (Some true)
-            (Json.bool_field r "ok")))
+            (Json.bool_field r "ok");
+          let st = check_stats c in
+          Alcotest.(check (option int)) "every failure counted" (Some 8)
+            (Json.int_field st "errors")))
 
 let test_daemon_degraded_and_reproducer () =
   let repro_dir = Filename.temp_file "cinm-serve-repro" "" in
@@ -531,6 +553,8 @@ let contains hay needle =
   nn = 0 || go 0
 
 let test_daemon_metrics_endpoint () =
+  (* the registry is process-global: start this daemon's counts from zero *)
+  Cinm_support.Trace.Metrics.reset ();
   with_daemon (fun socket ->
       let c = Client.connect ~attempts:40 socket in
       Fun.protect
@@ -549,10 +573,8 @@ let test_daemon_metrics_endpoint () =
           (match hist with
           | None -> Alcotest.fail "no cinm_serve_request_seconds histogram"
           | Some h ->
-            Alcotest.(check bool) "latency histogram counted both runs" true
-              (match Json.int_field h "count" with
-              | Some n -> n >= 2
-              | None -> false);
+            Alcotest.(check (option int)) "latency histogram counted both runs" (Some 2)
+              (Json.int_field h "count");
             Alcotest.(check bool) "p95 covers p50" true
               (match (Json.float_field h "p50", Json.float_field h "p95") with
               | Some p50, Some p95 -> p95 >= p50 && p50 > 0.0

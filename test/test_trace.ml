@@ -16,6 +16,8 @@ module Pool = Cinm_support.Pool
 module Usim = Cinm_upmem_sim
 module Msim = Cinm_memristor_sim
 module T = Types
+module Json = Cinm_serve_lib.Json
+module Perfetto = Cinm_check.Perfetto
 
 let () = Registry.ensure_all ()
 
@@ -30,154 +32,6 @@ let with_tracing f =
       Trace.Metrics.disable ();
       Trace.Metrics.reset ())
     f
-
-(* ----- a minimal JSON parser (no JSON library in the tree) ----- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some 'n' -> Buffer.add_char b '\n'
-        | Some 't' -> Buffer.add_char b '\t'
-        | Some 'r' -> Buffer.add_char b '\r'
-        | Some 'b' -> Buffer.add_char b '\b'
-        | Some 'f' -> Buffer.add_char b '\012'
-        | Some 'u' ->
-          (* keep the escape verbatim; the tests never inspect these *)
-          Buffer.add_string b "\\u"
-        | Some c -> Buffer.add_char b c
-        | None -> fail "unterminated escape");
-        advance ();
-        go ()
-      | Some c ->
-        Buffer.add_char b c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec members acc =
-          skip_ws ();
-          let key = parse_string () in
-          skip_ws ();
-          expect ':';
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            members ((key, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((key, v) :: acc))
-          | _ -> fail "expected , or } in object"
-        in
-        members []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec elements acc =
-          let v = parse_value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            elements (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ] in array"
-        in
-        elements []
-      end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
 
 (* ----- fixtures ----- *)
 
@@ -223,67 +77,35 @@ let test_json_shape () =
       (Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:8 ~tasklets:4 ()))
       (build_mm 32 8 6 ()) (mm_args ())
   in
-  let json = parse_json (Trace.to_json_string ()) in
   let events =
-    match member "traceEvents" json with
-    | Some (Arr evs) -> evs
-    | _ -> Alcotest.fail "traceEvents array missing"
+    match Perfetto.events (Trace.to_json_string ()) with
+    | Ok evs -> evs
+    | Error e -> Alcotest.fail e
   in
-  Alcotest.(check bool) "has events" true (List.length events > 0);
-  let num k e =
-    match member k e with
-    | Some (Num f) -> f
-    | _ -> Alcotest.failf "event missing numeric %S" k
-  in
-  let str k e =
-    match member k e with
-    | Some (Str s) -> s
-    | _ -> Alcotest.failf "event missing string %S" k
-  in
-  let spans = ref 0 and pass_spans = ref 0 and lane_tracks = ref [] in
-  List.iter
-    (fun e ->
-      (* the Perfetto-required shape: every event has pid/tid/ph, and
-         every timed event (span/instant) a timestamp *)
-      ignore (num "pid" e);
-      ignore (num "tid" e);
-      match str "ph" e with
-      | "X" ->
-        incr spans;
-        ignore (num "ts" e);
-        ignore (num "dur" e);
-        let name = str "name" e in
-        if String.length name >= 5 && String.sub name 0 5 = "pass:" then
-          incr pass_spans;
-        if member "cat" e = Some (Str "lane") then
-          lane_tracks := num "tid" e :: !lane_tracks
-      | "i" ->
-        ignore (num "ts" e);
-        if member "s" e <> Some (Str "t") then
-          Alcotest.fail "instant event missing thread scope"
-      | "M" -> ()
-      | ph -> Alcotest.failf "unexpected event phase %S" ph)
-    events;
-  Alcotest.(check bool) "has complete spans" true (!spans > 0);
+  let spans = Perfetto.spans events in
+  let name e = Option.value (Json.string_field e "name") ~default:"" in
+  Alcotest.(check bool) "has complete spans" true (spans <> []);
   (* one span per pipeline pass: the upmem pipeline has 8 passes *)
-  Alcotest.(check int) "one span per pipeline pass" 8 !pass_spans;
+  Alcotest.(check int) "one span per pipeline pass" 8
+    (List.length (List.filter (fun e -> String.starts_with ~prefix:"pass:" (name e)) spans));
   (* one lane span per simulated DPU *)
   Alcotest.(check int) "per-DPU lane tracks" 8
-    (List.length (List.sort_uniq compare !lane_tracks));
+    (List.length
+       (List.sort_uniq compare
+          (List.filter_map
+             (fun e -> if Json.string_field e "cat" = Some "lane" then Json.int_field e "tid" else None)
+             spans)));
   let process_names =
     List.filter_map
       (fun e ->
-        if member "name" e = Some (Str "process_name") then
-          Option.bind (member "args" e) (member "name")
+        if name e = "process_name" then Option.bind (Json.member "args" e) (fun a -> Json.string_field a "name")
         else None)
       events
   in
   Alcotest.(check bool) "host process registered" true
-    (List.mem (Str "host (wall clock)") process_names);
+    (List.mem "host (wall clock)" process_names);
   Alcotest.(check bool) "device process registered" true
-    (List.exists
-       (function Str s -> String.length s >= 5 && String.sub s 0 5 = "upmem" | _ -> false)
-       process_names)
+    (List.exists (String.starts_with ~prefix:"upmem") process_names)
 
 (* ----- simulated-time track is bit-identical across --jobs ----- *)
 
