@@ -158,7 +158,7 @@ let build_nodes (f : Func.t) =
   let acc = ref [] and idx = ref 0 in
   Ir.iter_ops
     (fun op ->
-      if not (Interp.is_terminator op) then begin
+      if not (Ir.is_terminator op) then begin
         let id = !idx in
         incr idx;
         let free = free_values op in
@@ -345,7 +345,7 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
   let results =
     let term_operands = ref [] in
     Ir.iter_ops
-      (fun op -> if Interp.is_terminator op then term_operands := Array.to_list op.Ir.operands)
+      (fun op -> if Ir.is_terminator op then term_operands := Array.to_list op.Ir.operands)
       (Func.entry_block f);
     List.map
       (fun (v : Ir.value) ->

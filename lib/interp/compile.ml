@@ -296,7 +296,7 @@ let for_yield (op : Ir.op) =
     match Ir.last_op body with
     | Some y
       when Array.length body.Ir.args = n_res + 1
-           && Interp.is_terminator y
+           && Ir.is_terminator y
            && Array.length y.Ir.operands = n_res ->
       Some (body, y)
     | _ -> None
@@ -956,7 +956,7 @@ and compile_block st (block : Ir.block) : instr array * int array option =
   if n = 0 then ([||], None)
   else begin
     let last = Ir.op_at block (n - 1) in
-    if Interp.is_terminator last then begin
+    if Ir.is_terminator last then begin
       let body = Array.make (n - 1) nop_instr in
       for i = 0 to n - 2 do
         body.(i) <- compile_op st (Ir.op_at block i)
@@ -985,7 +985,7 @@ and compile_for st op =
   (if nops = 0 then begin if n_res <> 0 then raise Punt end
    else
      let last = Ir.op_at block (nops - 1) in
-     if Interp.is_terminator last then begin
+     if Ir.is_terminator last then begin
        if Array.length last.Ir.operands <> n_res then raise Punt
      end
      else if n_res <> 0 then raise Punt);
@@ -1046,7 +1046,7 @@ and compile_if st op =
       if nops = 0 then begin if n_res <> 0 then raise Punt end
       else
         let last = Ir.op_at block (nops - 1) in
-        if Interp.is_terminator last then begin
+        if Ir.is_terminator last then begin
           if Array.length last.Ir.operands <> n_res then raise Punt
         end
         else if n_res <> 0 then raise Punt

@@ -139,13 +139,6 @@ let operand ctx op i = lookup ctx (Ir.operand op i)
 let t_operand ctx op i = Rtval.as_tensor (operand ctx op i)
 let i_operand ctx op i = Rtval.as_int (operand ctx op i)
 
-(* Direct match instead of a string-list scan: [eval_block] asks this once
-   per block execution, i.e. once per loop iteration of interpreted code. *)
-let is_terminator (op : Ir.op) =
-  match op.Ir.name with
-  | "scf.yield" | "func.return" | "cim.yield" | "cnm.terminator" -> true
-  | _ -> false
-
 (* ----- profile accounting for bulk (tensor-level) ops ----- *)
 
 let account_elementwise p n =
@@ -244,7 +237,7 @@ let rec eval_block ctx (block : Ir.block) : Rtval.t list =
       eval_op ctx (Ir.op_at block i)
     done;
     let last = Ir.op_at block (n - 1) in
-    if is_terminator last then
+    if Ir.is_terminator last then
       List.map (lookup ctx) (Array.to_list last.Ir.operands)
     else begin
       eval_op ctx last;

@@ -75,10 +75,6 @@ val check_steps : ctx -> string -> unit
 (** Raise {!Interp_error} with a formatted message. *)
 val err : ('a, unit, string, 'b) format4 -> 'a
 
-(** Whether [op] is a block terminator ([scf.yield], [func.return],
-    [cim.yield], [cnm.terminator]); its operands are the block's results. *)
-val is_terminator : Ir.op -> bool
-
 (** Decode the "predicate" attribute of an [arith.cmpi] into a shared
     comparison closure (raises {!Interp_error} on unknown predicates). *)
 val decode_cmpi_predicate : Ir.op -> int -> int -> bool

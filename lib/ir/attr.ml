@@ -27,7 +27,15 @@ let rec to_string = function
   | Ty ty -> Types.to_string ty
   | List l -> Printf.sprintf "<%s>" (String.concat ", " (List.map to_string l))
 
-let equal (a : t) (b : t) = a = b
+(* Floats compare by bit pattern: structural [=] would equate 0.0 with
+   -0.0, and NaN with nothing. *)
+let rec equal a b =
+  let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+  match (a, b) with
+  | Float x, Float y -> same_float x y
+  | Floats x, Floats y -> Array.length x = Array.length y && Array.for_all2 same_float x y
+  | List x, List y -> List.equal equal x y
+  | _ -> a = b
 
 (* Typed accessors: raise with a useful message on schema violations, which
    surface as verifier/lowering bugs during development. *)

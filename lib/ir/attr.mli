@@ -13,6 +13,9 @@ type t =
   | List of t list
 
 val to_string : t -> string
+
+(** Structural equality with floats compared by bit pattern, so [0.0]
+    and [-0.0] differ and a NaN equals itself. *)
 val equal : t -> t -> bool
 
 (** Typed accessors; the [string] argument is the attribute name, used in

@@ -7,7 +7,7 @@
    Blocks store their ops in a growable array ([Vec]) so that appending —
    the hot operation of every builder and conversion pass — is amortized
    O(1); building a block of k ops is O(k). Prefer the accessors below
-   ([block_ops], [iter_ops], [set_block_ops], ...) over touching the
+   ([block_ops], [iter_ops], [filter_ops_in_place], ...) over touching the
    backing vector directly. *)
 
 module Vec = Cinm_support.Vec
@@ -116,18 +116,6 @@ let last_op block = Vec.last block.ops
 
 let clear_ops block = Vec.clear block.ops
 
-let set_block_ops block l =
-  Vec.clear block.ops;
-  List.iter (fun op -> append_op block op) l
-
-let map_ops_in_place f block =
-  Vec.map_in_place
-    (fun op ->
-      let op' = f op in
-      op'.parent <- Some block;
-      op')
-    block.ops
-
 (* Keep only the ops satisfying [p]; returns whether anything was removed. *)
 let filter_ops_in_place p block =
   let before = Vec.length block.ops in
@@ -169,6 +157,12 @@ let region op i =
     invalid_arg (Printf.sprintf "Ir.region %d of %s" i op.name);
   op.regions.(i)
 
+(* A direct match: the interpreter asks this once per block execution. *)
+let is_terminator op =
+  match op.name with
+  | "scf.yield" | "func.return" | "cim.yield" | "cnm.terminator" -> true
+  | _ -> false
+
 let dialect_of op =
   match String.index_opt op.name '.' with
   | Some i -> String.sub op.name 0 i
@@ -182,14 +176,6 @@ let rec walk_op f op =
 
 and walk_region f region = Vec.iter (walk_block f) region.blocks
 and walk_block f block = Vec.iter (walk_op f) block.ops
-
-(* Replace every use of [old_v] by [new_v] in all ops reachable from
-   [region] (including nested regions). *)
-let replace_uses_in_region region ~old_v ~new_v =
-  walk_region
-    (fun op ->
-      Array.iteri (fun i v -> if v == old_v then op.operands.(i) <- new_v) op.operands)
-    region
 
 (* ----- cloning ----- *)
 

@@ -6,7 +6,7 @@
     Blocks and regions store their contents in growable arrays so that
     appending — the hot operation of builders and conversion passes — is
     amortized O(1). Use the accessors ([block_ops], [iter_ops],
-    [set_block_ops], [blocks], ...) rather than the backing vectors. *)
+    [filter_ops_in_place], [blocks], ...) rather than the backing vectors. *)
 
 module Vec = Cinm_support.Vec
 
@@ -84,12 +84,6 @@ val iter_ops : (op -> unit) -> block -> unit
 val last_op : block -> op option
 val clear_ops : block -> unit
 
-(** Replace a block's ops wholesale, reparenting them. *)
-val set_block_ops : block -> op list -> unit
-
-(** Rewrite each op in place (the replacement is reparented). *)
-val map_ops_in_place : (op -> op) -> block -> unit
-
 (** Keep only the ops satisfying the predicate; returns [true] when
     anything was removed. *)
 val filter_ops_in_place : (op -> bool) -> block -> bool
@@ -113,6 +107,10 @@ val float_attr : op -> string -> float
 val set_attr : op -> string -> Attr.t -> unit
 val region : op -> int -> region
 
+(** Whether [op] is a block terminator ([scf.yield], [func.return],
+    [cim.yield], [cnm.terminator]); its operands are the block's results. *)
+val is_terminator : op -> bool
+
 (** The dialect prefix of an op name (["cinm.gemm"] -> ["cinm"]). *)
 val dialect_of : op -> string
 
@@ -123,10 +121,6 @@ val walk_op : (op -> unit) -> op -> unit
 
 val walk_region : (op -> unit) -> region -> unit
 val walk_block : (op -> unit) -> block -> unit
-
-(** Replace every use of [old_v] with [new_v] in all ops reachable from the
-    region, including nested regions. *)
-val replace_uses_in_region : region -> old_v:value -> new_v:value -> unit
 
 (** {1 Cloning} *)
 

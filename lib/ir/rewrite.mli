@@ -34,11 +34,9 @@ val bind : ctx -> Ir.value -> Ir.value -> unit
     @raise Invalid_argument on an arity mismatch. *)
 val bind_results : ctx -> Ir.op -> Ir.value list -> unit
 
-(** Clone an unmatched op into the output with remapped operands and
-    recursively converted regions. *)
-val clone_converted : ctx -> Ir.op -> Ir.op
-
-val convert_region : ctx -> Ir.region -> Ir.region
+(** Offer one op to the patterns at the current insertion point; an
+    unmatched op is cloned with remapped operands and recursively
+    converted regions. *)
 val convert_op : ctx -> Ir.op -> unit
 
 (** Convert a function (module) in place. When [hits] is given (one slot

@@ -15,8 +15,12 @@
         replacement cannot shorten;
      4. rewrite operands to fresh constants, decoupling def-use chains so
         the producers die in the cleanup sweep;
-     5. delete pure ops whose results are unused (cleanup sweep);
+     5. delete value-producing ops whose results are unused (the DCE
+        sweep with a looser rule);
      6. textually halve tensor/memref/workgroup shape dimensions.
+
+   Moves 2-4 are rewrite patterns: one driver run per candidate, whose
+   env redirects every use of a replaced value.
 
    Every move is built on a deep clone of the current best module and
    accepted only if the clone is still interesting, so an invalid or
@@ -25,6 +29,7 @@
 
 open Cinm_ir
 module Log = Cinm_support.Log
+module Dce = Cinm_transforms.Dce
 
 type stats = {
   rounds : int;
@@ -41,12 +46,6 @@ let clone_module (m : Func.modul) =
   m'
 
 let count_ops = Pass.count_ops
-
-(* duplicated from the interpreter to keep this library independent of it *)
-let is_terminator (op : Ir.op) =
-  match op.Ir.name with
-  | "scf.yield" | "func.return" | "cim.yield" | "cnm.terminator" -> true
-  | _ -> false
 
 (* A fresh op producing a trivial value of [ty], or [None] when the type
    has no constant form (tokens, handles, workgroups, ...). *)
@@ -79,117 +78,58 @@ let ops_of (f : Func.t) : Ir.op array =
   Func.walk (fun op -> acc := op :: !acc) f;
   Array.of_list (List.rev !acc)
 
-(* Replace [op] by fresh constants for each of its results (uses rewired
-   across the whole function body, nested regions included), then drop it
-   from its block. False when the op is a terminator, parentless, or has
-   an unmaterializable result type. *)
-let replace_op_with_constants (f : Func.t) (op : Ir.op) : bool =
-  if is_terminator op then false
+(* The chunk moves: for an op they apply to, the rewrite that replaces
+   it, run as a pattern by the driver (which redirects every use). *)
+type move = Ir.op -> (Rewrite.ctx -> Rewrite.action) option
+
+let insert_result (ctx : Rewrite.ctx) (c : Ir.op) =
+  Builder.insert ctx.Rewrite.b c;
+  Ir.result c 0
+
+(* Replace [op] by fresh constants for each of its results (this also
+   drops the regions it owns). Not for terminators or ops with an
+   unmaterializable result type. *)
+let to_constants : move =
+ fun op ->
+  let consts =
+    List.filter_map (fun (r : Ir.value) -> materialize r.Ir.ty) (Array.to_list op.Ir.results)
+  in
+  if Ir.is_terminator op || List.length consts <> Array.length op.Ir.results then None
+  else Some (fun ctx -> Rewrite.Replace (List.map (insert_result ctx) consts))
+
+(* Bypass [op]: its single result's uses take a same-typed operand and
+   the op goes. The workhorse for chains like acc' = add(acc, c), where
+   every link is live so constant replacement never shrinks the path, but
+   forwarding acc through removes a link (and the sweep then reaps the
+   now-unused c). Dominance is preserved: the operand is defined before
+   [op], so it is in scope at every use of the result. *)
+let forward_operand : move =
+ fun op ->
+  if Ir.is_terminator op || Array.length op.Ir.results <> 1 then None
   else
-    match op.Ir.parent with
-    | None -> false
-    | Some block ->
-      let consts =
-        Array.map (fun (r : Ir.value) -> materialize r.Ir.ty) op.Ir.results
-      in
-      if Array.exists Option.is_none consts then false
-      else begin
-        let consts = Array.map Option.get consts in
-        Array.iteri
-          (fun i (c : Ir.op) ->
-            Ir.replace_uses_in_region f.Func.body ~old_v:op.Ir.results.(i)
-              ~new_v:(Ir.result c 0))
-          consts;
-        let new_ops =
-          List.concat_map
-            (fun o -> if o == op then Array.to_list consts else [ o ])
-            (Ir.block_ops block)
-        in
-        Ir.set_block_ops block new_ops;
-        true
-      end
+    let r = op.Ir.results.(0) in
+    Array.find_opt (fun (v : Ir.value) -> Types.equal v.Ir.ty r.Ir.ty) op.Ir.operands
+    |> Option.map (fun v ctx -> Rewrite.Replace [ Rewrite.lookup ctx v ])
 
-(* Bypass [op]: rewire its single result's uses to a same-typed operand
-   and drop the op. The workhorse for chains like acc' = add(acc, c),
-   where every link is live so constant replacement never shrinks the
-   path, but forwarding acc through removes a link (and the sweep then
-   reaps the now-unused c). Dominance is preserved: the operand is
-   defined before [op], so it is in scope at every use of the result. *)
-let forward_operand_to_result (f : Func.t) (op : Ir.op) : bool =
-  if is_terminator op || Array.length op.Ir.results <> 1 then false
-  else
-    match op.Ir.parent with
-    | None -> false
-    | Some block -> (
-      let r = op.Ir.results.(0) in
-      match
-        Array.find_opt
-          (fun (v : Ir.value) -> Types.equal v.Ir.ty r.Ir.ty)
-          op.Ir.operands
-      with
-      | None -> false
-      | Some v ->
-        Ir.replace_uses_in_region f.Func.body ~old_v:r ~new_v:v;
-        Ir.set_block_ops block
-          (List.filter (fun o -> not (o == op)) (Ir.block_ops block));
-        true)
+(* Give each non-trivial operand of [op] a fresh constant built just
+   before it, decoupling the def-use chain so the producer can die in the
+   sweep. The original op is discarded once the driver has converted it,
+   so retargeting its operands here only changes what its clone reads. *)
+let decoupled (v : Ir.value) = if is_trivial_def v then None else materialize v.Ir.ty
 
-(* Rewrite operand [j] of [op] to a fresh constant inserted just before
-   it, decoupling the def-use chain so the producer can die in the sweep. *)
-let rewrite_operand (op : Ir.op) (j : int) : bool =
-  match op.Ir.parent with
-  | None -> false
-  | Some block ->
-    let v = op.Ir.operands.(j) in
-    if is_trivial_def v then false
-    else (
-      match materialize v.Ir.ty with
-      | None -> false
-      | Some c ->
-        op.Ir.operands.(j) <- Ir.result c 0;
-        let new_ops =
-          List.concat_map
-            (fun o -> if o == op then [ c; o ] else [ o ])
-            (Ir.block_ops block)
-        in
-        Ir.set_block_ops block new_ops;
-        true)
+let decouple_operands ctx (op : Ir.op) =
+  Array.iteri
+    (fun j v ->
+      Option.iter (fun c -> op.Ir.operands.(j) <- insert_result ctx c) (decoupled v))
+    op.Ir.operands;
+  None
 
-(* Delete pure value-producing ops none of whose results are used, to a
-   fixpoint. Result-less (side-effecting) ops are left alone — the chunk
-   move handles those. *)
-let sweep_unused (f : Func.t) : bool =
-  let changed = ref false in
-  let continue_ = ref true in
-  while !continue_ do
-    let used = Hashtbl.create 64 in
-    Func.walk
-      (fun op ->
-        Array.iter
-          (fun (v : Ir.value) -> Hashtbl.replace used v.Ir.vid ())
-          op.Ir.operands)
-      f;
-    let removed = ref false in
-    let rec each_region (r : Ir.region) =
-      Ir.iter_blocks
-        (fun b ->
-          if
-            Ir.filter_ops_in_place
-              (fun op ->
-                is_terminator op
-                || Array.length op.Ir.results = 0
-                || Array.exists
-                     (fun (v : Ir.value) -> Hashtbl.mem used v.Ir.vid)
-                     op.Ir.results)
-              b
-          then removed := true;
-          Ir.iter_ops (fun op -> Array.iter each_region op.Ir.regions) b)
-        r
-    in
-    each_region f.Func.body;
-    if !removed then changed := true else continue_ := false
-  done;
-  !changed
+(* Delete value-producing non-terminators none of whose results are used,
+   to a fixpoint. Result-less (side-effecting) ops are left alone — the
+   chunk move handles those. *)
+let sweep_unused =
+  Dce.sweep ~removable:(fun op ->
+      (not (Ir.is_terminator op)) && Array.length op.Ir.results > 0)
 
 (* Halve every shape dimension appearing in the textual IR: a maximal
    digit run preceded by '<' or 'x' and followed by 'x' is a leading/
@@ -253,8 +193,9 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
       c.Func.funcs <- List.filteri (fun i _ -> i <> !fi) c.Func.funcs;
       if try_candidate ~allow_equal:false c then progress := true else incr fi
     done;
-    (* moves 2 + 3: ddmin chunks of a per-op mutation, per function *)
-    let ddmin_pass (mutate : Func.t -> Ir.op -> bool) =
+    (* moves 2 + 3: ddmin chunks of a per-op rewrite, per function; a
+       chunk is one driver run whose pattern fires on the chunk's ops *)
+    let ddmin_pass (move : move) =
       for fi = 0 to List.length !best.Func.funcs - 1 do
         let fun_ops () = Array.length (ops_of (List.nth !best.Func.funcs fi)) in
         let chunk = ref (max 1 (fun_ops () / 2)) in
@@ -264,31 +205,39 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
             let c = clone_module !best in
             let f = List.nth c.Func.funcs fi in
             let ops = ops_of f in
-            let any = ref false in
+            let picked = Hashtbl.create !chunk in
             for k = !pos to min (Array.length ops - 1) (!pos + !chunk - 1) do
-              if mutate f ops.(k) then any := true
+              Option.iter (Hashtbl.replace picked ops.(k).Ir.oid) (move ops.(k))
             done;
-            if !any then ignore (sweep_unused f);
-            if !any && try_candidate ~allow_equal:false c then progress := true
+            let any = Hashtbl.length picked > 0 in
+            if any then begin
+              let pattern ctx (op : Ir.op) =
+                Option.map (fun rewrite -> rewrite ctx) (Hashtbl.find_opt picked op.Ir.oid)
+              in
+              Rewrite.apply_to_func ~patterns:[ pattern ] f;
+              ignore (sweep_unused f)
+            end;
+            if any && try_candidate ~allow_equal:false c then progress := true
             else pos := !pos + !chunk
           done;
           chunk := !chunk / 2
         done
       done
     in
-    ddmin_pass replace_op_with_constants;
-    ddmin_pass forward_operand_to_result;
+    ddmin_pass to_constants;
+    ddmin_pass forward_operand;
     (* move 4: decouple all operand chains at once, then sweep *)
     (let c = clone_module !best in
      let any = ref false in
      List.iter
        (fun f ->
-         Array.iter
-           (fun op ->
-             for j = 0 to Array.length op.Ir.operands - 1 do
-               if rewrite_operand op j then any := true
-             done)
-           (ops_of f);
+         let decouplable (op : Ir.op) =
+           Array.exists (fun v -> Option.is_some (decoupled v)) op.Ir.operands
+         in
+         if Array.exists decouplable (ops_of f) then begin
+           any := true;
+           Rewrite.apply_to_func ~patterns:[ decouple_operands ] f
+         end;
          if !any then ignore (sweep_unused f))
        c.Func.funcs;
      if !any && try_candidate ~allow_equal:false c then progress := true);

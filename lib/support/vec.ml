@@ -84,11 +84,6 @@ let map f v = of_list (List.map f (to_list v))
 
 let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
 
-let map_in_place f v =
-  for i = 0 to v.len - 1 do
-    v.data.(i) <- f v.data.(i)
-  done
-
 (* Keep only elements satisfying [p], preserving order. O(n). *)
 let filter_in_place p v =
   let j = ref 0 in

@@ -29,7 +29,5 @@ val map : ('a -> 'b) -> 'a t -> 'b t
 (** Last element, or [None] when empty. *)
 val last : 'a t -> 'a option
 
-val map_in_place : ('a -> 'a) -> 'a t -> unit
-
 (** Keep only the elements satisfying the predicate, preserving order. *)
 val filter_in_place : ('a -> bool) -> 'a t -> unit

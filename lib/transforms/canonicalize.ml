@@ -1,7 +1,7 @@
 (* Canonicalization: constant folding of scalar arith ops and common
-   subexpression elimination of pure, region-free ops. Run after lowering
-   passes to clean up the index arithmetic and duplicate constants the
-   kernel generators emit.
+   subexpression elimination of pure, region-free ops, as two rewrite
+   patterns followed by DCE. Run after lowering passes to clean up the
+   index arithmetic and duplicate constants the kernel generators emit.
 
    CSE is per-block (ops in nested regions only see their own block's
    memo), so isolated-from-above regions (cnm.launch bodies) can never
@@ -39,36 +39,50 @@ let wrap_to_result (op : Ir.op) x =
     if m >= 1 lsl (bits - 1) then m - (1 lsl bits) else m
   | _ -> x
 
-let fold_op (op : Ir.op) : int option =
+(* Fold an integer binop whose converted operands are both constants
+   into a fresh constant; a folded result feeds the next fold through the
+   driver's env, so chains collapse in one run. *)
+let fold ctx (op : Ir.op) =
   if not (List.mem op.Ir.name foldable) then None
   else
     match
-      ( Transform_util.constant_of (Ir.operand op 0),
-        Transform_util.constant_of (Ir.operand op 1) )
+      ( Transform_util.constant_of (Rewrite.operand ctx op 0),
+        Transform_util.constant_of (Rewrite.operand ctx op 1) )
     with
     | Some a, Some b ->
+      let value =
+        wrap_to_result op
+          (fold_scalar op.Ir.name (wrap_to_result op a) (wrap_to_result op b))
+      in
       Some
-        (wrap_to_result op
-           (fold_scalar op.Ir.name (wrap_to_result op a) (wrap_to_result op b)))
+        (Rewrite.Replace
+           [ Builder.build1 ctx.Rewrite.b "arith.constant"
+               ~attrs:[ ("value", Attr.Int value) ]
+               ~result_tys:[ (Ir.result op 0).Ir.ty ] ])
     | _ -> None
 
-let cse_key (op : Ir.op) =
-  let operands =
-    Array.to_list op.Ir.operands
-    |> List.map (fun (v : Ir.value) -> string_of_int v.Ir.vid)
-    |> String.concat ","
-  in
-  let attrs =
-    List.sort compare op.Ir.attrs
-    |> List.map (fun (k, a) -> k ^ "=" ^ Attr.to_string a)
-    |> String.concat ";"
-  in
-  let result_tys =
-    Array.to_list op.Ir.results
-    |> List.map (fun (v : Ir.value) -> Types.to_string v.Ir.ty)
-    |> String.concat ","
-  in
-  Printf.sprintf "%s(%s){%s}:%s" op.Ir.name operands attrs result_tys
+(* What makes two ops the same computation. The op's original parent
+   block keeps CSE per block; operands are converted values, so earlier
+   merges make later ops match. Attributes compare with [Attr.equal]
+   (floats by bit pattern: 0.0 and -0.0 stay apart). *)
+module Key = struct
+  type t = {
+    block : int;
+    name : string;
+    operands : int list;
+    attrs : (string * Attr.t) list;  (** sorted by name *)
+    result_tys : Types.t list;
+  }
+
+  let equal a b =
+    a.block = b.block && a.name = b.name && a.operands = b.operands
+    && List.equal (fun (k, x) (l, y) -> k = l && Attr.equal x y) a.attrs b.attrs
+    && List.equal Types.equal a.result_tys b.result_tys
+
+  let hash = Hashtbl.hash
+end
+
+module Memo = Hashtbl.Make (Key)
 
 let cse_eligible (op : Ir.op) =
   Array.length op.Ir.regions = 0
@@ -79,45 +93,26 @@ let cse_eligible (op : Ir.op) =
   | "tensor" -> op.Ir.name <> "tensor.empty" (* distinct buffers on purpose *)
   | _ -> false
 
+let cse memo ctx (op : Ir.op) =
+  match op.Ir.parent with
+  | Some block when cse_eligible op -> (
+    let key =
+      { Key.block = block.Ir.bid;
+        name = op.Ir.name;
+        operands = List.map (fun (v : Ir.value) -> v.Ir.vid) (Rewrite.operands ctx op);
+        attrs = List.sort (fun (a, _) (b, _) -> String.compare a b) op.Ir.attrs;
+        result_tys = Array.to_list (Array.map (fun (v : Ir.value) -> v.Ir.ty) op.Ir.results) }
+    in
+    match Memo.find_opt memo key with
+    | Some (prior : Ir.op) ->
+      Some (Rewrite.Replace (Array.to_list (Array.map (Rewrite.lookup ctx) prior.Ir.results)))
+    | None ->
+      Memo.add memo key op;
+      None)
+  | _ -> None
+
 let run_on_func (f : Func.t) =
-  let rec canon_block (block : Ir.block) =
-    let memo : (string, Ir.op) Hashtbl.t = Hashtbl.create 32 in
-    let kept = ref [] in
-    Ir.iter_ops
-      (fun (op : Ir.op) ->
-        Array.iter (fun r -> Ir.iter_blocks canon_block r) op.Ir.regions;
-        (* constant folding *)
-        (match fold_op op with
-        | Some value ->
-          let c =
-            Ir.create_op
-              ~attrs:[ ("value", Attr.Int value) ]
-              ~result_tys:[ (Ir.result op 0).Ir.ty ]
-              "arith.constant"
-          in
-          c.Ir.parent <- Some block;
-          Ir.replace_uses_in_region f.Func.body ~old_v:(Ir.result op 0)
-            ~new_v:(Ir.result c 0);
-          kept := c :: !kept
-        | None ->
-          if cse_eligible op then begin
-            let key = cse_key op in
-            match Hashtbl.find_opt memo key with
-            | Some prior ->
-              Array.iteri
-                (fun i (v : Ir.value) ->
-                  Ir.replace_uses_in_region f.Func.body ~old_v:v
-                    ~new_v:prior.Ir.results.(i))
-                op.Ir.results
-            | None ->
-              Hashtbl.replace memo key op;
-              kept := op :: !kept
-          end
-          else kept := op :: !kept))
-      block;
-    Ir.set_block_ops block (List.rev !kept)
-  in
-  Ir.iter_blocks canon_block f.Func.body;
+  Rewrite.apply_to_func ~patterns:[ fold; cse (Memo.create 64) ] f;
   Dce.run_on_func f
 
 let pass =

@@ -1,6 +1,7 @@
 (* Dead code elimination for pure, region-free ops. Runs to fixpoint;
    used after fusion folds elementwise chains into cinm.ew_expr ops,
-   leaving the original chain dead. *)
+   leaving the original chain dead. The sweep itself takes the rule for
+   which ops may go, so the reducer reuses it with a looser one. *)
 
 open Cinm_ir
 
@@ -11,30 +12,32 @@ let is_removable (op : Ir.op) =
   && Array.length op.Ir.results > 0
   && List.mem (Ir.dialect_of op) pure_dialects
 
-let run_on_func (f : Func.t) =
-  let changed = ref true in
-  while !changed do
-    changed := false;
+let sweep ~removable (f : Func.t) =
+  let once () =
     let used = Hashtbl.create 256 in
     Func.walk
       (fun op ->
         Array.iter (fun (v : Ir.value) -> Hashtbl.replace used v.Ir.vid ()) op.Ir.operands)
       f;
-    let prune (block : Ir.block) =
-      let keep op =
-        (not (is_removable op))
-        || Array.exists (fun (v : Ir.value) -> Hashtbl.mem used v.Ir.vid) op.Ir.results
-      in
-      if Ir.filter_ops_in_place keep block then changed := true
+    let keep op =
+      (not (removable op))
+      || Array.exists (fun (v : Ir.value) -> Hashtbl.mem used v.Ir.vid) op.Ir.results
     in
+    let removed = ref false in
     let rec prune_region (region : Ir.region) =
       Ir.iter_blocks
         (fun block ->
-          prune block;
+          if Ir.filter_ops_in_place keep block then removed := true;
           Ir.iter_ops (fun op -> Array.iter prune_region op.Ir.regions) block)
         region
     in
-    prune_region f.Func.body
-  done
+    prune_region f.Func.body;
+    !removed
+  in
+  let changed = once () in
+  if changed then while once () do () done;
+  changed
+
+let run_on_func f = ignore (sweep ~removable:is_removable f)
 
 let pass = Pass.create ~name:"dce" (fun m -> List.iter run_on_func m.Func.funcs)

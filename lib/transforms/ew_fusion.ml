@@ -97,64 +97,66 @@ let run_on_func (f : Func.t) =
             if uses v = 1 then Hashtbl.replace consumed_by_fusable v.Ir.vid ())
           op.Ir.operands)
     f;
-  let rewrite_block (block : Ir.block) =
-    Ir.map_ops_in_place
-      (fun op ->
-          let is_root =
-            is_fusable op
-            && not (Hashtbl.mem consumed_by_fusable (Ir.result op 0).Ir.vid)
-          in
-          let worth_fusing =
-            is_root
-            && Array.exists
-                 (fun (v : Ir.value) ->
-                   splat_constant v <> None
-                   ||
-                   match v.Ir.def with
-                   | Ir.Op_result (d, 0) -> is_fusable d && uses v = 1
-                   | _ -> false)
-                 op.Ir.operands
-          in
-          if not worth_fusing then op
-          else begin
-            let leaves = ref [] in
-            let tokens = rpn_of leaves (Ir.result op 0) ~is_root:true in
-            if !leaves = [] then op
-              (* every operand folded to a splat literal: a pure-constant
-                 expression has no tensor inputs to carry, and ew_expr
-                 requires at least one — leave it for the canonicalizer *)
-            else
-            (* if the chain feeds exactly one cnm scan, fold it into the
-               scan (PrIM-style fused predicate + prefix sum) *)
-            let scan_consumer =
-              match Hashtbl.find_opt consumers (Ir.result op 0).Ir.vid with
-              | Some (Some c) when is_cnm_scan c -> Some c
-              | _ -> None
-            in
-            match scan_consumer with
-            | Some scan_op ->
-              scan_op.Ir.operands <- Array.of_list !leaves;
-              Ir.set_attr scan_op "pre_expr" (Attr.Strs tokens);
-              op (* root becomes dead; DCE removes it *)
-            | None ->
-              let fused =
-                Ir.create_op ~operands:!leaves
-                  ~result_tys:[ (Ir.result op 0).Ir.ty ]
-                  ~attrs:
-                    (("expr", Attr.Strs tokens)
-                    :: (match Ir.attr op "target" with
-                       | Some t -> [ ("target", t) ]
-                       | None -> []))
-                  "cinm.ew_expr"
-              in
-              (* redirect all uses of the root to the fused op *)
-              Ir.replace_uses_in_region f.Func.body ~old_v:(Ir.result op 0)
-                ~new_v:(Ir.result fused 0);
-              fused
-          end)
-      block
+  (* Roots fuse only in the function's top-level blocks; the driver
+     converts the rest (and redirects the root's uses) unchanged. *)
+  let top_level (op : Ir.op) =
+    match op.Ir.parent with
+    | Some { Ir.parent_region = Some r; _ } -> r == f.Func.body
+    | _ -> false
   in
-  Ir.iter_blocks rewrite_block f.Func.body
+  let fuse ctx (op : Ir.op) =
+    let is_root =
+      top_level op && is_fusable op
+      && not (Hashtbl.mem consumed_by_fusable (Ir.result op 0).Ir.vid)
+    in
+    let worth_fusing =
+      is_root
+      && Array.exists
+           (fun (v : Ir.value) ->
+             splat_constant v <> None
+             ||
+             match v.Ir.def with
+             | Ir.Op_result (d, 0) -> is_fusable d && uses v = 1
+             | _ -> false)
+           op.Ir.operands
+    in
+    if not worth_fusing then None
+    else begin
+      let leaves = ref [] in
+      let tokens = rpn_of leaves (Ir.result op 0) ~is_root:true in
+      if !leaves = [] then None
+        (* every operand folded to a splat literal: a pure-constant
+           expression has no tensor inputs to carry, and ew_expr
+           requires at least one — leave it for the canonicalizer *)
+      else
+      (* if the chain feeds exactly one cnm scan, fold it into the
+         scan (PrIM-style fused predicate + prefix sum); the driver
+         converts the edited scan when it reaches it *)
+      let scan_consumer =
+        match Hashtbl.find_opt consumers (Ir.result op 0).Ir.vid with
+        | Some (Some c) when is_cnm_scan c -> Some c
+        | _ -> None
+      in
+      match scan_consumer with
+      | Some scan_op ->
+        scan_op.Ir.operands <- Array.of_list !leaves;
+        Ir.set_attr scan_op "pre_expr" (Attr.Strs tokens);
+        None (* root becomes dead; DCE removes it *)
+      | None ->
+        let fused =
+          Builder.build1 ctx.Rewrite.b "cinm.ew_expr"
+            ~operands:(List.map (Rewrite.lookup ctx) !leaves)
+            ~result_tys:[ (Ir.result op 0).Ir.ty ]
+            ~attrs:
+              (("expr", Attr.Strs tokens)
+              :: (match Ir.attr op "target" with
+                 | Some t -> [ ("target", t) ]
+                 | None -> []))
+        in
+        Some (Rewrite.Replace [ fused ])
+    end
+  in
+  Rewrite.apply_to_func ~patterns:[ fuse ] f
 
 let pass =
   Pass.create ~name:"cinm-ew-fusion" (fun m ->

@@ -42,11 +42,10 @@ let inline_body ?(remap = fun (v : Ir.value) -> v) bb (region : Ir.region)
   List.iteri
     (fun i v -> vmap := Ir.Vmap.add entry.Ir.args.(i).Ir.vid v !vmap)
     args;
-  let terminators = [ "scf.yield"; "cnm.terminator"; "cim.yield"; "func.return" ] in
   let result = ref [] in
   Ir.iter_ops
     (fun (op : Ir.op) ->
-      if List.mem op.Ir.name terminators then
+      if Ir.is_terminator op then
         result :=
           Array.to_list op.Ir.operands |> List.map (fun v -> Ir.map_value !vmap v)
       else begin

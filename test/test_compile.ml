@@ -565,6 +565,35 @@ let test_cim_host_model () =
   Alcotest.(check (float 0.0)) "host_model is honoured" (est Cpu.xeon_opt) xeon.Report.host_s;
   Alcotest.(check bool) "the two models differ" true (xeon.Report.host_s <> arm.Report.host_s)
 
+(* ----- compiled-code cache ----- *)
+
+(* Compiled code is cached by block id, so a pass must not leave an
+   executed block's id on different ops. Canonicalize rebuilds the body
+   through the rewrite driver: the run after it must count what a fresh
+   parse of the canonicalized text counts, not replay the stale code. *)
+let test_fresh_code_after_canonicalize () =
+  let text =
+    {|func.func @f(%arg0: i32) -> (i32) {
+  %0 = "arith.constant"() {value = 1} : () -> (i32)
+  %1 = "arith.constant"() {value = 2} : () -> (i32)
+  %2 = "arith.addi"(%0, %1) : (i32, i32) -> (i32)
+  %3 = "arith.addi"(%2, %arg0) : (i32, i32) -> (i32)
+  "func.return"(%3) : (i32) -> ()
+}|}
+  in
+  let run m = Compile.run_func (List.hd m.Func.funcs) [ Rtval.Int 5 ] in
+  with_backend Compile.Compiled @@ fun () ->
+  let m = Parser.parse_module_text text in
+  ignore (run m);
+  Pass.run_pipeline [ Canonicalize.pass ] m;
+  let results, profile = run m in
+  let fresh_results, fresh_profile =
+    run (Parser.parse_module_text (Printer.module_to_string m))
+  in
+  Alcotest.(check bool) "same results" true (results = fresh_results);
+  Alcotest.(check string) "profile of a fresh parse"
+    (Profile.to_string fresh_profile) (Profile.to_string profile)
+
 (* ----- bench --json differential ----- *)
 
 (* locate the bench executable relative to this test binary, so the test
@@ -627,6 +656,9 @@ let () =
             test_backend_reads_config_default;
           Alcotest.test_case "cim honours host_model" `Quick test_cim_host_model;
         ] );
+      ( "code cache",
+        [ Alcotest.test_case "fresh code after canonicalize" `Quick
+            test_fresh_code_after_canonicalize ] );
       ( "bench-json",
         [ Alcotest.test_case "bit-identical at jobs 1 and 4" `Quick
             test_bench_json_differential;

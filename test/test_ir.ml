@@ -407,20 +407,34 @@ let test_walk_order () =
     [ "cinm.gemm"; "func.return" ]
     (List.rev !names)
 
+(* Values are replaced only through the rewrite driver's env: a [Replace]
+   must reach a use that feeds a block argument (the loop's iter_args
+   init) and a use inside the scf.for body. *)
 let test_replace_uses () =
   let f = Func.create ~name:"r" ~arg_tys:[ T.Index; T.Index ] ~result_tys:[ T.Index ] in
   let b = Builder.for_func f in
-  let s = Arith.addi b (Func.param f 0) (Func.param f 0) in
-  Func_d.return b [ s ];
-  Ir.replace_uses_in_region f.Func.body ~old_v:(Func.param f 0) ~new_v:(Func.param f 1);
-  let uses_p0 = ref 0 in
-  Func.walk
-    (fun op ->
-      Array.iter
-        (fun (v : Ir.value) -> if v == Func.param f 0 then incr uses_p0)
-        op.Ir.operands)
-    f;
-  Alcotest.(check int) "no uses of the old value" 0 !uses_p0
+  let x = Arith.addi b (Func.param f 0) (Func.param f 0) in
+  let c0 = Arith.const_index b 0 and c4 = Arith.const_index b 4 in
+  let r =
+    Scf_d.for_ b ~lb:c0 ~ub:c4 ~step:c4 ~init:[ x ] (fun bb _ acc ->
+        [ Arith.addi bb acc.(0) x ])
+  in
+  Func_d.return b r;
+  let x_op = match x.Ir.def with Ir.Op_result (op, _) -> op | _ -> assert false in
+  let to_p1 ctx (op : Ir.op) =
+    if op == x_op then Some (Rewrite.Replace [ Rewrite.lookup ctx (Func.param f 1) ])
+    else None
+  in
+  Rewrite.apply_to_func ~patterns:[ to_p1 ] f;
+  let p1 = Func.param f 1 in
+  let top = Ir.block_ops (Func.entry_block f) in
+  Alcotest.(check bool) "the replaced addi is gone" false
+    (List.exists (fun op -> op.Ir.name = "arith.addi") top);
+  let loop = List.find (fun op -> op.Ir.name = "scf.for") top in
+  Alcotest.(check bool) "iter_args init rewired" true
+    (Ir.operand loop (Ir.num_operands loop - 1) == p1);
+  let body_add = Ir.op_at (Ir.entry_block (Ir.region loop 0)) 0 in
+  Alcotest.(check bool) "body use rewired" true (Ir.operand body_add 1 == p1)
 
 (* ----- qcheck properties ----- *)
 

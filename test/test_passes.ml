@@ -259,6 +259,72 @@ let test_cse_respects_types () =
   Alcotest.(check int) "both constants kept" 2
     (count_ops "arith.constant" (List.hd m.Func.funcs))
 
+(* Float constants are keyed by bit pattern: 1.0000001 and 1.0000002
+   print alike under %g but must not merge, and neither may 0.0 and -0.0
+   (which [compare] equates). *)
+let test_cse_float_bits () =
+  let f64 = T.Scalar T.F64 in
+  let build () =
+    let f = Func.create ~name:"fl" ~arg_tys:[ f64 ] ~result_tys:[ f64 ] in
+    let b = Builder.for_func f in
+    let x = Arith.constant_f b ~ty:f64 1.0000001 in
+    let y = Arith.constant_f b ~ty:f64 1.0000002 in
+    Func_d.return b [ Arith.addf b (Arith.subf b x y) (Func.param f 0) ];
+    f
+  in
+  let bits f =
+    match run1 f [ Rtval.Float 0. ] with
+    | Rtval.Float x -> Int64.bits_of_float x
+    | _ -> Alcotest.fail "expected a float"
+  in
+  let expected = bits (build ()) in
+  let m = module_of (build ()) in
+  Pass.run_pipeline [ Canonicalize.pass ] m;
+  Alcotest.(check int64) "bit-identical result" expected (bits (List.hd m.Func.funcs));
+  let f = Func.create ~name:"zeros" ~arg_tys:[] ~result_tys:[ f64; f64 ] in
+  let b = Builder.for_func f in
+  Func_d.return b [ Arith.constant_f b ~ty:f64 0.0; Arith.constant_f b ~ty:f64 (-0.0) ];
+  let m = module_of f in
+  Pass.run_pipeline [ Canonicalize.pass ] m;
+  Alcotest.(check int) "0.0 and -0.0 kept apart" 2
+    (count_ops "arith.constant" (List.hd m.Func.funcs))
+
+(* Canonicalize is linear: each replacement goes through the rewrite
+   driver's env instead of a walk over the whole function. A function of
+   4n fold-and-CSE steps may cost at most twice per op what one of n
+   steps costs (best of 3 runs each). *)
+let test_canonicalize_scales_linearly () =
+  let build n =
+    let f = Func.create ~name:"wide" ~arg_tys:[ i32 ] ~result_tys:[ i32 ] in
+    let b = Builder.for_func f in
+    let acc = ref (Func.param f 0) in
+    for i = 1 to n do
+      (* an add of two constants (folds) and one sum computed twice (CSE) *)
+      let c = Arith.addi b (Arith.constant b i) (Arith.constant b 1) in
+      let s = Arith.addi b !acc c in
+      acc := Arith.addi b s (Arith.addi b !acc c)
+    done;
+    Func_d.return b [ !acc ];
+    module_of f
+  in
+  let per_op n =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let m = build n in
+      let ops = Pass.count_ops m in
+      Gc.full_major ();
+      let t0 = Unix.gettimeofday () in
+      Canonicalize.run_on_func (List.hd m.Func.funcs);
+      best := Float.min !best ((Unix.gettimeofday () -. t0) /. float ops)
+    done;
+    !best
+  in
+  let n = 400 in
+  let small = per_op n and large = per_op (4 * n) in
+  if large > 2. *. small then
+    Alcotest.failf "per-op time grew %.1fx from %d to %d steps (%.2f -> %.2f us/op)"
+      (large /. small) n (4 * n) (1e6 *. small) (1e6 *. large)
+
 let prop_canonicalize_preserves_semantics =
   (* random scalar DAGs mixing constants and the argument: fold + CSE + DCE
      must not change the computed value *)
@@ -445,6 +511,8 @@ let () =
           Alcotest.test_case "folds constants" `Quick test_fold_constants;
           Alcotest.test_case "cse dedups" `Quick test_cse_dedups;
           Alcotest.test_case "cse respects types" `Quick test_cse_respects_types;
+          Alcotest.test_case "cse keys floats by bits" `Quick test_cse_float_bits;
+          Alcotest.test_case "scales linearly" `Quick test_canonicalize_scales_linearly;
           QCheck_alcotest.to_alcotest prop_canonicalize_preserves_semantics;
         ] );
       ( "ew-fusion",
