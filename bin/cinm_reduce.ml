@@ -37,7 +37,7 @@ let diag_class (d : Pass.diag) =
 
 (* Pipeline outcome on a scratch clone: None = pipeline succeeds. *)
 let pipeline_outcome passes m =
-  let c = Reduce.clone_module m in
+  let c = Func.clone_module m in
   match Pass.run_pipeline_result passes c with
   | Ok () -> None
   | Error d -> Some (diag_class d)

@@ -152,11 +152,6 @@ type compiled = {
           for the CPU instead *)
 }
 
-let clone_module (m : Func.modul) =
-  let m' = Func.create_module () in
-  List.iter (fun f -> Func.add_func m' (Func.clone f)) m.Func.funcs;
-  m'
-
 (* The degradation path when a device lowering or launch fails: lower the
    pristine module [m] to scf loops for the host interpreter (cinm→scf
    applies to ops without a device target, which a fresh front-end run
@@ -176,7 +171,7 @@ let compile ?(verify = true) ?(fallback = true) ?(config = Config.default ()) ba
     (* device lowerings can fail on capacity/config limits; keep a pristine
        snapshot so the failed (possibly half-transformed) module can be
        abandoned and re-lowered for the CPU *)
-    let snapshot = if fallback then Some (clone_module m) else None in
+    let snapshot = if fallback then Some (Func.clone_module m) else None in
     match Pass.run_pipeline_result ~verify ~config (pipeline backend) m with
     | Ok () -> { modul = m; backend; fallback = None }
     | Error diag -> (

@@ -8,9 +8,8 @@ let same_operands_and_result op =
   expect_operands op 2 >>= fun () ->
   expect_results op 1 >>= fun () ->
   expect_same_type op 0 1 >>= fun () ->
-  expect
-    (Types.equal (Ir.operand op 0).Ir.ty (Ir.result op 0).Ir.ty)
-    (op.Ir.name ^ ": result type must match operand type")
+  if Types.equal (Ir.operand op 0).Ir.ty (Ir.result op 0).Ir.ty then ok
+  else Error (op.Ir.name ^ ": result type must match operand type")
 
 let dialect = Dialect.register ~name:"arith" ~description:"scalar arithmetic"
 

@@ -80,10 +80,12 @@ let _ =
             (total = ((per_buf - halo) * bufs) + halo)
             "cnm.scatter overlap: tensor size must be bufs*(per_buf-halo)+halo"
         | _ ->
-          expect (total = per_buf * bufs)
-            (Printf.sprintf
-               "cnm.scatter: tensor elements (%d) must equal buffers (%d) x buffer (%d)"
-               total bufs per_buf))
+          if total = per_buf * bufs then ok
+          else
+            Error
+              (Printf.sprintf
+                 "cnm.scatter: tensor elements (%d) must equal buffers (%d) x buffer (%d)"
+                 total bufs per_buf))
       | _ -> Error "cnm.scatter: (tensor, buffer, workgroup) -> token")
 
 let _ =

@@ -15,7 +15,7 @@ let is_id (v : Ir.value) = Types.equal v.Ir.ty Types.Cim_id
 let with_tile_attr op =
   let open Dialect in
   expect_attr op "tile" >>= fun () ->
-  expect (is_id (Ir.operand op 0)) (op.Ir.name ^ ": operand 0 must be !cim.id")
+  if is_id (Ir.operand op 0) then ok else Error (op.Ir.name ^ ": operand 0 must be !cim.id")
 
 let _ =
   Dialect.add_op dialect "alloc" ~summary:"acquire a crossbar accelerator"

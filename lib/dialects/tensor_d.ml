@@ -8,7 +8,8 @@ let dialect = Dialect.register ~name:"tensor" ~description:"tensor creation and 
 let shaped_result op =
   let open Dialect in
   expect_results op 1 >>= fun () ->
-  expect (Types.is_shaped (Ir.result op 0).Ir.ty) (op.Ir.name ^ ": result must be shaped")
+  if Types.is_shaped (Ir.result op 0).Ir.ty then ok
+  else Error (op.Ir.name ^ ": result must be shaped")
 
 let _ =
   Dialect.add_op dialect "empty" ~summary:"uninitialized tensor" ~verify:(fun op ->

@@ -94,10 +94,11 @@ let dma_verify op =
   expect_operands op 4 >>= fun () ->
   expect_results op 0 >>= fun () ->
   expect_attr op "count" >>= fun () ->
-  expect
-    (Types.equal (Ir.operand op 2).Ir.ty Types.Index
-    && Types.equal (Ir.operand op 3).Ir.ty Types.Index)
-    (op.Ir.name ^ ": offsets must be index")
+  if
+    Types.equal (Ir.operand op 2).Ir.ty Types.Index
+    && Types.equal (Ir.operand op 3).Ir.ty Types.Index
+  then ok
+  else Error (op.Ir.name ^ ": offsets must be index")
 
 let _ = Dialect.add_op dialect "mram_read" ~summary:"DMA MRAM -> WRAM" ~verify:dma_verify
 let _ = Dialect.add_op dialect "mram_write" ~summary:"DMA WRAM -> MRAM" ~verify:dma_verify

@@ -44,44 +44,43 @@ let all_dialects () =
 
 let ops_of d = d.ops
 
-(* ----- verifier helper combinators ----- *)
+(* ----- verifier helper combinators (format only on failure) ----- *)
 
 let expect cond msg = if cond then ok else Error msg
 
 let expect_operands op n =
-  expect
-    (Ir.num_operands op = n)
-    (Printf.sprintf "%s: expected %d operands, got %d" op.Ir.name n (Ir.num_operands op))
+  let got = Ir.num_operands op in
+  if got = n then ok
+  else Error (Printf.sprintf "%s: expected %d operands, got %d" op.Ir.name n got)
 
 let expect_results op n =
-  expect
-    (Ir.num_results op = n)
-    (Printf.sprintf "%s: expected %d results, got %d" op.Ir.name n (Ir.num_results op))
+  let got = Ir.num_results op in
+  if got = n then ok
+  else Error (Printf.sprintf "%s: expected %d results, got %d" op.Ir.name n got)
 
 let expect_regions op n =
-  expect
-    (Array.length op.Ir.regions = n)
-    (Printf.sprintf "%s: expected %d regions, got %d" op.Ir.name n
-       (Array.length op.Ir.regions))
+  let got = Array.length op.Ir.regions in
+  if got = n then ok
+  else Error (Printf.sprintf "%s: expected %d regions, got %d" op.Ir.name n got)
 
 let ( >>= ) r f = match r with Ok () -> f () | Error _ as e -> e
 
 let expect_attr op name =
-  expect (Ir.attr op name <> None) (Printf.sprintf "%s: missing attribute %s" op.Ir.name name)
+  if Ir.attr op name <> None then ok
+  else Error (Printf.sprintf "%s: missing attribute %s" op.Ir.name name)
 
 let expect_operand_type op i ty =
-  expect
-    (Types.equal (Ir.operand op i).Ir.ty ty)
-    (Printf.sprintf "%s: operand %d has type %s, expected %s" op.Ir.name i
-       (Types.to_string (Ir.operand op i).Ir.ty)
-       (Types.to_string ty))
+  let actual = (Ir.operand op i).Ir.ty in
+  if Types.equal actual ty then ok
+  else
+    Error
+      (Printf.sprintf "%s: operand %d has type %s, expected %s" op.Ir.name i
+         (Types.to_string actual) (Types.to_string ty))
 
 let expect_shaped_operand op i =
-  expect
-    (Types.is_shaped (Ir.operand op i).Ir.ty)
-    (Printf.sprintf "%s: operand %d must be a shaped type" op.Ir.name i)
+  if Types.is_shaped (Ir.operand op i).Ir.ty then ok
+  else Error (Printf.sprintf "%s: operand %d must be a shaped type" op.Ir.name i)
 
 let expect_same_type op i j =
-  expect
-    (Types.equal (Ir.operand op i).Ir.ty (Ir.operand op j).Ir.ty)
-    (Printf.sprintf "%s: operands %d and %d must have the same type" op.Ir.name i j)
+  if Types.equal (Ir.operand op i).Ir.ty (Ir.operand op j).Ir.ty then ok
+  else Error (Printf.sprintf "%s: operands %d and %d must have the same type" op.Ir.name i j)

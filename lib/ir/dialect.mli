@@ -25,7 +25,12 @@ val find_dialect : string -> t option
 val all_dialects : unit -> t list
 val ops_of : t -> op_def list
 
-(** {1 Verifier combinators} *)
+(** {1 Verifier combinators}
+
+    Verification runs after every pass, so the helpers format their
+    message only when the check fails. [expect] takes a prebuilt message:
+    pass it a literal, and write a check whose message needs formatting
+    as [if cond then ok else Error (...)]. *)
 
 val ok : (unit, string) result
 val expect : bool -> string -> (unit, string) result

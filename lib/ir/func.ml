@@ -12,7 +12,7 @@ type t = {
   mutable fattrs : (string * Attr.t) list;
 }
 
-type modul = { mutable funcs : t list; mutable mattrs : (string * Attr.t) list }
+type modul = { mutable funcs : t list }
 
 let create ~name ~arg_tys ~result_tys =
   let body = Ir.create_region () in
@@ -28,7 +28,7 @@ let param f i = (entry_block f).Ir.args.(i)
 
 let fn_type f = Types.Func (f.arg_tys, f.result_tys)
 
-let create_module () = { funcs = []; mattrs = [] }
+let create_module () = { funcs = [] }
 
 let add_func m f = m.funcs <- m.funcs @ [ f ]
 
@@ -49,3 +49,5 @@ let replace_body f (new_body : Ir.region) =
 let clone f =
   let body, _ = Ir.clone_region f.body in
   { f with body; fattrs = f.fattrs }
+
+let clone_module m = { funcs = List.map clone m.funcs }

@@ -10,7 +10,7 @@ type t = {
   mutable fattrs : (string * Attr.t) list;
 }
 
-type modul = { mutable funcs : t list; mutable mattrs : (string * Attr.t) list }
+type modul = { mutable funcs : t list }
 
 val create : name:string -> arg_tys:Types.t list -> result_tys:Types.t list -> t
 val entry_block : t -> Ir.block
@@ -33,3 +33,6 @@ val replace_body : t -> Ir.region -> unit
 
 (** Deep copy; mutating the clone leaves the original untouched. *)
 val clone : t -> t
+
+(** Deep copy of every function, in order. *)
+val clone_module : modul -> modul

@@ -5,25 +5,26 @@
      ^bb0(%x: i32):
        "scf.yield"(%x) : (i32) -> ()
      }) {attr = 3} : (i32, i32) -> (i32, i32)
-*)
 
-type namer = { names : (int, string) Hashtbl.t; mutable next : int }
+   Everything is appended to one [Buffer]; the only strings built on the
+   way are float literals and escaped string attributes. *)
 
-let create_namer () = { names = Hashtbl.create 64; next = 0 }
+module Names = Hashtbl.Make (Int)
 
-let name_value namer (v : Ir.value) =
-  match Hashtbl.find_opt namer.names v.Ir.vid with
-  | Some n -> n
-  | None ->
-    let n = Printf.sprintf "%%%d" namer.next in
-    namer.next <- namer.next + 1;
-    Hashtbl.replace namer.names v.Ir.vid n;
+(* A value's name: [n >= 0] prints as [%n]; function parameter [i] is
+   stored as [-(i + 1)] and prints as [%argi]. *)
+type namer = { names : int Names.t; mutable next : int }
+
+let create_namer () = { names = Names.create 64; next = 0 }
+
+let value_name namer (v : Ir.value) =
+  match Names.find namer.names v.Ir.vid with
+  | n -> n
+  | exception Not_found ->
+    let n = namer.next in
+    namer.next <- n + 1;
+    Names.replace namer.names v.Ir.vid n;
     n
-
-let name_param namer i (v : Ir.value) =
-  let n = Printf.sprintf "%%arg%d" i in
-  Hashtbl.replace namer.names v.Ir.vid n;
-  n
 
 let float_literal f =
   (* Non-finite values get explicit keywords: %.17g prints "nan"/"inf",
@@ -37,111 +38,203 @@ let float_literal f =
     let s = Printf.sprintf "%.17g" f in
     if String.contains s '.' || String.contains s 'e' then s else s ^ ".0"
 
-let rec attr_to_string = function
-  | Attr.Unit -> "unit"
-  | Attr.Bool b -> string_of_bool b
-  | Attr.Int i -> string_of_int i
-  | Attr.Float f -> float_literal f
-  | Attr.Str s -> Printf.sprintf "%S" s
+(* [Printf "%S"] *)
+let add_quoted b s =
+  Buffer.add_char b '"';
+  Buffer.add_string b (String.escaped s);
+  Buffer.add_char b '"'
+
+(* [f] over the elements of a list or array, separated by ", " *)
+let add_list b f l =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_string b ", ";
+      f b x)
+    l
+
+let add_array b f a =
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then Buffer.add_string b ", ";
+    f b a.(i)
+  done
+
+let rec add_attr b = function
+  | Attr.Unit -> Buffer.add_string b "unit"
+  | Attr.Bool v -> Buffer.add_string b (string_of_bool v)
+  | Attr.Int i -> Types.add_int b i
+  | Attr.Float f -> Buffer.add_string b (float_literal f)
+  | Attr.Str s -> add_quoted b s
   | Attr.Ints a ->
-    Printf.sprintf "[%s]" (String.concat ", " (Array.to_list (Array.map string_of_int a)))
+    Buffer.add_char b '[';
+    add_array b Types.add_int a;
+    Buffer.add_char b ']'
   | Attr.Floats a ->
-    Printf.sprintf "[%s]" (String.concat ", " (Array.to_list (Array.map float_literal a)))
+    Buffer.add_char b '[';
+    add_array b (fun b f -> Buffer.add_string b (float_literal f)) a;
+    Buffer.add_char b ']'
   | Attr.Strs l ->
-    Printf.sprintf "[%s]" (String.concat ", " (List.map (Printf.sprintf "%S") l))
-  | Attr.Ty ty -> Types.to_string ty
-  | Attr.List l -> Printf.sprintf "<%s>" (String.concat ", " (List.map attr_to_string l))
+    Buffer.add_char b '[';
+    add_list b add_quoted l;
+    Buffer.add_char b ']'
+  | Attr.Ty ty -> Types.to_buffer b ty
+  | Attr.List l ->
+    Buffer.add_char b '<';
+    add_list b add_attr l;
+    Buffer.add_char b '>'
 
-let attrs_to_string attrs =
-  match attrs with
-  | [] -> ""
-  | _ ->
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) attrs in
-    let body =
-      String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "%s = %s" k (attr_to_string v)) sorted)
+let attr_to_string a =
+  let b = Buffer.create 16 in
+  add_attr b a;
+  Buffer.contents b
+
+let rec sorted_by_key = function
+  | (a, _) :: ((c, _) :: _ as rest) -> String.compare a c <= 0 && sorted_by_key rest
+  | _ -> true
+
+(* " {k = v, ...}" in key order; nothing for no attributes *)
+let add_attrs b attrs =
+  if attrs <> [] then begin
+    let sorted =
+      if sorted_by_key attrs then attrs
+      else List.sort (fun (a, _) (c, _) -> String.compare a c) attrs
     in
-    Printf.sprintf " {%s}" body
+    Buffer.add_string b " {";
+    add_list b
+      (fun b (k, v) ->
+        Buffer.add_string b k;
+        Buffer.add_string b " = ";
+        add_attr b v)
+      sorted;
+    Buffer.add_char b '}'
+  end
 
-let indent n = String.make (2 * n) ' '
+(* One printing job: the buffer, the names of one function, and [base],
+   the indent in spaces every line starts with (a module nests its
+   functions one level). *)
+type printer = { buf : Buffer.t; namer : namer; base : int }
 
-let rec op_lines namer depth (op : Ir.op) : string list =
-  let results =
-    Array.to_list op.Ir.results |> List.map (name_value namer) |> String.concat ", "
-  in
-  let lhs = if Array.length op.Ir.results = 0 then "" else results ^ " = " in
-  let operand_names =
-    Array.to_list op.Ir.operands |> List.map (name_value namer) |> String.concat ", "
-  in
-  let operand_tys =
-    Array.to_list op.Ir.operands
-    |> List.map (fun (v : Ir.value) -> Types.to_string v.Ir.ty)
-    |> String.concat ", "
-  in
-  let result_tys =
-    Array.to_list op.Ir.results
-    |> List.map (fun (v : Ir.value) -> Types.to_string v.Ir.ty)
-    |> String.concat ", "
-  in
-  let region_parts =
-    Array.to_list op.Ir.regions |> List.map (region_lines namer (depth + 1))
-  in
-  let regions_str =
-    match region_parts with
-    | [] -> ""
-    | parts ->
-      let one part =
-        "({\n" ^ String.concat "\n" part ^ "\n" ^ indent depth ^ "})"
-      in
-      " " ^ String.concat " " (List.map one parts)
-  in
-  let line =
-    Printf.sprintf "%s%s\"%s\"(%s)%s%s : (%s) -> (%s)" (indent depth) lhs op.Ir.name
-      operand_names regions_str
-      (attrs_to_string op.Ir.attrs)
-      operand_tys result_tys
-  in
-  [ line ]
+let spaces p n =
+  for _ = 1 to n do
+    Buffer.add_char p.buf ' '
+  done
 
-and block_lines namer depth idx (block : Ir.block) : string list =
-  let args =
-    Array.to_list block.Ir.args
-    |> List.map (fun (v : Ir.value) ->
-           Printf.sprintf "%s: %s" (name_value namer v) (Types.to_string v.Ir.ty))
-    |> String.concat ", "
-  in
-  let header = Printf.sprintf "%s^bb%d(%s):" (indent (max 0 (depth - 1))) idx args in
-  let body = List.concat_map (op_lines namer depth) (Ir.block_ops block) in
-  header :: body
+let newline p =
+  Buffer.add_char p.buf '\n';
+  spaces p p.base
 
-and region_lines namer depth (region : Ir.region) : string list =
-  List.concat (List.mapi (fun i b -> block_lines namer depth i b) (Ir.blocks region))
+let add_name p (v : Ir.value) =
+  let n = value_name p.namer v in
+  Buffer.add_char p.buf '%';
+  if n >= 0 then Types.add_int p.buf n
+  else (
+    Buffer.add_string p.buf "arg";
+    Types.add_int p.buf (-n - 1))
+
+let add_names p vs = add_array p.buf (fun _ v -> add_name p v) vs
+
+let add_value_type b (v : Ir.value) = Types.to_buffer b v.Ir.ty
+
+(* "%x: ty" *)
+let add_typed_name p (v : Ir.value) =
+  add_name p v;
+  Buffer.add_string p.buf ": ";
+  add_value_type p.buf v
+
+(* Results are named before operands, and both before nested regions. *)
+let rec add_op p depth (op : Ir.op) =
+  let b = p.buf in
+  spaces p (2 * depth);
+  if Array.length op.Ir.results > 0 then begin
+    add_names p op.Ir.results;
+    Buffer.add_string b " = "
+  end;
+  Buffer.add_char b '"';
+  Buffer.add_string b op.Ir.name;
+  Buffer.add_string b "\"(";
+  add_names p op.Ir.operands;
+  Buffer.add_char b ')';
+  Array.iter
+    (fun region ->
+      Buffer.add_string b " ({";
+      newline p;
+      add_region p (depth + 1) region;
+      newline p;
+      spaces p (2 * depth);
+      Buffer.add_string b "})")
+    op.Ir.regions;
+  add_attrs b op.Ir.attrs;
+  Buffer.add_string b " : (";
+  add_array b add_value_type op.Ir.operands;
+  Buffer.add_string b ") -> (";
+  add_array b add_value_type op.Ir.results;
+  Buffer.add_char b ')'
+
+(* Each block is a "^bbN(args):" header line, one indent left of its ops. *)
+and add_region p depth (region : Ir.region) =
+  let b = p.buf in
+  for i = 0 to Ir.num_blocks region - 1 do
+    let block = Ir.block_at region i in
+    if i > 0 then newline p;
+    spaces p (2 * max 0 (depth - 1));
+    Buffer.add_string b "^bb";
+    Types.add_int b i;
+    Buffer.add_char b '(';
+    add_array b (fun _ v -> add_typed_name p v) block.Ir.args;
+    Buffer.add_string b "):";
+    Ir.iter_ops
+      (fun op ->
+        newline p;
+        add_op p depth op)
+      block
+  done
 
 let op_to_string ?namer op =
   let namer = match namer with Some n -> n | None -> create_namer () in
-  String.concat "\n" (op_lines namer 0 op)
+  let p = { buf = Buffer.create 256; namer; base = 0 } in
+  add_op p 0 op;
+  Buffer.contents p.buf
 
-let func_to_string (f : Func.t) =
-  let namer = create_namer () in
+let add_func buf ~base (f : Func.t) =
+  let p = { buf; namer = create_namer (); base } in
   let entry = Func.entry_block f in
-  let params =
-    Array.to_list entry.Ir.args
-    |> List.mapi (fun i (v : Ir.value) ->
-           Printf.sprintf "%s: %s" (name_param namer i v) (Types.to_string v.Ir.ty))
-    |> String.concat ", "
-  in
-  let result_tys = String.concat ", " (List.map Types.to_string f.Func.result_tys) in
-  let fattrs =
-    match f.Func.fattrs with [] -> "" | attrs -> " attributes" ^ attrs_to_string attrs
-  in
-  let header =
-    Printf.sprintf "func.func @%s(%s) -> (%s)%s {" f.Func.fname params result_tys fattrs
-  in
-  let body = List.concat_map (op_lines namer 1) (Ir.block_ops entry) in
-  String.concat "\n" ((header :: body) @ [ "}" ])
+  Buffer.add_string buf "func.func @";
+  Buffer.add_string buf f.Func.fname;
+  Buffer.add_char buf '(';
+  Array.iteri
+    (fun i (v : Ir.value) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Names.replace p.namer.names v.Ir.vid (-i - 1);
+      add_typed_name p v)
+    entry.Ir.args;
+  Buffer.add_string buf ") -> (";
+  add_list buf Types.to_buffer f.Func.result_tys;
+  Buffer.add_char buf ')';
+  if f.Func.fattrs <> [] then begin
+    Buffer.add_string buf " attributes";
+    add_attrs buf f.Func.fattrs
+  end;
+  Buffer.add_string buf " {";
+  Ir.iter_ops
+    (fun op ->
+      newline p;
+      add_op p 1 op)
+    entry;
+  newline p;
+  Buffer.add_char buf '}'
+
+let func_to_string f =
+  let buf = Buffer.create 4096 in
+  add_func buf ~base:0 f;
+  Buffer.contents buf
 
 let module_to_string (m : Func.modul) =
-  let funcs = List.map func_to_string m.Func.funcs in
-  "module {\n"
-  ^ String.concat "\n" (List.map (fun s -> "  " ^ String.concat "\n  " (String.split_on_char '\n' s)) funcs)
-  ^ "\n}"
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "module {\n";
+  List.iteri
+    (fun i f ->
+      if i > 0 then Buffer.add_char buf '\n';
+      Buffer.add_string buf "  ";
+      add_func buf ~base:2 f)
+    m.Func.funcs;
+  Buffer.add_string buf "\n}";
+  Buffer.contents buf

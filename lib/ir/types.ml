@@ -51,26 +51,69 @@ let dtype_of_string = function
   | "f64" -> Some F64
   | _ -> None
 
-let shaped_to_string prefix shape dt =
-  let dims = Array.to_list (Array.map string_of_int shape) in
-  Printf.sprintf "%s<%s>" prefix (String.concat "x" (dims @ [ dtype_to_string dt ]))
+(* [string_of_int n] appended without allocating. *)
+let rec add_int b n =
+  if n = min_int then Buffer.add_string b (string_of_int n)
+  else if n < 0 then (
+    Buffer.add_char b '-';
+    add_int b (-n))
+  else (
+    if n >= 10 then add_int b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10))))
 
-let rec to_string = function
-  | Index -> "index"
-  | Scalar dt -> dtype_to_string dt
-  | Tensor (shape, dt) -> shaped_to_string "tensor" shape dt
-  | MemRef (shape, dt) -> shaped_to_string "memref" shape dt
+(* "2x3": the dims of a shape joined by 'x' *)
+let add_shape b shape =
+  for i = 0 to Array.length shape - 1 do
+    if i > 0 then Buffer.add_char b 'x';
+    add_int b shape.(i)
+  done
+
+(* "tensor<2x3xi32>", "tensor<i32>" *)
+let add_shaped b prefix shape dt =
+  Buffer.add_string b prefix;
+  Buffer.add_char b '<';
+  add_shape b shape;
+  if Array.length shape > 0 then Buffer.add_char b 'x';
+  Buffer.add_string b (dtype_to_string dt);
+  Buffer.add_char b '>'
+
+let rec to_buffer b = function
+  | Index -> Buffer.add_string b "index"
+  | Scalar dt -> Buffer.add_string b (dtype_to_string dt)
+  | Tensor (shape, dt) -> add_shaped b "tensor" shape dt
+  | MemRef (shape, dt) -> add_shaped b "memref" shape dt
   | Workgroup shape ->
-    Printf.sprintf "!cnm.workgroup<%s>" (Cinm_support.Util.shape_to_string shape)
+    Buffer.add_string b "!cnm.workgroup<";
+    add_shape b shape;
+    Buffer.add_char b '>'
   | Buffer { shape; dtype; level } ->
-    Printf.sprintf "!cnm.buffer<%sx%s, level %d>"
-      (Cinm_support.Util.shape_to_string shape)
-      (dtype_to_string dtype) level
-  | Token -> "!cnm.token"
-  | Cim_id -> "!cim.id"
+    Buffer.add_string b "!cnm.buffer<";
+    add_shape b shape;
+    Buffer.add_char b 'x';
+    Buffer.add_string b (dtype_to_string dtype);
+    Buffer.add_string b ", level ";
+    add_int b level;
+    Buffer.add_char b '>'
+  | Token -> Buffer.add_string b "!cnm.token"
+  | Cim_id -> Buffer.add_string b "!cim.id"
   | Func (args, results) ->
-    let list tys = String.concat ", " (List.map to_string tys) in
-    Printf.sprintf "(%s) -> (%s)" (list args) (list results)
+    Buffer.add_char b '(';
+    list_to_buffer b args;
+    Buffer.add_string b ") -> (";
+    list_to_buffer b results;
+    Buffer.add_char b ')'
+
+and list_to_buffer b tys =
+  List.iteri
+    (fun i ty ->
+      if i > 0 then Buffer.add_string b ", ";
+      to_buffer b ty)
+    tys
+
+let to_string ty =
+  let b = Buffer.create 16 in
+  to_buffer b ty;
+  Buffer.contents b
 
 let equal (a : t) (b : t) = a = b
 

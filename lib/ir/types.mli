@@ -27,6 +27,13 @@ val dtype_of_string : string -> dtype option
 (** Render in the textual IR syntax, e.g. ["tensor<4x8xi32>"]. *)
 val to_string : t -> string
 
+(** Append the {!to_string} text of a type to a buffer. *)
+val to_buffer : Buffer.t -> t -> unit
+
+(** Append the decimal digits of an int ([string_of_int]) to a buffer
+    without allocating. *)
+val add_int : Buffer.t -> int -> unit
+
 val equal : t -> t -> bool
 
 (** Element count of a shaped (or scalar) type.

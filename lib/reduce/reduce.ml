@@ -39,12 +39,6 @@ type stats = {
   ops_after : int;
 }
 
-let clone_module (m : Func.modul) =
-  let m' = Func.create_module () in
-  List.iter (fun f -> Func.add_func m' (Func.clone f)) m.Func.funcs;
-  m'.Func.mattrs <- m.Func.mattrs;
-  m'
-
 let count_ops = Pass.count_ops
 
 (* A fresh op producing a trivial value of [ty], or [None] when the type
@@ -168,7 +162,7 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
     Func.modul * stats =
   let ops_before = count_ops m0 in
   let candidates = ref 0 and accepted = ref 0 in
-  let best = ref (clone_module m0) in
+  let best = ref (Func.clone_module m0) in
   let best_ops = ref ops_before in
   let try_candidate ~allow_equal c =
     incr candidates;
@@ -189,7 +183,7 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
     (* move 1: drop whole functions *)
     let fi = ref 0 in
     while !fi < List.length !best.Func.funcs && List.length !best.Func.funcs > 1 do
-      let c = clone_module !best in
+      let c = Func.clone_module !best in
       c.Func.funcs <- List.filteri (fun i _ -> i <> !fi) c.Func.funcs;
       if try_candidate ~allow_equal:false c then progress := true else incr fi
     done;
@@ -202,7 +196,7 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
         while !chunk >= 1 do
           let pos = ref 0 in
           while !pos < fun_ops () do
-            let c = clone_module !best in
+            let c = Func.clone_module !best in
             let f = List.nth c.Func.funcs fi in
             let ops = ops_of f in
             let picked = Hashtbl.create !chunk in
@@ -227,7 +221,7 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
     ddmin_pass to_constants;
     ddmin_pass forward_operand;
     (* move 4: decouple all operand chains at once, then sweep *)
-    (let c = clone_module !best in
+    (let c = Func.clone_module !best in
      let any = ref false in
      List.iter
        (fun f ->
@@ -242,7 +236,7 @@ let reduce ?(max_rounds = 16) ~interesting (m0 : Func.modul) :
        c.Func.funcs;
      if !any && try_candidate ~allow_equal:false c then progress := true);
     (* move 5: sweep-only candidate *)
-    (let c = clone_module !best in
+    (let c = Func.clone_module !best in
      let any = List.exists (fun b -> b) (List.map sweep_unused c.Func.funcs) in
      if any && try_candidate ~allow_equal:false c then progress := true);
     (* move 6: halve shapes until they stop parsing or stop helping *)

@@ -15,9 +15,6 @@ type stats = {
   ops_after : int;
 }
 
-(** Deep copy of a module (functions and module attributes). *)
-val clone_module : Func.modul -> Func.modul
-
 (** Total op count (delegates to {!Pass.count_ops}). *)
 val count_ops : Func.modul -> int
 

@@ -4,11 +4,15 @@
      per-element Rtval boxing costs >= 3 minor words per iteration and
      trips the budget below;
    - a tile loop writes into its owned, loop-carried destination in place
-     instead of copying the whole destination per tile. *)
+     instead of copying the whole destination per tile;
+   - verifying and printing a lowered module allocate little beyond what
+     they return (no message formatting on the success path, no string
+     concatenation per line). *)
 
 open Cinm_ir
 open Cinm_dialects
 open Cinm_interp
+open Cinm_core
 module T = Types
 
 let () = Registry.ensure_all ()
@@ -114,6 +118,42 @@ let test_tile_loop_in_place () =
            copied per tile (64 copies = %.0f bytes)"
           delta budget (64.0 *. 256.0 *. 256.0 *. word))
 
+(* Generated modules lowered for UPMEM and for CIM: the IR that the
+   per-pass verifier and the strict-mode printer see. *)
+let lowered_modules () =
+  List.concat_map
+    (fun backend ->
+      List.map
+        (fun seed ->
+          let c = Driver.compile backend (Cinm_fuzz_lib.Gen.generate ~ops:12 ~seed ()) in
+          Alcotest.(check bool) "lowered on the device" true (c.Driver.fallback = None);
+          c.Driver.modul)
+        [ 1; 2; 3 ])
+    [
+      Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ());
+      Backend.Cim (Backend.default_cim ());
+    ]
+
+let words_per_op name budget f mods =
+  List.iter (fun m -> ignore (Sys.opaque_identity (f m))) mods;
+  let ops = List.fold_left (fun n m -> n + Pass.count_ops m) 0 mods in
+  let before = Gc.minor_words () in
+  List.iter (fun m -> ignore (Sys.opaque_identity (f m))) mods;
+  let per_op = (Gc.minor_words () -. before) /. float_of_int ops in
+  if per_op > budget then
+    Alcotest.failf "%s allocated %.1f minor words per op over %d ops (budget %.0f)" name
+      per_op ops budget
+
+let test_verify_budget () =
+  let mods = lowered_modules () in
+  List.iter
+    (fun m -> Alcotest.(check int) "verifies" 0 (List.length (Verifier.verify_module m)))
+    mods;
+  words_per_op "Verifier.verify_module" 64. Verifier.verify_module mods
+
+let test_print_budget () =
+  words_per_op "Printer.module_to_string" 200. Printer.module_to_string (lowered_modules ())
+
 let () =
   Alcotest.run "alloc_budget"
     [
@@ -122,5 +162,12 @@ let () =
           Alcotest.test_case "hot loop stays unboxed" `Quick
             test_compiled_loop_alloc_budget;
           Alcotest.test_case "tile loop updates in place" `Quick test_tile_loop_in_place;
+        ] );
+      ( "compile path",
+        [
+          Alcotest.test_case "verifier stays under 64 words per op" `Quick
+            test_verify_budget;
+          Alcotest.test_case "printer stays under 200 words per op" `Quick
+            test_print_budget;
         ] );
     ]

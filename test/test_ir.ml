@@ -213,6 +213,179 @@ let test_verify_upmem_launch_isolated () =
   Alcotest.(check bool) "rejected" true (errs <> []);
   Alcotest.(check bool) "dominance error" true (has_dominance_error errs)
 
+(* ----- verifier diagnostics, pinned to the exact text ----- *)
+
+let check_verdict = Alcotest.(check (result unit string))
+
+let registered_verify name op =
+  match Dialect.find_op name with
+  | Some def -> def.Dialect.verify op
+  | None -> Alcotest.failf "%s is not registered" name
+
+(* Every combinator passes on a satisfied check and fails with its fixed
+   message otherwise. *)
+let test_verify_combinator_messages () =
+  let v = Ir.result (Ir.create_op ~result_tys:[ i32 ] "test.def") 0 in
+  let t = Ir.result (Ir.create_op ~result_tys:[ tensor [| 2; 3 |] ] "test.def") 0 in
+  let addi = Ir.create_op ~operands:[ v ] ~result_tys:[ i32 ] "arith.addi" in
+  let pair = Ir.create_op ~operands:[ v; t ] ~attrs:[ ("k", Attr.Int 1) ] "test.pair" in
+  let open Dialect in
+  check_verdict "expect ok" (Ok ()) (expect true "unused");
+  check_verdict "expect" (Error "literal") (expect false "literal");
+  check_verdict "operands ok" (Ok ()) (expect_operands addi 1);
+  check_verdict "operands" (Error "arith.addi: expected 2 operands, got 1")
+    (expect_operands addi 2);
+  check_verdict "results ok" (Ok ()) (expect_results addi 1);
+  check_verdict "results" (Error "arith.addi: expected 0 results, got 1")
+    (expect_results addi 0);
+  check_verdict "regions ok" (Ok ()) (expect_regions addi 0);
+  check_verdict "regions" (Error "arith.addi: expected 1 regions, got 0")
+    (expect_regions addi 1);
+  check_verdict "attr ok" (Ok ()) (expect_attr pair "k");
+  check_verdict "attr" (Error "test.pair: missing attribute value") (expect_attr pair "value");
+  check_verdict "operand type ok" (Ok ()) (expect_operand_type pair 0 i32);
+  check_verdict "operand type"
+    (Error "test.pair: operand 1 has type tensor<2x3xi32>, expected i32")
+    (expect_operand_type pair 1 i32);
+  check_verdict "shaped ok" (Ok ()) (expect_shaped_operand pair 1);
+  check_verdict "shaped" (Error "test.pair: operand 0 must be a shaped type")
+    (expect_shaped_operand pair 0);
+  check_verdict "same type ok" (Ok ()) (expect_same_type pair 0 0);
+  check_verdict "same type" (Error "test.pair: operands 0 and 1 must have the same type")
+    (expect_same_type pair 0 1);
+  (* the first failing check is the verdict, through the registry *)
+  check_verdict "arith.addi" (Error "arith.addi: expected 2 operands, got 1")
+    (registered_verify "arith.addi" addi)
+
+(* The dialect checks whose messages name the op or carry numbers. *)
+let test_verify_dialect_messages () =
+  let def ty = Ir.result (Ir.create_op ~result_tys:[ ty ] "test.def") 0 in
+  let x = def i32 and idx = def T.Index in
+  check_verdict "arith result type" (Error "arith.addi: result type must match operand type")
+    (registered_verify "arith.addi"
+       (Ir.create_op ~operands:[ x; x ] ~result_tys:[ T.Scalar T.F32 ] "arith.addi"));
+  check_verdict "tensor shaped result" (Error "tensor.empty: result must be shaped")
+    (registered_verify "tensor.empty" (Ir.create_op ~result_tys:[ i32 ] "tensor.empty"));
+  check_verdict "memristor tile operand"
+    (Error "memristor.store_tile: operand 0 must be !cim.id")
+    (registered_verify "memristor.store_tile"
+       (Ir.create_op ~operands:[ x; x ] ~attrs:[ ("tile", Attr.Int 0) ]
+          "memristor.store_tile"));
+  let mram = def (T.MemRef ([| 8 |], T.I32)) and wram = def (T.MemRef ([| 8 |], T.I32)) in
+  check_verdict "upmem dma offsets" (Error "upmem.mram_read: offsets must be index")
+    (registered_verify "upmem.mram_read"
+       (Ir.create_op ~operands:[ mram; wram; idx; x ] ~attrs:[ ("count", Attr.Int 8) ]
+          "upmem.mram_read"));
+  let scatter map =
+    Ir.create_op
+      ~operands:
+        [ def (tensor [| 10 |]);
+          def (T.Buffer { shape = [| 4 |]; dtype = T.I32; level = 0 });
+          def (T.Workgroup [| 2 |]) ]
+      ~result_tys:[ T.Token ] ~attrs:[ ("map", Attr.Str map) ] "cnm.scatter"
+  in
+  check_verdict "cnm.scatter block"
+    (Error "cnm.scatter: tensor elements (10) must equal buffers (2) x buffer (4)")
+    (registered_verify "cnm.scatter" (scatter "block"));
+  check_verdict "cnm.scatter map" (Error "cnm.scatter: unknown map")
+    (registered_verify "cnm.scatter" (scatter "diagonal"))
+
+let error_texts errs = List.map Verifier.error_to_string errs
+
+let dominance_error fname opname (v : Ir.value) =
+  Printf.sprintf "in @%s: %s: operand %%%d (%s) does not dominate its use" fname opname
+    v.Ir.vid (T.to_string v.Ir.ty)
+
+(* A value defined in an scf.for body goes out of scope with the body: it
+   is visible neither after the loop nor in a sibling loop's body, while
+   values defined before the loops stay visible in all three places. *)
+let test_verify_scope_ends_with_region () =
+  let f = Func.create ~name:"scope" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+  let inner = ref None in
+  Scf_d.for0 b ~lb:c0 ~ub:c1 ~step:c1 (fun bb iv ->
+      inner := Some (Arith.addi bb iv c1));
+  let v = Option.get !inner in
+  Scf_d.for0 b ~lb:c0 ~ub:c1 ~step:c1 (fun bb iv ->
+      ignore (Arith.addi bb iv c1);
+      ignore (Arith.addi bb v c1));
+  ignore (Arith.addi b c0 c1);
+  ignore (Arith.addi b v c0);
+  Func_d.return b [];
+  Alcotest.(check (list string))
+    "sibling body, then after the loop"
+    [ dominance_error "scope" "arith.addi" v; dominance_error "scope" "arith.addi" v ]
+    (error_texts (Verifier.verify_func f))
+
+(* A launch body sees only its own arguments: a loop inside it may capture
+   them, an outer value is rejected, and the outer scope is intact again
+   after the launch. *)
+let test_verify_isolation_is_scoped () =
+  let f = Func.create ~name:"iso" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  let outer = Arith.const_index b 3 in
+  let body bb (args : Ir.value array) =
+    let c0 = Arith.const_index bb 0 and c1 = Arith.const_index bb 1 in
+    Scf_d.for0 bb ~lb:c0 ~ub:c1 ~step:c1 (fun lb iv ->
+        ignore (Memref_d.load lb args.(0) [ iv ]));
+    ignore (Arith.addi bb outer c1)
+  in
+  let wg = Cnm_d.workgroup b ~shape:[| 2 |] ~physical_dims:[ "dpu" ] in
+  let buf = Cnm_d.alloc b wg ~shape:[| 4 |] ~dtype:T.I32 ~level:0 in
+  Cnm_d.wait b [ Cnm_d.launch b wg ~ins:[] ~outs:[ buf ] body ];
+  let dpus = Upmem_d.alloc_dpus b ~dimms:1 ~dpus:2 ~tasklets:1 in
+  let ubuf = Upmem_d.alloc b dpus ~shape:[| 4 |] ~dtype:T.I32 ~level:0 in
+  ignore (Upmem_d.launch b dpus ~tasklets:1 ~ins:[] ~outs:[ ubuf ] body);
+  Upmem_d.free_dpus b dpus;
+  ignore (Arith.addi b outer outer);
+  Func_d.return b [];
+  Alcotest.(check (list string))
+    "one capture error per launch"
+    [ dominance_error "iso" "arith.addi" outer; dominance_error "iso" "arith.addi" outer ]
+    (error_texts (Verifier.verify_func f))
+
+(* Errors come in a fixed order: the signature, then per op its own
+   verdict, its operands' dominance and its regions; functions in module
+   order. *)
+let test_verify_error_order () =
+  let f =
+    { (Func.create ~name:"multi" ~arg_tys:[ T.Index ] ~result_tys:[]) with
+      Func.arg_tys = [ i32 ] }
+  in
+  let entry = Func.entry_block f in
+  let late = Ir.create_op ~result_tys:[ T.Index ] ~attrs:[ ("value", Attr.Int 1) ] "arith.constant" in
+  let lv = Ir.result late 0 in
+  let region =
+    Builder.build_region (fun bb _ -> Builder.build0 bb "bogus.inner" ~operands:[ lv ])
+  in
+  let b = Builder.for_func f in
+  Builder.build0 b "bogus.op" ~operands:[ lv; Func.param f 0 ] ~regions:[ region ];
+  ignore
+    (Builder.build1 b "arith.addi" ~operands:[ Func.param f 0 ] ~result_tys:[ T.Index ]);
+  Ir.append_op entry late;
+  Func_d.return b [];
+  let g = Func.create ~name:"other" ~arg_tys:[] ~result_tys:[] in
+  let gb = Builder.for_func g in
+  Builder.build0 gb "bogus.op";
+  Func_d.return gb [ lv ];
+  let m = Func.create_module () in
+  Func.add_func m f;
+  Func.add_func m g;
+  Alcotest.(check (list string))
+    "module errors in order"
+    [
+      "in @multi: entry block args do not match signature";
+      "in @multi: unregistered operation \"bogus.op\"";
+      dominance_error "multi" "bogus.op" lv;
+      "in @multi: unregistered operation \"bogus.inner\"";
+      dominance_error "multi" "bogus.inner" lv;
+      "in @multi: arith.addi: expected 2 operands, got 1";
+      "in @other: unregistered operation \"bogus.op\"";
+      dominance_error "other" "func.return" lv;
+    ]
+    (error_texts (Verifier.verify_module m))
+
 let test_clone_independent () =
   let f = build_gemm_func 4 5 6 in
   let g = Func.clone f in
@@ -492,6 +665,12 @@ let () =
           Alcotest.test_case "cnm.launch is isolated" `Quick test_verify_launch_isolated;
           Alcotest.test_case "upmem.launch is isolated" `Quick
             test_verify_upmem_launch_isolated;
+          Alcotest.test_case "combinator messages" `Quick test_verify_combinator_messages;
+          Alcotest.test_case "dialect messages" `Quick test_verify_dialect_messages;
+          Alcotest.test_case "scope ends with its region" `Quick
+            test_verify_scope_ends_with_region;
+          Alcotest.test_case "isolation is scoped" `Quick test_verify_isolation_is_scoped;
+          Alcotest.test_case "error order" `Quick test_verify_error_order;
         ] );
       ( "parser",
         [

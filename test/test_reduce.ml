@@ -55,7 +55,7 @@ let diag_class (d : Pass.diag) =
   d.Pass.pass ^ ":" ^ Option.value d.Pass.op ~default:"-"
 
 let pipeline_diag m =
-  match Pass.run_pipeline_result (failing_pipeline ()) (Reduce.clone_module m) with
+  match Pass.run_pipeline_result (failing_pipeline ()) (Func.clone_module m) with
   | Ok () -> None
   | Error d -> Some d
 

@@ -26,13 +26,19 @@ let check_module_fixpoint ctx m = check_fixpoint ctx (Printer.module_to_string m
 
 (* ----- textual fixtures ----- *)
 
+(* resolve next to the test binary so both `dune runtest` (cwd test/) and
+   `dune exec` (cwd root) find the fixture copies *)
+let fixtures_dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures"
+
+(* checked byte for byte below; it prints a function type, which the
+   parser does not read *)
+let golden_fixture = "printer_golden.mlir"
+
 let test_fixture_fixpoints () =
-  (* resolve next to the test binary so both `dune runtest` (cwd test/)
-     and `dune exec` (cwd root) find the fixture copies *)
-  let dir = Filename.concat (Filename.dirname Sys.executable_name) "fixtures" in
+  let dir = fixtures_dir in
   let fixtures =
     Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".mlir")
+    |> List.filter (fun f -> Filename.check_suffix f ".mlir" && f <> golden_fixture)
     |> List.sort compare
   in
   Alcotest.(check bool) "found fixtures" true (fixtures <> []);
@@ -44,6 +50,123 @@ let test_fixture_fixpoints () =
          there on the text must be stable *)
       check_module_fixpoint file (Parser.parse_module_text text))
     fixtures
+
+(* ----- byte-exact printer golden ----- *)
+
+(* A module touching every printer path: two functions, function
+   attributes, a multi-result op, an op with two regions (one empty), a
+   multi-block region with block arguments, regions nested three deep,
+   every attribute kind and every type constructor. The ops are
+   unregistered on purpose: only the text matters here. *)
+let golden_module () =
+  let i32 = Types.Scalar Types.I32
+  and f32 = Types.Scalar Types.F32
+  and wg = Types.Workgroup [| 2; 4 |]
+  and buf = Types.Buffer { shape = [| 16; 8 |]; dtype = Types.I16; level = 1 }
+  and scalar_buf = Types.Buffer { shape = [||]; dtype = Types.F64; level = 0 } in
+  let m = Func.create_module () in
+  let f =
+    Func.create ~name:"first"
+      ~arg_tys:[ i32; Types.Tensor ([| 2; 3 |], Types.F32); Types.Index ]
+      ~result_tys:[ i32; Types.MemRef ([| 4 |], Types.I8) ]
+  in
+  f.Func.fattrs <- [ ("target", Attr.Str "upmem"); ("dpus", Attr.Int 4) ];
+  let b = Builder.for_func f in
+  let x = Func.param f 0 and idx = Func.param f 2 in
+  Builder.build0 b "test.attrs"
+    ~attrs:
+      [
+        ("unit", Attr.Unit);
+        ("yes", Attr.Bool true);
+        ("no", Attr.Bool false);
+        ("int", Attr.Int (-7));
+        ("max", Attr.Int max_int);
+        ("min", Attr.Int min_int);
+        ("nan", Attr.Float Float.nan);
+        ("inf", Attr.Float Float.infinity);
+        ("ninf", Attr.Float Float.neg_infinity);
+        ("nzero", Attr.Float (-0.0));
+        ("whole", Attr.Float 3.0);
+        ("tiny", Attr.Float 1.5e-300);
+        ("str", Attr.Str "tab\there \"quoted\" back\\slash\nnew\001");
+        ("empty", Attr.Ints [||]);
+        ("ints", Attr.Ints [| -1; 0; 42 |]);
+        ("floats", Attr.Floats [| 0.1; -0.0; Float.infinity |]);
+        ("strs", Attr.Strs [ "a"; ""; "b c" ]);
+        ("ty", Attr.Ty (Types.Tensor ([||], Types.I1)));
+        ("fn", Attr.Ty (Types.Func ([ i32; Types.Index ], [ f32 ])));
+        ("list", Attr.List [ Attr.Int 1; Attr.Str "s"; Attr.Ty wg; Attr.List [] ]);
+      ];
+  let multi =
+    Builder.build b "test.multi" ~operands:[ x; idx ]
+      ~result_tys:[ wg; buf; scalar_buf; Types.Token; Types.Cim_id ]
+  in
+  (* two regions: a one-block region whose body nests three deep, and an
+     empty region *)
+  let deep =
+    Builder.build_region ~arg_tys:[ Types.Index ] (fun b1 args1 ->
+        let r =
+          Builder.build1 b1 "test.level2" ~result_tys:[ i32 ]
+            ~regions:
+              [
+                Builder.build_region ~arg_tys:[ i32 ] (fun b2 args2 ->
+                    let inner =
+                      Builder.build1 b2 "test.level3" ~operands:[ args2.(0); x ]
+                        ~result_tys:[ i32 ]
+                        ~regions:
+                          [
+                            Builder.build_region (fun b3 _ ->
+                                let v =
+                                  Builder.build1 b3 "test.leaf"
+                                    ~operands:[ args1.(0); idx ]
+                                    ~result_tys:[ Types.Index ]
+                                in
+                                Builder.build0 b3 "test.yield" ~operands:[ v ]);
+                          ]
+                    in
+                    Builder.build0 b2 "test.yield" ~operands:[ inner ]);
+              ]
+        in
+        Builder.build0 b1 "test.yield" ~operands:[ r ])
+  in
+  let two =
+    Builder.build1 b "test.two_regions" ~operands:[ Ir.result multi 0 ]
+      ~result_tys:[ i32 ] ~attrs:[ ("k", Attr.Int 2) ]
+      ~regions:[ deep; Ir.create_region () ]
+  in
+  (* a multi-block region whose blocks take arguments *)
+  let cfg = Ir.create_region () in
+  let bb0 = Ir.create_block ~arg_tys:[ i32; f32 ] () in
+  let bb1 = Ir.create_block ~arg_tys:[ Types.MemRef ([| 4 |], Types.I8) ] () in
+  let bb2 = Ir.create_block () in
+  List.iter (Ir.add_block cfg) [ bb0; bb1; bb2 ];
+  let b0 = Builder.at_end_of bb0 in
+  let s = Builder.build1 b0 "test.add" ~operands:[ bb0.Ir.args.(0); two ] ~result_tys:[ i32 ] in
+  Builder.build0 b0 "test.br" ~operands:[ s ] ~attrs:[ ("dest", Attr.Int 1) ];
+  Builder.build0 (Builder.at_end_of bb1) "test.br" ~operands:[ bb1.Ir.args.(0) ];
+  Builder.build0 (Builder.at_end_of bb2) "test.ret";
+  let outs =
+    Builder.build b "test.cfg" ~operands:[ two ]
+      ~result_tys:[ i32; Types.MemRef ([| 4 |], Types.I8) ]
+      ~regions:[ cfg ]
+  in
+  Builder.build0 b "func.return" ~operands:[ Ir.result outs 0; Ir.result outs 1 ];
+  Func.add_func m f;
+  let g = Func.create ~name:"second" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func g in
+  let c = Builder.build1 b "arith.constant" ~result_tys:[ f32 ] ~attrs:[ ("value", Attr.Float 0.5) ] in
+  Builder.build0 b "test.use" ~operands:[ c; c ];
+  Builder.build0 b "func.return";
+  Func.add_func m g;
+  m
+
+(* The printer's output is pinned, not only its fixpoint: a consistent
+   format change (both sides drifting together) fails here. *)
+let test_printer_golden () =
+  let path = Filename.concat fixtures_dir golden_fixture in
+  let expected = In_channel.with_open_bin path In_channel.input_all in
+  Alcotest.(check string) "printed module = printer_golden.mlir" expected
+    (Printer.module_to_string (golden_module ()))
 
 (* ----- pinned special values (fuzzer-found printer/parser gaps) ----- *)
 
@@ -182,7 +305,11 @@ let test_strict_pipeline () =
 let () =
   Alcotest.run "roundtrip"
     [
-      ("fixtures", [ Alcotest.test_case "fixpoint" `Quick test_fixture_fixpoints ]);
+      ( "fixtures",
+        [
+          Alcotest.test_case "fixpoint" `Quick test_fixture_fixpoints;
+          Alcotest.test_case "printer golden" `Quick test_printer_golden;
+        ] );
       ( "special values",
         [
           Alcotest.test_case "nan/inf/-0.0 float attrs" `Quick
