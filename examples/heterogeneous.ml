@@ -1,9 +1,9 @@
 (* Heterogeneous target selection (paper §3.2.2 and §3.4): one program
-   containing several kernels, where the cost-model-driven target
-   selection sends each cinm op to the device that suits it — gemm to the
-   crossbar, the reduction and elementwise tail to UPMEM, leftovers to the
-   host. The program is then lowered with BOTH device pipelines and
-   executed with both simulators attached.
+   containing several kernels, where target selection sends each cinm op
+   to the device that suits it — gemm to the crossbar, the reduction and
+   elementwise tail to UPMEM, leftovers to the host. The program is then
+   lowered with BOTH device pipelines and executed with both simulators
+   attached.
 
    Run with:  dune exec examples/heterogeneous.exe *)
 
@@ -47,11 +47,22 @@ let () =
   let m = Func.create_module () in
   Func.add_func m f;
 
-  (* Consult the registered cost models (§3.3) for each candidate device,
-     then map with the paper's greedy policy: matmul-like ops go to the
-     crossbar, every other cinm op to UPMEM. *)
-  Cost_model.clear ();
-  Cost_model.register_reference_models ();
+  (* Print the reference cost models' (§3.3) estimates for each candidate
+     device, sized like the machines below, then map with the paper's
+     greedy policy: matmul-like ops go to the crossbar, every other cinm
+     op to UPMEM. *)
+  let upmem_cfg = { Cinm_to_cnm.default_options with dpus = 16; tasklets = 16 } in
+  let cim_cfg = { Cinm_to_cim.default_options with parallel = true } in
+  let models =
+    [
+      ( "cim",
+        Cost_model.cim ~rows:cim_cfg.Cinm_to_cim.rows
+          ~cols:cim_cfg.Cinm_to_cim.cols );
+      ("cnm", Cost_model.cnm ~dpus:upmem_cfg.Cinm_to_cnm.dpus);
+      ("cam", Cost_model.cam);
+      ("host", Cost_model.host);
+    ]
+  in
   Pass.run_pipeline [ Tosa_to_linalg.pass; Linalg_to_cinm.pass ] m;
   print_endline "== cost-model estimates per op (informational, us) ==";
   Func.walk
@@ -59,11 +70,11 @@ let () =
       if Cinm_d.support_of op.Ir.name <> None then begin
         Printf.printf "  %-16s" op.Ir.name;
         List.iter
-          (fun (cm : Cost_model.t) ->
-            match cm.Cost_model.estimate op with
-            | Some t -> Printf.printf "  %s=%.2f" cm.Cost_model.device (1e6 *. t)
-            | None -> Printf.printf "  %s=n/a" cm.Cost_model.device)
-          (Cost_model.registered ());
+          (fun (device, estimate) ->
+            match estimate op with
+            | Some t -> Printf.printf "  %s=%.2f" device (1e6 *. t)
+            | None -> Printf.printf "  %s=n/a" device)
+          models;
         print_newline ()
       end)
     (List.hd m.Func.funcs);
@@ -78,10 +89,9 @@ let () =
 
   (* Lower the cim-targeted ops, then the cnm-targeted ones, then the cnm
      program down to upmem: one module, two accelerators. *)
-  let upmem_cfg = { Cinm_to_cnm.default_options with dpus = 16; tasklets = 16 } in
   Pass.run_pipeline
     [ Ew_fusion.pass;
-      Cinm_to_cim.pass ~options:{ Cinm_to_cim.default_options with parallel = true } ();
+      Cinm_to_cim.pass ~options:cim_cfg ();
       Loop_unroll.pass; Cim_to_memristor.assign_pass ~tiles:4; Cim_to_memristor.pass;
       Licm.pass; Licm.pass;
       Cinm_to_cnm.pass ~options:upmem_cfg (); Cnm_to_upmem.pass (); ]

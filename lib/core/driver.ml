@@ -98,16 +98,15 @@ let pipeline (backend : Backend.t) : Pass.t list =
        partitioner replaces forced target selection, then *every* device
        lowering runs — each claims the ops whose "target" the partitioner
        assigned to it, everything left runs natively on the host *)
-    let part_policy =
+    let geometry =
       {
-        Partition.default_policy with
         Partition.upmem_dpus = total_dpus u;
         cim_rows = ci.Backend.rows;
         cim_cols = ci.Backend.cols;
       }
     in
     to_cinm
-    @ [ Partition.pass ~policy:part_policy (); Ew_fusion.pass ]
+    @ [ Partition.pass geometry; Ew_fusion.pass ]
     @ cim_lowering ci @ upmem_lowering u @ [ Canonicalize.pass ]
 
 (* One host-clock driver span (compile / execute), emitted even when [f]

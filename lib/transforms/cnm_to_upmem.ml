@@ -493,21 +493,6 @@ let topk_kernel opts ~style ~tasklets ~k ~l ~dt bb (args : Ir.value array) =
 
 (* Fallback: stage every buffer whole, inline the original cnm body on the
    staged copies, write the outputs back. *)
-let inline_region_into bb region (new_args : Ir.value array) =
-  let entry = Ir.entry_block region in
-  let vmap = ref Ir.Vmap.empty in
-  Array.iteri
-    (fun i (arg : Ir.value) -> vmap := Ir.Vmap.add arg.Ir.vid new_args.(i) !vmap)
-    entry.Ir.args;
-  Ir.iter_ops
-    (fun (op : Ir.op) ->
-      if op.Ir.name <> "cnm.terminator" then begin
-        let op', vmap' = Ir.clone_op ~vmap:!vmap op in
-        vmap := vmap';
-        Builder.insert bb op'
-      end)
-    entry
-
 let generic_kernel ~orig_region ~n_inputs ~buf_shapes ~dts bb (args : Ir.value array) =
   let c0 = Arith.const_index bb 0 in
   let staged =
@@ -521,7 +506,7 @@ let generic_kernel ~orig_region ~n_inputs ~buf_shapes ~dts bb (args : Ir.value a
         wram)
       args
   in
-  inline_region_into bb orig_region staged;
+  ignore (Transform_util.inline_body bb orig_region (Array.to_list staged));
   Array.iteri
     (fun i mram ->
       if i >= n_inputs then begin

@@ -1,47 +1,25 @@
-(** Device cost-model interface (paper §3.3): device dialects register
-    models; target selection queries them to compare candidate devices. *)
+(** Device cost models (paper §3.3): analytic estimates derived from the
+    simulator constants, which the heterogeneous partitioner compares to
+    place each cinm op. *)
 
-type t = {
-  device : string;  (** "cim" | "cnm" | "host" *)
-  model_name : string;
-  estimate : Cinm_ir.Ir.op -> float option;
-      (** estimated seconds; [None] when the op is unsupported *)
-}
+(** Estimated seconds for one op on a device; [None] when the device's
+    model does not cover the op. *)
+type t = Cinm_ir.Ir.op -> float option
 
-val register : t -> unit
-val clear : unit -> unit
-val registered : unit -> t list
-val lookup : string -> t option
+(** Bytes/s the host stages data at between devices (calibrated to the
+    upmem simulator's scatter/gather DMA). *)
+val host_bw : float
 
-(** The cheapest device that can run the op, if any model covers it. *)
-val best_device : Cinm_ir.Ir.op -> string option
+(** Memristor crossbar of [rows] x [cols] tiles: [cinm.gemm]/[cinm.gemv]. *)
+val cim : rows:int -> cols:int -> t
 
-(** Reference models derived from the simulator constants. *)
-val cim_reference :
-  ?rows:int -> ?cols:int -> ?t_mvm:float -> ?t_write_row:float -> unit -> t
+(** UPMEM grid of [dpus] DPUs, with per-MAC / per-element cycle costs
+    calibrated to the interpreted-kernel simulator. *)
+val cnm : dpus:int -> t
 
-(** [gemm_cycles]/[ew_cycles]: DPU cycles per MAC / per element (defaults
-    describe ideal hand-written kernels). *)
-val cnm_reference :
-  ?dpus:int ->
-  ?freq:float ->
-  ?host_bw:float ->
-  ?gemm_cycles:float ->
-  ?ew_cycles:float ->
-  unit ->
-  t
+(** CAM similarity search / RTM popcount (constants mirror the cam_sim
+    defaults): [cinm.sim_search] and [cinm.pop_count]. *)
+val cam : t
 
-(** CAM similarity-search / RTM popcount model (constants mirror the
-    cam_sim defaults); covers [cinm.sim_search] and [cinm.pop_count]. *)
-val cam_reference :
-  ?t_search:float ->
-  ?t_write_entry:float ->
-  ?tracks:int ->
-  ?tr_distance:float ->
-  ?t_shift:float ->
-  ?t_transverse_read:float ->
-  unit ->
-  t
-
-val host_reference : ?gops:float -> unit -> t
-val register_reference_models : unit -> unit
+(** The orchestrating in-order host core: every op with a shape. *)
+val host : t

@@ -14,16 +14,9 @@
    because the second gemm would otherwise wait for the first device to
    drain.
 
-   The pass annotates each scheduled op with
-     - "target"  ("cnm" | "cim" | "host"): what the existing lowerings
-       dispatch on — downstream passes are unchanged;
-     - "device"  ("cpu" | "upmem" | "memristor" | "cam"): the concrete
-       machine, disambiguating the two cim-class engines;
-     - "stream"  (int): the device's execution stream id, which the
-       async executor maps to per-machine op chains;
-     - "xfer_in_bytes" (int): bytes of operands that must be staged from
-       another device through the host — the explicit host-side transfer
-       edges of the schedule.
+   The pass annotates each scheduled op with "target" ("cnm" | "cim" |
+   "host"), what the existing lowerings dispatch on — downstream passes
+   are unchanged — and records a one-line plan summary on the function.
 
    The returned plan is a pure function of the module: byte-identical
    for any job count and interpreter backend (asserted by
@@ -33,55 +26,15 @@ open Cinm_ir
 open Cinm_dialects
 
 type policy = {
-  use_upmem : bool;
-  use_memristor : bool;
-  use_cam : bool;
   upmem_dpus : int;  (** DPU grid the cnm cost model assumes *)
   cim_rows : int;
   cim_cols : int;
-  host_bw : float;  (** bytes/s for host-staged cross-device transfers *)
-  host_gops : float;
-      (** effective scalar-MAC throughput of the orchestrating host core
-          (the in-order ARM of the OCC setup at ~4 cycles per
-          multiply-accumulate, not the standalone Xeon baseline): what an
-          op costs if kept on the host *)
-  max_offload_bytes : int option;  (** capacity guard, as in Target_select *)
 }
-
-let default_policy =
-  {
-    use_upmem = true;
-    use_memristor = true;
-    use_cam = true;
-    upmem_dpus = 2048;
-    cim_rows = 64;
-    cim_cols = 64;
-    (* staging bandwidth calibrated to the upmem simulator's measured
-       scatter/gather DMA (~3 GB/s across the DIMM interface) *)
-    host_bw = 3e9;
-    host_gops = 0.5e9;
-    max_offload_bytes = None;
-  }
-
-(* Stream ids are fixed per device so schedules are comparable across
-   runs; the async executor keys its op chains on the same names. *)
-let devices = [| "cpu"; "upmem"; "memristor"; "cam" |]
-
-let stream_of_device d =
-  let rec find i = if devices.(i) = d then i else find (i + 1) in
-  find 0
-
-let target_of_device = function
-  | "cpu" -> "host"
-  | "upmem" -> "cnm"
-  | "memristor" | "cam" -> "cim"
-  | d -> invalid_arg ("Partition: unknown device " ^ d)
 
 type assignment = {
   a_op : string;
   a_oid : int;
   a_device : string;
-  a_stream : int;
   a_est_s : float;  (** cost-model estimate on the chosen device *)
   a_xfer_in_bytes : int;  (** operand bytes staged from other devices *)
   a_start_s : float;
@@ -101,16 +54,6 @@ let value_bytes (v : Ir.value) =
   | Types.Buffer { shape; dtype = dt; _ } ->
     Cinm_support.Util.product_of_shape shape * Types.dtype_bytes dt
   | _ -> 0
-
-let op_footprint_bytes op =
-  let total = ref 0 in
-  for i = 0 to Ir.num_operands op - 1 do
-    total := !total + value_bytes (Ir.operand op i)
-  done;
-  for i = 0 to Ir.num_results op - 1 do
-    total := !total + value_bytes (Ir.result op i)
-  done;
-  !total
 
 (* CAM-suited ops, per C4CAM's detection criterion (hamming/exact match)
    plus the RTM popcount engine. *)
@@ -134,37 +77,33 @@ let cnm_lowerable op =
   | "cinm.or" | "cinm.xor" -> true
   | _ -> false
 
-(* The feasible devices of one cinm op, most-preferred-last never matters:
-   selection is strictly by earliest finish, ties broken by this fixed
-   order. "cpu" is always feasible. *)
-let feasible policy op (support : Cinm_d.support) =
-  let ds = ref [ "cpu" ] in
-  if policy.use_upmem && support.Cinm_d.cnm && cnm_lowerable op then
-    ds := "upmem" :: !ds;
-  if policy.use_memristor && support.Cinm_d.cim && matmul_like op then
-    ds := "memristor" :: !ds;
-  if policy.use_cam && cam_suited op then ds := "cam" :: !ds;
-  List.rev !ds
+(* The model set of one plan, built from the backend geometry. The list
+   order is the fixed device order: it breaks estimated-finish ties and
+   orders [per_device]. *)
+let models policy =
+  [
+    ("cpu", Cost_model.host);
+    ("upmem", Cost_model.cnm ~dpus:policy.upmem_dpus);
+    ("memristor", Cost_model.cim ~rows:policy.cim_rows ~cols:policy.cim_cols);
+    ("cam", Cost_model.cam);
+  ]
 
-let estimate policy device op =
-  let model =
-    match device with
-    | "upmem" ->
-      (* per-MAC / per-element costs calibrated to the interpreted-kernel
-         simulator (~190 and ~25 DPU cycles measured on mm/va), so load
-         balancing reflects what the machines will actually report *)
-      Cost_model.cnm_reference ~dpus:policy.upmem_dpus
-        ~host_bw:policy.host_bw ~gemm_cycles:190.0 ~ew_cycles:25.0 ()
-    | "memristor" ->
-      Cost_model.cim_reference ~rows:policy.cim_rows ~cols:policy.cim_cols ()
-    | "cam" -> Cost_model.cam_reference ()
-    | _ -> Cost_model.host_reference ~gops:policy.host_gops ()
-  in
-  model.Cost_model.estimate op
+(* Whether [device] can run one cinm op; "cpu" always can. *)
+let feasible op (support : Cinm_d.support) = function
+  | "upmem" -> support.Cinm_d.cnm && cnm_lowerable op
+  | "memristor" -> support.Cinm_d.cim && matmul_like op
+  | "cam" -> cam_suited op
+  | _ -> true
+
+let target_of_device = function
+  | "cpu" -> "host"
+  | "upmem" -> "cnm"
+  | _ (* memristor, cam *) -> "cim"
 
 (* ----- the list scheduler ----- *)
 
 type sched_state = {
+  models : (string * Cost_model.t) list;
   (* vid -> (estimated ready time, device holding the value) *)
   avail : (int, float * string) Hashtbl.t;
   device_free : (string, float) Hashtbl.t;
@@ -172,8 +111,14 @@ type sched_state = {
   mutable seq_s : float;
 }
 
-let fresh_state () =
-  { avail = Hashtbl.create 64; device_free = Hashtbl.create 4; acc = []; seq_s = 0.0 }
+let fresh_state policy =
+  {
+    models = models policy;
+    avail = Hashtbl.create 64;
+    device_free = Hashtbl.create 4;
+    acc = [];
+    seq_s = 0.0;
+  }
 
 let value_avail st (v : Ir.value) =
   match Hashtbl.find_opt st.avail v.Ir.vid with
@@ -182,13 +127,13 @@ let value_avail st (v : Ir.value) =
 
 (* Staging an operand from [src] onto [dst] goes through the host, so a
    device-to-device move pays both directions. *)
-let xfer_cost policy ~src ~dst bytes =
+let xfer_cost ~src ~dst bytes =
   if src = dst || bytes = 0 then 0.0
   else
     let hops = if src <> "cpu" && dst <> "cpu" then 2.0 else 1.0 in
-    hops *. float_of_int bytes /. policy.host_bw
+    hops *. float_of_int bytes /. Cost_model.host_bw
 
-let schedule_op policy st op =
+let schedule_op st op =
   match Cinm_d.support_of op.Ir.name with
   | None ->
     (* not a cinm compute op: its results become available on the host
@@ -202,15 +147,10 @@ let schedule_op policy st op =
       Hashtbl.replace st.avail (Ir.result op i).Ir.vid (!ready, "cpu")
     done
   | Some support ->
-    let candidates =
-      match policy.max_offload_bytes with
-      | Some cap when op_footprint_bytes op > cap -> [ "cpu" ]
-      | _ -> feasible policy op support
-    in
     let best = ref None in
     List.iter
-      (fun dev ->
-        match estimate policy dev op with
+      (fun (dev, model) ->
+        match model op with
         | None -> ()
         | Some est ->
           let ready = ref 0.0 and xfer_bytes = ref 0 in
@@ -218,7 +158,7 @@ let schedule_op policy st op =
             let v = Ir.operand op i in
             let t, src = value_avail st v in
             let bytes = value_bytes v in
-            let arrive = t +. xfer_cost policy ~src ~dst:dev bytes in
+            let arrive = t +. xfer_cost ~src ~dst:dev bytes in
             if src <> dev && bytes > 0 then xfer_bytes := !xfer_bytes + bytes;
             if arrive > !ready then ready := arrive
           done;
@@ -233,28 +173,24 @@ let schedule_op policy st op =
             | Some (_, _, _, _, f) -> finish < f (* strict: first-listed wins ties *)
           in
           if better then best := Some (dev, est, !xfer_bytes, start, finish))
-      candidates;
+      (List.filter (fun (dev, _) -> feasible op support dev) st.models);
     let dev, est, xfer_bytes, start, finish =
       match !best with
       | Some b -> b
       | None -> ("cpu", 0.0, 0, 0.0, 0.0) (* no model covers it: free host op *)
     in
     Ir.set_attr op "target" (Attr.Str (target_of_device dev));
-    Ir.set_attr op "device" (Attr.Str dev);
-    Ir.set_attr op "stream" (Attr.Int (stream_of_device dev));
-    if xfer_bytes > 0 then Ir.set_attr op "xfer_in_bytes" (Attr.Int xfer_bytes);
     Hashtbl.replace st.device_free dev finish;
     for i = 0 to Ir.num_results op - 1 do
       Hashtbl.replace st.avail (Ir.result op i).Ir.vid (finish, dev)
     done;
     st.seq_s <-
-      st.seq_s +. est +. (float_of_int xfer_bytes /. policy.host_bw);
+      st.seq_s +. est +. (float_of_int xfer_bytes /. Cost_model.host_bw);
     st.acc <-
       {
         a_op = op.Ir.name;
         a_oid = op.Ir.oid;
         a_device = dev;
-        a_stream = stream_of_device dev;
         a_est_s = est;
         a_xfer_in_bytes = xfer_bytes;
         a_start_s = start;
@@ -265,9 +201,10 @@ let schedule_op policy st op =
 let plan_of_state st =
   let assignments = List.rev st.acc in
   let per_device =
-    Array.to_list devices
-    |> List.map (fun d ->
-           (d, List.length (List.filter (fun a -> a.a_device = d) assignments)))
+    List.map
+      (fun (d, _) ->
+        (d, List.length (List.filter (fun a -> a.a_device = d) assignments)))
+      st.models
   in
   let est_makespan_s =
     List.fold_left (fun m a -> Float.max m a.a_finish_s) 0.0 assignments
@@ -293,21 +230,20 @@ let plan_summary_string plan =
 (* Partition one function: annotate its top-level cinm ops and return the
    schedule. Ops nested in regions stay with their parent. *)
 let run_on_func policy (f : Func.t) =
-  let st = fresh_state () in
-  Ir.iter_ops (schedule_op policy st) (Func.entry_block f);
+  let st = fresh_state policy in
+  Ir.iter_ops (schedule_op st) (Func.entry_block f);
   let plan = plan_of_state st in
   f.Func.fattrs <-
     ("partition", Attr.Str (plan_summary_string plan))
     :: List.remove_assoc "partition" f.Func.fattrs;
   plan
 
-let plan_func policy (f : Func.t) = run_on_func policy (Func.clone f)
-
+(* Plan of the module's first function, on a clone. *)
 let plan_module policy (m : Func.modul) =
   match m.Func.funcs with
-  | [] -> plan_of_state (fresh_state ())
-  | f :: _ -> plan_func policy f
+  | [] -> plan_of_state (fresh_state policy)
+  | f :: _ -> run_on_func policy (Func.clone f)
 
-let pass ?(policy = default_policy) () =
+let pass policy =
   Pass.create ~name:"cinm-partition" (fun m ->
       List.iter (fun f -> ignore (run_on_func policy f)) m.Func.funcs)

@@ -2,48 +2,27 @@
     dependency-aware generalization of {!Target_select} that schedules a
     function's cinm ops across UPMEM, the memristor crossbar, the CAM/RTM
     engines and the host CPU simultaneously, using HEFT-style list
-    scheduling over the registered cost models with host-staged transfer
-    costs.
+    scheduling in program order over one {!Cost_model} set built from the
+    backend geometry, with host-staged transfer costs.
 
     Each scheduled op is annotated with ["target"] (what the existing
-    lowerings dispatch on), ["device"] (the concrete machine:
-    ["cpu"|"upmem"|"memristor"|"cam"]), ["stream"] (int id of the device's
-    execution stream) and, when operands must move, ["xfer_in_bytes"].
+    lowerings dispatch on), and the function with a one-line ["partition"]
+    summary ("cpu=1 upmem=2 ... est_speedup=1.80x").
 
     The plan is a pure function of the module: byte-identical at any job
     count and for tree and compiled interpreters. *)
 
+(** The backend geometry the cost models assume. *)
 type policy = {
-  use_upmem : bool;
-  use_memristor : bool;
-  use_cam : bool;
-  upmem_dpus : int;  (** DPU grid the cnm cost model assumes *)
-  cim_rows : int;
+  upmem_dpus : int;  (** DPU grid of the cnm model *)
+  cim_rows : int;  (** crossbar tile of the cim model *)
   cim_cols : int;
-  host_bw : float;  (** bytes/s for host-staged cross-device transfers *)
-  host_gops : float;
-      (** effective scalar-MAC throughput of the orchestrating host core
-          (the in-order ARM of the OCC setup at ~4 cycles per
-          multiply-accumulate): what an op costs if kept on the host *)
-  max_offload_bytes : int option;  (** capacity guard, as in Target_select *)
 }
-
-val default_policy : policy
-
-(** Fixed device order; an op's ["stream"] attr indexes into this. *)
-val devices : string array
-
-val stream_of_device : string -> int
-
-(** ["cpu"] -> ["host"], ["upmem"] -> ["cnm"], ["memristor"]/["cam"] ->
-    ["cim"]. *)
-val target_of_device : string -> string
 
 type assignment = {
   a_op : string;
   a_oid : int;
-  a_device : string;
-  a_stream : int;
+  a_device : string;  (** ["cpu"|"upmem"|"memristor"|"cam"] *)
   a_est_s : float;  (** cost-model estimate on the chosen device *)
   a_xfer_in_bytes : int;  (** operand bytes staged from other devices *)
   a_start_s : float;
@@ -57,18 +36,12 @@ type plan = {
   est_sequential_s : float;  (** single-stream sum of the same estimates *)
 }
 
-(** One-line plan summary ("cpu=1 upmem=2 ... est_speedup=1.80x"); also
-    recorded on the partitioned function as the ["partition"] fattr. *)
-val plan_summary_string : plan -> string
-
 (** Annotate the function's top-level cinm ops in place (and record the
     ["partition"] fattr) and return the schedule. *)
 val run_on_func : policy -> Cinm_ir.Func.t -> plan
 
-(** Like {!run_on_func} but on a clone: the input is left unannotated. *)
-val plan_func : policy -> Cinm_ir.Func.t -> plan
-
-(** Plan of the module's first function (modules here are single-func). *)
+(** Plan of the module's first function (modules here are single-func),
+    computed on a clone: the input is left unannotated. *)
 val plan_module : policy -> Cinm_ir.Func.modul -> plan
 
-val pass : ?policy:policy -> unit -> Cinm_ir.Pass.t
+val pass : policy -> Cinm_ir.Pass.t

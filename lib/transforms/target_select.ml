@@ -5,36 +5,26 @@
 
    Policy (as in the paper):
    - the user may force a target;
-   - otherwise, if cost models are registered (§3.3), pick the cheapest
-     device supporting the op;
    - otherwise greedy: matmul-like ops go to the CIM crossbar when the
-     tensor dimensions exceed a threshold; every other cinm op goes to
+     tensor dimensions reach a threshold; every other cinm op goes to
      UPMEM (cnm); ops a paradigm cannot express are reassigned per the
-     Table 1 support matrix; non-cinm ops run on the host. *)
+     Table 1 support matrix; non-cinm ops run on the host.
+   Cost-model placement (§3.3) lives in the heterogeneous partitioner. *)
 
 open Cinm_ir
 open Cinm_dialects
 
 type policy = {
   forced_target : string option;  (** None = automatic *)
-  cim_gemm_threshold : int;  (** min(m,k,n) at or above which gemm prefers cim *)
-  use_cost_models : bool;
-  max_offload_bytes : int option;
-      (** ops whose operand+result footprint exceeds this stay on the
-          host (device-capacity guard); None = no limit *)
+  cim_gemm_threshold : int;
+      (** min(m,k) of operand 0 at or above which gemm/gemv prefers cim *)
 }
 
-let default_policy =
-  {
-    forced_target = None;
-    cim_gemm_threshold = 16;
-    use_cost_models = false;
-    max_offload_bytes = None;
-  }
+let default_policy = { forced_target = None; cim_gemm_threshold = 16 }
 
-(* Unknown target names (a typo in --target, a cost model naming a device
-   this build doesn't register) mean "no, this device can't take the op" —
-   selection then falls back rather than aborting the pipeline. *)
+(* Unknown target names (a typo in --target) mean "no, this device can't
+   take the op" — selection then falls back rather than aborting the
+   pipeline. *)
 let supports target (support : Cinm_d.support) =
   match target with
   | "cim" -> support.Cinm_d.cim
@@ -59,58 +49,20 @@ let greedy_target policy op (support : Cinm_d.support) =
     | None -> "cnm")
   | _ -> fallback_target support
 
-(* Bytes the device would have to hold to run [op]: all shaped operands
-   plus all shaped results. *)
-let op_footprint_bytes op =
-  let ty_bytes (ty : Types.t) =
-    match ty with
-    | Types.Tensor (shape, dt) | Types.MemRef (shape, dt)
-    | Types.Buffer { shape; dtype = dt; _ } ->
-      Cinm_support.Util.product_of_shape shape * Types.dtype_bytes dt
-    | _ -> 0
-  in
-  let total = ref 0 in
-  for i = 0 to Ir.num_operands op - 1 do
-    total := !total + ty_bytes (Ir.operand op i).Ir.ty
-  done;
-  for i = 0 to Ir.num_results op - 1 do
-    total := !total + ty_bytes (Ir.result op i).Ir.ty
-  done;
-  !total
-
 let select policy op =
   match Cinm_d.support_of op.Ir.name with
   | None -> None (* not a cinm compute op: host *)
-  | Some support ->
-    let chosen =
-      match policy.forced_target with
-      | Some t when supports t support -> t
-      | Some _ -> fallback_target support
-      | None ->
-        if policy.use_cost_models then
-          match Cost_model.best_device op with
-          | Some d when supports d support -> d
-          | _ -> greedy_target policy op support
-        else greedy_target policy op support
-    in
-    Some chosen
+  | Some support -> (
+    match policy.forced_target with
+    | Some t when supports t support -> Some t
+    | Some _ -> Some (fallback_target support)
+    | None -> Some (greedy_target policy op support))
 
 let run_on_func policy f =
   Func.walk
     (fun op ->
       match select policy op with
-      | Some target -> (
-        (* capacity guard: an op too big for any device footprint budget
-           degrades to the host lowering instead of failing deep inside a
-           device pass; the reason is recorded for diagnostics *)
-        match policy.max_offload_bytes with
-        | Some cap when target <> "host" && op_footprint_bytes op > cap ->
-          Ir.set_attr op "target" (Attr.Str "host");
-          Ir.set_attr op "fallback_reason"
-            (Attr.Str
-               (Printf.sprintf "footprint %d B exceeds device budget %d B"
-                  (op_footprint_bytes op) cap))
-        | _ -> Ir.set_attr op "target" (Attr.Str target))
+      | Some target -> Ir.set_attr op "target" (Attr.Str target)
       | None -> ())
     f
 

@@ -1,23 +1,16 @@
 (** Target selection at the cinm level (paper §3.2.2): annotates each cinm
     op with a "target" attribute ("cim" | "cnm" | "host") that subsequent
-    lowerings dispatch on. Greedy policy by default; registered cost
-    models (§3.3) are consulted when enabled. *)
+    lowerings dispatch on, by the paper's greedy policy. Cost-model
+    placement across devices is the heterogeneous partitioner's job
+    ({!Partition}). *)
 
 type policy = {
   forced_target : string option;  (** [None] = automatic *)
   cim_gemm_threshold : int;
-      (** minimum dimension at which matmul-like ops prefer the crossbar *)
-  use_cost_models : bool;
-  max_offload_bytes : int option;
-      (** device-capacity guard: ops whose operand+result footprint
-          exceeds this are demoted to the host target with a
-          ["fallback_reason"] attribute; [None] = no limit *)
+      (** min(m, k) of a matmul-like op's first operand at or above which
+          it prefers the crossbar *)
 }
 
 val default_policy : policy
-
-(** The target the policy picks for one op; [None] for non-cinm ops. *)
-val select : policy -> Cinm_ir.Ir.op -> string option
-
 val run_on_func : policy -> Cinm_ir.Func.t -> unit
 val pass : ?policy:policy -> unit -> Cinm_ir.Pass.t

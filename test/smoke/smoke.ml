@@ -5,7 +5,8 @@
      smoke pin PIN RUN...          every RUN matches the bench pin PIN
      smoke scaling RUN             monotone rank scaling, >= 1.5x overlap
      smoke trace FILE              a Perfetto-shaped bench --trace file
-     smoke lint LIB_DIR            no bare failwith / Printf.eprintf
+     smoke lint LIB_DIR            no bare failwith / Printf.eprintf, no
+                                   global state in lib/transforms
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -130,6 +131,47 @@ let mentions ?(whole = true) word line =
   in
   go 0
 
+(* The top-level value bindings of a file ("let name =" or
+   "let name : ty =" at column 0, no parameters), as the binding line and
+   the first token of its right-hand side, which may start on the next
+   line. *)
+let top_level_values lines =
+  (* [l] from [i] up to the first character not in [keep] *)
+  let span keep l i =
+    let n = String.length l in
+    let rec go j = if j < n && keep l.[j] then go (j + 1) else j in
+    String.sub l i (go i - i)
+  in
+  let first_token rest = span (fun c -> c <> ' ' && c <> '(') (String.trim rest) 0 in
+  let rec go acc = function
+    | l :: more when String.starts_with ~prefix:"let " l ->
+      let name = span (fun c -> is_word_char c || c = '\'') l 4 in
+      let e = 4 + String.length name in
+      let after = String.trim (String.sub l e (String.length l - e)) in
+      let rhs =
+        match String.index_opt after '=' with
+        | Some i when name <> "" && (after.[0] = '=' || after.[0] = ':') ->
+          let rest = String.sub after (i + 1) (String.length after - i - 1) in
+          if String.trim rest <> "" then Some (first_token rest)
+          else List.find_opt (fun m -> String.trim m <> "") more |> Option.map first_token
+        | _ -> None
+      in
+      go (match rhs with Some tok -> (l, tok) :: acc | None -> acc) more
+    | _ :: more -> go acc more
+    | [] -> List.rev acc
+  in
+  go [] lines
+
+(* Passes run concurrently on the daemon's pool domains, so their state is
+   per run: a top-level binding to a fresh mutable container is
+   process-global state. A qualified constructor (Cinm_support.Vec.create)
+   counts too. *)
+let global_state_ctors =
+  [ "ref"; "Hashtbl.create"; "Atomic.make"; "Mutex.create"; "Queue.create"; "Vec.create"; "Array.make" ]
+
+let is_global_state tok =
+  List.exists (fun c -> tok = c || String.ends_with ~suffix:("." ^ c) tok) global_state_ctors
+
 let lint lib =
   let offences ~files ~why p =
     List.concat_map
@@ -139,16 +181,25 @@ let lint lib =
       files
   in
   let all = ml_files lib in
+  let transforms = ml_files (Filename.concat lib "transforms") in
   let log_ml = Filename.concat (Filename.concat lib "support") "log.ml" in
   let found =
     (* transforms raise invalid_arg with an "op: message" prefix, which the
        pass manager reports as a structured diagnostic *)
-    offences ~files:(ml_files (Filename.concat lib "transforms"))
+    offences ~files:transforms
       ~why:"raise invalid_arg with an op-prefixed message" (mentions "failwith")
     (* library diagnostics go through the leveled logger, Cinm_support.Log *)
     @ offences
         ~files:(List.filter (( <> ) log_ml) all)
         ~why:"use Cinm_support.Log" (mentions ~whole:false "Printf.eprintf")
+    @ List.concat_map
+        (fun f ->
+          top_level_values (In_channel.with_open_bin f In_channel.input_lines)
+          |> List.filter (fun (_, tok) -> is_global_state tok)
+          |> List.map (fun (l, _) ->
+                 Printf.sprintf "%s: %s (process-global state in a pass: keep it per run)" f
+                   (String.trim l)))
+        transforms
   in
   if found <> [] then fail "lint:\n%s" (String.concat "\n" found);
   ok "lint: %d files clean" (List.length all)

@@ -38,19 +38,18 @@ let hetero_configs () =
 
 (* ----- partition determinism ----- *)
 
-(* Full fingerprint of a plan: every assignment with device, stream,
-   transfer bytes and cost estimates. Any nondeterminism in the HEFT
-   scheduler shows up here. *)
+(* Full fingerprint of a plan: every assignment with device, transfer
+   bytes and cost estimates. Any nondeterminism in the HEFT scheduler
+   shows up here. *)
 let plan_fingerprint (plan : Partition.plan) =
   String.concat "\n"
     (List.mapi
        (* position, not raw oid: the oid counter is global, so two builds
           of the same function get different ids for identical ops *)
        (fun i (a : Partition.assignment) ->
-         Printf.sprintf "%s#%d -> %s@%d xfer=%d est=%.12e span=%.12e..%.12e"
-           a.Partition.a_op i a.Partition.a_device a.Partition.a_stream
-           a.Partition.a_xfer_in_bytes a.Partition.a_est_s a.Partition.a_start_s
-           a.Partition.a_finish_s)
+         Printf.sprintf "%s#%d -> %s xfer=%d est=%.12e span=%.12e..%.12e"
+           a.Partition.a_op i a.Partition.a_device a.Partition.a_xfer_in_bytes
+           a.Partition.a_est_s a.Partition.a_start_s a.Partition.a_finish_s)
        plan.Partition.assignments)
   ^ Printf.sprintf "\nmakespan=%.12e seq=%.12e" plan.Partition.est_makespan_s
       plan.Partition.est_sequential_s
@@ -62,7 +61,6 @@ let plan_of (b : Benchmark.t) =
   let u, ci = hetero_configs () in
   let policy =
     {
-      Partition.default_policy with
       Partition.upmem_dpus =
         u.Backend.ranks * u.Backend.dimms * u.Backend.dpus_per_dimm;
       cim_rows = ci.Backend.rows;
@@ -98,25 +96,21 @@ let test_plan_determinism () =
       Pool.set_default_jobs 1)
     [ Hetero.mix (); Hetero.batch () ]
 
-let contains_substring s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  at 0
-
-(* the recorded "partition" fattr must match the plan summary *)
+(* The recorded "partition" fattr pins the exact placement of each hetero
+   kernel: ops per device and the estimated overlap speedup. *)
 let test_partition_fattr () =
-  let b = Hetero.mix () in
-  let compiled = Driver.compile_func backend (b.Benchmark.build ()) in
-  let f = List.hd compiled.Driver.modul.Func.funcs in
-  match List.assoc_opt "partition" f.Func.fattrs with
-  | Some (Attr.Str s) ->
-    Alcotest.(check bool)
-      (Printf.sprintf "fattr names devices and speedup: %S" s)
-      true
-      (String.length s > 0
-      && String.contains s '='
-      && contains_substring s "est_speedup")
-  | _ -> Alcotest.fail "partitioned function must carry the partition fattr"
+  List.iter
+    (fun ((b : Benchmark.t), expected) ->
+      let compiled = Driver.compile_func backend (b.Benchmark.build ()) in
+      let f = List.hd compiled.Driver.modul.Func.funcs in
+      match List.assoc_opt "partition" f.Func.fattrs with
+      | Some (Attr.Str s) ->
+        Alcotest.(check string) (b.Benchmark.name ^ ": partition fattr") expected s
+      | _ -> Alcotest.fail "partitioned function must carry the partition fattr")
+    [
+      (Hetero.mix (), "cpu=2 upmem=1 memristor=1 cam=1 est_speedup=1.96x");
+      (Hetero.batch (), "cpu=3 upmem=1 memristor=1 est_speedup=2.56x");
+    ]
 
 (* ----- overlap-correctness differential ----- *)
 

@@ -466,23 +466,25 @@ let test_tosa_fc_decomposition () =
   Alcotest.(check bool) "same result" true
     (Tensor.equal (Rtval.as_tensor expected) (Rtval.as_tensor actual))
 
-(* ----- cost model registry ----- *)
+(* ----- reference cost models ----- *)
 
-let test_cost_model_registry () =
-  Cost_model.clear ();
-  Alcotest.(check int) "empty" 0 (List.length (Cost_model.registered ()));
-  Cost_model.register_reference_models ();
-  Alcotest.(check int) "three models" 3 (List.length (Cost_model.registered ()));
-  (* a large gemm should prefer an accelerator over the host *)
+(* a large gemm should prefer an accelerator over the host *)
+let test_cost_models_prefer_accelerator () =
   let f = Func.create ~name:"g" ~arg_tys:[ tensor [| 256; 256 |]; tensor [| 256; 256 |] ] ~result_tys:[ tensor [| 256; 256 |] ] in
   let b = Builder.for_func f in
   let g = Cinm_d.gemm b (Func.param f 0) (Func.param f 1) in
   Func_d.return b [ g ];
   let gemm_op = match g.Ir.def with Ir.Op_result (op, _) -> op | _ -> assert false in
-  (match Cost_model.best_device gemm_op with
-  | Some d -> Alcotest.(check bool) "accelerator preferred" true (d = "cim" || d = "cnm")
-  | None -> Alcotest.fail "no estimate");
-  Cost_model.clear ()
+  let host = Option.get (Cost_model.host gemm_op) in
+  List.iter
+    (fun (device, model) ->
+      match model gemm_op with
+      | Some t ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s (%.3e s) beats host (%.3e s)" device t host)
+          true (t < host)
+      | None -> Alcotest.failf "%s: no estimate for a gemm" device)
+    [ ("cim", Cost_model.cim ~rows:64 ~cols:64); ("cnm", Cost_model.cnm ~dpus:2048) ]
 
 let () =
   Alcotest.run ~and_exit:false "passes"
@@ -524,7 +526,7 @@ let () =
       ( "front-end",
         [ Alcotest.test_case "tosa fc decomposition" `Quick test_tosa_fc_decomposition ] );
       ( "cost-model",
-        [ Alcotest.test_case "registry + best device" `Quick test_cost_model_registry ] );
+        [ Alcotest.test_case "gemm prefers an accelerator" `Quick test_cost_models_prefer_accelerator ] );
     ]
 
 (* appended: workgroup-transform analysis (paper Fig. 8) *)

@@ -227,27 +227,6 @@ let test_target_select_greedy () =
   Alcotest.(check (option string)) "reduce -> cnm (Table 1: no cim reduce)" (Some "cnm")
     (Hashtbl.find_opt targets "cinm.reduce")
 
-let test_target_select_cost_models () =
-  Cost_model.clear ();
-  Cost_model.register_reference_models ();
-  let f =
-    Func.create ~name:"mm" ~arg_tys:[ tensor [| 64; 64 |]; tensor [| 64; 64 |] ]
-      ~result_tys:[ tensor [| 64; 64 |] ]
-  in
-  let b = Builder.for_func f in
-  Func_d.return b [ Cinm_d.gemm b (Func.param f 0) (Func.param f 1) ];
-  Target_select.run_on_func
-    { Target_select.default_policy with use_cost_models = true }
-    f;
-  let target = ref None in
-  Func.walk
-    (fun op ->
-      if op.Ir.name = "cinm.gemm" then
-        match Ir.attr op "target" with Some (Attr.Str t) -> target := Some t | _ -> ())
-    f;
-  Cost_model.clear ();
-  Alcotest.(check bool) "a target was selected" true (!target <> None)
-
 (* ----- cinm -> cnm differential tests ----- *)
 
 let test_cnm_gemm () =
@@ -511,7 +490,6 @@ let () =
       ( "target-select",
         [
           Alcotest.test_case "greedy policy" `Quick test_target_select_greedy;
-          Alcotest.test_case "cost models" `Quick test_target_select_cost_models;
         ] );
       ( "cinm-to-cnm",
         [
