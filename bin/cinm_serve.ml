@@ -86,9 +86,10 @@ let cmd =
           value & opt int 0
           & info [ "jobs" ] ~docv:"N"
               ~doc:
-                "Domain-pool size, the calling domain included: requests \
-                 execute on max(1, N-1) worker domains (0 = the default \
-                 pool, sized by CINM_JOBS or the machine).")
+                "Worker domains: up to N requests execute at once, one per \
+                 worker, while the calling domain only accepts and admits \
+                 them (0 = the default pool, sized by CINM_JOBS or the \
+                 machine).")
       $ Arg.(
           value & opt int 64
           & info [ "max-inflight" ] ~docv:"N"

@@ -114,6 +114,8 @@ type cstate = {
   slots : (int, int) Hashtbl.t;  (** vid -> encoded slot *)
   mutable caps : (Ir.value * int) list;  (** reverse order of first use *)
   in_place : (int, unit) Hashtbl.t;  (** oids of updates that write in place *)
+  recycle : (int, Ir.value list) Hashtbl.t;
+      (** oid -> values whose storage returns to the arena after the op *)
 }
 
 (* A value lives in the int frame iff its static type guarantees its
@@ -167,6 +169,9 @@ let nop_instr : instr = fun _ _ _ -> ()
 let rt_true = Rtval.Bool true
 let rt_false = Rtval.Bool false
 
+(* Where compiled code takes the storage of fresh tensor results. *)
+let alloc = Tensor.Arena.alloc
+
 (* ----- frame access (slot ids are compile-time constants, bounds are
    guaranteed by construction, so accesses are unsafe) ----- *)
 
@@ -200,6 +205,13 @@ let seti (gf : Rtval.t array) (iframe : int array) s v =
 let move (gf : Rtval.t array) (iframe : int array) dst src =
   if dst >= 0 then Array.unsafe_set gf dst (get_rt gf iframe src)
   else Array.unsafe_set iframe (-1 - dst) (geti gf iframe src)
+
+(* Static offsets plus the dynamic ones in [dyn_s]. A dynamic-offset
+   count that is not the rank fails in the tree-walker at runtime, so the
+   op compilers punt on it. *)
+let dyn_offsets gf iframe offsets dyn_s =
+  if Array.length dyn_s = 0 then offsets
+  else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
 
 (* Free values of [op]'s nested regions: operands used under the op's
    entry blocks (the only blocks the interpreter ever evaluates) that are
@@ -238,39 +250,51 @@ let free_values (op : Ir.op) : Ir.value list =
     List.rev !acc
   end
 
-(* ----- ownership: which tensor updates may write in place ----- *)
+(* ----- ownership: in-place updates and recycled storage ----- *)
 
 (* The tree-walker gives tensors value semantics: [tensor.insert_slice],
    [tensor.insert] and [cinm.merge_partial] return fresh storage and leave
-   their destination as it was. Compiled code may instead write into the
-   destination when nothing can observe the difference: the destination
-   is *owned* (no other live value reaches its storage) and the update is
-   its *last use*. Both are decided here, once per unit, from the IR.
+   their destination as it was, and every bulk result is a fresh
+   allocation the GC reclaims. Compiled code may instead write into the
+   destination, and hand storage back to {!Tensor.Arena} for the next
+   fresh result, when nothing can observe the difference. Both are
+   decided here, once per unit, from the IR.
 
-   A value is owned when
+   A value is *owned* (no other live value reaches its storage) when
    - an op of the [fresh_result] allow-list produced it, or
    - it is an [scf.for] iteration argument, or the matching loop result,
      whose init is owned and dies at the loop and whose yielded value is
      owned and dies at the yield.
    Nothing else is: function and region arguments, captures, constants,
-   hook and call results, views that share a payload ([tensor.reshape],
-   [cinm.expand]), [arith.select] and [scf.if] results.
+   hook and call results (but [memristor.gemm_tile]'s), views that share
+   a payload ([tensor.reshape], [cinm.expand]), [arith.select] and
+   [scf.if] results.
 
-   An op is a value's last use when it sits in the value's defining block
-   and every other use of the value, counted through nested regions, is a
-   [copying_read] earlier in that block. The block rule keeps a loop from
-   updating, on its second trip, a value defined outside it. *)
+   An update writes in place when its destination is owned and the
+   update is its *last use*: the update sits in the value's defining
+   block and every other use of the value, counted through nested
+   regions, is a [copying_read] earlier in that block. The block rule
+   keeps a loop from updating, on its second trip, a value defined
+   outside it.
 
-(* Ops whose tensor results are always fresh storage. *)
+   An owned tensor the arena would keep (over [Tensor.Arena.small]
+   elements) is *recycled* when every use of it, at any depth, is
+   [reads_only] (so no update takes its storage over in place, and no
+   yield, return, view or hook keeps it): compiled code returns its
+   storage to the arena after the op of its defining block that holds
+   its last use. Fresh results take their storage from the arena, so
+   what a unit returns it draws again. *)
+
+(* Ops whose tensor results are always fresh storage. Compiled code
+   allocates them from the arena; the memristor hook does too. *)
 let fresh_result name =
-  Interp.is_elementwise name
-  ||
   match name with
   | "tensor.empty" | "tensor.extract_slice" | "tensor.pad" | "tensor.insert_slice"
   | "tensor.insert" | "cinm.merge_partial" | "cinm.not" | "tosa.add" | "cinm.gemm"
-  | "linalg.matmul" | "tosa.matmul" | "cinm.gemv" | "linalg.matvec" ->
+  | "linalg.matmul" | "tosa.matmul" | "cinm.gemv" | "linalg.matvec"
+  | "memristor.gemm_tile" | "upmem.gather" ->
     true
-  | _ -> false
+  | _ -> Interp.elementwise_binop name <> None
 
 (* The operand an update op writes into when it runs in place. *)
 let update_dest = function
@@ -280,6 +304,23 @@ let update_dest = function
 
 (* Reads that copy out of their operand 0 and keep no reference to it. *)
 let copying_read = function "tensor.extract_slice" | "tensor.extract" -> true | _ -> false
+
+(* Does [op] only read its tensor operand [pos]: no result shares its
+   storage and nothing keeps a reference past the op? An update's
+   destination is read only when the update copies it. The two memristor
+   hooks copy what they stage into a tile. *)
+let reads_only (op : Ir.op) pos ~in_place =
+  match op.Ir.name with
+  | "tensor.extract_slice" | "tensor.extract" | "tensor.pad" | "cinm.not" -> pos = 0
+  | "tensor.insert_slice" -> pos = 0 || (pos = 1 && not in_place)
+  | "tensor.insert" -> pos = 1 && not in_place
+  | "cinm.merge_partial" -> pos = 1 || (pos = 0 && not in_place)
+  | "memristor.store_tile" | "memristor.copy_tile" -> pos = 1
+  | "upmem.scatter" -> pos = 0
+  | "tosa.add" | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" | "cinm.gemv"
+  | "linalg.matvec" ->
+    pos <= 1
+  | name -> pos <= 1 && Interp.elementwise_binop name <> None
 
 (* The yield of an [scf.for] that carries values and that [compile_for]
    compiles natively. *)
@@ -310,13 +351,29 @@ type site = { user : Ir.op; at : int; operand : int }
 
 type producer = Fresh | Carried of Ir.op * int  (** scf.for, carried index *)
 
-(* [owned v] and [last_use v u pos] (is [u], using [v] as its operand
-   [pos], the last use of [v]?) over the values and ops of [region]. *)
-let ownership (region : Ir.region) =
+(* What compiled code does differently from the tree-walker in one unit:
+   the update ops that write in place, in program order, and the values
+   whose storage goes back to the arena after each op. *)
+type plan = { in_place : Ir.op list; recycle : (Ir.op * Ir.value list) list }
+
+(* A tensor the arena would keep: smaller ones bypass it, so releasing
+   them gains nothing. *)
+let pooled (v : Ir.value) =
+  match v.Ir.ty with
+  | Types.Tensor (shape, _) -> Array.fold_left ( * ) 1 shape > Tensor.Arena.small
+  | _ -> false
+
+let analyze (region : Ir.region) =
   let def_block = Hashtbl.create 64 (* vid -> bid *) in
   let op_pos = Hashtbl.create 64 (* oid -> (bid, index) *) in
   let producers = Hashtbl.create 64 (* vid -> producer *) in
+  let candidates = ref [] (* pooled values with a producer, reverse program order *) in
+  let updates = ref [] (* (update op, destination operand) *) in
   let loops = ref [] (* (scf.for, yield, carried index) *) in
+  let produce (v : Ir.value) p =
+    Hashtbl.replace producers v.Ir.vid p;
+    if pooled v then candidates := v :: !candidates
+  in
   let rec defs (r : Ir.region) =
     Ir.iter_blocks
       (fun b ->
@@ -325,14 +382,17 @@ let ownership (region : Ir.region) =
           let op = Ir.op_at b i in
           Hashtbl.replace op_pos op.Ir.oid (b.Ir.bid, i);
           Array.iter (fun (v : Ir.value) -> Hashtbl.replace def_block v.Ir.vid b.Ir.bid) op.Ir.results;
-          if fresh_result op.Ir.name then
-            Array.iter (fun (v : Ir.value) -> Hashtbl.replace producers v.Ir.vid Fresh) op.Ir.results;
+          if fresh_result op.Ir.name then Array.iter (fun v -> produce v Fresh) op.Ir.results;
+          (match update_dest op.Ir.name with
+          | Some pos when pos < Ir.num_operands op && Ir.num_results op = 1 ->
+            updates := (op, pos) :: !updates
+          | _ -> ());
           (match for_yield op with
           | Some (body, y) ->
             Array.iteri
-              (fun k (v : Ir.value) ->
-                Hashtbl.replace producers v.Ir.vid (Carried (op, k));
-                Hashtbl.replace producers body.Ir.args.(k + 1).Ir.vid (Carried (op, k));
+              (fun k v ->
+                produce v (Carried (op, k));
+                produce body.Ir.args.(k + 1) (Carried (op, k));
                 loops := (op, y, k) :: !loops)
               op.Ir.results
           | None -> ());
@@ -342,8 +402,9 @@ let ownership (region : Ir.region) =
   in
   defs region;
   let sites = Hashtbl.create 64 (* vid -> site list *) in
-  let add (v : Ir.value) s =
-    Hashtbl.replace sites v.Ir.vid (s :: Option.value ~default:[] (Hashtbl.find_opt sites v.Ir.vid))
+  let readers = Hashtbl.create 64 (* pooled vid -> (op, operand) list, at any depth *) in
+  let add tbl (v : Ir.value) s =
+    Hashtbl.replace tbl v.Ir.vid (s :: Option.value ~default:[] (Hashtbl.find_opt tbl v.Ir.vid))
   in
   (* [scope]: (bid, op, index) of the op being walked and of every op
      enclosing it, innermost first *)
@@ -358,10 +419,11 @@ let ownership (region : Ir.region) =
               match Hashtbl.find_opt def_block v.Ir.vid with
               | None -> () (* a capture *)
               | Some bid ->
+                if pooled v then add readers v (op, k);
                 let rec find operand = function
-                  | [] -> add v { user = op; at = max_int; operand = -1 }
+                  | [] -> add sites v { user = op; at = max_int; operand = -1 }
                   | (b', user, at) :: rest ->
-                    if b' = bid then add v { user; at; operand } else find (-1) rest
+                    if b' = bid then add sites v { user; at; operand } else find (-1) rest
                 in
                 find k scope)
             op.Ir.operands;
@@ -370,6 +432,7 @@ let ownership (region : Ir.region) =
       r
   in
   uses [] region;
+  let sites_of (v : Ir.value) = Option.value ~default:[] (Hashtbl.find_opt sites v.Ir.vid) in
   let last_use (v : Ir.value) (u : Ir.op) pos =
     match (Hashtbl.find_opt def_block v.Ir.vid, Hashtbl.find_opt op_pos u.Ir.oid) with
     | Some bid, Some (ubid, uat) when bid = ubid ->
@@ -377,7 +440,7 @@ let ownership (region : Ir.region) =
         (fun s ->
           if s.user.Ir.oid = u.Ir.oid then s.operand = pos
           else s.operand = 0 && s.at < uat && copying_read s.user.Ir.name)
-        (Option.value ~default:[] (Hashtbl.find_opt sites v.Ir.vid))
+        (sites_of v)
     | _ -> false
   in
   (* carried values start presumed owned and are struck off until the rule
@@ -406,29 +469,65 @@ let ownership (region : Ir.region) =
     if !changed then settle ()
   in
   settle ();
-  (owned, last_use)
-
-(* The update ops of [region] that may write in place, in program order. *)
-let in_place_ops (region : Ir.region) : Ir.op list =
-  let updates = ref [] in
-  Ir.walk_region
-    (fun op ->
-      match update_dest op.Ir.name with
-      | Some pos when pos < Ir.num_operands op && Ir.num_results op = 1 ->
-        updates := (op, pos) :: !updates
-      | _ -> ())
-    region;
-  (* most units (every DPU kernel) update nothing: skip the analysis *)
-  if !updates = [] then []
-  else begin
-    let owned, last_use = ownership region in
+  let in_place =
     List.rev
       (List.filter_map
          (fun ((u : Ir.op), pos) ->
            let d = u.Ir.operands.(pos) in
            if owned d && last_use d u pos then Some u else None)
          !updates)
-  end
+  in
+  let writes = Hashtbl.create 8 in
+  List.iter (fun (u : Ir.op) -> Hashtbl.replace writes u.Ir.oid ()) in_place;
+  (* the op of the defining block after which [v] is dead, when every use
+     is inside that block's scope *)
+  let last_site v =
+    match sites_of v with
+    | [] -> None
+    | ss when List.exists (fun s -> s.at = max_int) ss -> None
+    | s :: ss -> Some (List.fold_left (fun a b -> if b.at > a.at then b else a) s ss).user
+  in
+  let recycle = Hashtbl.create 16 (* oid -> (op, values) *) in
+  List.iter
+    (fun v ->
+      if owned v then
+        match last_site v with
+        | Some (op : Ir.op)
+          when List.for_all
+                 (fun ((u : Ir.op), pos) ->
+                   reads_only u pos ~in_place:(Hashtbl.mem writes u.Ir.oid))
+                 (Option.value ~default:[] (Hashtbl.find_opt readers v.Ir.vid)) ->
+          let vs = match Hashtbl.find_opt recycle op.Ir.oid with Some (_, l) -> l | None -> [] in
+          Hashtbl.replace recycle op.Ir.oid (op, v :: vs)
+        | _ -> ())
+    (List.rev !candidates);
+  let order = ref [] in
+  if Hashtbl.length recycle > 0 then
+    Ir.walk_region
+      (fun (op : Ir.op) ->
+        match Hashtbl.find_opt recycle op.Ir.oid with
+        | Some (_, vs) -> order := (op, List.rev vs) :: !order
+        | None -> ())
+      region;
+  { in_place; recycle = List.rev !order }
+
+(* Only units with an update op or a fresh result the arena would keep
+   run the analysis: most units (every DPU kernel, most small host
+   functions) have neither. *)
+let plan (region : Ir.region) : plan =
+  let needed = ref false in
+  Ir.walk_region
+    (fun op ->
+      if
+        update_dest op.Ir.name <> None
+        || (Array.exists pooled op.Ir.results && fresh_result op.Ir.name)
+      then needed := true)
+    region;
+  if !needed then analyze region else { in_place = []; recycle = [] }
+
+let in_place_ops region = (plan region).in_place
+
+let recycled_after region = (plan region).recycle
 
 (* ----- the generic fallback ----- *)
 
@@ -555,18 +654,47 @@ and compile_native st (op : Ir.op) : instr option =
   | "memref.alloc" | "upmem.wram_alloc" -> Some (compile_alloc st op)
   | "memref.load" | "tensor.extract" -> Some (compile_indexed_load st op)
   | "memref.store" -> Some (compile_store st op)
-  | "tensor.insert_slice" when Hashtbl.mem st.in_place op.Ir.oid ->
-    Some (compile_insert_slice st op)
-  | "tensor.insert" when Hashtbl.mem st.in_place op.Ir.oid -> Some (compile_insert st op)
-  | "cinm.merge_partial" when Hashtbl.mem st.in_place op.Ir.oid ->
-    Some (compile_merge_partial st op)
+  | "tensor.empty" -> Some (compile_empty st op)
+  | "tensor.extract_slice" -> Some (compile_extract_slice st op)
+  | "tensor.pad" ->
+    let low = Ir.ints_attr op "low" and high = Ir.ints_attr op "high" in
+    Some
+      (compile_fresh st op 1 (fun p ts ->
+           Interp.account_move p (Tensor.num_elements ts.(0));
+           Tensor.pad ~alloc ts.(0) ~low ~high))
+  | "tensor.insert_slice" -> Some (compile_insert_slice st op)
+  | "tensor.insert" -> Some (compile_insert st op)
+  | "cinm.merge_partial" -> Some (compile_merge_partial st op)
+  | "cinm.not" ->
+    Some
+      (compile_fresh st op 1 (fun p ts ->
+           Interp.account_elementwise p (Tensor.num_elements ts.(0));
+           Tensor.map_not ~alloc ts.(0)))
+  | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" ->
+    Some
+      (compile_fresh st op 2 (fun p ts ->
+           (match (ts.(0).Tensor.shape, ts.(1).Tensor.shape) with
+           | [| m; k |], [| _; n |] -> Interp.account_matmul p m n k
+           | _ -> ());
+           Tensor.matmul ~alloc ts.(0) ts.(1)))
+  | "cinm.gemv" | "linalg.matvec" ->
+    Some
+      (compile_fresh st op 2 (fun p ts ->
+           (match ts.(0).Tensor.shape with
+           | [| m; n |] -> Interp.account_matmul p m 1 n
+           | _ -> ());
+           Tensor.matvec ~alloc ts.(0) ts.(1)))
+  | "tosa.add" -> Some (compile_elementwise st op "add")
   | name -> (
-    match int_binop_spec name with
-    | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
+    match Interp.elementwise_binop name with
+    | Some binop -> Some (compile_elementwise st op binop)
     | None -> (
-      match float_binop_fn name with
-      | Some f -> Some (compile_float_bin st op f)
-      | None -> None))
+      match int_binop_spec name with
+      | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
+      | None -> (
+        match float_binop_fn name with
+        | Some f -> Some (compile_float_bin st op f)
+        | None -> None)))
 
 and compile_constant st op =
   match Ir.attr_exn op "value" with
@@ -886,16 +1014,61 @@ and compile_store st op =
       p.Profile.stores <- p.Profile.stores + 1;
       Tensor.set m idx v
 
-(* The in-place forms of the three update ops (see [in_place_ops]):
-   the same operand reads, errors and profile increments as their
-   [Interp.eval_op] case, but the result is the destination itself,
-   written in place, instead of an updated copy. *)
+(* The [fresh_result] ops: the same operand reads, errors and profile
+   increments as their [Interp.eval_op] case, but results take their
+   storage from the arena, and an update whose destination [analyze]
+   found owned and dead writes into it instead of into a copy. *)
+
+(* An op of one result computed from its first [n] operands, all
+   tensors: [f p operands] accounts and returns the result. *)
+and compile_fresh st op n f =
+  if Ir.num_results op <> 1 || Ir.num_operands op < n then raise Punt;
+  let srcs = Array.init n (fun i -> use_slot st op.Ir.operands.(i)) in
+  let r = def_slot st op.Ir.results.(0) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let ts = Array.map (fun s -> Rtval.as_tensor (get_rt gf iframe s)) srcs in
+    set_rt gf iframe r (Rtval.Tensor (f p ts))
+
+and compile_elementwise st op binop =
+  compile_fresh st op 2 (fun p ts ->
+      Interp.account_elementwise p (Tensor.num_elements ts.(0));
+      Tensor.map2 ~alloc binop ts.(0) ts.(1))
+
+and compile_empty st op =
+  match (Ir.result op 0).Ir.ty with
+  | Types.Tensor (shape, dt) when Ir.num_results op = 1 ->
+    let r = def_slot st op.Ir.results.(0) in
+    fun ctx gf iframe ->
+      let p = ctx.Interp.profile in
+      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+      set_rt gf iframe r (Rtval.Tensor (alloc shape dt))
+  | _ -> raise Punt
+
+and compile_extract_slice st op =
+  let offsets = Ir.ints_attr op "offsets" and sizes = Ir.ints_attr op "sizes" in
+  let n_dyn = Ir.num_operands op - 1 in
+  if n_dyn < 0 || (n_dyn <> 0 && n_dyn <> Array.length offsets) || Ir.num_results op <> 1
+  then raise Punt;
+  let src_s = use_slot st op.Ir.operands.(0) in
+  let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 1)) in
+  let r = def_slot st op.Ir.results.(0) in
+  let moved = Array.fold_left ( * ) 1 sizes in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let src = Rtval.as_tensor (get_rt gf iframe src_s) in
+    let offsets = dyn_offsets gf iframe offsets dyn_s in
+    Interp.account_move p moved;
+    set_rt gf iframe r (Rtval.Tensor (Tensor.extract_slice ~alloc src ~offsets ~sizes))
+
 and compile_insert_slice st op =
   let offsets = Ir.ints_attr op "offsets" in
   let n_dyn = Ir.num_operands op - 2 in
-  (* a dynamic-offset count that is not the rank fails in the tree-walker
-     at runtime: let it *)
-  if n_dyn <> 0 && n_dyn <> Array.length offsets then raise Punt;
+  if n_dyn < 0 || (n_dyn <> 0 && n_dyn <> Array.length offsets) || Ir.num_results op <> 1
+  then raise Punt;
+  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
   let src_s = use_slot st op.Ir.operands.(0) in
   let dst_s = use_slot st op.Ir.operands.(1) in
   let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 2)) in
@@ -906,15 +1079,17 @@ and compile_insert_slice st op =
     let src = Rtval.as_tensor (get_rt gf iframe src_s) in
     let dv = get_rt gf iframe dst_s in
     let dst = Rtval.as_tensor dv in
-    let offsets =
-      if n_dyn = 0 then offsets
-      else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
-    in
+    let offsets = dyn_offsets gf iframe offsets dyn_s in
     Interp.account_move p (Tensor.num_elements src);
-    Tensor.write_slice src dst ~offsets;
-    set_rt gf iframe r dv
+    if in_place then begin
+      Tensor.write_slice src dst ~offsets;
+      set_rt gf iframe r dv
+    end
+    else set_rt gf iframe r (Rtval.Tensor (Tensor.insert_slice ~alloc src dst ~offsets))
 
 and compile_insert st op =
+  if Ir.num_operands op < 2 || Ir.num_results op <> 1 then raise Punt;
+  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
   let v_s = use_slot st op.Ir.operands.(0) in
   let dst_s = use_slot st op.Ir.operands.(1) in
   let idx_s = Array.init (Ir.num_operands op - 2) (fun i -> use_slot st op.Ir.operands.(i + 2)) in
@@ -926,24 +1101,48 @@ and compile_insert st op =
     let dst = Rtval.as_tensor dv in
     let idx = Array.map (fun s -> geti gf iframe s) idx_s in
     p.Profile.stores <- p.Profile.stores + 1;
-    if Types.is_float_dtype dst.Tensor.dtype then Tensor.set_f dst idx (getf gf iframe v_s)
-    else Tensor.set dst idx (geti gf iframe v_s);
-    set_rt gf iframe r dv
+    let out = if in_place then dst else Tensor.copy ~alloc dst in
+    if Types.is_float_dtype out.Tensor.dtype then Tensor.set_f out idx (getf gf iframe v_s)
+    else Tensor.set out idx (geti gf iframe v_s);
+    set_rt gf iframe r (if in_place then dv else Rtval.Tensor out)
 
 and compile_merge_partial st op =
   let binop = Ir.str_attr op "op" in
-  let a_s = use_slot st op.Ir.operands.(0) in
-  let b_s = use_slot st op.Ir.operands.(1) in
-  let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
-    let p = ctx.Interp.profile in
-    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-    let av = get_rt gf iframe a_s in
-    let a = Rtval.as_tensor av in
-    let b = Rtval.as_tensor (get_rt gf iframe b_s) in
-    Interp.account_elementwise p (Tensor.num_elements a);
-    Tensor.map2_in_place binop a b;
-    set_rt gf iframe r av
+  if not (Hashtbl.mem st.in_place op.Ir.oid) then compile_elementwise st op binop
+  else begin
+    let a_s = use_slot st op.Ir.operands.(0) in
+    let b_s = use_slot st op.Ir.operands.(1) in
+    let r = def_slot st op.Ir.results.(0) in
+    fun ctx gf iframe ->
+      let p = ctx.Interp.profile in
+      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+      let av = get_rt gf iframe a_s in
+      let a = Rtval.as_tensor av in
+      let b = Rtval.as_tensor (get_rt gf iframe b_s) in
+      Interp.account_elementwise p (Tensor.num_elements a);
+      Tensor.map2_in_place binop a b;
+      set_rt gf iframe r av
+  end
+
+(* [op] followed by the return of the storage its planned values leave
+   behind (see [analyze]); the emptied slots hold [Token], so a stray
+   read fails loudly instead of seeing recycled data. *)
+and compile_recycling st (op : Ir.op) : instr =
+  let i = compile_op st op in
+  match Hashtbl.find_opt st.recycle op.Ir.oid with
+  | None -> i
+  | Some vs ->
+    let slots = Array.of_list (List.map (use_slot st) vs) in
+    fun ctx gf iframe ->
+      i ctx gf iframe;
+      for k = 0 to Array.length slots - 1 do
+        let s = Array.unsafe_get slots k in
+        match get_rt gf iframe s with
+        | Rtval.Tensor t ->
+          Tensor.Arena.release t;
+          set_rt gf iframe s Rtval.Token
+        | _ -> ()
+      done
 
 (* Compile a block's ops in program order (order matters: a definition
    must claim its slot before any use, otherwise the use would be
@@ -959,7 +1158,7 @@ and compile_block st (block : Ir.block) : instr array * int array option =
     if Ir.is_terminator last then begin
       let body = Array.make (n - 1) nop_instr in
       for i = 0 to n - 2 do
-        body.(i) <- compile_op st (Ir.op_at block i)
+        body.(i) <- compile_recycling st (Ir.op_at block i)
       done;
       let ts = Array.map (fun v -> use_slot st v) last.Ir.operands in
       (body, Some ts)
@@ -967,7 +1166,7 @@ and compile_block st (block : Ir.block) : instr array * int array option =
     else begin
       let body = Array.make n nop_instr in
       for i = 0 to n - 1 do
-        body.(i) <- compile_op st (Ir.op_at block i)
+        body.(i) <- compile_recycling st (Ir.op_at block i)
       done;
       (body, None)
     end
@@ -1127,9 +1326,12 @@ let compile_unit (region : Ir.region) : code =
       slots = Hashtbl.create 64;
       caps = [];
       in_place = Hashtbl.create 8;
+      recycle = Hashtbl.create 8;
     }
   in
-  List.iter (fun (op : Ir.op) -> Hashtbl.replace st.in_place op.Ir.oid ()) (in_place_ops region);
+  let plan = plan region in
+  List.iter (fun (op : Ir.op) -> Hashtbl.replace st.in_place op.Ir.oid ()) plan.in_place;
+  List.iter (fun ((op : Ir.op), vs) -> Hashtbl.replace st.recycle op.Ir.oid vs) plan.recycle;
   let block = Ir.entry_block region in
   let arg_slots = Array.map (fun v -> def_slot st v) block.Ir.args in
   let body, term = compile_block st block in

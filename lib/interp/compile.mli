@@ -41,6 +41,15 @@ val backend_of_ctx : Interp.ctx -> backend
     destination, like the tree-walker. DESIGN.md states the rule. *)
 val in_place_ops : Ir.region -> Ir.op list
 
+(** The storage compiled code returns to {!Tensor.Arena}, in program
+    order: each op with the values whose storage goes back after it. A
+    value is listed when it is owned and every use of it, at any depth,
+    only reads it (no in-place update, yield, return, view or hook keeps
+    its storage), and the op is the one of its defining block that holds
+    its last use. Fresh tensor results take their storage from the arena.
+    DESIGN.md states the rule. *)
+val recycled_after : Ir.region -> (Ir.op * Ir.value list) list
+
 (** A region resolved for execution under the currently selected backend:
     either the region itself (tree) or cached compiled code with its
     captured values resolved from the preparing context. *)

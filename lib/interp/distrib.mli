@@ -11,4 +11,9 @@
 val scatter : ?halo:int -> map:string -> Tensor.t -> Tensor.t array -> unit
 
 (** Concatenate per-PU buffers back into a tensor (inverse of ["block"]). *)
-val gather : Tensor.t array -> result_shape:int array -> dtype:Cinm_ir.Types.dtype -> Tensor.t
+val gather :
+  ?alloc:Tensor.alloc ->
+  Tensor.t array ->
+  result_shape:int array ->
+  dtype:Cinm_ir.Types.dtype ->
+  Tensor.t

@@ -204,8 +204,10 @@ let elementwise_names prefix =
 let cinm_elementwise = elementwise_names "cinm"
 let linalg_elementwise = elementwise_names "linalg"
 
-let is_elementwise name =
-  List.mem_assoc name cinm_elementwise || List.mem_assoc name linalg_elementwise
+let elementwise_binop name =
+  match List.assoc_opt name cinm_elementwise with
+  | Some _ as b -> b
+  | None -> List.assoc_opt name linalg_elementwise
 
 let scalar_result_dtype (op : Ir.op) =
   match (Ir.result op 0).Ir.ty with

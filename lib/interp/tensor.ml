@@ -41,6 +41,19 @@ let alloc_payload dtype n =
 let zeros shape dtype =
   { shape; dtype; data = alloc_payload dtype (Util.product_of_shape shape) }
 
+type alloc = int array -> Types.dtype -> t
+
+(* Payload layout classes: a dtype's ([alloc_payload]) and a payload's
+   own. They differ only for a tensor built with a payload that is not
+   its dtype's layout. *)
+let dtype_class = function
+  | Types.F32 | Types.F64 -> 3
+  | Types.I8 -> 1
+  | Types.I16 -> 2
+  | _ -> 0
+
+let payload_class = function I _ -> 0 | I8 _ -> 1 | I16 _ -> 2 | F _ -> 3
+
 let get_int t i =
   match t.data with
   | I a -> a.(i)
@@ -89,16 +102,6 @@ let init ?(dtype = Types.I32) shape f =
   | _ ->
     let n = Util.product_of_shape shape in
     { shape; dtype; data = I (Array.init n (fun i -> wrap dtype (f i))) }
-
-let copy t =
-  let data =
-    match t.data with
-    | I a -> I (Array.copy a)
-    | I8 b -> I8 (Bytes.copy b)
-    | I16 b -> I16 (Bytes.copy b)
-    | F a -> F (Array.copy a)
-  in
-  { t with data }
 
 let get t idx = get_int t (Util.linearize t.shape idx)
 let set t idx v = set_int t (Util.linearize t.shape idx) v
@@ -188,6 +191,32 @@ let zeros_like t =
   in
   { t with data }
 
+(* The kernels that return fresh tensors take an optional [alloc] for
+   their result (default [zeros]): compiled code passes {!Arena.alloc} so
+   the result can take recycled storage. A result that must keep its
+   operand's payload layout falls back to [zeros_like] when that layout
+   is not the dtype's, which [alloc] would produce. *)
+let alloc_like ?alloc t =
+  match alloc with
+  | Some f when payload_class t.data = dtype_class t.dtype -> f t.shape t.dtype
+  | _ -> zeros_like t
+
+let copy ?alloc t =
+  match (alloc, t.data) with
+  | None, I a -> { t with data = I (Array.copy a) }
+  | None, I8 b -> { t with data = I8 (Bytes.copy b) }
+  | None, I16 b -> { t with data = I16 (Bytes.copy b) }
+  | None, F a -> { t with data = F (Array.copy a) }
+  | Some _, _ ->
+    (* [alloc_like] keeps the payload layout, so the blit is exact *)
+    let out = alloc_like ?alloc t in
+    (match (t.data, out.data) with
+    | I a, I b -> Array.blit a 0 b 0 (Array.length a)
+    | F a, F b -> Array.blit a 0 b 0 (Array.length a)
+    | (I8 a | I16 a), (I8 b | I16 b) -> Bytes.blit a 0 b 0 (Bytes.length a)
+    | _ -> invalid_arg "Tensor.copy: layout mismatch");
+    out
+
 (* [out.(i) <- name a.(i) b.(i)] for every element. [out] has [a]'s shape
    and layout; it may be [a] itself, since each element is read before it
    is written. *)
@@ -223,23 +252,24 @@ let map2_to name a b out =
     done
   | _ -> invalid_arg "Tensor.map2: mixed payloads"
 
-let map2 name a b =
-  let out = zeros_like a in
+let map2 ?alloc name a b =
+  if a.shape <> b.shape then invalid_arg "Tensor.map2: shape mismatch";
+  let out = alloc_like ?alloc a in
   map2_to name a b out;
   out
 
 let map2_in_place name a b = map2_to name a b a
 
-let map_not a =
-  match a.data with
-  | I x -> { a with data = I (Array.map (fun v -> wrap a.dtype (lnot v)) x) }
-  | I8 _ | I16 _ ->
-    let out = zeros a.shape a.dtype in
+let map_not ?alloc a =
+  match (alloc, a.data) with
+  | None, I x -> { a with data = I (Array.map (fun v -> wrap a.dtype (lnot v)) x) }
+  | _, (I _ | I8 _ | I16 _) ->
+    let out = alloc_like ?alloc a in
     for i = 0 to num_elements a - 1 do
       set_int out i (lnot (get_int a i))
     done;
     out
-  | F _ -> invalid_arg "Tensor.map_not: float tensor"
+  | _, F _ -> invalid_arg "Tensor.map_not: float tensor"
 
 let fill_scalar shape dtype v =
   let t = zeros shape dtype in
@@ -261,10 +291,10 @@ let fill_float shape dtype v =
 
 (* ----- linear algebra ----- *)
 
-let matmul a b =
+let matmul ?(alloc = zeros) a b =
   match (a.shape, b.shape) with
   | [| m; k |], [| k'; n |] when k = k' ->
-    let out = zeros [| m; n |] a.dtype in
+    let out = alloc [| m; n |] a.dtype in
     (* i-p-j loop order: both the B row [y.(p*n + _)] and the accumulator
        row are walked with stride 1 (the j-inner order strides B by n and
        thrashes the cache for the 256-wide paper shapes). Each output
@@ -363,10 +393,10 @@ let matmul a b =
     out
   | _ -> invalid_arg "Tensor.matmul: shape mismatch"
 
-let matvec a v =
+let matvec ?(alloc = zeros) a v =
   match (a.shape, v.shape) with
   | [| m; n |], [| n' |] when n = n' ->
-    let out = zeros [| m |] a.dtype in
+    let out = alloc [| m |] a.dtype in
     (match out.data with
     | F _ ->
       for i = 0 to m - 1 do
@@ -682,14 +712,14 @@ let copy_region src ~src_off dst ~dst_off ~sizes =
     | _ -> slow ()
   else slow ()
 
-let pad t ~low ~high =
-  let out = zeros (Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape) t.dtype in
+let pad ?(alloc = zeros) t ~low ~high =
+  let out = alloc (Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape) t.dtype in
   let rank = Array.length t.shape in
   copy_region t ~src_off:(Array.make rank 0) out ~dst_off:low ~sizes:t.shape;
   out
 
-let extract_slice t ~offsets ~sizes =
-  let out = zeros sizes t.dtype in
+let extract_slice ?(alloc = zeros) t ~offsets ~sizes =
+  let out = alloc sizes t.dtype in
   copy_region t ~src_off:offsets out ~dst_off:(Array.make (Array.length sizes) 0) ~sizes;
   out
 
@@ -698,8 +728,8 @@ let write_slice src dst ~offsets =
     ~sizes:src.shape
 
 (* Value semantics: returns a fresh tensor with [src] written at [offsets]. *)
-let insert_slice src dst ~offsets =
-  let out = copy dst in
+let insert_slice ?alloc src dst ~offsets =
+  let out = copy ?alloc dst in
   write_slice src out ~offsets;
   out
 
@@ -925,25 +955,43 @@ module Arena = struct
   (* cap per free list: bounds arena growth when sizes never repeat *)
   let max_per_key = 64
 
-  let class_of_dtype = function
-    | Types.F32 | Types.F64 -> 3
-    | Types.I8 -> 1
-    | Types.I16 -> 2
-    | _ -> 0
+  (* cap on the bytes held across all free lists. Pooled storage is live
+     data to the GC, and the major heap settles at a multiple of the live
+     data, so every pooled byte costs several resident ones: the arena
+     keeps what the next allocations reuse (a tile loop's slices, a
+     launch's buffers), not every size it has ever seen. *)
+  let max_bytes = 2 lsl 20
+
+  let pooled_bytes = ref 0
+
+  (* Up to this many elements a tensor bypasses the arena: the minor heap
+     hands out blocks of up to 256 words faster than a locked lookup, and
+     the GC reclaims them young. Larger blocks go straight to the major
+     heap, which mallocs them; those are the ones worth recycling. *)
+  let small = 256
+
+  let payload_bytes = function
+    | I a -> Array.length a * (Sys.word_size / 8)
+    | F a -> Array.length a * 8
+    | I8 b | I16 b -> Bytes.length b
 
   let alloc shape dtype =
     let n = Util.product_of_shape shape in
     let recycled =
-      Mutex.lock lock;
-      let r =
-        match Hashtbl.find_opt pools (class_of_dtype dtype, n) with
-        | Some ({ contents = p :: tl } as r) ->
-          r := tl;
-          Some p
-        | _ -> None
-      in
-      Mutex.unlock lock;
-      r
+      if n <= small then None
+      else begin
+        Mutex.lock lock;
+        let r =
+          match Hashtbl.find_opt pools (dtype_class dtype, n) with
+          | Some ({ contents = p :: tl } as r) ->
+            r := tl;
+            pooled_bytes := !pooled_bytes - payload_bytes p;
+            Some p
+          | _ -> None
+        in
+        Mutex.unlock lock;
+        r
+      end
     in
     match recycled with
     | None -> zeros shape dtype
@@ -955,17 +1003,31 @@ module Arena = struct
       | F a -> Array.fill a 0 n 0.0);
       { shape; dtype; data = p }
 
+  (* keyed by the payload's own layout, so [alloc] hands out the layout
+     its dtype asks for even if a released tensor's dtype disagreed *)
   let release t =
-    let key = (class_of_dtype t.dtype, num_elements t) in
-    Mutex.lock lock;
-    (match Hashtbl.find_opt pools key with
-    | Some r -> if List.length !r < max_per_key then r := t.data :: !r
-    | None -> Hashtbl.replace pools key (ref [ t.data ]));
-    Mutex.unlock lock
+    let n = num_elements t in
+    if n > small then begin
+      let key = (payload_class t.data, n) and bytes = payload_bytes t.data in
+      Mutex.lock lock;
+      if !pooled_bytes + bytes <= max_bytes then begin
+        match Hashtbl.find_opt pools key with
+        | Some r ->
+          if List.length !r < max_per_key then begin
+            r := t.data :: !r;
+            pooled_bytes := !pooled_bytes + bytes
+          end
+        | None ->
+          Hashtbl.replace pools key (ref [ t.data ]);
+          pooled_bytes := !pooled_bytes + bytes
+      end;
+      Mutex.unlock lock
+    end
 
   let clear () =
     Mutex.lock lock;
     Hashtbl.reset pools;
+    pooled_bytes := 0;
     Mutex.unlock lock
 
   type stats = { keys : int; pooled : int; largest_pool : int }

@@ -136,6 +136,7 @@ type t = {
   start_time : float;
   rid_prefix : string;  (** correlation-id prefix, unique per daemon *)
   rid_ctr : int Atomic.t;
+  finished : int Atomic.t;  (** admitted requests finished, for [malloc_trim] *)
   m : handles;
   shutdown_flag : bool Atomic.t;  (** set by signals / the shutdown op *)
 }
@@ -460,6 +461,33 @@ let health_response srv (req : P.request) ~req_id =
       ("benchmarks", Json.List (List.map (fun n -> Json.String n) (Catalog.names ())));
     ]
 
+(* Peak resident set (VmHWM) of this process in kB, where the kernel
+   reports it. *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> None
+      | l when String.starts_with ~prefix:"VmHWM:" l ->
+        Scanf.sscanf_opt l "VmHWM: %d kB" Fun.id
+      | _ -> scan ()
+    in
+    Fun.protect ~finally:(fun () -> close_in_noerr ic) scan
+
+(* The daemon's own memory: the GC's heap and collection counts, and the
+   process's peak resident set when the kernel reports it. *)
+let heap_fields () =
+  let g = Gc.quick_stat () in
+  [
+    ("heap_words", Json.Int g.Gc.heap_words);
+    ("top_heap_words", Json.Int g.Gc.top_heap_words);
+    ("minor_collections", Json.Int g.Gc.minor_collections);
+    ("major_collections", Json.Int g.Gc.major_collections);
+  ]
+  @ match peak_rss_kb () with Some kb -> [ ("peak_rss_kb", Json.Int kb) ] | None -> []
+
 let stats_response srv (req : P.request) ~req_id =
   Mutex.lock srv.mutex;
   let degraded = srv.counters.degraded and rejected = srv.counters.rejected in
@@ -506,6 +534,7 @@ let stats_response srv (req : P.request) ~req_id =
             ("pooled", Json.Int ar.Tensor.Arena.pooled);
             ("largest_pool", Json.Int ar.Tensor.Arena.largest_pool);
           ] );
+      ("heap", Json.Obj (heap_fields ()));
     ]
 
 (* The telemetry registry as structured JSON: counters and gauges by
@@ -546,6 +575,14 @@ let metrics_response srv (req : P.request) ~req_id =
     ]
 
 (* ----- admission (event-loop side) ----- *)
+
+(* See malloc_trim.c: returns the C heap's free pages to the kernel.
+   Every [trim_period]-th finished request trims: the pages of freed
+   blocks never pile up for long, and the cost (the next allocations
+   fault their pages back in) falls on one request in eight. *)
+external malloc_trim : unit -> unit = "cinm_malloc_trim"
+
+let trim_period = 8
 
 let finish_request srv conn seq =
   Mutex.lock srv.mutex;
@@ -589,7 +626,10 @@ let admit srv conn (req : P.request) ~req_id =
         let t_start = Unix.gettimeofday () in
         M.record srv.m.hm_queue (t_start -. t_admit);
         Fun.protect
-          ~finally:(fun () -> finish_request srv conn seq)
+          ~finally:(fun () ->
+            finish_request srv conn seq;
+            (* after the response is out *)
+            if Atomic.fetch_and_add srv.finished 1 mod trim_period = 0 then malloc_trim ())
           (fun () ->
             Log.with_context req_id (fun () ->
                 let phases =
@@ -877,15 +917,14 @@ let create (opts : opts) : t =
   in
   (* With dedicated workers ([jobs > 0]) the daemon optimizes for request
      throughput: each request runs single-threaded as a task on one of
-     the pool's worker domains. A [jobs]-sized pool spawns
-     [max 1 (jobs - 1)] workers (the calling domain, which runs the
-     accept loop, never takes tasks), so that many requests execute at
-     once: one for [--jobs 1] and [--jobs 2]. The *default* pool is
-     shrunk to one, so a request's device loops (the simulators
-     parallel-for DPU lanes over the default pool) run inline instead of
-     contending — concurrent requests beat one request's DPU loop going
-     wide. With [jobs = 0] the daemon shares the default pool and keeps
-     the one-shot CLI behavior (a single request's launches go
+     the pool's worker domains. A pool that takes tasks spawns [jobs]
+     workers (the calling domain, which runs the accept loop, never
+     takes tasks), so [--jobs N] executes N requests at once. The
+     *default* pool is shrunk to one, so a request's device loops (the
+     simulators parallel-for DPU lanes over the default pool) run inline
+     instead of contending — concurrent requests beat one request's DPU
+     loop going wide. With [jobs = 0] the daemon shares the default pool
+     and keeps the one-shot CLI behavior (a single request's launches go
      parallel). *)
   let pool =
     if opts.jobs > 0 then begin
@@ -950,6 +989,7 @@ let create (opts : opts) : t =
              (opts.socket_path, Unix.getpid (), Unix.gettimeofday ())
           land 0xffffff);
       rid_ctr = Atomic.make 0;
+      finished = Atomic.make 0;
       m;
       shutdown_flag = Atomic.make false;
     }

@@ -18,6 +18,11 @@
      indices (they are short and a caller is blocked on them) and drain
      tasks otherwise. Returns [false] once shutdown has begun.
 
+   Workers: a submitter never runs tasks (the serve daemon's event loop
+   only admits them), so a pool that has taken a task has [jobs] worker
+   domains and runs up to [jobs] tasks at once. A pool that only runs
+   loops has [jobs - 1], the loop's caller being the last domain.
+
    Sizing: [CINM_JOBS] in the environment, or [set_default_jobs] (the
    bench harness's [--jobs] flag), or [Domain.recommended_domain_count].
 
@@ -117,15 +122,14 @@ let worker_loop p =
   done;
   Mutex.unlock p.mutex
 
-(* Must be called with the mutex held. [min_workers] lets [submit] insist
-   on at least one worker even on a 1-job pool, so tasks always make
-   progress (parallel-for on a 1-job pool stays sequential regardless). *)
-let ensure_workers ?(min_workers = 0) p =
-  if p.workers = [] && not p.shutting_down then begin
-    let n = max min_workers (p.jobs - 1) in
-    if n > 0 then
-      p.workers <- List.init n (fun _ -> Domain.spawn (fun () -> worker_loop p))
-  end
+(* Must be called with the mutex held. Grows the pool to [n] workers,
+   never shrinks it: [submit] asks for [jobs], [run] for [jobs - 1] (see
+   "Workers" above). *)
+let ensure_workers p n =
+  let have = List.length p.workers in
+  if have < n && not p.shutting_down then
+    p.workers <-
+      List.init (n - have) (fun _ -> Domain.spawn (fun () -> worker_loop p)) @ p.workers
 
 let submit p task =
   Mutex.lock p.mutex;
@@ -135,7 +139,7 @@ let submit p task =
   end
   else begin
     Queue.push task p.tasks;
-    ensure_workers ~min_workers:1 p;
+    ensure_workers p p.jobs;
     Condition.broadcast p.has_work;
     Mutex.unlock p.mutex;
     true
@@ -203,7 +207,7 @@ let run p n f =
       done
     end
     else begin
-      ensure_workers p;
+      ensure_workers p (p.jobs - 1);
       p.busy <- true;
       p.body <- Some f;
       p.next <- 0;

@@ -11,32 +11,38 @@
     [submit p task] enqueues an independent background task (the serve
     daemon's unit of request execution). Workers prefer parallel-for
     indices over tasks, so a task that issues [run] internally is served
-    by whichever workers are free. *)
+    by whichever workers are free.
+
+    One worker rule: every domain that runs submitted tasks is a worker,
+    and the submitter is never counted as one. A pool of [jobs] domains
+    that has taken a task therefore runs up to [jobs] tasks at once. *)
 
 type t
 
-(** [create ?jobs ()] makes a pool of [jobs] domains (including the
-    caller); defaults to [Domain.recommended_domain_count]. Worker
-    domains are spawned lazily on first parallel [run] or [submit]. *)
+(** [create ?jobs ()] makes a pool of [jobs] domains; defaults to
+    [Domain.recommended_domain_count]. Worker domains are spawned lazily:
+    [jobs - 1] on the first parallel [run] (its caller is the last
+    domain), [jobs] on the first [submit]. *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
 
 val run : t -> int -> (int -> unit) -> unit
 
-(** Enqueue a background task; at least one worker domain is spawned even
-    on a 1-job pool so tasks always make progress. Returns [false] (task
-    not accepted) once {!shutdown} has begun. A task that raises is
-    contained and logged; it can never kill its worker. *)
+(** Enqueue a background task. The pool grows to [jobs] worker domains
+    (one on a 1-job pool), so up to [jobs] tasks execute at once and the
+    caller never runs one. Returns [false] (task not accepted) once
+    {!shutdown} has begun. A task that raises is contained and logged; it
+    can never kill its worker. *)
 val submit : t -> (unit -> unit) -> bool
 
 (** Tasks accepted but not yet finished (queued + executing). *)
 val pending : t -> int
 
 (** One consistent sample of the pool's load, for gauges: worker domains
-    spawned so far (0 until the first [submit] or parallel [run]; a
-    [submit] spawns [max 1 (jobs - 1)], the calling domain being the
-    rest), tasks still queued, tasks executing, and whether a
+    spawned so far (0 until the first [submit] or parallel [run]; [jobs]
+    once a task was submitted, [jobs - 1] while only parallel [run]s
+    happened), tasks still queued, tasks executing, and whether a
     parallel-for is in flight. *)
 type stats = { st_workers : int; st_queued : int; st_active : int; st_par_busy : bool }
 

@@ -395,6 +395,174 @@ let test_in_place_scalar_insert () =
   Alcotest.(check (list string)) "insert goes in place" [ "tensor.insert" ]
     (in_place_parity "scalar insert" f [])
 
+(* ----- recycled storage ----- *)
+
+(* Run [f] under both backends: results and profiles must be equal and
+   the inputs unchanged. Then run it compiled twice more: the second run
+   draws from the arena whatever the first returned to it, so storage
+   recycled while still reachable (a result, an argument, a hook's
+   tensor) would show as a changed first result. Returns the producer
+   of every value compiled code recycles, in program order: the op name,
+   or "arg" for a block argument. *)
+let recycling_parity ?(hooks = []) name (f : Func.t) inputs =
+  let before = List.map Tensor.copy inputs in
+  let run () = Compile.run_func ~hooks f (List.map (fun t -> Rtval.Tensor t) inputs) in
+  let tensors rs = List.map Rtval.as_tensor rs in
+  differential run (fun (r1, p1) (r2, p2) ->
+      check_tensors (name ^ ": results") (tensors r1) (tensors r2);
+      Alcotest.(check bool) (name ^ ": profiles") true (Profile.equal p1 p2));
+  let expect, _ = with_backend Compile.Tree run in
+  with_backend Compile.Compiled (fun () ->
+      let first, _ = run () in
+      ignore (run ());
+      check_tensors (name ^ ": results after another run") (tensors expect) (tensors first));
+  check_tensors (name ^ ": inputs unchanged") before inputs;
+  List.concat_map
+    (fun (_, vs) ->
+      List.map
+        (fun (v : Ir.value) ->
+          match v.Ir.def with Ir.Op_result (op, _) -> op.Ir.name | Ir.Block_arg _ -> "arg")
+        vs)
+    (Compile.recycled_after f.Func.body)
+
+(* f(a : 32x32, b : 32x32) -> results of [body]. 32x32 is over the
+   arena's small-tensor bound, so these tensors are worth recycling. *)
+let square = [| 32; 32 |]
+
+let pair_func ~results body =
+  let f =
+    Func.create ~name:"rec" ~arg_tys:[ tensor square; tensor square ]
+      ~result_tys:(List.init results (fun _ -> tensor square))
+  in
+  let b = Builder.for_func f in
+  Func_d.return b (body b (Func.param f 0) (Func.param f 1));
+  f
+
+let counted_loop b ~trips ~init body =
+  Scf_d.for_ b ~lb:(Arith.const_index b 0) ~ub:(Arith.const_index b trips)
+    ~step:(Arith.const_index b 1) ~init body
+
+let test_recycle_keeps_live_storage () =
+  let a = iota square and base = Tensor.init square (fun i -> 100 + i) in
+  let copy_of b t = Tensor_d.extract_slice b t ~offsets:[| 0; 0 |] ~sizes:square ~dyn_offsets:[] in
+  let cases =
+    [
+      (* arguments belong to the caller *)
+      ("function arguments", [], pair_func ~results:1 (fun b a base -> [ Cinm_d.add b a base ]));
+      (* the function's results outlive it *)
+      ( "returned values",
+        [],
+        pair_func ~results:2 (fun b a base ->
+            let d = Cinm_d.add b a base in
+            [ d; Cinm_d.mul b d d ]) );
+      (* a view shares its source's storage *)
+      ( "through tensor.reshape",
+        [ "cinm.add" ],
+        pair_func ~results:1 (fun b a base ->
+            let d = Cinm_d.sub b a base in
+            let v = Tensor_d.reshape b d square in
+            [ Cinm_d.add b (Cinm_d.add b v v) base ]) );
+      ( "through cinm.expand",
+        [ "cinm.add" ],
+        pair_func ~results:1 (fun b a base ->
+            let d = Cinm_d.sub b a base in
+            let v = Cinm_d.expand b d ~shape:square in
+            [ Cinm_d.add b (Cinm_d.add b v v) base ]) );
+      (* a loop-carried value yielded unchanged is never released; the
+         accumulator is released on each trip after its last read, and
+         the loop result is returned *)
+      ( "loop-carried values",
+        [ "arg"; "tensor.extract_slice" ],
+        pair_func ~results:2 (fun b a base ->
+            let acc = Cinm_d.sub b a a in
+            let kept = Cinm_d.add b a base in
+            let r =
+              counted_loop b ~trips:3 ~init:[ acc; kept ] (fun bb _ it ->
+                  let s = copy_of bb base in
+                  [ Cinm_d.add bb it.(0) s; it.(1) ])
+            in
+            r) );
+      (* released after its last read, not its first *)
+      ( "read twice",
+        [ "cinm.sub"; "cinm.add"; "cinm.add" ],
+        pair_func ~results:1 (fun b a base ->
+            let d = Cinm_d.sub b a base in
+            let e = Cinm_d.add b d a in
+            [ Cinm_d.mul b (Cinm_d.add b d e) a ]) );
+      (* read on every trip of a loop: released after the loop, not
+         inside it *)
+      ( "read by every trip",
+        [ "tensor.extract_slice" ],
+        pair_func ~results:1 (fun b a base ->
+            let s = copy_of b base in
+            counted_loop b ~trips:3 ~init:[ a ] (fun bb _ it -> [ Cinm_d.add bb it.(0) s ])) );
+    ]
+  in
+  List.iter
+    (fun (name, expect, f) ->
+      Alcotest.(check (list string)) (name ^ ": recycled") expect
+        (recycling_parity name f [ a; base ]))
+    cases
+
+(* A hook's tensor result is not owned: the hook may keep it (here it
+   returns the same tensor on every call), so compiled code must never
+   hand it to the arena even when it dies unread by anything else. *)
+let test_recycle_skips_hook_results () =
+  let held = iota square in
+  let snapshot = Tensor.copy held in
+  let hook : Interp.hook =
+   fun _ op _ ->
+    match op.Ir.name with "test.held" -> Some [ Rtval.Tensor held ] | _ -> None
+  in
+  let f =
+    pair_func ~results:1 (fun b a _ ->
+        let h = Builder.build1 b "test.held" ~result_tys:[ tensor square ] in
+        [ Cinm_d.add b (Cinm_d.add b h a) a ])
+  in
+  Alcotest.(check (list string)) "only the fresh sum is recycled" [ "cinm.add" ]
+    (recycling_parity ~hooks:[ hook ] "hook result" f [ iota square; iota square ]);
+  check_tensors "the hook's tensor is untouched" [ snapshot ] [ held ]
+
+(* The cinm-to-memristor tile loop: every temporary of a trip (weight
+   and input slices, the gemm_tile result, the slice merged into) goes
+   back to the arena; the loop-carried accumulator is written in place
+   and returned. *)
+let test_recycle_tile_loop () =
+  let f =
+    Func.create ~name:"tiles"
+      ~arg_tys:[ tensor [| 64; 32 |]; tensor square ]
+      ~result_tys:[ tensor [| 64; 32 |] ]
+  in
+  let b = Builder.for_func f in
+  let x = Func.param f 0 and w = Func.param f 1 in
+  let dev = Memristor_d.alloc b ~rows:32 ~cols:32 ~tiles:1 in
+  let acc = Tensor_d.empty b [| 64; 32 |] T.I32 in
+  let r =
+    counted_loop b ~trips:2 ~init:[ acc ] (fun bb i it ->
+        let row = Arith.muli bb i (Arith.const_index bb 32) and c0 = Arith.const_index bb 0 in
+        let slice src = Tensor_d.extract_slice bb src ~offsets:[| 0; 0 |] ~sizes:square in
+        Memristor_d.store_tile bb dev ~tile:0 (slice w ~dyn_offsets:[ c0; c0 ]);
+        Memristor_d.copy_tile bb dev ~tile:0 (slice x ~dyn_offsets:[ row; c0 ]);
+        let out = Memristor_d.gemm_tile bb dev ~tile:0 ~result_ty:(tensor square) in
+        let part = slice it.(0) ~dyn_offsets:[ row; c0 ] in
+        let m = Cinm_d.merge_partial bb ~op:"add" part out in
+        [ Tensor_d.insert_slice bb m it.(0) ~offsets:[| 0; 0 |] ~dyn_offsets:[ row; c0 ] ])
+  in
+  Memristor_d.release b dev;
+  Func_d.return b r;
+  (* every run gets a fresh machine (at its memristor.alloc): stats and
+     tiles are per run *)
+  let machine () = Cinm_memristor_sim.Machine.create (Cinm_memristor_sim.Config.default ()) in
+  let m = ref (machine ()) in
+  let hook ctx (op : Ir.op) ops =
+    if op.Ir.name = "memristor.alloc" then m := machine ();
+    Cinm_memristor_sim.Machine.hook !m ctx op ops
+  in
+  Alcotest.(check (list string)) "every trip temporary is recycled"
+    [ "tensor.extract_slice"; "tensor.extract_slice"; "memristor.gemm_tile";
+      "cinm.merge_partial" ]
+    (recycling_parity ~hooks:[ hook ] "tile loop" f [ iota [| 64; 32 |]; iota square ])
+
 (* ----- error parity ----- *)
 
 let catch run =
@@ -650,6 +818,13 @@ let () =
             test_in_place_keeps_copies;
           Alcotest.test_case "tile accumulate loop" `Quick test_in_place_tile_accumulate;
           Alcotest.test_case "scalar insert loop" `Quick test_in_place_scalar_insert;
+        ] );
+      ( "recycling",
+        [ Alcotest.test_case "live storage is never recycled" `Quick
+            test_recycle_keeps_live_storage;
+          Alcotest.test_case "hook results are not recycled" `Quick
+            test_recycle_skips_hook_results;
+          Alcotest.test_case "tile loop temporaries are recycled" `Quick test_recycle_tile_loop;
         ] );
       ( "defaults",
         [ Alcotest.test_case "backend reads the Config default" `Quick

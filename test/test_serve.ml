@@ -177,9 +177,10 @@ let test_pool_tasks () =
   Pool.run p 10 (fun i -> ignore (Atomic.fetch_and_add sum i));
   Alcotest.(check int) "post-shutdown run" 45 (Atomic.get sum)
 
-(* The pool's gauges count the worker domains it really spawned: a
-   jobs-sized pool keeps the calling domain, so [--jobs 2] has one worker
-   and a single running task is full utilization. *)
+(* The pool's gauges count the worker domains it really spawned. Every
+   domain that runs tasks is a worker and the submitter is not one, so
+   [--jobs 2] has two workers; a pool that only ran loops has [jobs - 1]
+   (the loop's caller is the last domain) and grows on its first task. *)
 let test_pool_stats () =
   let p = Pool.create ~jobs:2 () in
   Alcotest.(check int) "no workers before the first task" 0 (Pool.stats p).Pool.st_workers;
@@ -197,7 +198,7 @@ let test_pool_stats () =
     Domain.cpu_relax ()
   done;
   let s = Pool.stats p in
-  Alcotest.(check int) "jobs 2 spawns one worker" 1 s.Pool.st_workers;
+  Alcotest.(check int) "jobs 2 spawns two workers" 2 s.Pool.st_workers;
   Alcotest.(check int) "the task is executing" 1 s.Pool.st_active;
   Mutex.lock m;
   release := true;
@@ -206,8 +207,48 @@ let test_pool_stats () =
   Pool.shutdown p;
   let p4 = Pool.create ~jobs:4 () in
   ignore (Pool.submit p4 ignore);
-  Alcotest.(check int) "jobs 4 spawns three workers" 3 (Pool.stats p4).Pool.st_workers;
-  Pool.shutdown p4
+  Alcotest.(check int) "jobs 4 spawns four workers" 4 (Pool.stats p4).Pool.st_workers;
+  Pool.shutdown p4;
+  let p3 = Pool.create ~jobs:3 () in
+  Pool.run p3 8 ignore;
+  Alcotest.(check int) "a loop spawns jobs - 1 workers" 2 (Pool.stats p3).Pool.st_workers;
+  ignore (Pool.submit p3 ignore);
+  Alcotest.(check int) "the first task grows the pool to jobs" 3
+    (Pool.stats p3).Pool.st_workers;
+  Pool.shutdown p3
+
+(* A [jobs:2] pool runs two submitted tasks at once: both reach a
+   barrier that opens only when two tasks are executing. With one worker
+   the second task would wait in the queue and the barrier would never
+   open, so the wait is bounded and the failure names the counts. *)
+let test_pool_runs_jobs_tasks () =
+  let p = Pool.create ~jobs:2 () in
+  let m = Mutex.create () and go = Condition.create () in
+  let arrived = ref 0 and release = ref false in
+  let task () =
+    Mutex.lock m;
+    incr arrived;
+    Condition.broadcast go;
+    while not !release do
+      Condition.wait go m
+    done;
+    Mutex.unlock m
+  in
+  ignore (Pool.submit p task);
+  ignore (Pool.submit p task);
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let both () = Mutex.protect m (fun () -> !arrived = 2) in
+  while (not (both ())) && Unix.gettimeofday () < deadline do
+    Thread.delay 0.001
+  done;
+  let s = Pool.stats p in
+  Mutex.protect m (fun () ->
+      release := true;
+      Condition.broadcast go);
+  Pool.shutdown p;
+  Alcotest.(check int) "both tasks reached the barrier" 2 !arrived;
+  Alcotest.(check int) "two tasks executing" 2 s.Pool.st_active;
+  Alcotest.(check int) "none queued" 0 s.Pool.st_queued
 
 (* ----- the daemon, end to end ----- *)
 
@@ -220,10 +261,10 @@ let fresh_socket () =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   path
 
-let with_daemon ?(opts_f = fun o -> o) f =
+let with_daemon ?(jobs = 2) ?(opts_f = fun o -> o) f =
   let socket = fresh_socket () in
   let opts = opts_f (Server.default_opts ~socket_path:socket ()) in
-  let opts = { opts with Server.socket_path = socket; jobs = 2 } in
+  let opts = { opts with Server.socket_path = socket; jobs } in
   let srv = Server.create opts in
   let thread = Thread.create Server.run srv in
   Fun.protect
@@ -312,7 +353,21 @@ let test_daemon_basics () =
           Alcotest.(check bool) "served some" true
             (match Json.int_field st "served" with
             | Some n -> n >= 5
-            | None -> false)))
+            | None -> false);
+          (* the daemon's own memory, not its client's *)
+          match Json.member "heap" st with
+          | None -> Alcotest.fail "stats without heap"
+          | Some h ->
+            let field k = Option.value (Json.int_field h k) ~default:(-1) in
+            Alcotest.(check bool) "heap words counted" true (field "heap_words" > 0);
+            Alcotest.(check bool) "top heap covers the heap" true
+              (field "top_heap_words" >= field "heap_words");
+            Alcotest.(check bool) "minor collections counted" true
+              (field "minor_collections" > 0);
+            Alcotest.(check bool) "major collections counted" true
+              (field "major_collections" >= 0);
+            Alcotest.(check bool) "peak RSS where the kernel reports it" true
+              (Sys.file_exists "/proc/self/status" = (field "peak_rss_kb" > 0))))
 
 let test_daemon_errors () =
   with_daemon
@@ -495,6 +550,62 @@ let test_daemon_concurrent_configs () =
               (Printf.sprintf "thread %d: %s" k msg))
         failures)
 
+(* Concurrent runs of one cached (benchmark, backend) pair share the
+   pipeline cache, the code cache and the tensor arena. On --jobs 2 and
+   --jobs 4, 2 x jobs clients send the same checked run on the compiled
+   interpreter at once: every reply must pass the host-reference check
+   and equal the sequential reply field for field (simulated times,
+   report counters, tracks), apart from the per-request id and the cache
+   state. *)
+let test_daemon_concurrent_oracle () =
+  let comparable r =
+    match r with
+    | Json.Obj fields ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> not (List.mem k [ "req_id"; "id"; "cache" ])) fields))
+    | j -> Json.to_string j
+  in
+  List.iter
+    (fun jobs ->
+      with_daemon ~jobs (fun socket ->
+          List.iter
+            (fun (benchmark, backend) ->
+              let req =
+                Client.make_request ~benchmark ~backend ~interp:"compiled" ~check:true "run"
+              in
+              let c = Client.connect ~attempts:40 socket in
+              let sequential =
+                Fun.protect
+                  ~finally:(fun () -> Client.close c)
+                  (fun () ->
+                    ignore (Client.request c req);
+                    Client.request c req)
+              in
+              let pair = Printf.sprintf "%s@%s, jobs %d" benchmark backend jobs in
+              Alcotest.(check (option bool)) (pair ^ ": sequential ok") (Some true)
+                (Json.bool_field sequential "ok");
+              let expect = comparable sequential in
+              let clients = 2 * jobs and per = 3 in
+              let replies = Array.make clients [] in
+              let threads =
+                List.init clients (fun k ->
+                    Thread.create
+                      (fun () ->
+                        let c = Client.connect ~attempts:40 socket in
+                        Fun.protect
+                          ~finally:(fun () -> Client.close c)
+                          (fun () ->
+                            replies.(k) <- List.init per (fun _ -> Client.request c req)))
+                      ())
+              in
+              List.iter Thread.join threads;
+              Array.iter
+                (List.iter (fun r ->
+                     Alcotest.(check string) (pair ^ ": concurrent reply") expect (comparable r)))
+                replies)
+            [ ("va", "upmem"); ("bfs", "cim"); ("mv", "cim"); ("2mm", "hetero") ]))
+    [ 2; 4 ]
+
 let test_daemon_admission_and_shutdown () =
   with_daemon
     ~opts_f:(fun o -> { o with Server.max_inflight = 1 })
@@ -596,11 +707,11 @@ let test_daemon_metrics_endpoint () =
           | Some (Json.Obj fields) ->
             Alcotest.(check bool) "uptime gauge present" true
               (List.mem_assoc "cinm_serve_uptime_seconds" fields);
-            (* the daemon runs --jobs 2: one worker domain *)
+            (* the daemon runs --jobs 2: two worker domains *)
             Alcotest.(check bool) "pool workers gauge counts spawned workers" true
               (match List.assoc_opt "cinm_serve_pool_workers" fields with
-              | Some (Json.Float w) -> w = 1.0
-              | Some (Json.Int w) -> w = 1
+              | Some (Json.Float w) -> w = 2.0
+              | Some (Json.Int w) -> w = 2
               | _ -> false)
           | _ -> Alcotest.fail "no gauges object")))
 
@@ -727,6 +838,8 @@ let () =
       ( "pool",
         [ Alcotest.test_case "tasks" `Quick test_pool_tasks;
           Alcotest.test_case "stats count spawned workers" `Quick test_pool_stats;
+          Alcotest.test_case "jobs 2 runs two tasks at once" `Quick
+            test_pool_runs_jobs_tasks;
         ] );
       ( "daemon",
         [
@@ -737,6 +850,8 @@ let () =
           Alcotest.test_case "base fault plan" `Quick test_daemon_base_faults;
           Alcotest.test_case "concurrent configs" `Quick
             test_daemon_concurrent_configs;
+          Alcotest.test_case "concurrent runs match sequential" `Quick
+            test_daemon_concurrent_oracle;
           Alcotest.test_case "admission+shutdown" `Quick
             test_daemon_admission_and_shutdown;
           Alcotest.test_case "shutdown rejects" `Quick
