@@ -17,10 +17,9 @@
      ops still overlap across the machine's h2d/kernel/d2h engines
      (double-buffered DMA), while per-channel serialization keeps each
      engine's events in program order.
-   - Ready nodes execute on the shared {!Cinm_support.Pool}: one
-     parallel-for whose every index runs the same worker loop, the
-     calling domain included, so progress never depends on a pool worker
-     being free. Every node evaluates in a private context whose
+   - Ready nodes execute on the shared {!Cinm_support.Pool} (helper
+     tasks plus the calling domain, so progress never depends on a
+     worker being free). Every node evaluates in a private context whose
      environment is staged from a mutex-protected results table, with a
      private profile; profiles are merged in program order afterwards, so
      the merged profile is independent of the interleaving.
@@ -288,10 +287,12 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
     let cond = Condition.create () in
     let ready = Queue.create () in
     Array.iter (fun node -> if indeg.(node.id) = 0 then Queue.push node.id ready) nodes;
-    let remaining = ref n in
+    let remaining = ref n and executing = ref 0 in
     let failure = ref None in
     (* Worker loop: claim a ready node, run it, release its successors.
-       Exits once everything ran or a node failed. *)
+       Exits once everything ran or a node failed; the calling domain runs
+       the same loop, so completion never depends on pool workers being
+       free (the pool may be busy serving the node's own DPU lanes). *)
     let worker () =
       Mutex.lock slock;
       let continue_ = ref true in
@@ -301,6 +302,7 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
           match Queue.take_opt ready with
           | None -> Condition.wait cond slock
           | Some i ->
+            incr executing;
             Mutex.unlock slock;
             let res =
               try
@@ -309,6 +311,7 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
               with e -> Some (e, Printexc.get_raw_backtrace ())
             in
             Mutex.lock slock;
+            decr executing;
             (match res with
             | Some _ when !failure = None -> failure := res
             | _ -> ());
@@ -323,12 +326,19 @@ let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
       Condition.broadcast cond;
       Mutex.unlock slock
     in
-    (* the loop's caller plus up to [jobs - 1] helpers; [Pool.run]
-       returns once every loop has, so machines and tables are quiescent.
-       A node's own DPU launches run inline meanwhile (the pool is busy) *)
-    let loops = min (Pool.jobs pool) (1 + max 1 (n / 2)) in
-    Pool.run pool loops (fun _ -> worker ());
-    match !failure with
+    let extra = min (Pool.jobs pool - 1) (max 1 (n / 2)) in
+    for _ = 1 to extra do
+      Pool.help pool worker
+    done;
+    worker ();
+    (* wait for in-flight workers so machines and tables are quiescent *)
+    Mutex.lock slock;
+    while !executing > 0 do
+      Condition.wait cond slock
+    done;
+    let fail = !failure in
+    Mutex.unlock slock;
+    match fail with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> ()
   end;

@@ -169,9 +169,6 @@ let nop_instr : instr = fun _ _ _ -> ()
 let rt_true = Rtval.Bool true
 let rt_false = Rtval.Bool false
 
-(* Where compiled code takes the storage of fresh tensor results. *)
-let alloc = Tensor.Arena.alloc
-
 (* ----- frame access (slot ids are compile-time constants, bounds are
    guaranteed by construction, so accesses are unsafe) ----- *)
 
@@ -205,13 +202,6 @@ let seti (gf : Rtval.t array) (iframe : int array) s v =
 let move (gf : Rtval.t array) (iframe : int array) dst src =
   if dst >= 0 then Array.unsafe_set gf dst (get_rt gf iframe src)
   else Array.unsafe_set iframe (-1 - dst) (geti gf iframe src)
-
-(* Static offsets plus the dynamic ones in [dyn_s]. A dynamic-offset
-   count that is not the rank fails in the tree-walker at runtime, so the
-   op compilers punt on it. *)
-let dyn_offsets gf iframe offsets dyn_s =
-  if Array.length dyn_s = 0 then offsets
-  else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
 
 (* Free values of [op]'s nested regions: operands used under the op's
    entry blocks (the only blocks the interpreter ever evaluates) that are
@@ -285,16 +275,18 @@ let free_values (op : Ir.op) : Ir.value list =
    its last use. Fresh results take their storage from the arena, so
    what a unit returns it draws again. *)
 
-(* Ops whose tensor results are always fresh storage. Compiled code
-   allocates them from the arena; the memristor hook does too. *)
+(* Ops whose tensor results are always fresh storage. Their kernels, and
+   the memristor and UPMEM hooks, take that storage from the arena. *)
 let fresh_result name =
+  Interp.is_elementwise name
+  ||
   match name with
   | "tensor.empty" | "tensor.extract_slice" | "tensor.pad" | "tensor.insert_slice"
   | "tensor.insert" | "cinm.merge_partial" | "cinm.not" | "tosa.add" | "cinm.gemm"
   | "linalg.matmul" | "tosa.matmul" | "cinm.gemv" | "linalg.matvec"
   | "memristor.gemm_tile" | "upmem.gather" ->
     true
-  | _ -> Interp.elementwise_binop name <> None
+  | _ -> false
 
 (* The operand an update op writes into when it runs in place. *)
 let update_dest = function
@@ -320,7 +312,7 @@ let reads_only (op : Ir.op) pos ~in_place =
   | "tosa.add" | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" | "cinm.gemv"
   | "linalg.matvec" ->
     pos <= 1
-  | name -> pos <= 1 && Interp.elementwise_binop name <> None
+  | name -> pos <= 1 && Interp.is_elementwise name
 
 (* The yield of an [scf.for] that carries values and that [compile_for]
    compiles natively. *)
@@ -654,47 +646,18 @@ and compile_native st (op : Ir.op) : instr option =
   | "memref.alloc" | "upmem.wram_alloc" -> Some (compile_alloc st op)
   | "memref.load" | "tensor.extract" -> Some (compile_indexed_load st op)
   | "memref.store" -> Some (compile_store st op)
-  | "tensor.empty" -> Some (compile_empty st op)
-  | "tensor.extract_slice" -> Some (compile_extract_slice st op)
-  | "tensor.pad" ->
-    let low = Ir.ints_attr op "low" and high = Ir.ints_attr op "high" in
-    Some
-      (compile_fresh st op 1 (fun p ts ->
-           Interp.account_move p (Tensor.num_elements ts.(0));
-           Tensor.pad ~alloc ts.(0) ~low ~high))
-  | "tensor.insert_slice" -> Some (compile_insert_slice st op)
-  | "tensor.insert" -> Some (compile_insert st op)
-  | "cinm.merge_partial" -> Some (compile_merge_partial st op)
-  | "cinm.not" ->
-    Some
-      (compile_fresh st op 1 (fun p ts ->
-           Interp.account_elementwise p (Tensor.num_elements ts.(0));
-           Tensor.map_not ~alloc ts.(0)))
-  | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" ->
-    Some
-      (compile_fresh st op 2 (fun p ts ->
-           (match (ts.(0).Tensor.shape, ts.(1).Tensor.shape) with
-           | [| m; k |], [| _; n |] -> Interp.account_matmul p m n k
-           | _ -> ());
-           Tensor.matmul ~alloc ts.(0) ts.(1)))
-  | "cinm.gemv" | "linalg.matvec" ->
-    Some
-      (compile_fresh st op 2 (fun p ts ->
-           (match ts.(0).Tensor.shape with
-           | [| m; n |] -> Interp.account_matmul p m 1 n
-           | _ -> ());
-           Tensor.matvec ~alloc ts.(0) ts.(1)))
-  | "tosa.add" -> Some (compile_elementwise st op "add")
+  | "tensor.insert_slice" when Hashtbl.mem st.in_place op.Ir.oid ->
+    Some (compile_insert_slice st op)
+  | "tensor.insert" when Hashtbl.mem st.in_place op.Ir.oid -> Some (compile_insert st op)
+  | "cinm.merge_partial" when Hashtbl.mem st.in_place op.Ir.oid ->
+    Some (compile_merge_partial st op)
   | name -> (
-    match Interp.elementwise_binop name with
-    | Some binop -> Some (compile_elementwise st op binop)
+    match int_binop_spec name with
+    | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
     | None -> (
-      match int_binop_spec name with
-      | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
-      | None -> (
-        match float_binop_fn name with
-        | Some f -> Some (compile_float_bin st op f)
-        | None -> None)))
+      match float_binop_fn name with
+      | Some f -> Some (compile_float_bin st op f)
+      | None -> None))
 
 and compile_constant st op =
   match Ir.attr_exn op "value" with
@@ -1014,61 +977,16 @@ and compile_store st op =
       p.Profile.stores <- p.Profile.stores + 1;
       Tensor.set m idx v
 
-(* The [fresh_result] ops: the same operand reads, errors and profile
-   increments as their [Interp.eval_op] case, but results take their
-   storage from the arena, and an update whose destination [analyze]
-   found owned and dead writes into it instead of into a copy. *)
-
-(* An op of one result computed from its first [n] operands, all
-   tensors: [f p operands] accounts and returns the result. *)
-and compile_fresh st op n f =
-  if Ir.num_results op <> 1 || Ir.num_operands op < n then raise Punt;
-  let srcs = Array.init n (fun i -> use_slot st op.Ir.operands.(i)) in
-  let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
-    let p = ctx.Interp.profile in
-    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-    let ts = Array.map (fun s -> Rtval.as_tensor (get_rt gf iframe s)) srcs in
-    set_rt gf iframe r (Rtval.Tensor (f p ts))
-
-and compile_elementwise st op binop =
-  compile_fresh st op 2 (fun p ts ->
-      Interp.account_elementwise p (Tensor.num_elements ts.(0));
-      Tensor.map2 ~alloc binop ts.(0) ts.(1))
-
-and compile_empty st op =
-  match (Ir.result op 0).Ir.ty with
-  | Types.Tensor (shape, dt) when Ir.num_results op = 1 ->
-    let r = def_slot st op.Ir.results.(0) in
-    fun ctx gf iframe ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      set_rt gf iframe r (Rtval.Tensor (alloc shape dt))
-  | _ -> raise Punt
-
-and compile_extract_slice st op =
-  let offsets = Ir.ints_attr op "offsets" and sizes = Ir.ints_attr op "sizes" in
-  let n_dyn = Ir.num_operands op - 1 in
-  if n_dyn < 0 || (n_dyn <> 0 && n_dyn <> Array.length offsets) || Ir.num_results op <> 1
-  then raise Punt;
-  let src_s = use_slot st op.Ir.operands.(0) in
-  let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 1)) in
-  let r = def_slot st op.Ir.results.(0) in
-  let moved = Array.fold_left ( * ) 1 sizes in
-  fun ctx gf iframe ->
-    let p = ctx.Interp.profile in
-    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-    let src = Rtval.as_tensor (get_rt gf iframe src_s) in
-    let offsets = dyn_offsets gf iframe offsets dyn_s in
-    Interp.account_move p moved;
-    set_rt gf iframe r (Rtval.Tensor (Tensor.extract_slice ~alloc src ~offsets ~sizes))
-
+(* The in-place forms of the three update ops (see [in_place_ops]):
+   the same operand reads, errors and profile increments as their
+   [Interp.eval_op] case, but the result is the destination itself,
+   written in place, instead of an updated copy. *)
 and compile_insert_slice st op =
   let offsets = Ir.ints_attr op "offsets" in
   let n_dyn = Ir.num_operands op - 2 in
-  if n_dyn < 0 || (n_dyn <> 0 && n_dyn <> Array.length offsets) || Ir.num_results op <> 1
-  then raise Punt;
-  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
+  (* a dynamic-offset count that is not the rank fails in the tree-walker
+     at runtime: let it *)
+  if n_dyn <> 0 && n_dyn <> Array.length offsets then raise Punt;
   let src_s = use_slot st op.Ir.operands.(0) in
   let dst_s = use_slot st op.Ir.operands.(1) in
   let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 2)) in
@@ -1079,17 +997,15 @@ and compile_insert_slice st op =
     let src = Rtval.as_tensor (get_rt gf iframe src_s) in
     let dv = get_rt gf iframe dst_s in
     let dst = Rtval.as_tensor dv in
-    let offsets = dyn_offsets gf iframe offsets dyn_s in
+    let offsets =
+      if n_dyn = 0 then offsets
+      else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
+    in
     Interp.account_move p (Tensor.num_elements src);
-    if in_place then begin
-      Tensor.write_slice src dst ~offsets;
-      set_rt gf iframe r dv
-    end
-    else set_rt gf iframe r (Rtval.Tensor (Tensor.insert_slice ~alloc src dst ~offsets))
+    Tensor.write_slice src dst ~offsets;
+    set_rt gf iframe r dv
 
 and compile_insert st op =
-  if Ir.num_operands op < 2 || Ir.num_results op <> 1 then raise Punt;
-  let in_place = Hashtbl.mem st.in_place op.Ir.oid in
   let v_s = use_slot st op.Ir.operands.(0) in
   let dst_s = use_slot st op.Ir.operands.(1) in
   let idx_s = Array.init (Ir.num_operands op - 2) (fun i -> use_slot st op.Ir.operands.(i + 2)) in
@@ -1101,28 +1017,24 @@ and compile_insert st op =
     let dst = Rtval.as_tensor dv in
     let idx = Array.map (fun s -> geti gf iframe s) idx_s in
     p.Profile.stores <- p.Profile.stores + 1;
-    let out = if in_place then dst else Tensor.copy ~alloc dst in
-    if Types.is_float_dtype out.Tensor.dtype then Tensor.set_f out idx (getf gf iframe v_s)
-    else Tensor.set out idx (geti gf iframe v_s);
-    set_rt gf iframe r (if in_place then dv else Rtval.Tensor out)
+    if Types.is_float_dtype dst.Tensor.dtype then Tensor.set_f dst idx (getf gf iframe v_s)
+    else Tensor.set dst idx (geti gf iframe v_s);
+    set_rt gf iframe r dv
 
 and compile_merge_partial st op =
   let binop = Ir.str_attr op "op" in
-  if not (Hashtbl.mem st.in_place op.Ir.oid) then compile_elementwise st op binop
-  else begin
-    let a_s = use_slot st op.Ir.operands.(0) in
-    let b_s = use_slot st op.Ir.operands.(1) in
-    let r = def_slot st op.Ir.results.(0) in
-    fun ctx gf iframe ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let av = get_rt gf iframe a_s in
-      let a = Rtval.as_tensor av in
-      let b = Rtval.as_tensor (get_rt gf iframe b_s) in
-      Interp.account_elementwise p (Tensor.num_elements a);
-      Tensor.map2_in_place binop a b;
-      set_rt gf iframe r av
-  end
+  let a_s = use_slot st op.Ir.operands.(0) in
+  let b_s = use_slot st op.Ir.operands.(1) in
+  let r = def_slot st op.Ir.results.(0) in
+  fun ctx gf iframe ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let av = get_rt gf iframe a_s in
+    let a = Rtval.as_tensor av in
+    let b = Rtval.as_tensor (get_rt gf iframe b_s) in
+    Interp.account_elementwise p (Tensor.num_elements a);
+    Tensor.map2_in_place binop a b;
+    set_rt gf iframe r av
 
 (* [op] followed by the return of the storage its planned values leave
    behind (see [analyze]); the emptied slots hold [Token], so a stray

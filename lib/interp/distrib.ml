@@ -31,11 +31,11 @@ let scatter ?(halo = 0) ~map (t : Tensor.t) (per_pu : Tensor.t array) =
     done
   | m -> invalid_arg ("Distrib.scatter: unknown map " ^ m)
 
-let gather ?(alloc = Tensor.zeros) (per_pu : Tensor.t array) ~result_shape ~dtype =
+let gather (per_pu : Tensor.t array) ~result_shape ~dtype =
   let pus = Array.length per_pu in
   if pus = 0 then invalid_arg "Distrib.gather: no PUs";
   let per_pu_elems = Tensor.num_elements per_pu.(0) in
-  let out = alloc result_shape dtype in
+  let out = Tensor.Arena.alloc result_shape dtype in
   for p = 0 to pus - 1 do
     Tensor.blit per_pu.(p) 0 out (p * per_pu_elems) per_pu_elems
   done;

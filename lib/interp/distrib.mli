@@ -10,10 +10,6 @@
     @raise Invalid_argument on an unknown map or empty buffer array. *)
 val scatter : ?halo:int -> map:string -> Tensor.t -> Tensor.t array -> unit
 
-(** Concatenate per-PU buffers back into a tensor (inverse of ["block"]). *)
-val gather :
-  ?alloc:Tensor.alloc ->
-  Tensor.t array ->
-  result_shape:int array ->
-  dtype:Cinm_ir.Types.dtype ->
-  Tensor.t
+(** Concatenate per-PU buffers back into a tensor (inverse of ["block"]),
+    whose storage comes from {!Tensor.Arena}. *)
+val gather : Tensor.t array -> result_shape:int array -> dtype:Cinm_ir.Types.dtype -> Tensor.t

@@ -204,10 +204,8 @@ let elementwise_names prefix =
 let cinm_elementwise = elementwise_names "cinm"
 let linalg_elementwise = elementwise_names "linalg"
 
-let elementwise_binop name =
-  match List.assoc_opt name cinm_elementwise with
-  | Some _ as b -> b
-  | None -> List.assoc_opt name linalg_elementwise
+let is_elementwise name =
+  List.mem_assoc name cinm_elementwise || List.mem_assoc name linalg_elementwise
 
 let scalar_result_dtype (op : Ir.op) =
   match (Ir.result op 0).Ir.ty with
@@ -359,7 +357,7 @@ and eval_op ctx (op : Ir.op) : unit =
   (* ----- tensor ----- *)
   | "tensor.empty" -> (
     match (Ir.result op 0).Ir.ty with
-    | Types.Tensor (shape, dt) -> set_results [ Rtval.Tensor (Tensor.zeros shape dt) ]
+    | Types.Tensor (shape, dt) -> set_results [ Rtval.Tensor (Tensor.Arena.alloc shape dt) ]
     | ty -> err "tensor.empty: %s" (Types.to_string ty))
   | "tensor.splat" | "linalg.fill" -> (
     match (Ir.result op 0).Ir.ty with

@@ -98,13 +98,8 @@ val account_elementwise : Profile.t -> int -> unit
 
 val account_move : Profile.t -> int -> unit
 
-(** An [m x k] by [k x n] product: [m*n*k] multiply-adds, two loads per
-    product and one store per output. *)
-val account_matmul : Profile.t -> int -> int -> int -> unit
-
-(** The binop ("add", ...) of a [cinm.*] or [linalg.*] elementwise op
-    ([cinm.add], ...); [None] for any other op. *)
-val elementwise_binop : string -> string option
+(** The [cinm.*] and [linalg.*] elementwise binops ([cinm.add], ...). *)
+val is_elementwise : string -> bool
 
 (** Allocation point of [memref.alloc]/[upmem.wram_alloc] under both
     backends: arena-recycled and recorded when the context has a

@@ -41,8 +41,6 @@ let alloc_payload dtype n =
 let zeros shape dtype =
   { shape; dtype; data = alloc_payload dtype (Util.product_of_shape shape) }
 
-type alloc = int array -> Types.dtype -> t
-
 (* Payload layout classes: a dtype's ([alloc_payload]) and a payload's
    own. They differ only for a tensor built with a payload that is not
    its dtype's layout. *)
@@ -53,6 +51,125 @@ let dtype_class = function
   | _ -> 0
 
 let payload_class = function I _ -> 0 | I8 _ -> 1 | I16 _ -> 2 | F _ -> 3
+
+(* ----- arena: recycled tensor storage ----- *)
+
+(* The simulators allocate short-lived tensors at a high rate: per-PU MRAM
+   buffers per run, WRAM scratch per launch, staging copies per crossbar
+   program, and the host kernels' fresh results (below). The arena keeps
+   free lists of released storage keyed by (layout class, element count)
+   so those allocations recycle instead of churning the major heap. [alloc] zero-fills recycled storage, so an
+   arena tensor is indistinguishable from [zeros]. Callers own the
+   lifetime discipline: release only tensors that can no longer be
+   reached (and at most once). *)
+module Arena = struct
+  let lock = Mutex.create ()
+  let pools : (int * int, payload list ref) Hashtbl.t = Hashtbl.create 64
+
+  (* cap per free list: bounds arena growth when sizes never repeat *)
+  let max_per_key = 64
+
+  (* cap on the bytes held across all free lists. Pooled storage is live
+     data to the GC, and the major heap settles at a multiple of the live
+     data, so every pooled byte costs several resident ones: the arena
+     keeps what the next allocations reuse (a tile loop's slices, a
+     launch's buffers), not every size it has ever seen. *)
+  let max_bytes = 2 lsl 20
+
+  let pooled_bytes = ref 0
+
+  (* Up to this many elements a tensor bypasses the arena: the minor heap
+     hands out blocks of up to 256 words faster than a locked lookup, and
+     the GC reclaims them young. Larger blocks go straight to the major
+     heap, which mallocs them; those are the ones worth recycling. *)
+  let small = 256
+
+  let payload_bytes = function
+    | I a -> Array.length a * (Sys.word_size / 8)
+    | F a -> Array.length a * 8
+    | I8 b | I16 b -> Bytes.length b
+
+  (* Recycled storage of [n] elements in layout class [cls], still
+     holding its old contents. *)
+  let take cls n =
+    if n <= small then None
+    else begin
+      Mutex.lock lock;
+      let r =
+        match Hashtbl.find_opt pools (cls, n) with
+        | Some ({ contents = p :: tl } as r) ->
+          r := tl;
+          pooled_bytes := !pooled_bytes - payload_bytes p;
+          Some p
+        | _ -> None
+      in
+      Mutex.unlock lock;
+      r
+    end
+
+  let alloc shape dtype =
+    let n = Util.product_of_shape shape in
+    match take (dtype_class dtype) n with
+    | None -> zeros shape dtype
+    | Some p ->
+      (match p with
+      | I a -> Array.fill a 0 n 0
+      | I8 b -> Bytes.fill b 0 n '\000'
+      | I16 b -> Bytes.fill b 0 (2 * n) '\000'
+      | F a -> Array.fill a 0 n 0.0);
+      { shape; dtype; data = p }
+
+  (* keyed by the payload's own layout, so [alloc] hands out the layout
+     its dtype asks for even if a released tensor's dtype disagreed *)
+  let release t =
+    let n = num_elements t in
+    if n > small then begin
+      let key = (payload_class t.data, n) and bytes = payload_bytes t.data in
+      Mutex.lock lock;
+      if !pooled_bytes + bytes <= max_bytes then begin
+        match Hashtbl.find_opt pools key with
+        | Some r ->
+          if List.length !r < max_per_key then begin
+            r := t.data :: !r;
+            pooled_bytes := !pooled_bytes + bytes
+          end
+        | None ->
+          Hashtbl.replace pools key (ref [ t.data ]);
+          pooled_bytes := !pooled_bytes + bytes
+      end;
+      Mutex.unlock lock
+    end
+
+  let clear () =
+    Mutex.lock lock;
+    Hashtbl.reset pools;
+    pooled_bytes := 0;
+    Mutex.unlock lock
+
+  type stats = { keys : int; pooled : int; largest_pool : int }
+
+  (* Snapshot for tests and the serve daemon's stats endpoint; also the
+     observable contract of [max_per_key] (largest_pool never exceeds
+     it), which the churn test asserts under concurrent load. *)
+  let stats () =
+    Mutex.lock lock;
+    let s =
+      Hashtbl.fold
+        (fun _ r acc ->
+          let n = List.length !r in
+          {
+            keys = acc.keys + 1;
+            pooled = acc.pooled + n;
+            largest_pool = max acc.largest_pool n;
+          })
+        pools
+        { keys = 0; pooled = 0; largest_pool = 0 }
+    in
+    Mutex.unlock lock;
+    s
+
+  let max_per_key () = max_per_key
+end
 
 let get_int t i =
   match t.data with
@@ -191,31 +308,37 @@ let zeros_like t =
   in
   { t with data }
 
-(* The kernels that return fresh tensors take an optional [alloc] for
-   their result (default [zeros]): compiled code passes {!Arena.alloc} so
-   the result can take recycled storage. A result that must keep its
-   operand's payload layout falls back to [zeros_like] when that layout
-   is not the dtype's, which [alloc] would produce. *)
-let alloc_like ?alloc t =
-  match alloc with
-  | Some f when payload_class t.data = dtype_class t.dtype -> f t.shape t.dtype
-  | _ -> zeros_like t
+(* The kernels below take their fresh results from the arena, so storage
+   that compiled code recycles (see [Compile.analyze]) is drawn again. A
+   result that keeps its operand's payload layout comes from the arena
+   when that layout is its dtype's, which is the layout the arena hands
+   out. *)
+let alloc_like t =
+  if payload_class t.data = dtype_class t.dtype then Arena.alloc t.shape t.dtype
+  else zeros_like t
 
-let copy ?alloc t =
-  match (alloc, t.data) with
-  | None, I a -> { t with data = I (Array.copy a) }
-  | None, I8 b -> { t with data = I8 (Bytes.copy b) }
-  | None, I16 b -> { t with data = I16 (Bytes.copy b) }
-  | None, F a -> { t with data = F (Array.copy a) }
-  | Some _, _ ->
-    (* [alloc_like] keeps the payload layout, so the blit is exact *)
-    let out = alloc_like ?alloc t in
-    (match (t.data, out.data) with
-    | I a, I b -> Array.blit a 0 b 0 (Array.length a)
-    | F a, F b -> Array.blit a 0 b 0 (Array.length a)
-    | (I8 a | I16 a), (I8 b | I16 b) -> Bytes.blit a 0 b 0 (Bytes.length a)
-    | _ -> invalid_arg "Tensor.copy: layout mismatch");
-    out
+let copy t =
+  let n = num_elements t in
+  let data =
+    match (t.data, Arena.take (payload_class t.data) n) with
+    | I a, Some (I b) ->
+      Array.blit a 0 b 0 n;
+      I b
+    | F a, Some (F b) ->
+      Array.blit a 0 b 0 n;
+      F b
+    | I8 a, Some (I8 b) ->
+      Bytes.blit a 0 b 0 (Bytes.length a);
+      I8 b
+    | I16 a, Some (I16 b) ->
+      Bytes.blit a 0 b 0 (Bytes.length a);
+      I16 b
+    | I a, _ -> I (Array.copy a)
+    | I8 b, _ -> I8 (Bytes.copy b)
+    | I16 b, _ -> I16 (Bytes.copy b)
+    | F a, _ -> F (Array.copy a)
+  in
+  { t with data }
 
 (* [out.(i) <- name a.(i) b.(i)] for every element. [out] has [a]'s shape
    and layout; it may be [a] itself, since each element is read before it
@@ -252,24 +375,23 @@ let map2_to name a b out =
     done
   | _ -> invalid_arg "Tensor.map2: mixed payloads"
 
-let map2 ?alloc name a b =
+let map2 name a b =
   if a.shape <> b.shape then invalid_arg "Tensor.map2: shape mismatch";
-  let out = alloc_like ?alloc a in
+  let out = alloc_like a in
   map2_to name a b out;
   out
 
 let map2_in_place name a b = map2_to name a b a
 
-let map_not ?alloc a =
-  match (alloc, a.data) with
-  | None, I x -> { a with data = I (Array.map (fun v -> wrap a.dtype (lnot v)) x) }
-  | _, (I _ | I8 _ | I16 _) ->
-    let out = alloc_like ?alloc a in
+let map_not a =
+  match a.data with
+  | I _ | I8 _ | I16 _ ->
+    let out = alloc_like a in
     for i = 0 to num_elements a - 1 do
       set_int out i (lnot (get_int a i))
     done;
     out
-  | _, F _ -> invalid_arg "Tensor.map_not: float tensor"
+  | F _ -> invalid_arg "Tensor.map_not: float tensor"
 
 let fill_scalar shape dtype v =
   let t = zeros shape dtype in
@@ -291,10 +413,10 @@ let fill_float shape dtype v =
 
 (* ----- linear algebra ----- *)
 
-let matmul ?(alloc = zeros) a b =
+let matmul a b =
   match (a.shape, b.shape) with
   | [| m; k |], [| k'; n |] when k = k' ->
-    let out = alloc [| m; n |] a.dtype in
+    let out = Arena.alloc [| m; n |] a.dtype in
     (* i-p-j loop order: both the B row [y.(p*n + _)] and the accumulator
        row are walked with stride 1 (the j-inner order strides B by n and
        thrashes the cache for the 256-wide paper shapes). Each output
@@ -393,10 +515,10 @@ let matmul ?(alloc = zeros) a b =
     out
   | _ -> invalid_arg "Tensor.matmul: shape mismatch"
 
-let matvec ?(alloc = zeros) a v =
+let matvec a v =
   match (a.shape, v.shape) with
   | [| m; n |], [| n' |] when n = n' ->
-    let out = alloc [| m |] a.dtype in
+    let out = Arena.alloc [| m |] a.dtype in
     (match out.data with
     | F _ ->
       for i = 0 to m - 1 do
@@ -712,14 +834,14 @@ let copy_region src ~src_off dst ~dst_off ~sizes =
     | _ -> slow ()
   else slow ()
 
-let pad ?(alloc = zeros) t ~low ~high =
-  let out = alloc (Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape) t.dtype in
+let pad t ~low ~high =
+  let out = Arena.alloc (Array.mapi (fun i d -> d + low.(i) + high.(i)) t.shape) t.dtype in
   let rank = Array.length t.shape in
   copy_region t ~src_off:(Array.make rank 0) out ~dst_off:low ~sizes:t.shape;
   out
 
-let extract_slice ?(alloc = zeros) t ~offsets ~sizes =
-  let out = alloc sizes t.dtype in
+let extract_slice t ~offsets ~sizes =
+  let out = Arena.alloc sizes t.dtype in
   copy_region t ~src_off:offsets out ~dst_off:(Array.make (Array.length sizes) 0) ~sizes;
   out
 
@@ -728,8 +850,8 @@ let write_slice src dst ~offsets =
     ~sizes:src.shape
 
 (* Value semantics: returns a fresh tensor with [src] written at [offsets]. *)
-let insert_slice ?alloc src dst ~offsets =
-  let out = copy ?alloc dst in
+let insert_slice src dst ~offsets =
+  let out = copy dst in
   write_slice src out ~offsets;
   out
 
@@ -937,120 +1059,3 @@ let blit_strided src soff sstride dst doff len =
         done
       | _ -> slow ()
     else slow ()
-
-(* ----- arena: recycled tensor storage ----- *)
-
-(* The simulators allocate short-lived tensors at a high rate: per-PU MRAM
-   buffers per run, WRAM scratch per launch, staging copies per crossbar
-   program. The arena keeps free lists of released storage keyed by
-   (layout class, element count) so those allocations recycle instead of
-   churning the major heap. [alloc] zero-fills recycled storage, so an
-   arena tensor is indistinguishable from [zeros]. Callers own the
-   lifetime discipline: release only tensors that can no longer be
-   reached (and at most once). *)
-module Arena = struct
-  let lock = Mutex.create ()
-  let pools : (int * int, payload list ref) Hashtbl.t = Hashtbl.create 64
-
-  (* cap per free list: bounds arena growth when sizes never repeat *)
-  let max_per_key = 64
-
-  (* cap on the bytes held across all free lists. Pooled storage is live
-     data to the GC, and the major heap settles at a multiple of the live
-     data, so every pooled byte costs several resident ones: the arena
-     keeps what the next allocations reuse (a tile loop's slices, a
-     launch's buffers), not every size it has ever seen. *)
-  let max_bytes = 2 lsl 20
-
-  let pooled_bytes = ref 0
-
-  (* Up to this many elements a tensor bypasses the arena: the minor heap
-     hands out blocks of up to 256 words faster than a locked lookup, and
-     the GC reclaims them young. Larger blocks go straight to the major
-     heap, which mallocs them; those are the ones worth recycling. *)
-  let small = 256
-
-  let payload_bytes = function
-    | I a -> Array.length a * (Sys.word_size / 8)
-    | F a -> Array.length a * 8
-    | I8 b | I16 b -> Bytes.length b
-
-  let alloc shape dtype =
-    let n = Util.product_of_shape shape in
-    let recycled =
-      if n <= small then None
-      else begin
-        Mutex.lock lock;
-        let r =
-          match Hashtbl.find_opt pools (dtype_class dtype, n) with
-          | Some ({ contents = p :: tl } as r) ->
-            r := tl;
-            pooled_bytes := !pooled_bytes - payload_bytes p;
-            Some p
-          | _ -> None
-        in
-        Mutex.unlock lock;
-        r
-      end
-    in
-    match recycled with
-    | None -> zeros shape dtype
-    | Some p ->
-      (match p with
-      | I a -> Array.fill a 0 n 0
-      | I8 b -> Bytes.fill b 0 n '\000'
-      | I16 b -> Bytes.fill b 0 (2 * n) '\000'
-      | F a -> Array.fill a 0 n 0.0);
-      { shape; dtype; data = p }
-
-  (* keyed by the payload's own layout, so [alloc] hands out the layout
-     its dtype asks for even if a released tensor's dtype disagreed *)
-  let release t =
-    let n = num_elements t in
-    if n > small then begin
-      let key = (payload_class t.data, n) and bytes = payload_bytes t.data in
-      Mutex.lock lock;
-      if !pooled_bytes + bytes <= max_bytes then begin
-        match Hashtbl.find_opt pools key with
-        | Some r ->
-          if List.length !r < max_per_key then begin
-            r := t.data :: !r;
-            pooled_bytes := !pooled_bytes + bytes
-          end
-        | None ->
-          Hashtbl.replace pools key (ref [ t.data ]);
-          pooled_bytes := !pooled_bytes + bytes
-      end;
-      Mutex.unlock lock
-    end
-
-  let clear () =
-    Mutex.lock lock;
-    Hashtbl.reset pools;
-    pooled_bytes := 0;
-    Mutex.unlock lock
-
-  type stats = { keys : int; pooled : int; largest_pool : int }
-
-  (* Snapshot for tests and the serve daemon's stats endpoint; also the
-     observable contract of [max_per_key] (largest_pool never exceeds
-     it), which the churn test asserts under concurrent load. *)
-  let stats () =
-    Mutex.lock lock;
-    let s =
-      Hashtbl.fold
-        (fun _ r acc ->
-          let n = List.length !r in
-          {
-            keys = acc.keys + 1;
-            pooled = acc.pooled + n;
-            largest_pool = max acc.largest_pool n;
-          })
-        pools
-        { keys = 0; pooled = 0; largest_pool = 0 }
-    in
-    Mutex.unlock lock;
-    s
-
-  let max_per_key () = max_per_key
-end

@@ -27,11 +27,9 @@ val of_float_array : ?dtype:Types.dtype -> int array -> float array -> t
     (flattened index), wrapped to the dtype. *)
 val init : ?dtype:Types.dtype -> int array -> (int -> int) -> t
 
-(** Allocation of a kernel's fresh result: [zeros] by default. Compiled
-    code passes {!Arena.alloc}, so results take recycled storage. *)
-type alloc = int array -> Types.dtype -> t
-
-val copy : ?alloc:alloc -> t -> t
+(** A fresh tensor equal to its argument. Like every kernel below that
+    returns fresh storage, it takes that storage from {!Arena}. *)
+val copy : t -> t
 
 (** Flat-index element access. *)
 val get_int : t -> int -> int
@@ -73,13 +71,13 @@ val blit_strided : t -> int -> int -> t -> int -> int -> unit
 val int_binop : string -> int -> int -> int
 
 val float_binop : string -> float -> float -> float
-val map2 : ?alloc:alloc -> string -> t -> t -> t
+val map2 : string -> t -> t -> t
 
 (** [map2_in_place name a b] stores [map2 name a b] into [a]'s storage.
     Only for an [a] no other live value shares. *)
 val map2_in_place : string -> t -> t -> unit
 
-val map_not : ?alloc:alloc -> t -> t
+val map_not : t -> t
 val fill_scalar : int array -> Types.dtype -> int -> t
 
 (** [fill_float shape dtype v] is a float tensor with every element [v].
@@ -88,8 +86,8 @@ val fill_float : int array -> Types.dtype -> float -> t
 
 (** {1 Linear algebra} *)
 
-val matmul : ?alloc:alloc -> t -> t -> t
-val matvec : ?alloc:alloc -> t -> t -> t
+val matmul : t -> t -> t
+val matvec : t -> t -> t
 
 (** Integer dot product (wrapped to the dtype). For float tensors use
     {!dot_f} — this one truncates every element. *)
@@ -122,11 +120,11 @@ val sim_search : metric:string -> k:int -> t -> t -> t * t
 (** {1 Shape manipulation} *)
 
 val reshape : t -> int array -> t
-val pad : ?alloc:alloc -> t -> low:int array -> high:int array -> t
-val extract_slice : ?alloc:alloc -> t -> offsets:int array -> sizes:int array -> t
+val pad : t -> low:int array -> high:int array -> t
+val extract_slice : t -> offsets:int array -> sizes:int array -> t
 
 (** Value semantics: a fresh tensor with [src] written at [offsets]. *)
-val insert_slice : ?alloc:alloc -> t -> t -> offsets:int array -> t
+val insert_slice : t -> t -> offsets:int array -> t
 
 (** [write_slice src dst ~offsets] stores [insert_slice src dst ~offsets]
     into [dst]'s storage. Only for a [dst] no other live value shares. *)

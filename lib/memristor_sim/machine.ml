@@ -236,9 +236,7 @@ let hook_impl (m : t) : Interp.hook =
     let k, tile = tile_of d op in
     match (tile.staged_input, tile.weights) with
     | Some input, Some w ->
-      (* a fresh result from the arena: compiled code returns it there
-         after its last read (see [Compile.fresh_result]) *)
-      let out = Tensor.matmul ~alloc:Tensor.Arena.alloc input w in
+      let out = Tensor.matmul input w in
       let vectors = input.Tensor.shape.(0) in
       if tracing m then
         Trace.complete ~cat:"mvm"

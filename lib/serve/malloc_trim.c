@@ -5,6 +5,7 @@
    holds on to them. Elsewhere a no-op. */
 
 #include <caml/mlvalues.h>
+#include <caml/signals.h>
 #ifdef __GLIBC__
 #include <malloc.h>
 #endif
@@ -13,7 +14,11 @@ value cinm_malloc_trim(value unit)
 {
   (void)unit;
 #ifdef __GLIBC__
+  /* the trim walks every malloc arena and touches no OCaml value: let
+     the other domains collect meanwhile */
+  caml_enter_blocking_section();
   malloc_trim(0);
+  caml_leave_blocking_section();
 #endif
   return Val_unit;
 }

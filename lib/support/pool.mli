@@ -15,14 +15,16 @@
 
     One worker rule: every domain that runs submitted tasks is a worker,
     and the submitter is never counted as one. A pool of [jobs] domains
-    that has taken a task therefore runs up to [jobs] tasks at once. *)
+    that has taken a task therefore runs up to [jobs] tasks at once.
+    [run] and [help] are for callers that work themselves: they count
+    their caller as the last domain and keep [jobs - 1] workers. *)
 
 type t
 
 (** [create ?jobs ()] makes a pool of [jobs] domains; defaults to
     [Domain.recommended_domain_count]. Worker domains are spawned lazily:
     [jobs - 1] on the first parallel [run] (its caller is the last
-    domain), [jobs] on the first [submit]. *)
+    domain) or [help], [jobs] on the first [submit]. *)
 val create : ?jobs:int -> unit -> t
 
 val jobs : t -> int
@@ -36,13 +38,20 @@ val run : t -> int -> (int -> unit) -> unit
     can never kill its worker. *)
 val submit : t -> (unit -> unit) -> bool
 
+(** [help p task] enqueues [task] for whichever worker is free, on behalf
+    of a caller that runs the same work itself and never waits for [task]
+    to start (the hetero stream executor's node loop). The pool grows to
+    [jobs - 1] workers, as for {!run}, so a pool that only ever helps
+    keeps its domain count. Dropped once {!shutdown} has begun. *)
+val help : t -> (unit -> unit) -> unit
+
 (** Tasks accepted but not yet finished (queued + executing). *)
 val pending : t -> int
 
 (** One consistent sample of the pool's load, for gauges: worker domains
-    spawned so far (0 until the first [submit] or parallel [run]; [jobs]
-    once a task was submitted, [jobs - 1] while only parallel [run]s
-    happened), tasks still queued, tasks executing, and whether a
+    spawned so far (0 until the first [submit], [help] or parallel [run];
+    [jobs] once a task was submitted, [jobs - 1] while only [help]s and
+    parallel [run]s happened), tasks still queued, tasks executing, and whether a
     parallel-for is in flight. *)
 type stats = { st_workers : int; st_queued : int; st_active : int; st_par_busy : bool }
 

@@ -594,10 +594,7 @@ let hook_impl (m : t) : Interp.hook =
     let w = find_wg m (ops.(1)) in
     match Types.shape_of (Ir.result op 0).Ir.ty with
     | Some result_shape ->
-      (* a fresh result from the arena, like [memristor.gemm_tile]'s *)
-      let out =
-        Distrib.gather ~alloc:Tensor.Arena.alloc buf.per_pu ~result_shape ~dtype:buf.dtype
-      in
+      let out = Distrib.gather buf.per_pu ~result_shape ~dtype:buf.dtype in
       host_transfer m w
         ~bytes:(Tensor.num_elements out * Types.dtype_bytes out.Tensor.dtype)
         ~to_device:false;

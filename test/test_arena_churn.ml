@@ -22,10 +22,16 @@ let check_cap name =
          s.Tensor.Arena.largest_pool cap)
 
 (* Raw churn: 4 domains x 400 alloc/release cycles over a handful of
-   (shape, dtype) classes, deliberately colliding on the same keys. *)
+   (shape, dtype) classes, deliberately colliding on the same keys. Every
+   shape is over [Tensor.Arena.small] elements, so each one is pooled. *)
 let test_raw_churn () =
   Tensor.Arena.clear ();
-  let shapes = [| [| 64 |]; [| 8; 8 |]; [| 256 |]; [| 3; 5 |]; [| 1024 |] |] in
+  let shapes = [| [| 1024 |]; [| 32; 40 |]; [| 300 |]; [| 17; 19 |]; [| 2048 |] |] in
+  Array.iter
+    (fun s ->
+      if Array.fold_left ( * ) 1 s <= Tensor.Arena.small then
+        Alcotest.fail "churn shape bypasses the arena")
+    shapes;
   let pool = Pool.create ~jobs:4 () in
   Pool.run pool 16 (fun w ->
       let held = ref [] in
@@ -44,10 +50,18 @@ let test_raw_churn () =
       List.iter Tensor.Arena.release !held);
   Pool.shutdown pool;
   check_cap "raw churn";
-  (* recycled storage is zero-filled: a fresh alloc reads as zeros *)
-  let t = Tensor.Arena.alloc [| 64 |] Cinm_ir.Types.F32 in
+  (* recycled storage is zero-filled: dirty a tensor, release it, and
+     the next alloc of its size takes that storage and reads as zeros *)
+  let dirty = Tensor.Arena.alloc [| 1024 |] Cinm_ir.Types.F32 in
+  for i = 0 to 1023 do
+    Tensor.set_float dirty i 1.0
+  done;
+  Tensor.Arena.release dirty;
+  let t = Tensor.Arena.alloc [| 1024 |] Cinm_ir.Types.F32 in
+  Alcotest.(check bool) "the alloc reuses the released storage" true
+    (t.Tensor.data == dirty.Tensor.data);
   let sum = ref 0.0 in
-  for i = 0 to 63 do
+  for i = 0 to 1023 do
     sum := !sum +. abs_float (Tensor.get_float t i)
   done;
   Alcotest.(check (float 0.0)) "recycled storage is zeroed" 0.0 !sum

@@ -210,6 +210,8 @@ let test_pool_stats () =
   Alcotest.(check int) "jobs 4 spawns four workers" 4 (Pool.stats p4).Pool.st_workers;
   Pool.shutdown p4;
   let p3 = Pool.create ~jobs:3 () in
+  Pool.help p3 ignore;
+  Alcotest.(check int) "a helper spawns jobs - 1 workers" 2 (Pool.stats p3).Pool.st_workers;
   Pool.run p3 8 ignore;
   Alcotest.(check int) "a loop spawns jobs - 1 workers" 2 (Pool.stats p3).Pool.st_workers;
   ignore (Pool.submit p3 ignore);
