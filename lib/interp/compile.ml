@@ -23,12 +23,20 @@
    Parity contract: compiled execution must be *bit-identical* to the
    tree-walking interpreter — same results, same [Profile] increments
    (the timing models are pure folds over the profile, so identical
-   counters mean identical stats, reports and traces). Two mechanisms
-   enforce this:
+   counters mean identical stats, reports and traces), same errors.
+   Three mechanisms enforce this:
 
    - every natively compiled op replays the exact accounting of its
      [Interp.eval_op] case (one [launched_ops] per dispatched op, the
      same bucket increments in the same places);
+   - a fused loop nest (see "fused loop nests" below) accounts in bulk
+     but to the same totals: each loop execution adds its completed
+     trips times a per-trip delta derived from the same per-op
+     increments, plus its branch entries times their cost; when an op
+     raises, it adds exactly the part of the failing trip the
+     tree-walker had counted (a load or store counts before its bounds
+     check, a DMA after its copy), raises the same message, and polls
+     [Interp.check_steps] once per trip like the tree-walker's loop;
    - any op the native compiler does not fully understand — unknown
      names, bulk tensor ops, device ops handled by machine hooks, or any
      op whose attribute/shape decoding fails — falls back to a generic
@@ -86,9 +94,11 @@ let backend_of_ctx (ctx : Interp.ctx) =
 
 (* ----- compiled code ----- *)
 
-(* One compiled op: reads/writes the two frames, accounts into the
-   context's profile, and may call hooks through the context. *)
-type instr = Interp.ctx -> Rtval.t array -> int array -> unit
+(* One compiled op: reads/writes the frames — gen, int, and the payload
+   frame through which fused loop nests reach their memrefs' raw
+   [int array]s — accounts into the context's profile, and may call hooks
+   through the context. *)
+type instr = Interp.ctx -> Rtval.t array -> int array -> int array array -> unit
 
 type code = {
   ngen : int;  (** gen-frame ([Rtval.t]) slot count *)
@@ -100,6 +110,8 @@ type code = {
   cap_slots : int array;
   body : instr array;
   term_slots : int array;  (** slots of the terminator's operands *)
+  npay : int;  (** payload-frame size: the most memrefs of one fused nest *)
+  fused : Ir.op list;  (** the [scf.for] ops that run fused *)
 }
 
 (* Raised by native op compilers to hand the op to the generic fallback.
@@ -116,6 +128,9 @@ type cstate = {
   in_place : (int, unit) Hashtbl.t;  (** oids of updates that write in place *)
   recycle : (int, Ir.value list) Hashtbl.t;
       (** oid -> values whose storage returns to the arena after the op *)
+  mutable in_nest : bool;  (** compiling the per-op form of a fused nest *)
+  mutable npay : int;
+  mutable fused : Ir.op list;
 }
 
 (* A value lives in the int frame iff its static type guarantees its
@@ -165,7 +180,7 @@ let def_slot st (v : Ir.value) =
    argument slots, which hold the final loop-carried values on exit). *)
 let alias_slot st (v : Ir.value) slot = Hashtbl.replace st.slots v.Ir.vid slot
 
-let nop_instr : instr = fun _ _ _ -> ()
+let nop_instr : instr = fun _ _ _ _ -> ()
 let rt_true = Rtval.Bool true
 let rt_false = Rtval.Bool false
 
@@ -553,21 +568,20 @@ let compile_generic st (op : Ir.op) : instr =
         | None -> Interp.err "%s: result %%%d not bound" op.Ir.name vid)
       result_binds
   in
-  if Array.length op.Ir.regions > 0 then slow
+  if Array.length op.Ir.regions > 0 then fun ctx gf iframe _pf -> slow ctx gf iframe
   else begin
     (* Region-free op: hooks only need the operand values, so try them
-       straight off the register file — no environment staging, which is
-       the dominant cost of the per-element device ops (mram_read/write)
-       kernels execute by the million. Builtin ops never reach hooks
-       ([Interp.eval_op] dispatches them by name first), so a [None] here
-       means the op is either builtin-generic or an error — both handled
-       by the slow path. The [launched_ops] bookkeeping mirrors [eval_op]:
-       counted before dispatch, uncounted again if we fall through (the
-       slow path's [eval_op] re-counts). *)
+       straight off the register file, without staging an environment.
+       Builtin ops never reach hooks ([Interp.eval_op] dispatches them by
+       name first), so a [None] here means the op is either
+       builtin-generic or an error — both handled by the slow path. The
+       [launched_ops] bookkeeping mirrors [eval_op]: counted before
+       dispatch, uncounted again if we fall through (the slow path's
+       [eval_op] re-counts). *)
     let operand_slots = Array.map snd operand_binds in
     let result_slots = Array.map snd result_binds in
     let n_operands = Array.length operand_slots in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       match ctx.Interp.hooks with
       | [] -> slow ctx gf iframe
       | _ -> (
@@ -579,12 +593,6 @@ let compile_generic st (op : Ir.op) : instr =
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
         match Interp.dispatch_hooks ctx op ops with
-        | Some [] ->
-          (* the common per-element device ops (DMA, barriers) produce no
-             results: return without touching the register file *)
-          if Array.length result_slots <> 0 then
-            Interp.err "%s: produced 0 values for %d results" op.Ir.name
-              (Array.length result_slots)
         | Some vals ->
           let n = List.length vals in
           if n <> Array.length result_slots then
@@ -625,6 +633,657 @@ let float_binop_fn : string -> (float -> float -> float) option = function
   | "arith.maxf" -> Some Float.max
   | _ -> None
 
+(* ----- fused loop nests ----- *)
+
+(* An [scf.for] nest whose body holds only int-class scalar arithmetic,
+   compares and selects, [scf.if], rank-1/2 loads and stores on int
+   memrefs defined outside the nest, DMA, and nested loops of the same
+   kind runs as one fused program. Its loops are plain OCaml loops over
+   the int frame; each memref is bound once per nest entry to its raw
+   [int array] in the payload frame; i1 values, which never leave the
+   nest, live in int slots of their own as 0/1. A nest whose memrefs are
+   not, on entry, [Tensor.I] payloads of the static rank and dtype runs
+   its per-op closures instead.
+
+   Accounting. A loop execution makes one profile update: its completed
+   trips times the per-trip delta of its body's unconditional ops (fixed
+   at compile time), plus, for each [scf.if] branch in the body, the
+   branch's cost times the times it was entered (counted in an int slot).
+   A raised exception adds what the tree-walker had counted in the
+   failing trip: [l_fail.(pc + 1)], fixed at compile time, for a raise at
+   body op [pc] (-1: in the step check). A branch counts as complete from
+   its entry, so the entries of ops inside a branch subtract the part of
+   it not yet run. *)
+
+(* One memref of a nest: its gen-frame slot and static type; a rank-2
+   memref also binds its dims to two int-frame slots on entry. *)
+type fmem = { m_slot : int; m_rank : int; m_dtype : Types.dtype; m_dim0 : int; m_dim1 : int }
+
+(* One op of a fused program. Scalar operands are int-frame indices,
+   memrefs payload-frame indices; [s] is the sign-extension shift that
+   wraps a result to its width (0 for 64 bits and for i1, whose operands
+   are 0/1 already). Branches and their yields are inlined: [Fif] jumps
+   to [else_pc] on a zero condition, [Fjump] ends a then-branch. *)
+type fop =
+  | Fconst of { d : int; v : int }
+  | Fmove of { d : int; a : int }
+  | Fadd of { d : int; a : int; b : int; s : int }
+  | Fsub of { d : int; a : int; b : int; s : int }
+  | Fmul of { d : int; a : int; b : int; s : int }
+  | Fmin of { d : int; a : int; b : int; s : int }
+  | Fmax of { d : int; a : int; b : int; s : int }
+  | Fand of { d : int; a : int; b : int; s : int }
+  | Fior of { d : int; a : int; b : int; s : int }
+  | Fxor of { d : int; a : int; b : int; s : int }
+  | Fshl of { d : int; a : int; b : int; s : int }
+  | Fshr of { d : int; a : int; b : int; s : int }
+  | Feq of { d : int; a : int; b : int }
+  | Fne of { d : int; a : int; b : int }
+  | Flt of { d : int; a : int; b : int }
+  | Fle of { d : int; a : int; b : int }
+  | Fgt of { d : int; a : int; b : int }
+  | Fge of { d : int; a : int; b : int }
+  | Fselect of { d : int; c : int; t : int; e : int }
+  | Fload1 of { d : int; m : int; i : int }
+  | Fload2 of { d : int; m : int; d0 : int; d1 : int; i : int; j : int }
+  | Fstore1 of { v : int; m : int; i : int; s : int }
+  | Fstore2 of { v : int; m : int; d0 : int; d1 : int; i : int; j : int; s : int }
+  | Fdma of { to_wram : bool; mram : int; wram : int; moff : int; woff : int; count : int }
+  | Fif of { c : int; mutable else_pc : int; then_n : int; else_n : int }
+  | Fjump of { mutable target : int }
+  | Floop of nest
+
+and nest = {
+  l_lb : int;
+  l_ub : int;
+  l_step : int;
+  l_iv : int;
+  l_inits : int array;
+  l_iters : int array;  (** the loop's results alias these *)
+  l_yields : int array;
+  l_scratch : int array;  (** staging for a carry of several values *)
+  l_body : fop array;
+  l_trip : Profile.t;  (** what one completed trip adds, branches aside *)
+  l_fail : Profile.t array;  (** what a trip that raised at [pc] had added *)
+  l_branch_n : int array;  (** int slots counting branch entries *)
+  l_branch_cost : Profile.t array;  (** what one entry of that branch adds *)
+}
+
+(* ----- the recogniser (allocates nothing, so a rejected loop costs
+   compile time only the walk) ----- *)
+
+(* Int memrefs whose payload is [Tensor.I]: their rank, or 0. *)
+let int_memref_rank (v : Ir.value) =
+  match v.Ir.ty with
+  | Types.MemRef (shape, (Types.I32 | Types.I64)) -> Array.length shape
+  | _ -> 0
+
+let same_elements (a : Ir.value) (b : Ir.value) =
+  match (a.Ir.ty, b.Ir.ty) with Types.MemRef (_, x), Types.MemRef (_, y) -> x = y | _ -> false
+
+let is_i1 (v : Ir.value) = match v.Ir.ty with Types.Scalar Types.I1 -> true | _ -> false
+
+let rec op_within (root : Ir.op) (op : Ir.op) =
+  match op.Ir.parent with
+  | Some { Ir.parent_region = Some { Ir.parent_op = Some p; _ }; _ } ->
+    p == root || op_within root p
+  | _ -> false
+
+(* A scalar a fused program can hold: int-class, or an i1 defined in the
+   nest (so nothing outside sees its 0/1 representation). *)
+let fusable_scalar root (v : Ir.value) =
+  int_class v
+  || is_i1 v
+     && match v.Ir.def with Ir.Op_result (op, _) -> op_within root op | Ir.Block_arg _ -> false
+
+let rec fusable_scalars root (vs : Ir.value array) k =
+  k >= Array.length vs || (fusable_scalar root vs.(k) && fusable_scalars root vs (k + 1))
+
+let fused_binop = function
+  | "arith.addi" | "arith.subi" | "arith.muli" | "arith.minsi" | "arith.maxsi" | "arith.shli"
+  | "arith.shrsi" ->
+    1
+  | "arith.andi" | "arith.ori" | "arith.xori" -> 2 (* also on i1 *)
+  | _ -> 0
+
+let attr_matches (op : Ir.op) name f =
+  match List.assoc name op.Ir.attrs with a -> f a | exception Not_found -> false
+
+let int_value = function Attr.Int _ -> true | _ -> false
+
+let cmpi_pred = function
+  | Attr.Str ("eq" | "ne" | "slt" | "sle" | "sgt" | "sge") -> true
+  | _ -> false
+
+(* Ops [i, n) of [b] are fusable. *)
+let rec fusable_ops root b i n =
+  i >= n || (fusable_op root (Ir.op_at b i) && fusable_ops root b (i + 1) n)
+
+(* A block with [n_res] results ending in an [scf.yield] of them, or in
+   no terminator when it has none, whose ops are fusable. *)
+and fusable_block root (b : Ir.block) n_res =
+  let n = Ir.num_ops b in
+  if n = 0 then n_res = 0
+  else
+    let last = Ir.op_at b (n - 1) in
+    if Ir.is_terminator last then
+      last.Ir.name = "scf.yield"
+      && Array.length last.Ir.operands = n_res
+      && fusable_scalars root last.Ir.operands 0
+      && fusable_ops root b 0 (n - 1)
+    else n_res = 0 && fusable_ops root b 0 n
+
+and fusable_for root (op : Ir.op) =
+  let n_res = Array.length op.Ir.results in
+  op.Ir.name = "scf.for"
+  && Array.length op.Ir.regions = 1
+  && Ir.num_blocks op.Ir.regions.(0) > 0
+  && Ir.num_operands op = n_res + 3
+  && Array.for_all int_class op.Ir.operands
+  && Array.for_all int_class op.Ir.results
+  &&
+  let b = Ir.entry_block op.Ir.regions.(0) in
+  Array.length b.Ir.args = n_res + 1
+  && Array.for_all int_class b.Ir.args
+  && fusable_block root b n_res
+
+and fusable_branch root (op : Ir.op) ri =
+  let n_res = Array.length op.Ir.results in
+  if ri >= Array.length op.Ir.regions then n_res = 0
+  else
+    Ir.num_blocks op.Ir.regions.(ri) > 0
+    &&
+    let b = Ir.entry_block op.Ir.regions.(ri) in
+    Array.length b.Ir.args = 0 && fusable_block root b n_res
+
+and fusable_op root (op : Ir.op) =
+  let nops = Ir.num_operands op and nres = Array.length op.Ir.results in
+  match op.Ir.name with
+  | "scf.for" -> fusable_for root op
+  | "scf.if" ->
+    nops = 1
+    && fusable_scalar root op.Ir.operands.(0)
+    && Array.for_all int_class op.Ir.results
+    && Array.length op.Ir.regions <= 2
+    && fusable_branch root op 0 && fusable_branch root op 1
+  | _ when Array.length op.Ir.regions > 0 -> false
+  | "arith.constant" ->
+    nres = 1 && fusable_scalar root op.Ir.results.(0) && attr_matches op "value" int_value
+  | "arith.index_cast" ->
+    nops = 1 && nres = 1 && int_class op.Ir.operands.(0) && int_class op.Ir.results.(0)
+  | "arith.cmpi" ->
+    nops = 2 && nres = 1 && is_i1 op.Ir.results.(0)
+    && fusable_scalars root op.Ir.operands 0
+    && attr_matches op "predicate" cmpi_pred
+  | "arith.select" ->
+    nops = 3 && nres = 1 && fusable_scalar root op.Ir.operands.(0)
+    && (if is_i1 op.Ir.results.(0) then fusable_i1s root op.Ir.operands 1
+        else int_class op.Ir.results.(0) && fusable_ints op.Ir.operands 1)
+  | "memref.load" ->
+    let r = if nops > 0 then int_memref_rank op.Ir.operands.(0) else 0 in
+    (r = 1 || r = 2) && nops = r + 1 && nres = 1
+    && Array.for_all int_class op.Ir.results
+    && fusable_ints op.Ir.operands 1
+  | "memref.store" ->
+    let r = if nops > 1 then int_memref_rank op.Ir.operands.(1) else 0 in
+    (r = 1 || r = 2) && nops = r + 2 && nres = 0 && int_class op.Ir.operands.(0)
+    && fusable_ints op.Ir.operands 2
+  | "upmem.mram_read" | "upmem.mram_write" ->
+    nops = 4 && nres = 0
+    && int_memref_rank op.Ir.operands.(0) > 0
+    && int_memref_rank op.Ir.operands.(1) > 0
+    && same_elements op.Ir.operands.(0) op.Ir.operands.(1)
+    && fusable_ints op.Ir.operands 2
+    && attr_matches op "count" int_value
+  | name -> (
+    nops = 2 && nres = 1
+    &&
+    match fused_binop name with
+    | 0 -> false
+    | k when int_class op.Ir.results.(0) ->
+      fusable_ints op.Ir.operands 0 || (k = 2 && fusable_i1s root op.Ir.operands 0)
+    | k -> k = 2 && is_i1 op.Ir.results.(0) && fusable_i1s root op.Ir.operands 0)
+
+and fusable_ints (vs : Ir.value array) k =
+  k >= Array.length vs || (int_class vs.(k) && fusable_ints vs (k + 1))
+
+(* i1 values made in the nest hold 0/1, as the tree-walker's [Bool]s and
+   wrapped i1 [Int]s do. *)
+and fusable_i1s root (vs : Ir.value array) k =
+  k >= Array.length vs
+  || (is_i1 vs.(k) && fusable_scalar root vs.(k) && fusable_i1s root vs (k + 1))
+
+let fusable_nest op = fusable_for op op
+
+(* ----- fused program compilation ----- *)
+
+type fstate = {
+  fst : cstate;
+  mutable mem_ids : (int * int) list;  (** memref vid -> payload-frame index *)
+  mutable mems : fmem list;  (** reverse index order *)
+  i1_slots : (int, int) Hashtbl.t;  (** i1 vid -> int-frame index *)
+  mutable loops : Ir.op list;
+}
+
+(* One loop body being compiled: ops and their failure entries (relative
+   to the start of the body until [fuse_nest] adds the induction step),
+   in reverse, and the branches met so far. *)
+type fbuf = {
+  mutable code : (fop * Profile.t) list;
+  mutable len : int;
+  mutable branches : (int * Profile.t) list;
+}
+
+(* Int-frame index of a value the per-op compile placed, or of a fused
+   i1 value. *)
+let fslot fs (v : Ir.value) =
+  match Hashtbl.find_opt fs.fst.slots v.Ir.vid with
+  | Some s when s < 0 -> -1 - s
+  | _ -> (
+    match Hashtbl.find_opt fs.i1_slots v.Ir.vid with Some k -> k | None -> raise Punt)
+
+(* Int-frame index for a result: i1 results get a fresh slot. *)
+let fdef fs (v : Ir.value) =
+  if int_class v then fslot fs v
+  else begin
+    let k = -1 - new_int fs.fst in
+    Hashtbl.replace fs.i1_slots v.Ir.vid k;
+    k
+  end
+
+(* The payload-frame index of a memref, and its binding. *)
+let fmem fs (v : Ir.value) =
+  match List.assoc_opt v.Ir.vid fs.mem_ids with
+  | Some k -> (k, List.nth fs.mems (List.length fs.mems - 1 - k))
+  | None ->
+    let m_slot =
+      match Hashtbl.find_opt fs.fst.slots v.Ir.vid with Some s when s >= 0 -> s | _ -> raise Punt
+    in
+    let m_dtype = match v.Ir.ty with Types.MemRef (_, dt) -> dt | _ -> raise Punt in
+    let m_rank = int_memref_rank v in
+    let m_dim0, m_dim1 =
+      if m_rank = 2 then (-1 - new_int fs.fst, -1 - new_int fs.fst) else (0, 0)
+    in
+    let k = List.length fs.mems in
+    let mm = { m_slot; m_rank; m_dtype; m_dim0; m_dim1 } in
+    fs.mems <- mm :: fs.mems;
+    fs.mem_ids <- (v.Ir.vid, k) :: fs.mem_ids;
+    (k, mm)
+
+let wrap_shift = function Types.I64 | Types.I1 -> 0 | dt -> 63 - Types.dtype_bits dt
+
+let cost ?(alu = 0) ?(mul = 0) ?(loads = 0) ?(stores = 0) ?(dma = 0) ?(dma_bytes = 0)
+    ?(launched = 1) () =
+  {
+    (Profile.create ()) with
+    Profile.alu_ops = alu;
+    mul_ops = mul;
+    loads;
+    stores;
+    dma_transfers = dma;
+    dma_bytes;
+    launched_ops = launched;
+  }
+
+let emit buf f entry =
+  buf.code <- (f, entry) :: buf.code;
+  buf.len <- buf.len + 1
+
+(* Add [delta] to the failure entries of the ops emitted since [start]. *)
+let shift buf start delta =
+  List.iteri (fun k (_, e) -> if k < buf.len - start then Profile.add ~into:e delta) buf.code
+
+(* An op's fused form, its cost when it completes and its cost when it
+   raises (loads and stores count before their bounds check, DMA after
+   its copy). *)
+let rec fuse_op fs (op : Ir.op) : fop * Profile.t * Profile.t =
+  let o k = fslot fs op.Ir.operands.(k) in
+  let d () = fdef fs op.Ir.results.(0) in
+  let same f c = (f, c, c) in
+  match op.Ir.name with
+  | "arith.constant" ->
+    let v =
+      match Ir.attr_exn op "value" with
+      | Attr.Int i -> Tensor.wrap (Interp.scalar_result_dtype op) i
+      | _ -> raise Punt
+    in
+    same (Fconst { d = d (); v }) (cost ())
+  | "arith.index_cast" -> same (Fmove { a = o 0; d = d () }) (cost ())
+  | "arith.cmpi" ->
+    let a = o 0 and b = o 1 in
+    let d = d () in
+    let f =
+      match Ir.str_attr op "predicate" with
+      | "eq" -> Feq { d; a; b }
+      | "ne" -> Fne { d; a; b }
+      | "slt" -> Flt { d; a; b }
+      | "sle" -> Fle { d; a; b }
+      | "sgt" -> Fgt { d; a; b }
+      | "sge" -> Fge { d; a; b }
+      | _ -> raise Punt
+    in
+    same f (cost ~alu:1 ())
+  | "arith.select" ->
+    let c = o 0 and t = o 1 and e = o 2 in
+    same (Fselect { d = d (); c; t; e }) (cost ~alu:1 ())
+  | "memref.load" ->
+    let m, mm = fmem fs op.Ir.operands.(0) in
+    let f =
+      if mm.m_rank = 1 then Fload1 { m; i = o 1; d = d () }
+      else Fload2 { m; d0 = mm.m_dim0; d1 = mm.m_dim1; i = o 1; j = o 2; d = d () }
+    in
+    same f (cost ~loads:1 ())
+  | "memref.store" ->
+    let m, mm = fmem fs op.Ir.operands.(1) in
+    let s = wrap_shift mm.m_dtype in
+    let f =
+      if mm.m_rank = 1 then Fstore1 { v = o 0; m; i = o 2; s }
+      else Fstore2 { v = o 0; m; d0 = mm.m_dim0; d1 = mm.m_dim1; i = o 2; j = o 3; s }
+    in
+    same f (cost ~stores:1 ())
+  | ("upmem.mram_read" | "upmem.mram_write") as name ->
+    let count = Ir.int_attr op "count" in
+    let mram, mm = fmem fs op.Ir.operands.(0) in
+    let wram, _ = fmem fs op.Ir.operands.(1) in
+    ( Fdma { to_wram = name = "upmem.mram_read"; mram; wram; moff = o 2; woff = o 3; count },
+      cost ~dma:1 ~dma_bytes:(count * Types.dtype_bytes mm.m_dtype) (),
+      cost () )
+  | "scf.for" -> same (Floop (fuse_nest fs op)) (cost ())
+  | name ->
+    let a = o 0 and b = o 1 in
+    let d = d () in
+    let s = wrap_shift (Interp.scalar_result_dtype op) in
+    let alu = cost ~alu:1 () in
+    (match name with
+    | "arith.addi" -> same (Fadd { d; a; b; s }) alu
+    | "arith.subi" -> same (Fsub { d; a; b; s }) alu
+    | "arith.muli" -> same (Fmul { d; a; b; s }) (cost ~mul:1 ())
+    | "arith.minsi" -> same (Fmin { d; a; b; s }) alu
+    | "arith.maxsi" -> same (Fmax { d; a; b; s }) alu
+    | "arith.andi" -> same (Fand { d; a; b; s }) alu
+    | "arith.ori" -> same (Fior { d; a; b; s }) alu
+    | "arith.xori" -> same (Fxor { d; a; b; s }) alu
+    | "arith.shli" -> same (Fshl { d; a; b; s }) alu
+    | "arith.shrsi" -> same (Fshr { d; a; b; s }) alu
+    | _ -> raise Punt)
+
+(* Emit [ops] into [buf]; returns the cost of the ops that run whenever
+   the sequence does (a branch's ops count through its counter). *)
+and fuse_seq fs buf (ops : Ir.op list) =
+  let prefix = cost ~launched:0 () in
+  List.iter
+    (fun (op : Ir.op) ->
+      if op.Ir.name = "scf.if" then fuse_if fs buf prefix op
+      else begin
+        let f, full, fail = fuse_op fs op in
+        let e = Profile.copy prefix in
+        Profile.add ~into:e fail;
+        emit buf f e;
+        Profile.add ~into:prefix full
+      end)
+    ops;
+  prefix
+
+and fuse_if fs buf prefix (op : Ir.op) =
+  let c = fslot fs op.Ir.operands.(0) in
+  let res = Array.map (fslot fs) op.Ir.results in
+  let then_n = -1 - new_int fs.fst and else_n = -1 - new_int fs.fst in
+  let fif = Fif { c; else_pc = 0; then_n; else_n } in
+  Profile.add ~into:prefix (cost ());
+  emit buf fif (Profile.copy prefix);
+  let branch ri counter =
+    let start = buf.len in
+    let full =
+      if ri >= Array.length op.Ir.regions then cost ~launched:0 ()
+      else begin
+        let b = Ir.entry_block op.Ir.regions.(ri) in
+        let n = Ir.num_ops b in
+        let has_term = n > 0 && Ir.is_terminator (Ir.op_at b (n - 1)) in
+        let full = fuse_seq fs buf (List.init (if has_term then n - 1 else n) (Ir.op_at b)) in
+        if has_term then
+          Array.iteri
+            (fun k y -> emit buf (Fmove { d = res.(k); a = fslot fs y }) (Profile.copy full))
+            (Ir.op_at b (n - 1)).Ir.operands;
+        full
+      end
+    in
+    (* entered, the branch counts as run: its ops' entries subtract the
+       part after them *)
+    let delta = Profile.copy prefix in
+    Profile.add_scaled ~into:delta full (-1);
+    shift buf start delta;
+    buf.branches <- (counter, full) :: buf.branches
+  in
+  branch 0 then_n;
+  let jump = Fjump { target = 0 } in
+  emit buf jump (Profile.copy prefix);
+  (match fif with Fif r -> r.else_pc <- buf.len | _ -> ());
+  branch 1 else_n;
+  match jump with Fjump r -> r.target <- buf.len | _ -> ()
+
+and fuse_nest fs (op : Ir.op) : nest =
+  let block = Ir.entry_block op.Ir.regions.(0) in
+  let n_res = Array.length op.Ir.results in
+  let n = Ir.num_ops block in
+  let has_term = n > 0 && Ir.is_terminator (Ir.op_at block (n - 1)) in
+  let o k = fslot fs op.Ir.operands.(k) in
+  let l_lb = o 0 and l_ub = o 1 and l_step = o 2 in
+  let l_inits = Array.init n_res (fun k -> o (k + 3)) in
+  let l_iv = fslot fs block.Ir.args.(0) in
+  let l_iters = Array.init n_res (fun k -> fslot fs block.Ir.args.(k + 1)) in
+  let buf = { code = []; len = 0; branches = [] } in
+  let full = fuse_seq fs buf (List.init (if has_term then n - 1 else n) (Ir.op_at block)) in
+  let l_yields =
+    if has_term then Array.map (fslot fs) (Ir.op_at block (n - 1)).Ir.operands else [||]
+  in
+  let l_scratch =
+    if Array.length l_yields > 1 then Array.map (fun _ -> -1 - new_int fs.fst) l_yields else [||]
+  in
+  fs.loops <- op :: fs.loops;
+  (* the induction update/compare, counted before the step check *)
+  let step = cost ~alu:1 ~launched:0 () in
+  shift buf 0 step;
+  let l_trip = Profile.copy step in
+  Profile.add ~into:l_trip full;
+  let code = List.rev buf.code in
+  let branches = Array.of_list (List.rev buf.branches) in
+  {
+    l_lb;
+    l_ub;
+    l_step;
+    l_iv;
+    l_inits;
+    l_iters;
+    l_yields;
+    l_scratch;
+    l_body = Array.of_list (List.map fst code);
+    l_trip;
+    l_fail = Array.of_list (step :: List.map snd code);
+    l_branch_n = Array.map fst branches;
+    l_branch_cost = Array.map snd branches;
+  }
+
+(* Bind each memref of a nest to its payload (and a rank-2 one's dims);
+   false when one is not an int payload of the static rank and dtype. *)
+let bind_mems (mems : fmem array) (gf : Rtval.t array) (iframe : int array)
+    (pf : int array array) =
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length mems do
+    let mm = Array.unsafe_get mems !k in
+    (match Array.unsafe_get gf mm.m_slot with
+    | Rtval.Memref t | Rtval.Tensor t -> (
+      let sh = t.Tensor.shape in
+      match t.Tensor.data with
+      | Tensor.I a when t.Tensor.dtype = mm.m_dtype && Array.length sh = mm.m_rank ->
+        if mm.m_rank = 1 then ok := Array.length a = Array.unsafe_get sh 0
+        else begin
+          let d0 = Array.unsafe_get sh 0 and d1 = Array.unsafe_get sh 1 in
+          ok := Array.length a = d0 * d1;
+          Array.unsafe_set iframe mm.m_dim0 d0;
+          Array.unsafe_set iframe mm.m_dim1 d1
+        end;
+        Array.unsafe_set pf !k a
+      | _ -> ok := false)
+    | _ -> ok := false);
+    incr k
+  done;
+  !ok
+
+let oob () = invalid_arg "Util.linearize: out of bounds"
+
+let commit (p : Profile.t) (l : nest) (iframe : int array) trips =
+  Profile.add_scaled ~into:p l.l_trip trips;
+  for k = 0 to Array.length l.l_branch_n - 1 do
+    Profile.add_scaled ~into:p l.l_branch_cost.(k) iframe.(l.l_branch_n.(k))
+  done
+
+(* Run one execution of a fused loop. The loop op's own dispatch is
+   counted by the caller. On an exception the profile gets what the
+   tree-walker would have counted, and the exception propagates. *)
+let rec run_nest ctx (iframe : int array) (pf : int array array) watched (l : nest) =
+  let lb = Array.unsafe_get iframe l.l_lb
+  and ub = Array.unsafe_get iframe l.l_ub
+  and step = Array.unsafe_get iframe l.l_step in
+  if step <= 0 then Interp.err "scf.for: non-positive step %d" step;
+  let iters = l.l_iters in
+  for k = 0 to Array.length iters - 1 do
+    Array.unsafe_set iframe (Array.unsafe_get iters k)
+      (Array.unsafe_get iframe (Array.unsafe_get l.l_inits k))
+  done;
+  for k = 0 to Array.length l.l_branch_n - 1 do
+    Array.unsafe_set iframe (Array.unsafe_get l.l_branch_n k) 0
+  done;
+  let body = l.l_body in
+  let n = Array.length body in
+  let trips = ref 0 and pc = ref (-1) in
+  (match
+     let i = ref lb in
+     while !i < ub do
+       pc := -1;
+       if watched then Interp.check_steps ctx "scf.for";
+       Array.unsafe_set iframe l.l_iv !i;
+       pc := 0;
+       while !pc < n do
+         (match Array.unsafe_get body !pc with
+         | Fconst { d; v } -> Array.unsafe_set iframe d v
+         | Fmove { d; a } -> Array.unsafe_set iframe d (Array.unsafe_get iframe a)
+         | Fadd { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a + Array.unsafe_get iframe b) lsl s) asr s)
+         | Fsub { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a - Array.unsafe_get iframe b) lsl s) asr s)
+         | Fmul { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a * Array.unsafe_get iframe b) lsl s) asr s)
+         | Fmin { d; a; b; s } ->
+           let x : int = Array.unsafe_get iframe a and y = Array.unsafe_get iframe b in
+           Array.unsafe_set iframe d (((if x <= y then x else y) lsl s) asr s)
+         | Fmax { d; a; b; s } ->
+           let x : int = Array.unsafe_get iframe a and y = Array.unsafe_get iframe b in
+           Array.unsafe_set iframe d (((if x >= y then x else y) lsl s) asr s)
+         | Fand { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a land Array.unsafe_get iframe b) lsl s) asr s)
+         | Fior { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a lor Array.unsafe_get iframe b) lsl s) asr s)
+         | Fxor { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a lxor Array.unsafe_get iframe b) lsl s) asr s)
+         | Fshl { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a lsl Array.unsafe_get iframe b) lsl s) asr s)
+         | Fshr { d; a; b; s } ->
+           Array.unsafe_set iframe d
+             (((Array.unsafe_get iframe a asr Array.unsafe_get iframe b) lsl s) asr s)
+         | Feq { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a = Array.unsafe_get iframe b))
+         | Fne { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a <> Array.unsafe_get iframe b))
+         | Flt { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a < Array.unsafe_get iframe b))
+         | Fle { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a <= Array.unsafe_get iframe b))
+         | Fgt { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a > Array.unsafe_get iframe b))
+         | Fge { d; a; b } ->
+           Array.unsafe_set iframe d
+             (Bool.to_int (Array.unsafe_get iframe a >= Array.unsafe_get iframe b))
+         | Fselect { d; c; t; e } ->
+           Array.unsafe_set iframe d
+             (Array.unsafe_get iframe (if Array.unsafe_get iframe c <> 0 then t else e))
+         | Fload1 { d; m; i } ->
+           let arr = Array.unsafe_get pf m and x = Array.unsafe_get iframe i in
+           if x < 0 || x >= Array.length arr then oob ();
+           Array.unsafe_set iframe d (Array.unsafe_get arr x)
+         | Fload2 { d; m; d0; d1; i; j } ->
+           let x = Array.unsafe_get iframe i and y = Array.unsafe_get iframe j in
+           let n1 = Array.unsafe_get iframe d1 in
+           if x < 0 || x >= Array.unsafe_get iframe d0 || y < 0 || y >= n1 then oob ();
+           Array.unsafe_set iframe d (Array.unsafe_get (Array.unsafe_get pf m) ((x * n1) + y))
+         | Fstore1 { v; m; i; s } ->
+           let arr = Array.unsafe_get pf m and x = Array.unsafe_get iframe i in
+           if x < 0 || x >= Array.length arr then oob ();
+           Array.unsafe_set arr x ((Array.unsafe_get iframe v lsl s) asr s)
+         | Fstore2 { v; m; d0; d1; i; j; s } ->
+           let x = Array.unsafe_get iframe i and y = Array.unsafe_get iframe j in
+           let n1 = Array.unsafe_get iframe d1 in
+           if x < 0 || x >= Array.unsafe_get iframe d0 || y < 0 || y >= n1 then oob ();
+           Array.unsafe_set (Array.unsafe_get pf m) ((x * n1) + y)
+             ((Array.unsafe_get iframe v lsl s) asr s)
+         | Fdma { to_wram; mram; wram; moff; woff; count } ->
+           let ma = Array.unsafe_get pf mram and wa = Array.unsafe_get pf wram in
+           let mo = Array.unsafe_get iframe moff and wo = Array.unsafe_get iframe woff in
+           if mo < 0 || count < 0 || mo + count > Array.length ma then
+             Interp.dma_oob ctx ~to_wram "MRAM" mo count (Array.length ma);
+           if wo < 0 || wo + count > Array.length wa then
+             Interp.dma_oob ctx ~to_wram "WRAM" wo count (Array.length wa);
+           if to_wram then Array.blit ma mo wa wo count else Array.blit wa wo ma mo count
+         | Fif { c; else_pc; then_n; else_n } ->
+           if Array.unsafe_get iframe c <> 0 then
+             Array.unsafe_set iframe then_n (Array.unsafe_get iframe then_n + 1)
+           else begin
+             Array.unsafe_set iframe else_n (Array.unsafe_get iframe else_n + 1);
+             pc := else_pc - 1
+           end
+         | Fjump { target } -> pc := target - 1
+         | Floop inner -> run_nest ctx iframe pf watched inner);
+         incr pc
+       done;
+       let ys = l.l_yields in
+       (match Array.length ys with
+       | 0 -> ()
+       | 1 ->
+         Array.unsafe_set iframe (Array.unsafe_get iters 0)
+           (Array.unsafe_get iframe (Array.unsafe_get ys 0))
+       | ny ->
+         let sc = l.l_scratch in
+         for k = 0 to ny - 1 do
+           Array.unsafe_set iframe (Array.unsafe_get sc k)
+             (Array.unsafe_get iframe (Array.unsafe_get ys k))
+         done;
+         for k = 0 to ny - 1 do
+           Array.unsafe_set iframe (Array.unsafe_get iters k)
+             (Array.unsafe_get iframe (Array.unsafe_get sc k))
+         done);
+       incr trips;
+       i := !i + step
+     done
+   with
+  | () -> ()
+  | exception e ->
+    let p = ctx.Interp.profile in
+    commit p l iframe !trips;
+    Profile.add ~into:p (Array.unsafe_get l.l_fail (!pc + 1));
+    raise e);
+  commit ctx.Interp.profile l iframe !trips
+
 let rec compile_op st (op : Ir.op) : instr =
   match compile_native st op with
   | Some i -> i
@@ -646,6 +1305,7 @@ and compile_native st (op : Ir.op) : instr option =
   | "memref.alloc" | "upmem.wram_alloc" -> Some (compile_alloc st op)
   | "memref.load" | "tensor.extract" -> Some (compile_indexed_load st op)
   | "memref.store" -> Some (compile_store st op)
+  | "upmem.mram_read" | "upmem.mram_write" -> Some (compile_dma st op)
   | "tensor.insert_slice" when Hashtbl.mem st.in_place op.Ir.oid ->
     Some (compile_insert_slice st op)
   | "tensor.insert" when Hashtbl.mem st.in_place op.Ir.oid -> Some (compile_insert st op)
@@ -666,7 +1326,7 @@ and compile_constant st op =
     let r = def_slot st op.Ir.results.(0) in
     if r < 0 then begin
       let ri = -1 - r in
-      fun ctx _gf iframe ->
+      fun ctx _gf iframe _pf ->
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
         Array.unsafe_set iframe ri n
@@ -675,7 +1335,7 @@ and compile_constant st op =
       (* i1 constants stay in the gen frame as the shared [Rtval.Int] the
          tree-walker would bind *)
       let rv = Rtval.Int n in
-      fun ctx gf _iframe ->
+      fun ctx gf _iframe _pf ->
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
         Array.unsafe_set gf r rv
@@ -683,7 +1343,7 @@ and compile_constant st op =
   | Attr.Float f ->
     let rv = Rtval.Float f in
     let r = def_slot st op.Ir.results.(0) in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       set_rt gf iframe r rv
@@ -700,7 +1360,7 @@ and compile_int_bin st op bucket f =
     let ai = -1 - a and bi = -1 - b and ri = -1 - r in
     match dt with
     | Types.I64 ->
-      fun ctx _gf iframe ->
+      fun ctx _gf iframe _pf ->
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
         Interp.account_int_binop p bucket;
@@ -711,7 +1371,7 @@ and compile_int_bin st op bucket f =
       let mask = (1 lsl bits) - 1
       and half = 1 lsl (bits - 1)
       and full = 1 lsl bits in
-      fun ctx _gf iframe ->
+      fun ctx _gf iframe _pf ->
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
         Interp.account_int_binop p bucket;
@@ -719,7 +1379,7 @@ and compile_int_bin st op bucket f =
         Array.unsafe_set iframe ri (if v >= half then v - full else v)
   end
   else
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       Interp.account_int_binop p bucket;
@@ -729,7 +1389,7 @@ and compile_float_bin st op f =
   let a = use_slot st op.Ir.operands.(0) in
   let b = use_slot st op.Ir.operands.(1) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
@@ -742,7 +1402,7 @@ and compile_cmpi st op =
   let r = def_slot st op.Ir.results.(0) in
   if a < 0 && b < 0 && r >= 0 then begin
     let ai = -1 - a and bi = -1 - b in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let av = Array.unsafe_get iframe ai and bv = Array.unsafe_get iframe bi in
@@ -750,7 +1410,7 @@ and compile_cmpi st op =
       Array.unsafe_set gf r (if pred av bv then rt_true else rt_false)
   end
   else
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let av = geti gf iframe a and bv = geti gf iframe b in
@@ -762,7 +1422,7 @@ and compile_select st op =
   let t = use_slot st op.Ir.operands.(1) in
   let e = use_slot st op.Ir.operands.(2) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
@@ -771,7 +1431,7 @@ and compile_select st op =
 and compile_index_cast st op =
   let a = use_slot st op.Ir.operands.(0) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     seti gf iframe r (geti gf iframe a)
@@ -780,7 +1440,7 @@ and compile_alloc st op =
   match (Ir.result op 0).Ir.ty with
   | Types.MemRef (shape, dt) ->
     let r = def_slot st op.Ir.results.(0) in
-    fun ctx gf _iframe ->
+    fun ctx gf _iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       Array.unsafe_set gf r (Rtval.Memref (Interp.alloc_tensor ctx shape dt))
@@ -806,7 +1466,7 @@ and compile_indexed_load st op =
   match idx_s with
   | [| i0 |] when m_s >= 0 && i0 < 0 && r < 0 ->
     let i0i = -1 - i0 and ri = -1 - r in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let m = Rtval.as_tensor (Array.unsafe_get gf m_s) in
@@ -823,7 +1483,7 @@ and compile_indexed_load st op =
          end
          else Tensor.get m [| i |])
   | [| i0 |] ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let m = Rtval.as_tensor (get_rt gf iframe m_s) in
@@ -838,7 +1498,7 @@ and compile_indexed_load st op =
          else Tensor.get m [| i |])
   | [| i0; i1 |] when m_s >= 0 && i0 < 0 && i1 < 0 && r < 0 ->
     let i0i = -1 - i0 and i1i = -1 - i1 and ri = -1 - r in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let m = Rtval.as_tensor (Array.unsafe_get gf m_s) in
@@ -861,7 +1521,7 @@ and compile_indexed_load st op =
          end
          else Tensor.get m [| a; b |])
   | [| i0; i1 |] ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let m = Rtval.as_tensor (get_rt gf iframe m_s) in
@@ -877,7 +1537,7 @@ and compile_indexed_load st op =
          end
          else Tensor.get m [| a; b |])
   | _ ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let m = Rtval.as_tensor (get_rt gf iframe m_s) in
@@ -897,7 +1557,7 @@ and compile_store st op =
   match idx_s with
   | [| i0 |] when m_s >= 0 && v_s < 0 && i0 < 0 ->
     let vi = -1 - v_s and i0i = -1 - i0 in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let v = Array.unsafe_get iframe vi in
@@ -914,7 +1574,7 @@ and compile_store st op =
       end
       else Tensor.set m [| i |] v
   | [| i0 |] ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let v = geti gf iframe v_s in
@@ -929,7 +1589,7 @@ and compile_store st op =
       else Tensor.set m [| i |] v
   | [| i0; i1 |] when m_s >= 0 && v_s < 0 && i0 < 0 && i1 < 0 ->
     let vi = -1 - v_s and i0i = -1 - i0 and i1i = -1 - i1 in
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let v = Array.unsafe_get iframe vi in
@@ -952,7 +1612,7 @@ and compile_store st op =
       end
       else Tensor.set m [| a; b |] v
   | [| i0; i1 |] ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let v = geti gf iframe v_s in
@@ -968,7 +1628,7 @@ and compile_store st op =
       end
       else Tensor.set m [| a; b |] v
   | _ ->
-    fun ctx gf iframe ->
+    fun ctx gf iframe _pf ->
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       let v = geti gf iframe v_s in
@@ -976,6 +1636,20 @@ and compile_store st op =
       let idx = Array.map (fun s -> geti gf iframe s) idx_s in
       p.Profile.stores <- p.Profile.stores + 1;
       Tensor.set m idx v
+
+(* The builtin DMA ops, straight off the register file. *)
+and compile_dma st op =
+  if Ir.num_operands op <> 4 || Array.length op.Ir.results <> 0 then raise Punt;
+  let count = match Ir.attr op "count" with Some (Attr.Int c) -> c | _ -> raise Punt in
+  let to_wram = op.Ir.name = "upmem.mram_read" in
+  let m_s = use_slot st op.Ir.operands.(0) and w_s = use_slot st op.Ir.operands.(1) in
+  let mo_s = use_slot st op.Ir.operands.(2) and wo_s = use_slot st op.Ir.operands.(3) in
+  fun ctx gf iframe _pf ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    let mram = Rtval.as_tensor (get_rt gf iframe m_s) in
+    let wram = Rtval.as_tensor (get_rt gf iframe w_s) in
+    Interp.dma ctx ~to_wram ~count mram wram (geti gf iframe mo_s) (geti gf iframe wo_s)
 
 (* The in-place forms of the three update ops (see [in_place_ops]):
    the same operand reads, errors and profile increments as their
@@ -991,7 +1665,7 @@ and compile_insert_slice st op =
   let dst_s = use_slot st op.Ir.operands.(1) in
   let dyn_s = Array.init n_dyn (fun i -> use_slot st op.Ir.operands.(i + 2)) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let src = Rtval.as_tensor (get_rt gf iframe src_s) in
@@ -1010,7 +1684,7 @@ and compile_insert st op =
   let dst_s = use_slot st op.Ir.operands.(1) in
   let idx_s = Array.init (Ir.num_operands op - 2) (fun i -> use_slot st op.Ir.operands.(i + 2)) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let dv = get_rt gf iframe dst_s in
@@ -1026,7 +1700,7 @@ and compile_merge_partial st op =
   let a_s = use_slot st op.Ir.operands.(0) in
   let b_s = use_slot st op.Ir.operands.(1) in
   let r = def_slot st op.Ir.results.(0) in
-  fun ctx gf iframe ->
+  fun ctx gf iframe _pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let av = get_rt gf iframe a_s in
@@ -1045,8 +1719,8 @@ and compile_recycling st (op : Ir.op) : instr =
   | None -> i
   | Some vs ->
     let slots = Array.of_list (List.map (use_slot st) vs) in
-    fun ctx gf iframe ->
-      i ctx gf iframe;
+    fun ctx gf iframe pf ->
+      i ctx gf iframe pf;
       for k = 0 to Array.length slots - 1 do
         let s = Array.unsafe_get slots k in
         match get_rt gf iframe s with
@@ -1084,7 +1758,32 @@ and compile_block st (block : Ir.block) : instr array * int array option =
     end
   end
 
+(* A loop the recogniser accepts runs fused when its memrefs bind, and
+   per-op otherwise; the loops nested in it compile per-op only. *)
 and compile_for st op =
+  if st.in_nest || not (fusable_nest op) then compile_for_ops st op
+  else begin
+    st.in_nest <- true;
+    let per_op =
+      Fun.protect ~finally:(fun () -> st.in_nest <- false) (fun () -> compile_for_ops st op)
+    in
+    let fs = { fst = st; mem_ids = []; mems = []; i1_slots = Hashtbl.create 8; loops = [] } in
+    match fuse_nest fs op with
+    | exception Punt -> per_op
+    | nest ->
+      let mems = Array.of_list (List.rev fs.mems) in
+      st.npay <- max st.npay (Array.length mems);
+      st.fused <- fs.loops @ st.fused;
+      fun ctx gf iframe pf ->
+        if bind_mems mems gf iframe pf then begin
+          let p = ctx.Interp.profile in
+          p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+          run_nest ctx iframe pf (Interp.watched ctx) nest
+        end
+        else per_op ctx gf iframe pf
+  end
+
+and compile_for_ops st op =
   if Ir.num_operands op < 3 || Array.length op.Ir.regions <> 1 then raise Punt;
   let n_res = Array.length op.Ir.results in
   if Ir.num_operands op <> n_res + 3 then raise Punt;
@@ -1116,7 +1815,7 @@ and compile_for st op =
   Array.iteri (fun i v -> alias_slot st v iter_s.(i)) op.Ir.results;
   let nb = Array.length body in
   let ny = Array.length yield_s in
-  fun ctx gf iframe ->
+  fun ctx gf iframe pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let lb = geti gf iframe lb_s
@@ -1132,7 +1831,7 @@ and compile_for st op =
       Interp.check_steps ctx "scf.for";
       seti gf iframe iv_s !i;
       for j = 0 to nb - 1 do
-        body.(j) ctx gf iframe
+        body.(j) ctx gf iframe pf
       done;
       for k = 0 to ny - 1 do
         move gf iframe scratch.(k) yield_s.(k)
@@ -1177,7 +1876,7 @@ and compile_if st op =
   let then_b = compile_branch 0 in
   let else_b = compile_branch 1 in
   let res_s = Array.map (fun v -> def_slot st v) op.Ir.results in
-  fun ctx gf iframe ->
+  fun ctx gf iframe pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let c = getb gf iframe c_s in
@@ -1185,7 +1884,7 @@ and compile_if st op =
     | None -> ()
     | Some (body, ys) ->
       for j = 0 to Array.length body - 1 do
-        body.(j) ctx gf iframe
+        body.(j) ctx gf iframe pf
       done;
       for k = 0 to Array.length ys - 1 do
         move gf iframe res_s.(k) ys.(k)
@@ -1203,7 +1902,7 @@ and compile_parallel st op =
   let arg_s = Array.map (fun v -> def_slot st v) block.Ir.args in
   let body, _term = compile_block st block in
   let nb = Array.length body in
-  fun ctx gf iframe ->
+  fun ctx gf iframe pf ->
     let p = ctx.Interp.profile in
     p.Profile.launched_ops <- p.Profile.launched_ops + 1;
     let lb = Array.map (fun s -> geti gf iframe s) lb_s in
@@ -1214,7 +1913,7 @@ and compile_parallel st op =
       if d = n_dims then begin
         Interp.check_steps ctx "scf.parallel";
         for j = 0 to nb - 1 do
-          body.(j) ctx gf iframe
+          body.(j) ctx gf iframe pf
         done
       end
       else begin
@@ -1239,6 +1938,9 @@ let compile_unit (region : Ir.region) : code =
       caps = [];
       in_place = Hashtbl.create 8;
       recycle = Hashtbl.create 8;
+      in_nest = false;
+      npay = 0;
+      fused = [];
     }
   in
   let plan = plan region in
@@ -1257,6 +1959,8 @@ let compile_unit (region : Ir.region) : code =
     cap_slots = Array.map snd caps;
     body;
     term_slots;
+    npay = st.npay;
+    fused = List.rev st.fused;
   }
 
 (* Compiled units cached by the entry block's identity. Hooks are not part
@@ -1329,6 +2033,8 @@ let get_code (region : Ir.region) : code =
   end;
   code
 
+let fused_loops region = (get_code region).fused
+
 let exec (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.t list =
   let n_args = List.length args in
   if Array.length code.arg_slots <> n_args then
@@ -1336,11 +2042,12 @@ let exec (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.
       (Array.length code.arg_slots);
   let gf = Array.make code.ngen Rtval.Token in
   let iframe = Array.make code.nint 0 in
+  let pf = Array.make code.npay [||] in
   Array.iteri (fun i rv -> set_rt gf iframe code.cap_slots.(i) rv) caps;
   List.iteri (fun i rv -> set_rt gf iframe code.arg_slots.(i) rv) args;
   let body = code.body in
   for j = 0 to Array.length body - 1 do
-    body.(j) ctx gf iframe
+    body.(j) ctx gf iframe pf
   done;
   Array.to_list (Array.map (fun s -> get_rt gf iframe s) code.term_slots)
 

@@ -9,7 +9,8 @@
     register file.
 
     Profile accounting is bit-identical to {!Interp}: natively compiled
-    ops replay the exact increments of their [Interp.eval_op] case, and
+    ops replay the exact increments of their [Interp.eval_op] case, fused
+    loop nests ({!fused_loops}) add the same totals in bulk, and
     every op the compiler does not fully understand (bulk tensor ops,
     device ops handled by machine hooks, malformed ops) falls back to a
     closure that routes that single op through [Interp.eval_op]. The
@@ -49,6 +50,15 @@ val in_place_ops : Ir.region -> Ir.op list
     its last use. Fresh tensor results take their storage from the arena.
     DESIGN.md states the rule. *)
 val recycled_after : Ir.region -> (Ir.op * Ir.value list) list
+
+(** The [scf.for] ops of a region's compiled unit that run as fused int
+    programs (outermost nests and the loops nested in them), in program
+    order. A nest runs fused when its body holds only int-class
+    [arith] ops, rank-1/2 int [memref.load]/[memref.store] on memrefs
+    defined outside it, the DMA ops and nested loops of the same kind;
+    it still runs per-op on an entry where a memref is not an int payload
+    of its static rank and dtype. DESIGN.md states the accounting. *)
+val fused_loops : Ir.region -> Ir.op list
 
 (** A region resolved for execution under the currently selected backend:
     either the region itself (tree) or cached compiled code with its

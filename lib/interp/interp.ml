@@ -19,6 +19,21 @@ type device_state = ..
 
 type device_state += Host
 
+(* The identity of one (DPU, tasklet) kernel evaluation of the UPMEM
+   simulator. Each DPU owns a [wram] table shared by its tasklets, so the
+   per-DPU loop bodies touch no machine-global mutable state. It lives
+   here, not in the simulator, because the builtin DMA ops name the lane
+   in their errors. *)
+type lane = {
+  dpu : int;
+  tasklet : int;
+  wram : (int, Tensor.t) Hashtbl.t;
+      (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
+  wram_used : int ref;  (** bytes allocated in this DPU's WRAM *)
+}
+
+type device_state += Dpu_lane of lane
+
 type ctx = {
   env : (int, Rtval.t) Hashtbl.t;
   profile : Profile.t;
@@ -67,6 +82,11 @@ exception Interp_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Interp_error s)) fmt
 
+(* Does [check_steps] do more than one branch? The fused loops of the
+   closure compiler poll it per trip only then. *)
+let watched ctx =
+  ctx.max_steps > 0 || ctx.deadline > 0. || ctx.cancel != Config.never_cancelled
+
 (* Watchdog check, shared verbatim by the tree-walker and the closure
    compiler. It counts its own invocations (loop back-edges and calls)
    rather than consulting the profile, so even a loop whose body is pure
@@ -82,10 +102,7 @@ let err fmt = Printf.ksprintf (fun s -> raise (Interp_error s)) fmt
    no budget, no deadline and the shared never-cancelled flag, the whole
    check is one branch, preserving the uninstrumented fast path. *)
 let check_steps ctx (op_name : string) =
-  if
-    ctx.max_steps > 0 || ctx.deadline > 0.
-    || ctx.cancel != Config.never_cancelled
-  then begin
+  if watched ctx then begin
     incr ctx.steps;
     if ctx.max_steps > 0 && !(ctx.steps) > ctx.max_steps then
       err
@@ -134,6 +151,35 @@ let alloc_tensor ctx shape dt =
     l := t :: !l;
     t
   | None -> Tensor.zeros shape dt
+
+let dma_name to_wram = if to_wram then "upmem.mram_read" else "upmem.mram_write"
+
+let dma_oob ctx ~to_wram what off count n =
+  let where =
+    match ctx.device with
+    | Dpu_lane l -> Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet
+    | _ -> ""
+  in
+  invalid_arg
+    (Printf.sprintf "%s: %s range [%d, %d) out of bounds for %d elements%s"
+       (dma_name to_wram) what off (off + count) n where)
+
+(* [upmem.mram_read] ([to_wram]) and [upmem.mram_write]: copy [count]
+   contiguous elements between an MRAM memref (a PU's buffer) and a WRAM
+   scratchpad, at flat offsets. One transfer of [count] elements of the
+   MRAM dtype is accounted once the copy is done. *)
+let dma ctx ~to_wram ~count (mram : Tensor.t) (wram : Tensor.t) mram_off wram_off =
+  (let n = Tensor.num_elements mram in
+   if mram_off < 0 || count < 0 || mram_off + count > n then
+     dma_oob ctx ~to_wram "MRAM" mram_off count n);
+  (let n = Tensor.num_elements wram in
+   if wram_off < 0 || count < 0 || wram_off + count > n then
+     dma_oob ctx ~to_wram "WRAM" wram_off count n);
+  if to_wram then Tensor.blit mram mram_off wram wram_off count
+  else Tensor.blit wram wram_off mram mram_off count;
+  let p = ctx.profile in
+  p.Profile.dma_transfers <- p.Profile.dma_transfers + 1;
+  p.Profile.dma_bytes <- p.Profile.dma_bytes + (count * Types.dtype_bytes mram.Tensor.dtype)
 
 let operand ctx op i = lookup ctx (Ir.operand op i)
 let t_operand ctx op i = Rtval.as_tensor (operand ctx op i)
@@ -437,6 +483,11 @@ and eval_op ctx (op : Ir.op) : unit =
     Tensor.blit src 0 dst 0 n;
     set_results []
   | "memref.dealloc" -> set_results []
+  | "upmem.mram_read" | "upmem.mram_write" ->
+    let mram = t_operand ctx op 0 and wram = t_operand ctx op 1 in
+    dma ctx ~to_wram:(name = "upmem.mram_read") ~count:(Ir.int_attr op "count") mram wram
+      (i_operand ctx op 2) (i_operand ctx op 3);
+    set_results []
   (* ----- elementwise cinm / linalg / tosa ----- *)
   | _ when List.mem_assoc name cinm_elementwise ->
     eval_elementwise ctx op (List.assoc name cinm_elementwise)

@@ -7,14 +7,27 @@ open Cinm_ir
 
 (** Execution identity: which processing element the interpreter is
     currently simulating. [Host] is ordinary host execution; device
-    simulators extend this type with their own per-PU state (the UPMEM
-    machine adds a per-(DPU, tasklet) lane) and install it on the context
-    they evaluate kernel regions with. Carrying the identity in the
-    context — instead of mutable machine fields — is what lets simulators
-    evaluate many PUs concurrently on OCaml 5 domains. *)
+    simulators install their per-PU state (the UPMEM machine's
+    [Dpu_lane]) on the context they evaluate kernel regions with.
+    Carrying the identity in the context — instead of mutable machine
+    fields — is what lets simulators evaluate many PUs concurrently on
+    OCaml 5 domains. *)
 type device_state = ..
 
 type device_state += Host
+
+(** One (DPU, tasklet) kernel evaluation of the UPMEM machine. Each DPU
+    owns a [wram] table shared by its tasklets, so per-DPU execution
+    touches no machine-global mutable state. *)
+type lane = {
+  dpu : int;
+  tasklet : int;
+  wram : (int, Tensor.t) Hashtbl.t;
+      (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
+  wram_used : int ref;  (** bytes allocated in this DPU's 64 kB WRAM *)
+}
+
+type device_state += Dpu_lane of lane
 
 type ctx = {
   env : (int, Rtval.t) Hashtbl.t;
@@ -71,6 +84,22 @@ exception Interp_error of string
     {!Cinm_support.Config.Cancelled} (not an {!Interp_error}) so server
     aborts are distinguishable from program failures. *)
 val check_steps : ctx -> string -> unit
+
+(** Does the context have a step budget, a deadline or a cancel flag,
+    i.e. does {!check_steps} do more than one branch? *)
+val watched : ctx -> bool
+
+(** The builtin [upmem.mram_read] ([to_wram]) / [upmem.mram_write]:
+    copy [count] contiguous elements between an MRAM memref and a WRAM
+    memref at flat element offsets, then account one DMA transfer of
+    [count] elements of the MRAM dtype.
+    @raise Invalid_argument when either range is out of bounds, naming
+    the DPU and tasklet of a [Dpu_lane] context. *)
+val dma : ctx -> to_wram:bool -> count:int -> Tensor.t -> Tensor.t -> int -> int -> unit
+
+(** The out-of-bounds failure of {!dma} for the [what] ("MRAM" or
+    "WRAM") range [[off, off + count)] of an [n]-element memref. *)
+val dma_oob : ctx -> to_wram:bool -> string -> int -> int -> int -> 'a
 
 (** Raise {!Interp_error} with a formatted message. *)
 val err : ('a, unit, string, 'b) format4 -> 'a

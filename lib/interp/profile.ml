@@ -30,16 +30,18 @@ let create () =
 
 let copy p = { p with alu_ops = p.alu_ops }
 
-let add ~into p =
-  into.alu_ops <- into.alu_ops + p.alu_ops;
-  into.mul_ops <- into.mul_ops + p.mul_ops;
-  into.div_ops <- into.div_ops + p.div_ops;
-  into.loads <- into.loads + p.loads;
-  into.stores <- into.stores + p.stores;
-  into.dma_bytes <- into.dma_bytes + p.dma_bytes;
-  into.dma_transfers <- into.dma_transfers + p.dma_transfers;
-  into.barriers <- into.barriers + p.barriers;
-  into.launched_ops <- into.launched_ops + p.launched_ops
+let add_scaled ~into p n =
+  into.alu_ops <- into.alu_ops + (n * p.alu_ops);
+  into.mul_ops <- into.mul_ops + (n * p.mul_ops);
+  into.div_ops <- into.div_ops + (n * p.div_ops);
+  into.loads <- into.loads + (n * p.loads);
+  into.stores <- into.stores + (n * p.stores);
+  into.dma_bytes <- into.dma_bytes + (n * p.dma_bytes);
+  into.dma_transfers <- into.dma_transfers + (n * p.dma_transfers);
+  into.barriers <- into.barriers + (n * p.barriers);
+  into.launched_ops <- into.launched_ops + (n * p.launched_ops)
+
+let add ~into p = add_scaled ~into p 1
 
 let total_scalar_ops p = p.alu_ops + p.mul_ops + p.div_ops
 

@@ -18,6 +18,9 @@ type t = {
 val create : unit -> t
 val copy : t -> t
 val add : into:t -> t -> unit
+
+(** [add_scaled ~into p n] adds [n] times every counter of [p]. *)
+val add_scaled : into:t -> t -> int -> unit
 val total_scalar_ops : t -> int
 
 (** Exact field-wise equality (all counters are ints); used to check that

@@ -45,20 +45,6 @@ type buffer = {
 
 type entry = Wg of wg | Buf of buffer
 
-(* Execution identity of one (DPU, tasklet) kernel evaluation. Each DPU
-   gets its own lane family — its own [wram] table shared by its tasklets
-   — so the per-DPU loop bodies touch no machine-global mutable state and
-   can run concurrently on OCaml 5 domains (see [Interp.device_state]). *)
-type lane = {
-  dpu : int;
-  tasklet : int;
-  wram : (int, Tensor.t) Hashtbl.t;
-      (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
-  wram_used : int ref;  (** bytes allocated in this DPU's WRAM *)
-}
-
-type Interp.device_state += Dpu_lane of lane
-
 (* A kernel failure on one lane, surfaced deterministically: the parallel
    launch captures per-DPU outcomes and re-raises the failure of the
    lowest-numbered DPU, independent of domain scheduling. *)
@@ -104,6 +90,7 @@ type t = {
       (** one entry per timed device op (scatter/launch/gather), in
           execution order; the async executor slices this log to build
           the overlapped schedule *)
+  lanes : Profile.t;  (** every lane profile of every launch, summed *)
 }
 
 let create ?(faults = Fault.default ()) config =
@@ -125,6 +112,7 @@ let create ?(faults = Fault.default ()) config =
     masked = Hashtbl.create 8;
     trace_pid = 0;
     events = Vec.create ();
+    lanes = Profile.create ();
   }
 
 (* ----- tracing -----
@@ -422,6 +410,7 @@ let account_launch m ~launch (profiles : Profile.t array array) =
       let compute = ref 0.0 and dma = ref 0.0 in
       Array.iter
         (fun p ->
+          Profile.add ~into:m.lanes p;
           compute := !compute +. instr_cycles c p;
           dma := !dma +. dma_cycles c p;
           total_instr := !total_instr +. instr_cycles c p;
@@ -474,37 +463,6 @@ let account_launch m ~launch (profiles : Profile.t array array) =
     +. (!total_instr *. c.Config.energy_per_instr)
     +. (float_of_int !total_dma_bytes *. c.Config.energy_per_dma_byte);
   kernel_t
-
-(* DMA data movement between an "MRAM" memref (the PU's buffer) and a WRAM
-   scratchpad: copies [count] contiguous elements between the two offsets. *)
-let dma_oob ctx op name off count n =
-  let where =
-    match ctx.Interp.device with
-    | Dpu_lane l -> Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet
-    | _ -> ""
-  in
-  invalid_arg
-    (Printf.sprintf "%s: %s range [%d, %d) out of bounds for %d elements%s"
-       op.Ir.name name off (off + count) n where)
-
-let exec_dma ~to_wram ctx op (ops : Rtval.t array) =
-  let mram = Rtval.as_tensor ops.(0) in
-  let wram = Rtval.as_tensor ops.(1) in
-  let mram_off = Rtval.as_int ops.(2) in
-  let wram_off = Rtval.as_int ops.(3) in
-  let count = Ir.int_attr op "count" in
-  let elem_bytes = Types.dtype_bytes mram.Tensor.dtype in
-  (let n = Tensor.num_elements mram in
-   if mram_off < 0 || count < 0 || mram_off + count > n then
-     dma_oob ctx op "MRAM" mram_off count n);
-  (let n = Tensor.num_elements wram in
-   if wram_off < 0 || count < 0 || wram_off + count > n then
-     dma_oob ctx op "WRAM" wram_off count n);
-  if to_wram then Tensor.blit mram mram_off wram wram_off count
-  else Tensor.blit wram wram_off mram mram_off count;
-  let p = ctx.Interp.profile in
-  p.Profile.dma_transfers <- p.Profile.dma_transfers + 1;
-  p.Profile.dma_bytes <- p.Profile.dma_bytes + (count * elem_bytes)
 
 let hook_impl (m : t) : Interp.hook =
  fun ctx op ops ->
@@ -670,7 +628,7 @@ let hook_impl (m : t) : Interp.hook =
                { ctx with
                  Interp.env;
                  profile = profiles.(d).(tid);
-                 device = Dpu_lane { dpu = d; tasklet = tid; wram; wram_used };
+                 device = Interp.Dpu_lane { Interp.dpu = d; tasklet = tid; wram; wram_used };
                  cmpi_preds = Hashtbl.create 8;
                  (* per-lane watchdog counter: lanes run on parallel
                     domains and must not race on the host's ref *)
@@ -720,14 +678,14 @@ let hook_impl (m : t) : Interp.hook =
     Some []
   | "cnm.wait" -> Some []
   | "upmem.tasklet_id" ->
-    let tid = match ctx.Interp.device with Dpu_lane l -> l.tasklet | _ -> 0 in
+    let tid = match ctx.Interp.device with Interp.Dpu_lane l -> l.tasklet | _ -> 0 in
     Some [ Rtval.Int tid ]
   | "upmem.wram_shared_alloc" -> (
     match (Ir.result op 0).Ir.ty with
     | Types.MemRef (shape, dt) ->
       let table, used, where =
         match ctx.Interp.device with
-        | Dpu_lane l ->
+        | Interp.Dpu_lane l ->
           (l.wram, l.wram_used, Printf.sprintf " on DPU %d" l.dpu)
         | _ ->
           let r = ref m.host_wram_used in
@@ -749,7 +707,7 @@ let hook_impl (m : t) : Interp.hook =
           used := !used + bytes;
           let t =
             match ctx.Interp.device with
-            | Dpu_lane _ ->
+            | Interp.Dpu_lane _ ->
               (* launch-scoped: the lane loop releases the whole table *)
               Tensor.Arena.alloc shape dt
             | _ ->
@@ -761,12 +719,6 @@ let hook_impl (m : t) : Interp.hook =
       in
       Some [ Rtval.Memref t ]
     | _ -> invalid_arg "upmem.wram_shared_alloc: bad result type")
-  | "upmem.mram_read" ->
-    exec_dma ~to_wram:true ctx op ops;
-    Some []
-  | "upmem.mram_write" ->
-    exec_dma ~to_wram:false ctx op ops;
-    Some []
   | "upmem.barrier_wait" ->
     ctx.Interp.profile.Profile.barriers <- ctx.Interp.profile.Profile.barriers + 1;
     Some []

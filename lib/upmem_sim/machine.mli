@@ -22,22 +22,6 @@
 open Cinm_ir
 open Cinm_interp
 
-(** Execution identity of one (DPU, tasklet) kernel evaluation, installed
-    as the {!Interp.device_state} of the kernel's context. Each DPU owns a
-    [wram] table shared by its tasklets, so per-DPU execution touches no
-    machine-global mutable state and DPUs run concurrently on the
-    {!Cinm_support.Pool} domains — with results and stats byte-identical
-    to a sequential run for any job count. *)
-type lane = {
-  dpu : int;
-  tasklet : int;
-  wram : (int, Tensor.t) Hashtbl.t;
-      (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
-  wram_used : int ref;  (** bytes allocated in this DPU's 64 kB WRAM *)
-}
-
-type Interp.device_state += Dpu_lane of lane
-
 (** A kernel failure on one lane. The launch captures per-DPU outcomes and
     re-raises the lowest-numbered DPU's failure, independent of how the
     domain pool scheduled the DPUs. *)
@@ -82,6 +66,10 @@ type t = {
           launch / gather) whose duration equals that op's stats-total
           increment; sliced by the async executor to build overlapped
           schedules *)
+  lanes : Profile.t;
+      (** the sum of every (DPU, tasklet) profile of every completed
+          launch: the work the kernels did, whichever interpreter ran
+          them *)
 }
 
 and entry

@@ -156,6 +156,88 @@ let test_cim_large_blocks () =
         (* measured: bfs 0 MB, mv 0.016 MB (its 2048-element result) *)
         [ ("bfs", 0.1); ("mv", 0.1) ])
 
+(* Minor words of a warm run of [run n] for two trip counts: their
+   difference is what the trips allocate. *)
+let words_per_trip run ~small ~large =
+  let words n =
+    run n;
+    let before = Gc.minor_words () in
+    run n;
+    Gc.minor_words () -. before
+  in
+  let ws = words small and wl = words large in
+  (wl -. ws) /. float_of_int (large - small)
+
+(* [trips] outer trips, each a DMA in and out of a 16-element WRAM
+   buffer around an inner loop of loads, arithmetic and stores; with
+   [fusable] false a division keeps the outer loop on the per-op path. *)
+let dma_loop ~fusable =
+  let f =
+    Func.create ~name:"dma_loop" ~arg_tys:[ T.Index; T.MemRef ([| 64 |], T.I32) ] ~result_tys:[]
+  in
+  let b = Builder.for_func f in
+  let w = Memref_d.alloc b [| 16 |] T.I32 in
+  let c0 = Arith.const_index b 0
+  and c1 = Arith.const_index b 1
+  and c16 = Arith.const_index b 16
+  and c3 = Arith.constant b 3 in
+  Scf_d.for0 b ~lb:c0 ~ub:(Func.param f 0) ~step:c1 (fun bb t ->
+      if not fusable then ignore (Arith.divsi bb t c1);
+      Upmem_d.mram_read bb ~mram:(Func.param f 1) ~wram:w ~mram_off:c0 ~wram_off:c0 ~count:16;
+      Scf_d.for0 bb ~lb:c0 ~ub:c16 ~step:c1 (fun bi j ->
+          Memref_d.store bi (Arith.addi bi (Memref_d.load bi w [ j ]) c3) w [ j ]);
+      Upmem_d.mram_write bb ~wram:w ~mram:(Func.param f 1) ~mram_off:c16 ~wram_off:c0 ~count:16);
+  Func_d.return b [];
+  f
+
+let run_dma_loop f n =
+  ignore (Compile.run_func f [ Rtval.Int n; Rtval.Memref (Tensor.zeros [| 64 |] T.I32) ])
+
+let test_fused_loop_zero_words () =
+  with_backend Compile.Compiled (fun () ->
+      let f = dma_loop ~fusable:true in
+      Alcotest.(check int) "both loops fuse" 2 (List.length (Compile.fused_loops f.Func.body));
+      let w = words_per_trip (run_dma_loop f) ~small:100 ~large:20_100 in
+      if w > 0.01 then Alcotest.failf "a fused loop trip allocated %.2f minor words" w)
+
+let test_dma_zero_words () =
+  with_backend Compile.Compiled (fun () ->
+      let f = dma_loop ~fusable:false in
+      Alcotest.(check int) "only the inner loop fuses" 1
+        (List.length (Compile.fused_loops f.Func.body));
+      (* per trip: two DMA ops, the division and the inner loop's entry *)
+      let w = words_per_trip (run_dma_loop f) ~small:100 ~large:20_100 in
+      if w > 0.01 then Alcotest.failf "a per-op trip with two DMA ops allocated %.2f minor words" w)
+
+(* Warm bfs and mv on the daemon's UPMEM geometry: every DPU loop of
+   both runs fused, so what a run allocates is launch bookkeeping
+   (frames, lane contexts, profiles), not per-element boxing. Measured:
+   bfs 0.41 MB, mv 0.08 MB; before the loops fused and DMA became a
+   builtin op, 36 MB and 18 MB. *)
+let test_upmem_minor_words () =
+  let module B = Cinm_benchmarks.Benchmark in
+  with_backend Compile.Compiled (fun () ->
+      List.iter
+        (fun (name, budget_mb) ->
+          let bench = Option.get (Cinm_serve_lib.Catalog.find name) in
+          let backend =
+            Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ())
+          in
+          let c = Driver.compile_func backend (bench.B.build ()) in
+          let run () =
+            let results, _ = Driver.run c (bench.B.inputs ()) in
+            Alcotest.(check bool) (name ^ " matches the reference") true
+              (B.results_match bench results)
+          in
+          run ();
+          let before = Gc.minor_words () in
+          run ();
+          let mb = (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. 1e6 in
+          if mb > budget_mb then
+            Alcotest.failf "%s@upmem allocated %.2f MB of minor words per warm run (budget %.2f MB)"
+              name mb budget_mb)
+        [ ("bfs", 1.0); ("mv", 1.0) ])
+
 (* Generated modules lowered for UPMEM and for CIM: the IR that the
    per-pass verifier and the strict-mode printer see. *)
 let lowered_modules () =
@@ -202,6 +284,10 @@ let () =
           Alcotest.test_case "tile loop updates in place" `Quick test_tile_loop_in_place;
           Alcotest.test_case "cim tile loops recycle their temporaries" `Quick
             test_cim_large_blocks;
+          Alcotest.test_case "a fused loop trip allocates nothing" `Quick
+            test_fused_loop_zero_words;
+          Alcotest.test_case "a DMA op allocates nothing" `Quick test_dma_zero_words;
+          Alcotest.test_case "warm bfs and mv on upmem" `Quick test_upmem_minor_words;
         ] );
       ( "compile path",
         [

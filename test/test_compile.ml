@@ -205,6 +205,110 @@ let test_float_min_max_engines () =
     (fun (name, got) -> Alcotest.(check string) name (show scf) (show got))
     [ ("host tree", tree); ("host compiled", compiled); ("upmem", upmem) ]
 
+(* ----- the PrIM and ML suites on UPMEM ----- *)
+
+module Suites = Cinm_benchmarks.Suites
+module Benchmark = Cinm_benchmarks.Benchmark
+
+let suite_upmem = Backend.default_upmem ~dimms:1 ~dpus_per_dimm:8 ~tasklets:4 ~optimize:true ()
+let suite_kernels () = Suites.prim_suite () @ Suites.ml_suite ()
+
+let lower_kernel (bench : Benchmark.t) =
+  (Driver.compile_func ~fallback:false (Backend.Upmem suite_upmem) (bench.Benchmark.build ()))
+    .Driver.modul
+
+let rtval_equal a b =
+  match (a, b) with
+  | (Rtval.Tensor x | Rtval.Memref x), (Rtval.Tensor y | Rtval.Memref y) -> Tensor.equal x y
+  | _ -> a = b
+
+(* One kernel on a fresh machine: its results, the machine's stats and
+   the host and DPU-lane profiles summed, or the failure. *)
+let run_kernel ~jobs ~faults (bench : Benchmark.t) =
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) @@ fun () ->
+  let m = lower_kernel bench in
+  let machine = Usim.Machine.create ~faults (Driver.upmem_sim_config suite_upmem) in
+  match
+    Compile.run_func ~hooks:[ Usim.Machine.hook machine ] ~modul:m (List.hd m.Func.funcs)
+      (bench.Benchmark.inputs ())
+  with
+  | results, profile ->
+    Profile.add ~into:profile machine.Usim.Machine.lanes;
+    Ok (results, machine.Usim.Machine.stats, profile)
+  | exception e -> Error (Printexc.to_string e)
+
+(* Every PrIM and ML kernel, tree vs compiled, at jobs 1 and 4, with and
+   without permanent and transient DPU failures: same results, stats
+   and profiles (so the fused DPU loops account exactly what the
+   tree-walker does). *)
+let test_suite_parity () =
+  let faulty =
+    match Fault.parse "dpu_fail=0.2" with Ok p -> Some p | Error e -> failwith e
+  in
+  List.iter
+    (fun (bench : Benchmark.t) ->
+      List.iter
+        (fun (jobs, faults) ->
+          let what =
+            Printf.sprintf "%s jobs %d%s" bench.Benchmark.name jobs
+              (if faults = None then "" else " dpu_fail=0.2")
+          in
+          differential
+            (fun () -> run_kernel ~jobs ~faults bench)
+            (fun tree compiled ->
+              match (tree, compiled) with
+              | Ok (r1, s1, p1), Ok (r2, s2, p2) ->
+                Alcotest.(check bool) (what ^ ": results") true (List.for_all2 rtval_equal r1 r2);
+                Alcotest.(check bool) (what ^ ": results match the reference") true
+                  (Benchmark.results_match bench r2);
+                Alcotest.(check string) (what ^ ": stats") (Usim.Stats.to_string s1)
+                  (Usim.Stats.to_string s2);
+                Alcotest.(check bool) (what ^ ": stats equal") true (Usim.Stats.equal s1 s2);
+                if faults <> None then
+                  Alcotest.(check bool) (what ^ ": faults were injected") true
+                    (s2.Usim.Stats.failed_dpus + s2.Usim.Stats.retries > 0);
+                Alcotest.(check string) (what ^ ": profile") (Profile.to_string p1)
+                  (Profile.to_string p2)
+              | Error a, Error b -> Alcotest.(check string) (what ^ ": same failure") a b
+              | Ok _, Error e | Error e, Ok _ ->
+                Alcotest.failf "%s: one backend failed: %s" what e))
+        [ (1, None); (4, None); (1, faulty); (4, faulty) ])
+    (suite_kernels ())
+
+let count_loops (r : Ir.region) =
+  let n = ref 0 in
+  Ir.walk_region (fun (op : Ir.op) -> if op.Ir.name = "scf.for" then incr n) r;
+  !n
+
+let launch_regions m =
+  let rs = ref [] in
+  List.iter
+    (fun (f : Func.t) ->
+      Ir.walk_region
+        (fun (op : Ir.op) -> if op.Ir.name = "upmem.launch" then rs := Ir.region op 0 :: !rs)
+        f.Func.body)
+    m.Func.funcs;
+  List.rev !rs
+
+(* Every DPU loop of every suite kernel (the hot ones of mm, va, red, mv
+   and ts among them) runs fused: a change that makes the recogniser
+   reject one fails here, not only in a benchmark. *)
+let test_dpu_loops_fuse () =
+  List.iter
+    (fun (bench : Benchmark.t) ->
+      let name = bench.Benchmark.name in
+      let regions = launch_regions (lower_kernel bench) in
+      Alcotest.(check bool) (name ^ " has launches") true (regions <> []);
+      List.iter
+        (fun r ->
+          Alcotest.(check int)
+            (name ^ ": every DPU loop fuses")
+            (count_loops r)
+            (List.length (Compile.fused_loops r)))
+        regions)
+    (suite_kernels ())
+
 (* ----- hand-built scf control flow ----- *)
 
 (* Loop-carried swap: yield (b, a + b) permutes the iteration-argument
@@ -643,6 +747,112 @@ let test_watchdog_default_off () =
     (fun () -> Compile.run_func f [])
     (fun (r1, _) (r2, _) -> Alcotest.(check bool) "both complete" true (r1 = [] && r2 = []))
 
+(* ----- failures inside fused loop nests ----- *)
+
+(* [f] under both backends, each on a fresh profile passed in: both must
+   fail with the same message and leave the same profile, and the
+   compiled unit must run its nest fused. *)
+let fused_failure_parity ?config ?(device = Interp.Host) name build args expect =
+  let outcome () =
+    let f = build () in
+    let profile = Profile.create () in
+    let ctx =
+      { (Interp.create_ctx ~profile ~fname:f.Func.fname ?config ()) with Interp.device }
+    in
+    let msg =
+      match Compile.run_region ctx f.Func.body (args ()) with
+      | _ -> "no failure"
+      | exception e -> Printexc.to_string e
+    in
+    (msg, Profile.to_string profile, List.length (Compile.fused_loops f.Func.body))
+  in
+  let m1, p1, _ = with_backend Compile.Tree outcome in
+  let m2, p2, fused = with_backend Compile.Compiled outcome in
+  Alcotest.(check bool) (name ^ ": the nest is fused") true (fused > 0);
+  Alcotest.(check string) (name ^ ": same message") m1 m2;
+  Alcotest.(check bool) (name ^ ": " ^ m1) true (contains m1 expect);
+  Alcotest.(check string) (name ^ ": same profile") p1 p2
+
+(* Two nested loops over a [size]-element memref: the inner one holds a
+   branch that yields a load at [i + j] for [j < 2], a compare and a
+   select, a load at [i + j], a store and an accumulation. *)
+let nest_func ?(size = 512) ~outer ~inner () =
+  let f = Func.create ~name:"nest" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  let m = Memref_d.alloc b [| size |] T.I32 and acc = Memref_d.alloc b [| 1 |] T.I32 in
+  let c0 = Arith.const_index b 0
+  and c1 = Arith.const_index b 1
+  and c2 = Arith.const_index b 2 in
+  let ub_o = Arith.const_index b outer and ub_i = Arith.const_index b inner in
+  Scf_d.for0 b ~lb:c0 ~ub:ub_o ~step:c1 (fun bo i ->
+      Scf_d.for0 bo ~lb:c0 ~ub:ub_i ~step:c1 (fun bi j ->
+          let near = Arith.cmpi bi Arith.Slt j c2 in
+          let v =
+            List.hd
+              (Scf_d.if_ bi near
+                 ~then_:(fun bt -> [ Memref_d.load bt m [ Arith.addi bt i j ] ])
+                 ~else_:(fun be -> [ Arith.constant be 7 ])
+                 ~result_tys:[ T.Scalar T.I32 ])
+          in
+          let x = Memref_d.load bi m [ Arith.addi bi i j ] in
+          let y = Arith.select bi near (Arith.muli bi x v) (Arith.subi bi x v) in
+          Memref_d.store bi y m [ Arith.minsi bi j c1 ];
+          let a = Memref_d.load bi acc [ c0 ] in
+          Memref_d.store bi (Arith.addi bi a y) acc [ c0 ]));
+  Func_d.return b [];
+  f
+
+let test_fused_load_oob () =
+  (* [i + j] leaves the memref at trip 4 of the first inner loop *)
+  fused_failure_parity "load at trip 4" (nest_func ~size:4 ~outer:3 ~inner:5) (fun () -> [])
+    "Util.linearize: out of bounds";
+  (* ... and inside the branch at trip 1 of the fourth inner loop *)
+  fused_failure_parity "load in a branch" (nest_func ~size:4 ~outer:5 ~inner:2) (fun () -> [])
+    "Util.linearize: out of bounds"
+
+(* A DPU lane whose fourth DMA reads past the end of its MRAM buffer. *)
+let test_fused_dma_oob () =
+  let build () =
+    let f = Func.create ~name:"dma" ~arg_tys:[ T.MemRef ([| 512 |], T.I32) ] ~result_tys:[] in
+    let b = Builder.for_func f in
+    let w = Upmem_d.wram_alloc b [| 128 |] T.I32 in
+    let c0 = Arith.const_index b 0
+    and c1 = Arith.const_index b 1
+    and c4 = Arith.const_index b 4
+    and c192 = Arith.const_index b 192 in
+    Scf_d.for0 b ~lb:c0 ~ub:c4 ~step:c1 (fun bb t ->
+        Upmem_d.mram_read bb ~mram:(Func.param f 0) ~wram:w ~mram_off:(Arith.muli bb t c192)
+          ~wram_off:c0 ~count:128;
+        Memref_d.store bb (Memref_d.load bb w [ t ]) w [ c0 ]);
+    Func_d.return b [];
+    f
+  in
+  let lane =
+    Interp.Dpu_lane { Interp.dpu = 3; tasklet = 1; wram = Hashtbl.create 1; wram_used = ref 0 }
+  in
+  fused_failure_parity ~device:lane "DMA at trip 3" build
+    (fun () -> [ Rtval.Memref (iota [| 512 |]) ])
+    "upmem.mram_read: MRAM range [576, 704) out of bounds for 512 elements on DPU 3 (tasklet 1)"
+
+let test_fused_watchdog () =
+  fused_failure_parity
+    ~config:{ (Config.default ()) with Config.max_steps = 13 }
+    "max_steps 13" (nest_func ~outer:3 ~inner:4) (fun () -> [])
+    "exceeded the step budget at scf.for: 14 steps (max 13)"
+
+let test_fused_cancel () =
+  let cancel = Atomic.make true in
+  fused_failure_parity
+    ~config:{ (Config.default ()) with Config.cancel }
+    "cancelled" (nest_func ~outer:3 ~inner:4) (fun () -> [])
+    "request cancelled in @nest at scf.for";
+  (* a deadline already past trips at the 1024th step, inside the
+     inner loop *)
+  fused_failure_parity
+    ~config:{ (Config.default ()) with Config.deadline = 1.0 }
+    "deadline" (nest_func ~outer:300 ~inner:4) (fun () -> [])
+    "deadline exceeded in @nest at scf.for (1024 steps)"
+
 (* ----- process defaults ----- *)
 
 (* Every run setting has one source of truth: the Config default, which
@@ -805,6 +1015,9 @@ let () =
           Alcotest.test_case "cim matmul report" `Quick test_cim_differential;
           Alcotest.test_case "float min/max NaN and signed zero" `Quick
             test_float_min_max_engines;
+          Alcotest.test_case "PrIM and ML suites, jobs 1 and 4, dpu_fail" `Quick
+            test_suite_parity;
+          Alcotest.test_case "every DPU loop fuses" `Quick test_dpu_loops_fuse;
         ] );
       ( "control-flow",
         [ Alcotest.test_case "loop-carried swap (fib)" `Quick test_scf_loop_carried;
@@ -812,6 +1025,12 @@ let () =
           Alcotest.test_case "error parity" `Quick test_error_parity;
           Alcotest.test_case "watchdog parity" `Quick test_watchdog_parity;
           Alcotest.test_case "watchdog off by default" `Quick test_watchdog_default_off;
+        ] );
+      ( "fused failures",
+        [ Alcotest.test_case "out-of-bounds load in an inner loop" `Quick test_fused_load_oob;
+          Alcotest.test_case "out-of-bounds DMA on a DPU lane" `Quick test_fused_dma_oob;
+          Alcotest.test_case "watchdog inside a nest" `Quick test_fused_watchdog;
+          Alcotest.test_case "cancel and deadline inside a nest" `Quick test_fused_cancel;
         ] );
       ( "in-place",
         [ Alcotest.test_case "aliased or live destinations copy" `Quick
