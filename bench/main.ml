@@ -25,7 +25,7 @@
           main.exe --json FILE ...  (write per-experiment wall-clock and
                                      simulated seconds for regression
                                      tracking; experiments that run the
-                                     multi-stream executor also record
+                                     hetero schedule recorder also record
                                      per-machine compute/dma/idle tracks)
           main.exe --interp NAME .. (interpreter backend, tree|compiled;
                                      default CINM_INTERP or tree)
@@ -68,7 +68,7 @@ let quick = ref false
 let sim_s_acc = ref 0.0
 let sim_runs_acc = ref 0
 
-(* Per-machine simulated-time tracks (multi-stream executor runs only),
+(* Per-machine simulated-time tracks (hetero runs only),
    summed across the runs of one experiment in first-appearance order.
    Empty for the single-device experiments, whose --json records are
    byte-identical to before the field existed. *)
@@ -135,7 +135,7 @@ type json_record = {
   runs : int;
   tracks : (string * (float * float * float)) list;
       (** machine -> summed (compute_s, dma_s, idle_s); empty unless the
-          experiment ran the multi-stream executor *)
+          experiment ran on hetero *)
   series : (string * float) list;
       (** named per-benchmark scalars (overlap ratios, scaling curves) *)
 }

@@ -2,7 +2,7 @@
    independent kernels suit *different* machines, so the partitioner
    splits one module across the crossbar (gemm), the DPU grid
    (elementwise/reduction) and the CAM (similarity search) at once and
-   the async executor overlaps their DMA and compute. Kept out of the
+   the recorded schedule overlaps their DMA and compute. Kept out of the
    default suites: the single-device baselines pin their own benchmark
    lists. *)
 

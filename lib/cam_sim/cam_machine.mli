@@ -37,7 +37,7 @@ type t = {
   mutable next : int;
   events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
       (** schedule-event log: one entry per timed op, duration = the
-          [busy_s] increment; sliced by the async executor *)
+          [busy_s] increment; sliced by the hetero schedule recorder *)
 }
 
 and entry

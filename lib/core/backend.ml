@@ -27,7 +27,7 @@ type t =
   | Cim of cim_config
   | Hetero of upmem_config * cim_config
       (** partitioned across UPMEM + memristor + CAM + host simultaneously,
-          run on the async multi-stream executor *)
+          its schedule recorded by Stream_exec *)
 
 let default_upmem ?(ranks = 1) ?(dimms = 16) ?(dpus_per_dimm = 128) ?(tasklets = 16)
     ?(optimize = false) ?(max_rows_per_launch = 64) () =

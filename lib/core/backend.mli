@@ -28,7 +28,7 @@ type t =
   | Cim of cim_config
   | Hetero of upmem_config * cim_config
       (** partitioned across UPMEM + memristor + CAM + host simultaneously,
-          run on the async multi-stream executor *)
+          its schedule recorded by {!Stream_exec} *)
 
 val default_upmem :
   ?ranks:int ->

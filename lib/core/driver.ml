@@ -7,7 +7,7 @@
      upmem:  tosa -> linalg -> cinm -> cnm -> upmem   (machine simulator)
      cim:    tosa -> linalg -> cinm -> cim [-> unroll] -> memristor -> licm
      hetero: tosa -> linalg -> cinm -> partition -> the cim lowering, then
-             the upmem lowering (multi-stream executor)
+             the upmem lowering (schedule recorded)
 
    Every backend executes through one runner: Machine_set picks the
    simulators, and one report builder reads each simulator's stats.
@@ -264,9 +264,10 @@ let report ~backend_name ~host_model ~profile ?summary machines : Report.t =
     tracks;
   }
 
-(* The one runner behind every backend: [f] runs with the set's hooks,
-   single-stream on the interpreter, or ([overlapped]) node by node on the
-   multi-stream executor. *)
+(* The one runner behind every backend: [f] runs with the set's hooks on
+   the interpreter the config names. With [overlapped] (hetero) it runs
+   through the schedule recorder, which is the same run with each
+   top-level op costed and its device events recorded. *)
 let execute ?modul ~config ~backend_name ~host_model ~overlapped machines f args =
   let results, profile, summary =
     with_span ~config ("execute:" ^ backend_name) @@ fun () ->

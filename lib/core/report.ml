@@ -12,7 +12,7 @@ type t = {
   tracks : Cinm_support.Schedule.track list;
       (** per-machine simulated-time tracks (compute/dma busy and idle
           under the overlapped schedule); non-empty only for backends run
-          on the multi-stream executor *)
+          through the hetero schedule recorder *)
 }
 
 let total_ms r = 1e3 *. r.total_s

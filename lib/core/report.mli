@@ -11,7 +11,7 @@ type t = {
   tracks : Cinm_support.Schedule.track list;
       (** per-machine simulated-time tracks (compute/dma busy and idle
           under the overlapped schedule); non-empty only for backends run
-          on the multi-stream executor *)
+          through the hetero schedule recorder *)
 }
 
 val total_ms : t -> float

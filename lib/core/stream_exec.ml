@@ -1,46 +1,39 @@
-(* Async multi-stream executor for the Hetero backend: runs one lowered
-   module across the UPMEM, memristor and CAM/RTM simulators plus the
-   host interpreter *simultaneously*, overlapping each device's
-   scatter/gather DMA with compute through the schedule model.
+(* Multi-stream schedule recorder for the Hetero backend: runs one lowered
+   module across the UPMEM, memristor and CAM/RTM simulators plus the host
+   interpreter, and records the schedule an async runtime would have
+   overlapped — each device's scatter/gather DMA against compute, and
+   independent ops on different devices against each other.
 
    Execution model
+   - Execution is the one executor's: {!Compile.run_body} runs the
+     function's top-level ops in program order on one context, under the
+     context's interpreter, with the watchdog counted per run. DPU lanes
+     still run on the pool inside each launch.
    - Nodes are the function's top-level ops (the terminator excluded).
-     Dependencies are (a) SSA: every free value of the op — operands plus
-     values its nested regions capture — points at its producing node;
-     (b) memory: nodes touching the same memref storage (chased through
-     view/cast aliases to the allocation) are chained in program order,
-     since memref mutation is invisible to SSA; (c) machine exclusivity:
-     nodes driving the same simulator are chained in program order — the
-     chain is what makes its stats and event log deterministic under any
-     host job count. The exclusivity chains govern *execution* only; the
-     schedule merge sees just the data/memory DAG, so queued same-machine
-     ops still overlap across the machine's h2d/kernel/d2h engines
-     (double-buffered DMA), while per-channel serialization keeps each
-     engine's events in program order.
-   - Ready nodes execute on the shared {!Cinm_support.Pool} (helper
-     tasks plus the calling domain, so progress never depends on a
-     worker being free). Every node evaluates in a private context whose
-     environment is staged from a mutex-protected results table, with a
-     private profile; profiles are merged in program order afterwards, so
-     the merged profile is independent of the interleaving.
+     Their schedule dependencies are (a) SSA: every value the op uses —
+     operands plus values its nested regions capture — points at its
+     producing node; (b) memory: nodes touching the same memref storage
+     (chased through view/cast aliases to the allocation) are chained in
+     program order, since memref mutation is invisible to SSA. Ops queued
+     on the same machine overlap across its h2d/kernel/d2h engines
+     (double-buffered DMA), while per-channel serialization in the merge
+     keeps each engine's events in program order.
    - Simulated time: each machine appends schedule events (duration = its
-     stats increment) while a node runs; the executor slices the logs per
-     node and feeds them, with the dependency DAG, to
+     stats increment) while a node runs; the recorder slices every log
+     around each node and feeds the slices, with the dependency DAG, to
      {!Cinm_support.Schedule.summarize} — producing the overlapped
      (critical-path) end-to-end time, the sequential single-stream sum of
      the very same events, and per-machine busy/idle tracks. Host-side
      work becomes one event per node on the shared "cpu" channel, costed
-     by the caller's host model over the node's private profile (the
-     model's max(compute, memory) is applied per node, and device issue
-     is asynchronous: a node's device events do not wait for its own host
+     by the caller's host model over the node's own profile (the model's
+     max(compute, memory) is applied per node, and device issue is
+     asynchronous: a node's device events do not wait for its own host
      event).
 
-   Because both the parallel and the sequential walk execute the same
-   per-node contexts with machine chains forcing the same per-machine op
-   order, results, machine stats and schedule events are bit-identical at
-   any job count — overlapped execution changes wall-clock and the
-   *reported* overlapped makespan, never the data (asserted by
-   test_partition). *)
+   Because the ops run in program order, results, machine stats and
+   schedule events are the same at any host job count and under either
+   interpreter (asserted by test_partition and the fuzz oracle's hetero
+   axis). *)
 
 open Cinm_ir
 open Cinm_interp
@@ -49,80 +42,20 @@ module Msim = Cinm_memristor_sim
 module Camsim = Cinm_cam_sim
 module Schedule = Cinm_support.Schedule
 module Vec = Cinm_support.Vec
-module Pool = Cinm_support.Pool
 
 type machines = Machine_set.t
 
-let events_of (ms : machines) m =
-  match (m, ms) with
-  | "upmem", { Machine_set.upmem = Some u; _ } -> u.Usim.Machine.events
-  | "memristor", { Machine_set.memristor = Some x; _ } -> x.Msim.Machine.events
-  | "cam", { Machine_set.cam = Some c; _ } -> c.Camsim.Cam_machine.events
-  | _ -> invalid_arg ("Stream_exec: no " ^ m ^ " machine in the set")
+(* Every machine's event log, in the set's fixed order, so a node's
+   event slice is reproducible. *)
+let event_logs (ms : machines) =
+  List.filter_map Fun.id
+    [
+      Option.map (fun u -> ("upmem", u.Usim.Machine.events)) ms.Machine_set.upmem;
+      Option.map (fun x -> ("memristor", x.Msim.Machine.events)) ms.Machine_set.memristor;
+      Option.map (fun c -> ("cam", c.Camsim.Cam_machine.events)) ms.Machine_set.cam;
+    ]
 
-(* Which simulator a dialect's ops land on. cnm/cim ops that survive to
-   execution are handled by the upmem/memristor hooks respectively. *)
-let machine_of_dialect = function
-  | "upmem" | "cnm" -> Some "upmem"
-  | "memristor" | "cim" -> Some "memristor"
-  | "cam" | "rtm" -> Some "cam"
-  | _ -> None
-
-(* ----- node extraction ----- *)
-
-type node = {
-  id : int;
-  op : Ir.op;
-  free : Ir.value list;  (** operands + values captured by nested regions *)
-  machs : string list;  (** simulators driven, fixed order *)
-  mutable deps : int list;
-      (** execution deps: data + memory + machine chains — what must have
-          *run* before this node may run *)
-  mutable sdeps : int list;
-      (** schedule deps: data + memory only. The machine chains are
-          deliberately absent: in the modelled timeline a machine is a set
-          of engines (h2d / kernel / d2h channels), and ops queued on the
-          same machine overlap across channels — that is the
-          double-buffering the schedule measures. Per-channel
-          serialization in {!Schedule.makespan} still orders same-channel
-          events by program order. *)
-}
-
-(* Operands of [op] plus everything its nested regions reference but do
-   not define (same notion as the compiled backend's capture set). *)
-let free_values (op : Ir.op) : Ir.value list =
-  let defined = Hashtbl.create 16 in
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let add (v : Ir.value) =
-    if (not (Hashtbl.mem defined v.Ir.vid)) && not (Hashtbl.mem seen v.Ir.vid)
-    then begin
-      Hashtbl.add seen v.Ir.vid ();
-      acc := v :: !acc
-    end
-  in
-  Array.iter add op.Ir.operands;
-  let rec go_region r =
-    Ir.iter_blocks
-      (fun b ->
-        Array.iter
-          (fun (v : Ir.value) -> Hashtbl.replace defined v.Ir.vid ())
-          b.Ir.args;
-        Ir.iter_ops
-          (fun o ->
-            Array.iter
-              (fun (v : Ir.value) -> Hashtbl.replace defined v.Ir.vid ())
-              o.Ir.results)
-          b;
-        Ir.iter_ops
-          (fun o ->
-            Array.iter add o.Ir.operands;
-            Array.iter go_region o.Ir.regions)
-          b)
-      r
-  in
-  Array.iter go_region op.Ir.regions;
-  List.rev !acc
+(* ----- the node DAG ----- *)
 
 let is_mem (ty : Types.t) =
   match ty with Types.MemRef _ | Types.Buffer _ -> true | _ -> false
@@ -139,237 +72,76 @@ let rec mem_root (v : Ir.value) =
     mem_root (Ir.operand op 0)
   | _ -> v
 
-let machines_of_op (op : Ir.op) =
-  let found = ref [] in
-  Ir.walk_op
-    (fun o ->
-      match machine_of_dialect (Ir.dialect_of o) with
-      | Some m when not (List.mem m !found) -> found := m :: !found
-      | _ -> ())
-    op;
-  (* fixed order, so chains and event slices are reproducible *)
-  List.filter (fun m -> List.mem m !found) [ "upmem"; "memristor"; "cam" ]
-
-let build_nodes (f : Func.t) =
-  let block = Func.entry_block f in
+(* The schedule dependencies of each top-level op, by program index:
+   the earlier nodes it waits on for data or memory. *)
+let node_deps (f : Func.t) : int list array =
   let producer : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let last_mem : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let last_mach : (string, int) Hashtbl.t = Hashtbl.create 4 in
   let acc = ref [] and idx = ref 0 in
   Ir.iter_ops
     (fun op ->
       if not (Ir.is_terminator op) then begin
         let id = !idx in
         incr idx;
-        let free = free_values op in
-        let machs = machines_of_op op in
-        let deps = ref [] and sdeps = ref [] in
-        let add d =
-          if d <> id then begin
-            deps := d :: !deps;
-            sdeps := d :: !sdeps
-          end
-        in
+        let uses = Array.to_list op.Ir.operands @ Compile.free_values op in
+        let deps = ref [] in
+        let add d = if d <> id then deps := d :: !deps in
         List.iter
-          (fun (v : Ir.value) ->
-            match Hashtbl.find_opt producer v.Ir.vid with
-            | Some p -> add p
-            | None -> ())
-          free;
+          (fun (v : Ir.value) -> Option.iter add (Hashtbl.find_opt producer v.Ir.vid))
+          uses;
         let touch_mem (v : Ir.value) =
           if is_mem v.Ir.ty then begin
             let r = (mem_root v).Ir.vid in
-            (match Hashtbl.find_opt last_mem r with
-            | Some p -> add p
-            | None -> ());
+            Option.iter add (Hashtbl.find_opt last_mem r);
             Hashtbl.replace last_mem r id
           end
         in
-        List.iter touch_mem free;
+        List.iter touch_mem uses;
         Array.iter touch_mem op.Ir.results;
-        List.iter
-          (fun m ->
-            (match Hashtbl.find_opt last_mach m with
-            | Some p -> if p <> id then deps := p :: !deps
-            | None -> ());
-            Hashtbl.replace last_mach m id)
-          machs;
-        Array.iter
-          (fun (v : Ir.value) -> Hashtbl.replace producer v.Ir.vid id)
-          op.Ir.results;
-        acc :=
-          {
-            id;
-            op;
-            free;
-            machs;
-            deps = List.sort_uniq compare !deps;
-            sdeps = List.sort_uniq compare !sdeps;
-          }
-          :: !acc
+        Array.iter (fun (v : Ir.value) -> Hashtbl.replace producer v.Ir.vid id) op.Ir.results;
+        acc := List.sort_uniq compare !deps :: !acc
       end)
-    block;
+    (Func.entry_block f);
   Array.of_list (List.rev !acc)
 
-(* ----- execution ----- *)
+(* ----- recording ----- *)
 
 type outcome = {
   results : Rtval.t list;
-  profile : Profile.t;  (** merged per-node profiles, in program order *)
+  profile : Profile.t;  (** the per-node profiles, summed *)
   summary : Schedule.summary;
   schedule : Schedule.node list;  (** the merged event DAG, for tracing *)
 }
 
-let run ?config ?modul ?(sequential = false) ?(dma_depth = 2)
-    ~(host_cost : Profile.t -> float) ~(machines : machines) (f : Func.t)
-    (args : Rtval.t list) : outcome =
-  let nodes = build_nodes f in
-  let n = Array.length nodes in
-  let hooks = Machine_set.hooks machines in
-  let glock = Mutex.create () in
-  let genv : (int, Rtval.t) Hashtbl.t = Hashtbl.create (4 * (n + 1)) in
-  List.iter2
-    (fun (p : Ir.value) a -> Hashtbl.replace genv p.Ir.vid a)
-    (Func.params f) args;
-  let profiles = Array.init n (fun _ -> Profile.create ()) in
-  let sched_events : (string * Schedule.ev) list array = Array.make n [] in
-  let exec_node i =
-    let node = nodes.(i) in
-    let profile = profiles.(i) in
-    let ctx =
-      Interp.create_ctx ~hooks ~profile ?modul ~fname:f.Func.fname ?config ()
-    in
-    Mutex.lock glock;
-    List.iter
-      (fun (v : Ir.value) ->
-        match Hashtbl.find_opt genv v.Ir.vid with
-        | Some rv -> Interp.bind ctx v rv
-        | None -> ())
-      node.free;
-    Mutex.unlock glock;
-    (* the machine chains guarantee this node is the only one driving its
-       machines, so the log lengths delimit exactly its events *)
-    let marks =
-      List.map (fun m -> (m, Vec.length (events_of machines m))) node.machs
-    in
-    Interp.eval_op ctx node.op;
-    let host_s = host_cost profile in
+let run ?config ?modul ~(host_cost : Profile.t -> float) ~(machines : machines)
+    (f : Func.t) (args : Rtval.t list) : outcome =
+  let deps = node_deps f in
+  let profiles = Array.map (fun _ -> Profile.create ()) deps in
+  let events = Array.make (Array.length deps) [] in
+  let logs = event_logs machines in
+  let each i run =
+    let marks = List.map (fun (m, log) -> (m, log, Vec.length log)) logs in
+    run profiles.(i);
+    let host_s = host_cost profiles.(i) in
     let device_evs =
       List.concat_map
-        (fun (m, start) ->
-          let log = events_of machines m in
+        (fun (m, log, start) ->
           List.init (Vec.length log - start) (fun k -> (m, Vec.get log (start + k))))
         marks
     in
-    sched_events.(i) <-
-      (if host_s > 0.0 then [ Schedule.host_event host_s ] else []) @ device_evs;
-    Mutex.lock glock;
-    Array.iter
-      (fun (v : Ir.value) -> Hashtbl.replace genv v.Ir.vid (Interp.lookup ctx v))
-      node.op.Ir.results;
-    Mutex.unlock glock
+    events.(i) <-
+      (if host_s > 0.0 then [ Schedule.host_event host_s ] else []) @ device_evs
   in
-  let pool = Pool.default () in
-  if sequential || n <= 1 || Pool.jobs pool <= 1 then
-    (* program order is a topological order: every dep points backwards *)
-    Array.iter (fun node -> exec_node node.id) nodes
-  else begin
-    let succs = Array.make n [] in
-    let indeg = Array.make n 0 in
-    Array.iter
-      (fun node ->
-        indeg.(node.id) <- List.length node.deps;
-        List.iter
-          (fun d -> succs.(d) <- node.id :: succs.(d))
-          node.deps)
-      nodes;
-    let slock = Mutex.create () in
-    let cond = Condition.create () in
-    let ready = Queue.create () in
-    Array.iter (fun node -> if indeg.(node.id) = 0 then Queue.push node.id ready) nodes;
-    let remaining = ref n and executing = ref 0 in
-    let failure = ref None in
-    (* Worker loop: claim a ready node, run it, release its successors.
-       Exits once everything ran or a node failed; the calling domain runs
-       the same loop, so completion never depends on pool workers being
-       free (the pool may be busy serving the node's own DPU lanes). *)
-    let worker () =
-      Mutex.lock slock;
-      let continue_ = ref true in
-      while !continue_ do
-        if !remaining = 0 || !failure <> None then continue_ := false
-        else
-          match Queue.take_opt ready with
-          | None -> Condition.wait cond slock
-          | Some i ->
-            incr executing;
-            Mutex.unlock slock;
-            let res =
-              try
-                exec_node i;
-                None
-              with e -> Some (e, Printexc.get_raw_backtrace ())
-            in
-            Mutex.lock slock;
-            decr executing;
-            (match res with
-            | Some _ when !failure = None -> failure := res
-            | _ -> ());
-            decr remaining;
-            List.iter
-              (fun s ->
-                indeg.(s) <- indeg.(s) - 1;
-                if indeg.(s) = 0 then Queue.push s ready)
-              succs.(i);
-            Condition.broadcast cond
-      done;
-      Condition.broadcast cond;
-      Mutex.unlock slock
-    in
-    let extra = min (Pool.jobs pool - 1) (max 1 (n / 2)) in
-    for _ = 1 to extra do
-      Pool.help pool worker
-    done;
-    worker ();
-    (* wait for in-flight workers so machines and tables are quiescent *)
-    Mutex.lock slock;
-    while !executing > 0 do
-      Condition.wait cond slock
-    done;
-    let fail = !failure in
-    Mutex.unlock slock;
-    match fail with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ()
-  end;
-  let results =
-    let term_operands = ref [] in
-    Ir.iter_ops
-      (fun op -> if Ir.is_terminator op then term_operands := Array.to_list op.Ir.operands)
-      (Func.entry_block f);
-    List.map
-      (fun (v : Ir.value) ->
-        match Hashtbl.find_opt genv v.Ir.vid with
-        | Some rv -> rv
-        | None -> Interp.err "hetero executor: result value v%d unbound" v.Ir.vid)
-      !term_operands
+  let ctx =
+    Interp.create_ctx ~hooks:(Machine_set.hooks machines) ?modul ~fname:f.Func.fname
+      ?config ()
   in
-  let profile = Profile.create () in
+  let results = Compile.run_body ~each ctx f args in
+  let profile = ctx.Interp.profile in
   Array.iter (fun p -> Profile.add ~into:profile p) profiles;
-  let sched =
-    Array.to_list
-      (Array.map
-         (fun node ->
-           {
-             Schedule.n_id = node.id;
-             n_deps = node.sdeps;
-             n_events = sched_events.(node.id);
-           })
-         nodes)
+  let schedule =
+    List.mapi
+      (fun i n_deps -> { Schedule.n_id = i; n_deps; n_events = events.(i) })
+      (Array.to_list deps)
   in
-  {
-    results;
-    profile;
-    summary = Schedule.summarize ~dma_depth sched;
-    schedule = sched;
-  }
+  { results; profile; summary = Schedule.summarize schedule; schedule }

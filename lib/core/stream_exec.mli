@@ -1,27 +1,27 @@
-(** Async multi-stream executor for the {!Backend.Hetero} backend: runs a
-    lowered module across the UPMEM, memristor and CAM/RTM simulators plus
-    the host interpreter simultaneously, on the shared
-    {!Cinm_support.Pool}, and merges the machines' simulated-time event
-    logs into one coherent overlapped schedule.
+(** Multi-stream schedule recorder for the {!Backend.Hetero} backend: runs
+    a lowered module across the UPMEM, memristor and CAM/RTM simulators
+    plus the host interpreter, and merges the machines' simulated-time
+    event logs into one coherent overlapped schedule.
 
-    Nodes are the function's top-level ops; dependencies are SSA values
-    (including region captures), shared memref storage (chased through
-    view aliases), and per-machine program-order chains — the chains are
-    what make machine stats, event logs and therefore the schedule
-    bit-identical at any job count. [sequential] executes the same
-    per-node contexts in program order on the calling domain only; it
-    changes wall-clock behavior, never results or simulated numbers. *)
+    The function runs through {!Cinm_interp.Compile.run_body}: its
+    top-level ops in program order on one context, under the context's
+    interpreter, with one watchdog budget for the whole run. Each
+    top-level op is a schedule node, with its own profile (costed as a
+    host event) and the slice of every machine's event log it appended.
+    Node dependencies are SSA values (including region captures) and
+    shared memref storage (chased through view aliases). Results, machine
+    stats and schedules are the same at any job count and under either
+    interpreter. *)
 
 open Cinm_ir
 open Cinm_interp
 
-(** The simulators the nodes drive; a node whose ops target a machine
-    the set lacks fails with [Invalid_argument]. *)
+(** The simulators the nodes drive. *)
 type machines = Machine_set.t
 
 type outcome = {
   results : Rtval.t list;
-  profile : Profile.t;  (** merged per-node profiles, in program order *)
+  profile : Profile.t;  (** the per-node profiles, summed *)
   summary : Cinm_support.Schedule.summary;
       (** overlapped + sequential makespans and per-machine tracks of this
           run's device events, host work included as "cpu" events costed
@@ -35,8 +35,6 @@ type outcome = {
 val run :
   ?config:Cinm_support.Config.t ->
   ?modul:Func.modul ->
-  ?sequential:bool ->
-  ?dma_depth:int ->
   host_cost:(Profile.t -> float) ->
   machines:machines ->
   Func.t ->

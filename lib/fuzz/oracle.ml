@@ -129,6 +129,38 @@ let counters_equal a b =
   | None, None -> true
   | _ -> false
 
+(* The hetero run is the one executor's program-order run plus a
+   recorded schedule, so the tree and compiled interpreters must agree
+   on it exactly: outcome and every report number. The schedule must
+   also keep the bounds the merge promises: the overlapped time lies
+   between the busiest engine and the sequential sum. *)
+let hetero_agree (o_tree, r_tree) (o_comp, r_comp) =
+  let report_key (r : Report.t) =
+    (r.Report.total_s, r.Report.host_s, r.Report.device_s, r.Report.breakdown, r.Report.counters)
+  in
+  let bounds_broken (r : Report.t) =
+    let part k = List.assoc_opt k r.Report.breakdown in
+    match (part "e2e_overlapped", part "e2e_sequential", part "max_channel_busy") with
+    | Some ovl, Some seq, Some busy ->
+      let slack x = 1e-9 *. Float.abs x in
+      if ovl > seq +. slack seq then
+        Some (Printf.sprintf "e2e_overlapped %h > e2e_sequential %h" ovl seq)
+      else if ovl < busy -. slack busy then
+        Some (Printf.sprintf "e2e_overlapped %h < max_channel_busy %h" ovl busy)
+      else None
+    | _ -> None
+  in
+  if not (outcomes_equal o_tree o_comp) then
+    Some { axis = "hetero"; detail = "tree vs compiled: " ^ describe o_tree o_comp }
+  else if Option.map report_key r_tree <> Option.map report_key r_comp then
+    Some { axis = "hetero"; detail = "report differs between interp tree and compiled" }
+  else
+    List.find_map
+      (fun r ->
+        Option.bind r bounds_broken
+        |> Option.map (fun d -> { axis = "hetero"; detail = "schedule bounds: " ^ d }))
+      [ r_tree; r_comp ]
+
 let check_axis_on ?(inject = false) ?(jobs_alt = 4) ~axis ~seed text m =
   let run = run_module ~seed in
   let vs_ref axis_out =
@@ -156,7 +188,11 @@ let check_axis_on ?(inject = false) ?(jobs_alt = 4) ~axis ~seed text m =
   | "arm" -> vs_ref (fun () -> run ~backend:Backend.Host_arm m)
   | "upmem" -> vs_ref (fun () -> run ~backend:(small_upmem ()) m)
   | "cim" -> vs_ref (fun () -> run ~backend:(small_cim ()) m)
-  | "hetero" -> vs_ref (fun () -> run ~backend:(small_hetero ()) m)
+  | "hetero" -> (
+    let tree = run ~backend:(small_hetero ()) m in
+    match vs_ref (fun () -> tree) with
+    | Some _ as d -> d
+    | None -> hetero_agree tree (run ~backend:(small_hetero ()) ~interp:"compiled" m))
   | "jobs" ->
     let o1, r1 = run ~backend:(small_upmem ()) ~jobs:1 m in
     let oN, rN = run ~backend:(small_upmem ()) ~jobs:jobs_alt m in

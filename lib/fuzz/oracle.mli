@@ -5,7 +5,10 @@
     - [compiled]: closure-compiling interpreter vs the tree walker;
     - [arm] / [upmem] / [cim] / [hetero]: each device backend vs the
       CPU reference (the driver's CPU fallback is legal and invisible
-      here — it must still produce the reference answer);
+      here — it must still produce the reference answer); [hetero] also
+      runs on the compiled interpreter, which must give the same outcome
+      and report, and both reports must keep the schedule's bounds
+      ([max_channel_busy <= e2e_overlapped <= e2e_sequential]);
     - [jobs]: the UPMEM simulation at [--jobs 1] vs [--jobs N], results
       {e and} deterministic report counters;
     - [strict]: verify + print→parse→print fixpoint after every pass

@@ -2035,7 +2035,9 @@ let get_code (region : Ir.region) : code =
 
 let fused_loops region = (get_code region).fused
 
-let exec (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.t list =
+(* With [each], op [j] of the unit's entry block runs as [each j run],
+   where [run p] executes it accounting into [p] (see [run_body]). *)
+let exec ?each (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.t list =
   let n_args = List.length args in
   if Array.length code.arg_slots <> n_args then
     Interp.err "region arity mismatch: %d args for %d params" n_args
@@ -2046,9 +2048,15 @@ let exec (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.
   Array.iteri (fun i rv -> set_rt gf iframe code.cap_slots.(i) rv) caps;
   List.iteri (fun i rv -> set_rt gf iframe code.arg_slots.(i) rv) args;
   let body = code.body in
-  for j = 0 to Array.length body - 1 do
-    body.(j) ctx gf iframe pf
-  done;
+  (match each with
+  | None ->
+    for j = 0 to Array.length body - 1 do
+      body.(j) ctx gf iframe pf
+    done
+  | Some each ->
+    Array.iteri
+      (fun j instr -> each j (fun profile -> instr { ctx with Interp.profile } gf iframe pf))
+      body);
   Array.to_list (Array.map (fun s -> get_rt gf iframe s) code.term_slots)
 
 (* ----- launch API ----- *)
@@ -2080,18 +2088,37 @@ let run_region ctx region args = run (prepare ctx region) ctx args
 
 (* ----- entry points (drop-in for Interp.run_func / run_in_module) ----- *)
 
+(* The tree-walker's form of [exec ~each]: [Interp.eval_region] one op
+   at a time. *)
+let eval_body ctx (region : Ir.region) args each =
+  let block = Ir.entry_block region in
+  let n_args = List.length args in
+  if Array.length block.Ir.args <> n_args then
+    Interp.err "region arity mismatch: %d args for %d params" n_args
+      (Array.length block.Ir.args);
+  List.iteri (fun i rv -> Interp.bind ctx block.Ir.args.(i) rv) args;
+  let results = ref [] in
+  for j = 0 to Ir.num_ops block - 1 do
+    let op = Ir.op_at block j in
+    if Ir.is_terminator op then
+      results := List.map (Interp.lookup ctx) (Array.to_list op.Ir.operands)
+    else each j (fun profile -> Interp.eval_op { ctx with Interp.profile } op)
+  done;
+  !results
+
+let run_body ?each ctx (f : Func.t) args =
+  match (backend_of_ctx ctx, each) with
+  | Tree, None -> Interp.eval_region ctx f.Func.body args
+  | Tree, Some each -> eval_body ctx f.Func.body args each
+  | Compiled, _ ->
+    let code = get_code f.Func.body in
+    exec ?each code ctx (Array.map (fun v -> Interp.lookup ctx v) code.cap_values) args
+
 let run_func ?(hooks = []) ?profile ?modul ?(config = Config.default ()) (f : Func.t)
     (args : Rtval.t list) : Rtval.t list * Profile.t =
   let ctx = Interp.create_ctx ~hooks ?profile ?modul ~fname:f.Func.fname ~config () in
-  match backend_of_ctx ctx with
-  | Tree ->
-    let results = Interp.eval_region ctx f.Func.body args in
-    (results, ctx.Interp.profile)
-  | Compiled ->
-    let code = get_code f.Func.body in
-    let caps = Array.map (fun v -> Interp.lookup ctx v) code.cap_values in
-    let results = exec code ctx caps args in
-    (results, ctx.Interp.profile)
+  let results = run_body ctx f args in
+  (results, ctx.Interp.profile)
 
 let run_in_module ?(hooks = []) ?profile ?config (m : Func.modul) name args =
   let f = Func.find_func_exn m name in

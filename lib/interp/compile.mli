@@ -93,6 +93,26 @@ type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
 
 val cache_stats : unit -> cache_stats
 
+(** Free values of [op]'s nested regions: the values their entry blocks
+    use but do not define, in order of first use ([op]'s own operands
+    are not included). *)
+val free_values : Ir.op -> Ir.value list
+
+(** Run [f]'s body on [ctx] under the context's backend, its parameters
+    bound to [args]; returns the operands of its terminator. The
+    top-level ops run in program order on the one context, so they share
+    its environment, hooks and watchdog budget. With [each], top-level
+    op [i] runs as [each i run], where [run p] executes it with its
+    profile accounting going to [p] instead of the context's (the hetero
+    executor costs each op and slices the machines' event logs around
+    it). {!run_func} is this with no [each]. *)
+val run_body :
+  ?each:(int -> (Profile.t -> unit) -> unit) ->
+  Interp.ctx ->
+  Func.t ->
+  Rtval.t list ->
+  Rtval.t list
+
 (** Backend-dispatching drop-in for {!Interp.run_func}. [config]
     (default: {!Cinm_support.Config.default}) supplies the backend choice
     (its [interp] field; [""] means {!backend}), the watchdog budget, the

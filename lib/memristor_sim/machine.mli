@@ -41,7 +41,7 @@ type t = {
   events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
       (** schedule-event log: one entry per timed op (store/copy/gemm
           tile), duration = the op's serialized busy increment; sliced by
-          the async executor to build overlapped schedules *)
+          the hetero schedule recorder to build overlapped schedules *)
 }
 
 val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t

@@ -260,7 +260,7 @@ let backend_of_name = function
   | "host" -> Backend.Host_xeon
   | "cim" -> Backend.Cim (Backend.default_cim ())
   | "hetero" ->
-    (* partitioned across all devices on the multi-stream executor; the
+    (* partitioned across all devices, with the schedule recorded; the
        same small DPU grid as the upmem backend keeps requests fast *)
     Backend.default_hetero ~dimms:1 ~dpus_per_dimm:4 ()
   | _ -> Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ())

@@ -17,12 +17,11 @@
    - [submit]: enqueue an independent task; workers prefer parallel-for
      indices (they are short and a caller is blocked on them) and drain
      tasks otherwise. Returns [false] once shutdown has begun.
-   - [help]: enqueue a task for a caller that runs the same work itself.
 
    Workers: a submitter never runs tasks (the serve daemon's event loop
    only admits them), so a pool that has taken a task has [jobs] worker
    domains and runs up to [jobs] tasks at once. A pool that only runs
-   loops and helpers has [jobs - 1], their caller being the last domain.
+   loops has [jobs - 1], their caller being the last domain.
 
    Sizing: [CINM_JOBS] in the environment, or [set_default_jobs] (the
    bench harness's [--jobs] flag), or [Domain.recommended_domain_count].
@@ -124,15 +123,15 @@ let worker_loop p =
   Mutex.unlock p.mutex
 
 (* Must be called with the mutex held. Grows the pool to [n] workers,
-   never shrinks it: [submit] asks for [jobs], [run] and [help] for
-   [jobs - 1] (see "Workers" above). *)
+   never shrinks it: [submit] asks for [jobs], [run] for [jobs - 1] (see
+   "Workers" above). *)
 let ensure_workers p n =
   let have = List.length p.workers in
   if have < n && not p.shutting_down then
     p.workers <-
       List.init (n - have) (fun _ -> Domain.spawn (fun () -> worker_loop p)) @ p.workers
 
-let enqueue p task ~workers =
+let submit p task =
   Mutex.lock p.mutex;
   if p.shutting_down then begin
     Mutex.unlock p.mutex;
@@ -140,14 +139,11 @@ let enqueue p task ~workers =
   end
   else begin
     Queue.push task p.tasks;
-    ensure_workers p workers;
+    ensure_workers p p.jobs;
     Condition.broadcast p.has_work;
     Mutex.unlock p.mutex;
     true
   end
-
-let submit p task = enqueue p task ~workers:p.jobs
-let help p task = ignore (enqueue p task ~workers:(p.jobs - 1))
 
 let pending p =
   Mutex.lock p.mutex;

@@ -2,7 +2,7 @@
 
    Each machine simulator appends one event per timed device operation
    (scatter, kernel launch, gather, crossbar program, CAM search, ...) to
-   its event log; the async executor slices those logs per top-level op
+   its event log; the hetero recorder slices those logs per top-level op
    and feeds them here together with the op-level dependency DAG. The
    merge then replays the same events under two disciplines:
 
@@ -76,6 +76,10 @@ type placed = {
   p_finish_s : float;
 }
 
+(* Staging buffers per machine: a host->device transfer may run ahead of
+   the compute stream by at most this many kernels (double buffering). *)
+let dma_depth = 2
+
 (* Replay the event logs under one discipline; returns the makespan.
 
    The overlapped replay is event-driven: every node whose dependencies
@@ -87,7 +91,7 @@ type placed = {
    that started late; intra-node emission order and per-channel
    serialization still hold, and the makespan stays bounded by the
    sequential sum (every start is a max over already-placed finishes). *)
-let makespan ?record ?(overlap = true) ?(dma_depth = 2) (nodes : node list) =
+let makespan ?record ~overlap (nodes : node list) =
   let channel_free : (string * string, float) Hashtbl.t = Hashtbl.create 16 in
   let buf_avail : (string * int, float) Hashtbl.t = Hashtbl.create 64 in
   (* per machine: finish times of its Compute events, in issue order *)
@@ -250,14 +254,14 @@ let makespan ?record ?(overlap = true) ?(dma_depth = 2) (nodes : node list) =
 
 (* The overlapped replay's placed events, in issue order: who ran what,
    when, on which engine. Feeds trace output and the scheduling tests. *)
-let timeline ?(dma_depth = 2) (nodes : node list) =
+let timeline (nodes : node list) =
   let vec = Vec.create () in
-  ignore (makespan ~record:vec ~overlap:true ~dma_depth nodes);
+  ignore (makespan ~record:vec ~overlap:true nodes);
   Vec.to_list vec
 
-let summarize ?(dma_depth = 2) (nodes : node list) =
-  let e2e_s = makespan ~overlap:true ~dma_depth nodes in
-  let seq_s = makespan ~overlap:false ~dma_depth nodes in
+let summarize (nodes : node list) =
+  let e2e_s = makespan ~overlap:true nodes in
+  let seq_s = makespan ~overlap:false nodes in
   (* per-machine busy buckets and per-channel busy sums, in order *)
   let order = Vec.create () in
   let busy : (string, float * float) Hashtbl.t = Hashtbl.create 8 in

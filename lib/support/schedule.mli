@@ -1,10 +1,10 @@
 (** Simulated-time schedule merge for heterogeneous multi-device runs.
 
     Machine simulators log one {!ev} per timed device operation; the
-    async executor groups them into {!node}s (one per top-level op, with
-    the op-level dependency DAG) and {!summarize} replays them twice —
-    once strictly sequentially, once overlapped (independent per-machine
-    channels, buffer RAW hazards, a [dma_depth]-deep double-buffering
+    hetero schedule recorder groups them into {!node}s (one per top-level
+    op, with the op-level dependency DAG) and {!summarize} replays them
+    twice — once strictly sequentially, once overlapped (independent
+    per-machine channels, buffer RAW hazards, a two-deep double-buffering
     window for host->device transfers) — yielding the sequential sum,
     the critical-path makespan and per-machine busy/idle tracks. The
     merge is a pure function of the logs: byte-identical for any host
@@ -60,12 +60,7 @@ type placed = {
   p_finish_s : float;
 }
 
-(** Makespan under one discipline (exposed for tests). [record] collects
-    the placed events of the replay. *)
-val makespan :
-  ?record:placed Vec.t -> ?overlap:bool -> ?dma_depth:int -> node list -> float
-
 (** The overlapped replay's placed events, in issue order. *)
-val timeline : ?dma_depth:int -> node list -> placed list
+val timeline : node list -> placed list
 
-val summarize : ?dma_depth:int -> node list -> summary
+val summarize : node list -> summary

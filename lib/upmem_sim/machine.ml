@@ -88,7 +88,7 @@ type t = {
       (** this machine's trace process id; 0 until tracing first sees it *)
   events : Schedule.ev Vec.t;
       (** one entry per timed device op (scatter/launch/gather), in
-          execution order; the async executor slices this log to build
+          execution order; the hetero schedule recorder slices this log to build
           the overlapped schedule *)
   lanes : Profile.t;  (** every lane profile of every launch, summed *)
 }
@@ -589,7 +589,7 @@ let hook_impl (m : t) : Interp.hook =
        compiles (or fetches from cache) a closure tree whose captures are
        already bound, shared read-only by every lane below — each lane then
        executes on its own register file and only needs a small scratch
-       environment for hook ops that tree-walk through [Interp.eval_op]. *)
+       environment for the hook ops it hands to the tree-walker. *)
     let prep = Compile.prepare ctx region in
     let compiled = Compile.is_compiled prep in
     Cinm_support.Pool.run pool dpus (fun d ->

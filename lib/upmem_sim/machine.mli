@@ -64,7 +64,7 @@ type t = {
   events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
       (** schedule-event log: one entry per timed device op (scatter /
           launch / gather) whose duration equals that op's stats-total
-          increment; sliced by the async executor to build overlapped
+          increment; sliced by the hetero schedule recorder to build overlapped
           schedules *)
   lanes : Profile.t;
       (** the sum of every (DPU, tasklet) profile of every completed

@@ -6,7 +6,8 @@
      smoke scaling RUN             monotone rank scaling, >= 1.5x overlap
      smoke trace FILE              a Perfetto-shaped bench --trace file
      smoke lint LIB_DIR            no bare failwith / Printf.eprintf, no
-                                   global state in lib/transforms
+                                   global state in lib/transforms, no
+                                   Interp.eval_* outside lib/interp
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -183,6 +184,10 @@ let lint lib =
   let all = ml_files lib in
   let transforms = ml_files (Filename.concat lib "transforms") in
   let log_ml = Filename.concat (Filename.concat lib "support") "log.ml" in
+  let interp_dir = Filename.concat lib "interp" in
+  let outside_interp =
+    List.filter (fun f -> not (String.starts_with ~prefix:(interp_dir ^ "/") f)) all
+  in
   let found =
     (* transforms raise invalid_arg with an "op: message" prefix, which the
        pass manager reports as a structured diagnostic *)
@@ -192,6 +197,11 @@ let lint lib =
     @ offences
         ~files:(List.filter (( <> ) log_ml) all)
         ~why:"use Cinm_support.Log" (mentions ~whole:false "Printf.eprintf")
+    (* ops run through Compile (run_body, prepare/run), the one executor
+       that honours the interpreter choice; a tree-walk of IR elsewhere
+       would be a second executor *)
+    @ offences ~files:outside_interp ~why:"run IR through Compile"
+        (fun l -> mentions "Interp.eval_op" l || mentions "Interp.eval_region" l)
     @ List.concat_map
         (fun f ->
           top_level_values (In_channel.with_open_bin f In_channel.input_lines)

@@ -1,10 +1,10 @@
-(* The heterogeneous partitioner and the async multi-stream runtime:
+(* The heterogeneous partitioner and the multi-stream schedule recorder:
    plan determinism (the device schedule is a pure function of the
    module — byte-identical at any job count and for both interpreter
-   backends), the overlap-correctness differential (overlapped execution
-   must produce bit-identical tensors and machine stats to sequential
-   execution, with the merged end-to-end time bounded by the sequential
-   sum below and the busiest engine above), and per-rank fault domains
+   backends), the hetero differential (tree and compiled runs at any job
+   count produce bit-identical tensors, machine stats and schedules, with
+   the merged end-to-end time bounded by the sequential sum above and the
+   busiest engine below), the per-run watchdog, and per-rank fault domains
    of the multi-rank UPMEM machine (remaps never leave the failed DPU's
    rank). *)
 
@@ -15,6 +15,7 @@ open Cinm_interp
 open Cinm_core
 module Sched = Cinm_support.Schedule
 module Pool = Cinm_support.Pool
+module Config = Cinm_support.Config
 module Fault = Cinm_support.Fault
 module Usim = Cinm_upmem_sim
 module Msim = Cinm_memristor_sim
@@ -120,56 +121,52 @@ let host_cost p =
   (Cinm_cpu_sim.Model.estimate Cinm_cpu_sim.Model.arm_inorder p)
     .Cinm_cpu_sim.Model.time_s
 
-let run_stream ~sequential ~jobs (b : Benchmark.t) =
+let run_stream ~interp ~jobs (b : Benchmark.t) =
   Pool.set_default_jobs jobs;
   let compiled = Driver.compile_func backend (b.Benchmark.build ()) in
   let machines = fresh_machines () in
   let f = List.hd compiled.Driver.modul.Func.funcs in
   let outcome =
-    Stream_exec.run ~modul:compiled.Driver.modul ~sequential ~host_cost
-      ~machines f
+    Stream_exec.run
+      ~config:{ (Config.default ()) with Config.interp }
+      ~modul:compiled.Driver.modul ~host_cost ~machines f
       (b.Benchmark.inputs ())
   in
   Pool.set_default_jobs 1;
   (outcome, machines)
 
+(* The hetero run is the one executor's program-order run plus a
+   recorded schedule: the tree-walker at jobs 1 is the reference, and
+   both interpreters at jobs 1 and 4 must match it bit for bit —
+   tensors, profile, every machine's stats, the summary and each node's
+   schedule events. *)
 let test_overlap_differential () =
   List.iter
     (fun (b : Benchmark.t) ->
-      let seq, seq_m = run_stream ~sequential:true ~jobs:1 b in
-      let ovl, ovl_m = run_stream ~sequential:false ~jobs:4 b in
-      (* overlapped execution is a scheduling change only: tensors must
-         be bit-identical to the sequential run *)
-      List.iter2
-        (fun a c ->
-          check_tensor
-            (b.Benchmark.name ^ ": overlapped == sequential tensors")
-            (Rtval.as_tensor a) (Rtval.as_tensor c))
-        seq.Stream_exec.results ovl.Stream_exec.results;
-      (* ... and so must every machine's stats ... *)
-      let stats_equal name eq get =
-        Alcotest.(check bool)
-          (b.Benchmark.name ^ ": " ^ name ^ " stats identical")
-          true
-          (eq (get seq_m) (get ovl_m))
-      in
-      stats_equal "upmem" Usim.Stats.equal (fun ms ->
-          (Option.get ms.Machine_set.upmem).Usim.Machine.stats);
-      stats_equal "memristor" ( = ) (fun ms ->
-          (Option.get ms.Machine_set.memristor).Msim.Machine.stats);
-      stats_equal "cam" ( = ) (fun ms ->
-          (Option.get ms.Machine_set.cam).Camsim.Cam_machine.stats);
-      (* ... and the schedule summary, which is a pure function of the
-         event logs *)
-      let ss = seq.Stream_exec.summary and os = ovl.Stream_exec.summary in
-      Alcotest.(check (float 0.0))
-        (b.Benchmark.name ^ ": e2e independent of execution mode")
-        ss.Sched.e2e_s os.Sched.e2e_s;
-      Alcotest.(check (float 0.0))
-        (b.Benchmark.name ^ ": seq sum independent of execution mode")
-        ss.Sched.seq_s os.Sched.seq_s;
+      let ref_o, ref_m = run_stream ~interp:"tree" ~jobs:1 b in
+      List.iter
+        (fun (interp, jobs) ->
+          let o, m = run_stream ~interp ~jobs b in
+          let what = Printf.sprintf "%s: %s at jobs %d" b.Benchmark.name interp jobs in
+          List.iter2
+            (fun a c ->
+              check_tensor (what ^ ": tensors") (Rtval.as_tensor a) (Rtval.as_tensor c))
+            ref_o.Stream_exec.results o.Stream_exec.results;
+          let same name eq = Alcotest.(check bool) (what ^ ": " ^ name) true eq in
+          same "profile" (Profile.equal ref_o.Stream_exec.profile o.Stream_exec.profile);
+          let stats name eq get = same (name ^ " stats") (eq (get ref_m) (get m)) in
+          stats "upmem" Usim.Stats.equal (fun ms ->
+              (Option.get ms.Machine_set.upmem).Usim.Machine.stats);
+          stats "memristor" ( = ) (fun ms ->
+              (Option.get ms.Machine_set.memristor).Msim.Machine.stats);
+          stats "cam" ( = ) (fun ms ->
+              (Option.get ms.Machine_set.cam).Camsim.Cam_machine.stats);
+          same "summary" (ref_o.Stream_exec.summary = o.Stream_exec.summary);
+          same "schedule events" (ref_o.Stream_exec.schedule = o.Stream_exec.schedule))
+        [ ("tree", 4); ("compiled", 1); ("compiled", 4) ];
       (* the two-clock merge invariants: busiest engine <= overlapped
          critical path <= sequential sum *)
+      let os = ref_o.Stream_exec.summary in
       Alcotest.(check bool)
         (Printf.sprintf "%s: e2e (%.3e) <= sequential sum (%.3e)"
            b.Benchmark.name os.Sched.e2e_s os.Sched.seq_s)
@@ -199,8 +196,38 @@ let test_overlap_differential () =
             true
             (p.Sched.p_start_s >= 0.0
             && p.Sched.p_finish_s <= os.Sched.e2e_s +. 1e-12))
-        (Sched.timeline ovl.Stream_exec.schedule))
+        (Sched.timeline ref_o.Stream_exec.schedule))
     [ Hetero.mix (); Hetero.batch () ]
+
+(* Two top-level loops of 1000 trips against a budget of 1500 steps: the
+   watchdog counts per run, so a hetero run stops at the budget, with
+   the diagnostic [Compile.run_func] gives, under both interpreters. *)
+let test_hetero_watchdog () =
+  let f = Func.create ~name:"two_loops" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  let lb = Arith.const_index b 0
+  and ub = Arith.const_index b 1000
+  and step = Arith.const_index b 1 in
+  Scf_d.for0 b ~lb ~ub ~step (fun _ _ -> ());
+  Scf_d.for0 b ~lb ~ub ~step (fun _ _ -> ());
+  Func_d.return b [];
+  let catch run =
+    match run () with
+    | _ -> None
+    | exception Interp.Interp_error msg -> Some msg
+  in
+  List.iter
+    (fun interp ->
+      let config = { (Config.default ()) with Config.interp; max_steps = 1500 } in
+      let single = catch (fun () -> ignore (Compile.run_func ~config f [])) in
+      let hetero =
+        catch (fun () ->
+            ignore
+              (Stream_exec.run ~config ~host_cost ~machines:(fresh_machines ()) f []))
+      in
+      Alcotest.(check bool) (interp ^ ": run_func stops") true (single <> None);
+      Alcotest.(check (option string)) (interp ^ ": the hetero run stops alike") single hetero)
+    [ "tree"; "compiled" ]
 
 (* end to end through the driver: device results must match the host
    reference, and het-mix must genuinely overlap (the whole point) *)
@@ -329,8 +356,9 @@ let () =
         ] );
       ( "overlap",
         [
-          Alcotest.test_case "differential vs sequential" `Quick
+          Alcotest.test_case "tree vs compiled at jobs 1 and 4" `Quick
             test_overlap_differential;
+          Alcotest.test_case "watchdog counts per run" `Quick test_hetero_watchdog;
           Alcotest.test_case "end to end through the driver" `Quick
             test_hetero_end_to_end;
         ] );
