@@ -136,10 +136,10 @@ let run_stream ~interp ~jobs (b : Benchmark.t) =
   (outcome, machines)
 
 (* The hetero run is the one executor's program-order run plus a
-   recorded schedule: the tree-walker at jobs 1 is the reference, and
-   both interpreters at jobs 1 and 4 must match it bit for bit —
-   tensors, profile, every machine's stats, the summary and each node's
-   schedule events. *)
+   recorded schedule: the sequential tree-walker run at jobs 1 is the
+   reference, and both interpreters at jobs 1 and 4 must match it bit
+   for bit — tensors, profile, every machine's stats, the summary and
+   each node's schedule events. *)
 let test_overlap_differential () =
   List.iter
     (fun (b : Benchmark.t) ->
@@ -356,7 +356,7 @@ let () =
         ] );
       ( "overlap",
         [
-          Alcotest.test_case "tree vs compiled at jobs 1 and 4" `Quick
+          Alcotest.test_case "differential vs sequential" `Quick
             test_overlap_differential;
           Alcotest.test_case "watchdog counts per run" `Quick test_hetero_watchdog;
           Alcotest.test_case "end to end through the driver" `Quick
