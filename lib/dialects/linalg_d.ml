@@ -109,31 +109,113 @@ let _ =
           "linalg.broadcast: source must be a suffix of the result shape"
       | _ -> Error "linalg.broadcast: shaped operands required")
 
+(* ----- einsum specs ----- *)
+
+(* Parse an einsum spec into (input index strings, output index string). *)
+let parse_einsum_spec spec =
+  match String.index_opt spec '-' with
+  | Some i when i + 1 < String.length spec && spec.[i + 1] = '>' ->
+    let lhs = String.sub spec 0 i in
+    let out = String.sub spec (i + 2) (String.length spec - i - 2) in
+    (match String.split_on_char ',' lhs with
+    | [ a; b2 ] -> (a, b2, out)
+    | _ -> invalid_arg ("einsum: bad spec " ^ spec))
+  | _ -> invalid_arg ("einsum: bad spec " ^ spec)
+
+type einsum_plan = {
+  batch_idx : char list;
+  m_idx : char list;
+  n_idx : char list;
+  k_idx : char list;
+}
+
+type einsum_error =
+  | Repeated_index of char * string
+  | Free_reduction of char
+  | Unbound_output of char
+
+let einsum_error_message = function
+  | Repeated_index (c, where) -> Printf.sprintf "index '%c' repeated in %s" c where
+  | Free_reduction c -> Printf.sprintf "index '%c' is summed within one operand" c
+  | Unbound_output c -> Printf.sprintf "output index '%c' is in neither input" c
+
+(* The one contraction classifier: the host kernel ([Tensor.einsum]) and
+   the device lowering ([Linalg_to_cinm]) both read it. *)
+let plan_einsum a_idx b_idx out_idx =
+  let chars s = List.init (String.length s) (String.get s) in
+  let a = chars a_idx and b = chars b_idx and out = chars out_idx in
+  let repeated where l =
+    List.find_map
+      (fun c ->
+        if List.length (List.filter (Char.equal c) l) > 1 then Some (Repeated_index (c, where))
+        else None)
+      l
+  in
+  let in_a c = List.mem c a and in_b c = List.mem c b and in_out c = List.mem c out in
+  match
+    List.find_map Fun.id
+      [
+        repeated "the first operand" a;
+        repeated "the second operand" b;
+        repeated "the output" out;
+        List.find_map (fun c -> if in_a c || in_b c then None else Some (Unbound_output c)) out;
+        List.find_map
+          (fun c -> if in_out c || (in_a c && in_b c) then None else Some (Free_reduction c))
+          (a @ b);
+      ]
+  with
+  | Some e -> Error e
+  | None ->
+    Ok
+      {
+        batch_idx = List.filter (fun c -> in_b c && in_out c) a;
+        m_idx = List.filter (fun c -> in_out c && not (in_b c)) a;
+        n_idx = List.filter (fun c -> in_out c && not (in_a c)) b;
+        k_idx = List.filter (fun c -> in_b c && not (in_out c)) a;
+      }
+
 (* Generalized tensor contraction in Einstein notation, e.g. the paper's
-   contrl: spec = "aebf,dfce->abcd" (§4.1.1). *)
+   contrl: spec = "aebf,dfce->abcd" (§4.1.1). Verified to everything the
+   host kernel needs: a classified spec, ranks, and one extent per
+   index. *)
 let einsum_verify op =
   let open Dialect in
   expect_operands op 2 >>= fun () ->
   expect_results op 1 >>= fun () ->
   expect_attr op "spec" >>= fun () ->
-  let spec = Ir.str_attr op "spec" in
-  match String.split_on_char '>' spec with
-  | [ lhs_part; out ] -> (
-    let lhs_part =
-      (* strip the '-' of "->" *)
-      if String.length lhs_part > 0 && lhs_part.[String.length lhs_part - 1] = '-' then
-        String.sub lhs_part 0 (String.length lhs_part - 1)
-      else lhs_part
-    in
-    match String.split_on_char ',' lhs_part with
-    | [ a; b ] ->
-      expect
-        (String.length a = Types.rank (Ir.operand op 0).Ir.ty
-        && String.length b = Types.rank (Ir.operand op 1).Ir.ty
-        && String.length out = Types.rank (Ir.result op 0).Ir.ty)
-        "linalg.einsum: spec ranks must match operand/result ranks"
-    | _ -> Error "linalg.einsum: spec must have two inputs")
-  | _ -> Error "linalg.einsum: spec must contain '->'"
+  match parse_einsum_spec (Ir.str_attr op "spec") with
+  | exception Invalid_argument _ -> Error "linalg.einsum: spec must be 'A,B->C'"
+  | a, b, out -> (
+    match plan_einsum a b out with
+    | Error e -> Error ("linalg.einsum: " ^ einsum_error_message e)
+    | Ok _ -> (
+      match
+        ( Types.shape_of (Ir.operand op 0).Ir.ty,
+          Types.shape_of (Ir.operand op 1).Ir.ty,
+          Types.shape_of (Ir.result op 0).Ir.ty )
+      with
+      | Some sa, Some sb, Some so
+        when Array.length sa = String.length a
+             && Array.length sb = String.length b
+             && Array.length so = String.length out ->
+        let extents = Hashtbl.create 8 in
+        let mismatch = ref None in
+        List.iter
+          (fun (idx, shape) ->
+            String.iteri
+              (fun i c ->
+                match Hashtbl.find_opt extents c with
+                | Some d when d <> shape.(i) && !mismatch = None ->
+                  mismatch := Some (c, d, shape.(i))
+                | Some _ -> ()
+                | None -> Hashtbl.replace extents c shape.(i))
+              idx)
+          [ (a, sa); (b, sb); (out, so) ];
+        (match !mismatch with
+        | Some (c, d, d') ->
+          Error (Printf.sprintf "linalg.einsum: index '%c' has extents %d and %d" c d d')
+        | None -> Ok ())
+      | _ -> Error "linalg.einsum: spec ranks must match operand/result ranks"))
 
 let _ = Dialect.add_op dialect "einsum" ~summary:"einsum contraction" ~verify:einsum_verify
 
@@ -198,17 +280,6 @@ let broadcast b x ~to_shape =
   let dt = Option.get (Types.element_dtype x.Ir.ty) in
   Builder.build1 b "linalg.broadcast" ~operands:[ x ]
     ~result_tys:[ Types.Tensor (to_shape, dt) ]
-
-(* Parse an einsum spec into (input index strings, output index string). *)
-let parse_einsum_spec spec =
-  match String.index_opt spec '-' with
-  | Some i when i + 1 < String.length spec && spec.[i + 1] = '>' ->
-    let lhs = String.sub spec 0 i in
-    let out = String.sub spec (i + 2) (String.length spec - i - 2) in
-    (match String.split_on_char ',' lhs with
-    | [ a; b2 ] -> (a, b2, out)
-    | _ -> invalid_arg ("einsum: bad spec " ^ spec))
-  | _ -> invalid_arg ("einsum: bad spec " ^ spec)
 
 let einsum b ~spec x y =
   let a_idx, b_idx, out_idx = parse_einsum_spec spec in

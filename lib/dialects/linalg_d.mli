@@ -25,4 +25,25 @@ val broadcast : Builder.t -> Ir.value -> to_shape:int array -> Ir.value
     @raise Invalid_argument on malformed specs. *)
 val parse_einsum_spec : string -> string * string * string
 
+(** Index classification of a two-operand einsum. *)
+type einsum_plan = {
+  batch_idx : char list;  (** in both inputs and the output, in A's order *)
+  m_idx : char list;  (** in A and the output only, in A's order *)
+  n_idx : char list;  (** in B and the output only, in B's order *)
+  k_idx : char list;  (** in both inputs, not the output, in A's order *)
+}
+
+(** Why a spec is not a two-operand contraction. *)
+type einsum_error =
+  | Repeated_index of char * string  (** twice in one operand or in the output *)
+  | Free_reduction of char  (** summed within one operand *)
+  | Unbound_output of char  (** an output index in neither input *)
+
+val einsum_error_message : einsum_error -> string
+
+(** The one contraction classifier, shared by the host kernel
+    ([Tensor.einsum]) and the device lowering ([linalg-to-cinm], which
+    lowers only plans without batch indices). *)
+val plan_einsum : string -> string -> string -> (einsum_plan, einsum_error) result
+
 val einsum : Builder.t -> spec:string -> Ir.value -> Ir.value -> Ir.value

@@ -126,6 +126,10 @@ type cstate = {
   slots : (int, int) Hashtbl.t;  (** vid -> encoded slot *)
   mutable caps : (Ir.value * int) list;  (** reverse order of first use *)
   in_place : (int, unit) Hashtbl.t;  (** oids of updates that write in place *)
+  merges : (int, Ir.op * Ir.op) Hashtbl.t;
+      (** extract_slice oid -> its merge_partial and insert_slice, run as
+          one region update *)
+  adopt : (int, unit) Hashtbl.t;  (** oids of hook ops that keep their operand *)
   recycle : (int, Ir.value list) Hashtbl.t;
       (** oid -> values whose storage returns to the arena after the op *)
   mutable in_nest : bool;  (** compiling the per-op form of a fused nest *)
@@ -282,13 +286,26 @@ let free_values (op : Ir.op) : Ir.value list =
    keeps a loop from updating, on its second trip, a value defined
    outside it.
 
+   Two more rules follow from the same facts.
+   - An accumulator chain [e = extract_slice acc[off]; m =
+     merge_partial(e, p); insert_slice m into acc[off]], three adjacent
+     ops of a nested block whose merge and insert both run in place and
+     whose [e] and [m] have no other use, runs as one region update
+     [acc[off] op= p] ({!Tensor.merge_region}): the slice is never
+     materialized. Not in a unit's entry block, whose ops [exec ~each]
+     accounts one by one.
+   - A hook op of [adopts] whose tensor operand is owned and dies at the
+     op keeps that operand's storage instead of copying it (the
+     crossbar's staged input); compiled code tells the hook through
+     [ctx.adopt].
+
    An owned tensor the arena would keep (over [Tensor.Arena.small]
    elements) is *recycled* when every use of it, at any depth, is
-   [reads_only] (so no update takes its storage over in place, and no
-   yield, return, view or hook keeps it): compiled code returns its
-   storage to the arena after the op of its defining block that holds
-   its last use. Fresh results take their storage from the arena, so
-   what a unit returns it draws again. *)
+   [reads_only] (so no update or hook takes its storage over, and no
+   yield, return or view keeps it): compiled code returns its storage to
+   the arena after the op of its defining block that holds its last use.
+   Fresh results take their storage from the arena, so what a unit
+   returns it draws again. *)
 
 (* Ops whose tensor results are always fresh storage. Their kernels, and
    the memristor and UPMEM hooks, take that storage from the arena. *)
@@ -312,17 +329,23 @@ let update_dest = function
 (* Reads that copy out of their operand 0 and keep no reference to it. *)
 let copying_read = function "tensor.extract_slice" | "tensor.extract" -> true | _ -> false
 
+(* The hook operand a hook may keep instead of copying: the input a
+   crossbar tile stages. *)
+let adopts name pos = name = "memristor.copy_tile" && pos = 1
+
 (* Does [op] only read its tensor operand [pos]: no result shares its
-   storage and nothing keeps a reference past the op? An update's
-   destination is read only when the update copies it. The two memristor
-   hooks copy what they stage into a tile. *)
-let reads_only (op : Ir.op) pos ~in_place =
+   storage and nothing keeps a reference past the op? [takes]: the op
+   runs in place or adopts (see [analyze]). An update's destination is
+   read only when the update copies it. The two memristor hooks copy what
+   they stage into a tile, unless the tile adopts it. *)
+let reads_only (op : Ir.op) pos ~takes =
   match op.Ir.name with
   | "tensor.extract_slice" | "tensor.extract" | "tensor.pad" | "cinm.not" -> pos = 0
-  | "tensor.insert_slice" -> pos = 0 || (pos = 1 && not in_place)
-  | "tensor.insert" -> pos = 1 && not in_place
-  | "cinm.merge_partial" -> pos = 1 || (pos = 0 && not in_place)
-  | "memristor.store_tile" | "memristor.copy_tile" -> pos = 1
+  | "tensor.insert_slice" -> pos = 0 || (pos = 1 && not takes)
+  | "tensor.insert" -> pos = 1 && not takes
+  | "cinm.merge_partial" -> pos = 1 || (pos = 0 && not takes)
+  | "memristor.store_tile" -> pos = 1
+  | "memristor.copy_tile" -> pos = 1 && not takes
   | "upmem.scatter" -> pos = 0
   | "tosa.add" | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" | "cinm.gemv"
   | "linalg.matvec" ->
@@ -359,9 +382,18 @@ type site = { user : Ir.op; at : int; operand : int }
 type producer = Fresh | Carried of Ir.op * int  (** scf.for, carried index *)
 
 (* What compiled code does differently from the tree-walker in one unit:
-   the update ops that write in place, in program order, and the values
+   the update ops that write in place, in program order; the accumulator
+   chains that run as one region update (extract_slice, merge_partial,
+   insert_slice); the hook ops that adopt their operand; and the values
    whose storage goes back to the arena after each op. *)
-type plan = { in_place : Ir.op list; recycle : (Ir.op * Ir.value list) list }
+type plan = {
+  in_place : Ir.op list;
+  merges : (Ir.op * Ir.op * Ir.op) list;
+  adopt : Ir.op list;
+  recycle : (Ir.op * Ir.value list) list;
+}
+
+let empty_plan = { in_place = []; merges = []; adopt = []; recycle = [] }
 
 (* A tensor the arena would keep: smaller ones bypass it, so releasing
    them gains nothing. *)
@@ -376,6 +408,7 @@ let analyze (region : Ir.region) =
   let producers = Hashtbl.create 64 (* vid -> producer *) in
   let candidates = ref [] (* pooled values with a producer, reverse program order *) in
   let updates = ref [] (* (update op, destination operand) *) in
+  let hooks = ref [] (* ops with an [adopts] operand 1 *) in
   let loops = ref [] (* (scf.for, yield, carried index) *) in
   let produce (v : Ir.value) p =
     Hashtbl.replace producers v.Ir.vid p;
@@ -394,6 +427,7 @@ let analyze (region : Ir.region) =
           | Some pos when pos < Ir.num_operands op && Ir.num_results op = 1 ->
             updates := (op, pos) :: !updates
           | _ -> ());
+          if adopts op.Ir.name 1 && Ir.num_operands op = 2 then hooks := op :: !hooks;
           (match for_yield op with
           | Some (body, y) ->
             Array.iteri
@@ -484,8 +518,45 @@ let analyze (region : Ir.region) =
            if owned d && last_use d u pos then Some u else None)
          !updates)
   in
+  let adopt =
+    List.filter
+      (fun (u : Ir.op) -> owned u.Ir.operands.(1) && last_use u.Ir.operands.(1) u 1)
+      !hooks
+  in
   let writes = Hashtbl.create 8 in
-  List.iter (fun (u : Ir.op) -> Hashtbl.replace writes u.Ir.oid ()) in_place;
+  List.iter (fun (u : Ir.op) -> Hashtbl.replace writes u.Ir.oid ()) (in_place @ adopt);
+  (* accumulator chains, found from their insert_slice *)
+  let entry = (Ir.entry_block region).Ir.bid in
+  let only_use (v : Ir.value) (u : Ir.op) =
+    match sites_of v with [ s ] -> s.user == u && s.operand = 0 | _ -> false
+  in
+  let merges =
+    List.filter_map
+      (fun (ins : Ir.op) ->
+        match ins.Ir.operands.(0).Ir.def with
+        | Op_result (mp, 0) when ins.Ir.name = "tensor.insert_slice" -> (
+          match mp.Ir.operands.(0).Ir.def with
+          | Op_result (e, 0)
+            when mp.Ir.name = "cinm.merge_partial"
+                 && e.Ir.name = "tensor.extract_slice"
+                 && Hashtbl.mem writes mp.Ir.oid
+                 && Hashtbl.mem writes ins.Ir.oid
+                 && only_use e.Ir.results.(0) mp
+                 && only_use mp.Ir.results.(0) ins
+                 && Array.length e.Ir.operands = Array.length ins.Ir.operands - 1
+                 && e.Ir.operands.(0) == ins.Ir.operands.(1)
+                 && Array.for_all2 ( == )
+                      (Array.sub e.Ir.operands 1 (Array.length e.Ir.operands - 1))
+                      (Array.sub ins.Ir.operands 2 (Array.length ins.Ir.operands - 2))
+                 && Ir.attr e "offsets" = Ir.attr ins "offsets" -> (
+            match (Hashtbl.find_opt op_pos e.Ir.oid, Hashtbl.find_opt op_pos ins.Ir.oid) with
+            | Some (b, i), Some (b', i') when b = b' && b <> entry && i' = i + 2 ->
+              Some (e, mp, ins)
+            | _ -> None)
+          | _ -> None)
+        | _ -> None)
+      in_place
+  in
   (* the op of the defining block after which [v] is dead, when every use
      is inside that block's scope *)
   let last_site v =
@@ -495,14 +566,20 @@ let analyze (region : Ir.region) =
     | s :: ss -> Some (List.fold_left (fun a b -> if b.at > a.at then b else a) s ss).user
   in
   let recycle = Hashtbl.create 16 (* oid -> (op, values) *) in
+  (* a chain's slice and merged value are never materialized *)
+  let unbound =
+    List.concat_map
+      (fun ((e : Ir.op), (mp : Ir.op), _) -> [ e.Ir.results.(0); mp.Ir.results.(0) ])
+      merges
+  in
   List.iter
     (fun v ->
-      if owned v then
+      if owned v && not (List.memq v unbound) then
         match last_site v with
         | Some (op : Ir.op)
           when List.for_all
                  (fun ((u : Ir.op), pos) ->
-                   reads_only u pos ~in_place:(Hashtbl.mem writes u.Ir.oid))
+                   reads_only u pos ~takes:(Hashtbl.mem writes u.Ir.oid))
                  (Option.value ~default:[] (Hashtbl.find_opt readers v.Ir.vid)) ->
           let vs = match Hashtbl.find_opt recycle op.Ir.oid with Some (_, l) -> l | None -> [] in
           Hashtbl.replace recycle op.Ir.oid (op, v :: vs)
@@ -516,7 +593,7 @@ let analyze (region : Ir.region) =
         | Some (_, vs) -> order := (op, List.rev vs) :: !order
         | None -> ())
       region;
-  { in_place; recycle = List.rev !order }
+  { in_place; merges; adopt; recycle = List.rev !order }
 
 (* Only units with an update op or a fresh result the arena would keep
    run the analysis: most units (every DPU kernel, most small host
@@ -530,11 +607,13 @@ let plan (region : Ir.region) : plan =
         || (Array.exists pooled op.Ir.results && fresh_result op.Ir.name)
       then needed := true)
     region;
-  if !needed then analyze region else { in_place = []; recycle = [] }
+  if !needed then analyze region else empty_plan
 
 let in_place_ops region = (plan region).in_place
 
 let recycled_after region = (plan region).recycle
+
+let merged_updates region = List.map (fun (_, _, ins) -> ins) (plan region).merges
 
 (* ----- the generic fallback ----- *)
 
@@ -543,7 +622,7 @@ let recycled_after region = (plan region).recycle
    environment, evaluate, read the results back into their slots. This is
    bit-identical to the tree-walker by construction — the same code runs,
    including all profile accounting, hook dispatch and error behavior. *)
-let compile_generic st (op : Ir.op) : instr =
+let compile_generic (st : cstate) (op : Ir.op) : instr =
   let operand_binds =
     Array.map (fun (v : Ir.value) -> (v.Ir.vid, use_slot st v)) op.Ir.operands
   in
@@ -581,6 +660,20 @@ let compile_generic st (op : Ir.op) : instr =
     let operand_slots = Array.map snd operand_binds in
     let result_slots = Array.map snd result_binds in
     let n_operands = Array.length operand_slots in
+    let adopt = Hashtbl.mem st.adopt op.Ir.oid in
+    let dispatch ctx ops =
+      if not adopt then Interp.dispatch_hooks ctx op ops
+      else begin
+        ctx.Interp.adopt <- true;
+        match Interp.dispatch_hooks ctx op ops with
+        | r ->
+          ctx.Interp.adopt <- false;
+          r
+        | exception e ->
+          ctx.Interp.adopt <- false;
+          raise e
+      end
+    in
     fun ctx gf iframe _pf ->
       match ctx.Interp.hooks with
       | [] -> slow ctx gf iframe
@@ -592,7 +685,7 @@ let compile_generic st (op : Ir.op) : instr =
         done;
         let p = ctx.Interp.profile in
         p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-        match Interp.dispatch_hooks ctx op ops with
+        match dispatch ctx ops with
         | Some vals ->
           let n = List.length vals in
           if n <> Array.length result_slots then
@@ -1714,10 +1807,12 @@ and compile_merge_partial st op =
    behind (see [analyze]); the emptied slots hold [Token], so a stray
    read fails loudly instead of seeing recycled data. *)
 and compile_recycling st (op : Ir.op) : instr =
-  let i = compile_op st op in
-  match Hashtbl.find_opt st.recycle op.Ir.oid with
-  | None -> i
-  | Some vs ->
+  releasing st (compile_op st op)
+    (Option.value ~default:[] (Hashtbl.find_opt st.recycle op.Ir.oid))
+
+and releasing st i = function
+  | [] -> i
+  | vs ->
     let slots = Array.of_list (List.map (use_slot st) vs) in
     fun ctx gf iframe pf ->
       i ctx gf iframe pf;
@@ -1736,27 +1831,81 @@ and compile_recycling st (op : Ir.op) : instr =
    the block ends in a terminator, the slots of the terminator's operands
    (the block's results). Terminators are not instructions — exactly like
    [Interp.eval_block], they are never dispatched or accounted. *)
-and compile_block st (block : Ir.block) : instr array * int array option =
+and compile_block (st : cstate) (block : Ir.block) : instr array * int array option =
   let n = Ir.num_ops block in
   if n = 0 then ([||], None)
   else begin
     let last = Ir.op_at block (n - 1) in
-    if Ir.is_terminator last then begin
-      let body = Array.make (n - 1) nop_instr in
-      for i = 0 to n - 2 do
-        body.(i) <- compile_recycling st (Ir.op_at block i)
-      done;
-      let ts = Array.map (fun v -> use_slot st v) last.Ir.operands in
-      (body, Some ts)
+    let term = Ir.is_terminator last in
+    let body = Array.make (if term then n - 1 else n) nop_instr in
+    let i = ref 0 in
+    while !i < Array.length body do
+      let op = Ir.op_at block !i in
+      match Hashtbl.find_opt st.merges op.Ir.oid with
+      | Some (mp, ins) -> (
+        match compile_merge_chain st op mp ins with
+        | chain ->
+          (* the other two ops' positions hold no-ops *)
+          body.(!i) <- chain;
+          i := !i + 3
+        | exception (Punt | Invalid_argument _ | Not_found | Failure _) ->
+          (* a chain that does not decode runs op by op *)
+          body.(!i) <- compile_recycling st op;
+          incr i)
+      | None ->
+        body.(!i) <- compile_recycling st op;
+        incr i
+    done;
+    if term then (body, Some (Array.map (fun v -> use_slot st v) last.Ir.operands))
+    else (body, None)
+  end
+
+(* An accumulator chain (see [analyze]) as one region update, with the
+   three ops' operand reads, errors and profile increments: where
+   {!Tensor.merge_region} cannot run the region in one pass, the three
+   steps run as the tree-walker's ops do. The slice and the merged value
+   are never bound; what the three ops recycle goes back after the
+   chain. *)
+and compile_merge_chain (st : cstate) e mp ins =
+  let offsets = Ir.ints_attr e "offsets" and sizes = Ir.ints_attr e "sizes" in
+  let n_dyn = Ir.num_operands e - 1 in
+  if n_dyn <> 0 && n_dyn <> Array.length offsets then raise Punt;
+  let binop = Ir.str_attr mp "op" in
+  let acc_s = use_slot st e.Ir.operands.(0) in
+  let dyn_s = Array.init n_dyn (fun i -> use_slot st e.Ir.operands.(i + 1)) in
+  let part_s = use_slot st mp.Ir.operands.(1) in
+  let r = def_slot st ins.Ir.results.(0) in
+  let n = Array.fold_left ( * ) 1 sizes in
+  let chain ctx gf iframe _pf =
+    let p = ctx.Interp.profile in
+    let av = get_rt gf iframe acc_s in
+    let acc = Rtval.as_tensor av and part = Rtval.as_tensor (get_rt gf iframe part_s) in
+    let offsets =
+      if n_dyn = 0 then offsets
+      else Array.mapi (fun i off -> off + geti gf iframe dyn_s.(i)) offsets
+    in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    Interp.account_move p n;
+    if part.Tensor.shape = sizes && Tensor.merge_region binop acc ~offsets part then begin
+      p.Profile.launched_ops <- p.Profile.launched_ops + 2;
+      Interp.account_elementwise p n;
+      Interp.account_move p n
     end
     else begin
-      let body = Array.make n nop_instr in
-      for i = 0 to n - 1 do
-        body.(i) <- compile_recycling st (Ir.op_at block i)
-      done;
-      (body, None)
-    end
-  end
+      let slice = Tensor.extract_slice acc ~offsets ~sizes in
+      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+      Interp.account_elementwise p n;
+      Tensor.map2_in_place binop slice part;
+      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+      Interp.account_move p n;
+      Tensor.write_slice slice acc ~offsets
+    end;
+    set_rt gf iframe r av
+  in
+  releasing st chain
+    (List.concat_map
+       (fun (op : Ir.op) -> Option.value ~default:[] (Hashtbl.find_opt st.recycle op.Ir.oid))
+       [ e; mp; ins ])
 
 (* A loop the recogniser accepts runs fused when its memrefs bind, and
    per-op otherwise; the loops nested in it compile per-op only. *)
@@ -1937,6 +2086,8 @@ let compile_unit (region : Ir.region) : code =
       slots = Hashtbl.create 64;
       caps = [];
       in_place = Hashtbl.create 8;
+      merges = Hashtbl.create 8;
+      adopt = Hashtbl.create 8;
       recycle = Hashtbl.create 8;
       in_nest = false;
       npay = 0;
@@ -1945,6 +2096,10 @@ let compile_unit (region : Ir.region) : code =
   in
   let plan = plan region in
   List.iter (fun (op : Ir.op) -> Hashtbl.replace st.in_place op.Ir.oid ()) plan.in_place;
+  List.iter
+    (fun ((e : Ir.op), mp, ins) -> Hashtbl.replace st.merges e.Ir.oid (mp, ins))
+    plan.merges;
+  List.iter (fun (op : Ir.op) -> Hashtbl.replace st.adopt op.Ir.oid ()) plan.adopt;
   List.iter (fun ((op : Ir.op), vs) -> Hashtbl.replace st.recycle op.Ir.oid vs) plan.recycle;
   let block = Ir.entry_block region in
   let arg_slots = Array.map (fun v -> def_slot st v) block.Ir.args in

@@ -51,6 +51,13 @@ val in_place_ops : Ir.region -> Ir.op list
     DESIGN.md states the rule. *)
 val recycled_after : Ir.region -> (Ir.op * Ir.value list) list
 
+(** The [tensor.insert_slice] ops of a region whose accumulator chain
+    ([extract_slice] of the destination, [merge_partial], then this
+    insert at the same offsets, adjacent in a nested block, the merge and
+    the insert both in place) compiled code runs as one region update,
+    in program order. DESIGN.md states the rule. *)
+val merged_updates : Ir.region -> Ir.op list
+
 (** The [scf.for] ops of a region's compiled unit that run as fused int
     programs (outermost nests and the loops nested in them), in program
     order. A nest runs fused when its body holds only int-class

@@ -65,6 +65,8 @@ type ctx = {
           defers to the process default ({!Compile.backend}). Carried on
           the context so machine hooks evaluating kernel regions honor
           the request's choice without a global *)
+  mutable adopt : bool;
+      (** see the interface *)
   scratch : Tensor.t list ref option;
       (** when set (device lanes executing a launch region), tensors
           allocated by [memref.alloc]/[upmem.wram_alloc] come from the
@@ -733,7 +735,7 @@ let create_ctx ?(hooks = []) ?profile ?modul ?(fname = "<main>")
     cmpi_preds = Hashtbl.create 8; fname;
     max_steps = max 0 config.Config.max_steps; steps = ref 0;
     deadline = config.Config.deadline; cancel = config.Config.cancel;
-    interp = config.Config.interp; scratch = None }
+    interp = config.Config.interp; adopt = false; scratch = None }
 
 let run_func ?(hooks = []) ?profile ?modul ?config (f : Func.t)
     (args : Rtval.t list) : Rtval.t list * Profile.t =

@@ -58,6 +58,11 @@ type ctx = {
       (** per-request interpreter backend ("tree" | "compiled", "" =
           process default); consulted by [Compile.prepare] so machine
           hooks honor the request's choice without a global *)
+  mutable adopt : bool;
+      (** set by the compiled backend only while it dispatches a hook op
+          whose tensor operand is owned and dead after the op (see
+          [Compile.analyze]): the hook may keep that operand's storage
+          instead of copying it *)
   scratch : Tensor.t list ref option;
       (** when set, [memref.alloc]/[upmem.wram_alloc] allocate from the
           {!Tensor.Arena} and record here for release after the launch;

@@ -64,7 +64,10 @@ let payload_class = function I _ -> 0 | I8 _ -> 1 | I16 _ -> 2 | F _ -> 3
    reached (and at most once). *)
 module Arena = struct
   let lock = Mutex.create ()
-  let pools : (int * int, payload list ref) Hashtbl.t = Hashtbl.create 64
+  (* keyed by [key cls n]: an int key, so a lookup allocates nothing *)
+  let pools : (int, payload list ref) Hashtbl.t = Hashtbl.create 64
+
+  let key cls n = (n * 4) + cls
 
   (* cap per free list: bounds arena growth when sizes never repeat *)
   let max_per_key = 64
@@ -96,12 +99,13 @@ module Arena = struct
     else begin
       Mutex.lock lock;
       let r =
-        match Hashtbl.find_opt pools (cls, n) with
-        | Some ({ contents = p :: tl } as r) ->
+        match Hashtbl.find pools (key cls n) with
+        | { contents = p :: tl } as r ->
           r := tl;
           pooled_bytes := !pooled_bytes - payload_bytes p;
           Some p
         | _ -> None
+        | exception Not_found -> None
       in
       Mutex.unlock lock;
       r
@@ -119,21 +123,28 @@ module Arena = struct
       | F a -> Array.fill a 0 n 0.0);
       { shape; dtype; data = p }
 
+  (* [alloc] for a result its kernel overwrites entirely: recycled storage
+     keeps its old contents. *)
+  let alloc_uninit shape dtype =
+    match take (dtype_class dtype) (Util.product_of_shape shape) with
+    | None -> zeros shape dtype
+    | Some p -> { shape; dtype; data = p }
+
   (* keyed by the payload's own layout, so [alloc] hands out the layout
      its dtype asks for even if a released tensor's dtype disagreed *)
   let release t =
     let n = num_elements t in
     if n > small then begin
-      let key = (payload_class t.data, n) and bytes = payload_bytes t.data in
+      let key = key (payload_class t.data) n and bytes = payload_bytes t.data in
       Mutex.lock lock;
       if !pooled_bytes + bytes <= max_bytes then begin
-        match Hashtbl.find_opt pools key with
-        | Some r ->
+        match Hashtbl.find pools key with
+        | r ->
           if List.length !r < max_per_key then begin
             r := t.data :: !r;
             pooled_bytes := !pooled_bytes + bytes
           end
-        | None ->
+        | exception Not_found ->
           Hashtbl.replace pools key (ref [ t.data ]);
           pooled_bytes := !pooled_bytes + bytes
       end;
@@ -170,6 +181,26 @@ module Arena = struct
 
   let max_per_key () = max_per_key
 end
+
+(* [Array.blit] of an [int array] into the major heap runs the write
+   barrier per element, which ints do not need: copy them in a plain loop
+   (backwards when the ranges overlap that way). Callers check bounds. *)
+let blit_ints (s : int array) so (d : int array) d_o n =
+  if s == d && so < d_o then
+    for i = n - 1 downto 0 do
+      Array.unsafe_set d (d_o + i) (Array.unsafe_get s (so + i))
+    done
+  else
+    for i = 0 to n - 1 do
+      Array.unsafe_set d (d_o + i) (Array.unsafe_get s (so + i))
+    done
+
+(* The shift that sign-extends a native int to the dtype's width, i.e.
+   [wrap dt x = (x lsl s) asr s]; [None] for i1, which wraps unsigned. *)
+let wrap_shift = function
+  | Types.I1 -> None
+  | Types.I64 -> Some 0
+  | dt -> Some (Sys.int_size - Types.dtype_bits dt)
 
 let get_int t i =
   match t.data with
@@ -322,7 +353,7 @@ let copy t =
   let data =
     match (t.data, Arena.take (payload_class t.data) n) with
     | I a, Some (I b) ->
-      Array.blit a 0 b 0 n;
+      blit_ints a 0 b 0 n;
       I b
     | F a, Some (F b) ->
       Array.blit a 0 b 0 n;
@@ -413,129 +444,142 @@ let fill_float shape dtype v =
 
 (* ----- linear algebra ----- *)
 
-let matmul a b =
-  match (a.shape, b.shape) with
-  | [| m; k |], [| k'; n |] when k = k' ->
-    let out = Arena.alloc [| m; n |] a.dtype in
-    (* i-p-j loop order: both the B row [y.(p*n + _)] and the accumulator
-       row are walked with stride 1 (the j-inner order strides B by n and
-       thrashes the cache for the 256-wide paper shapes). Each output
-       element still accumulates over p in ascending order, so results are
-       bit-identical to the naive order. *)
-    if is_int a then begin
-      match (a.data, b.data, out.data) with
-      | I x, I y, I z ->
-        (* every index below is in range by construction (x: m*k, y: k*n,
-           z: m*n, row: n), so the checks are elided in the hot loop *)
-        let row = Array.make n 0 in
-        for i = 0 to m - 1 do
-          Array.fill row 0 n 0;
-          (* p unrolled by 4: native ints add exactly (mod 2^63), so
-             combining four products before the accumulator add is
-             bit-identical to the scalar order while quartering the
-             accumulator-row load/store traffic *)
-          let xoff = i * k in
-          let p = ref 0 in
-          while !p + 3 < k do
-            let p0 = !p in
-            let xv0 = Array.unsafe_get x (xoff + p0)
-            and xv1 = Array.unsafe_get x (xoff + p0 + 1)
-            and xv2 = Array.unsafe_get x (xoff + p0 + 2)
-            and xv3 = Array.unsafe_get x (xoff + p0 + 3) in
-            if xv0 lor xv1 lor xv2 lor xv3 <> 0 then begin
-              let y0 = p0 * n in
-              let y1 = y0 + n in
-              let y2 = y1 + n in
-              let y3 = y2 + n in
-              for j = 0 to n - 1 do
-                Array.unsafe_set row j
-                  (Array.unsafe_get row j
-                  + (xv0 * Array.unsafe_get y (y0 + j))
-                  + (xv1 * Array.unsafe_get y (y1 + j))
-                  + (xv2 * Array.unsafe_get y (y2 + j))
-                  + (xv3 * Array.unsafe_get y (y3 + j)))
-              done
-            end;
-            p := p0 + 4
-          done;
-          while !p < k do
-            let xv = Array.unsafe_get x (xoff + !p) in
-            if xv <> 0 then begin
-              let yoff = !p * n in
-              for j = 0 to n - 1 do
-                Array.unsafe_set row j
-                  (Array.unsafe_get row j + (xv * Array.unsafe_get y (yoff + j)))
-              done
-            end;
-            incr p
-          done;
-          let zoff = i * n in
+(* [gemm] on [int array]s (every index in range by construction, so the
+   checks are elided), register-blocked 2 rows x 4 [p]: each B load feeds
+   both rows. Native ints add exactly (mod 2^63), so summing eight
+   products per element before the store is bit-identical to the scalar
+   order. *)
+let gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc dt =
+  let sh = wrap_shift dt in
+  for bt = 0 to batch - 1 do
+    let xb = bt * m * k and yb = bt * k * ldb and zb = c_off + (bt * m * ldc) in
+    let i = ref 0 in
+    while !i < m do
+      let x0 = xb + (!i * k) and z0 = zb + (!i * ldc) in
+      (* an odd last row is its own second row, with zero multipliers *)
+      let two = !i + 1 < m in
+      let x1 = if two then x0 + k else x0 and z1 = if two then z0 + ldc else z0 in
+      if beta = 0 then begin
+        Array.fill z z0 n 0;
+        Array.fill z z1 n 0
+      end;
+      let p = ref 0 in
+      while !p + 3 < k do
+        let p0 = !p in
+        let a0 = Array.unsafe_get x (x0 + p0)
+        and a1 = Array.unsafe_get x (x0 + p0 + 1)
+        and a2 = Array.unsafe_get x (x0 + p0 + 2)
+        and a3 = Array.unsafe_get x (x0 + p0 + 3) in
+        let b0 = if two then Array.unsafe_get x (x1 + p0) else 0
+        and b1 = if two then Array.unsafe_get x (x1 + p0 + 1) else 0
+        and b2 = if two then Array.unsafe_get x (x1 + p0 + 2) else 0
+        and b3 = if two then Array.unsafe_get x (x1 + p0 + 3) else 0 in
+        if a0 lor a1 lor a2 lor a3 lor b0 lor b1 lor b2 lor b3 <> 0 then begin
+          let y0 = yb + (p0 * ldb) in
+          let y1 = y0 + ldb in
+          let y2 = y1 + ldb in
+          let y3 = y2 + ldb in
           for j = 0 to n - 1 do
-            Array.unsafe_set z (zoff + j) (wrap a.dtype (Array.unsafe_get row j))
+            let v0 = Array.unsafe_get y (y0 + j)
+            and v1 = Array.unsafe_get y (y1 + j)
+            and v2 = Array.unsafe_get y (y2 + j)
+            and v3 = Array.unsafe_get y (y3 + j) in
+            Array.unsafe_set z (z0 + j)
+              (Array.unsafe_get z (z0 + j) + (a0 * v0) + (a1 * v1) + (a2 * v2) + (a3 * v3));
+            Array.unsafe_set z (z1 + j)
+              (Array.unsafe_get z (z1 + j) + (b0 * v0) + (b1 * v1) + (b2 * v2) + (b3 * v3))
           done
-        done
-      | _ ->
-        (* narrow (Bytes-backed) payloads: same loop order and row
-           accumulator, element access through the generic getters *)
-        let row = Array.make n 0 in
-        for i = 0 to m - 1 do
-          Array.fill row 0 n 0;
-          for p = 0 to k - 1 do
-            let xv = get_int a ((i * k) + p) in
-            if xv <> 0 then begin
-              let yoff = p * n in
-              for j = 0 to n - 1 do
-                row.(j) <- row.(j) + (xv * get_int b (yoff + j))
-              done
-            end
-          done;
-          let zoff = i * n in
+        end;
+        p := p0 + 4
+      done;
+      while !p < k do
+        let a0 = Array.unsafe_get x (x0 + !p) in
+        let b0 = if two then Array.unsafe_get x (x1 + !p) else 0 in
+        if a0 lor b0 <> 0 then begin
+          let y0 = yb + (!p * ldb) in
           for j = 0 to n - 1 do
-            set_int out (zoff + j) row.(j)
+            let v = Array.unsafe_get y (y0 + j) in
+            Array.unsafe_set z (z0 + j) (Array.unsafe_get z (z0 + j) + (a0 * v));
+            Array.unsafe_set z (z1 + j) (Array.unsafe_get z (z1 + j) + (b0 * v))
           done
+        end;
+        incr p
+      done;
+      if dt <> Types.I64 then
+        for r = 0 to 1 do
+          let zr = if r = 0 then z0 else z1 in
+          for j = zr to zr + n - 1 do
+            let v = Array.unsafe_get z j in
+            Array.unsafe_set z j (match sh with Some s -> (v lsl s) asr s | None -> v land 1)
+          done
+        done;
+      i := !i + 2
+    done
+  done
+
+(* The one MAC loop of dense contraction: [matmul], [matvec], [dot],
+   [conv_2d], [einsum] and the crossbar tile all run it (contract in the
+   interface). A float element sums its products in ascending [p] from
+   0.0 with no zero skip, and beta = 1 then adds that sum to [c], as
+   [map2 "add"] would. *)
+let gemm ?(batch = 1) ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc =
+  let ldb = Option.value ldb ~default:n in
+  match (a.data, b.data, c.data) with
+  | I x, I y, I z when is_int c -> gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc c.dtype
+  | _ when is_int c ->
+    (* narrow or mixed payloads: one row accumulator, element access
+       through the generic getters *)
+    let row = Array.make n 0 in
+    for bt = 0 to batch - 1 do
+      for i = 0 to m - 1 do
+        Array.fill row 0 n 0;
+        for p = 0 to k - 1 do
+          let xv = get_int a ((bt * m * k) + (i * k) + p) in
+          if xv <> 0 then begin
+            let yoff = (bt * k * ldb) + (p * ldb) in
+            for j = 0 to n - 1 do
+              row.(j) <- row.(j) + (xv * get_int b (yoff + j))
+            done
+          end
+        done;
+        let zoff = c_off + (bt * m * ldc) + (i * ldc) in
+        for j = 0 to n - 1 do
+          set_int c (zoff + j) (if beta = 0 then row.(j) else get_int c (zoff + j) + row.(j))
         done
-    end
-    else begin
-      let row = Array.make n 0.0 in
+      done
+    done
+  | _ ->
+    let row = Array.make n 0.0 in
+    for bt = 0 to batch - 1 do
       for i = 0 to m - 1 do
         Array.fill row 0 n 0.0;
         for p = 0 to k - 1 do
-          let xv = get_float a ((i * k) + p) in
-          let yoff = p * n in
+          let xv = get_float a ((bt * m * k) + (i * k) + p) in
+          let yoff = (bt * k * ldb) + (p * ldb) in
           for j = 0 to n - 1 do
             row.(j) <- row.(j) +. (xv *. get_float b (yoff + j))
           done
         done;
-        let zoff = i * n in
+        let zoff = c_off + (bt * m * ldc) + (i * ldc) in
         for j = 0 to n - 1 do
-          set_float out (zoff + j) row.(j)
+          set_float c (zoff + j) (if beta = 0 then row.(j) else get_float c (zoff + j) +. row.(j))
         done
       done
-    end;
+    done
+
+let matmul a b =
+  match (a.shape, b.shape) with
+  | [| m; k |], [| k'; n |] when k = k' ->
+    let out = Arena.alloc_uninit [| m; n |] a.dtype in
+    gemm ~beta:0 ~m ~n ~k a b out ~c_off:0 ~ldc:n;
     out
   | _ -> invalid_arg "Tensor.matmul: shape mismatch"
 
 let matvec a v =
   match (a.shape, v.shape) with
   | [| m; n |], [| n' |] when n = n' ->
-    let out = Arena.alloc [| m |] a.dtype in
-    (match out.data with
-    | F _ ->
-      for i = 0 to m - 1 do
-        let acc = ref 0.0 in
-        for j = 0 to n - 1 do
-          acc := !acc +. (get_float a ((i * n) + j) *. get_float v j)
-        done;
-        set_float out i !acc
-      done
-    | I _ | I8 _ | I16 _ ->
-      for i = 0 to m - 1 do
-        let acc = ref 0 in
-        for j = 0 to n - 1 do
-          acc := !acc + (get_int a ((i * n) + j) * get_int v j)
-        done;
-        set_int out i !acc
-      done);
+    let out = Arena.alloc_uninit [| m |] a.dtype in
+    gemm ~beta:0 ~m ~n:1 ~k:n a v out ~c_off:0 ~ldc:1;
     out
   | _ -> invalid_arg "Tensor.matvec: shape mismatch"
 
@@ -554,82 +598,6 @@ let dot_f a b =
     acc := !acc +. (get_float a i *. get_float b i)
   done;
   !acc
-
-let conv_2d img kernel =
-  match (img.shape, kernel.shape) with
-  | [| h; w |], [| kh; kw |] ->
-    let oh = h - kh + 1 and ow = w - kw + 1 in
-    let out = zeros [| oh; ow |] img.dtype in
-    (match out.data with
-    | F _ ->
-      for i = 0 to oh - 1 do
-        for j = 0 to ow - 1 do
-          let acc = ref 0.0 in
-          for di = 0 to kh - 1 do
-            for dj = 0 to kw - 1 do
-              acc :=
-                !acc
-                +. (get_float img (((i + di) * w) + j + dj)
-                   *. get_float kernel ((di * kw) + dj))
-            done
-          done;
-          set_float out ((i * ow) + j) !acc
-        done
-      done
-    | I _ | I8 _ | I16 _ ->
-      for i = 0 to oh - 1 do
-        for j = 0 to ow - 1 do
-          let acc = ref 0 in
-          for di = 0 to kh - 1 do
-            for dj = 0 to kw - 1 do
-              acc := !acc + (get_int img (((i + di) * w) + j + dj) * get_int kernel ((di * kw) + dj))
-            done
-          done;
-          set_int out ((i * ow) + j) !acc
-        done
-      done);
-    out
-  | _ -> invalid_arg "Tensor.conv_2d: rank-2 required"
-
-let transpose t perms =
-  let rank = Array.length t.shape in
-  if Array.length perms <> rank then invalid_arg "Tensor.transpose: perms rank";
-  let out_shape = Array.map (fun p -> t.shape.(p)) perms in
-  let out = zeros out_shape t.dtype in
-  (* Walk the input sequentially and maintain the permuted output offset
-     incrementally with an odometer over the input index — no per-element
-     index array allocations. [w.(j)] is the output stride contributed by
-     input dimension [j]. *)
-  let ostrides = Array.make rank 1 in
-  for i = rank - 2 downto 0 do
-    ostrides.(i) <- ostrides.(i + 1) * out_shape.(i + 1)
-  done;
-  let w = Array.make rank 0 in
-  Array.iteri (fun i p -> w.(p) <- ostrides.(i)) perms;
-  let copy_elt =
-    match out.data with
-    | F _ -> fun src dst -> set_float out dst (get_float t src)
-    | I _ | I8 _ | I16 _ -> fun src dst -> set_int out dst (get_int t src)
-  in
-  let idx = Array.make rank 0 in
-  let ooff = ref 0 in
-  let n = num_elements t in
-  for off = 0 to n - 1 do
-    copy_elt off !ooff;
-    let j = ref (rank - 1) in
-    let carry = ref true in
-    while !carry && !j >= 0 do
-      idx.(!j) <- idx.(!j) + 1;
-      ooff := !ooff + w.(!j);
-      if idx.(!j) = t.shape.(!j) then begin
-        idx.(!j) <- 0;
-        ooff := !ooff - (w.(!j) * t.shape.(!j));
-        decr j
-      end
-      else carry := false
-    done
-  done;
-  out
 
 (* ----- reductions and data analytics ops (cinm Table 1) ----- *)
 
@@ -827,7 +795,7 @@ let copy_region src ~src_off dst ~dst_off ~sizes =
   then
     let blit row = blit_region row src.shape src_off dst.shape dst_off sizes in
     match (src.data, dst.data) with
-    | I s, I d -> blit (fun so d_o n -> Array.blit s so d d_o n)
+    | I s, I d -> blit (fun so d_o n -> blit_ints s so d d_o n)
     | F s, F d -> blit (fun so d_o n -> Array.blit s so d d_o n)
     | I8 s, I8 d -> blit (fun so d_o n -> Bytes.blit s so d d_o n)
     | I16 s, I16 d -> blit (fun so d_o n -> Bytes.blit s (2 * so) d (2 * d_o) (2 * n))
@@ -841,7 +809,9 @@ let pad t ~low ~high =
   out
 
 let extract_slice t ~offsets ~sizes =
-  let out = Arena.alloc sizes t.dtype in
+  (* a region in bounds overwrites every element of the result *)
+  let alloc = if region_in_bounds t.shape offsets sizes then Arena.alloc_uninit else Arena.alloc in
+  let out = alloc sizes t.dtype in
   copy_region t ~src_off:offsets out ~dst_off:(Array.make (Array.length sizes) 0) ~sizes;
   out
 
@@ -855,153 +825,182 @@ let insert_slice src dst ~offsets =
   write_slice src out ~offsets;
   out
 
+(* The accumulator update [write_slice (map2 name (extract_slice dst
+   ~offsets ~sizes:src.shape) src) dst ~offsets] in one pass, where the
+   region is in bounds and both payloads are [int array]s or [float
+   array]s of one dtype: then it returns true. Otherwise it touches
+   nothing and returns false. *)
+let merge_region name dst ~offsets src =
+  let rank = Array.length src.shape in
+  let fits = rank > 0 && src.dtype = dst.dtype && region_in_bounds dst.shape offsets src.shape in
+  let region row = blit_region row src.shape (Array.make rank 0) dst.shape offsets src.shape in
+  match (src.data, dst.data) with
+  | I s, I d when fits ->
+    (match (name, wrap_shift dst.dtype) with
+    | "add", Some sh ->
+      region (fun so d_o len ->
+          for j = 0 to len - 1 do
+            let v = Array.unsafe_get d (d_o + j) + Array.unsafe_get s (so + j) in
+            Array.unsafe_set d (d_o + j) ((v lsl sh) asr sh)
+          done)
+    | _ ->
+      let f = int_binop name and dt = dst.dtype in
+      region (fun so d_o len ->
+          for j = 0 to len - 1 do
+            Array.unsafe_set d (d_o + j)
+              (wrap dt (f (Array.unsafe_get d (d_o + j)) (Array.unsafe_get s (so + j))))
+          done));
+    true
+  | F s, F d when fits ->
+    let f = float_binop name in
+    region (fun so d_o len ->
+        for j = d_o to d_o + len - 1 do
+          Array.unsafe_set d j (f (Array.unsafe_get d j) (Array.unsafe_get s (so + j - d_o)))
+        done);
+    true
+  | _ -> false
+
+(* [copy_run so d_o len ds] copies [len] consecutive elements of [src]
+   from [so] to [dst] at [d_o], [d_o + ds], ...: a blit when [ds = 1].
+   The payload match happens once per kernel, not per element. *)
+let run_copier src dst =
+  match (src.data, dst.data) with
+  | I s, I d when src.dtype = dst.dtype ->
+    fun so d_o len ds ->
+      if ds = 1 then blit_ints s so d d_o len
+      else
+        for i = 0 to len - 1 do
+          Array.unsafe_set d (d_o + (i * ds)) (Array.unsafe_get s (so + i))
+        done
+  | F s, F d ->
+    fun so d_o len ds ->
+      if ds = 1 then Array.blit s so d d_o len
+      else
+        for i = 0 to len - 1 do
+          Array.unsafe_set d (d_o + (i * ds)) (Array.unsafe_get s (so + i))
+        done
+  | _ ->
+    let float = match dst.data with F _ -> true | _ -> false in
+    fun so d_o len ds ->
+      for i = 0 to len - 1 do
+        if float then set_float dst (d_o + (i * ds)) (get_float src (so + i))
+        else set_int dst (d_o + (i * ds)) (get_int src (so + i))
+      done
+
+let transpose t perms =
+  let rank = Array.length t.shape in
+  if Array.length perms <> rank then invalid_arg "Tensor.transpose: perms rank";
+  let out_shape = Array.map (fun p -> t.shape.(p)) perms in
+  let out = Arena.alloc_uninit out_shape t.dtype in
+  let copy = run_copier t out in
+  let n = num_elements t in
+  if rank = 0 then copy 0 0 n 1
+  else if n > 0 then begin
+    (* Walk the input one innermost row at a time: the row lands in the
+       output with stride [w.(rank - 1)] (1, a blit, when the permutation
+       keeps the last axis), and an odometer over the outer input
+       dimensions maintains the output offset incrementally. [w.(j)] is
+       the output stride of input dimension [j]. *)
+    let ostrides = Array.make rank 1 in
+    for i = rank - 2 downto 0 do
+      ostrides.(i) <- ostrides.(i + 1) * out_shape.(i + 1)
+    done;
+    let w = Array.make rank 0 in
+    Array.iteri (fun i p -> w.(p) <- ostrides.(i)) perms;
+    let len = t.shape.(rank - 1) in
+    let idx = Array.make rank 0 in
+    let ooff = ref 0 in
+    for r = 0 to (n / len) - 1 do
+      copy (r * len) !ooff len w.(rank - 1);
+      let j = ref (rank - 2) in
+      let carry = ref true in
+      while !carry && !j >= 0 do
+        idx.(!j) <- idx.(!j) + 1;
+        ooff := !ooff + w.(!j);
+        if idx.(!j) = t.shape.(!j) then begin
+          idx.(!j) <- 0;
+          ooff := !ooff - (w.(!j) * t.shape.(!j));
+          decr j
+        end
+        else carry := false
+      done
+    done
+  end;
+  out
+
 let im2col img ~kh ~kw =
   match img.shape with
-  | [| h; w |] ->
+  | [| h; w |] when h >= kh - 1 && w >= kw - 1 ->
     let oh = h - kh + 1 and ow = w - kw + 1 in
-    let out = zeros [| oh * ow; kh * kw |] img.dtype in
-    let copy_elt =
-      match out.data with
-      | F _ -> fun src dst -> set_float out dst (get_float img src)
-      | I _ | I8 _ | I16 _ -> fun src dst -> set_int out dst (get_int img src)
-    in
+    let out = Arena.alloc_uninit [| oh * ow; kh * kw |] img.dtype in
+    let copy = run_copier img out in
     for i = 0 to oh - 1 do
       for j = 0 to ow - 1 do
         for di = 0 to kh - 1 do
-          for dj = 0 to kw - 1 do
-            copy_elt
-              (((i + di) * w) + j + dj)
-              ((((i * ow) + j) * kh * kw) + (di * kw) + dj)
-          done
+          copy (((i + di) * w) + j) ((((i * ow) + j) * kh * kw) + (di * kw)) kw 1
         done
       done
     done;
     out
-  | _ -> invalid_arg "Tensor.im2col: rank-2 required"
+  | _ -> invalid_arg "Tensor.im2col: rank-2 image at least as large as the kernel required"
+
+(* Direct convolution as im2col + one GEMM against the flattened kernel:
+   each output sums its window in (di, dj) order, as the direct loop
+   does. *)
+let conv_2d img kernel =
+  match (img.shape, kernel.shape) with
+  | [| _; _ |], [| kh; kw |] ->
+    let cols = im2col img ~kh ~kw in
+    let out = Arena.alloc_uninit [| img.shape.(0) - kh + 1; img.shape.(1) - kw + 1 |] img.dtype in
+    gemm ~beta:0 ~m:cols.shape.(0) ~n:1 ~k:(kh * kw) cols kernel out ~c_off:0 ~ldc:1;
+    Arena.release cols;
+    out
+  | _ -> invalid_arg "Tensor.conv_2d: rank-2 required"
 
 (* ----- einsum (two-operand contraction) ----- *)
 
+(* Transpose-transpose-GEMM-transpose (TTGT), the contraction-to-GEMM
+   rewrite the device lowering applies, run on the host: permute A to
+   (batch, M, K) and B to (batch, K, N), one batched [gemm], then permute
+   (batch, M, N) to the output order. Batch, M and N indices keep their
+   output order, so the last permute is often the identity; K is
+   flattened in sorted index order, the order a reference odometer walks
+   the reduction space, so every float sum adds its products in that
+   order. *)
 let einsum ~spec a b =
-  let a_idx, b_idx, out_idx = Cinm_dialects.Linalg_d.parse_einsum_spec spec in
-  let dims = Hashtbl.create 8 in
-  String.iteri (fun i c -> Hashtbl.replace dims c a.shape.(i)) a_idx;
+  let module L = Cinm_dialects.Linalg_d in
+  let a_idx, b_idx, out_idx = L.parse_einsum_spec spec in
+  let plan =
+    match L.plan_einsum a_idx b_idx out_idx with
+    | Ok p -> p
+    | Error e -> invalid_arg ("Tensor.einsum: " ^ L.einsum_error_message e)
+  in
+  if String.length a_idx <> Array.length a.shape || String.length b_idx <> Array.length b.shape
+  then invalid_arg "Tensor.einsum: spec ranks";
+  let dim c =
+    match String.index_opt a_idx c with
+    | Some i -> a.shape.(i)
+    | None -> b.shape.(String.index b_idx c)
+  in
   String.iteri
-    (fun i c ->
-      match Hashtbl.find_opt dims c with
-      | Some d when d <> b.shape.(i) -> invalid_arg "Tensor.einsum: dim mismatch"
-      | _ -> Hashtbl.replace dims c b.shape.(i))
+    (fun i c -> if dim c <> b.shape.(i) then invalid_arg "Tensor.einsum: dim mismatch")
     b_idx;
-  let out_shape = Array.init (String.length out_idx) (fun i -> Hashtbl.find dims out_idx.[i]) in
-  (* reduction indices: appear in inputs but not in output *)
-  let red_idx =
-    let seen = Hashtbl.create 8 in
-    let add c =
-      if (not (String.contains out_idx c)) && not (Hashtbl.mem seen c) then
-        Hashtbl.replace seen c ()
-    in
-    String.iter add a_idx;
-    String.iter add b_idx;
-    Hashtbl.fold (fun c () acc -> c :: acc) seen [] |> List.sort compare
+  let out_order l = List.filter (fun c -> List.mem c l) (List.of_seq (String.to_seq out_idx)) in
+  let bi = out_order plan.L.batch_idx and mi = out_order plan.L.m_idx in
+  let ni = out_order plan.L.n_idx and ki = List.sort compare plan.L.k_idx in
+  let size l = List.fold_left (fun n c -> n * dim c) 1 l in
+  let permute t idx target =
+    let perms = Array.of_list (List.map (String.index idx) target) in
+    if Array.for_all2 ( = ) perms (Array.init (Array.length perms) Fun.id) then t
+    else transpose t perms
   in
-  let red_shape = Array.of_list (List.map (Hashtbl.find dims) red_idx) in
-  let out = zeros out_shape a.dtype in
-  let n_out = Util.product_of_shape out_shape in
-  let n_red = Util.product_of_shape red_shape in
-  (* Flat-offset evaluation: each input's offset is a linear function of
-     the output position and the reduction position, so precompute the
-     stride weight each (out dim, red dim) contributes to each input and
-     walk the reduction space with an incremental odometer. Accumulation
-     order per output element (ascending reduction offset) is unchanged,
-     so results are bit-identical to index-tuple evaluation. *)
-  let rank_out = Array.length out_shape in
-  let rank_red = Array.length red_shape in
-  let strides shape =
-    let rank = Array.length shape in
-    let s = Array.make rank 1 in
-    for i = rank - 2 downto 0 do
-      s.(i) <- s.(i + 1) * shape.(i + 1)
-    done;
-    s
-  in
-  let weights idx_str shape =
-    let s = strides shape in
-    let w_out = Array.make rank_out 0 in
-    let w_red = Array.make rank_red 0 in
-    String.iteri
-      (fun i c ->
-        match String.index_opt out_idx c with
-        | Some k -> w_out.(k) <- w_out.(k) + s.(i)
-        | None ->
-          let k = ref 0 in
-          List.iteri (fun j c' -> if c' = c then k := j) red_idx;
-          w_red.(!k) <- w_red.(!k) + s.(i))
-      idx_str;
-    (w_out, w_red)
-  in
-  let wa_out, wa_red = weights a_idx a.shape in
-  let wb_out, wb_red = weights b_idx b.shape in
-  let red_pos = Array.make rank_red 0 in
-  (* The reduction odometer is shared between the int and float engines:
-     it advances [off_a]/[off_b] by the precomputed stride weights and
-     wraps each exhausted reduction dimension. *)
-  let step off_a off_b =
-    let j = ref (rank_red - 1) in
-    let carry = ref true in
-    while !carry && !j >= 0 do
-      red_pos.(!j) <- red_pos.(!j) + 1;
-      off_a := !off_a + wa_red.(!j);
-      off_b := !off_b + wb_red.(!j);
-      if red_pos.(!j) = red_shape.(!j) then begin
-        red_pos.(!j) <- 0;
-        off_a := !off_a - (wa_red.(!j) * red_shape.(!j));
-        off_b := !off_b - (wb_red.(!j) * red_shape.(!j));
-        decr j
-      end
-      else carry := false
-    done
-  in
-  let bases o =
-    let out_pos = Util.delinearize out_shape o in
-    let base_a = ref 0 and base_b = ref 0 in
-    for i = 0 to rank_out - 1 do
-      base_a := !base_a + (wa_out.(i) * out_pos.(i));
-      base_b := !base_b + (wb_out.(i) * out_pos.(i))
-    done;
-    (!base_a, !base_b)
-  in
-  (match out.data with
-  | F _ ->
-    for o = 0 to n_out - 1 do
-      let base_a, base_b = bases o in
-      Array.fill red_pos 0 rank_red 0;
-      let off_a = ref base_a and off_b = ref base_b in
-      let acc = ref 0.0 in
-      for _r = 0 to n_red - 1 do
-        acc := !acc +. (get_float a !off_a *. get_float b !off_b);
-        step off_a off_b
-      done;
-      set_float out o !acc
-    done
-  | I _ | I8 _ | I16 _ ->
-    (* int-array payloads skip the per-element payload dispatch; the
-       offsets are in range by construction of the stride weights *)
-    let ga, gb =
-      match (a.data, b.data) with
-      | I xa, I xb ->
-        ((fun i -> Array.unsafe_get xa i), fun i -> Array.unsafe_get xb i)
-      | _ -> ((fun i -> get_int a i), fun i -> get_int b i)
-    in
-    for o = 0 to n_out - 1 do
-      let base_a, base_b = bases o in
-      Array.fill red_pos 0 rank_red 0;
-      let off_a = ref base_a and off_b = ref base_b in
-      let acc = ref 0 in
-      for _r = 0 to n_red - 1 do
-        acc := !acc + (ga !off_a * gb !off_b);
-        step off_a off_b
-      done;
-      set_int out o !acc
-    done);
+  let a' = permute a a_idx (bi @ mi @ ki) and b' = permute b b_idx (bi @ ki @ ni) in
+  let c_idx = bi @ mi @ ni in
+  let c = Arena.alloc_uninit (Array.of_list (List.map dim c_idx)) a.dtype in
+  gemm ~batch:(size bi) ~beta:0 ~m:(size mi) ~n:(size ni) ~k:(size ki) a' b' c ~c_off:0
+    ~ldc:(size ni);
+  let out = permute c (String.of_seq (List.to_seq c_idx)) (List.of_seq (String.to_seq out_idx)) in
+  List.iter (fun (t, kept) -> if t != kept then Arena.release t) [ (a', a); (b', b); (c, out) ];
   out
 
 (* ----- flat copies (scatter / gather / DMA fast paths) ----- *)
@@ -1025,7 +1024,7 @@ let blit src soff dst doff len =
   in
   if fits && src.dtype = dst.dtype then
     match (src.data, dst.data) with
-    | I a, I b -> Array.blit a soff b doff len
+    | I a, I b -> blit_ints a soff b doff len
     | I8 a, I8 b -> Bytes.blit a soff b doff len
     | I16 a, I16 b -> Bytes.blit a (2 * soff) b (2 * doff) (2 * len)
     | F a, F b -> Array.blit a soff b doff len

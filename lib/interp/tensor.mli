@@ -86,6 +86,19 @@ val fill_float : int array -> Types.dtype -> float -> t
 
 (** {1 Linear algebra} *)
 
+(** [gemm ?batch ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc]: the one MAC
+    loop of dense contraction. For each [bt < batch] (default 1), with A_bt
+    the row-major [m x k] block of [a] at [bt*m*k], B_bt the [k x n] block
+    of [b] at [bt*k*ldb] with row stride [ldb] (default [n]) and C_bt the
+    [m x n] block of [c] at [c_off + bt*m*ldc] with row stride [ldc]:
+    C_bt <- beta * C_bt + A_bt B_bt, for [beta] 0
+    or 1. Integer results wrap to [c]'s dtype; float elements sum their
+    products in ascending [p] from 0.0 and [beta = 1] then adds that sum to
+    [c] ([map2 "add"]'s order), so results are bit-identical to the naive
+    loop (and merge). With [beta = 0] every element of C_bt is written. *)
+val gemm :
+  ?batch:int -> ?ldb:int -> beta:int -> m:int -> n:int -> k:int -> t -> t -> t -> c_off:int -> ldc:int -> unit
+
 val matmul : t -> t -> t
 val matvec : t -> t -> t
 
@@ -130,9 +143,22 @@ val insert_slice : t -> t -> offsets:int array -> t
     into [dst]'s storage. Only for a [dst] no other live value shares. *)
 val write_slice : t -> t -> offsets:int array -> unit
 
+(** [merge_region name dst ~offsets src] stores
+    [map2 name (extract_slice dst ~offsets ~sizes:src.shape) src] into
+    that region of [dst] in one pass and returns [true] when the region is
+    in bounds and both payloads are int or float arrays of one dtype;
+    otherwise it touches nothing and returns [false]. Only for a [dst] no
+    other live value shares. *)
+val merge_region : string -> t -> offsets:int array -> t -> bool
+
 val im2col : t -> kh:int -> kw:int -> t
 
-(** Two-operand einsum, e.g. [einsum ~spec:"aebf,dfce->abcd" a b]. *)
+(** Two-operand einsum, e.g. [einsum ~spec:"aebf,dfce->abcd" a b], as
+    permute + one batched {!gemm} + permute. The reduction indices are
+    flattened in sorted order, so each float element sums its products in
+    the row-major order of its sorted reduction indices.
+    @raise Invalid_argument on a spec {!Cinm_dialects.Linalg_d.plan_einsum}
+    rejects or operands whose shapes do not fit it. *)
 val einsum : spec:string -> t -> t -> t
 
 (** {1 Arena}
@@ -146,6 +172,11 @@ val einsum : spec:string -> t -> t -> t
     faster), and the pooled storage never exceeds 2 MB. *)
 module Arena : sig
   val alloc : int array -> Types.dtype -> t
+
+  (** [alloc] without the zero fill: recycled storage keeps its old
+      contents. For results the caller overwrites entirely. *)
+  val alloc_uninit : int array -> Types.dtype -> t
+
   val release : t -> unit
 
   (** Tensors of at most this many elements bypass the arena. *)

@@ -19,6 +19,9 @@ module Vec = Cinm_support.Vec
 
 type tile = {
   mutable weights : Tensor.t option;
+  mutable live : int;
+      (** the programmed weights' live column count: every column after
+          them is zero in every row (see [live_columns]) *)
   mutable staged_input : Tensor.t option;
   mutable ready_at : float;
 }
@@ -34,6 +37,7 @@ type t = {
   faults : Fault.plan option;
   mutable trace_pid : int;
   events : Schedule.ev Vec.t;
+  mutable host_macs : int;
 }
 
 let create ?(faults = Fault.default ()) config =
@@ -46,6 +50,7 @@ let create ?(faults = Fault.default ()) config =
     faults;
     trace_pid = 0;
     events = Vec.create ();
+    host_macs = 0;
   }
 
 (* Tracing: this simulator already runs on real event clocks, so spans sit
@@ -70,7 +75,7 @@ let tracing m =
 
 let tile_track k = Printf.sprintf "tile%d" k
 
-let fresh_tile () = { weights = None; staged_input = None; ready_at = 0.0 }
+let fresh_tile () = { weights = None; live = 0; staged_input = None; ready_at = 0.0 }
 
 let find_device m rv =
   match Hashtbl.find_opt m.devices (Rtval.as_handle rv) with
@@ -93,11 +98,29 @@ let tensor_bytes (t : Tensor.t) =
    exclusively by its tile, so the copies recycle through the arena: a
    replaced or released copy returns its storage for the next one. *)
 let stage_copy (t : Tensor.t) =
-  let c = Tensor.Arena.alloc t.Tensor.shape t.Tensor.dtype in
+  let c = Tensor.Arena.alloc_uninit t.Tensor.shape t.Tensor.dtype in
   Tensor.blit t 0 c 0 (Tensor.num_elements t);
   c
 
 let release_opt = function Some t -> Tensor.Arena.release t | None -> ()
+
+(* The live columns of programmed integer weights: those up to the last
+   one with a nonzero cell. A GEMM over the zero columns after them adds
+   nothing, so [gemm_tile] computes only the live ones. *)
+let live_columns (w : Tensor.t) =
+  let rows = w.Tensor.shape.(0) and cols = w.Tensor.shape.(1) in
+  if not (Tensor.is_int w) then cols
+  else begin
+    let live = ref 0 in
+    for i = 0 to rows - 1 do
+      let j = ref (cols - 1) in
+      while !j >= !live && Tensor.get_int w ((i * cols) + !j) = 0 do
+        decr j
+      done;
+      live := max !live (!j + 1)
+    done;
+    !live
+  end
 
 let release_tiles d =
   Array.iter
@@ -109,7 +132,7 @@ let release_tiles d =
     d.tiles
 
 let hook_impl (m : t) : Interp.hook =
- fun _ctx op ops ->
+ fun ctx op ops ->
   let operand i = ops.(i) in
   let c = m.config in
   match op.Ir.name with
@@ -157,6 +180,7 @@ let hook_impl (m : t) : Interp.hook =
     | _ -> ());
     release_opt tile.weights;
     tile.weights <- Some stored;
+    tile.live <- live_columns stored;
     let rows = w.Tensor.shape.(0) in
     let cells = Tensor.num_elements w in
     let t_prog = float_of_int rows *. c.Config.t_write_row in
@@ -214,7 +238,9 @@ let hook_impl (m : t) : Interp.hook =
     | [| _m; kk |] when kk <= c.Config.rows -> ()
     | _ -> invalid_arg "memristor.copy_tile: input must be (M x rows<=crossbar)");
     release_opt tile.staged_input;
-    tile.staged_input <- Some (stage_copy input);
+    (* compiled code hands over an input nothing else reaches ([adopt]);
+       anything else is copied *)
+    tile.staged_input <- Some (if ctx.Interp.adopt then input else stage_copy input);
     let bytes = tensor_bytes input in
     let t_stage = float_of_int bytes *. c.Config.t_input_stage_per_byte in
     if tracing m then
@@ -236,7 +262,28 @@ let hook_impl (m : t) : Interp.hook =
     let k, tile = tile_of d op in
     match (tile.staged_input, tile.weights) with
     | Some input, Some w ->
-      let out = Tensor.matmul input w in
+      let out =
+        match (input.Tensor.shape, w.Tensor.shape) with
+        | [| vectors; k |], [| k'; cols |] when k = k' && Tensor.is_int input ->
+          (* the MVMs of the live columns; the rest of every row is 0 *)
+          let out = Tensor.Arena.alloc_uninit [| vectors; cols |] input.Tensor.dtype in
+          Tensor.gemm ~beta:0 ~m:vectors ~n:tile.live ~k ~ldb:cols input w out ~c_off:0 ~ldc:cols;
+          m.host_macs <- m.host_macs + (vectors * tile.live * k);
+          for i = 0 to vectors - 1 do
+            let dead = (i * cols) + tile.live and n = cols - tile.live in
+            match out.Tensor.data with
+            | Tensor.I a -> Array.fill a dead n 0
+            | _ ->
+              for j = dead to dead + n - 1 do
+                Tensor.set_int out j 0
+              done
+          done;
+          out
+        | _ ->
+          let out = Tensor.matmul input w in
+          m.host_macs <- m.host_macs + Tensor.num_elements out * input.Tensor.shape.(1);
+          out
+      in
       let vectors = input.Tensor.shape.(0) in
       if tracing m then
         Trace.complete ~cat:"mvm"

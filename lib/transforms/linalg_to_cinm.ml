@@ -74,28 +74,7 @@ let conv_pattern : Rewrite.pattern =
 
 (* ----- contraction-to-GEMM rewriting ----- *)
 
-type einsum_plan = {
-  m_idx : char list;  (** indices in A and out *)
-  n_idx : char list;  (** indices in B and out *)
-  k_idx : char list;  (** reduction indices (A and B, not out) *)
-}
-
 let chars s = List.init (String.length s) (String.get s)
-
-(* Classify an einsum's indices; [None] if it is not a pure contraction
-   (batch dims or free reductions), in which case it stays on the host. *)
-let plan_einsum a_idx b_idx out_idx =
-  let a = chars a_idx and bs = chars b_idx and out = chars out_idx in
-  let in_a c = List.mem c a and in_b c = List.mem c bs and in_out c = List.mem c out in
-  let m_idx = List.filter (fun c -> in_out c && not (in_b c)) a in
-  let n_idx = List.filter (fun c -> in_out c && not (in_a c)) bs in
-  let k_idx = List.filter (fun c -> in_b c && not (in_out c)) a in
-  let classified = List.length m_idx + List.length k_idx = List.length a
-                   && List.length n_idx + List.length k_idx = List.length bs
-                   && List.length m_idx + List.length n_idx = List.length out in
-  let no_dups l = List.length (List.sort_uniq compare l) = List.length l in
-  if classified && no_dups a && no_dups bs && no_dups out then Some { m_idx; n_idx; k_idx }
-  else None
 
 let perm_to target source =
   Array.of_list
@@ -117,9 +96,9 @@ let einsum_pattern : Rewrite.pattern =
   | "linalg.einsum" -> (
     let spec = Ir.str_attr op "spec" in
     let a_idx, b_idx, out_idx = Linalg_d.parse_einsum_spec spec in
-    match plan_einsum a_idx b_idx out_idx with
-    | None -> None (* not a pure contraction: host fallback *)
-    | Some { m_idx; n_idx; k_idx } ->
+    match Linalg_d.plan_einsum a_idx b_idx out_idx with
+    | Error _ | Ok { batch_idx = _ :: _; _ } -> None (* not a pure contraction: host *)
+    | Ok { m_idx; n_idx; k_idx; batch_idx = [] } ->
       let b = ctx.Rewrite.b in
       let va = Rewrite.operand ctx op 0 and vb = Rewrite.operand ctx op 1 in
       let a_shape = Option.get (Types.shape_of va.Ir.ty) in

@@ -4,15 +4,4 @@
     transpose + reshape + gemm (the OCC algorithm). Unconvertible ops stay
     and run on the host. *)
 
-(** Index classification of a two-operand einsum. *)
-type einsum_plan = {
-  m_idx : char list;  (** indices in A and the output *)
-  n_idx : char list;  (** indices in B and the output *)
-  k_idx : char list;  (** reduction indices *)
-}
-
-(** [None] when the spec is not a pure contraction (batch dims, repeated
-    indices or free reductions). *)
-val plan_einsum : string -> string -> string -> einsum_plan option
-
 val pass : Cinm_ir.Pass.t

@@ -258,6 +258,73 @@ let test_upmem_minor_words () =
               name mb budget_mb)
         [ ("bfs", 1.0); ("mv", 1.0) ])
 
+(* Minor words of a warm [Driver.run] of [bench] compiled for [backend]
+   (the run is checked against the host reference). *)
+let warm_run_words backend (bench : Cinm_benchmarks.Benchmark.t) =
+  let module B = Cinm_benchmarks.Benchmark in
+  let c = Driver.compile_func backend (bench.B.build ()) in
+  let args = bench.B.inputs () in
+  let run () =
+    let results, _ = Driver.run c args in
+    Alcotest.(check bool) (bench.B.name ^ " matches the reference") true
+      (B.results_match bench results)
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  Gc.minor_words () -. before
+
+(* The host contractions run as permute + one GEMM + permute, on arena
+   storage: a warm run allocates what the interpreter does around one
+   op. Measured at these (cim-ml) shapes: about 1K words each; 0.20M,
+   0.29M and 0.72M while an index odometer ran them. *)
+let test_contractions_minor_words () =
+  let module K = Cinm_benchmarks.Ml_kernels in
+  with_backend Compile.Compiled (fun () ->
+      List.iter
+        (fun (bench : Cinm_benchmarks.Benchmark.t) ->
+          let words = warm_run_words Backend.Host_arm bench in
+          if words > 20_000. then
+            Alcotest.failf "%s@arm allocated %.0f minor words per warm run (budget 20000)"
+              bench.Cinm_benchmarks.Benchmark.name words)
+        [
+          K.contrl ~a:16 ~b:16 ~c:16 ~d:4 ~e:8 ~f:8 ();
+          K.contrs1 ~a:112 ~b:256 ~c:8 ~d:8 ();
+          K.contrs2 ~a:32 ~b:256 ~c:8 ~d:64 ();
+        ])
+
+(* A crossbar tile's trip allocates no storage of its size (a 128x64
+   slice is 8K words): the slices, partials and staged inputs recycle
+   through the arena, the tile adopts its input and the accumulator
+   chain updates in place. What a trip still allocates is a constant
+   set of boxes: hook operand arrays and result lists, boxed float
+   clocks and stats, the schedule-event record. mm at 128x64x64 runs 2
+   tiles, at 256x256x256 32. Measured: 344 words per trip; 562 before
+   the kernel lost its per-row option and row accumulator, and the
+   arena its tuple keys. *)
+let test_cim_words_per_tile () =
+  let module K = Cinm_benchmarks.Ml_kernels in
+  let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
+  with_backend Compile.Compiled (fun () ->
+      let small = warm_run_words backend (K.mm ~m:128 ~k:64 ~n:64 ()) in
+      let large = warm_run_words backend (K.mm ~m:256 ~k:256 ~n:256 ()) in
+      let per_tile = (large -. small) /. 30. in
+      if per_tile > 400. then
+        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 400)" per_tile)
+
+(* gemm_tile computes only the live columns of the programmed weights:
+   mv programs its vector, padded to 64 columns, so every MVM has one
+   live column and the host does m * n MACs, not 64 times that. *)
+let test_cim_live_columns () =
+  let module B = Cinm_benchmarks.Benchmark in
+  let bench = Cinm_benchmarks.Prim_kernels.mv ~m:256 ~n:256 () in
+  let c = Driver.compile_func (Backend.Cim (Backend.default_cim ())) (bench.B.build ()) in
+  let m = Cinm_memristor_sim.Machine.create ~faults:None (Cinm_memristor_sim.Config.default ()) in
+  let f = List.hd c.Driver.modul.Func.funcs in
+  let results, _ = Cinm_memristor_sim.Machine.run m f (bench.B.inputs ()) in
+  Alcotest.(check bool) "mv matches the reference" true (B.results_match bench results);
+  Alcotest.(check int) "host MACs = m * n" (256 * 256) m.Cinm_memristor_sim.Machine.host_macs
+
 (* Generated modules lowered for UPMEM and for CIM: the IR that the
    per-pass verifier and the strict-mode printer see. *)
 let lowered_modules () =
@@ -310,6 +377,11 @@ let () =
             test_fused_loop_zero_words;
           Alcotest.test_case "a DMA op allocates nothing" `Quick test_dma_zero_words;
           Alcotest.test_case "warm bfs and mv on upmem" `Quick test_upmem_minor_words;
+          Alcotest.test_case "host contractions stay under 20K words" `Quick
+            test_contractions_minor_words;
+          Alcotest.test_case "crossbar tile trips allocate a constant" `Quick
+            test_cim_words_per_tile;
+          Alcotest.test_case "gemm_tile computes live columns only" `Quick test_cim_live_columns;
         ] );
       ( "compile path",
         [

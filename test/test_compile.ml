@@ -485,6 +485,46 @@ let test_in_place_tile_accumulate () =
     [ "cinm.merge_partial"; "tensor.insert_slice" ]
     (in_place_parity "tile accumulate" f [ tile; base ])
 
+(* An accumulator chain as the cim lowering emits it (extract_slice of
+   the carried accumulator, merge_partial, insert_slice at the same
+   offsets, adjacent in the loop body) runs as one region update, with
+   the tree-walker's results and profile: i32 sums wrap as the three ops
+   wrap them, other merge ops apply, and a region that leaves the
+   accumulator fails with the tree-walker's error. *)
+let test_in_place_merge_chain () =
+  let chain ~op ~stride =
+    tile_func ~results:1 (fun b tile base ->
+        let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+        let two = Arith.const_index b 2 and step = Arith.const_index b stride in
+        Scf_d.for_ b ~lb:c0 ~ub:two ~step:c1 ~init:[ copy_of b base ] (fun bb i it ->
+            let off = Arith.muli bb i step in
+            let part =
+              Tensor_d.extract_slice bb it.(0) ~offsets:[| 0; 0 |] ~sizes:[| 4; 4 |]
+                ~dyn_offsets:[ off; off ]
+            in
+            let m = Cinm_d.merge_partial bb ~op part tile in
+            [ Tensor_d.insert_slice bb m it.(0) ~offsets:[| 0; 0 |] ~dyn_offsets:[ off; off ] ]))
+  in
+  let tile = Tensor.init [| 4; 4 |] (fun i -> 2147483000 + i)
+  and base = Tensor.init [| 8; 8 |] (fun i -> 2147483600 + i) in
+  List.iter
+    (fun op ->
+      let f = chain ~op ~stride:4 in
+      Alcotest.(check (list string)) (op ^ ": one region update") [ "tensor.insert_slice" ]
+        (List.map (fun (o : Ir.op) -> o.Ir.name) (Compile.merged_updates f.Func.body));
+      ignore (in_place_parity ("chain " ^ op) f [ tile; base ]))
+    [ "add"; "max" ];
+  let f = chain ~op:"add" ~stride:6 in
+  let error backend =
+    with_backend backend (fun () ->
+        match Compile.run_func f [ Rtval.Tensor tile; Rtval.Tensor base ] with
+        | _ -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  let e_tree = error Compile.Tree in
+  Alcotest.(check bool) "the region at (6, 6) fails" true (e_tree <> None);
+  Alcotest.(check (option string)) "same error" e_tree (error Compile.Compiled)
+
 let test_in_place_scalar_insert () =
   let f = Func.create ~name:"squares" ~arg_tys:[] ~result_tys:[ tensor [| 8 |] ] in
   let b = Builder.for_func f in
@@ -627,9 +667,12 @@ let test_recycle_skips_hook_results () =
     (recycling_parity ~hooks:[ hook ] "hook result" f [ iota square; iota square ]);
   check_tensors "the hook's tensor is untouched" [ snapshot ] [ held ]
 
-(* The cinm-to-memristor tile loop: every temporary of a trip (weight
-   and input slices, the gemm_tile result, the slice merged into) goes
-   back to the arena; the loop-carried accumulator is written in place
+(* The cinm-to-memristor tile loop: the temporaries of a trip that
+   compiled code owns to the end (the weight slice, the gemm_tile result)
+   go back to the arena; the tile adopts the input slice it stages and
+   releases it when the next one replaces it; the accumulator chain
+   (slice, merge, insert) runs as one region update, so the slice merged
+   into never exists; the loop-carried accumulator is written in place
    and returned. *)
 let test_recycle_tile_loop () =
   let f =
@@ -663,9 +706,10 @@ let test_recycle_tile_loop () =
     Cinm_memristor_sim.Machine.hook !m ctx op ops
   in
   Alcotest.(check (list string)) "every trip temporary is recycled"
-    [ "tensor.extract_slice"; "tensor.extract_slice"; "memristor.gemm_tile";
-      "cinm.merge_partial" ]
-    (recycling_parity ~hooks:[ hook ] "tile loop" f [ iota [| 64; 32 |]; iota square ])
+    [ "tensor.extract_slice"; "memristor.gemm_tile" ]
+    (recycling_parity ~hooks:[ hook ] "tile loop" f [ iota [| 64; 32 |]; iota square ]);
+  Alcotest.(check (list string)) "the accumulator chain is one update" [ "tensor.insert_slice" ]
+    (List.map (fun (op : Ir.op) -> op.Ir.name) (Compile.merged_updates f.Func.body))
 
 (* ----- error parity ----- *)
 
@@ -1036,6 +1080,7 @@ let () =
         [ Alcotest.test_case "aliased or live destinations copy" `Quick
             test_in_place_keeps_copies;
           Alcotest.test_case "tile accumulate loop" `Quick test_in_place_tile_accumulate;
+          Alcotest.test_case "accumulator chain as one update" `Quick test_in_place_merge_chain;
           Alcotest.test_case "scalar insert loop" `Quick test_in_place_scalar_insert;
         ] );
       ( "recycling",

@@ -25,6 +25,24 @@ let check_valid name ~arg_tys f =
 let check_invalid name ~arg_tys f =
   Alcotest.(check bool) (name ^ " rejected") true (errors_of ~arg_tys f > 0)
 
+(* Rejected, with [msg] in one of the messages. *)
+let check_rejected_with name ~msg ~arg_tys f =
+  let fn = Func.create ~name:"t" ~arg_tys ~result_tys:[] in
+  let b = Builder.for_func fn in
+  f b (Func.params fn);
+  Func_d.return b [];
+  let messages =
+    List.map (fun (e : Verifier.error) -> e.Verifier.message) (Verifier.verify_func fn)
+  in
+  let contains m =
+    let n = String.length msg in
+    let rec at i = i + n <= String.length m && (String.sub m i n = msg || at (i + 1)) in
+    at 0
+  in
+  if not (List.exists contains messages) then
+    Alcotest.failf "%s: expected a message with %S, got [%s]" name msg
+      (String.concat "; " messages)
+
 (* ----- arith ----- *)
 
 let test_arith () =
@@ -140,6 +158,35 @@ let test_linalg_cinm () =
            ~operands:[ List.nth ps 0; List.nth ps 1 ]
            ~attrs:[ ("spec", Attr.Str "nonsense") ]
            ~result_tys:[ tensor [| 2; 2 |] ]));
+  let einsum spec ~result (b : Builder.t) ps =
+    ignore
+      (Builder.build1 b "linalg.einsum"
+         ~operands:[ List.nth ps 0; List.nth ps 1 ]
+         ~attrs:[ ("spec", Attr.Str spec) ]
+         ~result_tys:[ tensor result ])
+  in
+  check_valid "einsum contraction" ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 3; 4 |] ]
+    (einsum "ij,jk->ik" ~result:[| 2; 4 |]);
+  check_valid "einsum batch index" ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 2; 3 |] ]
+    (einsum "ij,ij->ij" ~result:[| 2; 3 |]);
+  check_rejected_with "einsum unequal extents" ~msg:"index 'j' has extents 3 and 5"
+    ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 5; 4 |] ]
+    (einsum "ij,jk->ik" ~result:[| 2; 4 |]);
+  check_rejected_with "einsum output extent" ~msg:"index 'k' has extents 4 and 7"
+    ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 3; 4 |] ]
+    (einsum "ij,jk->ik" ~result:[| 2; 7 |]);
+  check_rejected_with "einsum repeated index" ~msg:"index 'i' repeated in the first operand"
+    ~arg_tys:[ tensor [| 3; 3 |]; tensor [| 3; 4 |] ]
+    (einsum "ii,ik->k" ~result:[| 4 |]);
+  check_rejected_with "einsum one-operand reduction" ~msg:"index 'j' is summed within one operand"
+    ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 2; 4 |] ]
+    (einsum "ij,ik->ik" ~result:[| 2; 4 |]);
+  check_rejected_with "einsum unbound output index" ~msg:"output index 'z' is in neither input"
+    ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 3; 4 |] ]
+    (einsum "ij,jk->iz" ~result:[| 2; 4 |]);
+  check_rejected_with "einsum spec rank" ~msg:"spec ranks must match"
+    ~arg_tys:[ tensor [| 2; 3 |]; tensor [| 3; 4 |] ]
+    (einsum "ijk,jk->ik" ~result:[| 2; 4 |]);
   check_invalid "histogram bins mismatch" ~arg_tys:[ tensor [| 16 |] ] (fun b ps ->
       ignore
         (Builder.build1 b "cinm.histogram" ~operands:[ List.hd ps ]

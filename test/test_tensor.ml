@@ -1,7 +1,9 @@
 (* Pinned unit tests for strict Tensor.equal (dtype and shape first,
    NaN-aware float comparison), for the unboxed narrow payloads'
-   wrap-on-store semantics, and for the slice movers (pad, extract_slice,
-   insert_slice and their in-place forms) on float and narrow payloads. *)
+   wrap-on-store semantics, for the slice movers (pad, extract_slice,
+   insert_slice and their in-place forms) on float and narrow payloads,
+   and for the one GEMM kernel and the kernels built on it (einsum,
+   conv_2d, the crossbar's region merge) against naive oracles. *)
 
 open Cinm_ir
 open Cinm_interp
@@ -154,6 +156,238 @@ let test_map2_in_place () =
   Tensor.map2_in_place "mul" x (Tensor.of_float_array [| 2 |] [| 2.0; -1.0 |]);
   check_bits "f32 in place" [| Int64.bits_of_float 3.0; Int64.bits_of_float (-2.5) |] x
 
+
+(* ----- the GEMM kernel ----- *)
+
+(* Deterministic values that overflow every narrow width once summed. *)
+let payload dtype n seed =
+  let v i = ((((i + seed) * 7919) + (seed * 104729)) mod 2001) - 1000 in
+  match dtype with
+  | T.F32 -> Tensor.of_float_array [| n |] (Array.init n (fun i -> float_of_int (v i) /. 7.0))
+  | T.I64 -> Tensor.init ~dtype [| n |] (fun i -> v i * (1 lsl 40))
+  | dt -> Tensor.init ~dtype:dt [| n |] v
+
+let same_bits msg a b =
+  if Tensor.is_int a then Alcotest.(check bool) msg true (Tensor.equal a b)
+  else check_bits msg (bits a) b
+
+(* C <- beta * C + A B by the textbook triple loop over [ldc]-strided C:
+   sums in ascending p from 0, then the merge [map2 "add"] performs. *)
+let naive_gemm ~batch ~beta ~m ~n ~k a b c ~c_off ~ldc =
+  for bt = 0 to batch - 1 do
+    for i = 0 to m - 1 do
+      for j = 0 to n - 1 do
+        let z = c_off + (bt * m * ldc) + (i * ldc) + j in
+        let x p = (bt * m * k) + (i * k) + p and y p = (bt * k * n) + (p * n) + j in
+        if Tensor.is_int c then begin
+          let acc = ref 0 in
+          for p = 0 to k - 1 do
+            acc := !acc + (Tensor.get_int a (x p) * Tensor.get_int b (y p))
+          done;
+          let sum = Tensor.wrap c.Tensor.dtype !acc in
+          Tensor.set_int c z (if beta = 0 then sum else Tensor.get_int c z + sum)
+        end
+        else begin
+          let acc = ref 0.0 in
+          for p = 0 to k - 1 do
+            acc := !acc +. (Tensor.get_float a (x p) *. Tensor.get_float b (y p))
+          done;
+          Tensor.set_float c z (if beta = 0 then !acc else Tensor.get_float c z +. !acc)
+        end
+      done
+    done
+  done
+
+(* Every m, k, n in 1..9 (so every tail of the 2-row, 4-deep blocks
+   runs), beta 0 and 1, a destination block at an offset with a wider
+   row stride whose margins must survive, on every payload. *)
+let test_gemm_matches_naive () =
+  List.iter
+    (fun dtype ->
+      for m = 1 to 9 do
+        for k = 1 to 9 do
+          for n = 1 to 9 do
+            let batch = 1 + ((m + k + n) mod 2) and ldc = n + 3 and c_off = 2 in
+            let a = payload dtype (batch * m * k) (m + k) and b = payload dtype (batch * k * n) n in
+            List.iter
+              (fun beta ->
+                let size = c_off + (batch * m * ldc) + 1 in
+                let got = payload dtype size 5 and want = payload dtype size 5 in
+                Tensor.gemm ~batch ~beta ~m ~n ~k a b got ~c_off ~ldc;
+                naive_gemm ~batch ~beta ~m ~n ~k a b want ~c_off ~ldc;
+                same_bits
+                  (Printf.sprintf "%s %dx%dx%d batch %d beta %d" (T.dtype_to_string dtype) m k n
+                     batch beta)
+                  want got)
+              [ 0; 1 ]
+          done
+        done
+      done)
+    [ T.I8; T.I16; T.I32; T.I64; T.F32 ]
+
+(* B with a row stride wider than n: the crossbar's live columns. *)
+let test_gemm_row_stride () =
+  let a = Tensor.init [| 3; 4 |] (fun i -> i - 5) in
+  let b = Tensor.init [| 4; 6 |] (fun i -> (i * 3) - 11) in
+  let got = Tensor.zeros [| 3; 2 |] T.I32 in
+  Tensor.gemm ~beta:0 ~m:3 ~n:2 ~k:4 ~ldb:6 a b got ~c_off:0 ~ldc:2;
+  let full = Tensor.matmul a b in
+  Alcotest.(check (list int)) "first two columns"
+    (List.concat_map
+       (fun i -> [ Tensor.get full [| i; 0 |]; Tensor.get full [| i; 1 |] ])
+       [ 0; 1; 2 ])
+    (Array.to_list (Tensor.to_int_array got))
+
+(* ----- einsum: TTGT against the index odometer ----- *)
+
+(* The contraction as an odometer over the sorted reduction indices,
+   accumulating each output element in ascending reduction offset: the
+   host kernel before it went through GEMM, kept as the oracle. *)
+let odometer_einsum ~spec (a : Tensor.t) (b : Tensor.t) =
+  let a_idx, b_idx, out_idx = Cinm_dialects.Linalg_d.parse_einsum_spec spec in
+  let dims = Hashtbl.create 8 in
+  String.iteri (fun i c -> Hashtbl.replace dims c a.Tensor.shape.(i)) a_idx;
+  String.iteri (fun i c -> Hashtbl.replace dims c b.Tensor.shape.(i)) b_idx;
+  let out_shape = Array.init (String.length out_idx) (fun i -> Hashtbl.find dims out_idx.[i]) in
+  let red =
+    List.sort_uniq compare
+      (List.filter
+         (fun c -> not (String.contains out_idx c))
+         (List.of_seq (String.to_seq (a_idx ^ b_idx))))
+  in
+  let red_shape = Array.of_list (List.map (Hashtbl.find dims) red) in
+  let out = Tensor.zeros out_shape a.Tensor.dtype in
+  let offset idx shape pos =
+    let o = ref 0 in
+    String.iteri (fun i c -> o := (!o * shape.(i)) + pos c) idx;
+    !o
+  in
+  for o = 0 to Tensor.num_elements out - 1 do
+    let out_pos = Cinm_support.Util.delinearize out_shape o in
+    let iacc = ref 0 and facc = ref 0.0 in
+    for r = 0 to Cinm_support.Util.product_of_shape red_shape - 1 do
+      let red_pos = Cinm_support.Util.delinearize red_shape r in
+      let pos c =
+        match String.index_opt out_idx c with
+        | Some i -> out_pos.(i)
+        | None ->
+          let k = ref 0 in
+          List.iteri (fun j c' -> if c' = c then k := j) red;
+          red_pos.(!k)
+      in
+      let x = offset a_idx a.Tensor.shape pos and y = offset b_idx b.Tensor.shape pos in
+      if Tensor.is_int out then iacc := !iacc + (Tensor.get_int a x * Tensor.get_int b y)
+      else facc := !facc +. (Tensor.get_float a x *. Tensor.get_float b y)
+    done;
+    if Tensor.is_int out then Tensor.set_int out o !iacc else Tensor.set_float out o !facc
+  done;
+  out
+
+(* Every spec the repository builds (ML suite, fuzz generator, tests),
+   then two more: reduction indices out of sorted order in A, and a
+   batched contraction. *)
+let repo_specs =
+  [ "acd,db->abc"; "acd,dbc->ab"; "aebf,dfce->abcd"; "ij,ij->ij"; "ij,j->i"; "ij,jk->ik";
+    "ik,kj->ij"; "adc,cdb->ab"; "bij,bjk->bik" ]
+
+let operands ~spec ~dtype extents seed =
+  let a_idx, b_idx, _ = Cinm_dialects.Linalg_d.parse_einsum_spec spec in
+  let make idx s =
+    let shape = Array.init (String.length idx) (fun i -> extents (Char.code idx.[i] - 97)) in
+    Tensor.reshape (payload dtype (Cinm_support.Util.product_of_shape shape) s) shape
+  in
+  (make a_idx seed, make b_idx (seed + 1))
+
+let prop_einsum_matches_odometer =
+  QCheck.Test.make ~name:"einsum (TTGT) == odometer, bit for bit" ~count:60
+    QCheck.(pair (int_bound 8) (int_bound 1000))
+    (fun (which, seed) ->
+      let spec = List.nth repo_specs which in
+      (* each index gets an extent in 1..4 from the seed *)
+      let extent i = 1 + (((seed * 31) + (i * 7)) mod 4) in
+      List.for_all
+        (fun dtype ->
+          let a, b = operands ~spec ~dtype extent seed in
+          let want = odometer_einsum ~spec a b and got = Tensor.einsum ~spec a b in
+          want.Tensor.shape = got.Tensor.shape && bits want = bits got && Tensor.equal want got)
+        [ T.I32; T.F32 ])
+
+let test_einsum_rejects () =
+  let a = Tensor.zeros [| 2; 3 |] T.I32 and b = Tensor.zeros [| 4; 5 |] T.I32 in
+  List.iter
+    (fun (spec, msg) ->
+      match Tensor.einsum ~spec a b with
+      | _ -> Alcotest.failf "%s accepted" spec
+      | exception Invalid_argument m -> Alcotest.(check string) spec msg m)
+    [
+      ("ij,jk->ik", "Tensor.einsum: dim mismatch");
+      ("ij,kl->ik", "Tensor.einsum: index 'j' is summed within one operand");
+      ("ij,kl->ijz", "Tensor.einsum: output index 'z' is in neither input");
+    ]
+
+(* ----- kernels on the GEMM ----- *)
+
+let test_conv_2d_matches_direct () =
+  List.iter
+    (fun dtype ->
+      let img = Tensor.reshape (payload dtype 42 3) [| 6; 7 |] in
+      let k = Tensor.reshape (payload dtype 6 9) [| 2; 3 |] in
+      let want = Tensor.zeros [| 5; 5 |] dtype in
+      for i = 0 to 4 do
+        for j = 0 to 4 do
+          let iacc = ref 0 and facc = ref 0.0 in
+          for di = 0 to 1 do
+            for dj = 0 to 2 do
+              let x = ((i + di) * 7) + j + dj and y = (di * 3) + dj in
+              iacc := !iacc + (Tensor.get_int img x * Tensor.get_int k y);
+              facc := !facc +. (Tensor.get_float img x *. Tensor.get_float k y)
+            done
+          done;
+          if Tensor.is_int want then Tensor.set_int want ((i * 5) + j) !iacc
+          else Tensor.set_float want ((i * 5) + j) !facc
+        done
+      done;
+      same_bits (T.dtype_to_string dtype) want (Tensor.conv_2d img k))
+    [ T.I8; T.I32; T.F32 ]
+
+let test_transpose_runs () =
+  let t = Tensor.init [| 2; 3; 4 |] (fun i -> i) in
+  let check perms =
+    let got = Tensor.transpose t perms in
+    let ok = ref true in
+    for o = 0 to 23 do
+      let idx = Cinm_support.Util.delinearize [| 2; 3; 4 |] o in
+      let out_idx = Array.map (fun p -> idx.(p)) perms in
+      if Tensor.get got out_idx <> Tensor.get t idx then ok := false
+    done;
+    let name = String.concat "," (Array.to_list (Array.map string_of_int perms)) in
+    Alcotest.(check bool) name true !ok
+  in
+  List.iter check [ [| 1; 0; 2 |]; [| 2; 0; 1 |]; [| 0; 2; 1 |]; [| 0; 1; 2 |] ]
+
+(* [write_slice (map2 "add" (extract_slice dst) src) dst], the three
+   steps [merge_region] does in one pass, on a fresh copy of [dst]. *)
+let three_steps dst ~offsets src =
+  let slice = Tensor.extract_slice dst ~offsets ~sizes:src.Tensor.shape in
+  Tensor.insert_slice (Tensor.map2 "add" slice src) dst ~offsets
+
+(* The crossbar accumulator update, wrapping at i32 like the three ops it
+   replaces. *)
+let test_merge_region_wraps () =
+  let acc = Tensor.init [| 3; 4 |] (fun i -> 2147483640 + i) in
+  let part = Tensor.init [| 2; 2 |] (fun i -> i + 1) in
+  let want = three_steps acc ~offsets:[| 1; 2 |] part in
+  Alcotest.(check bool) "one pass" true (Tensor.merge_region "add" acc ~offsets:[| 1; 2 |] part);
+  Alcotest.(check bool) "same as extract, add, insert" true (Tensor.equal want acc);
+  Alcotest.(check bool) "out of bounds falls back" false
+    (Tensor.merge_region "add" acc ~offsets:[| 2; 3 |] part);
+  let facc = Tensor.of_float_array [| 2; 2 |] [| 0.1; -0.0; 1e300; 2.5 |] in
+  let fpart = Tensor.of_float_array [| 1; 2 |] [| 0.2; 0.0 |] in
+  let want = three_steps facc ~offsets:[| 0; 0 |] fpart in
+  Alcotest.(check bool) "f32 one pass" true
+    (Tensor.merge_region "add" facc ~offsets:[| 0; 0 |] fpart);
+  check_bits "f32 same as extract, add, insert" (bits want) facc
+
 let () =
   Alcotest.run "tensor"
     [
@@ -177,5 +411,19 @@ let () =
           Alcotest.test_case "f32 pad" `Quick test_f32_pad;
           Alcotest.test_case "narrow payloads" `Quick test_narrow_slices;
           Alcotest.test_case "map2 in place" `Quick test_map2_in_place;
+        ] );
+      ( "gemm",
+        [
+          Alcotest.test_case "beta 0/1, strided C, every payload" `Quick test_gemm_matches_naive;
+          Alcotest.test_case "B row stride" `Quick test_gemm_row_stride;
+          Alcotest.test_case "conv_2d == direct loop" `Quick test_conv_2d_matches_direct;
+          Alcotest.test_case "transpose runs" `Quick test_transpose_runs;
+          Alcotest.test_case "merge_region wraps" `Quick test_merge_region_wraps;
+        ] );
+      ( "einsum",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 26 |])
+            prop_einsum_matches_odometer;
+          Alcotest.test_case "rejects what the classifier rejects" `Quick test_einsum_rejects;
         ] );
     ]
