@@ -195,13 +195,6 @@ let blit_ints (s : int array) so (d : int array) d_o n =
       Array.unsafe_set d (d_o + i) (Array.unsafe_get s (so + i))
     done
 
-(* The shift that sign-extends a native int to the dtype's width, i.e.
-   [wrap dt x = (x lsl s) asr s]; [None] for i1, which wraps unsigned. *)
-let wrap_shift = function
-  | Types.I1 -> None
-  | Types.I64 -> Some 0
-  | dt -> Some (Sys.int_size - Types.dtype_bits dt)
-
 let get_int t i =
   match t.data with
   | I a -> a.(i)
@@ -449,20 +442,17 @@ let fill_float shape dtype v =
    both rows. Native ints add exactly (mod 2^63), so summing eight
    products per element before the store is bit-identical to the scalar
    order. *)
-let gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc dt =
-  let sh = wrap_shift dt in
+let gemm_int ~batch ~m ~n ~k x y ~ldb z ~ldc dt =
   for bt = 0 to batch - 1 do
-    let xb = bt * m * k and yb = bt * k * ldb and zb = c_off + (bt * m * ldc) in
+    let xb = bt * m * k and yb = bt * k * ldb and zb = bt * m * ldc in
     let i = ref 0 in
     while !i < m do
       let x0 = xb + (!i * k) and z0 = zb + (!i * ldc) in
       (* an odd last row is its own second row, with zero multipliers *)
       let two = !i + 1 < m in
       let x1 = if two then x0 + k else x0 and z1 = if two then z0 + ldc else z0 in
-      if beta = 0 then begin
-        Array.fill z z0 n 0;
-        Array.fill z z1 n 0
-      end;
+      Array.fill z z0 n 0;
+      Array.fill z z1 n 0;
       let p = ref 0 in
       while !p + 3 < k do
         let p0 = !p in
@@ -509,8 +499,7 @@ let gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc dt =
         for r = 0 to 1 do
           let zr = if r = 0 then z0 else z1 in
           for j = zr to zr + n - 1 do
-            let v = Array.unsafe_get z j in
-            Array.unsafe_set z j (match sh with Some s -> (v lsl s) asr s | None -> v land 1)
+            Array.unsafe_set z j (wrap dt (Array.unsafe_get z j))
           done
         done;
       i := !i + 2
@@ -520,12 +509,11 @@ let gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc dt =
 (* The one MAC loop of dense contraction: [matmul], [matvec], [dot],
    [conv_2d], [einsum] and the crossbar tile all run it (contract in the
    interface). A float element sums its products in ascending [p] from
-   0.0 with no zero skip, and beta = 1 then adds that sum to [c], as
-   [map2 "add"] would. *)
-let gemm ?(batch = 1) ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc =
+   0.0 with no zero skip. *)
+let gemm ?(batch = 1) ?ldb ~m ~n ~k a b c ~ldc =
   let ldb = Option.value ldb ~default:n in
   match (a.data, b.data, c.data) with
-  | I x, I y, I z when is_int c -> gemm_int ~batch ~beta ~m ~n ~k x y ~ldb z ~c_off ~ldc c.dtype
+  | I x, I y, I z when is_int c -> gemm_int ~batch ~m ~n ~k x y ~ldb z ~ldc c.dtype
   | _ when is_int c ->
     (* narrow or mixed payloads: one row accumulator, element access
        through the generic getters *)
@@ -542,9 +530,9 @@ let gemm ?(batch = 1) ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc =
             done
           end
         done;
-        let zoff = c_off + (bt * m * ldc) + (i * ldc) in
+        let zoff = (bt * m * ldc) + (i * ldc) in
         for j = 0 to n - 1 do
-          set_int c (zoff + j) (if beta = 0 then row.(j) else get_int c (zoff + j) + row.(j))
+          set_int c (zoff + j) row.(j)
         done
       done
     done
@@ -560,9 +548,9 @@ let gemm ?(batch = 1) ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc =
             row.(j) <- row.(j) +. (xv *. get_float b (yoff + j))
           done
         done;
-        let zoff = c_off + (bt * m * ldc) + (i * ldc) in
+        let zoff = (bt * m * ldc) + (i * ldc) in
         for j = 0 to n - 1 do
-          set_float c (zoff + j) (if beta = 0 then row.(j) else get_float c (zoff + j) +. row.(j))
+          set_float c (zoff + j) row.(j)
         done
       done
     done
@@ -571,7 +559,7 @@ let matmul a b =
   match (a.shape, b.shape) with
   | [| m; k |], [| k'; n |] when k = k' ->
     let out = Arena.alloc_uninit [| m; n |] a.dtype in
-    gemm ~beta:0 ~m ~n ~k a b out ~c_off:0 ~ldc:n;
+    gemm ~m ~n ~k a b out ~ldc:n;
     out
   | _ -> invalid_arg "Tensor.matmul: shape mismatch"
 
@@ -579,7 +567,7 @@ let matvec a v =
   match (a.shape, v.shape) with
   | [| m; n |], [| n' |] when n = n' ->
     let out = Arena.alloc_uninit [| m |] a.dtype in
-    gemm ~beta:0 ~m ~n:1 ~k:n a v out ~c_off:0 ~ldc:1;
+    gemm ~m ~n:1 ~k:n a v out ~ldc:1;
     out
   | _ -> invalid_arg "Tensor.matvec: shape mismatch"
 
@@ -836,20 +824,12 @@ let merge_region name dst ~offsets src =
   let region row = blit_region row src.shape (Array.make rank 0) dst.shape offsets src.shape in
   match (src.data, dst.data) with
   | I s, I d when fits ->
-    (match (name, wrap_shift dst.dtype) with
-    | "add", Some sh ->
-      region (fun so d_o len ->
-          for j = 0 to len - 1 do
-            let v = Array.unsafe_get d (d_o + j) + Array.unsafe_get s (so + j) in
-            Array.unsafe_set d (d_o + j) ((v lsl sh) asr sh)
-          done)
-    | _ ->
-      let f = int_binop name and dt = dst.dtype in
-      region (fun so d_o len ->
-          for j = 0 to len - 1 do
-            Array.unsafe_set d (d_o + j)
-              (wrap dt (f (Array.unsafe_get d (d_o + j)) (Array.unsafe_get s (so + j))))
-          done));
+    let f = int_binop name and dt = dst.dtype in
+    region (fun so d_o len ->
+        for j = 0 to len - 1 do
+          Array.unsafe_set d (d_o + j)
+            (wrap dt (f (Array.unsafe_get d (d_o + j)) (Array.unsafe_get s (so + j))))
+        done);
     true
   | F s, F d when fits ->
     let f = float_binop name in
@@ -952,7 +932,7 @@ let conv_2d img kernel =
   | [| _; _ |], [| kh; kw |] ->
     let cols = im2col img ~kh ~kw in
     let out = Arena.alloc_uninit [| img.shape.(0) - kh + 1; img.shape.(1) - kw + 1 |] img.dtype in
-    gemm ~beta:0 ~m:cols.shape.(0) ~n:1 ~k:(kh * kw) cols kernel out ~c_off:0 ~ldc:1;
+    gemm ~m:cols.shape.(0) ~n:1 ~k:(kh * kw) cols kernel out ~ldc:1;
     Arena.release cols;
     out
   | _ -> invalid_arg "Tensor.conv_2d: rank-2 required"
@@ -997,8 +977,7 @@ let einsum ~spec a b =
   let a' = permute a a_idx (bi @ mi @ ki) and b' = permute b b_idx (bi @ ki @ ni) in
   let c_idx = bi @ mi @ ni in
   let c = Arena.alloc_uninit (Array.of_list (List.map dim c_idx)) a.dtype in
-  gemm ~batch:(size bi) ~beta:0 ~m:(size mi) ~n:(size ni) ~k:(size ki) a' b' c ~c_off:0
-    ~ldc:(size ni);
+  gemm ~batch:(size bi) ~m:(size mi) ~n:(size ni) ~k:(size ki) a' b' c ~ldc:(size ni);
   let out = permute c (String.of_seq (List.to_seq c_idx)) (List.of_seq (String.to_seq out_idx)) in
   List.iter (fun (t, kept) -> if t != kept then Arena.release t) [ (a', a); (b', b); (c, out) ];
   out

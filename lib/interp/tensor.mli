@@ -86,18 +86,15 @@ val fill_float : int array -> Types.dtype -> float -> t
 
 (** {1 Linear algebra} *)
 
-(** [gemm ?batch ?ldb ~beta ~m ~n ~k a b c ~c_off ~ldc]: the one MAC
-    loop of dense contraction. For each [bt < batch] (default 1), with A_bt
-    the row-major [m x k] block of [a] at [bt*m*k], B_bt the [k x n] block
-    of [b] at [bt*k*ldb] with row stride [ldb] (default [n]) and C_bt the
-    [m x n] block of [c] at [c_off + bt*m*ldc] with row stride [ldc]:
-    C_bt <- beta * C_bt + A_bt B_bt, for [beta] 0
-    or 1. Integer results wrap to [c]'s dtype; float elements sum their
-    products in ascending [p] from 0.0 and [beta = 1] then adds that sum to
-    [c] ([map2 "add"]'s order), so results are bit-identical to the naive
-    loop (and merge). With [beta = 0] every element of C_bt is written. *)
-val gemm :
-  ?batch:int -> ?ldb:int -> beta:int -> m:int -> n:int -> k:int -> t -> t -> t -> c_off:int -> ldc:int -> unit
+(** [gemm ?batch ?ldb ~m ~n ~k a b c ~ldc]: the one MAC loop of dense
+    contraction. For each [bt < batch] (default 1), with A_bt the
+    row-major [m x k] block of [a] at [bt*m*k], B_bt the [k x n] block of
+    [b] at [bt*k*ldb] with row stride [ldb] (default [n]) and C_bt the
+    [m x n] block of [c] at [bt*m*ldc] with row stride [ldc]:
+    C_bt <- A_bt B_bt, writing every element of C_bt. Integer results wrap
+    to [c]'s dtype; float elements sum their products in ascending [p]
+    from 0.0, so results are bit-identical to the naive loop. *)
+val gemm : ?batch:int -> ?ldb:int -> m:int -> n:int -> k:int -> t -> t -> t -> ldc:int -> unit
 
 val matmul : t -> t -> t
 val matvec : t -> t -> t

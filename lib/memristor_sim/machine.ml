@@ -37,7 +37,6 @@ type t = {
   faults : Fault.plan option;
   mutable trace_pid : int;
   events : Schedule.ev Vec.t;
-  mutable host_macs : int;
 }
 
 let create ?(faults = Fault.default ()) config =
@@ -50,7 +49,6 @@ let create ?(faults = Fault.default ()) config =
     faults;
     trace_pid = 0;
     events = Vec.create ();
-    host_macs = 0;
   }
 
 (* Tracing: this simulator already runs on real event clocks, so spans sit
@@ -262,29 +260,17 @@ let hook_impl (m : t) : Interp.hook =
     let k, tile = tile_of d op in
     match (tile.staged_input, tile.weights) with
     | Some input, Some w ->
-      let out =
+      let vectors, depth, cols =
         match (input.Tensor.shape, w.Tensor.shape) with
-        | [| vectors; k |], [| k'; cols |] when k = k' && Tensor.is_int input ->
-          (* the MVMs of the live columns; the rest of every row is 0 *)
-          let out = Tensor.Arena.alloc_uninit [| vectors; cols |] input.Tensor.dtype in
-          Tensor.gemm ~beta:0 ~m:vectors ~n:tile.live ~k ~ldb:cols input w out ~c_off:0 ~ldc:cols;
-          m.host_macs <- m.host_macs + (vectors * tile.live * k);
-          for i = 0 to vectors - 1 do
-            let dead = (i * cols) + tile.live and n = cols - tile.live in
-            match out.Tensor.data with
-            | Tensor.I a -> Array.fill a dead n 0
-            | _ ->
-              for j = dead to dead + n - 1 do
-                Tensor.set_int out j 0
-              done
-          done;
-          out
-        | _ ->
-          let out = Tensor.matmul input w in
-          m.host_macs <- m.host_macs + Tensor.num_elements out * input.Tensor.shape.(1);
-          out
+        | [| vectors; depth |], [| depth'; cols |] when depth = depth' -> (vectors, depth, cols)
+        | _ -> invalid_arg "Tensor.matmul: shape mismatch"
       in
-      let vectors = input.Tensor.shape.(0) in
+      (* the MVMs of the live columns of integer inputs; the rest of
+         every row is 0 *)
+      let n = if Tensor.is_int input then tile.live else cols in
+      let alloc = if n < cols then Tensor.Arena.alloc else Tensor.Arena.alloc_uninit in
+      let out = alloc [| vectors; cols |] input.Tensor.dtype in
+      Tensor.gemm ~m:vectors ~n ~k:depth ~ldb:cols input w out ~ldc:cols;
       if tracing m then
         Trace.complete ~cat:"mvm"
           ~args:[ ("vectors", Trace.Int vectors) ]

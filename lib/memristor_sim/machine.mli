@@ -42,11 +42,6 @@ type t = {
       (** schedule-event log: one entry per timed op (store/copy/gemm
           tile), duration = the op's serialized busy increment; sliced by
           the hetero schedule recorder to build overlapped schedules *)
-  mutable host_macs : int;
-      (** multiply-accumulates the host computed for [gemm_tile]: its
-          vectors times the tile's live weight columns (those up to the
-          last nonzero one) times its rows. Host work, not simulated:
-          no stat or report reads it. *)
 }
 
 val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t

@@ -312,18 +312,39 @@ let test_cim_words_per_tile () =
       if per_tile > 400. then
         Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 400)" per_tile)
 
-(* gemm_tile computes only the live columns of the programmed weights:
-   mv programs its vector, padded to 64 columns, so every MVM has one
-   live column and the host does m * n MACs, not 64 times that. *)
+(* gemm_tile computes only the live columns of the programmed weights
+   (those up to the last nonzero one). The same mm@cim run twice, with
+   dense weights and with weights whose only nonzero column is the first:
+   the second does 1/64 of the MACs, so it must take well under half the
+   time (best of 7 each, in alternation). *)
 let test_cim_live_columns () =
-  let module B = Cinm_benchmarks.Benchmark in
-  let bench = Cinm_benchmarks.Prim_kernels.mv ~m:256 ~n:256 () in
-  let c = Driver.compile_func (Backend.Cim (Backend.default_cim ())) (bench.B.build ()) in
-  let m = Cinm_memristor_sim.Machine.create ~faults:None (Cinm_memristor_sim.Config.default ()) in
+  let module M = Cinm_memristor_sim.Machine in
+  let bench = Cinm_benchmarks.Ml_kernels.mm ~m:512 ~k:64 ~n:64 () in
+  let c = Driver.compile_func (Backend.Cim (Backend.default_cim ())) (bench.build ()) in
   let f = List.hd c.Driver.modul.Func.funcs in
-  let results, _ = Cinm_memristor_sim.Machine.run m f (bench.B.inputs ()) in
-  Alcotest.(check bool) "mv matches the reference" true (B.results_match bench results);
-  Alcotest.(check int) "host MACs = m * n" (256 * 256) m.Cinm_memristor_sim.Machine.host_macs
+  let a = Cinm_benchmarks.Workloads.tensor ~seed:1 [| 512; 64 |] in
+  let dense = Cinm_benchmarks.Workloads.tensor ~seed:2 [| 64; 64 |] in
+  let one_col = Tensor.init [| 64; 64 |] (fun i -> if i mod 64 = 0 then Tensor.get_int dense i else 0) in
+  let run w =
+    let m = M.create ~faults:None (Cinm_memristor_sim.Config.default ()) in
+    let t0 = Unix.gettimeofday () in
+    let results, _ = M.run m f [ Rtval.Tensor a; Rtval.Tensor w ] in
+    let dt = Unix.gettimeofday () -. t0 in
+    (match results with
+    | [ Rtval.Tensor out ] ->
+      Alcotest.(check bool) "mm matches matmul" true (Tensor.equal out (Tensor.matmul a w))
+    | _ -> Alcotest.fail "expected one tensor result");
+    dt
+  in
+  with_backend Compile.Compiled (fun () ->
+      let best_dense = ref infinity and best_one = ref infinity in
+      for _ = 1 to 7 do
+        best_dense := Float.min !best_dense (run dense);
+        best_one := Float.min !best_one (run one_col)
+      done;
+      if !best_one > 0.5 *. !best_dense then
+        Alcotest.failf "one live column took %.2f ms, dense weights %.2f ms" (1e3 *. !best_one)
+          (1e3 *. !best_dense))
 
 (* Generated modules lowered for UPMEM and for CIM: the IR that the
    per-pass verifier and the strict-mode printer see. *)

@@ -212,7 +212,7 @@ let () =
           Alcotest.test_case "through the driver" `Quick test_cam_through_driver;
           Alcotest.test_case "capacity guard" `Quick test_cam_capacity_guard;
           Alcotest.test_case "search before programming" `Quick test_cam_search_without_entries;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 182 |]) prop_cam_matches_host;
+          QCheck_alcotest.to_alcotest prop_cam_matches_host;
         ] );
       ( "rtm",
         [

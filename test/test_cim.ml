@@ -233,5 +233,5 @@ let () =
           Alcotest.test_case "tile capacity" `Quick test_capacity_guard;
           Alcotest.test_case "oversized weights" `Quick test_oversized_weights_guard;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 203 |]) prop_cim_configs_agree ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_cim_configs_agree ]);
     ]

@@ -300,10 +300,10 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 237 |]) prop_elementwise_comm;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 238 |]) prop_scan_last_is_reduce;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 239 |]) prop_transpose_involutive;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 240 |]) prop_matmul_assoc_dims;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 241 |]) prop_histogram_mass;
+          QCheck_alcotest.to_alcotest prop_elementwise_comm;
+          QCheck_alcotest.to_alcotest prop_scan_last_is_reduce;
+          QCheck_alcotest.to_alcotest prop_transpose_involutive;
+          QCheck_alcotest.to_alcotest prop_matmul_assoc_dims;
+          QCheck_alcotest.to_alcotest prop_histogram_mass;
         ] );
     ]

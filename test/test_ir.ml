@@ -693,7 +693,7 @@ let () =
         ] );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 618 |]) prop_gemm_roundtrip;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 619 |]) prop_attr_ints_roundtrip;
+          QCheck_alcotest.to_alcotest prop_gemm_roundtrip;
+          QCheck_alcotest.to_alcotest prop_attr_ints_roundtrip;
         ] );
     ]

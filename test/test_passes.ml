@@ -495,7 +495,7 @@ let () =
         [
           Alcotest.test_case "divisible trip" `Quick test_unroll_divisible;
           Alcotest.test_case "indivisible is noop" `Quick test_unroll_indivisible_is_noop;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 79 |]) prop_unroll_preserves_sum;
+          QCheck_alcotest.to_alcotest prop_unroll_preserves_sum;
         ] );
       ( "licm",
         [
@@ -517,13 +517,13 @@ let () =
           Alcotest.test_case "cse respects types" `Quick test_cse_respects_types;
           Alcotest.test_case "cse keys floats by bits" `Quick test_cse_float_bits;
           Alcotest.test_case "scales linearly" `Quick test_canonicalize_scales_linearly;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 80 |]) prop_canonicalize_preserves_semantics;
+          QCheck_alcotest.to_alcotest prop_canonicalize_preserves_semantics;
         ] );
       ( "ew-fusion",
         [
           Alcotest.test_case "builds ew_expr" `Quick test_fusion_builds_ew_expr;
           Alcotest.test_case "keeps multi-use values" `Quick test_fusion_keeps_multi_use_values;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 81 |]) prop_fusion_preserves_chain_semantics;
+          QCheck_alcotest.to_alcotest prop_fusion_preserves_chain_semantics;
         ] );
       ( "front-end",
         [ Alcotest.test_case "tosa fc decomposition" `Quick test_tosa_fc_decomposition ] );

@@ -314,7 +314,7 @@ let () =
           Alcotest.test_case "block" `Quick test_scatter_block;
           Alcotest.test_case "cyclic" `Quick test_scatter_cyclic;
           Alcotest.test_case "overlap (halo)" `Quick test_scatter_overlap;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 318 |]) prop_scatter_gather_roundtrip;
+          QCheck_alcotest.to_alcotest prop_scatter_gather_roundtrip;
         ] );
       ( "buffer levels",
         [

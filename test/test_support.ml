@@ -124,14 +124,14 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_vec_basics;
           Alcotest.test_case "of_list/map" `Quick test_vec_of_list_map;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 128 |]) prop_vec_push_pop;
+          QCheck_alcotest.to_alcotest prop_vec_push_pop;
         ] );
       ( "util",
         [
           Alcotest.test_case "ceil/round" `Quick test_util_div_round;
           Alcotest.test_case "geomean" `Quick test_util_geomean;
           Alcotest.test_case "wrap32" `Quick test_util_wrap32;
-          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 129 |]) prop_linearize_roundtrip;
+          QCheck_alcotest.to_alcotest prop_linearize_roundtrip;
           Alcotest.test_case "linearize bounds" `Quick test_linearize_bounds;
         ] );
       ("env", [ Alcotest.test_case "bad values warn" `Quick test_env_bad_values_warn ]);

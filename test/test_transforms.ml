@@ -506,5 +506,5 @@ let () =
           Alcotest.test_case "topk" `Quick test_cnm_topk;
           Alcotest.test_case "not" `Quick test_cnm_not;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 510 |]) prop_cnm_gemm ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_cnm_gemm ]);
     ]
