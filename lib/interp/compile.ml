@@ -112,6 +112,7 @@ type code = {
   term_slots : int array;  (** slots of the terminator's operands *)
   npay : int;  (** payload-frame size: the most memrefs of one fused nest *)
   fused : Ir.op list;  (** the [scf.for] ops that run fused *)
+  strips : Ir.op list;  (** those of them with a strip form *)
 }
 
 (* Raised by native op compilers to hand the op to the generic fallback.
@@ -135,6 +136,7 @@ type cstate = {
   mutable in_nest : bool;  (** compiling the per-op form of a fused nest *)
   mutable npay : int;
   mutable fused : Ir.op list;
+  mutable strips : Ir.op list;
 }
 
 (* A value lives in the int frame iff its static type guarantees its
@@ -752,6 +754,45 @@ let float_binop_fn : string -> (float -> float -> float) option = function
    memref also binds its dims to two int-frame slots on entry. *)
 type fmem = { m_slot : int; m_rank : int; m_dtype : Types.dtype; m_dim0 : int; m_dim1 : int }
 
+(* Strips. An innermost loop whose body is straight-line (no branch, loop
+   or DMA) and carries nothing but int [arith.addi] reductions also has a
+   strip form: each op runs over up to [strip_width] trips at a time.
+   Operands live in the executing domain's bank (an [int array]): a
+   vector of [strip_width] words per varying value, one cell per
+   loop-invariant one. An operand is a bank offset and a mask, [t land
+   mask] picking trip [t]'s word: [strip_width - 1] for a vector, 0 for a
+   cell, so one loop per op serves vector and scalar operands alike.
+   Offsets named [row], [off], [d0], [d1] are cells; -1 means none (rank
+   1, or a bare induction variable). *)
+type vbin = Badd | Bsub | Bmul | Bmin | Bmax | Band | Bior | Bxor | Bshl | Bshr
+          | Beq | Bne | Blt | Ble | Bgt | Bge
+
+type vop =
+  | Vbin of { k : vbin; d : int; a : int; am : int; b : int; bm : int; s : int }
+  | Vsel of { d : int; c : int; cm : int; t : int; tm : int; e : int; em : int }
+  | Viota of { d : int; off : int }  (** [iv + off] as data *)
+  | Vload of { d : int; m : int; row : int; d0 : int; d1 : int; off : int }
+      (** [m[row][iv + off]], contiguous over the strip *)
+  | Vstore of { v : int; vm : int; m : int; row : int; d0 : int; d1 : int; off : int; s : int }
+  | Vsum of { it : int; v : int; vm : int; s : int }
+      (** adds a strip's words to the carried int-frame slot [it] *)
+
+type strip = {
+  s_words : int;  (** bank words the loop uses *)
+  s_entry : int array;  (** (int-frame slot, cell) pairs read on loop entry *)
+  s_consts : int array;  (** (value, cell) pairs set on loop entry *)
+  s_ops : vop array;  (** the per-strip program *)
+  s_checks : vop array;  (** its loads and stores, bounds-checked per strip *)
+  s_stored : int array;  (** payload indices the loop stores to *)
+  s_mems : int array;  (** every payload index it reaches *)
+}
+
+let strip_width = 64
+
+(* Fewer trips run faster one by one: a strip loop's entry (cells, the
+   payload check) costs about what three trips of dispatch do. *)
+let min_strip_trips = 4
+
 (* One op of a fused program. Scalar operands are int-frame indices,
    memrefs payload-frame indices; [s] is the sign-extension shift that
    wraps a result to its width (0 for 64 bits and for i1, whose operands
@@ -800,6 +841,7 @@ and nest = {
   l_fail : Profile.t array;  (** what a trip that raised at [pc] had added *)
   l_branch_n : int array;  (** int slots counting branch entries *)
   l_branch_cost : Profile.t array;  (** what one entry of that branch adds *)
+  l_strip : strip option;
 }
 
 (* ----- the recogniser (allocates nothing, so a rejected loop costs
@@ -956,6 +998,8 @@ type fstate = {
   mutable mems : fmem list;  (** reverse index order *)
   i1_slots : (int, int) Hashtbl.t;  (** i1 vid -> int-frame index *)
   mutable loops : Ir.op list;
+  mutable strips : Ir.op list;  (** the loops with a strip form *)
+  mutable words : int;  (** the most bank words one of them uses *)
 }
 
 (* One loop body being compiled: ops and their failure entries (relative
@@ -1025,6 +1069,198 @@ let emit buf f entry =
 (* Add [delta] to the failure entries of the ops emitted since [start]. *)
 let shift buf start delta =
   List.iteri (fun k (_, e) -> if k < buf.len - start then Profile.add ~into:e delta) buf.code
+
+(* ----- the strip form of an innermost loop ----- *)
+
+let vbin_of = function
+  | Fadd { d; a; b; s } -> Some (Badd, d, a, b, s)
+  | Fsub { d; a; b; s } -> Some (Bsub, d, a, b, s)
+  | Fmul { d; a; b; s } -> Some (Bmul, d, a, b, s)
+  | Fmin { d; a; b; s } -> Some (Bmin, d, a, b, s)
+  | Fmax { d; a; b; s } -> Some (Bmax, d, a, b, s)
+  | Fand { d; a; b; s } -> Some (Band, d, a, b, s)
+  | Fior { d; a; b; s } -> Some (Bior, d, a, b, s)
+  | Fxor { d; a; b; s } -> Some (Bxor, d, a, b, s)
+  | Fshl { d; a; b; s } -> Some (Bshl, d, a, b, s)
+  | Fshr { d; a; b; s } -> Some (Bshr, d, a, b, s)
+  | Feq { d; a; b } -> Some (Beq, d, a, b, 0)
+  | Fne { d; a; b } -> Some (Bne, d, a, b, 0)
+  | Flt { d; a; b } -> Some (Blt, d, a, b, 0)
+  | Fle { d; a; b } -> Some (Ble, d, a, b, 0)
+  | Fgt { d; a; b } -> Some (Bgt, d, a, b, 0)
+  | Fge { d; a; b } -> Some (Bge, d, a, b, 0)
+  | _ -> None
+
+(* The int-frame slots a straight-line fused op reads, and the one it
+   sets (-1: none). *)
+let fop_slots f =
+  match vbin_of f with
+  | Some (_, d, a, b, _) -> ([ a; b ], d)
+  | None -> (
+    match f with
+    | Fconst { d; _ } -> ([], d)
+    | Fmove { d; a } -> ([ a ], d)
+    | Fselect { d; c; t; e } -> ([ c; t; e ], d)
+    | Fload1 { d; i; _ } -> ([ i ], d)
+    | Fload2 { d; d0; d1; i; j; _ } -> ([ d0; d1; i; j ], d)
+    | Fstore1 { v; i; _ } -> ([ v; i ], -1)
+    | Fstore2 { v; d0; d1; i; j; _ } -> ([ v; d0; d1; i; j ], -1)
+    | _ -> raise Exit)
+
+(* How the strip form holds a value: in a cell, set on loop entry (a
+   loop-invariant value or a constant); in a vector; or as [iv + off] for
+   a cell [off] (-1: the induction variable itself), which indexes
+   contiguously. *)
+type vkind = Cell of int | Vec of int | Aff of int
+
+(* The strip form of a loop body, or None. Eligible: straight-line ops;
+   each carried value is an [arith.addi] of itself and another value,
+   used nowhere else, whose result only feeds the yield (wrapped addition
+   is associative, so summing a strip at a time gives the same bits);
+   loads and stores index [iv + invariant] (the last index, for rank 2,
+   under an invariant row); and every access to a memref the loop stores
+   to is at that store's own index, so the trips touch disjoint words of
+   it. *)
+let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
+  let words = ref 0 in
+  let take n =
+    let o = !words in
+    words := o + n;
+    o
+  in
+  let kinds : (int, vkind) Hashtbl.t = Hashtbl.create 16 in
+  let set = Hashtbl.replace kinds in
+  let entry = ref [] and consts = ref [] and ops = ref [] in
+  let accesses = ref [] (* (payload, stores, (row, off)) *) in
+  let iotas = Hashtbl.create 4 in
+  match
+    let slots = Array.map fop_slots body in
+    let loop_set = Hashtbl.create 16 in
+    Array.iter (fun (_, d) -> Hashtbl.replace loop_set d ()) slots;
+    Hashtbl.replace loop_set iv ();
+    Array.iter (fun s -> Hashtbl.replace loop_set s ()) iters;
+    let uses s =
+      Array.fold_left (fun n (rs, _) -> n + List.length (List.filter (( = ) s) rs)) 0 slots
+      + Array.fold_left (fun n y -> if y = s then n + 1 else n) 0 yields
+    in
+    (* body index -> (carried slot, addend) of each reduction *)
+    let reductions =
+      List.init (Array.length iters) (fun k ->
+          let it = iters.(k) and y = yields.(k) in
+          let pc =
+            match Array.find_index (fun (_, d) -> d = y) slots with
+            | Some pc -> pc
+            | None -> raise Exit
+          in
+          match body.(pc) with
+          | Fadd { a; b; s; _ } when (a = it) <> (b = it) && uses it = 1 && uses y = 1 ->
+            (pc, (it, (if a = it then b else a), s))
+          | _ -> raise Exit)
+    in
+    set iv (Aff (-1));
+    let kind s =
+      match Hashtbl.find_opt kinds s with
+      | Some k -> k
+      | None ->
+        (* set by the loop but not yet: a carried value *)
+        if Hashtbl.mem loop_set s then raise Exit;
+        let c = take 1 in
+        entry := (s, c) :: !entry;
+        set s (Cell c);
+        Cell c
+    in
+    let cell s = match kind s with Cell c -> c | _ -> raise Exit in
+    let vmask = strip_width - 1 in
+    (* a value used as data: its operand and mask *)
+    let data s =
+      match kind s with
+      | Cell c -> (c, 0)
+      | Vec v -> (v, vmask)
+      | Aff off -> (
+        match Hashtbl.find_opt iotas s with
+        | Some v -> (v, vmask)
+        | None ->
+          let v = take strip_width in
+          ops := Viota { d = v; off } :: !ops;
+          Hashtbl.replace iotas s v;
+          (v, vmask))
+    in
+    let vector mk =
+      let v = take strip_width in
+      ops := mk v :: !ops;
+      Vec v
+    in
+    let aff s = match kind s with Aff off -> off | _ -> raise Exit in
+    let load d m ~row ~d0 ~d1 ~col =
+      let off = aff col in
+      accesses := (m, false, (row, off)) :: !accesses;
+      set d (vector (fun d -> Vload { d; m; row; d0; d1; off }))
+    in
+    let store v m ~row ~d0 ~d1 ~col ~s =
+      let off = aff col in
+      let v, vm = data v in
+      ops := Vstore { v; vm; m; row; d0; d1; off; s } :: !ops;
+      accesses := (m, true, (row, off)) :: !accesses
+    in
+    Array.iteri
+      (fun pc f ->
+        if not (List.mem_assoc pc reductions) then
+          match vbin_of f with
+          | Some (k, d, a, b, s) -> (
+            match (k, s, kind a, kind b) with
+            | Badd, 0, Aff (-1), Cell c | Badd, 0, Cell c, Aff (-1) -> set d (Aff c)
+            | _ ->
+              let a, am = data a and b, bm = data b in
+              set d (vector (fun d -> Vbin { k; d; a; am; b; bm; s })))
+          | None -> (
+            match f with
+            | Fconst { d; v } ->
+              let c = take 1 in
+              consts := (v, c) :: !consts;
+              set d (Cell c)
+            | Fmove { d; a } -> set d (kind a)
+            | Fselect { d; c; t; e } ->
+              let c, cm = data c and t, tm = data t and e, em = data e in
+              set d (vector (fun d -> Vsel { d; c; cm; t; tm; e; em }))
+            | Fload1 { d; m; i } -> load d m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i
+            | Fload2 { d; m; d0; d1; i; j } ->
+              load d m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j
+            | Fstore1 { v; m; i; s } -> store v m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i ~s
+            | Fstore2 { v; m; d0; d1; i; j; s } ->
+              store v m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j ~s
+            | _ -> raise Exit))
+      body;
+    List.iter
+      (fun (_, (it, x, s)) ->
+        let v, vm = data x in
+        ops := Vsum { it; v; vm; s } :: !ops)
+      reductions;
+    (* a stored memref is reached only at its store's index *)
+    let stored =
+      List.sort_uniq compare
+        (List.filter_map (fun (m, st, _) -> if st then Some m else None) !accesses)
+    in
+    List.iter
+      (fun m ->
+        let keys = List.filter_map (fun (m', _, k) -> if m' = m then Some k else None) !accesses in
+        if not (List.for_all (( = ) (List.hd keys)) keys) then raise Exit)
+      stored;
+    let pairs l = Array.of_list (List.concat_map (fun (a, b) -> [ a; b ]) (List.rev l)) in
+    let ops = Array.of_list (List.rev !ops) in
+    {
+      s_words = !words;
+      s_entry = pairs !entry;
+      s_consts = pairs !consts;
+      s_ops = ops;
+      s_checks =
+        Array.of_list
+          (List.filter (function Vload _ | Vstore _ -> true | _ -> false) (Array.to_list ops));
+      s_stored = Array.of_list stored;
+      s_mems = Array.of_list (List.sort_uniq compare (List.map (fun (m, _, _) -> m) !accesses));
+    }
+  with
+  | sp -> Some sp
+  | exception Exit -> None
 
 (* An op's fused form, its cost when it completes and its cost when it
    raises (loads and stores count before their bounds check, DMA after
@@ -1180,6 +1416,13 @@ and fuse_nest fs (op : Ir.op) : nest =
   Profile.add ~into:l_trip full;
   let code = List.rev buf.code in
   let branches = Array.of_list (List.rev buf.branches) in
+  let l_body = Array.of_list (List.map fst code) in
+  let l_strip = strip_of l_body ~iv:l_iv ~iters:l_iters ~yields:l_yields in
+  Option.iter
+    (fun sp ->
+      fs.strips <- op :: fs.strips;
+      fs.words <- max fs.words sp.s_words)
+    l_strip;
   {
     l_lb;
     l_ub;
@@ -1189,11 +1432,12 @@ and fuse_nest fs (op : Ir.op) : nest =
     l_iters;
     l_yields;
     l_scratch;
-    l_body = Array.of_list (List.map fst code);
+    l_body;
     l_trip;
     l_fail = Array.of_list (step :: List.map snd code);
     l_branch_n = Array.map fst branches;
     l_branch_cost = Array.map snd branches;
+    l_strip;
   }
 
 (* Bind each memref of a nest to its payload (and a rank-2 one's dims);
@@ -1230,10 +1474,136 @@ let commit (p : Profile.t) (l : nest) (iframe : int array) trips =
     Profile.add_scaled ~into:p l.l_branch_cost.(k) iframe.(l.l_branch_n.(k))
   done
 
-(* Run one execution of a fused loop. The loop op's own dispatch is
-   counted by the caller. On an exception the profile gets what the
-   tree-walker would have counted, and the exception propagates. *)
-let rec run_nest ctx (iframe : int array) (pf : int array array) watched (l : nest) =
+(* ----- strip execution ----- *)
+
+let[@inline] at (v : int array) o m t = Array.unsafe_get v (o + (t land m))
+let[@inline] put (v : int array) d t x = Array.unsafe_set v (d + t) x
+let[@inline] wrap s x = (x lsl s) asr s
+
+(* Op [op] over trips [i0, i0 + n) of a strip. *)
+let vexec (v : int array) (pf : int array array) (iframe : int array) i0 n op =
+  match op with
+  | Vbin { k; d; a; am; b; bm; s } -> (
+    match k with
+    | Badd -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t + at v b bm t)) done
+    | Bsub -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t - at v b bm t)) done
+    | Bmul -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t * at v b bm t)) done
+    | Bmin ->
+      for t = 0 to n - 1 do
+        let x : int = at v a am t and y = at v b bm t in
+        put v d t (wrap s (if x <= y then x else y))
+      done
+    | Bmax ->
+      for t = 0 to n - 1 do
+        let x : int = at v a am t and y = at v b bm t in
+        put v d t (wrap s (if x >= y then x else y))
+      done
+    | Band -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t land at v b bm t)) done
+    | Bior -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t lor at v b bm t)) done
+    | Bxor -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t lxor at v b bm t)) done
+    | Bshl -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t lsl at v b bm t)) done
+    | Bshr -> for t = 0 to n - 1 do put v d t (wrap s (at v a am t asr at v b bm t)) done
+    | Beq -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t = at v b bm t)) done
+    | Bne -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t <> at v b bm t)) done
+    | Blt -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t < at v b bm t)) done
+    | Ble -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t <= at v b bm t)) done
+    | Bgt -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t > at v b bm t)) done
+    | Bge -> for t = 0 to n - 1 do put v d t (Bool.to_int (at v a am t >= at v b bm t)) done)
+  | Vsel { d; c; cm; t = x; tm; e; em } ->
+    for t = 0 to n - 1 do
+      put v d t (if at v c cm t <> 0 then at v x tm t else at v e em t)
+    done
+  | Viota { d; off } ->
+    let base = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    for t = 0 to n - 1 do put v d t (base + t) done
+  | Vload { d; m; row; d1; off; _ } ->
+    let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    let base = if row < 0 then lo else (Array.unsafe_get v row * Array.unsafe_get v d1) + lo in
+    Tensor.blit_ints (Array.unsafe_get pf m) base v d n
+  | Vstore { v = x; vm; m; row; d1; off; s; _ } ->
+    let arr = Array.unsafe_get pf m in
+    let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    let base = if row < 0 then lo else (Array.unsafe_get v row * Array.unsafe_get v d1) + lo in
+    for t = 0 to n - 1 do Array.unsafe_set arr (base + t) (wrap s (at v x vm t)) done
+  | Vsum { it; v = x; vm; s } ->
+    let acc = ref (Array.unsafe_get iframe it) in
+    for t = 0 to n - 1 do acc := !acc + at v x vm t done;
+    Array.unsafe_set iframe it (wrap s !acc)
+
+(* Every access of [op] over trips [i0, i0 + n) is in bounds: its two
+   ends are. *)
+let in_bounds (v : int array) (pf : int array array) i0 n op =
+  match op with
+  | Vload { m; row; d0; d1; off; _ } | Vstore { m; row; d0; d1; off; _ } ->
+    let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    let hi = lo + n - 1 in
+    lo >= 0 && lo <= hi
+    &&
+    if row < 0 then hi < Array.length (Array.unsafe_get pf m)
+    else
+      let r = Array.unsafe_get v row in
+      r >= 0 && r < Array.unsafe_get v d0 && hi < Array.unsafe_get v d1
+  | _ -> true
+
+let rec all_in_bounds v pf i0 n (ops : vop array) k =
+  k >= Array.length ops
+  || (in_bounds v pf i0 n (Array.unsafe_get ops k) && all_in_bounds v pf i0 n ops (k + 1))
+
+(* No payload the loop stores to is another memref's. *)
+let distinct (pf : int array array) (sp : strip) =
+  let st = sp.s_stored and ms = sp.s_mems in
+  let ok = ref true in
+  for a = 0 to Array.length st - 1 do
+    let m = Array.unsafe_get st a in
+    for b = 0 to Array.length ms - 1 do
+      let m' = Array.unsafe_get ms b in
+      if m' <> m && Array.unsafe_get pf m == Array.unsafe_get pf m' then ok := false
+    done
+  done;
+  !ok
+
+(* Run trips [lb, ub) (step 1) of a loop in strips, as far as they pass
+   their checks; returns the first trip not run. *)
+let run_strips (sp : strip) (v : int array) pf iframe lb ub =
+  let e = sp.s_entry and c = sp.s_consts in
+  for k = 0 to (Array.length e / 2) - 1 do
+    Array.unsafe_set v
+      (Array.unsafe_get e ((2 * k) + 1))
+      (Array.unsafe_get iframe (Array.unsafe_get e (2 * k)))
+  done;
+  for k = 0 to (Array.length c / 2) - 1 do
+    Array.unsafe_set v (Array.unsafe_get c ((2 * k) + 1)) (Array.unsafe_get c (2 * k))
+  done;
+  let ok = ref (distinct pf sp) and i = ref lb in
+  let ops = sp.s_ops in
+  while !ok && !i < ub do
+    let r = ub - !i in
+    let n = if r > 0 && r < strip_width then r else strip_width in
+    if all_in_bounds v pf !i n sp.s_checks 0 then begin
+      for k = 0 to Array.length ops - 1 do
+        vexec v pf iframe !i n (Array.unsafe_get ops k)
+      done;
+      i := !i + n
+    end
+    else ok := false
+  done;
+  !i
+
+(* The executing domain's bank, at least [words] long. *)
+let bank_key = Domain.DLS.new_key (fun () -> ref [||])
+
+let bank words =
+  if words = 0 then [||]
+  else begin
+    let b = Domain.DLS.get bank_key in
+    if Array.length !b < words then b := Array.make words 0;
+    !b
+  end
+
+(* Run one execution of a fused loop: in strips while the loop has a
+   strip form, steps by 1, has [min_strip_trips] trips or more and runs
+   unwatched, then trip by trip from where the strips stopped. *)
+let rec run_nest ctx (iframe : int array) (pf : int array array) bank watched (l : nest) =
   let lb = Array.unsafe_get iframe l.l_lb
   and ub = Array.unsafe_get iframe l.l_ub
   and step = Array.unsafe_get iframe l.l_step in
@@ -1246,11 +1616,26 @@ let rec run_nest ctx (iframe : int array) (pf : int array array) watched (l : ne
   for k = 0 to Array.length l.l_branch_n - 1 do
     Array.unsafe_set iframe (Array.unsafe_get l.l_branch_n k) 0
   done;
+  let from =
+    match l.l_strip with
+    | Some sp when step = 1 && ub - lb >= min_strip_trips && not watched ->
+      run_strips sp bank pf iframe lb ub
+    | _ -> lb
+  in
+  if from >= ub then commit ctx.Interp.profile l iframe (from - lb)
+  else run_trips ctx iframe pf bank watched l from ub step (from - lb)
+
+(* Trips from [from] on, [done_trips] of the execution already run. The
+   loop op's own dispatch is counted by the caller. On an exception the
+   profile gets what the tree-walker would have counted, and the
+   exception propagates. *)
+and run_trips ctx iframe pf bank watched l from ub step done_trips =
+  let iters = l.l_iters in
   let body = l.l_body in
   let n = Array.length body in
-  let trips = ref 0 and pc = ref (-1) in
+  let trips = ref done_trips and pc = ref (-1) in
   (match
-     let i = ref lb in
+     let i = ref from in
      while !i < ub do
        pc := -1;
        if watched then Interp.check_steps ctx "scf.for";
@@ -1337,7 +1722,8 @@ let rec run_nest ctx (iframe : int array) (pf : int array array) watched (l : ne
              Interp.dma_oob ctx ~to_wram "MRAM" mo count (Array.length ma);
            if wo < 0 || wo + count > Array.length wa then
              Interp.dma_oob ctx ~to_wram "WRAM" wo count (Array.length wa);
-           if to_wram then Array.blit ma mo wa wo count else Array.blit wa wo ma mo count
+           if to_wram then Tensor.blit_ints ma mo wa wo count
+           else Tensor.blit_ints wa wo ma mo count
          | Fif { c; else_pc; then_n; else_n } ->
            if Array.unsafe_get iframe c <> 0 then
              Array.unsafe_set iframe then_n (Array.unsafe_get iframe then_n + 1)
@@ -1346,7 +1732,7 @@ let rec run_nest ctx (iframe : int array) (pf : int array array) watched (l : ne
              pc := else_pc - 1
            end
          | Fjump { target } -> pc := target - 1
-         | Floop inner -> run_nest ctx iframe pf watched inner);
+         | Floop inner -> run_nest ctx iframe pf bank watched inner);
          incr pc
        done;
        let ys = l.l_yields in
@@ -1916,18 +2302,30 @@ and compile_for st op =
     let per_op =
       Fun.protect ~finally:(fun () -> st.in_nest <- false) (fun () -> compile_for_ops st op)
     in
-    let fs = { fst = st; mem_ids = []; mems = []; i1_slots = Hashtbl.create 8; loops = [] } in
+    let fs =
+      {
+        fst = st;
+        mem_ids = [];
+        mems = [];
+        i1_slots = Hashtbl.create 8;
+        loops = [];
+        strips = [];
+        words = 0;
+      }
+    in
     match fuse_nest fs op with
     | exception Punt -> per_op
     | nest ->
       let mems = Array.of_list (List.rev fs.mems) in
       st.npay <- max st.npay (Array.length mems);
       st.fused <- fs.loops @ st.fused;
+      st.strips <- fs.strips @ st.strips;
+      let words = fs.words in
       fun ctx gf iframe pf ->
         if bind_mems mems gf iframe pf then begin
           let p = ctx.Interp.profile in
           p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-          run_nest ctx iframe pf (Interp.watched ctx) nest
+          run_nest ctx iframe pf (bank words) (Interp.watched ctx) nest
         end
         else per_op ctx gf iframe pf
   end
@@ -2092,6 +2490,7 @@ let compile_unit (region : Ir.region) : code =
       in_nest = false;
       npay = 0;
       fused = [];
+      strips = [];
     }
   in
   let plan = plan region in
@@ -2116,6 +2515,7 @@ let compile_unit (region : Ir.region) : code =
     term_slots;
     npay = st.npay;
     fused = List.rev st.fused;
+    strips = List.rev st.strips;
   }
 
 (* Compiled units cached by the entry block's identity. Hooks are not part
@@ -2189,6 +2589,7 @@ let get_code (region : Ir.region) : code =
   code
 
 let fused_loops region = (get_code region).fused
+let vector_loops region = (get_code region).strips
 
 (* With [each], op [j] of the unit's entry block runs as [each j run],
    where [run p] executes it accounting into [p] (see [run_body]). *)

@@ -67,6 +67,20 @@ val merged_updates : Ir.region -> Ir.op list
     of its static rank and dtype. DESIGN.md states the accounting. *)
 val fused_loops : Ir.region -> Ir.op list
 
+(** The loops of {!fused_loops} that also have a strip form, in program
+    order: innermost loops whose body is straight-line int arithmetic,
+    compares, selects, loads and stores, carrying nothing but
+    [arith.addi] reductions, with every load and store at [iv +
+    invariant] and every memref the loop stores to reached only at that
+    store's index. Such a loop
+    runs up to 64 trips per op dispatch while its strips pass their
+    bounds and aliasing checks, it steps by 1, has at least 4 trips
+    and no watchdog is on, and trip by trip from the first strip that
+    does not; results, profiles
+    and failures are the trip-by-trip ones. DESIGN.md states the
+    rule. *)
+val vector_loops : Ir.region -> Ir.op list
+
 (** A region resolved for execution under the currently selected backend:
     either the region itself (tree) or cached compiled code with its
     captured values resolved from the preparing context. *)

@@ -35,7 +35,13 @@ let gather (per_pu : Tensor.t array) ~result_shape ~dtype =
   let pus = Array.length per_pu in
   if pus = 0 then invalid_arg "Distrib.gather: no PUs";
   let per_pu_elems = Tensor.num_elements per_pu.(0) in
-  let out = Tensor.Arena.alloc result_shape dtype in
+  (* the copies cover the result exactly when the buffers tile it *)
+  let alloc =
+    if pus * per_pu_elems = Cinm_support.Util.product_of_shape result_shape then
+      Tensor.Arena.alloc_uninit
+    else Tensor.Arena.alloc
+  in
+  let out = alloc result_shape dtype in
   for p = 0 to pus - 1 do
     Tensor.blit per_pu.(p) 0 out (p * per_pu_elems) per_pu_elems
   done;

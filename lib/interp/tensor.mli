@@ -59,6 +59,12 @@ val to_string : ?max_elems:int -> t -> string
     mismatches, out-of-range) falls back to that elementwise loop. *)
 val blit : t -> int -> t -> int -> int -> unit
 
+(** [blit_ints src soff dst doff len] copies [len] ints like [Array.blit]
+    (overlapping ranges included) in a plain loop, without the write
+    barrier [Array.blit] runs per element into a major-heap array. The
+    caller checks bounds. *)
+val blit_ints : int array -> int -> int array -> int -> int -> unit
+
 (** [blit_strided src soff sstride dst doff len] copies
     [src.(soff + i*sstride)] to [dst.(doff + i)], same fallback rules as
     {!blit}. *)

@@ -7,7 +7,8 @@
      smoke trace FILE              a Perfetto-shaped bench --trace file
      smoke lint LIB_DIR            no bare failwith / Printf.eprintf, no
                                    global state in lib/transforms, no
-                                   Interp.eval_* outside lib/interp
+                                   Interp.eval_* outside lib/interp, no
+                                   Array.blit in lib/interp but tensor.ml
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -185,8 +186,8 @@ let lint lib =
   let transforms = ml_files (Filename.concat lib "transforms") in
   let log_ml = Filename.concat (Filename.concat lib "support") "log.ml" in
   let interp_dir = Filename.concat lib "interp" in
-  let outside_interp =
-    List.filter (fun f -> not (String.starts_with ~prefix:(interp_dir ^ "/") f)) all
+  let interp_files, outside_interp =
+    List.partition (fun f -> String.starts_with ~prefix:(interp_dir ^ "/") f) all
   in
   let found =
     (* transforms raise invalid_arg with an "op: message" prefix, which the
@@ -202,6 +203,12 @@ let lint lib =
        would be a second executor *)
     @ offences ~files:outside_interp ~why:"run IR through Compile"
         (fun l -> mentions "Interp.eval_op" l || mentions "Interp.eval_region" l)
+    (* int payloads copy through Tensor.blit_ints, which skips the write
+       barrier Array.blit runs per element; tensor.ml alone chooses
+       between the int and float copies *)
+    @ offences
+        ~files:(List.filter (( <> ) (Filename.concat interp_dir "tensor.ml")) interp_files)
+        ~why:"copy ints with Tensor.blit_ints" (mentions "Array.blit")
     @ List.concat_map
         (fun f ->
           top_level_values (In_channel.with_open_bin f In_channel.input_lines)

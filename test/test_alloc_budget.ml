@@ -229,6 +229,44 @@ let test_dma_zero_words () =
       let w = words_per_trip (run_dma_loop f) ~small:100 ~large:20_100 in
       if w > 0.01 then Alcotest.failf "a per-op trip with two DMA ops allocated %.2f minor words" w)
 
+(* [trips] executions of a 100-trip strip loop (strips of 64 and 36: a
+   load, a multiply, a store and an i32 sum stored after the loop); a
+   division keeps the outer loop per-op, so each of its trips enters the
+   inner loop afresh. *)
+let strip_loop () =
+  let f =
+    Func.create ~name:"strip_loop" ~arg_tys:[ T.Index; T.MemRef ([| 100 |], T.I32) ]
+      ~result_tys:[]
+  in
+  let b = Builder.for_func f in
+  let out = Memref_d.alloc b [| 100 |] T.I32 and acc = Memref_d.alloc b [| 1 |] T.I32 in
+  let c0 = Arith.const_index b 0
+  and c1 = Arith.const_index b 1
+  and c100 = Arith.const_index b 100
+  and c3 = Arith.constant b 3 in
+  Scf_d.for0 b ~lb:c0 ~ub:(Func.param f 0) ~step:c1 (fun bb t ->
+      ignore (Arith.divsi bb t c1);
+      let sum =
+        Scf_d.for_ bb ~lb:c0 ~ub:c100 ~step:c1 ~init:[ Arith.constant bb 0 ] (fun bi j s ->
+            let x = Arith.muli bi (Memref_d.load bi (Func.param f 1) [ j ]) c3 in
+            Memref_d.store bi x out [ j ];
+            [ Arith.addi bi s.(0) x ])
+      in
+      Memref_d.store bb (List.hd sum) acc [ c0 ]);
+  Func_d.return b [];
+  f
+
+let test_strip_loop_zero_words () =
+  with_backend Compile.Compiled (fun () ->
+      let f = strip_loop () in
+      Alcotest.(check int) "the inner loop runs in strips" 1
+        (List.length (Compile.vector_loops f.Func.body));
+      let run n =
+        ignore (Compile.run_func f [ Rtval.Int n; Rtval.Memref (Tensor.zeros [| 100 |] T.I32) ])
+      in
+      let w = words_per_trip run ~small:100 ~large:20_100 in
+      if w > 0.01 then Alcotest.failf "a strip loop execution allocated %.2f minor words" w)
+
 (* Warm bfs and mv on the daemon's UPMEM geometry: every DPU loop of
    both runs fused, so what a run allocates is launch bookkeeping
    (frames, lane contexts, profiles), not per-element boxing. Measured:
@@ -397,6 +435,8 @@ let () =
           Alcotest.test_case "a fused loop trip allocates nothing" `Quick
             test_fused_loop_zero_words;
           Alcotest.test_case "a DMA op allocates nothing" `Quick test_dma_zero_words;
+          Alcotest.test_case "a vectorized loop execution allocates nothing" `Quick
+            test_strip_loop_zero_words;
           Alcotest.test_case "warm bfs and mv on upmem" `Quick test_upmem_minor_words;
           Alcotest.test_case "host contractions stay under 20K words" `Quick
             test_contractions_minor_words;

@@ -309,6 +309,55 @@ let test_dpu_loops_fuse () =
         regions)
     (suite_kernels ())
 
+(* The innermost DPU loops that carry the suite's work run in strips:
+   the multiply-accumulate loop of every GEMM-shaped kernel, va's
+   elementwise loop and ts's distance loop. *)
+let test_dpu_loops_vectorize () =
+  let ops_in (l : Ir.op) =
+    let ops = ref [] in
+    Ir.walk_region (fun op -> ops := op :: !ops) (Ir.region l 0);
+    !ops
+  in
+  let has name l = List.exists (fun (o : Ir.op) -> o.Ir.name = name) (ops_in l) in
+  let innermost r =
+    let loops = ref [] in
+    Ir.walk_region
+      (fun (op : Ir.op) ->
+        if op.Ir.name = "scf.for" && not (has "scf.for" op) then loops := op :: !loops)
+      r;
+    !loops
+  in
+  (* loads and multiplies i32 values (not indices) *)
+  let int_mac l =
+    has "memref.load" l
+    && List.exists
+         (fun (o : Ir.op) -> o.Ir.name = "arith.muli" && o.Ir.results.(0).Ir.ty <> T.Index)
+         (ops_in l)
+  in
+  let hot = function
+    | "mm" | "2mm" | "3mm" | "contrl" | "contrs1" | "contrs2" | "mlp" ->
+      Some (fun l -> int_mac l && has "memref.store" l)
+    | "va" -> Some (has "memref.load")
+    | "ts" -> Some (fun (l : Ir.op) -> Array.length l.Ir.results = 1 && int_mac l)
+    | _ -> None
+  in
+  List.iter
+    (fun (bench : Benchmark.t) ->
+      let name = bench.Benchmark.name in
+      Option.iter
+        (fun hot ->
+          let found =
+            List.concat_map
+              (fun r ->
+                let strips = Compile.vector_loops r in
+                List.map (fun l -> List.memq l strips) (List.filter hot (innermost r)))
+              (launch_regions (lower_kernel bench))
+          in
+          Alcotest.(check bool) (name ^ ": has the loop") true (found <> []);
+          List.iter (Alcotest.(check bool) (name ^ ": the loop runs in strips") true) found)
+        (hot name))
+    (suite_kernels ())
+
 (* ----- hand-built scf control flow ----- *)
 
 (* Loop-carried swap: yield (b, a + b) permutes the iteration-argument
@@ -897,6 +946,140 @@ let test_fused_cancel () =
     "deadline" (nest_func ~outer:300 ~inner:4) (fun () -> [])
     "deadline exceeded in @nest at scf.for (1024 steps)"
 
+(* ----- strips ----- *)
+
+let full_string = function
+  | Rtval.Memref t -> Tensor.to_string ~max_elems:max_int t
+  | v -> Rtval.to_string v
+
+(* [build ()] under both backends, each on a fresh profile and fresh
+   [args ()]: the same results or message, the same memref contents
+   after the run and the same profile; [strips] says whether the
+   compiled unit has a loop with a strip form. *)
+let strip_parity ~strips name build args expect =
+  let outcome () =
+    let f = build () in
+    let profile = Profile.create () in
+    let ctx = Interp.create_ctx ~profile ~fname:f.Func.fname () in
+    let args = args () in
+    let got =
+      match Compile.run_region ctx f.Func.body args with
+      | rs -> String.concat " " (List.map full_string rs)
+      | exception e -> Printexc.to_string e
+    in
+    ( got ^ " | " ^ String.concat " " (List.map full_string args),
+      Profile.to_string profile,
+      Compile.vector_loops f.Func.body <> [] )
+  in
+  let r1, p1, _ = with_backend Compile.Tree outcome in
+  let r2, p2, vector = with_backend Compile.Compiled outcome in
+  Alcotest.(check bool) (name ^ ": strip form") strips vector;
+  Alcotest.(check string) (name ^ ": same outcome") r1 r2;
+  Alcotest.(check bool) (name ^ ": " ^ expect) true (contains r1 expect);
+  Alcotest.(check string) (name ^ ": same profile") p1 p2
+
+(* A function of i32 memref parameters of [sizes], returning [body]'s
+   values. *)
+let memref_func ?(result_tys = []) sizes body () =
+  let f =
+    Func.create ~name:"strips"
+      ~arg_tys:(List.map (fun n -> T.MemRef ([| n |], T.I32)) sizes)
+      ~result_tys
+  in
+  let b = Builder.for_func f in
+  Func_d.return b (body b (Array.init (List.length sizes) (Func.param f)));
+  f
+
+let memrefs sizes () = List.map (fun n -> Rtval.Memref (iota [| n |])) sizes
+
+(* c[i] = 3 * a[i + shift] + 1 for i in [0, trips) *)
+let scale_loop ~shift ~trips sizes =
+  memref_func sizes (fun b p ->
+      let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+      Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b trips) ~step:c1 (fun bb i ->
+          let x = Memref_d.load bb p.(0) [ Arith.addi bb i (Arith.const_index bb shift) ] in
+          Memref_d.store bb
+            (Arith.addi bb (Arith.muli bb x (Arith.constant bb 3)) (Arith.constant bb 1))
+            p.(1) [ i ]);
+      [])
+
+let test_strip_oob () =
+  (* the load leaves [a] at trip 30, in the middle of the first strip *)
+  strip_parity ~strips:true "load at trip 30" (scale_loop ~shift:10 ~trips:100 [ 40; 100 ])
+    (memrefs [ 40; 100 ]) "Util.linearize: out of bounds";
+  (* the store leaves [c] at trip 90, in the middle of the second *)
+  strip_parity ~strips:true "store at trip 90" (scale_loop ~shift:0 ~trips:100 [ 100; 90 ])
+    (memrefs [ 100; 90 ]) "Util.linearize: out of bounds"
+
+(* 150 trips from 3 (strips of 64, 64 and 22) over memrefs that extend
+   past the last trip: a store of a[i] - i and a reduction *)
+let test_strip_tail () =
+  strip_parity ~strips:true "150 trips"
+    (memref_func ~result_tys:[ T.Scalar T.I32 ] [ 260; 260 ] (fun b p ->
+         let c1 = Arith.const_index b 1 in
+         Scf_d.for_ b ~lb:(Arith.const_index b 3) ~ub:(Arith.const_index b 153) ~step:c1
+           ~init:[ Arith.constant b 5 ] (fun bb i acc ->
+             let x = Memref_d.load bb p.(0) [ i ] in
+             let i32 = Arith.index_cast bb i ~to_ty:(T.Scalar T.I32) in
+             Memref_d.store bb (Arith.subi bb x i32) p.(1) [ i ];
+             [ Arith.addi bb acc.(0) (Arith.muli bb x (Arith.constant bb 2)) ])))
+    (memrefs [ 260; 260 ])
+    (let a = iota [| 260 |] in
+     let sum = ref 5 in
+     for i = 3 to 152 do
+       sum := !sum + (2 * Tensor.get_int a i)
+     done;
+     string_of_int !sum ^ " |")
+
+(* b[i + 1] = a[i] + 1 with [a] and [b] one payload: each trip reads
+   what the previous one stored, so the loop must run trip by trip *)
+let test_strip_aliased () =
+  strip_parity ~strips:true "aliased memrefs"
+    (memref_func [ 100; 100 ] (fun b p ->
+         let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+         Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 99) ~step:c1 (fun bb i ->
+             let x = Memref_d.load bb p.(0) [ i ] in
+             Memref_d.store bb (Arith.addi bb x (Arith.constant bb 1)) p.(1)
+               [ Arith.addi bb i c1 ]);
+         []))
+    (fun () ->
+      let t = Rtval.Memref (iota [| 100 |]) in
+      [ t; t ])
+    (" | " ^ Tensor.to_string ~max_elems:max_int (Tensor.init [| 100 |] (fun k -> k - 11)))
+
+(* acc[0] += a[i]: a store at a loop-invariant index has no strip form *)
+let test_strip_invariant_store () =
+  strip_parity ~strips:false "store at an invariant index"
+    (memref_func [ 100; 1 ] (fun b p ->
+         let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+         Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 100) ~step:c1 (fun bb i ->
+             let acc = Memref_d.load bb p.(1) [ c0 ] in
+             Memref_d.store bb (Arith.addi bb acc (Memref_d.load bb p.(0) [ i ])) p.(1) [ c0 ]);
+         []))
+    (memrefs [ 100; 1 ])
+    (let a = iota [| 100 |] in
+     let sum = ref (-11) in
+     for i = 0 to 99 do
+       sum := !sum + Tensor.get_int a i
+     done;
+     "[" ^ string_of_int !sum ^ "]")
+
+(* sum of a[i] * a[i] over values from 40000 to 45940: the products fit
+   in i32, their sum does not, and the strip sums wrap to the same bits *)
+let test_strip_wrapping_sum () =
+  let value i = 40_000 + (i * 60) in
+  let exact = List.fold_left (fun acc i -> acc + (value i * value i)) 0 (List.init 100 Fun.id) in
+  let wrapped = Tensor.wrap T.I32 exact in
+  strip_parity ~strips:true "wrapping i32 sum"
+    (memref_func ~result_tys:[ T.Scalar T.I32 ] [ 100 ] (fun b p ->
+         Scf_d.for_ b ~lb:(Arith.const_index b 0) ~ub:(Arith.const_index b 100)
+           ~step:(Arith.const_index b 1) ~init:[ Arith.constant b 0 ] (fun bb i acc ->
+             let x = Memref_d.load bb p.(0) [ i ] in
+             [ Arith.addi bb acc.(0) (Arith.muli bb x x) ])))
+    (fun () -> [ Rtval.Memref (Tensor.init [| 100 |] value) ])
+    (string_of_int wrapped ^ " |");
+  Alcotest.(check bool) "the sum wraps" true (wrapped <> exact)
+
 (* ----- process defaults ----- *)
 
 (* Every run setting has one source of truth: the Config default, which
@@ -1062,6 +1245,7 @@ let () =
           Alcotest.test_case "PrIM and ML suites, jobs 1 and 4, dpu_fail" `Quick
             test_suite_parity;
           Alcotest.test_case "every DPU loop fuses" `Quick test_dpu_loops_fuse;
+          Alcotest.test_case "innermost DPU loops vectorize" `Quick test_dpu_loops_vectorize;
         ] );
       ( "control-flow",
         [ Alcotest.test_case "loop-carried swap (fib)" `Quick test_scf_loop_carried;
@@ -1075,6 +1259,13 @@ let () =
           Alcotest.test_case "out-of-bounds DMA on a DPU lane" `Quick test_fused_dma_oob;
           Alcotest.test_case "watchdog inside a nest" `Quick test_fused_watchdog;
           Alcotest.test_case "cancel and deadline inside a nest" `Quick test_fused_cancel;
+        ] );
+      ( "strips",
+        [ Alcotest.test_case "out-of-bounds load and store mid-strip" `Quick test_strip_oob;
+          Alcotest.test_case "trip count not a multiple of 64" `Quick test_strip_tail;
+          Alcotest.test_case "two memrefs on one payload" `Quick test_strip_aliased;
+          Alcotest.test_case "store at a loop-invariant index" `Quick test_strip_invariant_store;
+          Alcotest.test_case "i32 add-reduction that wraps" `Quick test_strip_wrapping_sum;
         ] );
       ( "in-place",
         [ Alcotest.test_case "aliased or live destinations copy" `Quick

@@ -53,6 +53,36 @@ let prop_scatter_gather_roundtrip =
           else true (* cyclic gather is not the inverse layout; only check block *))
         [ "block"; "cyclic" ])
 
+(* Gathers into recycled arena storage that still holds old values: 4
+   buffers tiling the result overwrite all of it (taking it without a
+   zero fill), 3 buffers leave the rest of it zero. *)
+let test_gather_dirty_arena () =
+  let n = 1024 and per = 256 in
+  let dirty () =
+    Tensor.Arena.clear ();
+    let t = Tensor.init [| n |] (fun _ -> 999) in
+    Tensor.Arena.release t;
+    t
+  in
+  let gather pus =
+    let bufs = Array.init pus (fun p -> Tensor.init [| per |] (fun i -> (p * 1000) + i)) in
+    Distrib.gather bufs ~result_shape:[| n |] ~dtype:T.I32
+  in
+  let expect pus =
+    Array.init n (fun i -> if i / per < pus then (i / per * 1000) + (i mod per) else 0)
+  in
+  let old = dirty () in
+  let full = gather 4 in
+  Alcotest.(check bool) "full tiling: recycled storage" true (full.Tensor.data == old.Tensor.data);
+  Alcotest.(check (array int)) "full tiling" (expect 4) (Tensor.to_int_array full);
+  let old = dirty () in
+  let part = gather 3 in
+  Alcotest.(check bool) "partial tiling: recycled storage" true
+    (part.Tensor.data == old.Tensor.data);
+  Alcotest.(check (array int)) "partial tiling: the rest is zero" (expect 3)
+    (Tensor.to_int_array part);
+  Tensor.Arena.clear ()
+
 (* ----- buffer levels (paper Fig. 7) ----- *)
 
 let test_buffers_at_level () =
@@ -315,6 +345,7 @@ let () =
           Alcotest.test_case "cyclic" `Quick test_scatter_cyclic;
           Alcotest.test_case "overlap (halo)" `Quick test_scatter_overlap;
           QCheck_alcotest.to_alcotest prop_scatter_gather_roundtrip;
+          Alcotest.test_case "gather into dirty arena storage" `Quick test_gather_dirty_arena;
         ] );
       ( "buffer levels",
         [
