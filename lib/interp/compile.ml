@@ -3,9 +3,10 @@
    specializes each op into an OCaml closure — name dispatch, binop
    selection, cmpi predicate decode and attribute decoding all happen once
    at compile time instead of once per evaluated op. The resulting closure
-   tree is cached per kernel and shared read-only across DPU-lane domains;
-   every lane executes it on a private register file, so the parallel
-   launch path needs no per-lane copy of the interpreter environment.
+   tree is stored on the kernel's entry block and shared read-only across
+   DPU-lane domains; every lane executes it on a private register file,
+   so the parallel launch path needs no per-lane copy of the interpreter
+   environment.
 
    The register file is *split by static type*: values whose IR type is
    [index] or a non-i1 integer scalar live in a flat [int array] (the
@@ -2474,7 +2475,7 @@ and compile_parallel st op =
     in
     go 0
 
-(* ----- unit compilation, cache, execution ----- *)
+(* ----- unit compilation, code slot, execution ----- *)
 
 let compile_unit (region : Ir.region) : code =
   let st =
@@ -2518,75 +2519,39 @@ let compile_unit (region : Ir.region) : code =
     strips = List.rev st.strips;
   }
 
-(* Compiled units cached by the entry block's identity. Hooks are not part
-   of the key: compiled closures resolve hooks through the executing
-   context at runtime, so the same code serves any hook stack. The cache
-   is mutex-protected — kernels are compiled once and then shared
-   read-only across all DPU-lane domains. In a long-lived server the cache
-   is cross-request state (a request re-running a cached module hits it),
-   so it carries hit/miss/eviction counters and a size cap: at
-   [max_cache_entries] the table is bulk-reset (block ids are dense and
-   never reused, so there is no better victim order than "everything";
-   re-compilation is cheap relative to execution). *)
-let cache : (int, code) Hashtbl.t = Hashtbl.create 64
-let cache_mutex = Mutex.create ()
-let max_cache_entries = 1024
+(* A region's compiled unit lives on its entry block, so it is shared
+   read-only by every DPU lane and every request that runs the same IR,
+   and it dies with its module. Hooks are not part of the unit: compiled
+   closures resolve hooks through the executing context at runtime, so
+   the same code serves any hook stack. The slot is filled without a
+   lock: [code] is immutable, so domains that first run a block together
+   at worst each compile it and store equal units (wasted work, not
+   wrong results). Passes build fresh blocks, so rewritten IR never runs
+   stale code. *)
+type Ir.block_code += Code of code
 
-type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
+type cache_stats = { hits : int; misses : int }
 
-let stats_hits = ref 0
-let stats_misses = ref 0
-let stats_evictions = ref 0
-
-let cache_stats () =
-  Mutex.lock cache_mutex;
-  let s =
-    {
-      hits = !stats_hits;
-      misses = !stats_misses;
-      evictions = !stats_evictions;
-      entries = Hashtbl.length cache;
-    }
-  in
-  Mutex.unlock cache_mutex;
-  s
-
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
+let hits = Atomic.make 0
+let misses = Atomic.make 0
+let cache_stats () = { hits = Atomic.get hits; misses = Atomic.get misses }
 
 let get_code (region : Ir.region) : code =
-  let key = (Ir.entry_block region).Ir.bid in
-  (* codegen wall time on a miss, observed after the mutex is released
-     so the metrics registry is never entered with the cache lock held *)
-  let miss_s = ref (-1.0) in
-  let code =
-    Mutex.lock cache_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock cache_mutex)
-      (fun () ->
-        match Hashtbl.find_opt cache key with
-        | Some c ->
-          incr stats_hits;
-          c
-        | None ->
-          incr stats_misses;
-          if Hashtbl.length cache >= max_cache_entries then begin
-            stats_evictions := !stats_evictions + Hashtbl.length cache;
-            Hashtbl.reset cache
-          end;
-          let t0 = if Trace.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
-          let c = compile_unit region in
-          if t0 > 0.0 then miss_s := Unix.gettimeofday () -. t0;
-          Hashtbl.add cache key c;
-          c)
-  in
-  if !miss_s >= 0.0 && Trace.Metrics.enabled () then begin
-    Trace.Metrics.incr "cinm_codegen_regions_total";
-    Trace.Metrics.observe "cinm_codegen_seconds" !miss_s
-  end;
-  code
+  let block = Ir.entry_block region in
+  match block.Ir.code with
+  | Code c ->
+    Atomic.incr hits;
+    c
+  | _ ->
+    Atomic.incr misses;
+    let t0 = if Trace.Metrics.enabled () then Unix.gettimeofday () else 0.0 in
+    let c = compile_unit region in
+    block.Ir.code <- Code c;
+    if t0 > 0.0 then begin
+      Trace.Metrics.incr "cinm_codegen_regions_total";
+      Trace.Metrics.observe "cinm_codegen_seconds" (Unix.gettimeofday () -. t0)
+    end;
+    c
 
 let fused_loops region = (get_code region).fused
 let vector_loops region = (get_code region).strips

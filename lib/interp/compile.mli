@@ -4,9 +4,11 @@
     register file — every SSA value resolved to a fixed integer slot, op
     dispatch / binop selection / [arith.cmpi] predicate decode / attribute
     decoding all done at compile time — and executes it per launch with no
-    hashtable on the hot path. Compiled units are cached and shared
-    read-only across DPU-lane domains; each lane executes on a private
-    register file.
+    hashtable on the hot path. A region's compiled unit is stored on its
+    entry block ({!Cinm_ir.Ir.block_code}), so it is compiled on the
+    block's first compiled run, shared read-only by every later run and
+    every DPU-lane domain (each lane executes on a private register
+    file), and freed with its module.
 
     Profile accounting is bit-identical to {!Interp}: natively compiled
     ops replay the exact increments of their [Interp.eval_op] case, fused
@@ -82,12 +84,13 @@ val fused_loops : Ir.region -> Ir.op list
 val vector_loops : Ir.region -> Ir.op list
 
 (** A region resolved for execution under the currently selected backend:
-    either the region itself (tree) or cached compiled code with its
+    either the region itself (tree) or its compiled code with its
     captured values resolved from the preparing context. *)
 type prepared
 
 (** Resolve [region] for execution. Under the compiled backend this
-    compiles the unit (or fetches it from the cache) and resolves its
+    takes the unit stored on the region's entry block (compiling and
+    storing it on the block's first compiled run) and resolves its
     captured values from [ctx] once; the result may then be executed many
     times, concurrently, each call on its own register file.
     @raise Interp.Interp_error if a captured value is unbound in [ctx]. *)
@@ -102,15 +105,10 @@ val run : prepared -> Interp.ctx -> Rtval.t list -> Rtval.t list
 (** [prepare] + [run] in one step, for single-shot region execution. *)
 val run_region : Interp.ctx -> Ir.region -> Rtval.t list -> Rtval.t list
 
-(** Drop all cached compiled units. Needed only if IR blocks are mutated
-    after having been executed (block identity is the cache key). *)
-val clear_cache : unit -> unit
-
-(** Cumulative counters of the compiled-unit cache since process start
-    (or the last {!clear_cache}, for [entries]). In a long-lived server
-    the cache is cross-request state: these are exported through the
-    daemon's [stats] endpoint. *)
-type cache_stats = { hits : int; misses : int; evictions : int; entries : int }
+(** Process-wide counts of compiled-unit lookups since start: a [hit]
+    found the unit on the block, a [miss] compiled it. Domain-safe; the
+    daemon's [stats] endpoint exports them. *)
+type cache_stats = { hits : int; misses : int }
 
 val cache_stats : unit -> cache_stats
 

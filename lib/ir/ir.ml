@@ -12,6 +12,11 @@
 
 module Vec = Cinm_support.Vec
 
+(* What an executor derives from a block and keeps on it (the closure
+   compiler adds its compiled unit); the IR itself never looks inside. *)
+type block_code = ..
+type block_code += No_code
+
 type value = { vid : int; ty : Types.t; mutable def : def }
 
 and def =
@@ -33,6 +38,7 @@ and block = {
   mutable args : value array;  (** set once at creation *)
   ops : op Vec.t;  (** in execution order *)
   mutable parent_region : region option;
+  mutable code : block_code;  (** executor state derived from this block *)
 }
 
 and region = { blocks : block Vec.t; mutable parent_op : op option }
@@ -53,7 +59,7 @@ let create_region () = { blocks = Vec.create (); parent_op = None }
 let create_block ?(arg_tys = []) () =
   let block =
     { bid = Atomic.fetch_and_add block_counter 1 + 1;
-      args = [||]; ops = Vec.create (); parent_region = None }
+      args = [||]; ops = Vec.create (); parent_region = None; code = No_code }
   in
   block.args <-
     Array.of_list (List.mapi (fun i ty -> fresh_value ty (Block_arg (block, i))) arg_tys);

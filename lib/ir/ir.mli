@@ -10,6 +10,14 @@
 
 module Vec = Cinm_support.Vec
 
+(** What an executor derives from a block and keeps on it, so it lives
+    and dies with the block: the closure compiler stores a region's
+    compiled unit on its entry block. Extended by the executor; the IR
+    never reads it, and a fresh block holds [No_code]. *)
+type block_code = ..
+
+type block_code += No_code
+
 type value = { vid : int; ty : Types.t; mutable def : def }
 
 and def =
@@ -31,6 +39,7 @@ and block = {
   mutable args : value array;  (** set once at creation *)
   ops : op Vec.t;  (** in execution order *)
   mutable parent_region : region option;
+  mutable code : block_code;  (** executor state derived from this block *)
 }
 
 and region = { blocks : block Vec.t; mutable parent_op : op option }

@@ -7,21 +7,18 @@
    from a non-strict artifact would skip the per-pass verification the
    request asked for). So the daemon caches the compiled module and reuses
    it read-only across requests: execution binds values in per-request
-   interpreter contexts and never mutates the module.
+   interpreter contexts and never mutates the module's IR.
 
-   This reuse is also what promotes the PR-4 compiled-unit cache to
-   cross-request scope for free — that cache is keyed by entry-block
-   identity, so re-running the *same* module object hits it, whereas
-   recompiling from scratch would produce fresh blocks and compile the
-   closures again.
+   Reusing the module also reuses the compiled code stored on its blocks
+   ([Compile] keeps a region's unit on its entry block), so a request
+   that hits this cache runs without recompiling, while a fresh compile
+   builds fresh blocks and compiles again. Evicting a module frees its
+   code with it.
 
    Only clean compiles are cached: a CPU-fallback artifact encodes a
    failure that may be config-dependent (pass budgets are wall-clock), so
    degraded compiles are rebuilt per request. Eviction is FIFO under a
-   size cap; [invalidate] empties the cache (and the compiled-unit cache,
-   whose keys would otherwise pin dead modules' code). *)
-
-module Compile = Cinm_interp.Compile
+   size cap. *)
 
 type key = { benchmark : string; backend : string; strict : bool }
 
@@ -72,14 +69,6 @@ let add t key compiled =
     end;
     Mutex.unlock t.mutex
   end
-
-let invalidate t =
-  Mutex.lock t.mutex;
-  Hashtbl.reset t.entries;
-  Queue.clear t.order;
-  Mutex.unlock t.mutex;
-  (* dropped modules pin compiled closures by block id; drop those too *)
-  Compile.clear_cache ()
 
 let stats t =
   Mutex.lock t.mutex;

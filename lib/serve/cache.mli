@@ -1,9 +1,8 @@
 (** Cross-request pipeline cache: compiled modules keyed by
     (benchmark, backend, strict), shared read-only across requests, FIFO
     eviction under a size cap. Only clean (non-fallback) compiles are
-    cached. Reusing the same module object across requests is also what
-    lets the compiled-unit cache (keyed by block identity) hit across
-    requests. *)
+    cached. A module carries its compiled code on its blocks, so a hit
+    also reuses that code and an eviction frees it. *)
 
 type key = { benchmark : string; backend : string; strict : bool }
 
@@ -20,9 +19,5 @@ val find : t -> key -> Cinm_core.Driver.compiled option
     when the key is already present (first insert wins). Evicts FIFO at
     capacity. *)
 val add : t -> key -> Cinm_core.Driver.compiled -> unit
-
-(** Empty the cache, including the compiled-unit (closure) cache its
-    modules pin. *)
-val invalidate : t -> unit
 
 val stats : t -> stats

@@ -524,8 +524,6 @@ let stats_response srv (req : P.request) ~req_id =
           [
             ("hits", Json.Int cc.Compile.hits);
             ("misses", Json.Int cc.Compile.misses);
-            ("evictions", Json.Int cc.Compile.evictions);
-            ("entries", Json.Int cc.Compile.entries);
           ] );
       ( "arena",
         Json.Obj
@@ -872,9 +870,6 @@ let register_server_gauges srv =
   M.register_gauge ~help:"Pipeline-cache entries"
     "cinm_serve_pipeline_cache_entries" (fun () ->
       float_of_int (Cache.stats srv.cache).Cache.entries);
-  M.register_gauge ~help:"Compiled-region cache entries"
-    "cinm_code_cache_entries" (fun () ->
-      float_of_int (Compile.cache_stats ()).Compile.entries);
   M.register_gauge ~help:"Compiled-region cache hits (cumulative)"
     "cinm_code_cache_hits" (fun () ->
       float_of_int (Compile.cache_stats ()).Compile.hits);

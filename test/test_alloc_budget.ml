@@ -420,6 +420,36 @@ let test_verify_budget () =
 let test_print_budget () =
   words_per_op "Printer.module_to_string" 200. Printer.module_to_string (lowered_modules ())
 
+(* A module's compiled code lives on its blocks, so it dies with the
+   module: rounds of parse -> compile -> compiled run over the same 20
+   generated modules on hetero, each round on fresh modules, leave the
+   live heap where the first round left it. Measured: 0.23 MB live after
+   every round; 1.32, 2.41, 3.50 and 4.59 MB while a process-global
+   table held each unit, and with it its module, after the run. *)
+let test_code_dies_with_module () =
+  let module Gen = Cinm_fuzz_lib.Gen in
+  let backend = Backend.default_hetero ~dimms:1 ~dpus_per_dimm:4 () in
+  let module Config = Cinm_support.Config in
+  let config = { (Config.default ()) with Config.interp = "compiled" } in
+  let texts =
+    List.init 20 (fun s -> Printer.module_to_string (Gen.generate ~ops:12 ~seed:(s + 1) ()))
+  in
+  let round () =
+    List.iteri
+      (fun s text ->
+        let m = Parser.parse_module_text text in
+        let c = Driver.compile ~config backend m in
+        ignore (Driver.run ~config c (Gen.arg_values ~seed:s (List.hd m.Func.funcs))))
+      texts;
+    Gc.full_major ();
+    float_of_int (Gc.stat ()).Gc.live_words *. 8. /. 1e6
+  in
+  let live = List.init 4 (fun _ -> round ()) in
+  let growth = List.nth live 3 -. List.hd live in
+  if growth > 0.25 then
+    Alcotest.failf "live heap grew %.2f MB over 3 rounds of fresh modules (%s MB)" growth
+      (String.concat ", " (List.map (Printf.sprintf "%.2f") live))
+
 let () =
   Alcotest.run "alloc_budget"
     [
@@ -443,6 +473,8 @@ let () =
           Alcotest.test_case "crossbar tile trips allocate a constant" `Quick
             test_cim_words_per_tile;
           Alcotest.test_case "gemm_tile computes live columns only" `Quick test_cim_live_columns;
+          Alcotest.test_case "compiled code dies with its module" `Quick
+            test_code_dies_with_module;
         ] );
       ( "compile path",
         [

@@ -1170,12 +1170,14 @@ let test_cim_host_model () =
   Alcotest.(check (float 0.0)) "host_model is honoured" (est Cpu.xeon_opt) xeon.Report.host_s;
   Alcotest.(check bool) "the two models differ" true (xeon.Report.host_s <> arm.Report.host_s)
 
-(* ----- compiled-code cache ----- *)
+(* ----- compiled code on its block ----- *)
 
-(* Compiled code is cached by block id, so a pass must not leave an
-   executed block's id on different ops. Canonicalize rebuilds the body
-   through the rewrite driver: the run after it must count what a fresh
-   parse of the canonicalized text counts, not replay the stale code. *)
+(* A region's compiled unit lives on its entry block: the first compiled
+   run of a module compiles each unit it runs (k misses), a second run
+   finds them all (k hits). Canonicalize rebuilds the body through the
+   rewrite driver, so its blocks are fresh: the run after it compiles
+   again and counts what a fresh parse of the canonicalized text counts,
+   not what the stale code would. *)
 let test_fresh_code_after_canonicalize () =
   let text =
     {|func.func @f(%arg0: i32) -> (i32) {
@@ -1187,17 +1189,75 @@ let test_fresh_code_after_canonicalize () =
 }|}
   in
   let run m = Compile.run_func (List.hd m.Func.funcs) [ Rtval.Int 5 ] in
+  (* hits and misses [f] adds *)
+  let counted f =
+    let s0 = Compile.cache_stats () in
+    let r = f () in
+    let s1 = Compile.cache_stats () in
+    (r, s1.Compile.hits - s0.Compile.hits, s1.Compile.misses - s0.Compile.misses)
+  in
   with_backend Compile.Compiled @@ fun () ->
   let m = Parser.parse_module_text text in
-  ignore (run m);
+  let _, hits, k = counted (fun () -> run m) in
+  Alcotest.(check int) "first run: no hits" 0 hits;
+  Alcotest.(check bool) "first run: misses" true (k > 0);
+  let _, hits, misses = counted (fun () -> run m) in
+  Alcotest.(check (pair int int)) "second run: k hits, no misses" (k, 0) (hits, misses);
   Pass.run_pipeline [ Canonicalize.pass ] m;
-  let results, profile = run m in
+  let (results, profile), _, misses = counted (fun () -> run m) in
+  Alcotest.(check bool) "canonicalized module compiles afresh" true (misses > 0);
   let fresh_results, fresh_profile =
     run (Parser.parse_module_text (Printer.module_to_string m))
   in
   Alcotest.(check bool) "same results" true (results = fresh_results);
   Alcotest.(check string) "profile of a fresh parse"
     (Profile.to_string fresh_profile) (Profile.to_string profile)
+
+(* Two domains make the first compiled run of one freshly parsed kernel
+   at the same time, so both may find its blocks empty and compile
+   them: each must still return the tree-walker's results and profile. *)
+let test_concurrent_first_run () =
+  let text =
+    {|func.func @k(%arg0: tensor<4x4xi32>, %arg1: i32) -> (tensor<4x4xi32>, i32) {
+  %0 = "arith.constant"() {value = 0} : () -> (index)
+  %1 = "arith.constant"() {value = 16} : () -> (index)
+  %2 = "arith.constant"() {value = 1} : () -> (index)
+  %3 = "scf.for"(%0, %1, %2, %arg1) ({
+  ^bb0(%4: index, %5: i32):
+    %6 = "arith.index_cast"(%4) : (index) -> (i32)
+    %7 = "arith.muli"(%6, %6) : (i32, i32) -> (i32)
+    %8 = "arith.addi"(%5, %7) : (i32, i32) -> (i32)
+    "scf.yield"(%8) : (i32) -> ()
+  }) : (index, index, index, i32) -> (i32)
+  %9 = "cinm.add"(%arg0, %arg0) : (tensor<4x4xi32>, tensor<4x4xi32>) -> (tensor<4x4xi32>)
+  "func.return"(%9, %3) : (tensor<4x4xi32>, i32) -> ()
+}|}
+  in
+  let args () = [ Rtval.Tensor (iota [| 4; 4 |]); Rtval.Int 7 ] in
+  let run interp f =
+    let results, profile =
+      Compile.run_func ~config:{ (Config.default ()) with Config.interp } f (args ())
+    in
+    (List.map Rtval.to_string results, Profile.to_string profile)
+  in
+  let kernel () = List.hd (Parser.parse_module_text text).Func.funcs in
+  let expect = run "tree" (kernel ()) in
+  for _ = 1 to 20 do
+    let f = kernel () in
+    let ready = Atomic.make 0 in
+    let lane () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      run "compiled" f
+    in
+    let d = Domain.spawn lane in
+    let here = lane () in
+    let there = Domain.join d in
+    Alcotest.(check (pair (list string) string)) "this domain" expect here;
+    Alcotest.(check (pair (list string) string)) "the other domain" expect there
+  done
 
 (* ----- bench --json differential ----- *)
 
@@ -1288,7 +1348,10 @@ let () =
         ] );
       ( "code cache",
         [ Alcotest.test_case "fresh code after canonicalize" `Quick
-            test_fresh_code_after_canonicalize ] );
+            test_fresh_code_after_canonicalize;
+          Alcotest.test_case "two domains make the first run" `Quick
+            test_concurrent_first_run;
+        ] );
       ( "bench-json",
         [ Alcotest.test_case "bit-identical at jobs 1 and 4" `Quick
             test_bench_json_differential;
