@@ -310,6 +310,17 @@ let pad_rows b v ~target =
     Tensor_d.pad b v ~low:(Array.make (Array.length shape) 0) ~high
   end
 
+(* The workgroup of a launch over [rows] rows at [per_lane] rows per lane
+   (paper §3.2.3, Fig. 9: rows are tiled across the PUs). Every DPU runs
+   all [opts.tasklets] tasklets on a full row slice, and the DPU count is
+   the fewest that cover [rows], at most [opts.dpus]: a launch pads fewer
+   than one DPU's worth of rows ([tasklets * per_lane]), and one that
+   needs more than [opts.dpus] DPUs takes them all and the caller chunks.
+   Returns the workgroup and its PU count. *)
+let workgroup opts b ~rows ~per_lane =
+  let dpus = max 1 (min opts.dpus (Cinm_support.Util.ceil_div rows (opts.tasklets * per_lane))) in
+  (Cnm_d.workgroup b ~shape:[| dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ], dpus * opts.tasklets)
+
 (* GEMM lowering: returns the [M, N] result value. *)
 let lower_gemm opts b a_val b_val =
   let dt = dtype_of a_val in
@@ -321,11 +332,11 @@ let lower_gemm opts b a_val b_val =
   let n = (shape_of b_val).(1) in
   let p = opts.dpus * opts.tasklets in
   let r = max 1 (min opts.max_rows_per_launch (Cinm_support.Util.ceil_div m p)) in
-  let chunk_rows = p * r in
+  let wg, lanes = workgroup opts b ~rows:m ~per_lane:r in
+  let chunk_rows = lanes * r in
   let chunks = Cinm_support.Util.ceil_div m chunk_rows in
   let m_pad = chunks * chunk_rows in
   let a_pad = pad_rows b a_val ~target:m_pad in
-  let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
   (* stationary operand: broadcast once, shared per DPU (level 1) *)
   let b_buf = Cnm_d.alloc b wg ~shape:[| k_dim; n |] ~dtype:dt ~level:1 in
   let tok_b = Cnm_d.scatter b b_val b_buf wg ~map:"broadcast" in
@@ -371,10 +382,10 @@ let lower_elementwise opts b ~opname a_val b_val =
   let b_flat = Cinm_d.expand b b_val ~shape:[| n |] in
   let p = opts.dpus * opts.tasklets in
   let l = Cinm_support.Util.ceil_div n p in
-  let n_pad = p * l in
+  let wg, lanes = workgroup opts b ~rows:n ~per_lane:l in
+  let n_pad = lanes * l in
   let a_pad = pad_rows b a_flat ~target:n_pad in
   let b_pad = pad_rows b b_flat ~target:n_pad in
-  let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
   let a_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
   let b_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
   let c_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
@@ -401,8 +412,8 @@ let lower_ew_expr opts b ~tokens inputs =
   let n = Cinm_support.Util.product_of_shape orig_shape in
   let p = opts.dpus * opts.tasklets in
   let l = Cinm_support.Util.ceil_div n p in
-  let n_pad = p * l in
-  let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+  let wg, lanes = workgroup opts b ~rows:n ~per_lane:l in
+  let n_pad = lanes * l in
   let n_inputs = List.length inputs in
   let in_bufs, in_toks =
     List.split
@@ -439,7 +450,7 @@ let lower_reduce opts b ~opname a_val =
   else begin
     let l = n / p in
     let a_flat = Cinm_d.expand b a_val ~shape:[| n |] in
-    let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+    let wg, _ = workgroup opts b ~rows:n ~per_lane:l in
     let a_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
     let r_buf = Cnm_d.alloc b wg ~shape:[| 1 |] ~dtype:dt ~level:0 in
     let t1 = Cnm_d.scatter b a_flat a_buf wg ~map:"block" in
@@ -463,7 +474,7 @@ let lower_histogram opts b ~bins a_val =
   else begin
     let l = n / p in
     let a_flat = Cinm_d.expand b a_val ~shape:[| n |] in
-    let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+    let wg, _ = workgroup opts b ~rows:n ~per_lane:l in
     let a_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
     let h_buf = Cnm_d.alloc b wg ~shape:[| bins |] ~dtype:dt ~level:0 in
     let t1 = Cnm_d.scatter b a_flat a_buf wg ~map:"block" in
@@ -505,7 +516,7 @@ let lower_scan opts b ~opname ?pre inputs =
   else begin
     let l = n / p in
     let n_inputs = List.length inputs in
-    let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+    let wg, _ = workgroup opts b ~rows:n ~per_lane:l in
     let in_bufs, in_toks =
       List.split
         (List.map
@@ -585,7 +596,7 @@ let lower_topk opts b ~k a_val =
   else begin
     let l = n / p in
     let a_flat = Cinm_d.expand b a_val ~shape:[| n |] in
-    let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+    let wg, _ = workgroup opts b ~rows:n ~per_lane:l in
     let a_buf = Cnm_d.alloc b wg ~shape:[| l |] ~dtype:dt ~level:0 in
     let base_buf = Cnm_d.alloc b wg ~shape:[| 1 |] ~dtype:Types.I32 ~level:0 in
     let v_buf = Cnm_d.alloc b wg ~shape:[| k |] ~dtype:dt ~level:0 in
@@ -615,7 +626,7 @@ let lower_simsearch opts b ~metric ~k db_val q_val =
   else if windows mod p <> 0 || windows / p < k then None
   else begin
     let l = windows / p in
-    let wg = Cnm_d.workgroup b ~shape:[| opts.dpus; opts.tasklets |] ~physical_dims:[ "dpu"; "thread" ] in
+    let wg, _ = workgroup opts b ~rows:windows ~per_lane:l in
     let db_buf = Cnm_d.alloc b wg ~shape:[| l + m - 1 |] ~dtype:dt ~level:0 in
     let q_buf = Cnm_d.alloc b wg ~shape:[| m |] ~dtype:dt ~level:1 in
     let base_buf = Cnm_d.alloc b wg ~shape:[| 1 |] ~dtype:Types.I32 ~level:0 in

@@ -297,14 +297,16 @@ let test_rank_fault_domains () =
     }
   in
   let dpus = Usim.Config.total_dpus config in
-  let args = [ Rtval.Tensor (iota [| 64; 8 |]); Rtval.Tensor (iota [| 8; 6 |]) ] in
+  (* 128 rows fill the 32 DPUs x 4 tasklets at one row per lane, so the
+     GEMM's workgroup spans every rank *)
+  let args = [ Rtval.Tensor (iota [| 128; 8 |]); Rtval.Tensor (iota [| 8; 6 |]) ] in
   let run ~faults ~jobs =
     Pool.set_default_jobs jobs;
     let machine = Usim.Machine.create ~faults config in
     let results, _ =
       Interp.run_func
         ~hooks:[ Usim.Machine.hook machine ]
-        (lower_to_upmem ~dpus (build_mm 64 8 6 ()))
+        (lower_to_upmem ~dpus (build_mm 128 8 6 ()))
         args
     in
     Pool.set_default_jobs 1;
