@@ -16,7 +16,7 @@ open Cinm_ir
 open Cinm_dialects
 
 type options = {
-  dpus : int;
+  dpus : int;  (** upper bound: see [workgroup] *)
   tasklets : int;
   optimize : bool;  (** cinm-opt: WRAM-aware kernel style + interchange *)
   max_rows_per_launch : int;  (** bound on per-PU rows per launch (chunking) *)

@@ -11,7 +11,10 @@ open Cinm_ir
 
 type options = {
   dpus : int;
-  tasklets : int;
+      (** upper bound on a workgroup's DPUs: a GEMM or elementwise launch
+          takes the fewest that cover its rows with every tasklet busy,
+          so it pads less than one DPU's worth of rows *)
+  tasklets : int;  (** tasklets of every DPU a launch uses *)
   optimize : bool;  (** cinm-opt: WRAM-aware kernel style + interchange *)
   max_rows_per_launch : int;  (** bound on per-PU rows per launch *)
 }

@@ -9,7 +9,9 @@
                                    global state in lib/transforms or
                                    lib/interp (but atomic counters), no
                                    Interp.eval_* outside lib/interp, no
-                                   Array.blit in lib/interp but tensor.ml
+                                   Array.blit in lib/interp but tensor.ml,
+                                   no Cnm_d.workgroup but in
+                                   Cinm_to_cnm.workgroup
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -177,6 +179,27 @@ let is_global_state ~allow tok =
     (fun c -> (not (List.mem c allow)) && (tok = c || String.ends_with ~suffix:("." ^ c) tok))
     global_state_ctors
 
+(* Each line of [lines] with the name of the top-level binding
+   ("let name" or "and name" at column 0) it belongs to. *)
+let with_binding lines =
+  let name_after l =
+    let rest = String.sub l 4 (String.length l - 4) in
+    let rest = if String.starts_with ~prefix:"rec " rest then String.sub rest 4 (String.length rest - 4) else rest in
+    let n = String.length rest in
+    let rec go j = if j < n && (is_word_char rest.[j] || rest.[j] = '\'') then go (j + 1) else j in
+    String.sub rest 0 (go 0)
+  in
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (cur, acc) l ->
+            let cur =
+              if String.starts_with ~prefix:"let " l || String.starts_with ~prefix:"and " l then name_after l
+              else cur
+            in
+            (cur, (cur, l) :: acc))
+          ("", []) lines))
+
 let lint lib =
   let offences ~files ~why p =
     List.concat_map
@@ -223,6 +246,17 @@ let lint lib =
         ~files:(List.filter (( <> ) (Filename.concat interp_dir "tensor.ml")) interp_files)
         ~why:"copy ints with Tensor.blit_ints" (mentions "Array.blit")
     @ global_state ~files:transforms ~allow:[] "a pass"
+    (* one rule shapes every UPMEM workgroup: the DPUs a launch's rows
+       fill, up to the configured count *)
+    @ List.concat_map
+        (fun f ->
+          with_binding (In_channel.with_open_bin f In_channel.input_lines)
+          |> List.filter (fun (binding, l) ->
+                 mentions "Cnm_d.workgroup" l
+                 && not (f = Filename.concat (Filename.concat lib "transforms") "cinm_to_cnm.ml" && binding = "workgroup"))
+          |> List.map (fun (_, l) ->
+                 Printf.sprintf "%s: %s (shape workgroups through Cinm_to_cnm.workgroup)" f (String.trim l)))
+        all
     (* the executor keeps derived state on the IR (compiled code on its
        block); only domain-safe counters are process-wide *)
     @ global_state ~files:interp_files ~allow:[ "Atomic.make" ] "the executor"

@@ -488,6 +488,183 @@ let test_cost_models_prefer_accelerator () =
       | None -> Alcotest.failf "%s: no estimate for a gemm" device)
     [ ("cim", Cost_model.cim ~rows:64 ~cols:64); ("cnm", Cost_model.cnm ~dpus:2048) ]
 
+(* ----- cinm-to-cnm workgroup shapes ----- *)
+
+(* The upmem-prim geometry of bench/e2e: 4 DIMMs x 8 DPUs, 16 tasklets. *)
+let prim_opts =
+  { Cinm_to_cnm.dpus = 32; tasklets = 16; optimize = true; max_rows_per_launch = 64 }
+
+let force_cnm =
+  Target_select.pass
+    ~policy:{ Target_select.default_policy with forced_target = Some "cnm" }
+    ()
+
+(* The UPMEM pipeline up to and including cinm-to-cnm. *)
+let lower_to_cnm opts f =
+  let m = module_of f in
+  Pass.run_pipeline
+    [ Torch_to_tosa.pass; Tosa_to_linalg.pass; Linalg_to_cinm.pass; force_cnm; Ew_fusion.pass;
+      Cinm_to_cnm.pass ~options:opts () ]
+    m;
+  List.hd m.Func.funcs
+
+let workgroup_shapes f =
+  let shapes = ref [] in
+  Func.walk
+    (fun op ->
+      if op.Ir.name = "cnm.workgroup" then
+        match (Ir.result op 0).Ir.ty with
+        | T.Workgroup shape -> shapes := Array.to_list shape :: !shapes
+        | _ -> Alcotest.fail "cnm.workgroup without a workgroup type")
+    f;
+  List.rev !shapes
+
+let pad_rows f =
+  let rows = ref [] in
+  Func.walk
+    (fun op ->
+      if op.Ir.name = "tensor.pad" then
+        match Ir.attr op "high" with
+        | Some (Attr.Ints high) -> rows := high.(0) :: !rows
+        | _ -> Alcotest.fail "tensor.pad without high")
+    f;
+  List.rev !rows
+
+let build_mm m k n () =
+  let f =
+    Func.create ~name:"mm" ~arg_tys:[ tensor [| m; k |]; tensor [| k; n |] ]
+      ~result_tys:[ tensor [| m; n |] ]
+  in
+  let b = Builder.for_func f in
+  Func_d.return b [ Linalg_d.matmul b (Func.param f 0) (Func.param f 1) ];
+  f
+
+let build_add n () =
+  let f = Func.create ~name:"add" ~arg_tys:[ tensor [| n |]; tensor [| n |] ] ~result_tys:[ tensor [| n |] ] in
+  let b = Builder.for_func f in
+  Func_d.return b [ Cinm_d.add b (Func.param f 0) (Func.param f 1) ];
+  f
+
+let iota shape = Tensor.init shape (fun i -> (i mod 23) - 11)
+
+(* the lowered function, run on the cnm reference executor, equals the
+   host interpreter on the unlowered one *)
+let check_lowered_runs build f args =
+  let expected = run1 (build ()) args in
+  let st = Cnm_ref.create_state () in
+  match Interp.run_func ~hooks:[ Cnm_ref.hook st ] f args with
+  | [ actual ], _ ->
+    Alcotest.(check bool) "cnm result == host result" true
+      (Tensor.equal (Rtval.as_tensor expected) (Rtval.as_tensor actual))
+  | _ -> Alcotest.fail "expected one result"
+
+let test_gemm_fills_its_rows () =
+  (* 128 rows at one row per lane fill 8 DPUs x 16 tasklets exactly *)
+  let f = lower_to_cnm prim_opts (build_mm 128 16 8 ()) in
+  Alcotest.(check (list (list int))) "workgroup 8x16" [ [ 8; 16 ] ] (workgroup_shapes f);
+  Alcotest.(check (list int)) "no tensor.pad" [] (pad_rows f)
+
+let test_gemm_pads_within_one_dpu () =
+  (* 100 rows take 7 DPUs (112 lanes) and pad 12 < 16 * 1 rows *)
+  let build = build_mm 100 8 4 in
+  let f = lower_to_cnm prim_opts (build ()) in
+  Alcotest.(check (list (list int))) "workgroup 7x16" [ [ 7; 16 ] ] (workgroup_shapes f);
+  Alcotest.(check (list int)) "pads 12 rows" [ 12 ] (pad_rows f);
+  check_lowered_runs build f [ Rtval.Tensor (iota [| 100; 8 |]); Rtval.Tensor (iota [| 8; 4 |]) ]
+
+let test_elementwise_takes_ceil_dpus () =
+  (* n < dpus * tasklets: one element per lane on ceil(n / 16) DPUs *)
+  List.iter
+    (fun n ->
+      let build = build_add n in
+      let f = lower_to_cnm prim_opts (build ()) in
+      let dpus = (n + 15) / 16 in
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "n = %d: workgroup %dx16" n dpus)
+        [ [ dpus; 16 ] ] (workgroup_shapes f);
+      Alcotest.(check (list int))
+        (Printf.sprintf "n = %d: pads %d rows per operand" n ((dpus * 16) - n))
+        (if dpus * 16 = n then [] else [ (dpus * 16) - n; (dpus * 16) - n ])
+        (pad_rows f);
+      check_lowered_runs build f [ Rtval.Tensor (iota [| n |]); Rtval.Tensor (iota [| n |]) ])
+    [ 1; 16; 100; 511 ]
+
+let test_big_gemm_keeps_full_grid () =
+  (* 32 x 16 x 64 = 32768 rows fit one launch; 40000 rows take the full
+     grid twice, in an scf.for over row chunks *)
+  let f = lower_to_cnm prim_opts (build_mm 40000 2 2 ()) in
+  Alcotest.(check (list (list int))) "full 32x16 grid" [ [ 32; 16 ] ] (workgroup_shapes f);
+  let launches_in_loops = ref 0 in
+  Func.walk
+    (fun op ->
+      if op.Ir.name = "scf.for" then
+        Ir.walk_op (fun o -> if o.Ir.name = "cnm.launch" then incr launches_in_loops) op)
+    f;
+  Alcotest.(check int) "the launch runs in the chunk loop" 1 !launches_in_loops;
+  Alcotest.(check (list int)) "pads 40000 up to 2 chunks of 32768" [ (2 * 32768) - 40000 ] (pad_rows f)
+
+(* The shape invariant over every PrIM and ML kernel, at the upmem-prim
+   geometry and the Fig. 11 geometries (4/8/16 DIMMs of 8 DPUs): a block
+   scatter covers its source exactly with D x tasklets lanes of q rows,
+   D <= dpus, and the rows it pads are fewer than one DPU's worth
+   (tasklets * q). *)
+let test_no_launch_pads_a_dpu () =
+  let benches =
+    Cinm_benchmarks.Suites.prim_suite () @ Cinm_benchmarks.Suites.ml_suite ()
+  in
+  let def_op (v : Ir.value) =
+    match v.Ir.def with Ir.Op_result (op, _) -> Some op | Ir.Block_arg _ -> None
+  in
+  let padded_by (v : Ir.value) =
+    let pad_of v =
+      match def_op v with
+      | Some op when op.Ir.name = "tensor.pad" -> (
+        match Ir.attr op "high" with Some (Attr.Ints h) -> h.(0) | _ -> 0)
+      | _ -> 0
+    in
+    match def_op v with
+    | Some op when op.Ir.name = "tensor.extract_slice" -> pad_of (Ir.operand op 0)
+    | _ -> pad_of v
+  in
+  let checked = ref 0 and partial = ref 0 in
+  List.iter
+    (fun dpus ->
+      let opts = { prim_opts with Cinm_to_cnm.dpus } in
+      List.iter
+        (fun (bench : Cinm_benchmarks.Benchmark.t) ->
+          let f = lower_to_cnm opts (bench.Cinm_benchmarks.Benchmark.build ()) in
+          Func.walk
+            (fun op ->
+              if op.Ir.name = "cnm.scatter" && Ir.attr op "map" = Some (Attr.Str "block") then begin
+                let src = Ir.operand op 0 in
+                let rows = (Option.get (T.shape_of src.Ir.ty)).(0) in
+                let q =
+                  match (Ir.operand op 1).Ir.ty with
+                  | T.Buffer { shape; _ } -> shape.(0)
+                  | _ -> Alcotest.fail "scatter into a non-buffer"
+                in
+                match (Ir.operand op 2).Ir.ty with
+                | T.Workgroup [| d; t |] ->
+                  let what = Printf.sprintf "%s at %d DPUs (%dx%d, %d rows per lane)" bench.name dpus d t q in
+                  Alcotest.(check int) (what ^ ": tasklets") 16 t;
+                  Alcotest.(check bool) (what ^ ": DPUs within the bound") true (d >= 1 && d <= dpus);
+                  Alcotest.(check int) (what ^ ": lanes cover the source") rows (d * t * q);
+                  let pad = padded_by src in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s: pads %d < %d rows" what pad (t * q))
+                    true (pad < t * q);
+                  incr checked;
+                  if d < dpus then incr partial
+                | _ -> Alcotest.fail "scatter over a non-2D workgroup"
+              end)
+            f)
+        benches)
+    [ 32; 64; 128 ];
+  Alcotest.(check bool) (Printf.sprintf "%d block scatters checked" !checked) true (!checked > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of them on fewer DPUs than the bound" !partial)
+    true (!partial > 0)
+
 let () =
   Alcotest.run ~and_exit:false "passes"
     [
@@ -529,6 +706,15 @@ let () =
         [ Alcotest.test_case "tosa fc decomposition" `Quick test_tosa_fc_decomposition ] );
       ( "cost-model",
         [ Alcotest.test_case "gemm prefers an accelerator" `Quick test_cost_models_prefer_accelerator ] );
+      ( "cinm-to-cnm workgroups",
+        [
+          Alcotest.test_case "mm M=128 fills 8x16 unpadded" `Quick test_gemm_fills_its_rows;
+          Alcotest.test_case "mm M=100 pads within one DPU" `Quick test_gemm_pads_within_one_dpu;
+          Alcotest.test_case "elementwise takes ceil(n/tasklets) DPUs" `Quick
+            test_elementwise_takes_ceil_dpus;
+          Alcotest.test_case "big gemm keeps the full grid" `Quick test_big_gemm_keeps_full_grid;
+          Alcotest.test_case "no launch pads a DPU of rows" `Quick test_no_launch_pads_a_dpu;
+        ] );
     ]
 
 (* appended: workgroup-transform analysis (paper Fig. 8) *)
