@@ -706,7 +706,7 @@ let () =
         [ Alcotest.test_case "tosa fc decomposition" `Quick test_tosa_fc_decomposition ] );
       ( "cost-model",
         [ Alcotest.test_case "gemm prefers an accelerator" `Quick test_cost_models_prefer_accelerator ] );
-      ( "cinm-to-cnm workgroups",
+      ( "workgroups",
         [
           Alcotest.test_case "mm M=128 fills 8x16 unpadded" `Quick test_gemm_fills_its_rows;
           Alcotest.test_case "mm M=100 pads within one DPU" `Quick test_gemm_pads_within_one_dpu;
