@@ -13,8 +13,6 @@
 
 open Cinm_ir
 open Cinm_interp
-module Schedule = Cinm_support.Schedule
-module Vec = Cinm_support.Vec
 
 type config = {
   (* CAM *)
@@ -68,7 +66,6 @@ type t = {
   stats : stats;
   devices : (int, entry) Hashtbl.t;
   mutable next : int;
-  events : Schedule.ev Vec.t;
 }
 
 let create config =
@@ -77,7 +74,6 @@ let create config =
     stats = { cam_searches = 0; cam_entries_written = 0; rtm_reads = 0; busy_s = 0.0; energy_j = 0.0 };
     devices = Hashtbl.create 4;
     next = 0;
-    events = Vec.create ();
   }
 
 let register m e =
@@ -114,7 +110,7 @@ let score ~metric entry_row query width =
   done;
   !acc
 
-let hook_impl (m : t) : Interp.hook =
+let hook (m : t) : Interp.hook =
  fun _ctx op ops ->
   let operand i = ops.(i) in
   let c = m.config in
@@ -196,29 +192,6 @@ let hook_impl (m : t) : Interp.hook =
     Hashtbl.remove m.devices (Rtval.as_handle (operand 0));
     Some []
   | _ -> None
-
-(* The public hook: dispatch to [hook_impl], logging one schedule event
-   per timed op (duration = the busy_s increment). Both engines are
-   fixed-function and serial, so all events share one "dev" channel;
-   programming writes count as host->device DMA, searches and transverse
-   reads as device compute. *)
-let hook (m : t) : Interp.hook =
-  let impl = hook_impl m in
-  fun ctx op ops ->
-    match op.Ir.name with
-    | "cam.write_entries" | "cam.search_best" | "rtm.write" | "rtm.pop_count" ->
-      let t0 = m.stats.busy_s in
-      let r = impl ctx op ops in
-      let dur_s = m.stats.busy_s -. t0 in
-      let kind =
-        match op.Ir.name with
-        | "cam.write_entries" | "rtm.write" -> Schedule.Dma_in
-        | _ -> Schedule.Compute
-      in
-      Vec.push m.events
-        { Schedule.chan = "dev"; kind; dur_s; bufs = []; label = op.Ir.name };
-      r
-    | _ -> impl ctx op ops
 
 let run m (f : Func.t) args =
   let results, _ = Compile.run_func ~hooks:[ hook m ] f args in

@@ -35,9 +35,6 @@ type t = {
   stats : stats;
   devices : (int, entry) Hashtbl.t;
   mutable next : int;
-  events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
-      (** schedule-event log: one entry per timed op, duration = the
-          [busy_s] increment; sliced by the hetero schedule recorder *)
 }
 
 and entry
@@ -45,7 +42,10 @@ and entry
 val create : config -> t
 
 (** Interpreter hook implementing cam.* and rtm.*. Capacity violations and
-    compute-before-program raise [Invalid_argument]. *)
+    compute-before-program raise [Invalid_argument]. It accounts into
+    {!t.stats} and keeps no schedule-event log: the hetero schedule
+    recorder wraps it and costs each entry write, search, RTM write and
+    popcount by the increment of [busy_s]. *)
 val hook : t -> Interp.hook
 
 val run : t -> Func.t -> Rtval.t list -> Rtval.t list * stats

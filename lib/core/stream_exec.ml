@@ -18,9 +18,10 @@
      on the same machine overlap across its h2d/kernel/d2h engines
      (double-buffered DMA), while per-channel serialization in the merge
      keeps each engine's events in program order.
-   - Simulated time: each machine appends schedule events (duration = its
-     stats increment) while a node runs; the recorder slices every log
-     around each node and feeds the slices, with the dependency DAG, to
+   - Simulated time: for the duration of the run the recorder wraps each
+     machine's hook and logs one schedule event per timed device op
+     ({!timed}), its duration the increment of that machine's busy clock;
+     the events a node logged, with the dependency DAG, go to
      {!Cinm_support.Schedule.summarize} — producing the overlapped
      (critical-path) end-to-end time, the sequential single-stream sum of
      the very same events, and per-machine busy/idle tracks. Host-side
@@ -41,19 +42,65 @@ module Usim = Cinm_upmem_sim
 module Msim = Cinm_memristor_sim
 module Camsim = Cinm_cam_sim
 module Schedule = Cinm_support.Schedule
-module Vec = Cinm_support.Vec
 
 type machines = Machine_set.t
 
-(* Every machine's event log, in the set's fixed order, so a node's
-   event slice is reproducible. *)
-let event_logs (ms : machines) =
+(* ----- schedule events ----- *)
+
+(* The schedule event of a device op its hook has run: channel, kind and
+   the buffer handles that carry its RAW hazards. A launch waits for the
+   scatters that filled its buffers and a gather for the launch that wrote
+   its buffer, so the transfer of chunk n+1 can overlap the kernel of
+   chunk n. The crossbar and CAM/RTM are one serial "dev" channel each:
+   their internal tile overlap is already in their clocks. *)
+let timed (op : Ir.op) (ops : Rtval.t array) =
+  match op.Ir.name with
+  | "upmem.scatter" -> Some ("h2d", Schedule.Dma_in, [ Rtval.as_handle ops.(1) ])
+  | "upmem.gather" -> Some ("d2h", Schedule.Dma_out, [ Rtval.as_handle ops.(0) ])
+  | "upmem.launch" ->
+    let bufs = List.init (Array.length ops - 1) (fun i -> Rtval.as_handle ops.(i + 1)) in
+    Some ("kernel", Schedule.Compute, bufs)
+  | "memristor.copy_tile" | "cam.write_entries" | "rtm.write" ->
+    Some ("dev", Schedule.Dma_in, [])
+  | "memristor.store_tile" | "memristor.gemm_tile" | "cam.search_best" | "rtm.pop_count" ->
+    Some ("dev", Schedule.Compute, [])
+  | _ -> None
+
+(* [hook], wrapped to log its timed ops newest first, each lasting the
+   increment of the machine's busy clock [busy]. *)
+let record machine busy (hook : Interp.hook) =
+  let log = ref [] in
+  let hook ctx op ops =
+    let t0 = busy () in
+    let r = hook ctx op ops in
+    (match (r, timed op ops) with
+    | Some _, Some (chan, kind, bufs) ->
+      let ev = { Schedule.chan; kind; dur_s = busy () -. t0; bufs; label = op.Ir.name } in
+      log := (machine, ev) :: !log
+    | _ -> ());
+    r
+  in
+  (hook, log)
+
+(* Every machine's recording hook and log, in the set's fixed order, so a
+   node's events are reproducible. The memristor's busy clock is its
+   serial sum: [Msim.Stats.total_s] is the tile-overlapped makespan once a
+   device is released. *)
+let recorders (ms : machines) =
+  let upmem (u : Usim.Machine.t) =
+    record "upmem" (fun () -> Usim.Stats.total_s u.stats) (Usim.Machine.hook u)
+  and memristor (x : Msim.Machine.t) =
+    let s = x.stats in
+    record "memristor"
+      (fun () -> s.Msim.Stats.program_s +. s.compute_s +. s.io_s)
+      (Msim.Machine.hook x)
+  and cam (c : Camsim.Cam_machine.t) =
+    record "cam" (fun () -> c.stats.busy_s) (Camsim.Cam_machine.hook c)
+  in
   List.filter_map Fun.id
-    [
-      Option.map (fun u -> ("upmem", u.Usim.Machine.events)) ms.Machine_set.upmem;
-      Option.map (fun x -> ("memristor", x.Msim.Machine.events)) ms.Machine_set.memristor;
-      Option.map (fun c -> ("cam", c.Camsim.Cam_machine.events)) ms.Machine_set.cam;
-    ]
+    [ Option.map upmem ms.Machine_set.upmem;
+      Option.map memristor ms.Machine_set.memristor;
+      Option.map cam ms.Machine_set.cam ]
 
 (* ----- the node DAG ----- *)
 
@@ -118,23 +165,23 @@ let run ?config ?modul ~(host_cost : Profile.t -> float) ~(machines : machines)
   let deps = node_deps f in
   let profiles = Array.map (fun _ -> Profile.create ()) deps in
   let events = Array.make (Array.length deps) [] in
-  let logs = event_logs machines in
+  let recorders = recorders machines in
   let each i run =
-    let marks = List.map (fun (m, log) -> (m, log, Vec.length log)) logs in
     run profiles.(i);
     let host_s = host_cost profiles.(i) in
     let device_evs =
       List.concat_map
-        (fun (m, log, start) ->
-          List.init (Vec.length log - start) (fun k -> (m, Vec.get log (start + k))))
-        marks
+        (fun (_, log) ->
+          let evs = List.rev !log in
+          log := [];
+          evs)
+        recorders
     in
     events.(i) <-
       (if host_s > 0.0 then [ Schedule.host_event host_s ] else []) @ device_evs
   in
   let ctx =
-    Interp.create_ctx ~hooks:(Machine_set.hooks machines) ?modul ~fname:f.Func.fname
-      ?config ()
+    Interp.create_ctx ~hooks:(List.map fst recorders) ?modul ~fname:f.Func.fname ?config ()
   in
   let results = Compile.run_body ~each ctx f args in
   let profile = ctx.Interp.profile in

@@ -1,13 +1,16 @@
 (** Multi-stream schedule recorder for the {!Backend.Hetero} backend: runs
     a lowered module across the UPMEM, memristor and CAM/RTM simulators
-    plus the host interpreter, and merges the machines' simulated-time
-    event logs into one coherent overlapped schedule.
+    plus the host interpreter, and merges their simulated time into one
+    coherent overlapped schedule.
 
     The function runs through {!Cinm_interp.Compile.run_body}: its
     top-level ops in program order on one context, under the context's
-    interpreter, with one watchdog budget for the whole run. Each
-    top-level op is a schedule node, with its own profile (costed as a
-    host event) and the slice of every machine's event log it appended.
+    interpreter, with one watchdog budget for the whole run. For the run,
+    the recorder wraps each machine's hook and logs one schedule event per
+    timed device op, costed by the increment of that machine's busy
+    clock; the machines keep no event log. Each top-level op is a
+    schedule node, with its own profile (costed as a host event) and the
+    events the machines' hooks logged while it ran.
     Node dependencies are SSA values (including region captures) and
     shared memref storage (chased through view aliases). Results, machine
     stats and schedules are the same at any job count and under either

@@ -123,8 +123,8 @@ val free_values : Ir.op -> Ir.value list
     its environment, hooks and watchdog budget. With [each], top-level
     op [i] runs as [each i run], where [run p] executes it with its
     profile accounting going to [p] instead of the context's (the hetero
-    executor costs each op and slices the machines' event logs around
-    it). {!run_func} is this with no [each]. *)
+    executor costs each op and collects the schedule events its device
+    ops made). {!run_func} is this with no [each]. *)
 val run_body :
   ?each:(int -> (Profile.t -> unit) -> unit) ->
   Interp.ctx ->

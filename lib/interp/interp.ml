@@ -40,10 +40,6 @@ type ctx = {
   hooks : hook list;
   modul : Func.modul option;  (** for func.call *)
   device : device_state;
-  cmpi_preds : (int, int -> int -> bool) Hashtbl.t;
-      (** per-op [arith.cmpi] predicate decode cache, keyed by [oid]. Kept
-          on the context (not a global) so concurrent device lanes never
-          share a table; lane contexts must install a fresh one. *)
   fname : string;  (** function being executed, for watchdog diagnostics *)
   max_steps : int;
       (** watchdog: abort once [steps] exceeds this (0 = unlimited).
@@ -216,9 +212,9 @@ let account_int_binop (p : Profile.t) bucket =
   else if bucket = bucket_div then p.Profile.div_ops <- p.Profile.div_ops + 1
   else p.Profile.alu_ops <- p.Profile.alu_ops + 1
 
-(* [arith.cmpi] predicates as shared top-level closures, so the decode of
-   the "predicate" string attribute happens once per op (cached in
-   [ctx.cmpi_preds]) instead of once per evaluation. *)
+(* [arith.cmpi] predicates as shared top-level closures. The compiled
+   backend decodes once per op at compile time; the tree-walker decodes on
+   every evaluation, which costs about what a per-op cache lookup would. *)
 let pred_eq (a : int) b = a = b
 let pred_ne (a : int) b = a <> b
 let pred_slt (a : int) b = a < b
@@ -235,14 +231,6 @@ let decode_cmpi_predicate (op : Ir.op) =
   | "sgt" -> pred_sgt
   | "sge" -> pred_sge
   | s -> err "arith.cmpi: predicate %s" s
-
-let cmpi_predicate ctx (op : Ir.op) =
-  match Hashtbl.find_opt ctx.cmpi_preds op.Ir.oid with
-  | Some f -> f
-  | None ->
-    let f = decode_cmpi_predicate op in
-    Hashtbl.add ctx.cmpi_preds op.Ir.oid f;
-    f
 
 let elementwise_names prefix =
   List.map
@@ -342,7 +330,7 @@ and eval_op ctx (op : Ir.op) : unit =
   | "arith.cmpi" ->
     let a = i_operand ctx op 0 and b = i_operand ctx op 1 in
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
-    set_results [ Rtval.Bool (cmpi_predicate ctx op a b) ]
+    set_results [ Rtval.Bool (decode_cmpi_predicate op a b) ]
   | "arith.select" ->
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
     let c = Rtval.as_bool (operand ctx op 0) in
@@ -731,8 +719,7 @@ and eval_elementwise ctx op opname =
 let create_ctx ?(hooks = []) ?profile ?modul ?(fname = "<main>")
     ?(config = Config.default ()) () =
   let profile = match profile with Some p -> p | None -> Profile.create () in
-  { env = Hashtbl.create 256; profile; hooks; modul; device = Host;
-    cmpi_preds = Hashtbl.create 8; fname;
+  { env = Hashtbl.create 256; profile; hooks; modul; device = Host; fname;
     max_steps = max 0 config.Config.max_steps; steps = ref 0;
     deadline = config.Config.deadline; cancel = config.Config.cancel;
     interp = config.Config.interp; adopt = false; scratch = None }

@@ -35,10 +35,6 @@ type ctx = {
   hooks : hook list;
   modul : Func.modul option;  (** for func.call *)
   device : device_state;
-  cmpi_preds : (int, int -> int -> bool) Hashtbl.t;
-      (** per-op [arith.cmpi] predicate decode cache, keyed by [oid]. Kept
-          on the context (not a global) so concurrent device lanes never
-          share a table; lane contexts must install a fresh one. *)
   fname : string;  (** function being executed, for watchdog diagnostics *)
   max_steps : int;
       (** watchdog: abort once [steps] exceeds this (0 = unlimited);

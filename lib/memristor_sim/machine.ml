@@ -14,8 +14,6 @@ open Cinm_ir
 open Cinm_interp
 module Fault = Cinm_support.Fault
 module Trace = Cinm_support.Trace
-module Schedule = Cinm_support.Schedule
-module Vec = Cinm_support.Vec
 
 type tile = {
   mutable weights : Tensor.t option;
@@ -36,7 +34,6 @@ type t = {
   mutable io_clock : float;
   faults : Fault.plan option;
   mutable trace_pid : int;
-  events : Schedule.ev Vec.t;
 }
 
 let create ?(faults = Fault.default ()) config =
@@ -48,7 +45,6 @@ let create ?(faults = Fault.default ()) config =
     io_clock = 0.0;
     faults;
     trace_pid = 0;
-    events = Vec.create ();
   }
 
 (* Tracing: this simulator already runs on real event clocks, so spans sit
@@ -129,7 +125,7 @@ let release_tiles d =
       tile.staged_input <- None)
     d.tiles
 
-let hook_impl (m : t) : Interp.hook =
+let hook (m : t) : Interp.hook =
  fun ctx op ops ->
   let operand i = ops.(i) in
   let c = m.config in
@@ -308,35 +304,6 @@ let hook_impl (m : t) : Interp.hook =
     Hashtbl.remove m.devices (Rtval.as_handle (operand 0));
     Some []
   | _ -> None
-
-(* The public hook: dispatch to [hook_impl], logging one schedule event
-   per timed op whose duration is the increment of the *serialized* busy
-   sum (program + compute + io). The crossbar's own tile-level overlap is
-   already folded into its event clocks; for the cross-device schedule
-   the machine is conservatively modelled as one serial engine ("dev"
-   channel), so heterogeneous overlap comes from running it concurrently
-   with the other machines, never from double-counting its internal
-   parallelism. *)
-let hook (m : t) : Interp.hook =
-  let impl = hook_impl m in
-  let busy () =
-    m.stats.Stats.program_s +. m.stats.Stats.compute_s +. m.stats.Stats.io_s
-  in
-  fun ctx op ops ->
-    match op.Ir.name with
-    | "memristor.store_tile" | "memristor.copy_tile" | "memristor.gemm_tile" ->
-      let t0 = busy () in
-      let r = impl ctx op ops in
-      let dur_s = busy () -. t0 in
-      let kind =
-        match op.Ir.name with
-        | "memristor.copy_tile" -> Schedule.Dma_in
-        | _ -> Schedule.Compute
-      in
-      Vec.push m.events
-        { Schedule.chan = "dev"; kind; dur_s; bufs = []; label = op.Ir.name };
-      r
-    | _ -> impl ctx op ops
 
 (* Return every live device's tile storage to the arena, at the end of a
    run (devices the program never released). MVM results are fresh

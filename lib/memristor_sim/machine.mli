@@ -38,10 +38,6 @@ type t = {
           stats-bucket increments (cat ["program"]/["mvm"]/["io"]), so
           {!Cinm_support.Trace.device_total} reproduces them bit for
           bit. *)
-  events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
-      (** schedule-event log: one entry per timed op (store/copy/gemm
-          tile), duration = the op's serialized busy increment; sliced by
-          the hetero schedule recorder to build overlapped schedules *)
 }
 
 val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t
@@ -50,7 +46,10 @@ val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t
 
 (** The interpreter hook implementing memristor.*. Programs that exceed the
     configured tile count/geometry, or compute on unprogrammed tiles,
-    raise [Invalid_argument]. *)
+    raise [Invalid_argument]. It accounts into {!t.stats} and keeps no
+    schedule-event log: the hetero schedule recorder wraps it and costs
+    each tile store, copy and GEMM by the increment of the serial busy sum
+    [program_s +. compute_s +. io_s]. *)
 val hook : t -> Interp.hook
 
 (** Return every live device's tile storage to the {!Tensor.Arena}, for

@@ -1,9 +1,9 @@
 (* Simulated-time schedule merge for heterogeneous multi-device runs.
 
-   Each machine simulator appends one event per timed device operation
-   (scatter, kernel launch, gather, crossbar program, CAM search, ...) to
-   its event log; the hetero recorder slices those logs per top-level op
-   and feeds them here together with the op-level dependency DAG. The
+   The hetero recorder logs one event per timed device operation
+   (scatter, kernel launch, gather, crossbar program, CAM search, ...)
+   around each machine's hook, groups them per top-level op and feeds
+   them here together with the op-level dependency DAG. The
    merge then replays the same events under two disciplines:
 
    - sequential: every event waits for the previous one — the end-to-end

@@ -1,14 +1,14 @@
 (** Simulated-time schedule merge for heterogeneous multi-device runs.
 
-    Machine simulators log one {!ev} per timed device operation; the
-    hetero schedule recorder groups them into {!node}s (one per top-level
-    op, with the op-level dependency DAG) and {!summarize} replays them
-    twice — once strictly sequentially, once overlapped (independent
-    per-machine channels, buffer RAW hazards, a two-deep double-buffering
-    window for host->device transfers) — yielding the sequential sum,
-    the critical-path makespan and per-machine busy/idle tracks. The
-    merge is a pure function of the logs: byte-identical for any host
-    job count. *)
+    The hetero schedule recorder logs one {!ev} per timed device
+    operation around each machine's hook and groups them into {!node}s
+    (one per top-level op, with the op-level dependency DAG);
+    {!summarize} replays them twice — once strictly sequentially, once
+    overlapped (independent per-machine channels, buffer RAW hazards, a
+    two-deep double-buffering window for host->device transfers) —
+    yielding the sequential sum, the critical-path makespan and
+    per-machine busy/idle tracks. The merge is a pure function of the
+    events: byte-identical for any host job count. *)
 
 type kind =
   | Dma_in  (** host -> device transfer (scatter, input staging) *)

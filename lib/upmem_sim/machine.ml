@@ -28,8 +28,6 @@ open Cinm_ir
 open Cinm_interp
 module Fault = Cinm_support.Fault
 module Trace = Cinm_support.Trace
-module Schedule = Cinm_support.Schedule
-module Vec = Cinm_support.Vec
 
 type wg = {
   wg_shape : int array; (* [dpus; tasklets] *)
@@ -71,10 +69,6 @@ type t = {
   stats : Stats.t;
   entries : (int, entry) Hashtbl.t;
   mutable next : int;
-  (* shared WRAM allocs evaluated outside any launch (host-driven tests);
-     reset per launch like the in-kernel tables *)
-  host_wram : (int, Tensor.t) Hashtbl.t;
-  mutable host_wram_used : int;
   mutable mram_used_per_dpu : int;  (** bytes of MRAM allocated per DPU *)
   faults : Fault.plan option;
   mutable launch_seq : int;  (** fault-site id of the next launch *)
@@ -86,10 +80,6 @@ type t = {
       (** permanently-failed physical DPUs already counted in stats *)
   mutable trace_pid : int;
       (** this machine's trace process id; 0 until tracing first sees it *)
-  events : Schedule.ev Vec.t;
-      (** one entry per timed device op (scatter/launch/gather), in
-          execution order; the hetero schedule recorder slices this log to build
-          the overlapped schedule *)
   lanes : Profile.t;  (** every lane profile of every launch, summed *)
 }
 
@@ -99,8 +89,6 @@ let create ?(faults = Fault.default ()) config =
     stats = Stats.create ();
     entries = Hashtbl.create 32;
     next = 0;
-    host_wram = Hashtbl.create 16;
-    host_wram_used = 0;
     mram_used_per_dpu = 0;
     faults;
     launch_seq = 0;
@@ -111,7 +99,6 @@ let create ?(faults = Fault.default ()) config =
        Array.init config.Config.ranks (fun r -> (r * per_rank) + per_rank - 1));
     masked = Hashtbl.create 8;
     trace_pid = 0;
-    events = Vec.create ();
     lanes = Profile.create ();
   }
 
@@ -464,7 +451,7 @@ let account_launch m ~launch (profiles : Profile.t array array) =
     +. (float_of_int !total_dma_bytes *. c.Config.energy_per_dma_byte);
   kernel_t
 
-let hook_impl (m : t) : Interp.hook =
+let hook (m : t) : Interp.hook =
  fun ctx op ops ->
   match op.Ir.name with
   | "upmem.alloc_dpus" -> (
@@ -564,8 +551,6 @@ let hook_impl (m : t) : Interp.hook =
     let n_buffers = Ir.num_operands op - 1 in
     let bufs = Array.init n_buffers (fun i -> find_buf m (ops.(i + 1))) in
     let region = Ir.region op 0 in
-    Hashtbl.reset m.host_wram;
-    m.host_wram_used <- 0;
     let launch = m.launch_seq in
     m.launch_seq <- m.launch_seq + 1;
     prepass_faults m w ~launch;
@@ -629,7 +614,6 @@ let hook_impl (m : t) : Interp.hook =
                  Interp.env;
                  profile = profiles.(d).(tid);
                  device = Interp.Dpu_lane { Interp.dpu = d; tasklet = tid; wram; wram_used };
-                 cmpi_preds = Hashtbl.create 8;
                  (* per-lane watchdog counter: lanes run on parallel
                     domains and must not race on the host's ref *)
                  steps = ref 0;
@@ -683,38 +667,29 @@ let hook_impl (m : t) : Interp.hook =
   | "upmem.wram_shared_alloc" -> (
     match (Ir.result op 0).Ir.ty with
     | Types.MemRef (shape, dt) ->
-      let table, used, where =
+      let l =
         match ctx.Interp.device with
-        | Interp.Dpu_lane l ->
-          (l.wram, l.wram_used, Printf.sprintf " on DPU %d" l.dpu)
-        | _ ->
-          let r = ref m.host_wram_used in
-          (m.host_wram, r, " (host-driven)")
+        | Interp.Dpu_lane l -> l
+        | _ -> invalid_arg "upmem.wram_shared_alloc: outside a DPU launch"
       in
       let t =
-        match Hashtbl.find_opt table op.Ir.oid with
+        match Hashtbl.find_opt l.wram op.Ir.oid with
         | Some t -> t
         | None ->
           let bytes =
             Cinm_support.Util.product_of_shape shape * Types.dtype_bytes dt
           in
-          if !used + bytes > m.config.Config.wram_bytes then
+          let used = !(l.wram_used) in
+          if used + bytes > m.config.Config.wram_bytes then
             invalid_arg
               (Printf.sprintf
-                 "%s: WRAM exhausted%s: %d B requested on top of %d B in use \
-                  (capacity %d B)"
-                 op.Ir.name where bytes !used m.config.Config.wram_bytes);
-          used := !used + bytes;
-          let t =
-            match ctx.Interp.device with
-            | Interp.Dpu_lane _ ->
-              (* launch-scoped: the lane loop releases the whole table *)
-              Tensor.Arena.alloc shape dt
-            | _ ->
-              m.host_wram_used <- !used;
-              Tensor.zeros shape dt
-          in
-          Hashtbl.replace table op.Ir.oid t;
+                 "%s: WRAM exhausted on DPU %d: %d B requested on top of %d B in \
+                  use (capacity %d B)"
+                 op.Ir.name l.dpu bytes used m.config.Config.wram_bytes);
+          l.wram_used := used + bytes;
+          (* launch-scoped: the lane loop releases the whole table *)
+          let t = Tensor.Arena.alloc shape dt in
+          Hashtbl.replace l.wram op.Ir.oid t;
           t
       in
       Some [ Rtval.Memref t ]
@@ -724,33 +699,6 @@ let hook_impl (m : t) : Interp.hook =
     Some []
   | _ -> None
 
-(* The public hook: dispatch to [hook_impl] and log one schedule event per
-   timed device op, its duration being exactly the stats-total increment
-   of the op (so the event log sums to the stats buckets bit for bit).
-   Buffer handles carry the RAW hazards: a launch depends on the scatters
-   that filled its buffers, a gather on the launch that produced its
-   buffer — which is what lets the schedule merge overlap the transfer
-   for chunk n+1 with the kernel of chunk n (double buffering). *)
-let hook (m : t) : Interp.hook =
-  let impl = hook_impl m in
-  fun ctx op ops ->
-    match op.Ir.name with
-    | "upmem.scatter" | "upmem.gather" | "upmem.launch" ->
-      let t0 = Stats.total_s m.stats in
-      let r = impl ctx op ops in
-      let dur_s = Stats.total_s m.stats -. t0 in
-      let push kind chan bufs =
-        Vec.push m.events { Schedule.chan; kind; dur_s; bufs; label = op.Ir.name }
-      in
-      (match op.Ir.name with
-      | "upmem.scatter" -> push Schedule.Dma_in "h2d" [ Rtval.as_handle ops.(1) ]
-      | "upmem.gather" -> push Schedule.Dma_out "d2h" [ Rtval.as_handle ops.(0) ]
-      | _ ->
-        push Schedule.Compute "kernel"
-          (List.init (Array.length ops - 1) (fun i -> Rtval.as_handle ops.(i + 1))));
-      r
-    | _ -> impl ctx op ops
-
 (* Return every device buffer's storage to the arena, at the end of a
    run. Callers must guarantee no live value aliases device memory —
    gathers copy out, so host results never do. *)
@@ -759,9 +707,7 @@ let recycle m =
     (fun _ e ->
       match e with Buf b -> Array.iter Tensor.Arena.release b.per_pu | Wg _ -> ())
     m.entries;
-  Hashtbl.reset m.entries;
-  Hashtbl.iter (fun _ t -> Tensor.Arena.release t) m.host_wram;
-  Hashtbl.reset m.host_wram
+  Hashtbl.reset m.entries
 
 (* Run a host function on this machine; returns results and stats. *)
 let run m (f : Func.t) args =

@@ -38,9 +38,6 @@ type t = {
   stats : Stats.t;
   entries : (int, entry) Hashtbl.t;
   mutable next : int;
-  host_wram : (int, Tensor.t) Hashtbl.t;
-      (** shared WRAM allocs evaluated outside any launch, reset per launch *)
-  mutable host_wram_used : int;
   mutable mram_used_per_dpu : int;  (** bytes of MRAM allocated per DPU *)
   faults : Cinm_support.Fault.plan option;
   mutable launch_seq : int;
@@ -61,11 +58,6 @@ type t = {
           {!Cinm_support.Trace.device_total} reproduces the stats fields
           bit for bit. All events are emitted host-side, never from pool
           domains: the device track is identical for any [--jobs]. *)
-  events : Cinm_support.Schedule.ev Cinm_support.Vec.t;
-      (** schedule-event log: one entry per timed device op (scatter /
-          launch / gather) whose duration equals that op's stats-total
-          increment; sliced by the hetero schedule recorder to build overlapped
-          schedules *)
   lanes : Profile.t;
       (** the sum of every (DPU, tasklet) profile of every completed
           launch: the work the kernels did, whichever interpreter ran
@@ -79,7 +71,12 @@ val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t
     plan, if any); pass [~faults:None] to force a fault-free machine. *)
 
 (** The interpreter hook implementing upmem.* (and the cnm.alloc/cnm.wait
-    ops that survive lowering). *)
+    ops that survive lowering). It accounts into {!t.stats} and keeps no
+    schedule-event log: the hetero schedule recorder wraps it and costs
+    each scatter, launch and gather by the increment of {!Stats.total_s}.
+    [upmem.wram_shared_alloc] is valid only inside a launch (shared per
+    DPU, released when the DPU's tasklets finish); outside one it raises
+    [Invalid_argument]. *)
 val hook : t -> Interp.hook
 
 (** Return every device buffer's storage to the {!Tensor.Arena}, for the

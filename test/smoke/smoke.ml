@@ -11,7 +11,8 @@
                                    Interp.eval_* outside lib/interp, no
                                    Array.blit in lib/interp but tensor.ml,
                                    no Cnm_d.workgroup but in
-                                   Cinm_to_cnm.workgroup
+                                   Cinm_to_cnm.workgroup, no Schedule
+                                   in the simulators
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -113,11 +114,14 @@ let trace path =
 
 (* ----- lint ----- *)
 
-let rec ml_files dir =
+(* The .ml files under [dir], and the .mli files too with [~mli:true]. *)
+let rec ml_files ?(mli = false) dir =
   List.concat_map
     (fun name ->
       let p = Filename.concat dir name in
-      if Sys.is_directory p then ml_files p else if Filename.check_suffix name ".ml" then [ p ] else [])
+      if Sys.is_directory p then ml_files ~mli p
+      else if Filename.check_suffix name ".ml" || (mli && Filename.check_suffix name ".mli") then [ p ]
+      else [])
     (List.sort compare (Array.to_list (Sys.readdir dir)))
 
 let is_word_char c = c = '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
@@ -260,6 +264,15 @@ let lint lib =
     (* the executor keeps derived state on the IR (compiled code on its
        block); only domain-safe counters are process-wide *)
     @ global_state ~files:interp_files ~allow:[ "Atomic.make" ] "the executor"
+    (* the simulators account time into their stats; the hetero schedule
+       recorder (core/stream_exec.ml) alone turns that into schedule
+       events *)
+    @ offences
+        ~files:
+          (List.concat_map
+             (fun d -> ml_files ~mli:true (Filename.concat lib d))
+             [ "upmem_sim"; "memristor_sim"; "cam_sim" ])
+        ~why:"schedule events are built in Stream_exec" (mentions "Schedule")
   in
   if found <> [] then fail "lint:\n%s" (String.concat "\n" found);
   ok "lint: %d files clean" (List.length all)

@@ -336,10 +336,12 @@ let test_contractions_minor_words () =
    through the arena, the tile adopts its input and the accumulator
    chain updates in place. What a trip still allocates is a constant
    set of boxes: hook operand arrays and result lists, boxed float
-   clocks and stats, the schedule-event record. mm at 128x64x64 runs 2
-   tiles, at 256x256x256 32. Measured: 344 words per trip; 562 before
-   the kernel lost its per-row option and row accumulator, and the
-   arena its tuple keys. *)
+   clocks and stats. mm at 128x64x64 runs 2 tiles, at 256x256x256 32.
+   Measured: 301.5 words per trip; 340.4 while the machine still logged
+   a schedule event per timed op on every run, and 562 before the kernel
+   lost its per-row option and row accumulator, and the arena its tuple
+   keys. The budget sits below 340 so that per-op logging on plain runs
+   cannot return. *)
 let test_cim_words_per_tile () =
   let module K = Cinm_benchmarks.Ml_kernels in
   let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
@@ -347,8 +349,8 @@ let test_cim_words_per_tile () =
       let small = warm_run_words backend (K.mm ~m:128 ~k:64 ~n:64 ()) in
       let large = warm_run_words backend (K.mm ~m:256 ~k:256 ~n:256 ()) in
       let per_tile = (large -. small) /. 30. in
-      if per_tile > 400. then
-        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 400)" per_tile)
+      if per_tile > 320. then
+        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 320)" per_tile)
 
 (* gemm_tile computes only the live columns of the programmed weights
    (those up to the last nonzero one). The same mm@cim run twice, with

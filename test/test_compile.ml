@@ -102,8 +102,9 @@ let test_upmem_gemm () =
     [ 1; 4 ]
 
 let test_upmem_gemm_wram_opt () =
-  (* WRAM-optimized kernels exercise the hook ops (wram_shared_alloc,
-     mram_read/write, barrier_wait) through the generic-fallback path *)
+  (* the WRAM-optimized GEMM stages operands in per-tasklet
+     upmem.wram_alloc buffers and moves them with mram_read/mram_write
+     DMA, so both backends' WRAM allocation and DMA paths run *)
   let a = iota [| 32; 16 |] and b = iota [| 16; 8 |] in
   let args = [ Rtval.Tensor a; Rtval.Tensor b ] in
   let opts =

@@ -222,6 +222,17 @@ let test_wram_capacity_enforced () =
         (fun bb _args -> ignore (Upmem_d.wram_shared_alloc bb [| 20000 |] T.I32))
         ~ins:[ input ] ~out_shape:[| 8 |])
 
+let test_shared_wram_outside_launch () =
+  (* shared WRAM is per DPU: a host-side alloc has no DPU to live on *)
+  let f = Func.create ~name:"host_shared" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  ignore (Upmem_d.wram_shared_alloc b [| 4 |] T.I32);
+  Func_d.return b [];
+  let machine = Usim.Machine.create ~faults:None (Usim.Config.default ~dimms:1 ()) in
+  Alcotest.check_raises "rejected"
+    (Invalid_argument "upmem.wram_shared_alloc: outside a DPU launch") (fun () ->
+      ignore (Usim.Machine.run machine f []))
+
 let test_dma_bounds_checked () =
   let input = iota [| 8 |] in
   expect_dpu_failure ~substring:"upmem.mram_read" (fun () ->
@@ -346,6 +357,8 @@ let () =
             test_bitflip_determinism;
           Alcotest.test_case "WRAM capacity enforced" `Quick
             test_wram_capacity_enforced;
+          Alcotest.test_case "shared WRAM outside a launch" `Quick
+            test_shared_wram_outside_launch;
           Alcotest.test_case "DMA bounds checked" `Quick test_dma_bounds_checked;
           Alcotest.test_case "MRAM accounting per workgroup" `Quick
             test_mram_accounting_per_workgroup;

@@ -78,8 +78,9 @@ let test_determinism_gemm () =
     [ Rtval.Tensor a; Rtval.Tensor b ]
 
 let test_determinism_gemm_opt () =
-  (* WRAM-optimized kernels exercise upmem.wram_shared_alloc, whose
-     buffers are per-DPU state under parallel execution *)
+  (* the WRAM-optimized GEMM gives every tasklet its own upmem.wram_alloc
+     buffers and moves data by mram_read/mram_write DMA, whose byte counts
+     the parallel launch must account in DPU order *)
   let a = iota [| 32; 16 |] and b = iota [| 16; 8 |] in
   check_identical_runs
     ~cnm_opts:
