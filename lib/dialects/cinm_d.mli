@@ -13,6 +13,9 @@ type support = { cim : bool; cnm : bool }
 
 val op_support : (string * support) list
 val support_of : string -> support option
+
+(** The nine elementwise binops ([add] ... [xor]), without a dialect
+    prefix: the one list the interpreter, fusion and the lowerings use. *)
 val elementwise_binary : string list
 val ensure : unit -> unit
 

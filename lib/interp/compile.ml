@@ -38,15 +38,18 @@
      tree-walker had counted (a load or store counts before its bounds
      check, a DMA after its copy), raises the same message, and polls
      [Interp.check_steps] once per trip like the tree-walker's loop;
-   - any op the native compiler does not fully understand — unknown
-     names, bulk tensor ops, device ops handled by machine hooks, or any
-     op whose attribute/shape decoding fails — falls back to a generic
-     closure that routes the single op through [Interp.eval_op]
-     unchanged (operands and nested-region free values are staged from
-     the register file into the context environment first, results are
-     read back after). The fallback also preserves the tree-walker's
-     runtime errors: a malformed op only fails when executed, not at
-     compile time.
+   - an op the native compiler does not fully understand takes one of
+     two paths, chosen when it is compiled: a region-free device op
+     ([Interp.is_device_op]) calls the machine hooks straight off the
+     register file through [Interp.dispatch_hooks], as [Interp.eval_op]
+     does; every other op — unknown names, bulk tensor ops,
+     region-carrying device ops, or any op whose attribute/shape
+     decoding fails — goes through a generic closure that routes the
+     single op through [Interp.eval_op] unchanged (operands and
+     nested-region free values are staged from the register file into
+     the context environment first, results are read back after). Both
+     preserve the tree-walker's runtime errors: a malformed op only
+     fails when executed, not at compile time.
 
    The unit of compilation is one region (a function body or a launch
    kernel). Structured control flow ([scf.for] / [scf.if] /
@@ -620,87 +623,62 @@ let merged_updates region = List.map (fun (_, _, ins) -> ins) (plan region).merg
 
 (* ----- the generic fallback ----- *)
 
-(* Route one op through [Interp.eval_op]: stage its operands (and the free
-   values of its nested regions) from the register file into the context
-   environment, evaluate, read the results back into their slots. This is
-   bit-identical to the tree-walker by construction — the same code runs,
-   including all profile accounting, hook dispatch and error behavior. *)
+(* An op the native compilers leave alone runs one of two ways, chosen
+   here once. A region-free device op ([Interp.is_device_op]) goes to the
+   hooks straight off the register file, with no environment staged; its
+   [launched_ops] count and its error when no hook answers are
+   [Interp.eval_op]'s. Every other op goes through [Interp.eval_op]
+   itself: its operands (and the free values of its nested regions) are
+   staged from the register file into the context environment, and its
+   results read back into their slots. Both are bit-identical to the
+   tree-walker by construction: the same code runs, including all
+   profile accounting and error behavior. *)
 let compile_generic (st : cstate) (op : Ir.op) : instr =
-  let operand_binds =
-    Array.map (fun (v : Ir.value) -> (v.Ir.vid, use_slot st v)) op.Ir.operands
-  in
+  let operand_slots = Array.map (use_slot st) op.Ir.operands in
   let free_binds =
     Array.of_list
       (List.map (fun (v : Ir.value) -> (v.Ir.vid, use_slot st v)) (free_values op))
   in
-  let result_binds =
-    Array.map (fun (v : Ir.value) -> (v.Ir.vid, def_slot st v)) op.Ir.results
-  in
-  (* Tree-walk through [Interp.eval_op]: stage operands and free values
-     into the environment, evaluate, read the results back into slots. *)
-  let slow ctx gf iframe =
-    let env = ctx.Interp.env in
-    Array.iter (fun (vid, s) -> Hashtbl.replace env vid (get_rt gf iframe s)) operand_binds;
-    Array.iter (fun (vid, s) -> Hashtbl.replace env vid (get_rt gf iframe s)) free_binds;
-    Interp.eval_op ctx op;
-    Array.iter
-      (fun (vid, s) ->
-        match Hashtbl.find_opt env vid with
-        | Some rv -> set_rt gf iframe s rv
-        | None -> Interp.err "%s: result %%%d not bound" op.Ir.name vid)
-      result_binds
-  in
-  if Array.length op.Ir.regions > 0 then fun ctx gf iframe _pf -> slow ctx gf iframe
-  else begin
-    (* Region-free op: hooks only need the operand values, so try them
-       straight off the register file, without staging an environment.
-       Builtin ops never reach hooks ([Interp.eval_op] dispatches them by
-       name first), so a [None] here means the op is either
-       builtin-generic or an error — both handled by the slow path. The
-       [launched_ops] bookkeeping mirrors [eval_op]: counted before
-       dispatch, uncounted again if we fall through (the slow path's
-       [eval_op] re-counts). *)
-    let operand_slots = Array.map snd operand_binds in
-    let result_slots = Array.map snd result_binds in
+  let result_slots = Array.map (def_slot st) op.Ir.results in
+  if Interp.is_device_op op && Array.length op.Ir.regions = 0 then begin
     let n_operands = Array.length operand_slots in
     let adopt = Hashtbl.mem st.adopt op.Ir.oid in
-    let dispatch ctx ops =
-      if not adopt then Interp.dispatch_hooks ctx op ops
-      else begin
-        ctx.Interp.adopt <- true;
-        match Interp.dispatch_hooks ctx op ops with
-        | r ->
-          ctx.Interp.adopt <- false;
-          r
-        | exception e ->
+    fun ctx gf iframe _pf ->
+      let ops = Array.make n_operands Rtval.Token in
+      for i = 0 to n_operands - 1 do
+        Array.unsafe_set ops i (get_rt gf iframe (Array.unsafe_get operand_slots i))
+      done;
+      let p = ctx.Interp.profile in
+      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+      ctx.Interp.adopt <- adopt;
+      let vals =
+        try Interp.dispatch_hooks ctx op ops
+        with e ->
           ctx.Interp.adopt <- false;
           raise e
-      end
-    in
-    fun ctx gf iframe _pf ->
-      match ctx.Interp.hooks with
-      | [] -> slow ctx gf iframe
-      | _ -> (
-        let ops = Array.make n_operands Rtval.Token in
-        for i = 0 to n_operands - 1 do
-          Array.unsafe_set ops i
-            (get_rt gf iframe (Array.unsafe_get operand_slots i))
-        done;
-        let p = ctx.Interp.profile in
-        p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-        match dispatch ctx ops with
-        | Some vals ->
-          let n = List.length vals in
-          if n <> Array.length result_slots then
-            Interp.err "%s: produced %d values for %d results" op.Ir.name n
-              (Array.length result_slots);
-          List.iteri
-            (fun i rv -> set_rt gf iframe (Array.unsafe_get result_slots i) rv)
-            vals
-        | None ->
-          p.Profile.launched_ops <- p.Profile.launched_ops - 1;
-          slow ctx gf iframe)
+      in
+      ctx.Interp.adopt <- false;
+      let n = List.length vals in
+      if n <> Array.length result_slots then
+        Interp.err "%s: produced %d values for %d results" op.Ir.name n
+          (Array.length result_slots);
+      List.iteri (fun i rv -> set_rt gf iframe (Array.unsafe_get result_slots i) rv) vals
   end
+  else
+    fun ctx gf iframe _pf ->
+      let env = ctx.Interp.env in
+      Array.iteri
+        (fun i s -> Hashtbl.replace env op.Ir.operands.(i).Ir.vid (get_rt gf iframe s))
+        operand_slots;
+      Array.iter (fun (vid, s) -> Hashtbl.replace env vid (get_rt gf iframe s)) free_binds;
+      Interp.eval_op ctx op;
+      Array.iteri
+        (fun i s ->
+          let vid = op.Ir.results.(i).Ir.vid in
+          match Hashtbl.find_opt env vid with
+          | Some rv -> set_rt gf iframe s rv
+          | None -> Interp.err "%s: result %%%d not bound" op.Ir.name vid)
+        result_slots
 
 (* ----- native op compilers ----- *)
 

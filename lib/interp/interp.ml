@@ -1,45 +1,39 @@
 (* Reference interpreter for the CINM IR. Executes host-level dialects
-   (arith, scf, tensor, memref, linalg, tosa, cinm) directly; device
-   dialects (cnm, cim, upmem, memristor) are delegated to hooks installed
-   by the simulators. Every executed operation is accounted in a
-   [Profile.t], from which the timing models derive simulated time. *)
+   (arith, scf, tensor, memref, linalg, tosa, cinm) and the UPMEM ops a
+   DPU lane runs itself directly; the device ops ([is_device_op]) are
+   delegated to hooks installed by the simulators. Every executed
+   operation is accounted in a [Profile.t], from which the timing models
+   derive simulated time. *)
 
 open Cinm_ir
 module Util = Cinm_support.Util
 module Config = Cinm_support.Config
 
-(* Execution identity: which processing element the interpreter is
-   currently simulating. [Host] is ordinary host execution; device
-   simulators extend this type with their own per-PU state (e.g. the
-   UPMEM machine adds a per-(DPU, tasklet) lane) and install it on the
-   context they evaluate kernel regions with. Keeping the identity in the
-   context — instead of mutable fields on the machine — is what lets the
-   simulators evaluate many PUs concurrently on OCaml 5 domains. *)
-type device_state = ..
-
-type device_state += Host
-
-(* The identity of one (DPU, tasklet) kernel evaluation of the UPMEM
-   simulator. Each DPU owns a [wram] table shared by its tasklets, so the
-   per-DPU loop bodies touch no machine-global mutable state. It lives
-   here, not in the simulator, because the builtin DMA ops name the lane
-   in their errors. *)
+(* The identity of one DPU's kernel evaluation in the UPMEM simulator:
+   the executing DPU and tasklet, and the DPU's WRAM. A DPU's tasklets
+   run one after another on one lane, so [tasklet] is mutable; each DPU
+   owns its [wram] table, so the per-DPU loop bodies touch no
+   machine-global mutable state. It lives here, not in the simulator,
+   because the builtin lane ops (DMA, tasklet id, barrier, shared WRAM)
+   read it. *)
 type lane = {
   dpu : int;
-  tasklet : int;
+  mutable tasklet : int;
   wram : (int, Tensor.t) Hashtbl.t;
       (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
-  wram_used : int ref;  (** bytes allocated in this DPU's WRAM *)
+  mutable wram_used : int;  (** bytes allocated in this DPU's WRAM *)
+  wram_bytes : int;  (** the DPU's WRAM capacity *)
 }
-
-type device_state += Dpu_lane of lane
 
 type ctx = {
   env : (int, Rtval.t) Hashtbl.t;
   profile : Profile.t;
   hooks : hook list;
   modul : Func.modul option;  (** for func.call *)
-  device : device_state;
+  device : lane option;
+      (** the DPU lane being simulated; [None] on the host. Carrying it
+          in the context, not in the machine, is what lets the simulator
+          run many DPUs at once on OCaml 5 domains. *)
   fname : string;  (** function being executed, for watchdog diagnostics *)
   max_steps : int;
       (** watchdog: abort once [steps] exceeds this (0 = unlimited).
@@ -128,15 +122,29 @@ let lookup ctx (v : Ir.value) =
 
 let bind ctx (v : Ir.value) rv = Hashtbl.replace ctx.env v.Ir.vid rv
 
-(* First hook that implements [op] wins; [ops] are the op's operand
-   values, pre-fetched by the calling backend. Shared by both backends so
-   hook dispatch order (and therefore behavior) is identical. *)
-let dispatch_hooks ctx op ops =
+(* The results of the first hook that implements [op]; [ops] are the
+   op's operand values, pre-fetched by the calling backend. Shared by both
+   backends so hook dispatch order, and the error when no hook answers,
+   are identical. *)
+let dispatch_hooks ctx (op : Ir.op) ops =
   let rec go = function
-    | [] -> None
-    | h :: rest -> ( match h ctx op ops with Some _ as r -> r | None -> go rest)
+    | [] -> err "no interpreter semantics for %s" op.Ir.name
+    | h :: rest -> ( match h ctx op ops with Some vals -> vals | None -> go rest)
   in
   go ctx.hooks
+
+(* The ops a machine hook serves: those of the device dialects, but for
+   the UPMEM ops a DPU lane runs itself, which [eval_op] implements. *)
+let is_device_op (op : Ir.op) =
+  match Ir.dialect_of op with
+  | "cnm" | "cim" | "memristor" | "cam" | "rtm" -> true
+  | "upmem" -> (
+    match op.Ir.name with
+    | "upmem.mram_read" | "upmem.mram_write" | "upmem.wram_alloc"
+    | "upmem.wram_shared_alloc" | "upmem.tasklet_id" | "upmem.barrier_wait" ->
+      false
+    | _ -> true)
+  | _ -> false
 
 (* Allocation point of [memref.alloc]/[upmem.wram_alloc] under both
    backends: arena-recycled (and recorded for release) inside a launch,
@@ -155,8 +163,8 @@ let dma_name to_wram = if to_wram then "upmem.mram_read" else "upmem.mram_write"
 let dma_oob ctx ~to_wram what off count n =
   let where =
     match ctx.device with
-    | Dpu_lane l -> Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet
-    | _ -> ""
+    | Some l -> Printf.sprintf " on DPU %d (tasklet %d)" l.dpu l.tasklet
+    | None -> ""
   in
   invalid_arg
     (Printf.sprintf "%s: %s range [%d, %d) out of bounds for %d elements%s"
@@ -233,9 +241,7 @@ let decode_cmpi_predicate (op : Ir.op) =
   | s -> err "arith.cmpi: predicate %s" s
 
 let elementwise_names prefix =
-  List.map
-    (fun n -> (prefix ^ "." ^ n, n))
-    [ "add"; "sub"; "mul"; "div"; "min"; "max"; "and"; "or"; "xor" ]
+  List.map (fun n -> (prefix ^ "." ^ n, n)) Cinm_dialects.Cinm_d.elementwise_binary
 
 let cinm_elementwise = elementwise_names "cinm"
 let linalg_elementwise = elementwise_names "linalg"
@@ -478,6 +484,38 @@ and eval_op ctx (op : Ir.op) : unit =
     dma ctx ~to_wram:(name = "upmem.mram_read") ~count:(Ir.int_attr op "count") mram wram
       (i_operand ctx op 2) (i_operand ctx op 3);
     set_results []
+  | "upmem.wram_shared_alloc" -> (
+    match (Ir.result op 0).Ir.ty with
+    | Types.MemRef (shape, dt) ->
+      let l =
+        match ctx.device with
+        | Some l -> l
+        | None -> invalid_arg "upmem.wram_shared_alloc: outside a DPU launch"
+      in
+      let t =
+        match Hashtbl.find_opt l.wram op.Ir.oid with
+        | Some t -> t
+        | None ->
+          let bytes = Util.product_of_shape shape * Types.dtype_bytes dt in
+          if l.wram_used + bytes > l.wram_bytes then
+            invalid_arg
+              (Printf.sprintf
+                 "%s: WRAM exhausted on DPU %d: %d B requested on top of %d B in \
+                  use (capacity %d B)"
+                 name l.dpu bytes l.wram_used l.wram_bytes);
+          l.wram_used <- l.wram_used + bytes;
+          (* launch-scoped: the machine releases the whole table *)
+          let t = Tensor.Arena.alloc shape dt in
+          Hashtbl.replace l.wram op.Ir.oid t;
+          t
+      in
+      set_results [ Rtval.Memref t ]
+    | _ -> invalid_arg "upmem.wram_shared_alloc: bad result type")
+  | "upmem.tasklet_id" ->
+    set_results [ Rtval.Int (match ctx.device with Some l -> l.tasklet | None -> 0) ]
+  | "upmem.barrier_wait" ->
+    p.Profile.barriers <- p.Profile.barriers + 1;
+    set_results []
   (* ----- elementwise cinm / linalg / tosa ----- *)
   | _ when List.mem_assoc name cinm_elementwise ->
     eval_elementwise ctx op (List.assoc name cinm_elementwise)
@@ -691,12 +729,8 @@ and eval_op ctx (op : Ir.op) : unit =
       Tensor.set_int out i (min max_v (max min_v (Tensor.get_int out i)))
     done;
     set_results [ Rtval.Tensor out ]
-  (* ----- device ops: delegate to hooks ----- *)
-  | _ -> (
-    let ops = Array.map (fun v -> lookup ctx v) op.Ir.operands in
-    match dispatch_hooks ctx op ops with
-    | Some vals -> set_results vals
-    | None -> err "no interpreter semantics for %s" name)
+  (* ----- device ops, and any name a hook adds: delegate to hooks ----- *)
+  | _ -> set_results (dispatch_hooks ctx op (Array.map (lookup ctx) op.Ir.operands))
 
 and add_dyn_offsets ctx op ~skip offsets =
   let n_dyn = Ir.num_operands op - skip in
@@ -719,7 +753,7 @@ and eval_elementwise ctx op opname =
 let create_ctx ?(hooks = []) ?profile ?modul ?(fname = "<main>")
     ?(config = Config.default ()) () =
   let profile = match profile with Some p -> p | None -> Profile.create () in
-  { env = Hashtbl.create 256; profile; hooks; modul; device = Host; fname;
+  { env = Hashtbl.create 256; profile; hooks; modul; device = None; fname;
     max_steps = max 0 config.Config.max_steps; steps = ref 0;
     deadline = config.Config.deadline; cancel = config.Config.cancel;
     interp = config.Config.interp; adopt = false; scratch = None }

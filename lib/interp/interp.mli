@@ -1,40 +1,33 @@
 (** Reference interpreter for the CINM IR. Executes host-level dialects
-    directly; device dialects are delegated to hooks installed by the
+    and the UPMEM ops a DPU lane runs itself directly; device ops
+    ({!is_device_op}) are delegated to hooks installed by the
     simulators. Every executed op is accounted in a {!Profile.t}, from
     which the timing models derive simulated time. *)
 
 open Cinm_ir
 
-(** Execution identity: which processing element the interpreter is
-    currently simulating. [Host] is ordinary host execution; device
-    simulators install their per-PU state (the UPMEM machine's
-    [Dpu_lane]) on the context they evaluate kernel regions with.
-    Carrying the identity in the context — instead of mutable machine
-    fields — is what lets simulators evaluate many PUs concurrently on
-    OCaml 5 domains. *)
-type device_state = ..
-
-type device_state += Host
-
-(** One (DPU, tasklet) kernel evaluation of the UPMEM machine. Each DPU
-    owns a [wram] table shared by its tasklets, so per-DPU execution
-    touches no machine-global mutable state. *)
+(** One DPU's kernel evaluation in the UPMEM machine: the executing DPU
+    and tasklet (its tasklets run one after another on one lane) and the
+    DPU's WRAM, so per-DPU execution touches no machine-global mutable
+    state. The builtin lane ops read it. *)
 type lane = {
   dpu : int;
-  tasklet : int;
+  mutable tasklet : int;
   wram : (int, Tensor.t) Hashtbl.t;
       (** per-DPU shared WRAM buffers, keyed by the alloc op's oid *)
-  wram_used : int ref;  (** bytes allocated in this DPU's 64 kB WRAM *)
+  mutable wram_used : int;  (** bytes allocated in this DPU's WRAM *)
+  wram_bytes : int;  (** the DPU's WRAM capacity *)
 }
-
-type device_state += Dpu_lane of lane
 
 type ctx = {
   env : (int, Rtval.t) Hashtbl.t;
   profile : Profile.t;
   hooks : hook list;
   modul : Func.modul option;  (** for func.call *)
-  device : device_state;
+  device : lane option;
+      (** the DPU lane being simulated, [None] on the host. Carried in the
+          context, not in the machine, so many DPUs can run at once on
+          OCaml 5 domains. *)
   fname : string;  (** function being executed, for watchdog diagnostics *)
   max_steps : int;
       (** watchdog: abort once [steps] exceeds this (0 = unlimited);
@@ -66,13 +59,15 @@ type ctx = {
 }
 
 and hook = ctx -> Ir.op -> Rtval.t array -> Rtval.t list option
-(** A hook receives the op's operand values — pre-fetched by the executing
-    backend, so the compiled backend feeds them straight from its register
-    file without staging an environment — and returns [Some results] when
-    it implements the op, [None] to let the next hook (or the error path)
-    handle it. Hooks that evaluate the op's regions resolve free values
-    through the context environment, which both backends populate before
-    dispatching a region-carrying op. *)
+(** A hook receives the op's operand values and returns [Some results]
+    when it implements the op, [None] to let the next hook (or the error
+    path) handle it. Both backends offer it the device ops
+    ({!is_device_op}); the compiled backend decides that when it compiles
+    the op and feeds a region-free one straight from its register file.
+    Names {!eval_op} does not know reach the hooks too. Hooks that
+    evaluate the op's regions resolve free values through the context
+    environment, which both backends populate before dispatching a
+    region-carrying op. *)
 
 exception Interp_error of string
 
@@ -95,7 +90,7 @@ val watched : ctx -> bool
     memref at flat element offsets, then account one DMA transfer of
     [count] elements of the MRAM dtype.
     @raise Invalid_argument when either range is out of bounds, naming
-    the DPU and tasklet of a [Dpu_lane] context. *)
+    the DPU and tasklet of a lane context. *)
 val dma : ctx -> to_wram:bool -> count:int -> Tensor.t -> Tensor.t -> int -> int -> unit
 
 (** The out-of-bounds failure of {!dma} for the [what] ("MRAM" or
@@ -141,9 +136,18 @@ val alloc_tensor : ctx -> int array -> Types.dtype -> Tensor.t
 val lookup : ctx -> Ir.value -> Rtval.t
 
 (** Dispatch [op] (with its operand values) to the context's hooks, first
-    match wins; [None] when no hook implements it. Shared by both backends
-    so hook dispatch order is identical. *)
-val dispatch_hooks : ctx -> Ir.op -> Rtval.t array -> Rtval.t list option
+    match wins. Shared by both backends so hook dispatch order is
+    identical.
+    @raise Interp_error ["no interpreter semantics for <name>"] when no
+    hook implements it. *)
+val dispatch_hooks : ctx -> Ir.op -> Rtval.t array -> Rtval.t list
+
+(** Is [op] served by a machine hook? True for the ops of the [cnm],
+    [cim], [upmem], [memristor], [cam] and [rtm] dialects, but for the
+    UPMEM ops a DPU lane runs itself, which {!eval_op} implements:
+    [mram_read], [mram_write], [wram_alloc], [wram_shared_alloc],
+    [tasklet_id] and [barrier_wait]. *)
+val is_device_op : Ir.op -> bool
 
 val bind : ctx -> Ir.value -> Rtval.t -> unit
 

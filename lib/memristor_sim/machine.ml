@@ -279,6 +279,7 @@ let hook (m : t) : Interp.hook =
       m.stats.Stats.compute_s <-
         m.stats.Stats.compute_s +. (float_of_int vectors *. c.Config.t_mvm);
       m.stats.Stats.mvms <- m.stats.Stats.mvms + vectors;
+      m.stats.Stats.macs <- m.stats.Stats.macs + (vectors * n * depth);
       m.stats.Stats.energy_j <-
         m.stats.Stats.energy_j +. (float_of_int vectors *. c.Config.e_mvm);
       Some [ Rtval.Tensor out ]

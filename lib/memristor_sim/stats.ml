@@ -9,6 +9,7 @@ type t = {
   mutable cells_written : int;
   mutable store_ops : int;  (** store_tile calls *)
   mutable mvms : int;  (** input vectors driven through tiles *)
+  mutable macs : int;  (** multiply-accumulates [gemm_tile] computed *)
   mutable energy_j : float;
   mutable endurance_writes : int array;  (** per-tile write cycles *)
   mutable makespan_s : float;
@@ -26,6 +27,7 @@ let create ~tiles =
     cells_written = 0;
     store_ops = 0;
     mvms = 0;
+    macs = 0;
     energy_j = 0.0;
     endurance_writes = Array.make tiles 0;
     makespan_s = 0.0;

@@ -8,6 +8,7 @@ type t = {
   mutable cells_written : int;
   mutable store_ops : int;
   mutable mvms : int;
+  mutable macs : int;  (** multiply-accumulates [gemm_tile] computed *)
   mutable energy_j : float;
   mutable endurance_writes : int array;  (** per-tile write cycles *)
   mutable makespan_s : float;  (** event-clock end time (tiles overlap) *)

@@ -652,8 +652,6 @@ let lower_simsearch opts b ~metric ~k db_val q_val =
 
 (* ----- the conversion pattern ----- *)
 
-let elementwise_ops = [ "add"; "sub"; "mul"; "div"; "min"; "max"; "and"; "or"; "xor" ]
-
 let pattern opts : Rewrite.pattern =
  fun ctx op ->
   if not (is_cnm_target op) then None
@@ -670,7 +668,7 @@ let pattern opts : Rewrite.pattern =
       let x_mat = Cinm_d.expand b x ~shape:[| k_dim; 1 |] in
       let res = lower_gemm opts b a x_mat in
       Some (Rewrite.Replace [ Cinm_d.expand b res ~shape:[| m |] ])
-    | _ when List.mem base_name elementwise_ops ->
+    | _ when List.mem base_name Cinm_d.elementwise_binary ->
       Some (Rewrite.Replace [ lower_elementwise opts b ~opname:base_name (opd 0) (opd 1) ])
     | "ew_expr" ->
       let tokens =

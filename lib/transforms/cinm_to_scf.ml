@@ -83,8 +83,6 @@ let lower_reduce b ~opname x =
   in
   List.hd out
 
-let elementwise_ops = [ "add"; "sub"; "mul"; "div"; "min"; "max"; "and"; "or"; "xor" ]
-
 let pattern : Rewrite.pattern =
  fun ctx op ->
   if Ir.dialect_of op <> "cinm" || not (is_host_target op) then None
@@ -93,7 +91,7 @@ let pattern : Rewrite.pattern =
     let opd i = Rewrite.operand ctx op i in
     let base = String.sub op.Ir.name 5 (String.length op.Ir.name - 5) in
     match base with
-    | _ when List.mem base elementwise_ops ->
+    | _ when List.mem base Cinm_d.elementwise_binary ->
       Some (Rewrite.Replace [ lower_elementwise b ~opname:base (opd 0) (opd 1) ])
     | "gemm" -> Some (Rewrite.Replace [ lower_gemm b (opd 0) (opd 1) ])
     | "gemv" ->

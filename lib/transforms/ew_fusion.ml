@@ -10,8 +10,7 @@
 
 open Cinm_ir
 
-let fusable_names =
-  List.map (fun n -> "cinm." ^ n) [ "add"; "sub"; "mul"; "div"; "min"; "max"; "and"; "or"; "xor" ]
+let fusable_names = List.map (fun n -> "cinm." ^ n) Cinm_dialects.Cinm_d.elementwise_binary
 
 let opname_of op = String.sub op.Ir.name 5 (String.length op.Ir.name - 5)
 

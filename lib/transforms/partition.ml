@@ -72,10 +72,10 @@ let matmul_like op = op.Ir.name = "cinm.gemm" || op.Ir.name = "cinm.gemv"
 let cnm_lowerable op =
   match op.Ir.name with
   | "cinm.gemm" | "cinm.gemv" | "cinm.reduce" | "cinm.histogram"
-  | "cinm.scan" | "cinm.ew_expr" | "cinm.not" | "cinm.add" | "cinm.sub"
-  | "cinm.mul" | "cinm.div" | "cinm.min" | "cinm.max" | "cinm.and"
-  | "cinm.or" | "cinm.xor" -> true
-  | _ -> false
+  | "cinm.scan" | "cinm.ew_expr" | "cinm.not" -> true
+  | name ->
+    Ir.dialect_of op = "cinm"
+    && List.mem (String.sub name 5 (String.length name - 5)) Cinm_d.elementwise_binary
 
 (* The model set of one plan, built from the backend geometry. The list
    order is the fixed device order: it breaks estimated-finish ties and

@@ -1,7 +1,7 @@
 (* UPMEM machine simulator. Provides interpreter hooks for the upmem
    dialect: kernels lowered by the compiler are *executed* per (DPU,
-   tasklet) on real data, and their execution profiles drive the timing
-   model.
+   tasklet) on real data, and their per-DPU execution profiles drive the
+   timing model.
 
    Timing model (calibrated against the PrIM characterization):
    - DPU pipeline: with T resident tasklets, aggregate issue rate is
@@ -365,7 +365,7 @@ let host_transfer m (w : wg) ~bytes ~to_device =
   else m.stats.Stats.device_to_host_s <- m.stats.Stats.device_to_host_s +. t;
   m.stats.Stats.transferred_bytes <- m.stats.Stats.transferred_bytes + bytes;
   m.stats.Stats.energy_j <-
-    m.stats.Stats.energy_j +. (float_of_int bytes *. c.Config.energy_per_instr)
+    m.stats.Stats.energy_j +. (float_of_int bytes *. c.Config.energy_per_host_byte)
 
 (* Weighted instruction count of a tasklet's execution profile. *)
 let instr_cycles (c : Config.t) (p : Profile.t) =
@@ -379,13 +379,14 @@ let dma_cycles (c : Config.t) (p : Profile.t) =
   (float_of_int p.Profile.dma_transfers *. c.Config.dma_setup_cycles)
   +. (float_of_int p.Profile.dma_bytes /. c.Config.dma_bytes_per_cycle)
 
-(* Account a launch: [profiles.(d).(t)] is the profile of tasklet t on
-   DPU d. Returns the kernel time. *)
-let account_launch m ~launch (profiles : Profile.t array array) =
+(* Account a launch: [profiles.(d)] is the profile of DPU d, its
+   [tasklets] tasklets summed. Every cycle weight is an integer or a
+   power-of-two fraction, so a DPU's summed profile costs exactly what its
+   tasklets' profiles cost one by one. Returns the kernel time. *)
+let account_launch m ~launch ~tasklets (profiles : Profile.t array) =
   let c = m.config in
-  let t_count = if Array.length profiles = 0 then 1 else Array.length profiles.(0) in
   let stall_factor =
-    max 1.0 (float_of_int c.Config.pipeline_tasklets /. float_of_int (max 1 t_count))
+    max 1.0 (float_of_int c.Config.pipeline_tasklets /. float_of_int (max 1 tasklets))
   in
   let trc = tracing m in
   let t0 = dev_now m in
@@ -393,17 +394,12 @@ let account_launch m ~launch (profiles : Profile.t array array) =
   let total_instr = ref 0.0 in
   let total_dma_bytes = ref 0 in
   Array.iteri
-    (fun d dpu_profiles ->
-      let compute = ref 0.0 and dma = ref 0.0 in
-      Array.iter
-        (fun p ->
-          Profile.add ~into:m.lanes p;
-          compute := !compute +. instr_cycles c p;
-          dma := !dma +. dma_cycles c p;
-          total_instr := !total_instr +. instr_cycles c p;
-          total_dma_bytes := !total_dma_bytes + p.Profile.dma_bytes)
-        dpu_profiles;
-      let cycles = (!compute *. stall_factor) +. !dma in
+    (fun d p ->
+      Profile.add ~into:m.lanes p;
+      let compute = instr_cycles c p and dma = dma_cycles c p in
+      total_instr := !total_instr +. compute;
+      total_dma_bytes := !total_dma_bytes + p.Profile.dma_bytes;
+      let cycles = (compute *. stall_factor) +. dma in
       if cycles > !max_dpu_cycles then max_dpu_cycles := cycles;
       (* per-DPU lane spans: the launch as this DPU experienced it —
          compute then its serialized DMA engine. cat "lane"/"lane-dma" is
@@ -411,13 +407,13 @@ let account_launch m ~launch (profiles : Profile.t array array) =
          carries the accounted time. *)
       if trc then begin
         let track = Printf.sprintf "dpu%d" d in
-        let compute_s = !compute *. stall_factor /. c.Config.freq_hz in
-        let dma_s = !dma /. c.Config.freq_hz in
+        let compute_s = compute *. stall_factor /. c.Config.freq_hz in
+        let dma_s = dma /. c.Config.freq_hz in
         Trace.complete ~cat:"lane"
           ~args:
             [ ("launch", Trace.Int launch);
-              ("tasklets", Trace.Int (Array.length dpu_profiles));
-              ("compute_cycles", Trace.Float !compute);
+              ("tasklets", Trace.Int tasklets);
+              ("compute_cycles", Trace.Float compute);
               ("stall_factor", Trace.Float stall_factor) ]
           ~clock:Trace.Device ~pid:m.trace_pid ~track ~ts:t0 ~dur:compute_s
           (Printf.sprintf "launch%d:compute" launch);
@@ -425,7 +421,7 @@ let account_launch m ~launch (profiles : Profile.t array array) =
           Trace.complete ~cat:"lane-dma"
             ~args:
               [ ("launch", Trace.Int launch);
-                ("dma_cycles", Trace.Float !dma) ]
+                ("dma_cycles", Trace.Float dma) ]
             ~clock:Trace.Device ~pid:m.trace_pid ~track
             ~ts:(t0 +. compute_s) ~dur:dma_s
             (Printf.sprintf "launch%d:dma" launch)
@@ -556,13 +552,12 @@ let hook (m : t) : Interp.hook =
     prepass_faults m w ~launch;
     (* One kernel evaluation per (DPU, tasklet), DPUs in parallel across
        the domain pool — as on hardware, where all DPUs run concurrently.
-       Tasklets of one DPU stay sequential (they share the DPU's WRAM).
-       Each DPU writes only its pre-allocated profile slots and its own
-       buffer instances, and the accounting below runs on the host in DPU
-       order, so results and stats are identical for any job count. *)
-    let profiles =
-      Array.init dpus (fun _ -> Array.init tasklets (fun _ -> Profile.create ()))
-    in
+       Tasklets of one DPU run one after another on the DPU's lane (they
+       share its WRAM) and account into the DPU's profile. Each DPU writes
+       only its own profile and buffer instances, and the accounting below
+       runs on the host in DPU order, so results and stats are identical
+       for any job count. *)
+    let profiles = Array.init dpus (fun _ -> Profile.create ()) in
     (* Kernel failures are captured per DPU and re-raised in DPU order
        below — never propagated from inside the pool, whose "first
        exception wins" is scheduling-dependent. *)
@@ -574,7 +569,7 @@ let hook (m : t) : Interp.hook =
        compiles (or fetches from cache) a closure tree whose captures are
        already bound, shared read-only by every lane below — each lane then
        executes on its own register file and only needs a small scratch
-       environment for the hook ops it hands to the tree-walker. *)
+       environment for the ops it hands to the tree-walker. *)
     let prep = Compile.prepare ctx region in
     let compiled = Compile.is_compiled prep in
     Cinm_support.Pool.run pool dpus (fun d ->
@@ -588,14 +583,30 @@ let hook (m : t) : Interp.hook =
           else if parallel then Hashtbl.copy ctx.Interp.env
           else ctx.Interp.env
         in
-        let wram = Hashtbl.create 16 in
-        let wram_used = ref 0 in
+        let lane =
+          { Interp.dpu = d; tasklet = 0; wram = Hashtbl.create 16; wram_used = 0;
+            wram_bytes = m.config.Config.wram_bytes }
+        in
         (* launch-scoped allocations ([memref.alloc] inside the kernel and
            this DPU's shared-WRAM buffers) recycle through the arena: they
            cannot escape the launch — kernel results are discarded and
            stores copy elements — so they are released wholesale once the
            DPU's tasklets are done. *)
         let scratch = ref [] in
+        (* Kernels run builtins only: no hook is entered from a lane. The
+           watchdog counter is the lane's own (lanes run on parallel
+           domains and must not race on the host's ref), reset for each
+           tasklet. *)
+        let inner =
+          { ctx with
+            Interp.env;
+            hooks = [];
+            profile = profiles.(d);
+            device = Some lane;
+            steps = ref 0;
+            scratch = Some scratch;
+          }
+        in
         (try
            for tid = 0 to tasklets - 1 do
              let pu = (d * tasklets) + tid in
@@ -609,23 +620,14 @@ let hook (m : t) : Interp.hook =
                       Rtval.Memref b.per_pu.(idx))
                     bufs)
              in
-             let inner =
-               { ctx with
-                 Interp.env;
-                 profile = profiles.(d).(tid);
-                 device = Interp.Dpu_lane { Interp.dpu = d; tasklet = tid; wram; wram_used };
-                 (* per-lane watchdog counter: lanes run on parallel
-                    domains and must not race on the host's ref *)
-                 steps = ref 0;
-                 scratch = Some scratch;
-               }
-             in
+             lane.Interp.tasklet <- tid;
+             inner.Interp.steps := 0;
              ignore (Compile.run prep inner args)
            done
          with e -> outcomes.(d) <- Some (Printexc.to_string e));
         List.iter Tensor.Arena.release !scratch;
-        Hashtbl.iter (fun _ t -> Tensor.Arena.release t) wram;
-        wram_highwater.(d) <- !wram_used);
+        Hashtbl.iter (fun _ t -> Tensor.Arena.release t) lane.Interp.wram;
+        wram_highwater.(d) <- lane.Interp.wram_used);
     (* surface the lowest-DPU failure deterministically *)
     (let fail = ref None in
      for d = dpus - 1 downto 0 do
@@ -640,7 +642,7 @@ let hook (m : t) : Interp.hook =
       (fun hw ->
         if hw > m.stats.Stats.max_wram_used then m.stats.Stats.max_wram_used <- hw)
       wram_highwater;
-    ignore (account_launch m ~launch profiles);
+    ignore (account_launch m ~launch ~tasklets profiles);
     Some [ Rtval.Token ]
   | "upmem.free_dpus" ->
     (* the workgroup's buffers die with it: release *its* MRAM accounting
@@ -661,42 +663,6 @@ let hook (m : t) : Interp.hook =
     | _ -> ());
     Some []
   | "cnm.wait" -> Some []
-  | "upmem.tasklet_id" ->
-    let tid = match ctx.Interp.device with Interp.Dpu_lane l -> l.tasklet | _ -> 0 in
-    Some [ Rtval.Int tid ]
-  | "upmem.wram_shared_alloc" -> (
-    match (Ir.result op 0).Ir.ty with
-    | Types.MemRef (shape, dt) ->
-      let l =
-        match ctx.Interp.device with
-        | Interp.Dpu_lane l -> l
-        | _ -> invalid_arg "upmem.wram_shared_alloc: outside a DPU launch"
-      in
-      let t =
-        match Hashtbl.find_opt l.wram op.Ir.oid with
-        | Some t -> t
-        | None ->
-          let bytes =
-            Cinm_support.Util.product_of_shape shape * Types.dtype_bytes dt
-          in
-          let used = !(l.wram_used) in
-          if used + bytes > m.config.Config.wram_bytes then
-            invalid_arg
-              (Printf.sprintf
-                 "%s: WRAM exhausted on DPU %d: %d B requested on top of %d B in \
-                  use (capacity %d B)"
-                 op.Ir.name l.dpu bytes used m.config.Config.wram_bytes);
-          l.wram_used := used + bytes;
-          (* launch-scoped: the lane loop releases the whole table *)
-          let t = Tensor.Arena.alloc shape dt in
-          Hashtbl.replace l.wram op.Ir.oid t;
-          t
-      in
-      Some [ Rtval.Memref t ]
-    | _ -> invalid_arg "upmem.wram_shared_alloc: bad result type")
-  | "upmem.barrier_wait" ->
-    ctx.Interp.profile.Profile.barriers <- ctx.Interp.profile.Profile.barriers + 1;
-    Some []
   | _ -> None
 
 (* Return every device buffer's storage to the arena, at the end of a

@@ -59,9 +59,9 @@ type t = {
           bit for bit. All events are emitted host-side, never from pool
           domains: the device track is identical for any [--jobs]. *)
   lanes : Profile.t;
-      (** the sum of every (DPU, tasklet) profile of every completed
-          launch: the work the kernels did, whichever interpreter ran
-          them *)
+      (** the sum of every DPU profile (its tasklets' work) of every
+          completed launch: the work the kernels did, whichever
+          interpreter ran them *)
 }
 
 and entry
@@ -70,13 +70,14 @@ val create : ?faults:Cinm_support.Fault.plan option -> Config.t -> t
 (** [faults] defaults to {!Cinm_support.Fault.default} (the [CINM_FAULTS]
     plan, if any); pass [~faults:None] to force a fault-free machine. *)
 
-(** The interpreter hook implementing upmem.* (and the cnm.alloc/cnm.wait
-    ops that survive lowering). It accounts into {!t.stats} and keeps no
-    schedule-event log: the hetero schedule recorder wraps it and costs
-    each scatter, launch and gather by the increment of {!Stats.total_s}.
-    [upmem.wram_shared_alloc] is valid only inside a launch (shared per
-    DPU, released when the DPU's tasklets finish); outside one it raises
-    [Invalid_argument]. *)
+(** The interpreter hook implementing the host-side upmem.* ops (and the
+    cnm.alloc/cnm.wait ops that survive lowering); the ops a DPU lane
+    runs itself are {!Interp} builtins. It accounts into {!t.stats} and
+    keeps no schedule-event log: the hetero schedule recorder wraps it and
+    costs each scatter, launch and gather by the increment of
+    {!Stats.total_s}. [upmem.launch] runs each DPU's tasklets one after
+    another on one lane context and profile with no hooks, so the hook is
+    never entered from a lane. *)
 val hook : t -> Interp.hook
 
 (** Return every device buffer's storage to the {!Tensor.Arena}, for the

@@ -5,14 +5,15 @@
      smoke pin PIN RUN...          every RUN matches the bench pin PIN
      smoke scaling RUN             monotone rank scaling, >= 1.5x overlap
      smoke trace FILE              a Perfetto-shaped bench --trace file
-     smoke lint LIB_DIR            no bare failwith / Printf.eprintf, no
+     smoke lint LIB_DIR TEST_DIR   no bare failwith / Printf.eprintf, no
                                    global state in lib/transforms or
                                    lib/interp (but atomic counters), no
                                    Interp.eval_* outside lib/interp, no
                                    Array.blit in lib/interp but tensor.ml,
                                    no Cnm_d.workgroup but in
                                    Cinm_to_cnm.workgroup, no Schedule
-                                   in the simulators
+                                   in the simulators; no clock in a
+                                   tier-1 test but to bound a wait
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -204,7 +205,7 @@ let with_binding lines =
             (cur, (cur, l) :: acc))
           ("", []) lines))
 
-let lint lib =
+let lint lib tests =
   let offences ~files ~why p =
     List.concat_map
       (fun f ->
@@ -273,6 +274,17 @@ let lint lib =
              (fun d -> ml_files ~mli:true (Filename.concat lib d))
              [ "upmem_sim"; "memristor_sim"; "cam_sim" ])
         ~why:"schedule events are built in Stream_exec" (mentions "Schedule")
+    (* tier-1 tests count work (minor words, stats counters) instead of
+       timing it, so a loaded machine cannot fail them; a clock may only
+       bound a wait, on the line that computes or checks its deadline *)
+    @ offences
+        ~files:
+          (List.filter (fun f -> not (Sys.is_directory f)) (ml_files tests)
+          |> List.filter (fun f -> Filename.dirname f = tests))
+        ~why:"count work instead of timing it"
+        (fun l ->
+          (mentions "Unix.gettimeofday" l || mentions "Sys.time" l)
+          && not (mentions ~whole:false "deadline" l))
   in
   if found <> [] then fail "lint:\n%s" (String.concat "\n" found);
   ok "lint: %d files clean" (List.length all)
@@ -394,7 +406,7 @@ let () =
     | "pin" :: p :: (_ :: _ as runs) -> pin p runs
     | [ "scaling"; run ] -> scaling run
     | [ "trace"; file ] -> trace file
-    | [ "lint"; lib ] -> lint lib
+    | [ "lint"; lib; tests ] -> lint lib tests
     | [ "reduce"; opt; reducer; fixture ] -> reduce opt reducer fixture
     | [ "daemon"; serve ] -> daemon serve
     | [ "gate"; bench; p ] -> gate bench p

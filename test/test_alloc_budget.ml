@@ -335,13 +335,18 @@ let test_contractions_minor_words () =
    slice is 8K words): the slices, partials and staged inputs recycle
    through the arena, the tile adopts its input and the accumulator
    chain updates in place. What a trip still allocates is a constant
-   set of boxes: hook operand arrays and result lists, boxed float
-   clocks and stats. mm at 128x64x64 runs 2 tiles, at 256x256x256 32.
-   Measured: 301.5 words per trip; 340.4 while the machine still logged
-   a schedule event per timed op on every run, and 562 before the kernel
-   lost its per-row option and row accumulator, and the arena its tuple
-   keys. The budget sits below 340 so that per-op logging on plain runs
-   cannot return. *)
+   set of boxes: the device ops' operand arrays and result lists, boxed
+   float clocks and stats, and the environment staging of the host ops
+   compiled code hands to the tree-walker. mm at 128x64x64 runs 2 tiles,
+   at 256x256x256 32. Measured: 269.3 words per trip since compiled code
+   decides once per op whether a hook or the interpreter serves it;
+   301.5 while every host op was first offered to the memristor and CAM
+   hooks (each offer built an operand array), 340.4 while the machine
+   still logged a schedule event per timed op on every run, and 562
+   before the kernel lost its per-row option and row accumulator, and
+   the arena its tuple keys. The budget, 285, keeps a margin of about
+   16 words and sits below 301.5, so host ops cannot go back to trying
+   the hooks first. *)
 let test_cim_words_per_tile () =
   let module K = Cinm_benchmarks.Ml_kernels in
   let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
@@ -349,14 +354,13 @@ let test_cim_words_per_tile () =
       let small = warm_run_words backend (K.mm ~m:128 ~k:64 ~n:64 ()) in
       let large = warm_run_words backend (K.mm ~m:256 ~k:256 ~n:256 ()) in
       let per_tile = (large -. small) /. 30. in
-      if per_tile > 320. then
-        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 320)" per_tile)
+      if per_tile > 285. then
+        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 285)" per_tile)
 
 (* gemm_tile computes only the live columns of the programmed weights
    (those up to the last nonzero one). The same mm@cim run twice, with
    dense weights and with weights whose only nonzero column is the first:
-   the second does 1/64 of the MACs, so it must take well under half the
-   time (best of 7 each, in alternation). *)
+   the second computes exactly 1/64 of the multiply-accumulates. *)
 let test_cim_live_columns () =
   let module M = Cinm_memristor_sim.Machine in
   let bench = Cinm_benchmarks.Ml_kernels.mm ~m:512 ~k:64 ~n:64 () in
@@ -367,24 +371,17 @@ let test_cim_live_columns () =
   let one_col = Tensor.init [| 64; 64 |] (fun i -> if i mod 64 = 0 then Tensor.get_int dense i else 0) in
   let run w =
     let m = M.create ~faults:None (Cinm_memristor_sim.Config.default ()) in
-    let t0 = Unix.gettimeofday () in
     let results, _ = M.run m f [ Rtval.Tensor a; Rtval.Tensor w ] in
-    let dt = Unix.gettimeofday () -. t0 in
     (match results with
     | [ Rtval.Tensor out ] ->
       Alcotest.(check bool) "mm matches matmul" true (Tensor.equal out (Tensor.matmul a w))
     | _ -> Alcotest.fail "expected one tensor result");
-    dt
+    m.M.stats.Cinm_memristor_sim.Stats.macs
   in
   with_backend Compile.Compiled (fun () ->
-      let best_dense = ref infinity and best_one = ref infinity in
-      for _ = 1 to 7 do
-        best_dense := Float.min !best_dense (run dense);
-        best_one := Float.min !best_one (run one_col)
-      done;
-      if !best_one > 0.5 *. !best_dense then
-        Alcotest.failf "one live column took %.2f ms, dense weights %.2f ms" (1e3 *. !best_one)
-          (1e3 *. !best_dense))
+      let dense = run dense and one = run one_col in
+      Alcotest.(check int) "dense weights compute every MAC" (512 * 64 * 64) dense;
+      Alcotest.(check int) "one live column computes 1/64 of them" (dense / 64) one)
 
 (* Generated modules lowered for UPMEM and for CIM: the IR that the
    per-pass verifier and the strict-mode printer see. *)

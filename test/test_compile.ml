@@ -846,7 +846,7 @@ let test_watchdog_default_off () =
 (* [f] under both backends, each on a fresh profile passed in: both must
    fail with the same message and leave the same profile, and the
    compiled unit must run its nest fused. *)
-let fused_failure_parity ?config ?(device = Interp.Host) name build args expect =
+let fused_failure_parity ?config ?device name build args expect =
   let outcome () =
     let f = build () in
     let profile = Profile.create () in
@@ -922,7 +922,7 @@ let test_fused_dma_oob () =
     f
   in
   let lane =
-    Interp.Dpu_lane { Interp.dpu = 3; tasklet = 1; wram = Hashtbl.create 1; wram_used = ref 0 }
+    { Interp.dpu = 3; tasklet = 1; wram = Hashtbl.create 1; wram_used = 0; wram_bytes = 65536 }
   in
   fused_failure_parity ~device:lane "DMA at trip 3" build
     (fun () -> [ Rtval.Memref (iota [| 512 |]) ])
@@ -1171,6 +1171,76 @@ let test_cim_host_model () =
   Alcotest.(check (float 0.0)) "host_model is honoured" (est Cpu.xeon_opt) xeon.Report.host_s;
   Alcotest.(check bool) "the two models differ" true (xeon.Report.host_s <> arm.Report.host_s)
 
+(* ----- which path serves an op ----- *)
+
+(* Run [f] under both backends through [counting :: hooks ()], twice
+   each (the second run warm). The counting hook declines every op; it
+   must be offered device ops only, and never from a DPU lane or a pool
+   domain. *)
+let check_hooks_see_device_ops what ~jobs hooks (f : Func.t) modul args =
+  let offered = Atomic.make 0 and host_ops = Atomic.make 0 and from_lanes = Atomic.make 0 in
+  let counting : Interp.hook =
+   fun ctx op _ ->
+    Atomic.incr offered;
+    if not (Interp.is_device_op op) then Atomic.incr host_ops;
+    if Option.is_some ctx.Interp.device || not (Domain.is_main_domain ()) then
+      Atomic.incr from_lanes;
+    None
+  in
+  Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) @@ fun () ->
+  List.iter
+    (fun backend ->
+      with_backend backend (fun () ->
+          for _ = 1 to 2 do
+            ignore (Compile.run_func ~hooks:(counting :: hooks ()) ~modul f (args ()))
+          done))
+    [ Compile.Tree; Compile.Compiled ];
+  Alcotest.(check bool) (what ^ ": the hooks see device ops") true (Atomic.get offered > 0);
+  Alcotest.(check int) (what ^ ": host ops offered to the hooks") 0 (Atomic.get host_ops);
+  Alcotest.(check int) (what ^ ": hook calls from a lane") 0 (Atomic.get from_lanes)
+
+let test_hooks_see_device_ops () =
+  let module K = Cinm_benchmarks.Ml_kernels in
+  let mm = K.mm ~m:128 ~k:64 ~n:64 () in
+  let cim = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
+  let m = (Driver.compile_func cim (mm.Benchmark.build ())).Driver.modul in
+  check_hooks_see_device_ops "mm@cim" ~jobs:1
+    (fun () -> Cinm_core.Machine_set.hooks (Cinm_core.Machine_set.create ~faults:None cim))
+    (List.hd m.Func.funcs) m mm.Benchmark.inputs;
+  (* PrIM's histogram, whose tasklets meet at a barrier per merge chunk *)
+  let hst = Cinm_benchmarks.Prim_baseline.hst_l suite_upmem ~n:4096 () in
+  let m = Func.create_module () in
+  Func.add_func m (hst.Benchmark.build ());
+  check_hooks_see_device_ops "hst-l@upmem" ~jobs:4
+    (fun () ->
+      Cinm_core.Machine_set.hooks
+        (Cinm_core.Machine_set.create ~faults:None (Backend.Upmem suite_upmem)))
+    (List.hd m.Func.funcs) m hst.Benchmark.inputs
+
+(* A device op no hook answers fails when it runs, with the same message
+   under both backends. *)
+let test_unserved_device_op () =
+  let f = Func.create ~name:"unserved" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  ignore (Upmem_d.alloc_dpus b ~dimms:1 ~dpus:2 ~tasklets:1);
+  Func_d.return b [];
+  let cim = Backend.Cim (Backend.default_cim ()) in
+  let run () =
+    catch (fun () ->
+        Compile.run_func
+          ~hooks:(Cinm_core.Machine_set.hooks (Cinm_core.Machine_set.create ~faults:None cim))
+          f [])
+  in
+  differential run (fun tree compiled ->
+      let expect =
+        Some
+          (Printexc.to_string
+             (Interp.Interp_error "no interpreter semantics for upmem.alloc_dpus"))
+      in
+      Alcotest.(check (option string)) "tree" expect tree;
+      Alcotest.(check (option string)) "compiled" expect compiled)
+
 (* ----- compiled code on its block ----- *)
 
 (* A region's compiled unit lives on its entry block: the first compiled
@@ -1346,6 +1416,11 @@ let () =
         [ Alcotest.test_case "backend reads the Config default" `Quick
             test_backend_reads_config_default;
           Alcotest.test_case "cim honours host_model" `Quick test_cim_host_model;
+        ] );
+      ( "dispatch",
+        [ Alcotest.test_case "hooks see device ops only" `Quick test_hooks_see_device_ops;
+          Alcotest.test_case "an unserved device op fails alike" `Quick
+            test_unserved_device_op;
         ] );
       ( "code cache",
         [ Alcotest.test_case "fresh code after canonicalize" `Quick

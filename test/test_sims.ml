@@ -216,6 +216,28 @@ let test_host_transfer_scales_with_dimms () =
   Alcotest.(check bool) "4 dimms transfer faster than 1" true
     (transfer 4 8 < transfer 1 8)
 
+(* Host <-> MRAM transfers cost the host-transfer energy per byte: a
+   program that only scatters and gathers spends exactly that. *)
+let test_host_transfer_energy () =
+  let f = Func.create ~name:"t" ~arg_tys:[ tensor [| 256 |] ] ~result_tys:[ tensor [| 256 |] ] in
+  let b = Builder.for_func f in
+  let wg = Upmem_d.alloc_dpus b ~dimms:1 ~dpus:4 ~tasklets:2 in
+  let buf = Upmem_d.alloc b wg ~shape:[| 32 |] ~dtype:T.I32 ~level:0 in
+  ignore (Upmem_d.scatter b (Func.param f 0) buf wg ~map:"block");
+  let out, _ = Upmem_d.gather b buf wg ~result_shape:[| 256 |] in
+  Upmem_d.free_dpus b wg;
+  Func_d.return b [ out ];
+  let config = { (Usim.Config.default ~dimms:1 ()) with Usim.Config.dpus_per_dimm = 4 } in
+  let machine = Usim.Machine.create config in
+  let _, stats =
+    Usim.Machine.run machine f [ Rtval.Tensor (Tensor.init [| 256 |] (fun i -> i)) ]
+  in
+  Alcotest.(check int) "bytes both ways" (2 * 256 * 4) stats.Usim.Stats.transferred_bytes;
+  Alcotest.(check (float 0.))
+    "energy = transferred bytes x energy per host byte"
+    (float_of_int stats.Usim.Stats.transferred_bytes *. config.Usim.Config.energy_per_host_byte)
+    stats.Usim.Stats.energy_j
+
 let test_unknown_handle_fails () =
   let f = Func.create ~name:"bad" ~arg_tys:[] ~result_tys:[] in
   let b = Builder.for_func f in
@@ -358,6 +380,7 @@ let () =
           Alcotest.test_case "pipeline stall factor" `Quick test_pipeline_stall_factor;
           Alcotest.test_case "host transfer scales with dimms" `Quick
             test_host_transfer_scales_with_dimms;
+          Alcotest.test_case "host transfer energy" `Quick test_host_transfer_energy;
           Alcotest.test_case "structural edge" `Quick test_unknown_handle_fails;
         ] );
       ( "memristor machine",
