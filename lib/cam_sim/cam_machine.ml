@@ -92,24 +92,6 @@ let find_rtm m rv =
   | Some (Rtm d) -> d
   | _ -> invalid_arg "CAM machine: expected RTM handle"
 
-(* match scores: larger is better, mirroring Tensor.sim_search *)
-let score ~metric entry_row query width =
-  let acc = ref 0 in
-  for j = 0 to width - 1 do
-    let e = Tensor.get_int entry_row j and q = Tensor.get_int query j in
-    match metric with
-    | "hamming" ->
-      let x = (e lxor q) land 0xFFFFFFFF in
-      let rec bits v a = if v = 0 then a else bits (v lsr 1) (a + (v land 1)) in
-      acc := !acc - bits x 0
-    | "l2" ->
-      let d = e - q in
-      acc := !acc - (d * d)
-    | "dot" -> acc := !acc + (e * q)
-    | m -> invalid_arg ("cam.search_best: metric " ^ m)
-  done;
-  !acc
-
 let hook (m : t) : Interp.hook =
  fun _ctx op ops ->
   let operand i = ops.(i) in
@@ -143,11 +125,9 @@ let hook (m : t) : Interp.hook =
     | None -> invalid_arg "cam.search_best: no entries programmed"
     | Some data ->
       let entries = data.Tensor.shape.(0) and width = data.Tensor.shape.(1) in
-      let scores =
-        Tensor.init [| entries |] (fun i ->
-            score ~metric (Tensor.extract_slice data ~offsets:[| i; 0 |] ~sizes:[| 1; width |])
-              query width)
-      in
+      (* entry [i] is the window of the flat entry array at [i * width] *)
+      let score = Tensor.window_scorer ~metric data query width in
+      let scores = Tensor.init [| entries |] (fun i -> score (i * width)) in
       let _, indices = Tensor.topk ~k scores in
       (* one parallel search per query; the priority encoder walks k deep *)
       m.stats.cam_searches <- m.stats.cam_searches + 1;

@@ -193,26 +193,41 @@ let _ =
         op.Ir.operands;
       !ok)
 
-(* RPN evaluation over an abstract value domain; shared by the verifier-
-   level checks, the interpreter and the kernel generators. *)
-let eval_rpn ~(tokens : string list) ~(input : int -> 'a) ~(const : int -> 'a)
-    ~(apply : string -> 'a -> 'a -> 'a) : 'a =
+(* An RPN expression (cinm.ew_expr / fused-scan encoding) as a tree: its
+   post-order is the token order. *)
+type 'op rpn = In of int | Const of int | Op of 'op * 'op rpn * 'op rpn
+
+let parse_rpn (tokens : string list) : string rpn =
   let stack =
     List.fold_left
       (fun stack tok ->
         if String.length tok > 2 && String.sub tok 0 2 = "in" then
-          input (int_of_string (String.sub tok 2 (String.length tok - 2))) :: stack
+          In (int_of_string (String.sub tok 2 (String.length tok - 2))) :: stack
         else if String.length tok > 5 && String.sub tok 0 5 = "const" then
-          const (int_of_string (String.sub tok 5 (String.length tok - 5))) :: stack
+          Const (int_of_string (String.sub tok 5 (String.length tok - 5))) :: stack
         else
           match stack with
-          | rhs :: lhs :: rest -> apply tok lhs rhs :: rest
+          | rhs :: lhs :: rest -> Op (tok, lhs, rhs) :: rest
           | _ -> invalid_arg "cinm.ew_expr: malformed RPN")
       [] tokens
   in
   match stack with
   | [ v ] -> v
   | _ -> invalid_arg "cinm.ew_expr: RPN does not reduce to one value"
+
+(* Evaluation over an abstract value domain, in token order; the kernel
+   generators build IR with it. *)
+let eval_rpn ~(tokens : string list) ~(input : int -> 'a) ~(const : int -> 'a)
+    ~(apply : string -> 'a -> 'a -> 'a) : 'a =
+  let rec go = function
+    | In k -> input k
+    | Const c -> const c
+    | Op (name, l, r) ->
+      let a = go l in
+      let b = go r in
+      apply name a b
+  in
+  go (parse_rpn tokens)
 
 let ensure () = ignore dialect
 

@@ -19,10 +19,17 @@ val support_of : string -> support option
 val elementwise_binary : string list
 val ensure : unit -> unit
 
-(** Evaluate an RPN expression (cinm.ew_expr / fused-scan encoding) over an
-    abstract value domain: ["inK"] pushes input K, ["constC"] the literal
-    C, and an op name combines the two top-of-stack values. Shared by the
-    interpreter and the kernel generators.
+(** An RPN expression (cinm.ew_expr / fused-scan encoding) as a tree:
+    ["inK"] is input K, ["constC"] the literal C, and an op name combines
+    the two values before it. Its post-order is the token order. *)
+type 'op rpn = In of int | Const of int | Op of 'op * 'op rpn * 'op rpn
+
+(** @raise Invalid_argument on malformed token streams. *)
+val parse_rpn : string list -> string rpn
+
+(** Evaluate an RPN expression over an abstract value domain, calling
+    [input], [const] and [apply] in token order. The kernel generators
+    build IR with it; the host kernels run {!parse_rpn}'s tree instead.
     @raise Invalid_argument on malformed token streams. *)
 val eval_rpn :
   tokens:string list ->

@@ -69,7 +69,7 @@ let hook ?(on_launch = fun (_ : Profile.t list) -> ()) (st : state) : Interp.hoo
     match (Ir.result op 0).Ir.ty with
     | Types.Buffer { shape; dtype; level } ->
       let n = Cinm_dialects.Cnm_d.buffers_at_level wg.wg_shape level in
-      let per_pu = Array.init n (fun _ -> Tensor.zeros shape dtype) in
+      let per_pu = Tensor.array_init n (fun _ -> Tensor.zeros shape dtype) in
       Some [ register st (Buf { per_pu; buf_shape = shape; dtype; level }) ]
     | _ -> invalid_arg "cnm.alloc: bad result type")
   | "cnm.scatter" ->

@@ -606,28 +606,11 @@ and eval_op ctx (op : Ir.op) : unit =
       match Ir.attr op "pre_expr" with
       | None -> t_operand ctx op 0
       | Some (Attr.Strs tokens) ->
-        (* fused elementwise chain evaluated on the fly *)
+        (* the fused elementwise chain, run before the scan *)
         let inputs = Array.init (Ir.num_operands op) (fun i -> t_operand ctx op i) in
         let n = Tensor.num_elements inputs.(0) in
-        let out = Tensor.zeros inputs.(0).Tensor.shape inputs.(0).Tensor.dtype in
         p.Profile.alu_ops <- p.Profile.alu_ops + (n * List.length tokens / 2);
-        if Types.is_float_dtype out.Tensor.dtype then
-          for i = 0 to n - 1 do
-            Tensor.set_float out i
-              (Cinm_dialects.Cinm_d.eval_rpn ~tokens
-                 ~input:(fun k -> Tensor.get_float inputs.(k) i)
-                 ~const:float_of_int ~apply:Tensor.float_binop)
-          done
-        else
-          for i = 0 to n - 1 do
-            Tensor.set_int out i
-              (Cinm_dialects.Cinm_d.eval_rpn ~tokens
-                 ~input:(fun k -> Tensor.get_int inputs.(k) i)
-                 ~const:(fun c -> c)
-                 ~apply:(fun name x y ->
-                   Tensor.wrap out.Tensor.dtype (Tensor.int_binop name x y)))
-          done;
-        out
+        Tensor.ew_expr tokens inputs
       | Some a -> err "cinm.scan: bad pre_expr %s" (Attr.to_string a)
     in
     account_elementwise p (Tensor.num_elements a);
@@ -677,29 +660,10 @@ and eval_op ctx (op : Ir.op) : unit =
     in
     let inputs = Array.init (Ir.num_operands op) (fun i -> t_operand ctx op i) in
     let n = Tensor.num_elements inputs.(0) in
-    let out = Tensor.zeros inputs.(0).Tensor.shape inputs.(0).Tensor.dtype in
     p.Profile.alu_ops <- p.Profile.alu_ops + (n * List.length tokens / 2);
     p.Profile.loads <- p.Profile.loads + (n * Array.length inputs);
     p.Profile.stores <- p.Profile.stores + n;
-    if Types.is_float_dtype out.Tensor.dtype then
-      for i = 0 to n - 1 do
-        Tensor.set_float out i
-          (Cinm_dialects.Cinm_d.eval_rpn ~tokens
-             ~input:(fun k -> Tensor.get_float inputs.(k) i)
-             ~const:float_of_int ~apply:Tensor.float_binop)
-      done
-    else
-      for i = 0 to n - 1 do
-        let v =
-          Cinm_dialects.Cinm_d.eval_rpn ~tokens
-            ~input:(fun k -> Tensor.get_int inputs.(k) i)
-            ~const:(fun c -> c)
-            ~apply:(fun name a bv ->
-              Tensor.wrap out.Tensor.dtype (Tensor.int_binop name a bv))
-        in
-        Tensor.set_int out i v
-      done;
-    set_results [ Rtval.Tensor out ]
+    set_results [ Rtval.Tensor (Tensor.ew_expr tokens inputs) ]
   (* ----- tosa ----- *)
   | "tosa.fully_connected" ->
     let input = t_operand ctx op 0

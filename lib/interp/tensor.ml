@@ -52,6 +52,19 @@ let dtype_class = function
 
 let payload_class = function I _ -> 0 | I8 _ -> 1 | I16 _ -> 2 | F _ -> 3
 
+(* A statically allocated tensor: an array filled with it has no young
+   element. [Array.make] of more than 256 elements runs a minor collection
+   to promote a young initial value (as [Array.init] does with [f 0]);
+   the per-PU buffer arrays of a workgroup have 512 and more. *)
+let static_empty = { shape = [| 0 |]; dtype = Types.I32; data = I [||] }
+
+let array_init n f =
+  let a = Array.make n static_empty in
+  for i = 0 to n - 1 do
+    a.(i) <- f i
+  done;
+  a
+
 (* ----- arena: recycled tensor storage ----- *)
 
 (* The simulators allocate short-lived tensors at a high rate: per-PU MRAM
@@ -292,23 +305,97 @@ let to_string ?(max_elems = 16) t =
     (String.concat ", " elems)
     (if n > shown then ", ..." else "")
 
-(* ----- element-wise operations ----- *)
+(* ----- the int-op table ----- *)
+
+(* Every integer binop by name. A kernel matches the op once per call and
+   runs the loop specialised to it; [int_binop] remains for scalar
+   callers. *)
+type iop = Add | Sub | Mul | Div | Rem | Min | Max | And | Or | Xor | Shl | Shr
+
+let iop = function
+  | "add" -> Add
+  | "sub" -> Sub
+  | "mul" -> Mul
+  | "div" -> Div
+  | "rem" -> Rem
+  | "min" -> Min
+  | "max" -> Max
+  | "and" -> And
+  | "or" -> Or
+  | "xor" -> Xor
+  | "shl" -> Shl
+  | "shr" -> Shr
+  | name -> invalid_arg ("Tensor.int_binop: " ^ name)
+
+(* division and remainder by zero give 0 *)
+let[@inline] idiv a b = if b = 0 then 0 else a / b
+let[@inline] irem a b = if b = 0 then 0 else a mod b
+let[@inline] imin (a : int) b = if a <= b then a else b
+let[@inline] imax (a : int) b = if a >= b then a else b
 
 let int_binop name : int -> int -> int =
-  match name with
-  | "add" -> ( + )
-  | "sub" -> ( - )
-  | "mul" -> ( * )
-  | "div" -> fun a b -> if b = 0 then 0 else a / b
-  | "rem" -> fun a b -> if b = 0 then 0 else a mod b
-  | "min" -> min
-  | "max" -> max
-  | "and" -> ( land )
-  | "or" -> ( lor )
-  | "xor" -> ( lxor )
-  | "shl" -> ( lsl )
-  | "shr" -> ( asr )
-  | _ -> invalid_arg ("Tensor.int_binop: " ^ name)
+  match iop name with
+  | Add -> ( + )
+  | Sub -> ( - )
+  | Mul -> ( * )
+  | Div -> idiv
+  | Rem -> irem
+  | Min -> imin
+  | Max -> imax
+  | And -> ( land )
+  | Or -> ( lor )
+  | Xor -> ( lxor )
+  | Shl -> ( lsl )
+  | Shr -> ( asr )
+
+(* [wrap dt x] for an integer dtype is [wr s m x] with [s = wrap_shift dt]
+   and [m = wrap_mask dt]: the sign extension the compiled interpreter
+   stores with, i1 keeping its low bit. *)
+let wrap_shift = function
+  | (Types.I8 | Types.I16 | Types.I32) as dt -> 63 - Types.dtype_bits dt
+  | _ -> 0
+
+let wrap_mask = function Types.I1 -> 1 | _ -> -1
+let[@inline] wr s m x = ((x lsl s) asr s) land m
+let[@inline] ld (a : int array) i = Array.unsafe_get a i
+let[@inline] put (z : int array) zo i v = Array.unsafe_set z (zo + i) v
+
+(* [z.(zo+i) <- wr s m (x.(xo+i) op y.(yo+i))] for [i] from 0 to
+   [n - 1], in that order, so [z] may alias [x] or [y] at any offsets
+   ([scan] runs its recurrence this way). Callers check bounds. *)
+let zip_ints op s m x xo y yo z zo n =
+  match op with
+  | Add -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) + ld y (yo + i))) done
+  | Sub -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) - ld y (yo + i))) done
+  | Mul -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) * ld y (yo + i))) done
+  | Div -> for i = 0 to n - 1 do put z zo i (wr s m (idiv (ld x (xo + i)) (ld y (yo + i)))) done
+  | Rem -> for i = 0 to n - 1 do put z zo i (wr s m (irem (ld x (xo + i)) (ld y (yo + i)))) done
+  | Min -> for i = 0 to n - 1 do put z zo i (wr s m (imin (ld x (xo + i)) (ld y (yo + i)))) done
+  | Max -> for i = 0 to n - 1 do put z zo i (wr s m (imax (ld x (xo + i)) (ld y (yo + i)))) done
+  | And -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) land ld y (yo + i))) done
+  | Or -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) lor ld y (yo + i))) done
+  | Xor -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) lxor ld y (yo + i))) done
+  | Shl -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) lsl ld y (yo + i))) done
+  | Shr -> for i = 0 to n - 1 do put z zo i (wr s m (ld x (xo + i) asr ld y (yo + i))) done
+
+(* [x.(0) op x.(1) op ... op x.(n - 1)], left to right and unwrapped;
+   [n >= 1] *)
+let fold_ints op x n =
+  let acc = ref (ld x 0) in
+  (match op with
+  | Add -> for i = 1 to n - 1 do acc := !acc + ld x i done
+  | Sub -> for i = 1 to n - 1 do acc := !acc - ld x i done
+  | Mul -> for i = 1 to n - 1 do acc := !acc * ld x i done
+  | Div -> for i = 1 to n - 1 do acc := idiv !acc (ld x i) done
+  | Rem -> for i = 1 to n - 1 do acc := irem !acc (ld x i) done
+  | Min -> for i = 1 to n - 1 do acc := imin !acc (ld x i) done
+  | Max -> for i = 1 to n - 1 do acc := imax !acc (ld x i) done
+  | And -> for i = 1 to n - 1 do acc := !acc land ld x i done
+  | Or -> for i = 1 to n - 1 do acc := !acc lor ld x i done
+  | Xor -> for i = 1 to n - 1 do acc := !acc lxor ld x i done
+  | Shl -> for i = 1 to n - 1 do acc := !acc lsl ld x i done
+  | Shr -> for i = 1 to n - 1 do acc := !acc asr ld x i done);
+  !acc
 
 let float_binop name : float -> float -> float =
   match name with
@@ -370,20 +457,10 @@ let copy t =
 let map2_to name a b out =
   if a.shape <> b.shape then invalid_arg "Tensor.map2: shape mismatch";
   match (a.data, b.data, out.data) with
-  | I x, I y, I z ->
-    (* binop and dtype resolved once, not per element; every index is in
-       range (x, y and z have equal shapes) *)
-    let f = int_binop name in
-    let n = Array.length x in
-    (match a.dtype with
-    | Types.I64 ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set z i (f (Array.unsafe_get x i) (Array.unsafe_get y i))
-      done
-    | dt ->
-      for i = 0 to n - 1 do
-        Array.unsafe_set z i (wrap dt (f (Array.unsafe_get x i) (Array.unsafe_get y i)))
-      done)
+  | I x, I y, I z when is_int a ->
+    (* x, y and z have equal shapes, so every index is in range *)
+    let dt = a.dtype in
+    zip_ints (iop name) (wrap_shift dt) (wrap_mask dt) x 0 y 0 z 0 (Array.length x)
   | F x, F y, F z ->
     let n = Array.length x in
     if n > 0 then begin
@@ -434,6 +511,94 @@ let fill_float shape dtype v =
   | F a -> Array.fill a 0 (Array.length a) v
   | I _ | I8 _ | I16 _ -> invalid_arg "Tensor.fill_float: integer dtype");
   t
+
+(* ----- fused element-wise expressions ----- *)
+
+(* [ew_expr] runs its expression one op at a time over rows of up to this
+   many elements, one buffer per stack slot: small enough for the minor
+   heap. *)
+let ew_row = 256
+
+let rec rpn_map f : 'a Cinm_dialects.Cinm_d.rpn -> 'b Cinm_dialects.Cinm_d.rpn = function
+  | In k -> In k
+  | Const c -> Const c
+  | Op (o, l, r) ->
+    (* token order, so the first bad token raises *)
+    let l = rpn_map f l in
+    let r = rpn_map f r in
+    Op (f o, l, r)
+
+let rec rpn_depth : 'a Cinm_dialects.Cinm_d.rpn -> int = function
+  | In _ | Const _ -> 1
+  | Op (_, l, r) -> max (rpn_depth l) (1 + rpn_depth r)
+
+let ew_expr tokens inputs =
+  let module C = Cinm_dialects.Cinm_d in
+  let t0 = inputs.(0) in
+  let n = num_elements t0 in
+  let out = Arena.alloc_uninit t0.shape t0.dtype in
+  let row = min ew_row n in
+  (* [eval expr 0 lo len] on each row, then [store lo len] of slot 0 *)
+  let rows eval expr store =
+    let lo = ref 0 in
+    while !lo < n do
+      let len = min row (n - !lo) in
+      eval expr 0 !lo len;
+      store !lo len;
+      lo := !lo + len
+    done
+  in
+  (if n > 0 then
+     let expr = C.parse_rpn tokens in
+     let depth = rpn_depth expr in
+     match out.data with
+     | F z ->
+       let expr = rpn_map float_binop expr in
+       let buf = Array.init depth (fun _ -> Array.make row 0.0) in
+       let rec eval node d lo len =
+         let b = buf.(d) in
+         match node with
+         | C.In k ->
+           let t = inputs.(k) in
+           for i = 0 to len - 1 do
+             b.(i) <- get_float t (lo + i)
+           done
+         | C.Const c -> Array.fill b 0 len (float_of_int c)
+         | C.Op (f, l, r) ->
+           eval l d lo len;
+           eval r (d + 1) lo len;
+           let y = buf.(d + 1) in
+           for i = 0 to len - 1 do
+             b.(i) <- f b.(i) y.(i)
+           done
+       in
+       rows eval expr (fun lo len -> Array.blit buf.(0) 0 z lo len)
+     | _ ->
+       let expr = rpn_map iop expr in
+       let s = wrap_shift out.dtype and m = wrap_mask out.dtype in
+       let buf = Array.init depth (fun _ -> Array.make row 0) in
+       let rec eval node d lo len =
+         let b = buf.(d) in
+         match node with
+         | C.In k -> (
+           match inputs.(k) with
+           | { data = I a; _ } when lo + len <= Array.length a -> blit_ints a lo b 0 len
+           | t ->
+             for i = 0 to len - 1 do
+               b.(i) <- get_int t (lo + i)
+             done)
+         | C.Const c -> Array.fill b 0 len c
+         | C.Op (o, l, r) ->
+           eval l d lo len;
+           eval r (d + 1) lo len;
+           zip_ints o s m b 0 buf.(d + 1) 0 b 0 len
+       in
+       let b = buf.(0) in
+       rows eval expr
+         (match out.data with
+         | I z -> fun lo len -> for i = 0 to len - 1 do put z lo i (wr s m (ld b i)) done
+         | _ -> fun lo len -> for i = 0 to len - 1 do set_int out (lo + i) b.(i) done));
+  out
 
 (* ----- linear algebra ----- *)
 
@@ -495,13 +660,15 @@ let gemm_int ~batch ~m ~n ~k x y ~ldb z ~ldc dt =
         end;
         incr p
       done;
-      if dt <> Types.I64 then
-        for r = 0 to 1 do
-          let zr = if r = 0 then z0 else z1 in
-          for j = zr to zr + n - 1 do
-            Array.unsafe_set z j (wrap dt (Array.unsafe_get z j))
-          done
+      if dt <> Types.I64 then begin
+        let s = wrap_shift dt and msk = wrap_mask dt in
+        for j = z0 to z0 + n - 1 do
+          put z 0 j (wr s msk (ld z j))
         done;
+        for j = z1 to z1 + n - 1 do
+          put z 0 j (wr s msk (ld z j))
+        done
+      end;
       i := !i + 2
     done
   done
@@ -592,13 +759,20 @@ let dot_f a b =
 let reduce op t =
   let n = num_elements t in
   if n = 0 then 0
-  else begin
-    let acc = ref (get_int t 0) in
-    for i = 1 to n - 1 do
-      acc := int_binop op !acc (get_int t i)
-    done;
-    wrap t.dtype !acc
-  end
+  else if n = 1 then wrap t.dtype (get_int t 0)
+  else
+    let acc =
+      match t.data with
+      | I x -> fold_ints (iop op) x n
+      | _ ->
+        let f = int_binop op in
+        let acc = ref (get_int t 0) in
+        for i = 1 to n - 1 do
+          acc := f !acc (get_int t i)
+        done;
+        !acc
+    in
+    wrap t.dtype acc
 
 let reduce_f op t =
   let n = num_elements t in
@@ -621,10 +795,15 @@ let scan op t =
     for i = 1 to n - 1 do
       a.(i) <- f a.(i - 1) a.(i)
     done
-  | I _ | I8 _ | I16 _ ->
+  | I a when is_int t && n > 1 ->
+    (* out.(i) <- out.(i - 1) op out.(i), one zip over overlapping ranges *)
+    zip_ints (iop op) (wrap_shift t.dtype) (wrap_mask t.dtype) a 0 a 1 a 1 (n - 1)
+  | (I _ | I8 _ | I16 _) when n > 1 ->
+    let f = int_binop op in
     for i = 1 to n - 1 do
-      set_int out i (int_binop op (get_int out (i - 1)) (get_int out i))
-    done);
+      set_int out i (f (get_int out (i - 1)) (get_int out i))
+    done
+  | I _ | I8 _ | I16 _ -> ());
   out
 
 let histogram ~bins t =
@@ -635,12 +814,17 @@ let histogram ~bins t =
   done;
   out
 
+(* set bits of a 32-bit value, SWAR *)
+let popcount32 x =
+  let x = x - ((x lsr 1) land 0x55555555) in
+  let x = (x land 0x33333333) + ((x lsr 2) land 0x33333333) in
+  let x = (x + (x lsr 4)) land 0x0F0F0F0F in
+  ((x * 0x01010101) lsr 24) land 0xFF
+
 let pop_count t =
   let count = ref 0 in
   for i = 0 to num_elements t - 1 do
-    let v = get_int t i land 0xFFFFFFFF in
-    let rec bits x acc = if x = 0 then acc else bits (x lsr 1) (acc + (x land 1)) in
-    count := !count + bits v 0
+    count := !count + popcount32 (get_int t i land 0xFFFFFFFF)
   done;
   !count
 
@@ -661,19 +845,135 @@ let majority t =
   set_int out 0 !result;
   out
 
+(* ----- k-best selection ----- *)
+
+(* The [k] best of candidates [(v, i)] offered in ascending [i]: value
+   descending, then index ascending, as a stable descending sort of all
+   of them would rank them. A heap over the kept candidates holds the
+   lowest-ranked one at its root, so a candidate costs one comparison, or
+   O(log k) if it is kept: O(n log k) time and O(k) space. *)
+type kbest = { vals : int array; idx : int array; mutable size : int }
+
+let[@inline] below (va : int) (ia : int) vb ib = va < vb || (va = vb && ia > ib)
+
+(* Put [(v, i)] into the hole at [pos] of the heap's first [size] slots,
+   moving lower-ranked children up into it. *)
+let rec sift_down h v i pos size =
+  let c = (2 * pos) + 1 in
+  let c =
+    if c + 1 < size && below (ld h.vals (c + 1)) (ld h.idx (c + 1)) (ld h.vals c) (ld h.idx c)
+    then c + 1
+    else c
+  in
+  if c < size && below (ld h.vals c) (ld h.idx c) v i then begin
+    put h.vals pos 0 (ld h.vals c);
+    put h.idx pos 0 (ld h.idx c);
+    sift_down h v i c size
+  end
+  else begin
+    put h.vals pos 0 v;
+    put h.idx pos 0 i
+  end
+
+let offer h v i =
+  let k = Array.length h.vals in
+  if h.size < k then begin
+    let pos = ref h.size in
+    h.size <- h.size + 1;
+    while !pos > 0 && below v i (ld h.vals ((!pos - 1) / 2)) (ld h.idx ((!pos - 1) / 2)) do
+      let p = (!pos - 1) / 2 in
+      put h.vals !pos 0 (ld h.vals p);
+      put h.idx !pos 0 (ld h.idx p);
+      pos := p
+    done;
+    put h.vals !pos 0 v;
+    put h.idx !pos 0 i
+  end
+  (* indices ascend, so a tie with the root ranks below it *)
+  else if k > 0 && v > ld h.vals 0 then sift_down h v i 0 k
+
+(* [k] fresh best-first result tensors of [select], which offers every
+   candidate to the heap it is given. *)
+let select_best ~k dtype select =
+  let values = zeros [| k |] dtype and indices = zeros [| k |] Types.I32 in
+  let h = { vals = Array.make k 0; idx = Array.make k 0; size = 0 } in
+  select h;
+  (* heap sort: the lowest-ranked root goes to the back *)
+  for last = h.size - 1 downto 1 do
+    let v = ld h.vals last and i = ld h.idx last in
+    put h.vals last 0 (ld h.vals 0);
+    put h.idx last 0 (ld h.idx 0);
+    sift_down h v i 0 last
+  done;
+  for j = 0 to h.size - 1 do
+    set_int values j h.vals.(j);
+    set_int indices j h.idx.(j)
+  done;
+  (values, indices)
+
 let topk ~k t =
   let n = num_elements t in
   if k > n then invalid_arg "Tensor.topk: k > size";
-  let indexed = Array.init n (fun i -> (get_int t i, i)) in
-  Array.sort (fun (a, ia) (b, ib) -> if b <> a then compare b a else compare ia ib) indexed;
-  let values = zeros [| k |] t.dtype in
-  let indices = zeros [| k |] Types.I32 in
-  for i = 0 to k - 1 do
-    let v, idx = indexed.(i) in
-    set_int values i v;
-    set_int indices i idx
-  done;
-  (values, indices)
+  select_best ~k t.dtype (fun h ->
+      match t.data with
+      | I a ->
+        for i = 0 to n - 1 do
+          offer h (ld a i) i
+        done
+      | _ ->
+        for i = 0 to n - 1 do
+          offer h (get_int t i) i
+        done)
+
+let window_scorer ~metric db query len =
+  let n = num_elements db and qn = num_elements query in
+  let check off = if off < 0 || off + len > n || len > qn then invalid_arg "index out of bounds" in
+  let bad () = invalid_arg ("Tensor.sim_search: metric " ^ metric) in
+  match (db.data, query.data) with
+  | I d, I q -> (
+    match metric with
+    | "dot" ->
+      fun off ->
+        check off;
+        let acc = ref 0 in
+        for i = 0 to len - 1 do
+          acc := !acc + (ld d (off + i) * ld q i)
+        done;
+        !acc
+    | "l2" ->
+      fun off ->
+        check off;
+        let acc = ref 0 in
+        for i = 0 to len - 1 do
+          let x = ld d (off + i) - ld q i in
+          acc := !acc - (x * x)
+        done;
+        !acc
+    | "hamming" ->
+      fun off ->
+        check off;
+        let acc = ref 0 in
+        for i = 0 to len - 1 do
+          acc := !acc - popcount32 ((ld d (off + i) lxor ld q i) land 0xFFFFFFFF)
+        done;
+        !acc
+    | _ -> bad ())
+  | _ -> (
+    (* narrow, float or mixed payloads: element access through the
+       generic getter *)
+    let score f off =
+      check off;
+      let acc = ref 0 in
+      for i = 0 to len - 1 do
+        acc := f !acc (get_int db (off + i)) (get_int query i)
+      done;
+      !acc
+    in
+    match metric with
+    | "dot" -> score (fun acc d q -> acc + (d * q))
+    | "l2" -> score (fun acc d q -> acc - ((d - q) * (d - q)))
+    | "hamming" -> score (fun acc d q -> acc - popcount32 ((d lxor q) land 0xFFFFFFFF))
+    | _ -> bad ())
 
 (* Similarity search: score each window of [db] (len = |query|) against the
    query with the metric, return k best (values = scores). *)
@@ -681,31 +981,13 @@ let sim_search ~metric ~k db query =
   let n = num_elements db and m = num_elements query in
   if m = 0 || m > n then invalid_arg "Tensor.sim_search";
   let windows = n - m + 1 in
-  let score w =
-    let acc = ref 0 in
-    for i = 0 to m - 1 do
-      let d = get_int db (w + i) and q = get_int query i in
-      (match metric with
-      | "dot" -> acc := !acc + (d * q)
-      | "l2" -> acc := !acc - ((d - q) * (d - q))
-      | "hamming" ->
-        let x = (d lxor q) land 0xFFFFFFFF in
-        let rec bits v a = if v = 0 then a else bits (v lsr 1) (a + (v land 1)) in
-        acc := !acc - bits x 0
-      | _ -> invalid_arg ("Tensor.sim_search: metric " ^ metric))
-    done;
-    !acc
-  in
-  let scores = Array.init windows (fun w -> (score w, w)) in
-  Array.sort (fun (a, ia) (b, ib) -> if b <> a then compare b a else compare ia ib) scores;
-  let values = zeros [| k |] db.dtype in
-  let indices = zeros [| k |] Types.I32 in
-  for i = 0 to k - 1 do
-    let v, idx = scores.(i) in
-    set_int values i v;
-    set_int indices i idx
-  done;
-  (values, indices)
+  let score = window_scorer ~metric db query m in
+  (* more results than windows fails as an out-of-range read *)
+  if k > windows then invalid_arg "index out of bounds";
+  select_best ~k db.dtype (fun h ->
+      for w = 0 to windows - 1 do
+        offer h (score w) w
+      done)
 
 (* ----- shape manipulation ----- *)
 
@@ -823,13 +1105,9 @@ let merge_region name dst ~offsets src =
   let fits = rank > 0 && src.dtype = dst.dtype && region_in_bounds dst.shape offsets src.shape in
   let region row = blit_region row src.shape (Array.make rank 0) dst.shape offsets src.shape in
   match (src.data, dst.data) with
-  | I s, I d when fits ->
-    let f = int_binop name and dt = dst.dtype in
-    region (fun so d_o len ->
-        for j = 0 to len - 1 do
-          Array.unsafe_set d (d_o + j)
-            (wrap dt (f (Array.unsafe_get d (d_o + j)) (Array.unsafe_get s (so + j))))
-        done);
+  | I s, I d when fits && is_int dst ->
+    let op = iop name and sh = wrap_shift dst.dtype and m = wrap_mask dst.dtype in
+    region (fun so d_o len -> zip_ints op sh m d d_o s so d d_o len);
     true
   | F s, F d when fits ->
     let f = float_binop name in

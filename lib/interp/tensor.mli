@@ -27,6 +27,11 @@ val of_float_array : ?dtype:Types.dtype -> int array -> float array -> t
     (flattened index), wrapped to the dtype. *)
 val init : ?dtype:Types.dtype -> int array -> (int -> int) -> t
 
+(** [array_init n f] is [Array.init n f] without the minor collection
+    [Array.init] runs for [n > 256] when [f 0] is young: the array starts
+    out filled with a statically allocated tensor. *)
+val array_init : int -> (int -> t) -> t array
+
 (** A fresh tensor equal to its argument. Like every kernel below that
     returns fresh storage, it takes that storage from {!Arena}. *)
 val copy : t -> t
@@ -72,11 +77,19 @@ val blit_strided : t -> int -> int -> t -> int -> int -> unit
 
 (** {1 Element-wise} *)
 
-(** Scalar integer semantics of a named binop ("add", "min", "xor", ...).
+(** Scalar integer semantics of a named binop ("add", "sub", "mul",
+    "div", "rem", "min", "max", "and", "or", "xor", "shl", "shr"; division
+    and remainder by zero give 0). For scalar callers only: the tensor
+    kernels below ({!map2}, {!merge_region}, {!reduce}, {!scan},
+    {!ew_expr}) match the op once per call and run a loop specialised to
+    it on [int array] payloads.
     @raise Invalid_argument on unknown names. *)
 val int_binop : string -> int -> int -> int
 
+(** Float semantics of "add", "sub", "mul", "div", "min" and "max"; min and
+    max are [Float.min]/[Float.max] (NaN wins, [-0.] below [0.]). *)
 val float_binop : string -> float -> float -> float
+
 val map2 : string -> t -> t -> t
 
 (** [map2_in_place name a b] stores [map2 name a b] into [a]'s storage.
@@ -84,6 +97,17 @@ val map2 : string -> t -> t -> t
 val map2_in_place : string -> t -> t -> unit
 
 val map_not : t -> t
+
+(** [ew_expr tokens inputs] evaluates the RPN expression of a
+    [cinm.ew_expr] (or a fused scan's [pre_expr]) at every element of the
+    inputs, into a fresh tensor with [inputs.(0)]'s shape and dtype. The
+    tokens are parsed once, and each op runs over a row of elements at a
+    time. Integer ops wrap their result to the dtype; constants enter
+    unwrapped. Float dtypes use {!float_binop}.
+    @raise Invalid_argument on a malformed expression or unknown op, when
+    the inputs have elements. *)
+val ew_expr : string list -> t array -> t
+
 val fill_scalar : int array -> Types.dtype -> int -> t
 
 (** [fill_float shape dtype v] is a float tensor with every element [v].
@@ -126,12 +150,26 @@ val pop_count : t -> int
 (** Bit-wise majority across all elements (the RTM majority op). *)
 val majority : t -> t
 
-(** Top-[k] values and their indices, ties broken towards lower indices. *)
+(** Top-[k] values and their indices, best first: value descending, then
+    index ascending (a stable descending sort's order). A size-[k] heap
+    selects them in O(n log k) time and O(k) space.
+    @raise Invalid_argument ["Tensor.topk: k > size"]. *)
 val topk : k:int -> t -> t * t
 
 (** Score every length-|query| window of [db] with the metric ("dot", "l2"
-    or "hamming"; larger is more similar) and return the [k] best. *)
+    or "hamming"; larger is more similar) and return the [k] best scores
+    (wrapped to [db]'s dtype) and window offsets, in {!topk}'s order and
+    time. Scores are ranked before they are wrapped. *)
 val sim_search : metric:string -> k:int -> t -> t -> t * t
+
+(** [window_scorer ~metric db query len] is the window score of
+    {!sim_search}: applied to [off], the unwrapped score of
+    [db.(off) .. db.(off + len - 1)] against [query.(0) .. query.(len - 1)].
+    The metric is matched once, here; on [int array] payloads each metric
+    has its own loop.
+    @raise Invalid_argument on an unknown metric (here) or a window out of
+    range (at the call). *)
+val window_scorer : metric:string -> t -> t -> int -> int -> int
 
 (** {1 Shape manipulation} *)
 
@@ -149,7 +187,8 @@ val write_slice : t -> t -> offsets:int array -> unit
 (** [merge_region name dst ~offsets src] stores
     [map2 name (extract_slice dst ~offsets ~sizes:src.shape) src] into
     that region of [dst] in one pass and returns [true] when the region is
-    in bounds and both payloads are int or float arrays of one dtype;
+    in bounds and both payloads are int arrays of one integer dtype or
+    float arrays of one dtype;
     otherwise it touches nothing and returns [false]. Only for a [dst] no
     other live value shares. *)
 val merge_region : string -> t -> offsets:int array -> t -> bool

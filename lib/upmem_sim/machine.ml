@@ -483,7 +483,7 @@ let hook (m : t) : Interp.hook =
           (Printf.sprintf
              "upmem machine: MRAM exhausted (%d B allocated per DPU, %d B available)"
              m.mram_used_per_dpu m.config.Config.mram_bytes);
-      let per_pu = Array.init n (fun _ -> Tensor.Arena.alloc shape dtype) in
+      let per_pu = Tensor.array_init n (fun _ -> Tensor.Arena.alloc shape dtype) in
       if tracing m then
         Trace.instant ~cat:"alloc"
           ~args:

@@ -10,6 +10,8 @@
                                    lib/interp (but atomic counters), no
                                    Interp.eval_* outside lib/interp, no
                                    Array.blit in lib/interp but tensor.ml,
+                                   no eval_rpn in lib/interp, no
+                                   Array.sort in tensor.ml,
                                    no Cnm_d.workgroup but in
                                    Cinm_to_cnm.workgroup, no Schedule
                                    in the simulators; no clock in a
@@ -250,6 +252,13 @@ let lint lib tests =
     @ offences
         ~files:(List.filter (( <> ) (Filename.concat interp_dir "tensor.ml")) interp_files)
         ~why:"copy ints with Tensor.blit_ints" (mentions "Array.blit")
+    (* host kernels parse an RPN expression once per execution
+       (Tensor.ew_expr), not once per element *)
+    @ offences ~files:interp_files ~why:"run RPN through Tensor.ew_expr" (mentions "eval_rpn")
+    (* top-k selection is a size-k heap, not a sort of every candidate *)
+    @ offences
+        ~files:[ Filename.concat interp_dir "tensor.ml" ]
+        ~why:"select with the k-best heap" (mentions "Array.sort")
     @ global_state ~files:transforms ~allow:[] "a pass"
     (* one rule shapes every UPMEM workgroup: the DPUs a launch's rows
        fill, up to the configured count *)

@@ -449,6 +449,57 @@ let test_code_dies_with_module () =
     Alcotest.failf "live heap grew %.2f MB over 3 rounds of fresh modules (%s MB)" growth
       (String.concat ", " (List.map (Printf.sprintf "%.2f") live))
 
+(* Top-8 selection over 4096 and 65536 candidates allocates the same:
+   the k-best heap and the two results, nothing per candidate. (A boxed
+   (value, index) pair per candidate, sorted, is 3 minor words each:
+   180K more at the larger size.) *)
+let test_selection_words () =
+  let words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (what, run) ->
+      let small = words (run 4096) and large = words (run 65536) in
+      if large -. small > 100. then
+        Alcotest.failf "%s allocated %.0f minor words at n = 4096 and %.0f at n = 65536" what
+          small large)
+    [
+      ( "topk",
+        fun n ->
+          let t = Tensor.init [| n |] (fun i -> (i * 7919) mod 1000) in
+          fun () -> Tensor.topk ~k:8 t );
+      ( "sim_search",
+        fun n ->
+          let db = Tensor.init [| n |] (fun i -> (i * 7919) mod 1000)
+          and q = Tensor.init [| 8 |] (fun i -> i * 3) in
+          fun () -> Tensor.sim_search ~metric:"l2" ~k:8 db q );
+    ]
+
+(* [Array.make] of more than 256 elements runs a minor collection when
+   its initial value is young (on the pool, a stop-the-world with every
+   domain). A 512-instance UPMEM buffer (32 DPUs x 16 tasklets) must
+   not. *)
+let test_buffer_alloc_no_minor_gc () =
+  let module Usim = Cinm_upmem_sim in
+  let f = Func.create ~name:"alloc" ~arg_tys:[] ~result_tys:[] in
+  let b = Builder.for_func f in
+  let wg = Upmem_d.alloc_dpus b ~dimms:1 ~dpus:32 ~tasklets:16 in
+  ignore (Upmem_d.alloc b wg ~shape:[| 16 |] ~dtype:T.I32 ~level:0);
+  Func_d.return b [];
+  let run () =
+    let machine = Usim.Machine.create (Usim.Config.default ~dimms:1 ()) in
+    ignore (Compile.run_func ~hooks:[ Usim.Machine.hook machine ] f [])
+  in
+  run ();
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  run ();
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "minor collections during a 512-instance alloc" 0 (after - before)
+
 let () =
   Alcotest.run "alloc_budget"
     [
@@ -474,6 +525,12 @@ let () =
           Alcotest.test_case "gemm_tile computes live columns only" `Quick test_cim_live_columns;
           Alcotest.test_case "compiled code dies with its module" `Quick
             test_code_dies_with_module;
+        ] );
+      ( "kernels",
+        [
+          Alcotest.test_case "selection allocates O(k)" `Quick test_selection_words;
+          Alcotest.test_case "512-lane buffer, no minor GC" `Quick
+            test_buffer_alloc_no_minor_gc;
         ] );
       ( "compile path",
         [

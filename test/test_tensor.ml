@@ -383,6 +383,262 @@ let test_merge_region_wraps () =
     (Tensor.merge_region "add" facc ~offsets:[| 0; 0 |] fpart);
   check_bits "f32 same as extract, add, insert" (bits want) facc
 
+(* ----- the int-op table against per-element references ----- *)
+
+let int_ops = [ "add"; "sub"; "mul"; "div"; "rem"; "min"; "max"; "and"; "or"; "xor"; "shl"; "shr" ]
+let int_dtypes = [ T.I1; T.I8; T.I16; T.I32; T.I64 ]
+
+(* [n] values of [dt]: zeros (division by zero), small shift amounts, -1,
+   the range's ends (min / -1 overflows) and wide random values *)
+let values ?(n = 600) dt seed =
+  let st = Random.State.make [| seed |] in
+  let lo = if dt = T.I64 then min_int else -(1 lsl (T.dtype_bits dt - 1)) in
+  Tensor.init ~dtype:dt [| n |] (fun i ->
+      match i mod 6 with
+      | 0 -> 0
+      | 1 -> Random.State.int st 10
+      | 2 -> -1
+      | 3 -> if Random.State.bool st then lo else lo - 1
+      | _ -> (Random.State.bits st lsl 34) lxor (Random.State.bits st lsl 4) lxor Random.State.bits st)
+
+let wrap_op dt op x y = Tensor.wrap dt (Tensor.int_binop op x y)
+
+let ref_map2 op a b =
+  let dt = a.Tensor.dtype in
+  Tensor.init ~dtype:dt a.Tensor.shape (fun i ->
+      wrap_op dt op (Tensor.get_int a i) (Tensor.get_int b i))
+
+let ref_reduce op t =
+  let acc = ref (Tensor.get_int t 0) in
+  for i = 1 to Tensor.num_elements t - 1 do
+    acc := Tensor.int_binop op !acc (Tensor.get_int t i)
+  done;
+  Tensor.wrap t.Tensor.dtype !acc
+
+let ref_scan op t =
+  let out = Tensor.copy t in
+  for i = 1 to Tensor.num_elements t - 1 do
+    Tensor.set_int out i
+      (wrap_op t.Tensor.dtype op (Tensor.get_int out (i - 1)) (Tensor.get_int out i))
+  done;
+  out
+
+let ref_ew_expr tokens inputs =
+  let t0 = inputs.(0) in
+  let out = Tensor.zeros t0.Tensor.shape t0.Tensor.dtype in
+  for i = 0 to Tensor.num_elements t0 - 1 do
+    Tensor.set_int out i
+      (Cinm_dialects.Cinm_d.eval_rpn ~tokens
+         ~input:(fun k -> Tensor.get_int inputs.(k) i)
+         ~const:Fun.id ~apply:(wrap_op t0.Tensor.dtype))
+  done;
+  out
+
+let check_tensor msg want got =
+  if not (Tensor.equal want got) then
+    Alcotest.failf "%s: expected %s, got %s" msg (Tensor.to_string want) (Tensor.to_string got)
+
+let test_int_ops_match_reference () =
+  List.iteri
+    (fun di dt ->
+      List.iteri
+        (fun oi op ->
+          let name what = Printf.sprintf "%s %s %s" what op (T.dtype_to_string dt) in
+          let a = values dt ((di * 100) + oi) and b = values dt ((di * 100) + oi + 50) in
+          let want = ref_map2 op a b in
+          check_tensor (name "map2") want (Tensor.map2 op a b);
+          let a' = Tensor.copy a in
+          Tensor.map2_in_place op a' b;
+          check_tensor (name "map2_in_place") want a';
+          Alcotest.(check int) (name "reduce") (ref_reduce op a) (Tensor.reduce op a);
+          check_tensor (name "scan") (ref_scan op a) (Tensor.scan op a);
+          (* a 3x4 region of a 20x30 accumulator *)
+          let acc = Tensor.reshape (Tensor.copy a) [| 20; 30 |] in
+          let part = Tensor.reshape (Tensor.extract_slice b ~offsets:[| 7 |] ~sizes:[| 12 |]) [| 3; 4 |] in
+          let want = Tensor.copy acc in
+          for r = 0 to 2 do
+            for c = 0 to 3 do
+              Tensor.set want [| r + 5; c + 9 |]
+                (wrap_op dt op (Tensor.get acc [| r + 5; c + 9 |]) (Tensor.get part [| r; c |]))
+            done
+          done;
+          let one_pass = Tensor.merge_region op acc ~offsets:[| 5; 9 |] part in
+          Alcotest.(check bool) (name "merge_region in one pass") (dt = T.I1 || dt = T.I32 || dt = T.I64) one_pass;
+          if one_pass then check_tensor (name "merge_region") want acc;
+          (* constants enter unwrapped; three stack slots *)
+          let c = values dt ((di * 100) + oi + 75) in
+          List.iter
+            (fun tokens ->
+              check_tensor
+                (name ("ew_expr " ^ String.concat " " tokens))
+                (ref_ew_expr tokens [| a; b; c |])
+                (Tensor.ew_expr tokens [| a; b; c |]))
+            [ [ "in0"; "in1"; op; "in2"; "const300"; "sub"; op ];
+              [ "in2"; "in0"; "in1"; op; "const-7"; "xor"; op ];
+              [ "const300" ];
+              [ "in1" ] ])
+        int_ops)
+    int_dtypes
+
+let test_int_ops_pinned () =
+  let t = Tensor.of_int_array [| 4 |] [| 7; -7; 0; 3 |] in
+  let z = Tensor.of_int_array [| 4 |] [| 0; 2; 0; 40 |] in
+  check_ints "div by zero is 0" [ 0; -3; 0; 0 ] (Array.to_list (Tensor.to_int_array (Tensor.map2 "div" t z)));
+  check_ints "rem by zero is 0" [ 0; -1; 0; 3 ] (Array.to_list (Tensor.to_int_array (Tensor.map2 "rem" t z)));
+  check_ints "shl wraps at i32" [ 7; -28; 0; 0 ]
+    (Array.to_list (Tensor.to_int_array (Tensor.map2 "shl" t z)));
+  check_ints "shr is arithmetic" [ 7; -2; 0; 0 ]
+    (Array.to_list (Tensor.to_int_array (Tensor.map2 "shr" t z)));
+  let b = Tensor.of_int_array ~dtype:T.I1 [| 3 |] [| 1; 1; 0 |] in
+  check_ints "i1 add keeps the low bit" [ 0; 0; 0 ]
+    (Array.to_list (Tensor.to_int_array (Tensor.map2 "add" b b)));
+  match Tensor.map2 "nand" t t with
+  | _ -> Alcotest.fail "unknown op accepted"
+  | exception Invalid_argument m -> Alcotest.(check string) "unknown op" "Tensor.int_binop: nand" m
+
+(* ----- float min/max: NaN wins, -0 below +0 ----- *)
+
+let test_float_min_max () =
+  let xs = [| Float.nan; -0.0; 0.0; 1.0; Float.nan; -0.0; 2.0; 0.0 |] in
+  let ys = [| 1.0; 0.0; -0.0; Float.nan; Float.nan; -0.0; -3.0; 0.0 |] in
+  let a = Tensor.of_float_array [| 8 |] xs and b = Tensor.of_float_array [| 8 |] ys in
+  List.iter
+    (fun (op, f) ->
+      check_bits ("map2 " ^ op) (bits (Tensor.of_float_array [| 8 |] (Array.map2 f xs ys)))
+        (Tensor.map2 op a b);
+      check_bits ("ew_expr " ^ op)
+        (bits (Tensor.of_float_array [| 8 |] (Array.map2 f xs ys)))
+        (Tensor.ew_expr [ "in0"; "in1"; op ] [| a; b |]);
+      let scanned = Array.copy ys in
+      for i = 1 to 7 do
+        scanned.(i) <- f scanned.(i - 1) scanned.(i)
+      done;
+      check_bits ("scan " ^ op) (bits (Tensor.of_float_array [| 8 |] scanned)) (Tensor.scan op b);
+      Alcotest.(check int64) ("reduce " ^ op)
+        (Int64.bits_of_float scanned.(7))
+        (Int64.bits_of_float (Tensor.reduce_f op b)))
+    [ ("min", Float.min); ("max", Float.max) ];
+  check_bits "min(-0, +0) is -0" [| Int64.bits_of_float (-0.0) |]
+    (Tensor.map2 "min" (Tensor.of_float_array [| 1 |] [| 0.0 |]) (Tensor.of_float_array [| 1 |] [| -0.0 |]))
+
+(* ----- k-best selection against the sort-based definition ----- *)
+
+(* The k best of [scores] by a full sort: value descending, then index
+   ascending; values stored in [dtype]. *)
+let ref_select ~k dtype scores =
+  let indexed = Array.mapi (fun i v -> (v, i)) scores in
+  Array.sort (fun (a, ia) (b, ib) -> if b <> a then compare b a else compare ia ib) indexed;
+  let values = Tensor.zeros [| k |] dtype and indices = Tensor.zeros [| k |] T.I32 in
+  for i = 0 to k - 1 do
+    Tensor.set_int values i (fst indexed.(i));
+    Tensor.set_int indices i (snd indexed.(i))
+  done;
+  (values, indices)
+
+let ref_topk ~k t = ref_select ~k t.Tensor.dtype (Array.init (Tensor.num_elements t) (Tensor.get_int t))
+
+let ref_score metric d q =
+  match metric with
+  | "dot" -> d * q
+  | "l2" -> -((d - q) * (d - q))
+  | _ ->
+    let rec bits v a = if v = 0 then a else bits (v lsr 1) (a + (v land 1)) in
+    -bits ((d lxor q) land 0xFFFFFFFF) 0
+
+let ref_sim_search ~metric ~k db q =
+  let m = Tensor.num_elements q in
+  ref_select ~k db.Tensor.dtype
+    (Array.init (Tensor.num_elements db - m + 1) (fun w ->
+         let acc = ref 0 in
+         for i = 0 to m - 1 do
+           acc := !acc + ref_score metric (Tensor.get_int db (w + i)) (Tensor.get_int q i)
+         done;
+         !acc))
+
+let check_pair msg (wv, wi) (gv, gi) =
+  check_tensor (msg ^ " values") wv gv;
+  check_tensor (msg ^ " indices") wi gi
+
+let raises msg text f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no error" msg
+  | exception Invalid_argument m -> Alcotest.(check string) msg text m
+
+(* values 0..3: nearly every candidate ties with many others *)
+let ties ?(dtype = T.I32) n seed = Tensor.init ~dtype [| n |] (fun i -> ((i * 7) + (i / 3) + seed) mod 4)
+
+let test_topk_matches_sort () =
+  List.iter
+    (fun t ->
+      let n = Tensor.num_elements t in
+      List.iter
+        (fun k -> check_pair (Printf.sprintf "topk k=%d of %d" k n) (ref_topk ~k t) (Tensor.topk ~k t))
+        (List.filter (fun k -> k <= n) [ 0; 1; 5; n ]);
+      raises "k > n" "Tensor.topk: k > size" (fun () -> Tensor.topk ~k:(n + 1) t))
+    [ ties 97 0; ties ~dtype:T.I8 60 1; values T.I32 7; values T.I64 8; Tensor.init [| 1 |] (fun _ -> 5) ]
+
+let test_sim_search_matches_sort () =
+  List.iter
+    (fun (dtype, db, q) ->
+      let db = db dtype and q = q dtype in
+      let windows = Tensor.num_elements db - Tensor.num_elements q + 1 in
+      List.iter
+        (fun metric ->
+          List.iter
+            (fun k ->
+              check_pair
+                (Printf.sprintf "%s %s k=%d" metric (T.dtype_to_string dtype) k)
+                (ref_sim_search ~metric ~k db q)
+                (Tensor.sim_search ~metric ~k db q))
+            [ 1; 4; windows ];
+          raises "k > windows" "index out of bounds" (fun () ->
+              Tensor.sim_search ~metric ~k:(windows + 1) db q))
+        [ "dot"; "l2"; "hamming" ])
+    [
+      (T.I32, (fun dtype -> ties ~dtype 120 0), fun dtype -> ties ~dtype 5 2);
+      (T.I8, (fun dtype -> ties ~dtype 120 0), fun dtype -> ties ~dtype 5 2);
+      (T.I32, (fun dtype -> values ~n:90 dtype 3), fun dtype -> values ~n:6 dtype 4);
+      (T.I8, (fun dtype -> values ~n:90 dtype 3), fun dtype -> values ~n:6 dtype 4);
+    ];
+  raises "unknown metric" "Tensor.sim_search: metric cos" (fun () ->
+      Tensor.sim_search ~metric:"cos" ~k:1 (ties 10 0) (ties 2 0))
+
+(* The CAM's search_best ranks its entries as host sim_search scores
+   them, one entry row as the database. *)
+let test_cam_matches_sim_search () =
+  let module Cam_d = Cinm_dialects.Cam_d in
+  Cinm_dialects.Registry.ensure_all ();
+  let entries = 40 and width = 6 and k = 5 in
+  let data = Tensor.reshape (ties (entries * width) 1) [| entries; width |] in
+  let query = ties width 3 in
+  List.iter
+    (fun metric ->
+      let f =
+        Func.create ~name:"cam"
+          ~arg_tys:[ T.Tensor ([| entries; width |], T.I32); T.Tensor ([| width |], T.I32) ]
+          ~result_tys:[ T.Tensor ([| k |], T.I32) ]
+      in
+      let b = Builder.for_func f in
+      let id = Cam_d.alloc b ~entries ~width in
+      Cam_d.write_entries b id (Func.param f 0);
+      Cinm_dialects.Func_d.return b [ Cam_d.search_best b id (Func.param f 1) ~metric ~k ];
+      let cam = Cinm_cam_sim.Cam_machine.(create (default_config ())) in
+      let got =
+        match
+          Compile.run_func ~hooks:[ Cinm_cam_sim.Cam_machine.hook cam ] f
+            [ Rtval.Tensor data; Rtval.Tensor query ]
+        with
+        | [ r ], _ -> Rtval.as_tensor r
+        | _ -> Alcotest.fail "expected one result"
+      in
+      let row_score i =
+        let row = Tensor.extract_slice data ~offsets:[| i; 0 |] ~sizes:[| 1; width |] in
+        Tensor.get_int (fst (Tensor.sim_search ~metric ~k:1 row query)) 0
+      in
+      let _, want = ref_select ~k T.I32 (Array.init entries row_score) in
+      check_tensor ("cam " ^ metric) want got)
+    [ "dot"; "l2"; "hamming" ]
+
 let () =
   Alcotest.run "tensor"
     [
@@ -414,6 +670,19 @@ let () =
           Alcotest.test_case "conv_2d == direct loop" `Quick test_conv_2d_matches_direct;
           Alcotest.test_case "transpose runs" `Quick test_transpose_runs;
           Alcotest.test_case "merge_region wraps" `Quick test_merge_region_wraps;
+        ] );
+      ( "int ops",
+        [
+          Alcotest.test_case "every op and width == reference" `Quick
+            test_int_ops_match_reference;
+          Alcotest.test_case "pinned" `Quick test_int_ops_pinned;
+          Alcotest.test_case "float min/max, NaN and -0" `Quick test_float_min_max;
+        ] );
+      ( "selection",
+        [
+          Alcotest.test_case "topk == sort" `Quick test_topk_matches_sort;
+          Alcotest.test_case "sim_search == sort" `Quick test_sim_search_matches_sort;
+          Alcotest.test_case "cam search_best == sim_search" `Quick test_cam_matches_sim_search;
         ] );
       ( "einsum",
         [
