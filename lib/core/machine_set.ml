@@ -95,9 +95,9 @@ let memristor_fragment (m : Msim.Machine.t) =
     energy_j = s.Msim.Stats.energy_j;
     breakdown =
       [
-        ("program", s.Msim.Stats.program_s);
-        ("mvm", s.Msim.Stats.compute_s);
-        ("io", s.Msim.Stats.io_s);
+        ("program", s.Msim.Stats.time.program_s);
+        ("mvm", s.Msim.Stats.time.compute_s);
+        ("io", s.Msim.Stats.time.io_s);
       ];
     counters =
       [

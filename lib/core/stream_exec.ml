@@ -90,9 +90,9 @@ let recorders (ms : machines) =
   let upmem (u : Usim.Machine.t) =
     record "upmem" (fun () -> Usim.Stats.total_s u.stats) (Usim.Machine.hook u)
   and memristor (x : Msim.Machine.t) =
-    let s = x.stats in
+    let t = x.stats.Msim.Stats.time in
     record "memristor"
-      (fun () -> s.Msim.Stats.program_s +. s.compute_s +. s.io_s)
+      (fun () -> t.Msim.Stats.program_s +. t.compute_s +. t.io_s)
       (Msim.Machine.hook x)
   and cam (c : Camsim.Cam_machine.t) =
     record "cam" (fun () -> c.stats.busy_s) (Camsim.Cam_machine.hook c)

@@ -6,6 +6,7 @@
 
 open Cinm_ir
 module Util = Cinm_support.Util
+module Pool = Cinm_support.Pool
 
 (* Storage is selected by dtype: i8/i16 tensors pack into [Bytes] (one and
    two bytes per element; [Bytes.set_int8]/[set_int16_le] truncate on store
@@ -602,125 +603,222 @@ let ew_expr tokens inputs =
 
 (* ----- linear algebra ----- *)
 
-(* [gemm] on [int array]s (every index in range by construction, so the
-   checks are elided), register-blocked 2 rows x 4 [p]: each B load feeds
-   both rows. Native ints add exactly (mod 2^63), so summing eight
-   products per element before the store is bit-identical to the scalar
-   order. *)
-let gemm_int ~batch ~m ~n ~k x y ~ldb z ~ldc dt =
-  for bt = 0 to batch - 1 do
-    let xb = bt * m * k and yb = bt * k * ldb and zb = bt * m * ldc in
-    let i = ref 0 in
-    while !i < m do
-      let x0 = xb + (!i * k) and z0 = zb + (!i * ldc) in
-      (* an odd last row is its own second row, with zero multipliers *)
-      let two = !i + 1 < m in
+let wrap_row z z0 n s msk =
+  for j = z0 to z0 + n - 1 do
+    put z 0 j (wr s msk (ld z j))
+  done
+
+(* Rows [lo, hi) of an int [gemm] (see [gemm_rows]) on [int array]s,
+   every index in range by construction, so the checks are elided.
+   Register-blocked 4 rows x 4 [p], so each B load feeds four rows; the
+   one to three rows a batch has left over run 2 rows x 4 [p] (an odd
+   last row is its own second row, with zero multipliers). A block whose
+   multipliers are all zero is skipped. Native ints add exactly
+   (mod 2^63), so any blocking is bit-identical to the scalar order. *)
+let gemm_int ~m ~n ~k x y ~ldb z ~ldc dt lo hi =
+  let s = wrap_shift dt and msk = wrap_mask dt and narrow = dt <> Types.I64 in
+  let r = ref lo in
+  while !r < hi do
+    let bt = !r / m in
+    let stop = min hi ((bt + 1) * m) in
+    let yb = bt * k * ldb in
+    while !r + 3 < stop do
+      let x0 = !r * k and z0 = !r * ldc in
+      let x1 = x0 + k and z1 = z0 + ldc in
+      let x2 = x1 + k and z2 = z1 + ldc in
+      let x3 = x2 + k and z3 = z2 + ldc in
+      Array.fill z z0 n 0;
+      Array.fill z z1 n 0;
+      Array.fill z z2 n 0;
+      Array.fill z z3 n 0;
+      let p = ref 0 in
+      while !p + 3 < k do
+        let p0 = !p in
+        let a0 = ld x (x0 + p0) and a1 = ld x (x0 + p0 + 1)
+        and a2 = ld x (x0 + p0 + 2) and a3 = ld x (x0 + p0 + 3) in
+        let b0 = ld x (x1 + p0) and b1 = ld x (x1 + p0 + 1)
+        and b2 = ld x (x1 + p0 + 2) and b3 = ld x (x1 + p0 + 3) in
+        let c0 = ld x (x2 + p0) and c1 = ld x (x2 + p0 + 1)
+        and c2 = ld x (x2 + p0 + 2) and c3 = ld x (x2 + p0 + 3) in
+        let d0 = ld x (x3 + p0) and d1 = ld x (x3 + p0 + 1)
+        and d2 = ld x (x3 + p0 + 2) and d3 = ld x (x3 + p0 + 3) in
+        if
+          a0 lor a1 lor a2 lor a3 lor b0 lor b1 lor b2 lor b3 lor c0 lor c1 lor c2 lor c3
+          lor d0 lor d1 lor d2 lor d3
+          <> 0
+        then begin
+          let y0 = yb + (p0 * ldb) in
+          let y1 = y0 + ldb in
+          let y2 = y1 + ldb in
+          let y3 = y2 + ldb in
+          for j = 0 to n - 1 do
+            let v0 = ld y (y0 + j) and v1 = ld y (y1 + j)
+            and v2 = ld y (y2 + j) and v3 = ld y (y3 + j) in
+            put z z0 j (ld z (z0 + j) + (a0 * v0) + (a1 * v1) + (a2 * v2) + (a3 * v3));
+            put z z1 j (ld z (z1 + j) + (b0 * v0) + (b1 * v1) + (b2 * v2) + (b3 * v3));
+            put z z2 j (ld z (z2 + j) + (c0 * v0) + (c1 * v1) + (c2 * v2) + (c3 * v3));
+            put z z3 j (ld z (z3 + j) + (d0 * v0) + (d1 * v1) + (d2 * v2) + (d3 * v3))
+          done
+        end;
+        p := p0 + 4
+      done;
+      while !p < k do
+        let p0 = !p in
+        let a0 = ld x (x0 + p0) and b0 = ld x (x1 + p0)
+        and c0 = ld x (x2 + p0) and d0 = ld x (x3 + p0) in
+        if a0 lor b0 lor c0 lor d0 <> 0 then begin
+          let y0 = yb + (p0 * ldb) in
+          for j = 0 to n - 1 do
+            let v = ld y (y0 + j) in
+            put z z0 j (ld z (z0 + j) + (a0 * v));
+            put z z1 j (ld z (z1 + j) + (b0 * v));
+            put z z2 j (ld z (z2 + j) + (c0 * v));
+            put z z3 j (ld z (z3 + j) + (d0 * v))
+          done
+        end;
+        p := p0 + 1
+      done;
+      if narrow then begin
+        wrap_row z z0 n s msk;
+        wrap_row z z1 n s msk;
+        wrap_row z z2 n s msk;
+        wrap_row z z3 n s msk
+      end;
+      r := !r + 4
+    done;
+    while !r < stop do
+      let x0 = !r * k and z0 = !r * ldc in
+      let two = !r + 1 < stop in
       let x1 = if two then x0 + k else x0 and z1 = if two then z0 + ldc else z0 in
       Array.fill z z0 n 0;
       Array.fill z z1 n 0;
       let p = ref 0 in
       while !p + 3 < k do
         let p0 = !p in
-        let a0 = Array.unsafe_get x (x0 + p0)
-        and a1 = Array.unsafe_get x (x0 + p0 + 1)
-        and a2 = Array.unsafe_get x (x0 + p0 + 2)
-        and a3 = Array.unsafe_get x (x0 + p0 + 3) in
-        let b0 = if two then Array.unsafe_get x (x1 + p0) else 0
-        and b1 = if two then Array.unsafe_get x (x1 + p0 + 1) else 0
-        and b2 = if two then Array.unsafe_get x (x1 + p0 + 2) else 0
-        and b3 = if two then Array.unsafe_get x (x1 + p0 + 3) else 0 in
+        let a0 = ld x (x0 + p0) and a1 = ld x (x0 + p0 + 1)
+        and a2 = ld x (x0 + p0 + 2) and a3 = ld x (x0 + p0 + 3) in
+        let b0 = if two then ld x (x1 + p0) else 0
+        and b1 = if two then ld x (x1 + p0 + 1) else 0
+        and b2 = if two then ld x (x1 + p0 + 2) else 0
+        and b3 = if two then ld x (x1 + p0 + 3) else 0 in
         if a0 lor a1 lor a2 lor a3 lor b0 lor b1 lor b2 lor b3 <> 0 then begin
           let y0 = yb + (p0 * ldb) in
           let y1 = y0 + ldb in
           let y2 = y1 + ldb in
           let y3 = y2 + ldb in
           for j = 0 to n - 1 do
-            let v0 = Array.unsafe_get y (y0 + j)
-            and v1 = Array.unsafe_get y (y1 + j)
-            and v2 = Array.unsafe_get y (y2 + j)
-            and v3 = Array.unsafe_get y (y3 + j) in
-            Array.unsafe_set z (z0 + j)
-              (Array.unsafe_get z (z0 + j) + (a0 * v0) + (a1 * v1) + (a2 * v2) + (a3 * v3));
-            Array.unsafe_set z (z1 + j)
-              (Array.unsafe_get z (z1 + j) + (b0 * v0) + (b1 * v1) + (b2 * v2) + (b3 * v3))
+            let v0 = ld y (y0 + j) and v1 = ld y (y1 + j)
+            and v2 = ld y (y2 + j) and v3 = ld y (y3 + j) in
+            put z z0 j (ld z (z0 + j) + (a0 * v0) + (a1 * v1) + (a2 * v2) + (a3 * v3));
+            put z z1 j (ld z (z1 + j) + (b0 * v0) + (b1 * v1) + (b2 * v2) + (b3 * v3))
           done
         end;
         p := p0 + 4
       done;
       while !p < k do
-        let a0 = Array.unsafe_get x (x0 + !p) in
-        let b0 = if two then Array.unsafe_get x (x1 + !p) else 0 in
+        let p0 = !p in
+        let a0 = ld x (x0 + p0) in
+        let b0 = if two then ld x (x1 + p0) else 0 in
         if a0 lor b0 <> 0 then begin
-          let y0 = yb + (!p * ldb) in
+          let y0 = yb + (p0 * ldb) in
           for j = 0 to n - 1 do
-            let v = Array.unsafe_get y (y0 + j) in
-            Array.unsafe_set z (z0 + j) (Array.unsafe_get z (z0 + j) + (a0 * v));
-            Array.unsafe_set z (z1 + j) (Array.unsafe_get z (z1 + j) + (b0 * v))
+            let v = ld y (y0 + j) in
+            put z z0 j (ld z (z0 + j) + (a0 * v));
+            put z z1 j (ld z (z1 + j) + (b0 * v))
           done
         end;
-        incr p
+        p := p0 + 1
       done;
-      if dt <> Types.I64 then begin
-        let s = wrap_shift dt and msk = wrap_mask dt in
-        for j = z0 to z0 + n - 1 do
-          put z 0 j (wr s msk (ld z j))
-        done;
-        for j = z1 to z1 + n - 1 do
-          put z 0 j (wr s msk (ld z j))
-        done
+      if narrow then begin
+        wrap_row z z0 n s msk;
+        if two then wrap_row z z1 n s msk
       end;
-      i := !i + 2
+      r := !r + if two then 2 else 1
     done
   done
 
-(* The one MAC loop of dense contraction: [matmul], [matvec], [dot],
-   [conv_2d], [einsum] and the crossbar tile all run it (contract in the
-   interface). A float element sums its products in ascending [p] from
-   0.0 with no zero skip. *)
-let gemm ?(batch = 1) ?ldb ~m ~n ~k a b c ~ldc =
-  let ldb = Option.value ldb ~default:n in
+(* Rows [lo, hi) of a float [gemm] on [float array]s: every element sums
+   its products in ascending [p] from 0.0, with no zero skip. *)
+let gemm_float ~m ~n ~k x y ~ldb z ~ldc lo hi =
+  for r = lo to hi - 1 do
+    let yb = r / m * k * ldb and x0 = r * k and z0 = r * ldc in
+    Array.fill z z0 n 0.0;
+    for p = 0 to k - 1 do
+      let xv = Array.unsafe_get x (x0 + p) and y0 = yb + (p * ldb) in
+      for j = 0 to n - 1 do
+        Array.unsafe_set z (z0 + j)
+          (Array.unsafe_get z (z0 + j) +. (xv *. Array.unsafe_get y (y0 + j)))
+      done
+    done
+  done
+
+(* Rows [lo, hi) of [gemm]'s flattened [batch x m] row space. Row [r] is
+   row [r mod m] of batch [r / m]: its A row starts at [r*k], its C row
+   at [r*ldc], and its batch's B at [(r / m)*k*ldb]. Each row is computed
+   by the same arithmetic whatever range it falls in. *)
+let gemm_rows ~m ~n ~k ~ldb ~ldc a b c lo hi =
   match (a.data, b.data, c.data) with
-  | I x, I y, I z when is_int c -> gemm_int ~batch ~m ~n ~k x y ~ldb z ~ldc c.dtype
+  | I x, I y, I z when is_int c -> gemm_int ~m ~n ~k x y ~ldb z ~ldc c.dtype lo hi
+  | F x, F y, F z when not (is_int c) -> gemm_float ~m ~n ~k x y ~ldb z ~ldc lo hi
   | _ when is_int c ->
     (* narrow or mixed payloads: one row accumulator, element access
        through the generic getters *)
     let row = Array.make n 0 in
-    for bt = 0 to batch - 1 do
-      for i = 0 to m - 1 do
-        Array.fill row 0 n 0;
-        for p = 0 to k - 1 do
-          let xv = get_int a ((bt * m * k) + (i * k) + p) in
-          if xv <> 0 then begin
-            let yoff = (bt * k * ldb) + (p * ldb) in
-            for j = 0 to n - 1 do
-              row.(j) <- row.(j) + (xv * get_int b (yoff + j))
-            done
-          end
-        done;
-        let zoff = (bt * m * ldc) + (i * ldc) in
-        for j = 0 to n - 1 do
-          set_int c (zoff + j) row.(j)
-        done
+    for r = lo to hi - 1 do
+      let yb = r / m * k * ldb in
+      Array.fill row 0 n 0;
+      for p = 0 to k - 1 do
+        let xv = get_int a ((r * k) + p) in
+        if xv <> 0 then begin
+          let yoff = yb + (p * ldb) in
+          for j = 0 to n - 1 do
+            row.(j) <- row.(j) + (xv * get_int b (yoff + j))
+          done
+        end
+      done;
+      for j = 0 to n - 1 do
+        set_int c ((r * ldc) + j) row.(j)
       done
     done
   | _ ->
     let row = Array.make n 0.0 in
-    for bt = 0 to batch - 1 do
-      for i = 0 to m - 1 do
-        Array.fill row 0 n 0.0;
-        for p = 0 to k - 1 do
-          let xv = get_float a ((bt * m * k) + (i * k) + p) in
-          let yoff = (bt * k * ldb) + (p * ldb) in
-          for j = 0 to n - 1 do
-            row.(j) <- row.(j) +. (xv *. get_float b (yoff + j))
-          done
-        done;
-        let zoff = (bt * m * ldc) + (i * ldc) in
+    for r = lo to hi - 1 do
+      let yb = r / m * k * ldb in
+      Array.fill row 0 n 0.0;
+      for p = 0 to k - 1 do
+        let xv = get_float a ((r * k) + p) and yoff = yb + (p * ldb) in
         for j = 0 to n - 1 do
-          set_float c (zoff + j) row.(j)
+          row.(j) <- row.(j) +. (xv *. get_float b (yoff + j))
         done
+      done;
+      for j = 0 to n - 1 do
+        set_float c ((r * ldc) + j) row.(j)
       done
     done
+
+(* A GEMM of fewer multiply-accumulates than this (about 0.1 ms on one
+   core) runs inline: handing it to the pool costs more than it saves. *)
+let par_macs = 1 lsl 17
+
+(* The one MAC loop of dense contraction: [matmul], [matvec], [dot],
+   [conv_2d], [einsum] and the crossbar tile all run it (contract in the
+   interface). A large one splits its rows over the default pool, into at
+   most 4 chunks per domain of whole 4-row blocks; [Pool.run] keeps it
+   inline on one domain, in a DPU lane already inside a parallel loop,
+   and beside another caller's loop. *)
+let gemm ?(batch = 1) ?ldb ~m ~n ~k a b c ~ldc =
+  let ldb = Option.value ldb ~default:n in
+  let rows = batch * m in
+  let pool = Pool.default () in
+  let jobs = Pool.jobs pool in
+  if jobs <= 1 || rows * n * k < par_macs then
+    gemm_rows ~m ~n ~k ~ldb ~ldc a b c 0 rows
+  else begin
+    let step = 4 * ((rows + (16 * jobs) - 1) / (16 * jobs)) in
+    Pool.run pool
+      ((rows + step - 1) / step)
+      (fun i -> gemm_rows ~m ~n ~k ~ldb ~ldc a b c (i * step) (min rows ((i + 1) * step)))
+  end
 
 let matmul a b =
   match (a.shape, b.shape) with

@@ -123,7 +123,15 @@ val fill_float : int array -> Types.dtype -> float -> t
     [m x n] block of [c] at [bt*m*ldc] with row stride [ldc]:
     C_bt <- A_bt B_bt, writing every element of C_bt. Integer results wrap
     to [c]'s dtype; float elements sum their products in ascending [p]
-    from 0.0, so results are bit-identical to the naive loop. *)
+    from 0.0, so results are bit-identical to the naive loop.
+
+    A product of at least 2^17 multiply-accumulates splits its
+    [batch * m] output rows over the default {!Cinm_support.Pool} (at
+    most 4 chunks per job, each a whole number of 4-row blocks); a
+    smaller one, one with a 1-job pool, or one issued while the pool
+    runs another loop (a DPU lane) runs inline. Every row is computed by
+    the same arithmetic in any chunk, so results do not depend on the
+    job count. *)
 val gemm : ?batch:int -> ?ldb:int -> m:int -> n:int -> k:int -> t -> t -> t -> ldc:int -> unit
 
 val matmul : t -> t -> t

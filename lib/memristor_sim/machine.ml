@@ -4,8 +4,8 @@
    MVMs, results come back through the ADCs.
 
    Timing is an event-clock model: the digital interface (weight
-   programming, input staging) is serialized on [io_clock]; each tile has
-   its own [ready_at] clock, so MVMs issued to distinct tiles overlap.
+   programming, input staging) is serialized on the [io] clock; each tile
+   has its own [ready] clock, so MVMs issued to distinct tiles overlap.
    This is how the paper's cim-parallel unrolling gains its speedup: the
    unrolled loop round-robins executes across tiles. The run's makespan is
    the latest clock at release. *)
@@ -15,13 +15,18 @@ open Cinm_interp
 module Fault = Cinm_support.Fault
 module Trace = Cinm_support.Trace
 
+(* A clock in a float-only record: its field is stored unboxed, so
+   advancing it allocates nothing (a float field of a mixed record boxes
+   on every update). *)
+type clock = { mutable at : float }
+
 type tile = {
   mutable weights : Tensor.t option;
   mutable live : int;
       (** the programmed weights' live column count: every column after
           them is zero in every row (see [live_columns]) *)
   mutable staged_input : Tensor.t option;
-  mutable ready_at : float;
+  ready : clock;
 }
 
 type device = { tiles : tile array }
@@ -31,7 +36,7 @@ type t = {
   stats : Stats.t;
   devices : (int, device) Hashtbl.t;
   mutable next : int;
-  mutable io_clock : float;
+  io : clock;
   faults : Fault.plan option;
   mutable trace_pid : int;
 }
@@ -42,7 +47,7 @@ let create ?(faults = Fault.default ()) config =
     stats = Stats.create ~tiles:config.Config.tiles;
     devices = Hashtbl.create 4;
     next = 0;
-    io_clock = 0.0;
+    io = { at = 0.0 };
     faults;
     trace_pid = 0;
   }
@@ -50,7 +55,7 @@ let create ?(faults = Fault.default ()) config =
 (* Tracing: this simulator already runs on real event clocks, so spans sit
    directly on them — tile activity (programming, MVMs) on its own
    "tile<k>" track at the tile's clock, digital-interface activity on the
-   "io" track at [io_clock]. Span durations equal the stats-bucket
+   "io" track at the [io] clock. Span durations equal the stats-bucket
    increments (cat "program" -> program_s, "mvm" -> compute_s, "io" ->
    io_s), added in emission order, so [Trace.device_total] reproduces the
    buckets bit for bit. The interpreter driving these hooks is
@@ -69,7 +74,7 @@ let tracing m =
 
 let tile_track k = Printf.sprintf "tile%d" k
 
-let fresh_tile () = { weights = None; live = 0; staged_input = None; ready_at = 0.0 }
+let fresh_tile () = { weights = None; live = 0; staged_input = None; ready = { at = 0.0 } }
 
 let find_device m rv =
   match Hashtbl.find_opt m.devices (Rtval.as_handle rv) with
@@ -83,7 +88,7 @@ let tile_of d op =
   (k, d.tiles.(k))
 
 let makespan m d =
-  Array.fold_left (fun acc t -> Float.max acc t.ready_at) m.io_clock d.tiles
+  Array.fold_left (fun acc t -> Float.max acc t.ready.at) m.io.at d.tiles
 
 let tensor_bytes (t : Tensor.t) =
   Tensor.num_elements t * Types.dtype_bytes t.Tensor.dtype
@@ -178,7 +183,7 @@ let hook (m : t) : Interp.hook =
     let rows = w.Tensor.shape.(0) in
     let cells = Tensor.num_elements w in
     let t_prog = float_of_int rows *. c.Config.t_write_row in
-    let start = Float.max m.io_clock tile.ready_at in
+    let start = Float.max m.io.at tile.ready.at in
     if tracing m then begin
       Trace.complete ~cat:"program"
         ~args:
@@ -194,8 +199,8 @@ let hook (m : t) : Interp.hook =
           ~clock:Trace.Device ~pid:m.trace_pid ~track:(tile_track k) ~ts:start
           "stuck-cells"
     end;
-    m.io_clock <- start +. t_prog;
-    tile.ready_at <- m.io_clock;
+    m.io.at <- start +. t_prog;
+    tile.ready.at <- m.io.at;
     (* Gain variation is calibrated out by a write-verify read-out pass
        after programming: the result data is unaffected (the digital
        periphery rescales), but the pass costs one MVM per programmed row
@@ -209,15 +214,15 @@ let hook (m : t) : Interp.hook =
           Trace.complete ~cat:"io"
             ~args:[ ("gain", Trace.Float gain); ("rows", Trace.Int rows) ]
             ~clock:Trace.Device ~pid:m.trace_pid ~track:(tile_track k)
-            ~ts:m.io_clock ~dur:t_cal "calibrate";
-        m.io_clock <- m.io_clock +. t_cal;
-        tile.ready_at <- m.io_clock;
-        m.stats.Stats.io_s <- m.stats.Stats.io_s +. t_cal;
+            ~ts:m.io.at ~dur:t_cal "calibrate";
+        m.io.at <- m.io.at +. t_cal;
+        tile.ready.at <- m.io.at;
+        m.stats.Stats.time.io_s <- m.stats.Stats.time.io_s +. t_cal;
         m.stats.Stats.calibrations <- m.stats.Stats.calibrations + 1;
         m.stats.Stats.energy_j <- m.stats.Stats.energy_j +. c.Config.e_mvm
       end
     | _ -> ());
-    m.stats.Stats.program_s <- m.stats.Stats.program_s +. t_prog;
+    m.stats.Stats.time.program_s <- m.stats.Stats.time.program_s +. t_prog;
     m.stats.Stats.cells_written <- m.stats.Stats.cells_written + cells;
     m.stats.Stats.store_ops <- m.stats.Stats.store_ops + 1;
     m.stats.Stats.endurance_writes.(k) <- m.stats.Stats.endurance_writes.(k) + 1;
@@ -240,14 +245,14 @@ let hook (m : t) : Interp.hook =
     if tracing m then
       Trace.complete ~cat:"io"
         ~args:[ ("tile", Trace.Int k); ("bytes", Trace.Int bytes) ]
-        ~clock:Trace.Device ~pid:m.trace_pid ~track:"io" ~ts:m.io_clock
+        ~clock:Trace.Device ~pid:m.trace_pid ~track:"io" ~ts:m.io.at
         ~dur:t_stage "stage";
     (* the DAC registers are double-buffered: staging occupies only the
        shared digital interface; the tile just cannot consume the new
        input before it has arrived *)
-    m.io_clock <- m.io_clock +. t_stage;
-    tile.ready_at <- Float.max tile.ready_at m.io_clock;
-    m.stats.Stats.io_s <- m.stats.Stats.io_s +. t_stage;
+    m.io.at <- m.io.at +. t_stage;
+    tile.ready.at <- Float.max tile.ready.at m.io.at;
+    m.stats.Stats.time.io_s <- m.stats.Stats.time.io_s +. t_stage;
     m.stats.Stats.energy_j <-
       m.stats.Stats.energy_j +. (float_of_int bytes *. c.Config.e_io_byte);
     Some []
@@ -271,13 +276,13 @@ let hook (m : t) : Interp.hook =
         Trace.complete ~cat:"mvm"
           ~args:[ ("vectors", Trace.Int vectors) ]
           ~clock:Trace.Device ~pid:m.trace_pid ~track:(tile_track k)
-          ~ts:tile.ready_at
+          ~ts:tile.ready.at
           ~dur:(float_of_int vectors *. c.Config.t_mvm)
           "mvm";
       (* the MVM runs on the tile alone; distinct tiles overlap *)
-      tile.ready_at <- tile.ready_at +. (float_of_int vectors *. c.Config.t_mvm);
-      m.stats.Stats.compute_s <-
-        m.stats.Stats.compute_s +. (float_of_int vectors *. c.Config.t_mvm);
+      tile.ready.at <- tile.ready.at +. (float_of_int vectors *. c.Config.t_mvm);
+      m.stats.Stats.time.compute_s <-
+        m.stats.Stats.time.compute_s +. (float_of_int vectors *. c.Config.t_mvm);
       m.stats.Stats.mvms <- m.stats.Stats.mvms + vectors;
       m.stats.Stats.macs <- m.stats.Stats.macs + (vectors * n * depth);
       m.stats.Stats.energy_j <-
@@ -288,10 +293,10 @@ let hook (m : t) : Interp.hook =
     invalid_arg "memristor.read_result: results are returned by gemm_tile in this flow"
   | "memristor.barrier" ->
     let d = find_device m (operand 0) in
-    m.io_clock <- makespan m d;
+    m.io.at <- makespan m d;
     if tracing m then
       Trace.instant ~cat:"io" ~clock:Trace.Device ~pid:m.trace_pid ~track:"io"
-        ~ts:m.io_clock "barrier";
+        ~ts:m.io.at "barrier";
     Some []
   | "memristor.release" ->
     let d = find_device m (operand 0) in
@@ -300,7 +305,7 @@ let hook (m : t) : Interp.hook =
         ~args:[ ("makespan_us", Trace.Float (1e6 *. makespan m d)) ]
         ~clock:Trace.Device ~pid:m.trace_pid ~track:"io" ~ts:(makespan m d)
         "release";
-    m.stats.Stats.makespan_s <- Float.max m.stats.Stats.makespan_s (makespan m d);
+    m.stats.Stats.time.makespan_s <- Float.max m.stats.Stats.time.makespan_s (makespan m d);
     release_tiles d;
     Hashtbl.remove m.devices (Rtval.as_handle (operand 0));
     Some []

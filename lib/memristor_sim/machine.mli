@@ -19,6 +19,10 @@
 open Cinm_ir
 open Cinm_interp
 
+(** A clock in a float-only record: its field is stored unboxed, so
+    advancing it allocates nothing. *)
+type clock = { mutable at : float }
+
 type tile
 type device
 
@@ -27,7 +31,7 @@ type t = {
   stats : Stats.t;
   devices : (int, device) Hashtbl.t;
   mutable next : int;
-  mutable io_clock : float;
+  io : clock;  (** the serialized digital interface's clock *)
   faults : Cinm_support.Fault.plan option;
   mutable trace_pid : int;
       (** the machine's {!Cinm_support.Trace} device pid; [0] until the

@@ -1,9 +1,16 @@
 (* A small reusable domain pool for data-parallel loops and background
    tasks (OCaml 5 domains).
 
-   The UPMEM machine simulator executes every DPU of a launch through this
-   pool; real hardware runs all DPUs concurrently, and the simulation is
-   embarrassingly parallel at DPU granularity. The serve daemon also
+   Three users, and only these spawn or loop on domains (a lint keeps it
+   so). The UPMEM machine simulator executes every DPU of a launch
+   through this pool; real hardware runs all DPUs concurrently, and the
+   simulation is embarrassingly parallel at DPU granularity. The host
+   GEMM ([Tensor.gemm]) splits the output rows of a large product into
+   chunks, one index each. Both use the default pool, so a GEMM issued
+   inside a DPU lane finds a loop in flight and runs inline on the lane's
+   domain, as does a GEMM beside another caller's loop; the daemon sizes
+   the default pool to 1 job, so a served request's GEMMs run inline on
+   its worker (its own pool serves requests). The serve daemon also
    multiplexes whole requests over the same pool as *tasks*: a submitted
    task occupies one worker for its duration, and any parallel-for the
    task issues (a simulated launch) is served by whichever workers are

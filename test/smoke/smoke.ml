@@ -14,8 +14,11 @@
                                    Array.sort in tensor.ml,
                                    no Cnm_d.workgroup but in
                                    Cinm_to_cnm.workgroup, no Schedule
-                                   in the simulators; no clock in a
-                                   tier-1 test but to bound a wait
+                                   in the simulators, no Domain.spawn
+                                   but in Pool, no Pool.run but in
+                                   Pool, the UPMEM machine and Tensor;
+                                   no clock in a tier-1 test but to
+                                   bound a wait
      smoke reduce OPT REDUCE FILE  capture, replay and reduce a crash
      smoke daemon SERVE_EXE        the standalone daemon under chaos
      smoke gate BENCH PIN          best of 3 --quick walls within 15% *)
@@ -228,6 +231,7 @@ let lint lib tests =
   let all = ml_files lib in
   let transforms = ml_files (Filename.concat lib "transforms") in
   let log_ml = Filename.concat (Filename.concat lib "support") "log.ml" in
+  let pool_ml = Filename.concat (Filename.concat lib "support") "pool.ml" in
   let interp_dir = Filename.concat lib "interp" in
   let interp_files, outside_interp =
     List.partition (fun f -> String.starts_with ~prefix:(interp_dir ^ "/") f) all
@@ -260,6 +264,24 @@ let lint lib tests =
         ~files:[ Filename.concat interp_dir "tensor.ml" ]
         ~why:"select with the k-best heap" (mentions "Array.sort")
     @ global_state ~files:transforms ~allow:[] "a pass"
+    (* the parallel sites stay few and explicit: the pool alone spawns
+       domains, and only the UPMEM launch (one index per DPU) and the
+       host GEMM (row chunks) run parallel loops on it *)
+    @ offences
+        ~files:(List.filter (( <> ) pool_ml) all)
+        ~why:"spawn domains through Cinm_support.Pool" (mentions "Domain.spawn")
+    @ offences
+        ~files:
+          (List.filter
+             (fun f ->
+               not
+                 (List.mem f
+                    [ pool_ml;
+                      Filename.concat (Filename.concat lib "upmem_sim") "machine.ml";
+                      Filename.concat interp_dir "tensor.ml" ]))
+             all)
+        ~why:"parallel loops run in the UPMEM launch and the host GEMM only"
+        (mentions "Pool.run")
     (* one rule shapes every UPMEM workgroup: the DPUs a launch's rows
        fill, up to the configured count *)
     @ List.concat_map

@@ -335,18 +335,21 @@ let test_contractions_minor_words () =
    slice is 8K words): the slices, partials and staged inputs recycle
    through the arena, the tile adopts its input and the accumulator
    chain updates in place. What a trip still allocates is a constant
-   set of boxes: the device ops' operand arrays and result lists, boxed
-   float clocks and stats, and the environment staging of the host ops
-   compiled code hands to the tree-walker. mm at 128x64x64 runs 2 tiles,
-   at 256x256x256 32. Measured: 269.3 words per trip since compiled code
-   decides once per op whether a hook or the interpreter serves it;
-   301.5 while every host op was first offered to the memristor and CAM
-   hooks (each offer built an operand array), 340.4 while the machine
-   still logged a schedule event per timed op on every run, and 562
-   before the kernel lost its per-row option and row accumulator, and
-   the arena its tuple keys. The budget, 285, keeps a margin of about
-   16 words and sits below 301.5, so host ops cannot go back to trying
-   the hooks first. *)
+   set of boxes: the device ops' operand arrays and result lists, the
+   boxed energy total, the environment staging of the host ops compiled
+   code hands to the tree-walker and, with a pool of 2 or more jobs, the
+   row-chunk closure of the tile's GEMM (above the split threshold at
+   both sizes). mm at 128x64x64 runs 2 tiles, at 256x256x256 32.
+   Measured: 275.6 words per trip at 2 jobs (260.1 at 1) since the tile
+   GEMM splits its rows over the pool and the crossbar's clocks and time
+   buckets sit in float-only records; 269.3 while they were boxed fields
+   of mixed records and the GEMM ran on one domain; 301.5 while every
+   host op was first offered to the memristor and CAM hooks (each offer
+   built an operand array), 340.4 while the machine still logged a
+   schedule event per timed op on every run, and 562 before the kernel
+   lost its per-row option and row accumulator, and the arena its tuple
+   keys. The budget, 285, keeps a margin of about 9 words and sits below
+   301.5, so host ops cannot go back to trying the hooks first. *)
 let test_cim_words_per_tile () =
   let module K = Cinm_benchmarks.Ml_kernels in
   let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in

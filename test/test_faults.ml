@@ -336,7 +336,7 @@ let test_gain_variation_calibrates () =
     true
     (stats.Msim.Stats.calibrations > 0);
   Alcotest.(check bool) "calibration costs io time" true
-    (stats.Msim.Stats.io_s > s_ideal.Msim.Stats.io_s);
+    (stats.Msim.Stats.time.io_s > s_ideal.Msim.Stats.time.io_s);
   check_tensor "calibrated results are unaffected" ideal out
 
 let () =

@@ -171,14 +171,15 @@ let same_bits msg a b =
   if Tensor.is_int a then Alcotest.(check bool) msg true (Tensor.equal a b)
   else check_bits msg (bits a) b
 
-(* C <- A B by the textbook triple loop over [ldc]-strided C, summing in
-   ascending p from 0. *)
-let naive_gemm ~batch ~m ~n ~k a b c ~ldc =
+(* C <- A B by the textbook triple loop over [ldb]-strided B and
+   [ldc]-strided C, summing in ascending p from 0. *)
+let naive_gemm ~batch ?(ldb = 0) ~m ~n ~k a b c ~ldc =
+  let ldb = if ldb = 0 then n else ldb in
   for bt = 0 to batch - 1 do
     for i = 0 to m - 1 do
       for j = 0 to n - 1 do
         let z = (bt * m * ldc) + (i * ldc) + j in
-        let x p = (bt * m * k) + (i * k) + p and y p = (bt * k * n) + (p * n) + j in
+        let x p = (bt * m * k) + (i * k) + p and y p = (bt * k * ldb) + (p * ldb) + j in
         if Tensor.is_int c then begin
           let acc = ref 0 in
           for p = 0 to k - 1 do
@@ -232,6 +233,85 @@ let test_gemm_row_stride () =
        (fun i -> [ Tensor.get full [| i; 0 |]; Tensor.get full [| i; 1 |] ])
        [ 0; 1; 2 ])
     (Array.to_list (Tensor.to_int_array got))
+
+(* [payload] with zero rows 4..7 of every 8 (a whole 4-row block when
+   the block starts at a multiple of 4) and zero columns 4..7 (a 4-deep
+   p block of zero multipliers in every row). *)
+let sparse_payload dtype ~rows ~k seed =
+  let t = payload dtype (rows * k) seed in
+  for i = 0 to (rows * k) - 1 do
+    let r = i / k and p = i mod k in
+    if r mod 8 >= 4 || p / 4 = 1 then
+      if Tensor.is_int t then Tensor.set_int t i 0 else Tensor.set_float t i 0.0
+  done;
+  t
+
+(* Payload triples (A, B, C) the int GEMM meets: each int width on its
+   own (i64 wraps at 63 bits), narrow and mixed payloads, and float. *)
+let gemm_payloads =
+  [ (T.I8, T.I8, T.I8); (T.I16, T.I16, T.I16); (T.I32, T.I32, T.I32); (T.I64, T.I64, T.I64);
+    (T.I8, T.I32, T.I32); (T.I32, T.I16, T.I8); (T.I64, T.I8, T.I16); (T.F32, T.F32, T.F32) ]
+
+(* (batch, m, n, k, ldb, ldc): every row count up to two 4-row blocks and
+   a tail, 129 rows, three batches of 5 rows (blocks cannot span a batch),
+   wide strides, and shapes on both sides of the row-split threshold
+   (2^17 multiply-accumulates: the last two). *)
+let gemm_shapes =
+  List.map (fun m -> (1, m, 7, 9, 11, 10)) [ 1; 2; 3; 5; 6; 7; 129 ]
+  @ [ (3, 5, 6, 13, 9, 8); (1, 129, 32, 32, 40, 33); (3, 5, 96, 96, 100, 97) ]
+
+let gemm_case (da, db, dc) (batch, m, n, k, ldb, ldc) =
+  let a = sparse_payload da ~rows:(batch * m) ~k (m + k) in
+  let b = payload db (((batch - 1) * k * ldb) + ((k - 1) * ldb) + n) n in
+  let size = (batch * m * ldc) + 1 in
+  let got = payload dc size 5 and want = payload dc size 5 in
+  Tensor.gemm ~batch ~ldb ~m ~n ~k a b got ~ldc;
+  naive_gemm ~batch ~ldb ~m ~n ~k a b want ~ldc;
+  (want, got)
+
+let case_name (da, db, dc) (batch, m, n, k, ldb, ldc) =
+  Printf.sprintf "%s*%s->%s %dx%dx%d batch %d ldb %d ldc %d" (T.dtype_to_string da)
+    (T.dtype_to_string db) (T.dtype_to_string dc) m k n batch ldb ldc
+
+(* Run [f] under each default pool size, restoring the size after. *)
+let under_jobs jobs f =
+  let before = Cinm_support.Pool.default_jobs () in
+  Fun.protect
+    ~finally:(fun () -> Cinm_support.Pool.set_default_jobs before)
+    (fun () ->
+      List.map
+        (fun j ->
+          Cinm_support.Pool.set_default_jobs j;
+          f j)
+        jobs)
+
+(* Every payload and shape against the naive loop, bit for bit, with the
+   default pool at 1, 2 and 4 domains: a row's value does not depend on
+   the chunk it falls in. *)
+let test_gemm_rows_any_jobs () =
+  ignore
+    (under_jobs [ 1; 2; 4 ] (fun jobs ->
+         List.iter
+           (fun dts ->
+             List.iter
+               (fun shape ->
+                 let want, got = gemm_case dts shape in
+                 same_bits (Printf.sprintf "%s, jobs %d" (case_name dts shape) jobs) want got)
+               gemm_shapes)
+           gemm_payloads))
+
+(* A GEMM above the split threshold issued from inside a parallel loop's
+   index (as in a DPU lane) runs inline on that domain and gives the same
+   result. *)
+let test_gemm_inside_pool_run () =
+  ignore
+    (under_jobs [ 2 ] (fun _ ->
+         let dts = (T.I32, T.I32, T.I32) and shape = (1, 129, 32, 32, 40, 33) in
+         let outside = snd (gemm_case dts shape) in
+         let inside = Array.make 2 outside in
+         Cinm_support.Pool.run (Cinm_support.Pool.default ()) 2 (fun i ->
+             inside.(i) <- snd (gemm_case dts shape));
+         Array.iter (same_bits "inside Pool.run == outside" outside) inside))
 
 (* ----- einsum: TTGT against the index odometer ----- *)
 
@@ -667,6 +747,8 @@ let () =
         [
           Alcotest.test_case "strided C, every payload" `Quick test_gemm_matches_naive;
           Alcotest.test_case "B row stride" `Quick test_gemm_row_stride;
+          Alcotest.test_case "row blocks at 1, 2 and 4 jobs" `Quick test_gemm_rows_any_jobs;
+          Alcotest.test_case "inline inside Pool.run" `Quick test_gemm_inside_pool_run;
           Alcotest.test_case "conv_2d == direct loop" `Quick test_conv_2d_matches_direct;
           Alcotest.test_case "transpose runs" `Quick test_transpose_runs;
           Alcotest.test_case "merge_region wraps" `Quick test_merge_region_wraps;

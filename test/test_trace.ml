@@ -240,9 +240,9 @@ let check_trace_view backend build args =
       let s = m.Msim.Machine.stats in
       check ~pid:m.Msim.Machine.trace_pid
         [
-          ("program", s.Msim.Stats.program_s);
-          ("mvm", s.Msim.Stats.compute_s);
-          ("io", s.Msim.Stats.io_s);
+          ("program", s.Msim.Stats.time.program_s);
+          ("mvm", s.Msim.Stats.time.compute_s);
+          ("io", s.Msim.Stats.time.io_s);
         ])
     ms.Machine_set.memristor
 
