@@ -246,7 +246,7 @@ let sparse_payload dtype ~rows ~k seed =
   done;
   t
 
-(* Payload triples (A, B, C) the int GEMM meets: each int width on its
+(* Payload triples (A, B, C) the GEMM meets: each int width on its
    own (i64 wraps at 63 bits), narrow and mixed payloads, and float. *)
 let gemm_payloads =
   [ (T.I8, T.I8, T.I8); (T.I16, T.I16, T.I16); (T.I32, T.I32, T.I32); (T.I64, T.I64, T.I64);
@@ -279,7 +279,7 @@ let under_jobs jobs f =
   Fun.protect
     ~finally:(fun () -> Cinm_support.Pool.set_default_jobs before)
     (fun () ->
-      List.map
+      List.iter
         (fun j ->
           Cinm_support.Pool.set_default_jobs j;
           f j)
@@ -289,29 +289,30 @@ let under_jobs jobs f =
    default pool at 1, 2 and 4 domains: a row's value does not depend on
    the chunk it falls in. *)
 let test_gemm_rows_any_jobs () =
-  ignore
-    (under_jobs [ 1; 2; 4 ] (fun jobs ->
-         List.iter
-           (fun dts ->
-             List.iter
-               (fun shape ->
-                 let want, got = gemm_case dts shape in
-                 same_bits (Printf.sprintf "%s, jobs %d" (case_name dts shape) jobs) want got)
-               gemm_shapes)
-           gemm_payloads))
+  under_jobs [ 1; 2; 4 ] (fun jobs ->
+      List.iter
+        (fun dts ->
+          List.iter
+            (fun shape ->
+              let want, got = gemm_case dts shape in
+              same_bits (Printf.sprintf "%s, jobs %d" (case_name dts shape) jobs) want got)
+            gemm_shapes)
+        gemm_payloads)
 
 (* A GEMM above the split threshold issued from inside a parallel loop's
-   index (as in a DPU lane) runs inline on that domain and gives the same
-   result. *)
+   index (as in a DPU lane) finds the pool busy, so it runs inline on that
+   domain, and gives the same result. *)
 let test_gemm_inside_pool_run () =
-  ignore
-    (under_jobs [ 2 ] (fun _ ->
-         let dts = (T.I32, T.I32, T.I32) and shape = (1, 129, 32, 32, 40, 33) in
-         let outside = snd (gemm_case dts shape) in
-         let inside = Array.make 2 outside in
-         Cinm_support.Pool.run (Cinm_support.Pool.default ()) 2 (fun i ->
-             inside.(i) <- snd (gemm_case dts shape));
-         Array.iter (same_bits "inside Pool.run == outside" outside) inside))
+  under_jobs [ 2 ] (fun _ ->
+      let module Pool = Cinm_support.Pool in
+      let dts = (T.I32, T.I32, T.I32) and shape = (1, 129, 32, 32, 40, 33) in
+      let outside = snd (gemm_case dts shape) in
+      let inside = Array.make 2 outside and busy = Array.make 2 false in
+      Pool.run (Pool.default ()) 2 (fun i ->
+          busy.(i) <- (Pool.stats (Pool.default ())).Pool.st_par_busy;
+          inside.(i) <- snd (gemm_case dts shape));
+      Array.iter (check_bool "the pool runs a loop" true) busy;
+      Array.iter (same_bits "inside Pool.run == outside" outside) inside)
 
 (* ----- einsum: TTGT against the index odometer ----- *)
 
