@@ -717,7 +717,8 @@ let float_binop_fn : string -> (float -> float -> float) option = function
    [int array] in the payload frame; i1 values, which never leave the
    nest, live in int slots of their own as 0/1. A nest whose memrefs are
    not, on entry, [Tensor.I] payloads of the static rank and dtype runs
-   its per-op closures instead.
+   its per-op closures instead. A nested loop whose constant bounds give
+   one trip is inlined into its parent's body ([fuse_once]).
 
    Accounting. A loop execution makes one profile update: its completed
    trips times the per-trip delta of its body's unconditional ops (fixed
@@ -733,16 +734,16 @@ let float_binop_fn : string -> (float -> float -> float) option = function
    memref also binds its dims to two int-frame slots on entry. *)
 type fmem = { m_slot : int; m_rank : int; m_dtype : Types.dtype; m_dim0 : int; m_dim1 : int }
 
-(* Strips. An innermost loop whose body is straight-line (no branch, loop
-   or DMA) and carries nothing but int [arith.addi] reductions also has a
-   strip form: each op runs over up to [strip_width] trips at a time.
-   Operands live in the executing domain's bank (an [int array]): a
-   vector of [strip_width] words per varying value, one cell per
-   loop-invariant one. An operand is a bank offset and a mask, [t land
-   mask] picking trip [t]'s word: [strip_width - 1] for a vector, 0 for a
-   cell, so one loop per op serves vector and scalar operands alike.
-   Offsets named [row], [off], [d0], [d1] are cells; -1 means none (rank
-   1, or a bare induction variable). *)
+(* Strips. An innermost loop whose body is straight-line (no branch or
+   loop once one-trip loops are inlined) and carries nothing but int
+   [arith.addi] reductions also has a strip form: each op runs over up to
+   [strip_width] trips at a time. Operands live in the executing domain's
+   bank (an [int array]): a vector of [strip_width] words per varying
+   value, one cell per loop-invariant one. An operand is a bank offset and
+   a mask, [t land mask] picking trip [t]'s word: [strip_width - 1] for a
+   vector, 0 for a cell, so one loop per op serves vector and scalar
+   operands alike. Offsets named [row], [off], [d0], [d1], [wi] and [i]
+   are cells; -1 means none (rank 1, or a bare induction variable). *)
 type vbin = Badd | Bsub | Bmul | Bmin | Bmax | Band | Bior | Bxor | Bshl | Bshr
           | Beq | Bne | Blt | Ble | Bgt | Bge
 
@@ -755,28 +756,39 @@ type vop =
   | Vstore of { v : int; vm : int; m : int; row : int; d0 : int; d1 : int; off : int; s : int }
   | Vsum of { it : int; v : int; vm : int; s : int }
       (** adds a strip's words to the carried int-frame slot [it] *)
+  | Vdma of { d : int; m : int; off : int; w : int; wi : int }
+      (** a count-1 [mram_read] of [m[iv + off]] into [w[wi]], read straight
+          into vector [d]; [w[wi]] gets the strip's last word *)
+  | Vacc of { m : int; i : int; v : int; vm : int; s : int }
+      (** [m[i] += v] per trip: the strip's words summed into the word *)
 
 type strip = {
   s_words : int;  (** bank words the loop uses *)
   s_entry : int array;  (** (int-frame slot, cell) pairs read on loop entry *)
   s_consts : int array;  (** (value, cell) pairs set on loop entry *)
+  s_pre : vop array;  (** cells computed from cells, once per loop execution *)
   s_ops : vop array;  (** the per-strip program *)
-  s_checks : vop array;  (** its loads and stores, bounds-checked per strip *)
+  s_checks : vop array;  (** its memory accesses, bounds-checked per strip *)
   s_stored : int array;  (** payload indices the loop stores to *)
   s_mems : int array;  (** every payload index it reaches *)
+  s_ok : int;
+      (** int-frame slot set on nest entry: 1 when no payload the loop
+          stores to is another memref's *)
+  s_polls : int;  (** watchdog checks per trip: the loop's and its [Fpoll]s *)
 }
 
 let strip_width = 64
 
-(* Fewer trips run faster one by one: a strip loop's entry (cells, the
-   payload check) costs about what three trips of dispatch do. *)
+(* Fewer trips run faster one by one: a strip loop's entry (cells and
+   invariant ops) costs about what three trips of dispatch do. *)
 let min_strip_trips = 4
 
 (* One op of a fused program. Scalar operands are int-frame indices,
    memrefs payload-frame indices; [s] is the sign-extension shift that
    wraps a result to its width (0 for 64 bits and for i1, whose operands
    are 0/1 already). Branches and their yields are inlined: [Fif] jumps
-   to [else_pc] on a zero condition, [Fjump] ends a then-branch. *)
+   to [else_pc] on a zero condition, [Fjump] ends a then-branch. A loop
+   of one trip is inlined too; [Fpoll] is its watchdog poll. *)
 type fop =
   | Fconst of { d : int; v : int }
   | Fmove of { d : int; a : int }
@@ -804,6 +816,7 @@ type fop =
   | Fdma of { to_wram : bool; mram : int; wram : int; moff : int; woff : int; count : int }
   | Fif of { c : int; mutable else_pc : int; then_n : int; else_n : int }
   | Fjump of { mutable target : int }
+  | Fpoll
   | Floop of nest
 
 and nest = {
@@ -867,6 +880,25 @@ let int_value = function Attr.Int _ -> true | _ -> false
 
 let cmpi_pred = function
   | Attr.Str ("eq" | "ne" | "slt" | "sle" | "sgt" | "sge") -> true
+  | _ -> false
+
+(* The value of an int [arith.constant], wrapped to its type. *)
+let const_int (v : Ir.value) =
+  match v.Ir.def with
+  | Ir.Op_result (op, _) when op.Ir.name = "arith.constant" -> (
+    match List.assoc_opt "value" op.Ir.attrs with
+    | Some (Attr.Int i) -> Some (Tensor.wrap (Interp.scalar_result_dtype op) i)
+    | _ -> None)
+  | _ -> None
+
+(* An [scf.for] whose constant bounds give exactly one trip. *)
+let one_trip (op : Ir.op) =
+  match
+    (const_int op.Ir.operands.(0), const_int op.Ir.operands.(1), const_int op.Ir.operands.(2))
+  with
+  | Some lb, Some ub, Some step ->
+    (* [ub - lb > 0]: the distance does not overflow *)
+    lb < ub && ub - lb > 0 && ub - lb <= step
   | _ -> false
 
 (* Ops [i, n) of [b] are fusable. *)
@@ -978,6 +1010,7 @@ type fstate = {
   i1_slots : (int, int) Hashtbl.t;  (** i1 vid -> int-frame index *)
   mutable loops : Ir.op list;
   mutable strips : Ir.op list;  (** the loops with a strip form *)
+  mutable forms : strip list;  (** and their forms *)
   mutable words : int;  (** the most bank words one of them uses *)
 }
 
@@ -1084,13 +1117,29 @@ let fop_slots f =
     | Fload2 { d; d0; d1; i; j; _ } -> ([ d0; d1; i; j ], d)
     | Fstore1 { v; i; _ } -> ([ v; i ], -1)
     | Fstore2 { v; d0; d1; i; j; _ } -> ([ v; d0; d1; i; j ], -1)
+    | Fdma { moff; woff; _ } -> ([ moff; woff ], -1)
+    | Fpoll -> ([], -1)
     | _ -> raise Exit)
 
+(* The payload-frame indices a straight-line fused op reaches. *)
+let fop_mems = function
+  | Fload1 { m; _ } | Fload2 { m; _ } | Fstore1 { m; _ } | Fstore2 { m; _ } -> [ m ]
+  | Fdma { mram; wram; _ } -> [ mram; wram ]
+  | _ -> []
+
 (* How the strip form holds a value: in a cell, set on loop entry (a
-   loop-invariant value or a constant); in a vector; or as [iv + off] for
-   a cell [off] (-1: the induction variable itself), which indexes
-   contiguously. *)
+   loop-invariant value or a constant) or computed from cells once per
+   loop execution; in a vector; or as [iv + off] for a cell [off] (-1:
+   the induction variable itself), which indexes contiguously. *)
 type vkind = Cell of int | Vec of int | Aff of int
+
+(* Where an access reaches its memref: the words from [iv + off] of row
+   cell [row] (-1: rank 1, or a flat DMA offset), or the one word at
+   cell [c]. *)
+type key = At of int * int | Word of int
+
+(* An op's part in an accumulator (see [strip_of]). *)
+type acc_part = Acc_load of int | Acc_add of int | Acc_store of int
 
 (* The strip form of a loop body, or None. Eligible: straight-line ops;
    each carried value is an [arith.addi] of itself and another value,
@@ -1099,7 +1148,16 @@ type vkind = Cell of int | Vec of int | Aff of int
    loads and stores index [iv + invariant] (the last index, for rank 2,
    under an invariant row); and every access to a memref the loop stores
    to is at that store's own index, so the trips touch disjoint words of
-   it. *)
+   it. Two forms reach one word at an invariant index [c] instead:
+   - an accumulator: [load m[c]], an [arith.addi] of it and the store of
+     the sum to [m[c]], the add and the store of one width, the loaded
+     value and the sum used once each and [m] reached nowhere else in
+     the body, sums the strip into the word (wrapped addition again);
+   - a count-1 [upmem.mram_read] at MRAM offset [iv + invariant] into
+     [w[c]] reads its strip straight from MRAM; loads of [w[c]] after it
+     in the trip read that vector, and [w] is reached nowhere else.
+   An op whose operands are all cells is computed into a cell before the
+   strips run. *)
 let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
   let words = ref 0 in
   let take n =
@@ -1109,9 +1167,10 @@ let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
   in
   let kinds : (int, vkind) Hashtbl.t = Hashtbl.create 16 in
   let set = Hashtbl.replace kinds in
-  let entry = ref [] and consts = ref [] and ops = ref [] in
-  let accesses = ref [] (* (payload, stores, (row, off)) *) in
-  let iotas = Hashtbl.create 4 in
+  let entry = ref [] and consts = ref [] and pre = ref [] and ops = ref [] in
+  let accesses = ref [] (* (payload, stores, key) *) in
+  let iotas = Hashtbl.create 4 (* off -> vector *) in
+  let fwd = Hashtbl.create 4 (* forwarded WRAM payload -> (cell, vector) *) in
   match
     let slots = Array.map fop_slots body in
     let loop_set = Hashtbl.create 16 in
@@ -1136,6 +1195,45 @@ let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
             (pc, (it, (if a = it then b else a), s))
           | _ -> raise Exit)
     in
+    (* the op that last set [s] before op [pc] *)
+    let rec def_before pc s =
+      if pc <= 0 then None else if snd slots.(pc - 1) = s then Some (pc - 1) else def_before (pc - 1) s
+    in
+    let reach m =
+      Array.fold_left (fun n f -> n + List.length (List.filter (( = ) m) (fop_mems f))) 0 body
+    in
+    (* the ops of each accumulator, by body index: the load and the add
+       name the store's index, the store names the addend *)
+    let parts = Hashtbl.create 4 in
+    Array.iteri
+      (fun pc f ->
+        match f with
+        | Fstore1 { v = x; m; i; s } when uses x = 1 && reach m = 2 -> (
+          let loaded y pa =
+            match def_before pa y with
+            | Some pl when uses y = 1 -> (
+              match body.(pl) with
+              | Fload1 { m = m'; i = i'; _ } when m' = m && i' = i -> Some pl
+              | _ -> None)
+            | _ -> None
+          in
+          let acc pa pl y =
+            Hashtbl.replace parts pl (Acc_load pc);
+            Hashtbl.replace parts pa (Acc_add pc);
+            Hashtbl.replace parts pc (Acc_store y)
+          in
+          match Option.map (fun pa -> (pa, body.(pa))) (def_before pc x) with
+          | Some (pa, Fadd { a; b; s = s'; _ }) when s' = s && a <> b -> (
+            match (loaded a pa, loaded b pa) with
+            | Some pl, None -> acc pa pl b
+            | None, Some pl -> acc pa pl a
+            | _ -> ())
+          | _ -> ())
+        | _ -> ())
+      body;
+    (* store index -> the load's cell, once the load's index is a cell *)
+    let acc_cells = Hashtbl.create 2 in
+    let summed spc = Hashtbl.mem acc_cells spc in
     set iv (Aff (-1));
     let kind s =
       match Hashtbl.find_opt kinds s with
@@ -1156,12 +1254,12 @@ let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
       | Cell c -> (c, 0)
       | Vec v -> (v, vmask)
       | Aff off -> (
-        match Hashtbl.find_opt iotas s with
+        match Hashtbl.find_opt iotas off with
         | Some v -> (v, vmask)
         | None ->
           let v = take strip_width in
           ops := Viota { d = v; off } :: !ops;
-          Hashtbl.replace iotas s v;
+          Hashtbl.replace iotas off v;
           (v, vmask))
     in
     let vector mk =
@@ -1169,45 +1267,86 @@ let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
       ops := mk v :: !ops;
       Vec v
     in
+    let invariant mk =
+      let c = take 1 in
+      pre := mk c :: !pre;
+      Cell c
+    in
     let aff s = match kind s with Aff off -> off | _ -> raise Exit in
     let load d m ~row ~d0 ~d1 ~col =
       let off = aff col in
-      accesses := (m, false, (row, off)) :: !accesses;
+      accesses := (m, false, At (row, off)) :: !accesses;
       set d (vector (fun d -> Vload { d; m; row; d0; d1; off }))
     in
     let store v m ~row ~d0 ~d1 ~col ~s =
       let off = aff col in
       let v, vm = data v in
       ops := Vstore { v; vm; m; row; d0; d1; off; s } :: !ops;
-      accesses := (m, true, (row, off)) :: !accesses
+      accesses := (m, true, At (row, off)) :: !accesses
     in
     Array.iteri
       (fun pc f ->
         if not (List.mem_assoc pc reductions) then
-          match vbin_of f with
-          | Some (k, d, a, b, s) -> (
-            match (k, s, kind a, kind b) with
-            | Badd, 0, Aff (-1), Cell c | Badd, 0, Cell c, Aff (-1) -> set d (Aff c)
-            | _ ->
-              let a, am = data a and b, bm = data b in
-              set d (vector (fun d -> Vbin { k; d; a; am; b; bm; s })))
-          | None -> (
-            match f with
-            | Fconst { d; v } ->
-              let c = take 1 in
-              consts := (v, c) :: !consts;
-              set d (Cell c)
-            | Fmove { d; a } -> set d (kind a)
-            | Fselect { d; c; t; e } ->
-              let c, cm = data c and t, tm = data t and e, em = data e in
-              set d (vector (fun d -> Vsel { d; c; cm; t; tm; e; em }))
-            | Fload1 { d; m; i } -> load d m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i
-            | Fload2 { d; m; d0; d1; i; j } ->
-              load d m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j
-            | Fstore1 { v; m; i; s } -> store v m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i ~s
-            | Fstore2 { v; m; d0; d1; i; j; s } ->
-              store v m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j ~s
-            | _ -> raise Exit))
+          match (Hashtbl.find_opt parts pc, f) with
+          | Some (Acc_load spc), Fload1 { m; i; _ }
+            when (match kind i with Cell _ -> true | _ -> false) ->
+            let c = cell i in
+            Hashtbl.replace acc_cells spc c;
+            accesses := (m, true, Word c) :: !accesses
+          | Some (Acc_add spc), _ when summed spc -> ()
+          | Some (Acc_store y), Fstore1 { m; i; s; _ } when summed pc ->
+            let c = cell i in
+            (* an inlined loop's yield may have moved another value into
+               the index slot since the load *)
+            if Hashtbl.find acc_cells pc <> c then raise Exit;
+            let v, vm = data y in
+            ops := Vacc { m; i = c; v; vm; s } :: !ops
+          | _ -> (
+            match vbin_of f with
+            | Some (k, d, a, b, s) -> (
+              match (k, s, kind a, kind b) with
+              | Badd, 0, Aff (-1), Cell c | Badd, 0, Cell c, Aff (-1) -> set d (Aff c)
+              | _, _, Cell a, Cell b ->
+                set d (invariant (fun d -> Vbin { k; d; a; am = 0; b; bm = 0; s }))
+              | _ ->
+                let a, am = data a and b, bm = data b in
+                set d (vector (fun d -> Vbin { k; d; a; am; b; bm; s })))
+            | None -> (
+              match f with
+              | Fconst { d; v } ->
+                let c = take 1 in
+                consts := (v, c) :: !consts;
+                set d (Cell c)
+              | Fmove { d; a } -> set d (kind a)
+              | Fselect { d; c; t; e } -> (
+                match (kind c, kind t, kind e) with
+                | Cell c, Cell t, Cell e ->
+                  set d (invariant (fun d -> Vsel { d; c; cm = 0; t; tm = 0; e; em = 0 }))
+                | _ ->
+                  let c, cm = data c and t, tm = data t and e, em = data e in
+                  set d (vector (fun d -> Vsel { d; c; cm; t; tm; e; em })))
+              | Fload1 { d; m; i } when Hashtbl.mem fwd m ->
+                let c, v = Hashtbl.find fwd m in
+                if cell i <> c then raise Exit;
+                set d (Vec v)
+              | (Fload1 { m; _ } | Fload2 { m; _ } | Fstore1 { m; _ } | Fstore2 { m; _ })
+                when Hashtbl.mem fwd m ->
+                raise Exit
+              | Fload1 { d; m; i } -> load d m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i
+              | Fload2 { d; m; d0; d1; i; j } ->
+                load d m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j
+              | Fstore1 { v; m; i; s } -> store v m ~row:(-1) ~d0:(-1) ~d1:(-1) ~col:i ~s
+              | Fstore2 { v; m; d0; d1; i; j; s } ->
+                store v m ~row:(cell i) ~d0:(cell d0) ~d1:(cell d1) ~col:j ~s
+              | Fdma { to_wram = true; mram; wram; moff; woff; count = 1 }
+                when not (Hashtbl.mem fwd wram) ->
+                let off = aff moff and c = cell woff in
+                let d = take strip_width in
+                ops := Vdma { d; m = mram; off; w = wram; wi = c } :: !ops;
+                accesses := (mram, false, At (-1, off)) :: (wram, true, Word c) :: !accesses;
+                Hashtbl.replace fwd wram (c, d)
+              | Fpoll -> ()
+              | _ -> raise Exit)))
       body;
     List.iter
       (fun (_, (it, x, s)) ->
@@ -1230,12 +1369,17 @@ let strip_of (body : fop array) ~iv ~(iters : int array) ~(yields : int array) =
       s_words = !words;
       s_entry = pairs !entry;
       s_consts = pairs !consts;
+      s_pre = Array.of_list (List.rev !pre);
       s_ops = ops;
       s_checks =
         Array.of_list
-          (List.filter (function Vload _ | Vstore _ -> true | _ -> false) (Array.to_list ops));
+          (List.filter
+             (function Vload _ | Vstore _ | Vdma _ | Vacc _ -> true | _ -> false)
+             (Array.to_list ops));
       s_stored = Array.of_list stored;
       s_mems = Array.of_list (List.sort_uniq compare (List.map (fun (m, _, _) -> m) !accesses));
+      s_ok = -1;
+      s_polls = Array.fold_left (fun n f -> match f with Fpoll -> n + 1 | _ -> n) 1 body;
     }
   with
   | sp -> Some sp
@@ -1305,7 +1449,12 @@ let rec fuse_op fs (op : Ir.op) : fop * Profile.t * Profile.t =
     (match name with
     | "arith.addi" -> same (Fadd { d; a; b; s }) alu
     | "arith.subi" -> same (Fsub { d; a; b; s }) alu
-    | "arith.muli" -> same (Fmul { d; a; b; s }) (cost ~mul:1 ())
+    | "arith.muli" -> (
+      (* by a constant 1: a move, still costed as the multiply *)
+      match (const_int op.Ir.operands.(0), const_int op.Ir.operands.(1)) with
+      | _, Some 1 when s = 0 -> same (Fmove { d; a }) (cost ~mul:1 ())
+      | Some 1, _ when s = 0 -> same (Fmove { d; a = b }) (cost ~mul:1 ())
+      | _ -> same (Fmul { d; a; b; s }) (cost ~mul:1 ()))
     | "arith.minsi" -> same (Fmin { d; a; b; s }) alu
     | "arith.maxsi" -> same (Fmax { d; a; b; s }) alu
     | "arith.andi" -> same (Fand { d; a; b; s }) alu
@@ -1319,9 +1468,15 @@ let rec fuse_op fs (op : Ir.op) : fop * Profile.t * Profile.t =
    the sequence does (a branch's ops count through its counter). *)
 and fuse_seq fs buf (ops : Ir.op list) =
   let prefix = cost ~launched:0 () in
+  fuse_into fs buf prefix ops;
+  prefix
+
+(* Emit [ops] after ops that cost [prefix], adding their cost to it. *)
+and fuse_into fs buf prefix (ops : Ir.op list) =
   List.iter
     (fun (op : Ir.op) ->
       if op.Ir.name = "scf.if" then fuse_if fs buf prefix op
+      else if op.Ir.name = "scf.for" && one_trip op then fuse_once fs buf prefix op
       else begin
         let f, full, fail = fuse_op fs op in
         let e = Profile.copy prefix in
@@ -1329,8 +1484,40 @@ and fuse_seq fs buf (ops : Ir.op list) =
         emit buf f e;
         Profile.add ~into:prefix full
       end)
-    ops;
-  prefix
+    ops
+
+(* A loop of one trip, inline: its dispatch and induction step, the
+   watchdog poll of its trip, the induction value and iteration arguments
+   set from the operands, its body, and the yields moved to the
+   iteration arguments, which its results alias. *)
+and fuse_once fs buf prefix (op : Ir.op) =
+  let block = Ir.entry_block op.Ir.regions.(0) in
+  let n = Ir.num_ops block in
+  let has_term = n > 0 && Ir.is_terminator (Ir.op_at block (n - 1)) in
+  let move d a = emit buf (Fmove { d; a }) (Profile.copy prefix) in
+  Profile.add ~into:prefix (cost ~alu:1 ());
+  emit buf Fpoll (Profile.copy prefix);
+  move (fslot fs block.Ir.args.(0)) (fslot fs op.Ir.operands.(0));
+  let iters = Array.init (Array.length op.Ir.results) (fun k -> fslot fs block.Ir.args.(k + 1)) in
+  Array.iteri (fun k it -> move it (fslot fs op.Ir.operands.(k + 3))) iters;
+  fuse_into fs buf prefix (List.init (if has_term then n - 1 else n) (Ir.op_at block));
+  if has_term then begin
+    let ys = Array.map (fslot fs) (Ir.op_at block (n - 1)).Ir.operands in
+    (* a yield may permute the iteration arguments: stage through fresh
+       slots *)
+    let staged =
+      if Array.length ys < 2 then ys
+      else
+        Array.map
+          (fun y ->
+            let k = -1 - new_int fs.fst in
+            move k y;
+            k)
+          ys
+    in
+    Array.iteri (fun k it -> move it staged.(k)) iters
+  end;
+  fs.loops <- op :: fs.loops
 
 and fuse_if fs buf prefix (op : Ir.op) =
   let c = fslot fs op.Ir.operands.(0) in
@@ -1396,12 +1583,16 @@ and fuse_nest fs (op : Ir.op) : nest =
   let code = List.rev buf.code in
   let branches = Array.of_list (List.rev buf.branches) in
   let l_body = Array.of_list (List.map fst code) in
-  let l_strip = strip_of l_body ~iv:l_iv ~iters:l_iters ~yields:l_yields in
-  Option.iter
-    (fun sp ->
-      fs.strips <- op :: fs.strips;
-      fs.words <- max fs.words sp.s_words)
-    l_strip;
+  let l_strip =
+    Option.map
+      (fun sp ->
+        let sp = { sp with s_ok = -1 - new_int fs.fst } in
+        fs.strips <- op :: fs.strips;
+        fs.forms <- sp :: fs.forms;
+        fs.words <- max fs.words sp.s_words;
+        sp)
+      (strip_of l_body ~iv:l_iv ~iters:l_iters ~yields:l_yields)
+  in
   {
     l_lb;
     l_ub;
@@ -1419,10 +1610,24 @@ and fuse_nest fs (op : Ir.op) : nest =
     l_strip;
   }
 
-(* Bind each memref of a nest to its payload (and a rank-2 one's dims);
-   false when one is not an int payload of the static rank and dtype. *)
-let bind_mems (mems : fmem array) (gf : Rtval.t array) (iframe : int array)
-    (pf : int array array) =
+(* No payload the loop stores to is another memref's. *)
+let distinct (pf : int array array) (sp : strip) =
+  let st = sp.s_stored and ms = sp.s_mems in
+  let ok = ref true in
+  for a = 0 to Array.length st - 1 do
+    let m = Array.unsafe_get st a in
+    for b = 0 to Array.length ms - 1 do
+      let m' = Array.unsafe_get ms b in
+      if m' <> m && Array.unsafe_get pf m == Array.unsafe_get pf m' then ok := false
+    done
+  done;
+  !ok
+
+(* Bind each memref of a nest to its payload (and a rank-2 one's dims),
+   and set each strip form's [s_ok] for these payloads; false when one is
+   not an int payload of the static rank and dtype. *)
+let bind_mems (mems : fmem array) (forms : strip array) (gf : Rtval.t array)
+    (iframe : int array) (pf : int array array) =
   let ok = ref true and k = ref 0 in
   while !ok && !k < Array.length mems do
     let mm = Array.unsafe_get mems !k in
@@ -1443,6 +1648,11 @@ let bind_mems (mems : fmem array) (gf : Rtval.t array) (iframe : int array)
     | _ -> ok := false);
     incr k
   done;
+  if !ok then
+    for k = 0 to Array.length forms - 1 do
+      let sp = Array.unsafe_get forms k in
+      Array.unsafe_set iframe sp.s_ok (Bool.to_int (distinct pf sp))
+    done;
   !ok
 
 let oob () = invalid_arg "Util.linearize: out of bounds"
@@ -1499,6 +1709,16 @@ let vexec (v : int array) (pf : int array array) (iframe : int array) i0 n op =
     let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
     let base = if row < 0 then lo else (Array.unsafe_get v row * Array.unsafe_get v d1) + lo in
     Tensor.blit_ints (Array.unsafe_get pf m) base v d n
+  | Vdma { d; m; off; w; wi } ->
+    let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    Tensor.blit_ints (Array.unsafe_get pf m) lo v d n;
+    Array.unsafe_set (Array.unsafe_get pf w) (Array.unsafe_get v wi)
+      (Array.unsafe_get v (d + n - 1))
+  | Vacc { m; i; v = x; vm; s } ->
+    let arr = Array.unsafe_get pf m and c = Array.unsafe_get v i in
+    let acc = ref (Array.unsafe_get arr c) in
+    for t = 0 to n - 1 do acc := !acc + at v x vm t done;
+    Array.unsafe_set arr c (wrap s !acc)
   | Vstore { v = x; vm; m; row; d1; off; s; _ } ->
     let arr = Array.unsafe_get pf m in
     let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
@@ -1522,28 +1742,27 @@ let in_bounds (v : int array) (pf : int array array) i0 n op =
     else
       let r = Array.unsafe_get v row in
       r >= 0 && r < Array.unsafe_get v d0 && hi < Array.unsafe_get v d1
+  | Vdma { m; off; w; wi; _ } ->
+    let lo = if off < 0 then i0 else i0 + Array.unsafe_get v off in
+    let hi = lo + n - 1 and c = Array.unsafe_get v wi in
+    lo >= 0 && lo <= hi
+    && hi < Array.length (Array.unsafe_get pf m)
+    && c >= 0
+    && c < Array.length (Array.unsafe_get pf w)
+  | Vacc { m; i; _ } ->
+    let c = Array.unsafe_get v i in
+    c >= 0 && c < Array.length (Array.unsafe_get pf m)
   | _ -> true
 
 let rec all_in_bounds v pf i0 n (ops : vop array) k =
   k >= Array.length ops
   || (in_bounds v pf i0 n (Array.unsafe_get ops k) && all_in_bounds v pf i0 n ops (k + 1))
 
-(* No payload the loop stores to is another memref's. *)
-let distinct (pf : int array array) (sp : strip) =
-  let st = sp.s_stored and ms = sp.s_mems in
-  let ok = ref true in
-  for a = 0 to Array.length st - 1 do
-    let m = Array.unsafe_get st a in
-    for b = 0 to Array.length ms - 1 do
-      let m' = Array.unsafe_get ms b in
-      if m' <> m && Array.unsafe_get pf m == Array.unsafe_get pf m' then ok := false
-    done
-  done;
-  !ok
-
 (* Run trips [lb, ub) (step 1) of a loop in strips, as far as they pass
-   their checks; returns the first trip not run. *)
-let run_strips (sp : strip) (v : int array) pf iframe lb ub =
+   their checks; returns the first trip not run. A watched run counts a
+   strip's watchdog steps before it runs, and runs no strip whose steps
+   would raise. *)
+let run_strips ctx watched (sp : strip) (v : int array) pf iframe lb ub =
   let e = sp.s_entry and c = sp.s_consts in
   for k = 0 to (Array.length e / 2) - 1 do
     Array.unsafe_set v
@@ -1553,12 +1772,19 @@ let run_strips (sp : strip) (v : int array) pf iframe lb ub =
   for k = 0 to (Array.length c / 2) - 1 do
     Array.unsafe_set v (Array.unsafe_get c ((2 * k) + 1)) (Array.unsafe_get c (2 * k))
   done;
-  let ok = ref (distinct pf sp) and i = ref lb in
+  let pre = sp.s_pre in
+  for k = 0 to Array.length pre - 1 do
+    vexec v pf iframe lb 1 (Array.unsafe_get pre k)
+  done;
+  let ok = ref true and i = ref lb in
   let ops = sp.s_ops in
   while !ok && !i < ub do
     let r = ub - !i in
     let n = if r > 0 && r < strip_width then r else strip_width in
-    if all_in_bounds v pf !i n sp.s_checks 0 then begin
+    if
+      all_in_bounds v pf !i n sp.s_checks 0
+      && ((not watched) || Interp.skip_steps ctx (n * sp.s_polls))
+    then begin
       for k = 0 to Array.length ops - 1 do
         vexec v pf iframe !i n (Array.unsafe_get ops k)
       done;
@@ -1580,8 +1806,9 @@ let bank words =
   end
 
 (* Run one execution of a fused loop: in strips while the loop has a
-   strip form, steps by 1, has [min_strip_trips] trips or more and runs
-   unwatched, then trip by trip from where the strips stopped. *)
+   strip form, its payloads are distinct, it steps by 1 and has
+   [min_strip_trips] trips or more, then trip by trip from where the
+   strips stopped. *)
 let rec run_nest ctx (iframe : int array) (pf : int array array) bank watched (l : nest) =
   let lb = Array.unsafe_get iframe l.l_lb
   and ub = Array.unsafe_get iframe l.l_ub
@@ -1597,8 +1824,9 @@ let rec run_nest ctx (iframe : int array) (pf : int array array) bank watched (l
   done;
   let from =
     match l.l_strip with
-    | Some sp when step = 1 && ub - lb >= min_strip_trips && not watched ->
-      run_strips sp bank pf iframe lb ub
+    | Some sp
+      when step = 1 && ub - lb >= min_strip_trips && Array.unsafe_get iframe sp.s_ok <> 0 ->
+      run_strips ctx watched sp bank pf iframe lb ub
     | _ -> lb
   in
   if from >= ub then commit ctx.Interp.profile l iframe (from - lb)
@@ -1711,6 +1939,7 @@ and run_trips ctx iframe pf bank watched l from ub step done_trips =
              pc := else_pc - 1
            end
          | Fjump { target } -> pc := target - 1
+         | Fpoll -> if watched then Interp.check_steps ctx "scf.for"
          | Floop inner -> run_nest ctx iframe pf bank watched inner);
          incr pc
        done;
@@ -2289,6 +2518,7 @@ and compile_for st op =
         i1_slots = Hashtbl.create 8;
         loops = [];
         strips = [];
+        forms = [];
         words = 0;
       }
     in
@@ -2299,9 +2529,9 @@ and compile_for st op =
       st.npay <- max st.npay (Array.length mems);
       st.fused <- fs.loops @ st.fused;
       st.strips <- fs.strips @ st.strips;
-      let words = fs.words in
+      let words = fs.words and forms = Array.of_list fs.forms in
       fun ctx gf iframe pf ->
-        if bind_mems mems gf iframe pf then begin
+        if bind_mems mems forms gf iframe pf then begin
           let p = ctx.Interp.profile in
           p.Profile.launched_ops <- p.Profile.launched_ops + 1;
           run_nest ctx iframe pf (bank words) (Interp.watched ctx) nest

@@ -69,21 +69,28 @@ val merged_updates : Ir.region -> Ir.op list
     [arith] ops, rank-1/2 int [memref.load]/[memref.store] on memrefs
     defined outside it, the DMA ops and nested loops of the same kind;
     it still runs per-op on an entry where a memref is not an int payload
-    of its static rank and dtype. DESIGN.md states the accounting. *)
+    of its static rank and dtype. A nested loop whose [arith.constant]
+    bounds give one trip is listed too, though it runs inline in its
+    parent's body. DESIGN.md states the accounting. *)
 val fused_loops : Ir.region -> Ir.op list
 
 (** The loops of {!fused_loops} that also have a strip form, in program
-    order: innermost loops whose body is straight-line int arithmetic,
-    compares, selects, loads and stores, carrying nothing but
-    [arith.addi] reductions, with every load and store at [iv +
-    invariant] and every memref the loop stores to reached only at that
-    store's index. Such a loop
-    runs up to 64 trips per op dispatch while its strips pass their
-    bounds and aliasing checks, it steps by 1, has at least 4 trips
-    and no watchdog is on, and trip by trip from the first strip that
-    does not; results, profiles
-    and failures are the trip-by-trip ones. DESIGN.md states the
-    rule. *)
+    order: innermost loops (once their one-trip loops are inlined) whose
+    body is straight-line int arithmetic, compares, selects, loads,
+    stores and count-1 [upmem.mram_read]s, carrying nothing but
+    [arith.addi] reductions. Every load and store is at [iv +
+    invariant], every memref the loop stores to is reached only at that
+    store's index, and a one-word memref at an invariant index is
+    either an [arith.addi] accumulator (load, add, store of one width)
+    or the WRAM target of a count-1 [mram_read] at [iv + invariant],
+    read only after it in the trip. Such a loop runs up to 64 trips per
+    op dispatch while its strips pass their bounds checks, its payloads
+    are distinct (checked once per nest entry), it steps by 1 and has at
+    least 4 trips, and trip by trip from the first strip that does not.
+    Under a watchdog, deadline or cancel flag a strip first counts its
+    trips' steps ({!Interp.skip_steps}) and falls back when one of them
+    would raise. Results, profiles and failures are the trip-by-trip
+    ones. DESIGN.md states the rule. *)
 val vector_loops : Ir.region -> Ir.op list
 
 (** A region resolved for execution under the currently selected backend:

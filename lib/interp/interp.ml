@@ -115,6 +115,25 @@ let check_steps ctx (op_name : string) =
               ctx.fname op_name !(ctx.steps)))
   end
 
+(* [n] watchdog steps at once, for a caller that runs [n] checks' worth
+   of work between two of its own: when none of the [n] checks would
+   raise (the budget holds them, the cancel flag is clear, and no
+   1024-step mark falls in them past the deadline), count them and
+   return true; otherwise change nothing and return false, and the
+   caller makes the checks one at a time. *)
+let skip_steps ctx n =
+  let s0 = !(ctx.steps) in
+  let s = s0 + n in
+  if
+    (ctx.max_steps > 0 && s > ctx.max_steps)
+    || Atomic.get ctx.cancel
+    || (ctx.deadline > 0. && s lsr 10 <> s0 lsr 10 && Unix.gettimeofday () > ctx.deadline)
+  then false
+  else begin
+    ctx.steps := s;
+    true
+  end
+
 let lookup ctx (v : Ir.value) =
   match Hashtbl.find_opt ctx.env v.Ir.vid with
   | Some rv -> rv
@@ -569,16 +588,8 @@ and eval_op ctx (op : Ir.op) : unit =
     match Types.shape_of (Ir.result op 0).Ir.ty with
     | Some dst_shape ->
       let out = Tensor.zeros dst_shape src.Tensor.dtype in
-      let n = Tensor.num_elements out and m = Tensor.num_elements src in
-      account_move p n;
-      if Types.is_float_dtype src.Tensor.dtype then
-        for i = 0 to n - 1 do
-          Tensor.set_float out i (Tensor.get_float src (i mod m))
-        done
-      else
-        for i = 0 to n - 1 do
-          Tensor.set_int out i (Tensor.get_int src (i mod m))
-        done;
+      account_move p (Tensor.num_elements out);
+      Tensor.broadcast_into src out;
       set_results [ Rtval.Tensor out ]
     | None -> err "linalg.broadcast: unshaped result")
   (* ----- shape ops ----- *)
@@ -688,11 +699,7 @@ and eval_op ctx (op : Ir.op) : unit =
     let a = t_operand ctx op 0 in
     let min_v = Ir.int_attr op "min" and max_v = Ir.int_attr op "max" in
     account_elementwise p (Tensor.num_elements a);
-    let out = Tensor.copy a in
-    for i = 0 to Tensor.num_elements out - 1 do
-      Tensor.set_int out i (min max_v (max min_v (Tensor.get_int out i)))
-    done;
-    set_results [ Rtval.Tensor out ]
+    set_results [ Rtval.Tensor (Tensor.clamp a ~lo:min_v ~hi:max_v) ]
   (* ----- device ops, and any name a hook adds: delegate to hooks ----- *)
   | _ -> set_results (dispatch_hooks ctx op (Array.map (lookup ctx) op.Ir.operands))
 

@@ -85,6 +85,14 @@ val check_steps : ctx -> string -> unit
     i.e. does {!check_steps} do more than one branch? *)
 val watched : ctx -> bool
 
+(** [skip_steps ctx n] stands for [n] calls of {!check_steps} on a
+    watched context when none of them would raise: it counts the [n]
+    steps and returns [true]. When one of them would (the budget runs
+    out, the cancel flag is set, or a deadline check falls among them
+    past the deadline) it counts nothing and returns [false], so the
+    caller can make the calls one by one and fail at the same step. *)
+val skip_steps : ctx -> int -> bool
+
 (** The builtin [upmem.mram_read] ([to_wram]) / [upmem.mram_write]:
     copy [count] contiguous elements between an MRAM memref and a WRAM
     memref at flat element offsets, then account one DMA transfer of

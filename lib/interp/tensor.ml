@@ -485,6 +485,77 @@ let map2 name a b =
 
 let map2_in_place name a b = map2_to name a b a
 
+let clamp t ~lo ~hi =
+  let out = copy t in
+  let n = num_elements out in
+  let[@inline] c x =
+    let x = if x < lo then lo else x in
+    if x > hi then hi else x
+  in
+  (match out.data with
+  | I a when not (Types.is_float_dtype out.dtype) ->
+    let s = wrap_shift out.dtype and m = wrap_mask out.dtype in
+    for i = 0 to n - 1 do
+      a.(i) <- wr s m (c a.(i))
+    done
+  | I8 b ->
+    for i = 0 to n - 1 do
+      Bytes.set_int8 b i (c (Bytes.get_int8 b i))
+    done
+  | I16 b ->
+    for i = 0 to n - 1 do
+      Bytes.set_int16_le b (2 * i) (c (Bytes.get_int16_le b (2 * i)))
+    done
+  | F a ->
+    for i = 0 to n - 1 do
+      a.(i) <- float_of_int (c (int_of_float a.(i)))
+    done
+  | I _ ->
+    for i = 0 to n - 1 do
+      set_int out i (c (get_int out i))
+    done);
+  out
+
+let broadcast_into src out =
+  let n = num_elements out and m = num_elements src in
+  (* the first [m] elements, then the filled prefix [0, k) copied after
+     itself ([blit k c] copies [0, c) to [k, k + c)); [k] stays a
+     multiple of [m], so element [i] is the source's [i mod m] *)
+  let fill blit =
+    let k = ref m in
+    while !k < n do
+      let c = min !k (n - !k) in
+      blit !k c;
+      k := !k + c
+    done
+  in
+  let fits = 0 < m && m <= n in
+  match (src.data, out.data) with
+  | I a, I z when fits && not (Types.is_float_dtype out.dtype) ->
+    let s = wrap_shift out.dtype and msk = wrap_mask out.dtype in
+    for i = 0 to m - 1 do
+      z.(i) <- wr s msk a.(i)
+    done;
+    fill (fun k c -> blit_ints z 0 z k c)
+  | I8 a, I8 z when fits ->
+    Bytes.blit a 0 z 0 m;
+    fill (fun k c -> Bytes.blit z 0 z k c)
+  | I16 a, I16 z when fits ->
+    Bytes.blit a 0 z 0 (2 * m);
+    fill (fun k c -> Bytes.blit z 0 z (2 * k) (2 * c))
+  | F a, F z when fits ->
+    Array.blit a 0 z 0 m;
+    fill (fun k c -> Array.blit z 0 z k c)
+  | _ ->
+    if Types.is_float_dtype src.dtype then
+      for i = 0 to n - 1 do
+        set_float out i (get_float src (i mod m))
+      done
+    else
+      for i = 0 to n - 1 do
+        set_int out i (get_int src (i mod m))
+      done
+
 let map_not a =
   match a.data with
   | I _ | I8 _ | I16 _ ->

@@ -98,6 +98,18 @@ val map2_in_place : string -> t -> t -> unit
 
 val map_not : t -> t
 
+(** [clamp t ~lo ~hi] is a copy of [t] with element [x] replaced by
+    [min hi (max lo x)], read and written as {!get_int} and {!set_int}
+    do (a float element truncates to an int). *)
+val clamp : t -> lo:int -> hi:int -> t
+
+(** [broadcast_into src out] fills [out] with [src]'s elements repeated:
+    element [i] is [src]'s element [i mod m], [m] its size, read and
+    written as {!get_int}/{!set_int} do ({!get_float}/{!set_float} for a
+    float [src]). A matching payload no larger than [out] is copied once
+    and then doubled by block copies. *)
+val broadcast_into : t -> t -> unit
+
 (** [ew_expr tokens inputs] evaluates the RPN expression of a
     [cinm.ew_expr] (or a fused scan's [pre_expr]) at every element of the
     inputs, into a fresh tensor with [inputs.(0)]'s shape and dtype. The

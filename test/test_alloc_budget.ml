@@ -267,6 +267,56 @@ let test_strip_loop_zero_words () =
       let w = words_per_trip run ~small:100 ~large:20_100 in
       if w > 0.01 then Alcotest.failf "a strip loop execution allocated %.2f minor words" w)
 
+(* [trips] executions of the naive GEMV's 100-trip row loop (count-1
+   DMAs of A[k] and B[k] into one-element buffers, then a one-trip loop
+   c[j] += a[0] * b[j]); a division keeps the outer loop per-op. *)
+let gemv_row_loop () =
+  let f =
+    Func.create ~name:"gemv_row_loop"
+      ~arg_tys:[ T.Index; T.MemRef ([| 100 |], T.I32); T.MemRef ([| 100 |], T.I32) ]
+      ~result_tys:[]
+  in
+  let b = Builder.for_func f in
+  let wa = Memref_d.alloc b [| 1 |] T.I32
+  and wb = Memref_d.alloc b [| 1 |] T.I32
+  and wc = Memref_d.alloc b [| 1 |] T.I32 in
+  let c0 = Arith.const_index b 0
+  and c1 = Arith.const_index b 1
+  and c100 = Arith.const_index b 100 in
+  Scf_d.for0 b ~lb:c0 ~ub:(Func.param f 0) ~step:c1 (fun bb t ->
+      ignore (Arith.divsi bb t c1);
+      Scf_d.for0 bb ~lb:c0 ~ub:c100 ~step:c1 (fun bk k ->
+          Upmem_d.mram_read bk ~mram:(Func.param f 1) ~wram:wa ~mram_off:k ~wram_off:c0 ~count:1;
+          Upmem_d.mram_read bk ~mram:(Func.param f 2) ~wram:wb ~mram_off:(Arith.muli bk k c1)
+            ~wram_off:c0 ~count:1;
+          let a = Memref_d.load bk wa [ c0 ] in
+          Scf_d.for0 bk ~lb:c0 ~ub:c1 ~step:c1 (fun bj j ->
+              let acc = Memref_d.load bj wc [ j ] in
+              Memref_d.store bj
+                (Arith.addi bj acc (Arith.muli bj a (Memref_d.load bj wb [ j ])))
+                wc [ j ])));
+  Func_d.return b [];
+  f
+
+let test_gemv_row_loop_zero_words () =
+  with_backend Compile.Compiled (fun () ->
+      let f = gemv_row_loop () in
+      (* the row loop (the one with the DMAs), not its one-trip loop *)
+      let dma (l : Ir.op) =
+        let n = ref 0 in
+        Ir.walk_region
+          (fun (o : Ir.op) -> if o.Ir.name = "upmem.mram_read" then incr n)
+          (Ir.region l 0);
+        !n
+      in
+      Alcotest.(check (list int)) "the row loop runs in strips" [ 2 ]
+        (List.map dma (Compile.vector_loops f.Func.body));
+      let a = Rtval.Memref (Tensor.zeros [| 100 |] T.I32)
+      and b = Rtval.Memref (Tensor.zeros [| 100 |] T.I32) in
+      let run n = ignore (Compile.run_func f [ Rtval.Int n; a; b ]) in
+      let w = words_per_trip run ~small:100 ~large:20_100 in
+      if w > 0.01 then Alcotest.failf "a GEMV row loop execution allocated %.2f minor words" w)
+
 (* Warm bfs and mv on the daemon's UPMEM geometry: every DPU loop of
    both runs fused, so what a run allocates is launch bookkeeping
    (frames, lane contexts, profiles), not per-element boxing. Measured:
@@ -520,6 +570,8 @@ let () =
           Alcotest.test_case "a DMA op allocates nothing" `Quick test_dma_zero_words;
           Alcotest.test_case "a vectorized loop execution allocates nothing" `Quick
             test_strip_loop_zero_words;
+          Alcotest.test_case "a naive GEMV row loop in strips allocates nothing" `Quick
+            test_gemv_row_loop_zero_words;
           Alcotest.test_case "warm bfs and mv on upmem" `Quick test_upmem_minor_words;
           Alcotest.test_case "host contractions stay under 20K words" `Quick
             test_contractions_minor_words;

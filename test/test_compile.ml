@@ -312,7 +312,9 @@ let test_dpu_loops_fuse () =
 
 (* The innermost DPU loops that carry the suite's work run in strips:
    the multiply-accumulate loop of every GEMM-shaped kernel, va's
-   elementwise loop and ts's distance loop. *)
+   elementwise loop, ts's distance loop and red's accumulate loop; and,
+   on the daemon's geometry (naive kernels), the row loops of mv's and
+   bfs's GEMVs, once their one-trip inner loops are inlined. *)
 let test_dpu_loops_vectorize () =
   let ops_in (l : Ir.op) =
     let ops = ref [] in
@@ -340,24 +342,45 @@ let test_dpu_loops_vectorize () =
       Some (fun l -> int_mac l && has "memref.store" l)
     | "va" -> Some (has "memref.load")
     | "ts" -> Some (fun (l : Ir.op) -> Array.length l.Ir.results = 1 && int_mac l)
+    | "red" -> Some (has "memref.store")
     | _ -> None
+  in
+  let check_strips name loops regions =
+    let found =
+      List.concat_map
+        (fun r ->
+          let strips = Compile.vector_loops r in
+          List.map (fun l -> List.memq l strips) (loops r))
+        regions
+    in
+    Alcotest.(check bool) (name ^ ": has the loop") true (found <> []);
+    List.iter (Alcotest.(check bool) (name ^ ": the loop runs in strips") true) found
   in
   List.iter
     (fun (bench : Benchmark.t) ->
       let name = bench.Benchmark.name in
       Option.iter
         (fun hot ->
-          let found =
-            List.concat_map
-              (fun r ->
-                let strips = Compile.vector_loops r in
-                List.map (fun l -> List.memq l strips) (List.filter hot (innermost r)))
-              (launch_regions (lower_kernel bench))
-          in
-          Alcotest.(check bool) (name ^ ": has the loop") true (found <> []);
-          List.iter (Alcotest.(check bool) (name ^ ": the loop runs in strips") true) found)
+          check_strips name
+            (fun r -> List.filter hot (innermost r))
+            (launch_regions (lower_kernel bench)))
         (hot name))
-    (suite_kernels ())
+    (suite_kernels ());
+  (* the GEMV row loop reads A and B by DMA and writes nothing back *)
+  let row_loop l = has "upmem.mram_read" l && int_mac l && not (has "upmem.mram_write" l) in
+  let loops r =
+    let ls = ref [] in
+    Ir.walk_region (fun (op : Ir.op) -> if op.Ir.name = "scf.for" && row_loop op then ls := op :: !ls) r;
+    !ls
+  in
+  let serve = Backend.Upmem (Backend.default_upmem ~dimms:1 ~dpus_per_dimm:4 ~tasklets:4 ()) in
+  List.iter
+    (fun name ->
+      let bench = Option.get (Cinm_serve_lib.Catalog.find name) in
+      check_strips (name ^ " (naive)") loops
+        (launch_regions
+           (Driver.compile_func ~fallback:false serve (bench.Benchmark.build ())).Driver.modul))
+    [ "mv"; "bfs" ]
 
 (* ----- hand-built scf control flow ----- *)
 
@@ -934,6 +957,25 @@ let test_fused_watchdog () =
     "max_steps 13" (nest_func ~outer:3 ~inner:4) (fun () -> [])
     "exceeded the step budget at scf.for: 14 steps (max 13)"
 
+(* An outer loop around a one-trip loop: the budget runs out at the
+   inlined loop's poll in the second outer trip *)
+let test_fused_watchdog_one_trip () =
+  let build () =
+    let f = Func.create ~name:"once" ~arg_tys:[] ~result_tys:[] in
+    let b = Builder.for_func f in
+    let m = Memref_d.alloc b [| 8 |] T.I32 in
+    let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+    Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 5) ~step:c1 (fun bo i ->
+        Scf_d.for0 bo ~lb:c0 ~ub:c1 ~step:c1 (fun bi j ->
+            Memref_d.store bi (Arith.constant bi 3) m [ Arith.addi bi i j ]));
+    Func_d.return b [];
+    f
+  in
+  fused_failure_parity
+    ~config:{ (Config.default ()) with Config.max_steps = 3 }
+    "max_steps 3" build (fun () -> [])
+    "exceeded the step budget at scf.for: 4 steps (max 3)"
+
 let test_fused_cancel () =
   let cancel = Atomic.make true in
   fused_failure_parity
@@ -1012,6 +1054,17 @@ let test_strip_oob () =
   strip_parity ~strips:true "store at trip 90" (scale_loop ~shift:0 ~trips:100 [ 100; 90 ])
     (memrefs [ 100; 90 ]) "Util.linearize: out of bounds"
 
+(* A 100-trip strip loop under a budget of 70 steps: the first strip
+   counts its 64 steps at once, the second would pass the budget, so it
+   runs trip by trip and fails at trip 70 *)
+let test_strip_watchdog () =
+  fused_failure_parity
+    ~config:{ (Config.default ()) with Config.max_steps = 70 }
+    "max_steps 70"
+    (scale_loop ~shift:0 ~trips:100 [ 100; 100 ])
+    (memrefs [ 100; 100 ])
+    "exceeded the step budget at scf.for: 71 steps (max 70)"
+
 (* 150 trips from 3 (strips of 64, 64 and 22) over memrefs that extend
    past the last trip: a store of a[i] - i and a reduction *)
 let test_strip_tail () =
@@ -1048,9 +1101,10 @@ let test_strip_aliased () =
       [ t; t ])
     (" | " ^ Tensor.to_string ~max_elems:max_int (Tensor.init [| 100 |] (fun k -> k - 11)))
 
-(* acc[0] += a[i]: a store at a loop-invariant index has no strip form *)
+(* acc[0] += a[i]: an accumulator at a loop-invariant index sums each
+   strip into its word *)
 let test_strip_invariant_store () =
-  strip_parity ~strips:false "store at an invariant index"
+  strip_parity ~strips:true "store at an invariant index"
     (memref_func [ 100; 1 ] (fun b p ->
          let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
          Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 100) ~step:c1 (fun bb i ->
@@ -1064,6 +1118,123 @@ let test_strip_invariant_store () =
        sum := !sum + Tensor.get_int a i
      done;
      "[" ^ string_of_int !sum ^ "]")
+
+(* The naive GEMV's row loop: for k < [trips], count-1 DMAs of
+   A[row * 10 + k] into a[0] and B[k * 1] into b[0], then a one-trip loop
+   c[j] += a[0] * b[j]; returns c[0]. *)
+let gemv_row_loop ~row ~trips sizes =
+  memref_func ~result_tys:[ T.Scalar T.I32 ] sizes (fun b p ->
+      let wa = Memref_d.alloc b [| 1 |] T.I32
+      and wb = Memref_d.alloc b [| 1 |] T.I32
+      and wc = Memref_d.alloc b [| 1 |] T.I32 in
+      let c0 = Arith.const_index b 0
+      and c1 = Arith.const_index b 1
+      and c10 = Arith.const_index b 10
+      and crow = Arith.const_index b row in
+      Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b trips) ~step:c1 (fun bb k ->
+          let a_off = Arith.addi bb (Arith.muli bb crow c10) k in
+          Upmem_d.mram_read bb ~mram:p.(0) ~wram:wa ~mram_off:a_off ~wram_off:c0 ~count:1;
+          Upmem_d.mram_read bb ~mram:p.(1) ~wram:wb ~mram_off:(Arith.muli bb k c1) ~wram_off:c0
+            ~count:1;
+          let a = Memref_d.load bb wa [ c0 ] in
+          Scf_d.for0 bb ~lb:c0 ~ub:c1 ~step:c1 (fun bj j ->
+              let acc = Memref_d.load bj wc [ j ] in
+              Memref_d.store bj
+                (Arith.addi bj acc (Arith.muli bj a (Memref_d.load bj wb [ j ])))
+                wc [ j ]));
+      [ Memref_d.load b wc [ c0 ] ])
+
+let test_strip_gemv_row () =
+  (* the strip loop is the row loop, not its one-trip inner loop *)
+  let f = gemv_row_loop ~row:1 ~trips:100 [ 200; 200 ] () in
+  let dma (l : Ir.op) =
+    let n = ref 0 in
+    Ir.walk_region (fun (o : Ir.op) -> if o.Ir.name = "upmem.mram_read" then incr n) (Ir.region l 0);
+    !n
+  in
+  Alcotest.(check (list int)) "the row loop runs in strips" [ 2 ]
+    (List.map dma (Compile.vector_loops f.Func.body));
+  let a = iota [| 200 |] in
+  let dot = ref 0 in
+  for k = 0 to 99 do
+    dot := !dot + (Tensor.get_int a (10 + k) * Tensor.get_int a k)
+  done;
+  strip_parity ~strips:true "gemv row" (gemv_row_loop ~row:1 ~trips:100 [ 200; 200 ])
+    (memrefs [ 200; 200 ]) (string_of_int !dot ^ " |");
+  (* A[10 + k] leaves A at trip 70, in the middle of the second strip *)
+  strip_parity ~strips:true "gemv row, MRAM read at trip 70"
+    (gemv_row_loop ~row:1 ~trips:100 [ 80; 200 ])
+    (memrefs [ 80; 200 ]) "upmem.mram_read: MRAM range [80, 81) out of bounds for 80 elements"
+
+(* w[0] is loaded before the DMA that fills it in the same trip, so each
+   trip reads the previous trip's word: no strip form *)
+let test_strip_read_before_dma () =
+  strip_parity ~strips:false "read before the DMA"
+    (memref_func [ 100; 100 ] (fun b p ->
+         let w = Memref_d.alloc b [| 1 |] T.I32 in
+         let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+         Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 100) ~step:c1 (fun bb i ->
+             let x = Memref_d.load bb w [ c0 ] in
+             Upmem_d.mram_read bb ~mram:p.(0) ~wram:w ~mram_off:i ~wram_off:c0 ~count:1;
+             Memref_d.store bb x p.(1) [ i ]);
+         []))
+    (memrefs [ 100; 100 ])
+    (let a = iota [| 100 |] in
+     " | " ^ Tensor.to_string ~max_elems:max_int a ^ " "
+     ^ Tensor.to_string ~max_elems:max_int
+         (Tensor.init [| 100 |] (fun i -> if i = 0 then 0 else Tensor.get_int a (i - 1))))
+
+(* acc[0] = wrap32(a[i] + acc[0]) into an i64 memref: the i32 add wraps
+   each trip, the i64 store does not, so a sum per strip would differ *)
+let test_strip_acc_width () =
+  let start = 2_147_483_000 in
+  let build () =
+    let f =
+      Func.create ~name:"strips"
+        ~arg_tys:[ T.MemRef ([| 100 |], T.I32); T.MemRef ([| 1 |], T.I64) ]
+        ~result_tys:[]
+    in
+    let b = Builder.for_func f in
+    let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+    Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 100) ~step:c1 (fun bb i ->
+        let acc = Memref_d.load bb (Func.param f 1) [ c0 ] in
+        let x = Memref_d.load bb (Func.param f 0) [ i ] in
+        Memref_d.store bb (Arith.addi bb x acc) (Func.param f 1) [ c0 ]);
+    Func_d.return b [];
+    f
+  in
+  let a = Tensor.init [| 100 |] (fun i -> 1000 + i) in
+  let expect = ref start in
+  for i = 0 to 99 do
+    expect := Tensor.wrap T.I32 (Tensor.get_int a i + !expect)
+  done;
+  strip_parity ~strips:false "i32 add into an i64 memref" build
+    (fun () -> [ Rtval.Memref (Tensor.copy a); Rtval.Memref (Tensor.init ~dtype:T.I64 [| 1 |] (fun _ -> start)) ])
+    ("[" ^ string_of_int !expect ^ "]")
+
+(* c[i] = r0 + r1 where (r0, r1) is a one-trip loop from 5 to 7 by 3
+   over (u, w) = (a[i], 7) yielding (w + j, u * 2): the loop inlines,
+   its yield swaps the iteration arguments, and the outer loop runs in
+   strips *)
+let test_strip_one_trip_iters () =
+  strip_parity ~strips:true "one-trip loop with iteration arguments"
+    (memref_func [ 100; 100 ] (fun b p ->
+         let c0 = Arith.const_index b 0 and c1 = Arith.const_index b 1 in
+         Scf_d.for0 b ~lb:c0 ~ub:(Arith.const_index b 100) ~step:c1 (fun bb i ->
+             let r =
+               Scf_d.for_ bb ~lb:(Arith.const_index bb 5) ~ub:(Arith.const_index bb 7)
+                 ~step:(Arith.const_index bb 3)
+                 ~init:[ Memref_d.load bb p.(0) [ i ]; Arith.constant bb 7 ]
+                 (fun bj j it ->
+                   [ Arith.addi bj it.(1) (Arith.index_cast bj j ~to_ty:(T.Scalar T.I32));
+                     Arith.muli bj it.(0) (Arith.constant bj 2) ])
+             in
+             Memref_d.store bb (Arith.addi bb (List.nth r 0) (List.nth r 1)) p.(1) [ i ]);
+         []))
+    (memrefs [ 100; 100 ])
+    (let a = iota [| 100 |] in
+     Tensor.to_string ~max_elems:max_int
+       (Tensor.init [| 100 |] (fun i -> 12 + (2 * Tensor.get_int a i))))
 
 (* sum of a[i] * a[i] over values from 40000 to 45940: the products fit
    in i32, their sum does not, and the strip sums wrap to the same bits *)
@@ -1389,6 +1560,8 @@ let () =
         [ Alcotest.test_case "out-of-bounds load in an inner loop" `Quick test_fused_load_oob;
           Alcotest.test_case "out-of-bounds DMA on a DPU lane" `Quick test_fused_dma_oob;
           Alcotest.test_case "watchdog inside a nest" `Quick test_fused_watchdog;
+          Alcotest.test_case "watchdog inside a one-trip loop" `Quick
+            test_fused_watchdog_one_trip;
           Alcotest.test_case "cancel and deadline inside a nest" `Quick test_fused_cancel;
         ] );
       ( "strips",
@@ -1397,6 +1570,13 @@ let () =
           Alcotest.test_case "two memrefs on one payload" `Quick test_strip_aliased;
           Alcotest.test_case "store at a loop-invariant index" `Quick test_strip_invariant_store;
           Alcotest.test_case "i32 add-reduction that wraps" `Quick test_strip_wrapping_sum;
+          Alcotest.test_case "naive GEMV row loop" `Quick test_strip_gemv_row;
+          Alcotest.test_case "step budget out mid-loop" `Quick test_strip_watchdog;
+          Alcotest.test_case "cell read before its DMA" `Quick test_strip_read_before_dma;
+          Alcotest.test_case "accumulator add narrower than its memref" `Quick
+            test_strip_acc_width;
+          Alcotest.test_case "one-trip loop with iteration arguments" `Quick
+            test_strip_one_trip_iters;
         ] );
       ( "in-place",
         [ Alcotest.test_case "aliased or live destinations copy" `Quick

@@ -171,6 +171,57 @@ let same_bits msg a b =
   if Tensor.is_int a then Alcotest.(check bool) msg true (Tensor.equal a b)
   else check_bits msg (bits a) b
 
+(* ----- clamp and broadcast ----- *)
+
+let widths = [ T.I8; T.I16; T.I32; T.I64; T.F32 ]
+
+(* The per-element loops the interpreter ran before the kernels. *)
+let clamp_reference t ~lo ~hi =
+  let out = Tensor.copy t in
+  for i = 0 to Tensor.num_elements out - 1 do
+    Tensor.set_int out i (min hi (max lo (Tensor.get_int out i)))
+  done;
+  out
+
+let broadcast_reference src out =
+  let n = Tensor.num_elements out and m = Tensor.num_elements src in
+  if Types.is_float_dtype src.Tensor.dtype then
+    for i = 0 to n - 1 do
+      Tensor.set_float out i (Tensor.get_float src (i mod m))
+    done
+  else
+    for i = 0 to n - 1 do
+      Tensor.set_int out i (Tensor.get_int src (i mod m))
+    done
+
+let test_clamp_matches_reference () =
+  List.iter
+    (fun dt ->
+      let t = payload dt 97 3 in
+      List.iter
+        (fun (lo, hi) ->
+          same_bits
+            (Printf.sprintf "%s clamp %d %d" (T.dtype_to_string dt) lo hi)
+            (clamp_reference t ~lo ~hi) (Tensor.clamp t ~lo ~hi))
+        (* inside the values, past an i8 (set_int wraps), and lo > hi *)
+        [ (-300, 500); (0, 127); (-1000, 300); (50, -50) ])
+    widths
+
+let test_broadcast_matches_reference () =
+  List.iter
+    (fun dt ->
+      List.iter
+        (fun (m, n) ->
+          let src = payload dt m 5 in
+          let want = Tensor.zeros [| n |] dt and got = Tensor.zeros [| n |] dt in
+          broadcast_reference src want;
+          Tensor.broadcast_into src got;
+          same_bits (Printf.sprintf "%s broadcast %d to %d" (T.dtype_to_string dt) m n) want got)
+        (* rows that divide, one row, one element to many, a remainder,
+           and a source larger than the result (the per-element loop) *)
+        [ (7, 28); (16, 16); (1, 1000); (7, 30); (9, 4) ])
+    widths
+
 (* C <- A B by the textbook triple loop over [ldb]-strided B and
    [ldc]-strided C, summing in ascending p from 0. *)
 let naive_gemm ~batch ?(ldb = 0) ~m ~n ~k a b c ~ldc =
@@ -760,6 +811,12 @@ let () =
             test_int_ops_match_reference;
           Alcotest.test_case "pinned" `Quick test_int_ops_pinned;
           Alcotest.test_case "float min/max, NaN and -0" `Quick test_float_min_max;
+        ] );
+      ( "clamp and broadcast",
+        [
+          Alcotest.test_case "clamp == per-element loop" `Quick test_clamp_matches_reference;
+          Alcotest.test_case "broadcast == per-element loop" `Quick
+            test_broadcast_matches_reference;
         ] );
       ( "selection",
         [
