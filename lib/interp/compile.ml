@@ -28,7 +28,7 @@
    Three mechanisms enforce this:
 
    - every natively compiled op replays the exact accounting of its
-     [Interp.eval_op] case (one [launched_ops] per dispatched op, the
+     [Interp.apply] case (one [launched_ops] per dispatched op, the
      same bucket increments in the same places);
    - a fused loop nest (see "fused loop nests" below) accounts in bulk
      but to the same totals: each loop execution adds its completed
@@ -38,18 +38,15 @@
      tree-walker had counted (a load or store counts before its bounds
      check, a DMA after its copy), raises the same message, and polls
      [Interp.check_steps] once per trip like the tree-walker's loop;
-   - an op the native compiler does not fully understand takes one of
-     two paths, chosen when it is compiled: a region-free device op
-     ([Interp.is_device_op]) calls the machine hooks straight off the
-     register file through [Interp.dispatch_hooks], as [Interp.eval_op]
-     does; every other op — unknown names, bulk tensor ops,
-     region-carrying device ops, or any op whose attribute/shape
-     decoding fails — goes through a generic closure that routes the
-     single op through [Interp.eval_op] unchanged (operands and
-     nested-region free values are staged from the register file into
-     the context environment first, results are read back after). Both
-     preserve the tree-walker's runtime errors: a malformed op only
-     fails when executed, not at compile time.
+   - every other op runs the tree-walker's own code. A region-free op
+     (bulk tensor ops, device ops, unknown names, ops whose attribute
+     or shape decoding fails) calls [Interp.apply], the one
+     implementation of its semantics, straight off the register file;
+     a region-carrying one ([upmem.launch], an [scf] op whose decoding
+     punted) has its operands and the free values of its regions staged
+     into the context environment and runs through the tree-walker's
+     [eval_op]. Both preserve the tree-walker's runtime errors: a
+     malformed op only fails when executed, not at compile time.
 
    The unit of compilation is one region (a function body or a launch
    kernel). Structured control flow ([scf.for] / [scf.if] /
@@ -230,7 +227,7 @@ let move (gf : Rtval.t array) (iframe : int array) dst src =
 
 (* Free values of [op]'s nested regions: operands used under the op's
    entry blocks (the only blocks the interpreter ever evaluates) that are
-   not defined inside the op. The generic fallback stages these into the
+   not defined inside the op. [compile_staged] stages these into the
    context environment so hooks can tree-walk the op's regions. *)
 let free_values (op : Ir.op) : Ir.value list =
   if Array.length op.Ir.regions = 0 then []
@@ -623,89 +620,74 @@ let merged_updates region = List.map (fun (_, _, ins) -> ins) (plan region).merg
 
 (* ----- the generic fallback ----- *)
 
-(* An op the native compilers leave alone runs one of two ways, chosen
-   here once. A region-free device op ([Interp.is_device_op]) goes to the
-   hooks straight off the register file, with no environment staged; its
-   [launched_ops] count and its error when no hook answers are
-   [Interp.eval_op]'s. Every other op goes through [Interp.eval_op]
-   itself: its operands (and the free values of its nested regions) are
-   staged from the register file into the context environment, and its
-   results read back into their slots. Both are bit-identical to the
-   tree-walker by construction: the same code runs, including all
-   profile accounting and error behavior. *)
-let compile_generic (st : cstate) (op : Ir.op) : instr =
+(* Write an op's result values into their slots. *)
+let rec set_results gf iframe (slots : int array) i = function
+  | [] -> ()
+  | rv :: rest ->
+    set_rt gf iframe (Array.unsafe_get slots i) rv;
+    set_results gf iframe slots (i + 1) rest
+
+(* A region-carrying op the native compilers leave alone ([upmem.launch],
+   [cnm.launch], an [scf] op whose decoding punted) runs through the
+   tree-walker's [eval_op]: its operands and the free values of its
+   nested regions are staged from the register file into the context
+   environment, where the tree-walker (or a hook evaluating the regions)
+   finds them, and its results are read back into their slots. The one
+   place compiled code touches the environment. *)
+let compile_staged (st : cstate) (op : Ir.op) : instr =
   let operand_slots = Array.map (use_slot st) op.Ir.operands in
   let free_binds =
     Array.of_list
       (List.map (fun (v : Ir.value) -> (v.Ir.vid, use_slot st v)) (free_values op))
   in
   let result_slots = Array.map (def_slot st) op.Ir.results in
-  if Interp.is_device_op op && Array.length op.Ir.regions = 0 then begin
+  fun ctx gf iframe _pf ->
+    let env = ctx.Interp.env in
+    Array.iteri
+      (fun i s -> Hashtbl.replace env op.Ir.operands.(i).Ir.vid (get_rt gf iframe s))
+      operand_slots;
+    Array.iter (fun (vid, s) -> Hashtbl.replace env vid (get_rt gf iframe s)) free_binds;
+    Interp.eval_op ctx op;
+    Array.iteri
+      (fun i s ->
+        let vid = op.Ir.results.(i).Ir.vid in
+        match Hashtbl.find_opt env vid with
+        | Some rv -> set_rt gf iframe s rv
+        | None -> Interp.err "%s: result %%%d not bound" op.Ir.name vid)
+      result_slots
+
+(* Every other op the native compilers leave alone (bulk tensor ops,
+   device ops, unknown names, ops whose decoding failed) runs through
+   [Interp.apply] straight off the register file: an operand array in, a
+   result list out, the same code, accounting and errors as under the
+   tree-walker. An op the ownership plan lets keep its operand's storage
+   runs with [ctx.adopt] set. [apply] does not know the structural ops,
+   so an [scf] op is staged even without regions. *)
+let compile_generic (st : cstate) (op : Ir.op) : instr =
+  if Array.length op.Ir.regions > 0 || Ir.dialect_of op = "scf" then compile_staged st op
+  else begin
+    let operand_slots = Array.map (use_slot st) op.Ir.operands in
+    let result_slots = Array.map (def_slot st) op.Ir.results in
     let n_operands = Array.length operand_slots in
     let adopt = Hashtbl.mem st.adopt op.Ir.oid in
     fun ctx gf iframe _pf ->
-      let ops = Array.make n_operands Rtval.Token in
+      let args = Array.make n_operands Rtval.Token in
       for i = 0 to n_operands - 1 do
-        Array.unsafe_set ops i (get_rt gf iframe (Array.unsafe_get operand_slots i))
+        Array.unsafe_set args i (get_rt gf iframe (Array.unsafe_get operand_slots i))
       done;
       let p = ctx.Interp.profile in
       p.Profile.launched_ops <- p.Profile.launched_ops + 1;
       ctx.Interp.adopt <- adopt;
       let vals =
-        try Interp.dispatch_hooks ctx op ops
+        try Interp.apply ctx op args
         with e ->
           ctx.Interp.adopt <- false;
           raise e
       in
       ctx.Interp.adopt <- false;
-      let n = List.length vals in
-      if n <> Array.length result_slots then
-        Interp.err "%s: produced %d values for %d results" op.Ir.name n
-          (Array.length result_slots);
-      List.iteri (fun i rv -> set_rt gf iframe (Array.unsafe_get result_slots i) rv) vals
+      Interp.check_results op vals;
+      set_results gf iframe result_slots 0 vals
   end
-  else
-    fun ctx gf iframe _pf ->
-      let env = ctx.Interp.env in
-      Array.iteri
-        (fun i s -> Hashtbl.replace env op.Ir.operands.(i).Ir.vid (get_rt gf iframe s))
-        operand_slots;
-      Array.iter (fun (vid, s) -> Hashtbl.replace env vid (get_rt gf iframe s)) free_binds;
-      Interp.eval_op ctx op;
-      Array.iteri
-        (fun i s ->
-          let vid = op.Ir.results.(i).Ir.vid in
-          match Hashtbl.find_opt env vid with
-          | Some rv -> set_rt gf iframe s rv
-          | None -> Interp.err "%s: result %%%d not bound" op.Ir.name vid)
-        result_slots
-
-(* ----- native op compilers ----- *)
-
-(* Same table as the literal dispatch cases of [Interp.eval_op]. *)
-let int_binop_spec : string -> (int * (int -> int -> int)) option = function
-  | "arith.addi" -> Some (Interp.bucket_alu, ( + ))
-  | "arith.subi" -> Some (Interp.bucket_alu, ( - ))
-  | "arith.muli" -> Some (Interp.bucket_mul, ( * ))
-  | "arith.divsi" -> Some (Interp.bucket_div, Tensor.int_binop "div")
-  | "arith.remsi" -> Some (Interp.bucket_div, Tensor.int_binop "rem")
-  | "arith.minsi" -> Some (Interp.bucket_alu, min)
-  | "arith.maxsi" -> Some (Interp.bucket_alu, max)
-  | "arith.andi" -> Some (Interp.bucket_alu, ( land ))
-  | "arith.ori" -> Some (Interp.bucket_alu, ( lor ))
-  | "arith.xori" -> Some (Interp.bucket_alu, ( lxor ))
-  | "arith.shli" -> Some (Interp.bucket_alu, ( lsl ))
-  | "arith.shrsi" -> Some (Interp.bucket_alu, ( asr ))
-  | _ -> None
-
-let float_binop_fn : string -> (float -> float -> float) option = function
-  | "arith.addf" -> Some ( +. )
-  | "arith.subf" -> Some ( -. )
-  | "arith.mulf" -> Some ( *. )
-  | "arith.divf" -> Some ( /. )
-  | "arith.minf" -> Some Float.min
-  | "arith.maxf" -> Some Float.max
-  | _ -> None
 
 (* ----- fused loop nests ----- *)
 
@@ -1971,6 +1953,52 @@ and run_trips ctx iframe pf bank watched l from ub step done_trips =
     raise e);
   commit ctx.Interp.profile l iframe !trips
 
+(* ----- the code slot and execution ----- *)
+
+(* A region's compiled unit lives on its entry block, so it is shared
+   read-only by every DPU lane and every request that runs the same IR,
+   and it dies with its module. Hooks are not part of the unit: compiled
+   closures resolve hooks through the executing context at runtime, so
+   the same code serves any hook stack. The slot is filled without a
+   lock: [code] is immutable, so domains that first run a block together
+   at worst each compile it and store equal units (wasted work, not
+   wrong results). Passes build fresh blocks, so rewritten IR never runs
+   stale code. *)
+type Ir.block_code += Code of code
+
+type cache_stats = { hits : int; misses : int }
+
+let hits = Atomic.make 0
+let misses = Atomic.make 0
+let cache_stats () = { hits = Atomic.get hits; misses = Atomic.get misses }
+
+(* With [each], op [j] of the unit's entry block runs as [each j run],
+   where [run p] executes it accounting into [p] (see [run_body]). *)
+let exec ?each (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.t list =
+  let n_args = List.length args in
+  if Array.length code.arg_slots <> n_args then
+    Interp.err "region arity mismatch: %d args for %d params" n_args
+      (Array.length code.arg_slots);
+  let gf = Array.make code.ngen Rtval.Token in
+  let iframe = Array.make code.nint 0 in
+  let pf = Array.make code.npay [||] in
+  Array.iteri (fun i rv -> set_rt gf iframe code.cap_slots.(i) rv) caps;
+  List.iteri (fun i rv -> set_rt gf iframe code.arg_slots.(i) rv) args;
+  let body = code.body in
+  (match each with
+  | None ->
+    for j = 0 to Array.length body - 1 do
+      body.(j) ctx gf iframe pf
+    done
+  | Some each ->
+    Array.iteri
+      (fun j instr -> each j (fun profile -> instr { ctx with Interp.profile } gf iframe pf))
+      body);
+  Array.to_list (Array.map (fun s -> get_rt gf iframe s) code.term_slots)
+
+(* The values of [code]'s free values in [ctx], read once per launch. *)
+let captures ctx (code : code) = Array.map (fun v -> Interp.lookup ctx v) code.cap_values
+
 let rec compile_op st (op : Ir.op) : instr =
   match compile_native st op with
   | Some i -> i
@@ -1998,13 +2026,12 @@ and compile_native st (op : Ir.op) : instr option =
   | "tensor.insert" when Hashtbl.mem st.in_place op.Ir.oid -> Some (compile_insert st op)
   | "cinm.merge_partial" when Hashtbl.mem st.in_place op.Ir.oid ->
     Some (compile_merge_partial st op)
+  | "func.call" -> Some (compile_call st op)
   | name -> (
-    match int_binop_spec name with
-    | Some (bucket, f) -> Some (compile_int_bin st op bucket f)
-    | None -> (
-      match float_binop_fn name with
-      | Some f -> Some (compile_float_bin st op f)
-      | None -> None))
+    match Interp.binop name with
+    | Interp.Int_binop (bucket, f) -> Some (compile_int_bin st op bucket f)
+    | Interp.Float_binop f -> Some (compile_float_bin st op f)
+    | Interp.Not_a_binop -> None)
 
 and compile_constant st op =
   match Ir.attr_exn op "value" with
@@ -2133,17 +2160,14 @@ and compile_alloc st op =
       Array.unsafe_set gf r (Rtval.Memref (Interp.alloc_tensor ctx shape dt))
   | _ -> raise Punt
 
-(* memref.load / tensor.extract. Ranks 1 and 2 are specialized to flat
-   indexing with the bounds checks of [Util.linearize] inlined (same
-   failure message) and, when every scalar involved is int-class, direct
-   unboxed access to integer payloads — no [Rtval] boxing, no payload
-   dispatch on the fast path. Other ranks build the index array per access
-   like the tree-walker does. *)
+(* memref.load / tensor.extract of a rank-1 or rank-2 int-class element:
+   flat indexing with the bounds checks of [Util.linearize] inlined (same
+   failure message) and direct unboxed access to integer payloads — no
+   [Rtval] boxing, no payload dispatch. Other ranks and element types
+   (floats, i1) run through [Interp.apply]. *)
 and compile_indexed_load st op =
   let n_idx = Ir.num_operands op - 1 in
   if n_idx < 0 then raise Punt;
-  (* float elements take the generic path: the specializations below are
-     unboxed-int throughout *)
   (match (Ir.result op 0).Ir.ty with
   | Types.Scalar dt when Types.is_float_dtype dt -> raise Punt
   | _ -> ());
@@ -2167,20 +2191,6 @@ and compile_indexed_load st op =
            match m.Tensor.data with
            | Tensor.I a -> Array.unsafe_get a i
            | _ -> Tensor.get_int m i
-         end
-         else Tensor.get m [| i |])
-  | [| i0 |] ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let i = geti gf iframe i0 in
-      p.Profile.loads <- p.Profile.loads + 1;
-      seti gf iframe r
-        (if Array.length m.Tensor.shape = 1 then begin
-           if i < 0 || i >= m.Tensor.shape.(0) then
-             invalid_arg "Util.linearize: out of bounds";
-           Tensor.get_int m i
          end
          else Tensor.get m [| i |])
   | [| i0; i1 |] when m_s >= 0 && i0 < 0 && i1 < 0 && r < 0 ->
@@ -2207,31 +2217,9 @@ and compile_indexed_load st op =
            | _ -> Tensor.get_int m flat
          end
          else Tensor.get m [| a; b |])
-  | [| i0; i1 |] ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let a = geti gf iframe i0 in
-      let b = geti gf iframe i1 in
-      p.Profile.loads <- p.Profile.loads + 1;
-      seti gf iframe r
-        (let shape = m.Tensor.shape in
-         if Array.length shape = 2 then begin
-           if a < 0 || a >= shape.(0) || b < 0 || b >= shape.(1) then
-             invalid_arg "Util.linearize: out of bounds";
-           Tensor.get_int m ((a * shape.(1)) + b)
-         end
-         else Tensor.get m [| a; b |])
-  | _ ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let idx = Array.map (fun s -> geti gf iframe s) idx_s in
-      p.Profile.loads <- p.Profile.loads + 1;
-      seti gf iframe r (Tensor.get m idx)
+  | _ -> raise Punt
 
+(* memref.store, with the same specializations as the loads. *)
 and compile_store st op =
   let n_idx = Ir.num_operands op - 2 in
   if n_idx < 0 then raise Punt;
@@ -2260,20 +2248,6 @@ and compile_store st op =
         | _ -> Tensor.set_int m i v
       end
       else Tensor.set m [| i |] v
-  | [| i0 |] ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let v = geti gf iframe v_s in
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let i = geti gf iframe i0 in
-      p.Profile.stores <- p.Profile.stores + 1;
-      if Array.length m.Tensor.shape = 1 then begin
-        if i < 0 || i >= m.Tensor.shape.(0) then
-          invalid_arg "Util.linearize: out of bounds";
-        Tensor.set_int m i v
-      end
-      else Tensor.set m [| i |] v
   | [| i0; i1 |] when m_s >= 0 && v_s < 0 && i0 < 0 && i1 < 0 ->
     let vi = -1 - v_s and i0i = -1 - i0 and i1i = -1 - i1 in
     fun ctx gf iframe _pf ->
@@ -2298,31 +2272,7 @@ and compile_store st op =
         | _ -> Tensor.set_int m flat v
       end
       else Tensor.set m [| a; b |] v
-  | [| i0; i1 |] ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let v = geti gf iframe v_s in
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let a = geti gf iframe i0 in
-      let b = geti gf iframe i1 in
-      p.Profile.stores <- p.Profile.stores + 1;
-      let shape = m.Tensor.shape in
-      if Array.length shape = 2 then begin
-        if a < 0 || a >= shape.(0) || b < 0 || b >= shape.(1) then
-          invalid_arg "Util.linearize: out of bounds";
-        Tensor.set_int m ((a * shape.(1)) + b) v
-      end
-      else Tensor.set m [| a; b |] v
-  | _ ->
-    fun ctx gf iframe _pf ->
-      let p = ctx.Interp.profile in
-      p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-      let v = geti gf iframe v_s in
-      let m = Rtval.as_tensor (get_rt gf iframe m_s) in
-      let idx = Array.map (fun s -> geti gf iframe s) idx_s in
-      p.Profile.stores <- p.Profile.stores + 1;
-      Tensor.set m idx v
+  | _ -> raise Punt
 
 (* The builtin DMA ops, straight off the register file. *)
 and compile_dma st op =
@@ -2340,7 +2290,7 @@ and compile_dma st op =
 
 (* The in-place forms of the three update ops (see [in_place_ops]):
    the same operand reads, errors and profile increments as their
-   [Interp.eval_op] case, but the result is the destination itself,
+   [Interp.apply] case, but the result is the destination itself,
    written in place, instead of an updated copy. *)
 and compile_insert_slice st op =
   let offsets = Ir.ints_attr op "offsets" in
@@ -2683,9 +2633,30 @@ and compile_parallel st op =
     in
     go 0
 
-(* ----- unit compilation, code slot, execution ----- *)
+(* [func.call] as the tree-walker runs it, but with the callee compiled:
+   the dispatch, a watchdog step, then the callee's unit on a register
+   file of its own, accounting into the caller's profile and naming the
+   callee in watchdog messages. *)
+and compile_call st op =
+  let arg_s = Array.map (use_slot st) op.Ir.operands in
+  let res_s = Array.map (def_slot st) op.Ir.results in
+  fun ctx gf iframe _pf ->
+    let p = ctx.Interp.profile in
+    p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+    match ctx.Interp.modul with
+    | None -> Interp.err "func.call outside a module context"
+    | Some m ->
+      let callee = Ir.str_attr op "callee" in
+      Interp.check_steps ctx "func.call";
+      let code = get_code (Func.find_func_exn m callee).Func.body in
+      let args = Array.fold_right (fun s acc -> get_rt gf iframe s :: acc) arg_s [] in
+      let vals = exec code { ctx with Interp.fname = callee } (captures ctx code) args in
+      Interp.check_results op vals;
+      set_results gf iframe res_s 0 vals
 
-let compile_unit (region : Ir.region) : code =
+(* ----- unit compilation ----- *)
+
+and compile_unit (region : Ir.region) : code =
   let st =
     {
       ngen = 0;
@@ -2727,24 +2698,7 @@ let compile_unit (region : Ir.region) : code =
     strips = List.rev st.strips;
   }
 
-(* A region's compiled unit lives on its entry block, so it is shared
-   read-only by every DPU lane and every request that runs the same IR,
-   and it dies with its module. Hooks are not part of the unit: compiled
-   closures resolve hooks through the executing context at runtime, so
-   the same code serves any hook stack. The slot is filled without a
-   lock: [code] is immutable, so domains that first run a block together
-   at worst each compile it and store equal units (wasted work, not
-   wrong results). Passes build fresh blocks, so rewritten IR never runs
-   stale code. *)
-type Ir.block_code += Code of code
-
-type cache_stats = { hits : int; misses : int }
-
-let hits = Atomic.make 0
-let misses = Atomic.make 0
-let cache_stats () = { hits = Atomic.get hits; misses = Atomic.get misses }
-
-let get_code (region : Ir.region) : code =
+and get_code (region : Ir.region) : code =
   let block = Ir.entry_block region in
   match block.Ir.code with
   | Code c ->
@@ -2764,30 +2718,6 @@ let get_code (region : Ir.region) : code =
 let fused_loops region = (get_code region).fused
 let vector_loops region = (get_code region).strips
 
-(* With [each], op [j] of the unit's entry block runs as [each j run],
-   where [run p] executes it accounting into [p] (see [run_body]). *)
-let exec ?each (code : code) ctx (caps : Rtval.t array) (args : Rtval.t list) : Rtval.t list =
-  let n_args = List.length args in
-  if Array.length code.arg_slots <> n_args then
-    Interp.err "region arity mismatch: %d args for %d params" n_args
-      (Array.length code.arg_slots);
-  let gf = Array.make code.ngen Rtval.Token in
-  let iframe = Array.make code.nint 0 in
-  let pf = Array.make code.npay [||] in
-  Array.iteri (fun i rv -> set_rt gf iframe code.cap_slots.(i) rv) caps;
-  List.iteri (fun i rv -> set_rt gf iframe code.arg_slots.(i) rv) args;
-  let body = code.body in
-  (match each with
-  | None ->
-    for j = 0 to Array.length body - 1 do
-      body.(j) ctx gf iframe pf
-    done
-  | Some each ->
-    Array.iteri
-      (fun j instr -> each j (fun profile -> instr { ctx with Interp.profile } gf iframe pf))
-      body);
-  Array.to_list (Array.map (fun s -> get_rt gf iframe s) code.term_slots)
-
 (* ----- launch API ----- *)
 
 type prepared =
@@ -2804,7 +2734,7 @@ let prepare ctx (region : Ir.region) : prepared =
   | Tree -> Tree_region region
   | Compiled ->
     let code = get_code region in
-    Compiled_code (code, Array.map (fun v -> Interp.lookup ctx v) code.cap_values)
+    Compiled_code (code, captures ctx code)
 
 let is_compiled = function Compiled_code _ -> true | Tree_region _ -> false
 
@@ -2841,7 +2771,7 @@ let run_body ?each ctx (f : Func.t) args =
   | Tree, Some each -> eval_body ctx f.Func.body args each
   | Compiled, _ ->
     let code = get_code f.Func.body in
-    exec ?each code ctx (Array.map (fun v -> Interp.lookup ctx v) code.cap_values) args
+    exec ?each code ctx (captures ctx code) args
 
 let run_func ?(hooks = []) ?profile ?modul ?(config = Config.default ()) (f : Func.t)
     (args : Rtval.t list) : Rtval.t list * Profile.t =

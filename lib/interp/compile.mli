@@ -11,14 +11,14 @@
     file), and freed with its module.
 
     Profile accounting is bit-identical to {!Interp}: natively compiled
-    ops replay the exact increments of their [Interp.eval_op] case, fused
-    loop nests ({!fused_loops}) add the same totals in bulk, a
-    region-free device op ({!Interp.is_device_op}) calls the machine
-    hooks as [Interp.eval_op] does, and every other op the compiler does
-    not fully understand (bulk tensor ops, region-carrying device ops,
-    malformed ops) falls back to a closure that routes that single op
-    through [Interp.eval_op]. Which of these serves an op is decided
-    when the op is compiled. The
+    ops (and [func.call], whose callee runs compiled) replay the exact
+    increments of their {!Interp.apply} case, fused loop nests
+    ({!fused_loops}) add the same totals in bulk, every other region-free
+    op (bulk tensor ops, device ops, malformed ops) runs through
+    {!Interp.apply} straight off the register file, and a region-carrying
+    op the compiler does not decode has its values staged into the
+    context environment for the tree-walker. Which of these serves an op
+    is decided when the op is compiled. The
     tree-walking interpreter remains the reference backend, selectable via
     [CINM_INTERP=tree|compiled] (default [tree]) or {!set_backend}. *)
 

@@ -141,19 +141,17 @@ let lookup ctx (v : Ir.value) =
 
 let bind ctx (v : Ir.value) rv = Hashtbl.replace ctx.env v.Ir.vid rv
 
-(* The results of the first hook that implements [op]; [ops] are the
-   op's operand values, pre-fetched by the calling backend. Shared by both
-   backends so hook dispatch order, and the error when no hook answers,
-   are identical. *)
-let dispatch_hooks ctx (op : Ir.op) ops =
+(* The results of the first hook that implements [op], given its operand
+   values; [apply]'s last case. *)
+let dispatch_hooks ctx (op : Ir.op) args =
   let rec go = function
     | [] -> err "no interpreter semantics for %s" op.Ir.name
-    | h :: rest -> ( match h ctx op ops with Some vals -> vals | None -> go rest)
+    | h :: rest -> ( match h ctx op args with Some vals -> vals | None -> go rest)
   in
   go ctx.hooks
 
 (* The ops a machine hook serves: those of the device dialects, but for
-   the UPMEM ops a DPU lane runs itself, which [eval_op] implements. *)
+   the UPMEM ops a DPU lane runs itself, which [apply] implements. *)
 let is_device_op (op : Ir.op) =
   match Ir.dialect_of op with
   | "cnm" | "cim" | "memristor" | "cam" | "rtm" -> true
@@ -206,9 +204,15 @@ let dma ctx ~to_wram ~count (mram : Tensor.t) (wram : Tensor.t) mram_off wram_of
   p.Profile.dma_transfers <- p.Profile.dma_transfers + 1;
   p.Profile.dma_bytes <- p.Profile.dma_bytes + (count * Types.dtype_bytes mram.Tensor.dtype)
 
-let operand ctx op i = lookup ctx (Ir.operand op i)
-let t_operand ctx op i = Rtval.as_tensor (operand ctx op i)
-let i_operand ctx op i = Rtval.as_int (operand ctx op i)
+(* Operand [i] of [op] among its values [args], failing as [Ir.operand]
+   does when the op has no such operand. *)
+let arg (op : Ir.op) (args : Rtval.t array) i =
+  if i < 0 || i >= Array.length args then
+    invalid_arg (Printf.sprintf "Ir.operand %d of %s" i op.Ir.name);
+  Array.unsafe_get args i
+
+let t_arg op args i = Rtval.as_tensor (arg op args i)
+let i_arg op args i = Rtval.as_int (arg op args i)
 
 (* ----- profile accounting for bulk (tensor-level) ops ----- *)
 
@@ -238,6 +242,33 @@ let account_int_binop (p : Profile.t) bucket =
   if bucket = bucket_mul then p.Profile.mul_ops <- p.Profile.mul_ops + 1
   else if bucket = bucket_div then p.Profile.div_ops <- p.Profile.div_ops + 1
   else p.Profile.alu_ops <- p.Profile.alu_ops + 1
+
+(* The scalar binops, one table for [apply] and the closure compiler. *)
+type binop =
+  | Int_binop of int * (int -> int -> int)
+  | Float_binop of (float -> float -> float)
+  | Not_a_binop
+
+let binop = function
+  | "arith.addi" -> Int_binop (bucket_alu, ( + ))
+  | "arith.subi" -> Int_binop (bucket_alu, ( - ))
+  | "arith.muli" -> Int_binop (bucket_mul, ( * ))
+  | "arith.divsi" -> Int_binop (bucket_div, Tensor.int_binop "div")
+  | "arith.remsi" -> Int_binop (bucket_div, Tensor.int_binop "rem")
+  | "arith.minsi" -> Int_binop (bucket_alu, Tensor.int_binop "min")
+  | "arith.maxsi" -> Int_binop (bucket_alu, Tensor.int_binop "max")
+  | "arith.andi" -> Int_binop (bucket_alu, ( land ))
+  | "arith.ori" -> Int_binop (bucket_alu, ( lor ))
+  | "arith.xori" -> Int_binop (bucket_alu, ( lxor ))
+  | "arith.shli" -> Int_binop (bucket_alu, ( lsl ))
+  | "arith.shrsi" -> Int_binop (bucket_alu, ( asr ))
+  | "arith.addf" -> Float_binop ( +. )
+  | "arith.subf" -> Float_binop ( -. )
+  | "arith.mulf" -> Float_binop ( *. )
+  | "arith.divf" -> Float_binop ( /. )
+  | "arith.minf" -> Float_binop Float.min
+  | "arith.maxf" -> Float_binop Float.max
+  | _ -> Not_a_binop
 
 (* [arith.cmpi] predicates as shared top-level closures. The compiled
    backend decodes once per op at compile time; the tree-walker decodes on
@@ -274,151 +305,51 @@ let scalar_result_dtype (op : Ir.op) =
   | Types.Index -> Types.I64
   | ty -> err "expected scalar result, got %s" (Types.to_string ty)
 
-(* Scalar binop evaluation, shared by the literal dispatch cases below.
-   Writes its single result directly (no intermediate list). *)
-let int_bin ctx (op : Ir.op) p bucket (f : int -> int -> int) =
-  account_int_binop p bucket;
-  let dt = scalar_result_dtype op in
-  bind ctx op.Ir.results.(0)
-    (Rtval.Int (Tensor.wrap dt (f (i_operand ctx op 0) (i_operand ctx op 1))))
+let elementwise p (op : Ir.op) args opname =
+  let a = t_arg op args 0 and b = t_arg op args 1 in
+  account_elementwise p (Tensor.num_elements a);
+  [ Rtval.Tensor (Tensor.map2 opname a b) ]
 
-let float_bin ctx (op : Ir.op) (p : Profile.t) (f : float -> float -> float) =
-  p.Profile.alu_ops <- p.Profile.alu_ops + 1;
-  bind ctx op.Ir.results.(0)
-    (Rtval.Float
-       (f (Rtval.as_float (operand ctx op 0)) (Rtval.as_float (operand ctx op 1))))
-
-(* Hot path: called once per loop iteration of interpreted code, so it
-   must not allocate beyond its result list. *)
-let rec eval_block ctx (block : Ir.block) : Rtval.t list =
-  let n = Ir.num_ops block in
-  if n = 0 then []
+let add_dyn_offsets (op : Ir.op) args ~skip offsets =
+  let n_dyn = Array.length args - skip in
+  if n_dyn = 0 then offsets
   else begin
-    for i = 0 to n - 2 do
-      eval_op ctx (Ir.op_at block i)
-    done;
-    let last = Ir.op_at block (n - 1) in
-    if Ir.is_terminator last then
-      List.map (lookup ctx) (Array.to_list last.Ir.operands)
-    else begin
-      eval_op ctx last;
-      []
-    end
+    if n_dyn <> Array.length offsets then
+      err "%s: %d dynamic offsets for rank %d" op.Ir.name n_dyn (Array.length offsets);
+    Array.mapi (fun i off -> off + i_arg op args (skip + i)) offsets
   end
 
-and eval_region ctx (region : Ir.region) args : Rtval.t list =
-  let block = Ir.entry_block region in
-  if Array.length block.Ir.args <> List.length args then
-    err "region arity mismatch: %d args for %d params" (List.length args)
-      (Array.length block.Ir.args);
-  List.iteri (fun i rv -> bind ctx block.Ir.args.(i) rv) args;
-  eval_block ctx block
+let check_results (op : Ir.op) vals =
+  let n = List.length vals in
+  if n <> Array.length op.Ir.results then
+    err "%s: produced %d values for %d results" op.Ir.name n (Array.length op.Ir.results)
 
-and eval_op ctx (op : Ir.op) : unit =
+(* The semantics of every op but the four [eval_op] walks itself, on the
+   op's operand values: both backends run an op's work and its profile
+   accounting here. *)
+let apply ctx (op : Ir.op) (args : Rtval.t array) : Rtval.t list =
   let p = ctx.profile in
-  p.Profile.launched_ops <- p.Profile.launched_ops + 1;
-  let set_results vals =
-    if List.length vals <> Array.length op.Ir.results then
-      err "%s: produced %d values for %d results" op.Ir.name (List.length vals)
-        (Array.length op.Ir.results);
-    List.iteri (fun i rv -> bind ctx op.Ir.results.(i) rv) vals
-  in
   let name = op.Ir.name in
   match name with
   (* ----- arith ----- *)
   | "arith.constant" -> (
     match Ir.attr_exn op "value" with
-    | Attr.Int i -> set_results [ Rtval.Int (Tensor.wrap (scalar_result_dtype op) i) ]
-    | Attr.Float f -> set_results [ Rtval.Float f ]
+    | Attr.Int i -> [ Rtval.Int (Tensor.wrap (scalar_result_dtype op) i) ]
+    | Attr.Float f -> [ Rtval.Float f ]
     | a -> err "arith.constant: bad value %s" (Attr.to_string a))
-  (* The scalar binops are the hottest ops of interpreted kernels: literal
-     cases compile to a string dispatch tree, with no guard-list scans on
-     the hot path. *)
-  | "arith.addi" -> int_bin ctx op p bucket_alu ( + )
-  | "arith.subi" -> int_bin ctx op p bucket_alu ( - )
-  | "arith.muli" -> int_bin ctx op p bucket_mul ( * )
-  | "arith.divsi" -> int_bin ctx op p bucket_div (Tensor.int_binop "div")
-  | "arith.remsi" -> int_bin ctx op p bucket_div (Tensor.int_binop "rem")
-  | "arith.minsi" -> int_bin ctx op p bucket_alu min
-  | "arith.maxsi" -> int_bin ctx op p bucket_alu max
-  | "arith.andi" -> int_bin ctx op p bucket_alu ( land )
-  | "arith.ori" -> int_bin ctx op p bucket_alu ( lor )
-  | "arith.xori" -> int_bin ctx op p bucket_alu ( lxor )
-  | "arith.shli" -> int_bin ctx op p bucket_alu ( lsl )
-  | "arith.shrsi" -> int_bin ctx op p bucket_alu ( asr )
-  | "arith.addf" -> float_bin ctx op p ( +. )
-  | "arith.subf" -> float_bin ctx op p ( -. )
-  | "arith.mulf" -> float_bin ctx op p ( *. )
-  | "arith.divf" -> float_bin ctx op p ( /. )
-  | "arith.minf" -> float_bin ctx op p Float.min
-  | "arith.maxf" -> float_bin ctx op p Float.max
   | "arith.cmpi" ->
-    let a = i_operand ctx op 0 and b = i_operand ctx op 1 in
+    let a = i_arg op args 0 and b = i_arg op args 1 in
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
-    set_results [ Rtval.Bool (decode_cmpi_predicate op a b) ]
+    [ Rtval.Bool (decode_cmpi_predicate op a b) ]
   | "arith.select" ->
     p.Profile.alu_ops <- p.Profile.alu_ops + 1;
-    let c = Rtval.as_bool (operand ctx op 0) in
-    set_results [ (if c then operand ctx op 1 else operand ctx op 2) ]
-  | "arith.index_cast" -> set_results [ Rtval.Int (i_operand ctx op 0) ]
-  (* ----- scf ----- *)
-  | "scf.for" ->
-    let lb = i_operand ctx op 0 and ub = i_operand ctx op 1 and step = i_operand ctx op 2 in
-    if step <= 0 then err "scf.for: non-positive step %d" step;
-    let inits = List.map (lookup ctx) (Cinm_dialects.Scf_d.for_inits op) in
-    let region = Ir.region op 0 in
-    let rec iterate i acc =
-      if i >= ub then acc
-      else begin
-        p.Profile.alu_ops <- p.Profile.alu_ops + 1 (* induction update/compare *);
-        check_steps ctx "scf.for";
-        let out = eval_region ctx region (Rtval.Int i :: acc) in
-        iterate (i + step) out
-      end
-    in
-    set_results (iterate lb inits)
-  | "scf.if" ->
-    let c = Rtval.as_bool (operand ctx op 0) in
-    let region_idx = if c then 0 else 1 in
-    if region_idx >= Array.length op.Ir.regions then set_results []
-    else set_results (eval_region ctx (Ir.region op region_idx) [])
-  | "scf.parallel" ->
-    let n_dims = Ir.num_operands op / 3 in
-    let bounds =
-      List.init n_dims (fun d ->
-          (i_operand ctx op (3 * d), i_operand ctx op ((3 * d) + 1),
-           i_operand ctx op ((3 * d) + 2)))
-    in
-    let region = Ir.region op 0 in
-    let rec loop_dims acc = function
-      | [] ->
-        check_steps ctx "scf.parallel";
-        ignore (eval_region ctx region (List.rev_map (fun i -> Rtval.Int i) acc))
-      | (lb, ub, step) :: rest ->
-        let i = ref lb in
-        while !i < ub do
-          loop_dims (!i :: acc) rest;
-          i := !i + step
-        done
-    in
-    loop_dims [] bounds;
-    set_results []
-  (* ----- func ----- *)
-  | "func.call" -> (
-    match ctx.modul with
-    | None -> err "func.call outside a module context"
-    | Some m ->
-      let callee = Ir.str_attr op "callee" in
-      check_steps ctx "func.call";
-      let f = Func.find_func_exn m callee in
-      let args = List.map (lookup ctx) (Array.to_list op.Ir.operands) in
-      (* same mutable env/profile, but watchdog messages from inside the
-         callee name the callee *)
-      set_results (eval_region { ctx with fname = callee } f.Func.body args))
+    let c = Rtval.as_bool (arg op args 0) in
+    [ (if c then arg op args 1 else arg op args 2) ]
+  | "arith.index_cast" -> [ Rtval.Int (i_arg op args 0) ]
   (* ----- tensor ----- *)
   | "tensor.empty" -> (
     match (Ir.result op 0).Ir.ty with
-    | Types.Tensor (shape, dt) -> set_results [ Rtval.Tensor (Tensor.Arena.alloc shape dt) ]
+    | Types.Tensor (shape, dt) -> [ Rtval.Tensor (Tensor.Arena.alloc shape dt) ]
     | ty -> err "tensor.empty: %s" (Types.to_string ty))
   | "tensor.splat" | "linalg.fill" -> (
     match (Ir.result op 0).Ir.ty with
@@ -426,83 +357,80 @@ and eval_op ctx (op : Ir.op) : unit =
       account_move p (Util.product_of_shape shape);
       let t =
         if Types.is_float_dtype dt then
-          Tensor.fill_float shape dt (Rtval.as_float (operand ctx op 0))
-        else Tensor.fill_scalar shape dt (i_operand ctx op 0)
+          Tensor.fill_float shape dt (Rtval.as_float (arg op args 0))
+        else Tensor.fill_scalar shape dt (i_arg op args 0)
       in
-      set_results [ Rtval.Tensor t ]
+      [ Rtval.Tensor t ]
     | ty -> err "%s: %s" name (Types.to_string ty))
   | "tensor.extract_slice" ->
-    let src = t_operand ctx op 0 in
+    let src = t_arg op args 0 in
     let offsets = Ir.ints_attr op "offsets" in
     let sizes = Ir.ints_attr op "sizes" in
-    let offsets = add_dyn_offsets ctx op ~skip:1 offsets in
+    let offsets = add_dyn_offsets op args ~skip:1 offsets in
     account_move p (Util.product_of_shape sizes);
-    set_results [ Rtval.Tensor (Tensor.extract_slice src ~offsets ~sizes) ]
+    [ Rtval.Tensor (Tensor.extract_slice src ~offsets ~sizes) ]
   | "tensor.insert_slice" ->
-    let src = t_operand ctx op 0 and dst = t_operand ctx op 1 in
+    let src = t_arg op args 0 and dst = t_arg op args 1 in
     let offsets = Ir.ints_attr op "offsets" in
-    let offsets = add_dyn_offsets ctx op ~skip:2 offsets in
+    let offsets = add_dyn_offsets op args ~skip:2 offsets in
     account_move p (Tensor.num_elements src);
-    set_results [ Rtval.Tensor (Tensor.insert_slice src dst ~offsets) ]
+    [ Rtval.Tensor (Tensor.insert_slice src dst ~offsets) ]
   | "tensor.extract" ->
-    let src = t_operand ctx op 0 in
-    let idx = Array.init (Ir.num_operands op - 1) (fun i -> i_operand ctx op (i + 1)) in
+    let src = t_arg op args 0 in
+    let idx = Array.init (Array.length args - 1) (fun i -> i_arg op args (i + 1)) in
     p.Profile.loads <- p.Profile.loads + 1;
-    set_results
-      [ (if Types.is_float_dtype src.Tensor.dtype then
-           Rtval.Float (Tensor.get_f src idx)
-         else Rtval.Int (Tensor.get src idx)) ]
+    [ (if Types.is_float_dtype src.Tensor.dtype then Rtval.Float (Tensor.get_f src idx)
+       else Rtval.Int (Tensor.get src idx)) ]
   | "tensor.insert" ->
-    let dst = t_operand ctx op 1 in
-    let idx = Array.init (Ir.num_operands op - 2) (fun i -> i_operand ctx op (i + 2)) in
+    let dst = t_arg op args 1 in
+    let idx = Array.init (Array.length args - 2) (fun i -> i_arg op args (i + 2)) in
     p.Profile.stores <- p.Profile.stores + 1;
     let out = Tensor.copy dst in
     if Types.is_float_dtype out.Tensor.dtype then
-      Tensor.set_f out idx (Rtval.as_float (operand ctx op 0))
-    else Tensor.set out idx (i_operand ctx op 0);
-    set_results [ Rtval.Tensor out ]
+      Tensor.set_f out idx (Rtval.as_float (arg op args 0))
+    else Tensor.set out idx (i_arg op args 0);
+    [ Rtval.Tensor out ]
   | "tensor.reshape" | "cinm.expand" -> (
-    let src = t_operand ctx op 0 in
+    let src = t_arg op args 0 in
     match Types.shape_of (Ir.result op 0).Ir.ty with
-    | Some shape -> set_results [ Rtval.Tensor (Tensor.reshape src shape) ]
+    | Some shape -> [ Rtval.Tensor (Tensor.reshape src shape) ]
     | None -> err "%s: unshaped result" name)
   | "tensor.pad" ->
-    let src = t_operand ctx op 0 in
+    let src = t_arg op args 0 in
     let low = Ir.ints_attr op "low" and high = Ir.ints_attr op "high" in
     account_move p (Tensor.num_elements src);
-    set_results [ Rtval.Tensor (Tensor.pad src ~low ~high) ]
+    [ Rtval.Tensor (Tensor.pad src ~low ~high) ]
   (* ----- memref ----- *)
   | "memref.alloc" | "upmem.wram_alloc" -> (
     match (Ir.result op 0).Ir.ty with
-    | Types.MemRef (shape, dt) -> set_results [ Rtval.Memref (alloc_tensor ctx shape dt) ]
+    | Types.MemRef (shape, dt) -> [ Rtval.Memref (alloc_tensor ctx shape dt) ]
     | ty -> err "%s: %s" name (Types.to_string ty))
   | "memref.load" ->
-    let m = t_operand ctx op 0 in
-    let idx = Array.init (Ir.num_operands op - 1) (fun i -> i_operand ctx op (i + 1)) in
+    let m = t_arg op args 0 in
+    let idx = Array.init (Array.length args - 1) (fun i -> i_arg op args (i + 1)) in
     p.Profile.loads <- p.Profile.loads + 1;
-    set_results
-      [ (if Types.is_float_dtype m.Tensor.dtype then Rtval.Float (Tensor.get_f m idx)
-         else Rtval.Int (Tensor.get m idx)) ]
+    [ (if Types.is_float_dtype m.Tensor.dtype then Rtval.Float (Tensor.get_f m idx)
+       else Rtval.Int (Tensor.get m idx)) ]
   | "memref.store" ->
-    let m = t_operand ctx op 1 in
-    let idx = Array.init (Ir.num_operands op - 2) (fun i -> i_operand ctx op (i + 2)) in
+    let m = t_arg op args 1 in
+    let idx = Array.init (Array.length args - 2) (fun i -> i_arg op args (i + 2)) in
     p.Profile.stores <- p.Profile.stores + 1;
     if Types.is_float_dtype m.Tensor.dtype then
-      Tensor.set_f m idx (Rtval.as_float (operand ctx op 0))
-    else Tensor.set m idx (i_operand ctx op 0);
-    set_results []
+      Tensor.set_f m idx (Rtval.as_float (arg op args 0))
+    else Tensor.set m idx (i_arg op args 0);
+    []
   | "memref.copy" ->
-    let src = t_operand ctx op 0 and dst = t_operand ctx op 1 in
+    let src = t_arg op args 0 and dst = t_arg op args 1 in
     let n = Tensor.num_elements src in
     account_move p n;
     Tensor.blit src 0 dst 0 n;
-    set_results []
-  | "memref.dealloc" -> set_results []
+    []
+  | "memref.dealloc" -> []
   | "upmem.mram_read" | "upmem.mram_write" ->
-    let mram = t_operand ctx op 0 and wram = t_operand ctx op 1 in
+    let mram = t_arg op args 0 and wram = t_arg op args 1 in
     dma ctx ~to_wram:(name = "upmem.mram_read") ~count:(Ir.int_attr op "count") mram wram
-      (i_operand ctx op 2) (i_operand ctx op 3);
-    set_results []
+      (i_arg op args 2) (i_arg op args 3);
+    []
   | "upmem.wram_shared_alloc" -> (
     match (Ir.result op 0).Ir.ty with
     | Types.MemRef (shape, dt) ->
@@ -528,49 +456,44 @@ and eval_op ctx (op : Ir.op) : unit =
           Hashtbl.replace l.wram op.Ir.oid t;
           t
       in
-      set_results [ Rtval.Memref t ]
+      [ Rtval.Memref t ]
     | _ -> invalid_arg "upmem.wram_shared_alloc: bad result type")
   | "upmem.tasklet_id" ->
-    set_results [ Rtval.Int (match ctx.device with Some l -> l.tasklet | None -> 0) ]
+    [ Rtval.Int (match ctx.device with Some l -> l.tasklet | None -> 0) ]
   | "upmem.barrier_wait" ->
     p.Profile.barriers <- p.Profile.barriers + 1;
-    set_results []
+    []
   (* ----- elementwise cinm / linalg / tosa ----- *)
-  | _ when List.mem_assoc name cinm_elementwise ->
-    eval_elementwise ctx op (List.assoc name cinm_elementwise)
-  | _ when List.mem_assoc name linalg_elementwise ->
-    eval_elementwise ctx op (List.assoc name linalg_elementwise)
-  | "tosa.add" -> eval_elementwise ctx op "add"
+  | "tosa.add" -> elementwise p op args "add"
   | "cinm.not" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.map_not a) ]
+    [ Rtval.Tensor (Tensor.map_not a) ]
   (* ----- matmul family ----- *)
   | "cinm.gemm" | "linalg.matmul" | "tosa.matmul" ->
-    let a = t_operand ctx op 0 and bt = t_operand ctx op 1 in
+    let a = t_arg op args 0 and bt = t_arg op args 1 in
     (match (a.Tensor.shape, bt.Tensor.shape) with
     | [| m; k |], [| _; n |] -> account_matmul p m n k
     | _ -> ());
-    set_results [ Rtval.Tensor (Tensor.matmul a bt) ]
+    [ Rtval.Tensor (Tensor.matmul a bt) ]
   | "cinm.gemv" | "linalg.matvec" ->
-    let a = t_operand ctx op 0 and v = t_operand ctx op 1 in
+    let a = t_arg op args 0 and v = t_arg op args 1 in
     (match a.Tensor.shape with [| m; n |] -> account_matmul p m 1 n | _ -> ());
-    set_results [ Rtval.Tensor (Tensor.matvec a v) ]
+    [ Rtval.Tensor (Tensor.matvec a v) ]
   | "linalg.dot" ->
-    let a = t_operand ctx op 0 and bt = t_operand ctx op 1 in
+    let a = t_arg op args 0 and bt = t_arg op args 1 in
     account_matmul p 1 1 (Tensor.num_elements a);
-    if Types.is_float_dtype a.Tensor.dtype then
-      set_results [ Rtval.Float (Tensor.dot_f a bt) ]
-    else set_results [ Rtval.Int (Tensor.dot a bt) ]
+    if Types.is_float_dtype a.Tensor.dtype then [ Rtval.Float (Tensor.dot_f a bt) ]
+    else [ Rtval.Int (Tensor.dot a bt) ]
   | "linalg.conv_2d" ->
-    let img = t_operand ctx op 0 and k = t_operand ctx op 1 in
+    let img = t_arg op args 0 and k = t_arg op args 1 in
     (match (img.Tensor.shape, k.Tensor.shape) with
     | [| h; w |], [| kh; kw |] ->
       account_matmul p ((h - kh + 1) * (w - kw + 1)) 1 (kh * kw)
     | _ -> ());
-    set_results [ Rtval.Tensor (Tensor.conv_2d img k) ]
+    [ Rtval.Tensor (Tensor.conv_2d img k) ]
   | "linalg.einsum" ->
-    let a = t_operand ctx op 0 and bt = t_operand ctx op 1 in
+    let a = t_arg op args 0 and bt = t_arg op args 1 in
     let spec = Ir.str_attr op "spec" in
     let out = Tensor.einsum ~spec a bt in
     (* MACs = |out| * K where, for a pure contraction with M/N/K index
@@ -582,72 +505,71 @@ and eval_op ctx (op : Ir.op) : unit =
       max 1 (int_of_float (sqrt (float_of_int n_a *. float_of_int n_b /. float_of_int (max 1 n_out))))
     in
     account_matmul p (Tensor.num_elements out) 1 red;
-    set_results [ Rtval.Tensor out ]
+    [ Rtval.Tensor out ]
   | "linalg.broadcast" -> (
-    let src = t_operand ctx op 0 in
+    let src = t_arg op args 0 in
     match Types.shape_of (Ir.result op 0).Ir.ty with
     | Some dst_shape ->
       let out = Tensor.zeros dst_shape src.Tensor.dtype in
       account_move p (Tensor.num_elements out);
       Tensor.broadcast_into src out;
-      set_results [ Rtval.Tensor out ]
+      [ Rtval.Tensor out ]
     | None -> err "linalg.broadcast: unshaped result")
   (* ----- shape ops ----- *)
   | "cinm.transpose" | "linalg.transpose" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     let perms = Ir.ints_attr op "perms" in
     account_move p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.transpose a perms) ]
+    [ Rtval.Tensor (Tensor.transpose a perms) ]
   | "cinm.im2col" ->
-    let img = t_operand ctx op 0 in
+    let img = t_arg op args 0 in
     let kernel = Ir.ints_attr op "kernel" in
     let out = Tensor.im2col img ~kh:kernel.(0) ~kw:kernel.(1) in
     account_move p (Tensor.num_elements out);
-    set_results [ Rtval.Tensor out ]
+    [ Rtval.Tensor out ]
   (* ----- reductions / analytics ----- *)
   | "cinm.reduce" | "linalg.reduce" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     let red = Ir.str_attr op "op" in
     account_elementwise p (Tensor.num_elements a);
-    if Types.is_float_dtype a.Tensor.dtype then
-      set_results [ Rtval.Float (Tensor.reduce_f red a) ]
-    else set_results [ Rtval.Int (Tensor.reduce red a) ]
+    if Types.is_float_dtype a.Tensor.dtype then [ Rtval.Float (Tensor.reduce_f red a) ]
+    else [ Rtval.Int (Tensor.reduce red a) ]
   | "cinm.scan" ->
     let a =
       match Ir.attr op "pre_expr" with
-      | None -> t_operand ctx op 0
+      | None -> t_arg op args 0
       | Some (Attr.Strs tokens) ->
         (* the fused elementwise chain, run before the scan *)
-        let inputs = Array.init (Ir.num_operands op) (fun i -> t_operand ctx op i) in
+        let inputs = Array.init (Array.length args) (fun i -> t_arg op args i) in
         let n = Tensor.num_elements inputs.(0) in
         p.Profile.alu_ops <- p.Profile.alu_ops + (n * List.length tokens / 2);
         Tensor.ew_expr tokens inputs
       | Some a -> err "cinm.scan: bad pre_expr %s" (Attr.to_string a)
     in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.scan (Ir.str_attr op "op") a) ]
+    [ Rtval.Tensor (Tensor.scan (Ir.str_attr op "op") a) ]
   | "cinm.histogram" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.histogram ~bins:(Ir.int_attr op "bins") a) ]
+    [ Rtval.Tensor (Tensor.histogram ~bins:(Ir.int_attr op "bins") a) ]
   | "cinm.pop_count" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Int (Tensor.pop_count a) ]
+    [ Rtval.Int (Tensor.pop_count a) ]
   | "cinm.majority" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.majority a) ]
+    [ Rtval.Tensor (Tensor.majority a) ]
   | "cinm.topk" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     let n = Tensor.num_elements a in
     (* comparison-sort cost model *)
     p.Profile.alu_ops <-
       p.Profile.alu_ops + (n * max 1 (int_of_float (log (float_of_int (max 2 n)))));
     let values, indices = Tensor.topk ~k:(Ir.int_attr op "k") a in
-    set_results [ Rtval.Tensor values; Rtval.Tensor indices ]
+    [ Rtval.Tensor values; Rtval.Tensor indices ]
   | "cinm.sim_search" ->
-    let db = t_operand ctx op 0 and q = t_operand ctx op 1 in
+    let db = t_arg op args 0 and q = t_arg op args 1 in
     let k = Ir.int_attr op "k" and metric = Ir.str_attr op "metric" in
     let n = Tensor.num_elements db and m = Tensor.num_elements q in
     let windows = max 1 (n - m + 1) in
@@ -660,26 +582,25 @@ and eval_op ctx (op : Ir.op) : unit =
      end
      else account_matmul p windows 1 m);
     let values, indices = Tensor.sim_search ~metric ~k db q in
-    set_results [ Rtval.Tensor values; Rtval.Tensor indices ]
-  | "cinm.merge_partial" ->
-    eval_elementwise ctx op (Ir.str_attr op "op")
+    [ Rtval.Tensor values; Rtval.Tensor indices ]
+  | "cinm.merge_partial" -> elementwise p op args (Ir.str_attr op "op")
   | "cinm.ew_expr" ->
     let tokens =
       match Ir.attr_exn op "expr" with
       | Attr.Strs l -> l
       | a -> err "cinm.ew_expr: bad expr attr %s" (Attr.to_string a)
     in
-    let inputs = Array.init (Ir.num_operands op) (fun i -> t_operand ctx op i) in
+    let inputs = Array.init (Array.length args) (fun i -> t_arg op args i) in
     let n = Tensor.num_elements inputs.(0) in
     p.Profile.alu_ops <- p.Profile.alu_ops + (n * List.length tokens / 2);
     p.Profile.loads <- p.Profile.loads + (n * Array.length inputs);
     p.Profile.stores <- p.Profile.stores + n;
-    set_results [ Rtval.Tensor (Tensor.ew_expr tokens inputs) ]
+    [ Rtval.Tensor (Tensor.ew_expr tokens inputs) ]
   (* ----- tosa ----- *)
   | "tosa.fully_connected" ->
-    let input = t_operand ctx op 0
-    and weight = t_operand ctx op 1
-    and bias = t_operand ctx op 2 in
+    let input = t_arg op args 0
+    and weight = t_arg op args 1
+    and bias = t_arg op args 2 in
     let wt = Tensor.transpose weight [| 1; 0 |] in
     let mm = Tensor.matmul input wt in
     (match (input.Tensor.shape, wt.Tensor.shape) with
@@ -694,30 +615,125 @@ and eval_op ctx (op : Ir.op) : unit =
         done
       done
     | _ -> err "tosa.fully_connected: bad output shape");
-    set_results [ Rtval.Tensor out ]
+    [ Rtval.Tensor out ]
   | "tosa.clamp" ->
-    let a = t_operand ctx op 0 in
+    let a = t_arg op args 0 in
     let min_v = Ir.int_attr op "min" and max_v = Ir.int_attr op "max" in
     account_elementwise p (Tensor.num_elements a);
-    set_results [ Rtval.Tensor (Tensor.clamp a ~lo:min_v ~hi:max_v) ]
-  (* ----- device ops, and any name a hook adds: delegate to hooks ----- *)
-  | _ -> set_results (dispatch_hooks ctx op (Array.map (lookup ctx) op.Ir.operands))
+    [ Rtval.Tensor (Tensor.clamp a ~lo:min_v ~hi:max_v) ]
+  | _ -> (
+    (* the scalar binops (the hottest ops of interpreted kernels), the
+       elementwise ops, then the device ops and any name a hook adds *)
+    match binop name with
+    | Int_binop (bucket, f) ->
+      account_int_binop p bucket;
+      let dt = scalar_result_dtype op in
+      [ Rtval.Int (Tensor.wrap dt (f (i_arg op args 0) (i_arg op args 1))) ]
+    | Float_binop f ->
+      p.Profile.alu_ops <- p.Profile.alu_ops + 1;
+      [ Rtval.Float (f (Rtval.as_float (arg op args 0)) (Rtval.as_float (arg op args 1))) ]
+    | Not_a_binop -> (
+      match List.assoc_opt name cinm_elementwise with
+      | Some opname -> elementwise p op args opname
+      | None -> (
+        match List.assoc_opt name linalg_elementwise with
+        | Some opname -> elementwise p op args opname
+        | None -> dispatch_hooks ctx op args)))
 
-and add_dyn_offsets ctx op ~skip offsets =
-  let n_dyn = Ir.num_operands op - skip in
-  if n_dyn = 0 then offsets
+let rec bind_list ctx (vs : Ir.value array) i = function
+  | [] -> ()
+  | rv :: rest ->
+    bind ctx vs.(i) rv;
+    bind_list ctx vs (i + 1) rest
+
+(* Hot path: called once per loop iteration of interpreted code, so it
+   must not allocate beyond its result list. *)
+let rec eval_block ctx (block : Ir.block) : Rtval.t list =
+  let n = Ir.num_ops block in
+  if n = 0 then []
   else begin
-    if n_dyn <> Array.length offsets then
-      err "%s: %d dynamic offsets for rank %d" op.Ir.name n_dyn (Array.length offsets);
-    Array.mapi (fun i off -> off + i_operand ctx op (skip + i)) offsets
+    for i = 0 to n - 2 do
+      eval_op ctx (Ir.op_at block i)
+    done;
+    let last = Ir.op_at block (n - 1) in
+    if Ir.is_terminator last then
+      List.map (lookup ctx) (Array.to_list last.Ir.operands)
+    else begin
+      eval_op ctx last;
+      []
+    end
   end
 
-and eval_elementwise ctx op opname =
-  let a = t_operand ctx op 0 and b = t_operand ctx op 1 in
-  account_elementwise ctx.profile (Tensor.num_elements a);
-  List.iteri
-    (fun i rv -> bind ctx op.Ir.results.(i) rv)
-    [ Rtval.Tensor (Tensor.map2 opname a b) ]
+and eval_region ctx (region : Ir.region) args : Rtval.t list =
+  let block = Ir.entry_block region in
+  if Array.length block.Ir.args <> List.length args then
+    err "region arity mismatch: %d args for %d params" (List.length args)
+      (Array.length block.Ir.args);
+  bind_list ctx block.Ir.args 0 args;
+  eval_block ctx block
+
+(* The structural ops, whose regions the tree-walker evaluates itself;
+   every other op goes to [apply]. *)
+and eval_op ctx (op : Ir.op) : unit =
+  let p = ctx.profile in
+  p.Profile.launched_ops <- p.Profile.launched_ops + 1;
+  let args = Array.map (lookup ctx) op.Ir.operands in
+  let vals =
+    match op.Ir.name with
+    | "scf.for" ->
+      let lb = i_arg op args 0 and ub = i_arg op args 1 and step = i_arg op args 2 in
+      if step <= 0 then err "scf.for: non-positive step %d" step;
+      let inits = Array.to_list (Array.sub args 3 (Array.length args - 3)) in
+      let region = Ir.region op 0 in
+      let rec iterate i acc =
+        if i >= ub then acc
+        else begin
+          p.Profile.alu_ops <- p.Profile.alu_ops + 1 (* induction update/compare *);
+          check_steps ctx "scf.for";
+          let out = eval_region ctx region (Rtval.Int i :: acc) in
+          iterate (i + step) out
+        end
+      in
+      iterate lb inits
+    | "scf.if" ->
+      let c = Rtval.as_bool (arg op args 0) in
+      let region_idx = if c then 0 else 1 in
+      if region_idx >= Array.length op.Ir.regions then []
+      else eval_region ctx (Ir.region op region_idx) []
+    | "scf.parallel" ->
+      let n_dims = Array.length args / 3 in
+      let bounds =
+        List.init n_dims (fun d ->
+            (i_arg op args (3 * d), i_arg op args ((3 * d) + 1), i_arg op args ((3 * d) + 2)))
+      in
+      let region = Ir.region op 0 in
+      let rec loop_dims acc = function
+        | [] ->
+          check_steps ctx "scf.parallel";
+          ignore (eval_region ctx region (List.rev_map (fun i -> Rtval.Int i) acc))
+        | (lb, ub, step) :: rest ->
+          let i = ref lb in
+          while !i < ub do
+            loop_dims (!i :: acc) rest;
+            i := !i + step
+          done
+      in
+      loop_dims [] bounds;
+      []
+    | "func.call" -> (
+      match ctx.modul with
+      | None -> err "func.call outside a module context"
+      | Some m ->
+        let callee = Ir.str_attr op "callee" in
+        check_steps ctx "func.call";
+        let f = Func.find_func_exn m callee in
+        (* same mutable env/profile, but watchdog messages from inside the
+           callee name the callee *)
+        eval_region { ctx with fname = callee } f.Func.body (Array.to_list args))
+    | _ -> apply ctx op args
+  in
+  check_results op vals;
+  bind_list ctx op.Ir.results 0 vals
 
 (* ----- entry points ----- *)
 

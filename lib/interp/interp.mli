@@ -61,13 +61,11 @@ type ctx = {
 and hook = ctx -> Ir.op -> Rtval.t array -> Rtval.t list option
 (** A hook receives the op's operand values and returns [Some results]
     when it implements the op, [None] to let the next hook (or the error
-    path) handle it. Both backends offer it the device ops
-    ({!is_device_op}); the compiled backend decides that when it compiles
-    the op and feeds a region-free one straight from its register file.
-    Names {!eval_op} does not know reach the hooks too. Hooks that
-    evaluate the op's regions resolve free values through the context
-    environment, which both backends populate before dispatching a
-    region-carrying op. *)
+    path) handle it. {!apply} offers it the ops it does not implement
+    itself: the device ops ({!is_device_op}) and any name a hook adds.
+    Hooks that evaluate the op's regions resolve free values through the
+    context environment, which both backends populate before dispatching
+    a region-carrying op. *)
 
 exception Interp_error of string
 
@@ -124,7 +122,7 @@ val bucket_div : int
 (** Count one scalar integer binop in the given bucket. *)
 val account_int_binop : Profile.t -> int -> unit
 
-(** The bulk-op accounting of [eval_op]: [n] elementwise results (one ALU
+(** The bulk-op accounting of {!apply}: [n] elementwise results (one ALU
     op, two loads, one store each) and [n] moved elements (one load, one
     store each). *)
 val account_elementwise : Profile.t -> int -> unit
@@ -143,21 +141,42 @@ val alloc_tensor : ctx -> int array -> Types.dtype -> Tensor.t
     @raise Interp_error when unbound. *)
 val lookup : ctx -> Ir.value -> Rtval.t
 
-(** Dispatch [op] (with its operand values) to the context's hooks, first
-    match wins. Shared by both backends so hook dispatch order is
-    identical.
-    @raise Interp_error ["no interpreter semantics for <name>"] when no
-    hook implements it. *)
-val dispatch_hooks : ctx -> Ir.op -> Rtval.t array -> Rtval.t list
-
 (** Is [op] served by a machine hook? True for the ops of the [cnm],
     [cim], [upmem], [memristor], [cam] and [rtm] dialects, but for the
-    UPMEM ops a DPU lane runs itself, which {!eval_op} implements:
+    UPMEM ops a DPU lane runs itself, which {!apply} implements:
     [mram_read], [mram_write], [wram_alloc], [wram_shared_alloc],
     [tasklet_id] and [barrier_wait]. *)
 val is_device_op : Ir.op -> bool
 
 val bind : ctx -> Ir.value -> Rtval.t -> unit
+
+(** The scalar binops ([arith.addi], ..., [arith.maxf]): an integer one's
+    profile bucket and function, a float one's function. The one table
+    {!apply} and the closure compiler read. *)
+type binop =
+  | Int_binop of int * (int -> int -> int)
+  | Float_binop of (float -> float -> float)
+  | Not_a_binop
+
+val binop : string -> binop
+
+(** [apply ctx op args] runs [op] on its operand values [args] (one per
+    operand, in order) and returns its result values. It holds the
+    semantics and the profile accounting of every op but the structural
+    ones {!eval_op} walks itself ([scf.for], [scf.if], [scf.parallel],
+    [func.call]); an op it does not know goes to the context's hooks,
+    first match wins. The caller counts the dispatch itself
+    ([launched_ops]) and checks the result count ({!check_results}).
+    The tree-walker calls it with the values it looks up, compiled code
+    with the values in its register file, so both backends run one
+    implementation of every region-free op.
+    @raise Interp_error ["no interpreter semantics for <name>"] when no
+    hook implements the op. *)
+val apply : ctx -> Ir.op -> Rtval.t array -> Rtval.t list
+
+(** Raise {!Interp_error} ["<name>: produced N values for M results"]
+    unless [vals] holds one value per result of the op. *)
+val check_results : Ir.op -> Rtval.t list -> unit
 
 (** Evaluate a block; returns the operands of its terminator. *)
 val eval_block : ctx -> Ir.block -> Rtval.t list
@@ -165,6 +184,9 @@ val eval_block : ctx -> Ir.block -> Rtval.t list
 (** Evaluate a single-entry region with the given block-argument values. *)
 val eval_region : ctx -> Ir.region -> Rtval.t list -> Rtval.t list
 
+(** Evaluate one op: the structural ops walk their regions, every other
+    op runs through {!apply} on the values its operands are bound to, and
+    the results are bound in the environment. *)
 val eval_op : ctx -> Ir.op -> unit
 
 val create_ctx :

@@ -293,6 +293,19 @@ let lint lib tests =
           |> List.map (fun (_, l) ->
                  Printf.sprintf "%s: %s (shape workgroups through Cinm_to_cnm.workgroup)" f (String.trim l)))
         all
+    (* compiled code reaches the tree-walker in one place: the binding
+       that stages region-carrying ops through the environment (and
+       [eval_body], the tree-walker's form of [exec ~each]); every other
+       op runs through Interp.apply off the register file *)
+    @ (let compile_ml = Filename.concat interp_dir "compile.ml" in
+       with_binding (In_channel.with_open_bin compile_ml In_channel.input_lines)
+       |> List.filter (fun (binding, l) ->
+              (mentions "Interp.env" l && binding <> "compile_staged")
+              || mentions "Interp.eval_op" l
+                 && not (List.mem binding [ "compile_staged"; "eval_body" ]))
+       |> List.map (fun (_, l) ->
+              Printf.sprintf "%s: %s (run the op through Interp.apply)" compile_ml
+                (String.trim l)))
     (* the executor keeps derived state on the IR (compiled code on its
        block); only domain-safe counters are process-wide *)
     @ global_state ~files:interp_files ~allow:[ "Atomic.make" ] "the executor"

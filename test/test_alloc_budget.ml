@@ -385,21 +385,25 @@ let test_contractions_minor_words () =
    slice is 8K words): the slices, partials and staged inputs recycle
    through the arena, the tile adopts its input and the accumulator
    chain updates in place. What a trip still allocates is a constant
-   set of boxes: the device ops' operand arrays and result lists, the
-   boxed energy total, the environment staging of the host ops compiled
-   code hands to the tree-walker and, with a pool of 2 or more jobs, the
-   row-chunk closure of the tile's GEMM (above the split threshold at
-   both sizes). mm at 128x64x64 runs 2 tiles, at 256x256x256 32.
-   Measured: 275.6 words per trip at 2 jobs (260.1 at 1) since the tile
-   GEMM splits its rows over the pool and the crossbar's clocks and time
-   buckets sit in float-only records; 269.3 while they were boxed fields
-   of mixed records and the GEMM ran on one domain; 301.5 while every
-   host op was first offered to the memristor and CAM hooks (each offer
-   built an operand array), 340.4 while the machine still logged a
-   schedule event per timed op on every run, and 562 before the kernel
-   lost its per-row option and row accumulator, and the arena its tuple
-   keys. The budget, 285, keeps a margin of about 9 words and sits below
-   301.5, so host ops cannot go back to trying the hooks first. *)
+   set of boxes: the operand arrays and result lists of the ops compiled
+   code runs through [Interp.apply] (the device ops and the host ops it
+   has no native form for), the boxed energy total and, with a pool of 2
+   or more jobs, the row-chunk closure of the tile's GEMM (above the
+   split threshold at both sizes). mm at 128x64x64 runs 2 tiles, at
+   256x256x256 32.
+   Measured: 205.5 words per trip at 2 jobs (190.0 at 1) since compiled
+   code runs host ops through [Interp.apply] off its register file;
+   275.6 (260.1 at 1) while it staged them through the tree-walker's
+   environment, since the tile GEMM splits its rows over the pool and
+   the crossbar's clocks and time buckets sit in float-only records;
+   269.3 while they were boxed fields of mixed records and the GEMM ran
+   on one domain; 301.5 while every host op was first offered to the
+   memristor and CAM hooks (each offer built an operand array), 340.4
+   while the machine still logged a schedule event per timed op on
+   every run, and 562 before the kernel lost its per-row option and row
+   accumulator, and the arena its tuple keys. The budget, 215, keeps a
+   margin of about 9 words and sits below 260.1, so host ops cannot go
+   back to staging through the environment. *)
 let test_cim_words_per_tile () =
   let module K = Cinm_benchmarks.Ml_kernels in
   let backend = Backend.Cim (Backend.default_cim ~min_writes:true ~parallel:true ()) in
@@ -407,8 +411,8 @@ let test_cim_words_per_tile () =
       let small = warm_run_words backend (K.mm ~m:128 ~k:64 ~n:64 ()) in
       let large = warm_run_words backend (K.mm ~m:256 ~k:256 ~n:256 ()) in
       let per_tile = (large -. small) /. 30. in
-      if per_tile > 285. then
-        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 285)" per_tile)
+      if per_tile > 215. then
+        Alcotest.failf "a crossbar tile trip allocates %.0f minor words (budget 215)" per_tile)
 
 (* gemm_tile computes only the live columns of the programmed weights
    (those up to the last nonzero one). The same mm@cim run twice, with

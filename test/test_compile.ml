@@ -1412,6 +1412,116 @@ let test_unserved_device_op () =
       Alcotest.(check (option string)) "tree" expect tree;
       Alcotest.(check (option string)) "compiled" expect compiled)
 
+(* ----- ops compiled code runs through Interp.apply ----- *)
+
+(* [f] on [args ()] under both backends with [hooks]: the same results
+   and profile, or the same failure. Returns the outcome. *)
+let apply_parity ?(hooks = []) what (f : Func.t) args =
+  let run () =
+    match Compile.run_func ~hooks f (args ()) with
+    | results, profile -> Ok (List.map Rtval.to_string results, Profile.to_string profile)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  differential run (fun tree compiled ->
+      Alcotest.(check (result (pair (list string) string) string))
+        (what ^ ": tree and compiled agree") tree compiled;
+      compiled)
+
+let expect_ok what = function
+  | Ok (results, _) -> results
+  | Error e -> Alcotest.failf "%s failed: %s" what e
+
+let expect_error what msg outcome =
+  Alcotest.(check (result (pair (list string) string) string))
+    what (Error (Printexc.to_string (Interp.Interp_error msg))) outcome
+
+let test_apply_two_results () =
+  let f =
+    Func.create ~name:"topk" ~arg_tys:[ tensor [| 64 |] ]
+      ~result_tys:[ tensor [| 4 |]; T.Tensor ([| 4 |], T.I32) ]
+  in
+  let b = Builder.for_func f in
+  let values, indices = Cinm_d.topk b (Func.param f 0) ~k:4 in
+  Func_d.return b [ values; indices ];
+  let results = expect_ok "topk" (apply_parity "cinm.topk" f (fun () -> [ Rtval.Tensor (iota [| 64 |]) ])) in
+  Alcotest.(check int) "two results" 2 (List.length results)
+
+(* x[i:i+4, i:i+4] of an 8x8 x, in bounds and not *)
+let test_apply_dynamic_slice () =
+  let f = Func.create ~name:"slice" ~arg_tys:[ tensor [| 8; 8 |]; T.Index ] ~result_tys:[ tensor [| 4; 4 |] ] in
+  let b = Builder.for_func f in
+  let i = Func.param f 1 in
+  Func_d.return b
+    [ Tensor_d.extract_slice b (Func.param f 0) ~offsets:[| 0; 0 |] ~sizes:[| 4; 4 |] ~dyn_offsets:[ i; i ] ];
+  let args i () = [ Rtval.Tensor (iota [| 8; 8 |]); Rtval.Int i ] in
+  ignore (expect_ok "slice at 3" (apply_parity "slice at 3" f (args 3)));
+  match apply_parity "slice at 5" f (args 5) with
+  | Ok _ -> Alcotest.fail "slice at 5: expected an out-of-bounds failure"
+  | Error _ -> ()
+
+(* loads the native compiler leaves to [Interp.apply]: rank 3, and f32 *)
+let test_apply_punted_load () =
+  let f =
+    Func.create ~name:"ld" ~arg_tys:[ T.Index ] ~result_tys:[ T.Scalar T.I32; T.Scalar T.F32 ]
+  in
+  let b = Builder.for_func f in
+  let c k = Arith.const_index b k and i = Func.param f 0 in
+  let m3 = Memref_d.alloc b [| 2; 3; 4 |] T.I32 and mf = Memref_d.alloc b [| 4 |] T.F32 in
+  Memref_d.store b (Arith.constant b 7) m3 [ c 1; c 2; c 3 ];
+  Memref_d.store b (Arith.constant_f b 2.5) mf [ c 3 ];
+  Func_d.return b [ Memref_d.load b m3 [ c 1; c 2; i ]; Memref_d.load b mf [ i ] ];
+  Alcotest.(check (list string)) "loaded" [ "7"; "2.5" ]
+    (expect_ok "load at 3" (apply_parity "load at 3" f (fun () -> [ Rtval.Int 3 ])));
+  match apply_parity "load at 4" f (fun () -> [ Rtval.Int 4 ]) with
+  | Ok _ -> Alcotest.fail "load at 4: expected an out-of-bounds failure"
+  | Error _ -> ()
+
+(* A host op name nothing implements, then a hook that implements it
+   with the wrong number of results. *)
+let test_apply_unserved () =
+  let f = Func.create ~name:"mystery" ~arg_tys:[ T.Scalar T.I32 ] ~result_tys:[ T.Scalar T.I32 ] in
+  let b = Builder.for_func f in
+  Func_d.return b
+    [ Builder.build1 b "test.mystery" ~operands:[ Func.param f 0 ] ~result_tys:[ T.Scalar T.I32 ] ];
+  let args () = [ Rtval.Int 41 ] in
+  expect_error "no hook" "no interpreter semantics for test.mystery" (apply_parity "no hook" f args);
+  let hook results : Interp.hook =
+   fun _ op ops ->
+    if op.Ir.name = "test.mystery" then Some (List.init results (fun _ -> Rtval.Int (Rtval.as_int ops.(0) + 1)))
+    else None
+  in
+  Alcotest.(check (list string)) "one result" [ "42" ]
+    (expect_ok "hook" (apply_parity ~hooks:[ hook 1 ] "hook" f args));
+  expect_error "two results" "test.mystery: produced 2 values for 1 results"
+    (apply_parity ~hooks:[ hook 2 ] "two results" f args)
+
+(* Compiled code stages values through the tree-walker's environment for
+   region-carrying ops it does not decode only; no PrIM or ML item on the
+   host or the crossbar backend runs one, so a compiled run of each
+   binds nothing there. *)
+let test_compiled_binds_no_env () =
+  List.iter
+    (fun backend ->
+      List.iter
+        (fun (bench : Benchmark.t) ->
+          let what = bench.Benchmark.name ^ "@" ^ Backend.to_string backend in
+          let m = (Driver.compile_func backend (bench.Benchmark.build ())).Driver.modul in
+          let f = List.hd m.Func.funcs in
+          let machines = Cinm_core.Machine_set.create ~faults:None backend in
+          let ctx =
+            Interp.create_ctx ~hooks:(Cinm_core.Machine_set.hooks machines) ~modul:m
+              ~fname:f.Func.fname
+              ~config:{ (Config.default ()) with Config.interp = "compiled" }
+              ()
+          in
+          let results = Compile.run_body ctx f (bench.Benchmark.inputs ()) in
+          Alcotest.(check bool) (what ^ ": results match the reference") true
+            (Benchmark.results_match bench results);
+          Alcotest.(check int) (what ^ ": environment bindings") 0
+            (Hashtbl.length ctx.Interp.env))
+        (suite_kernels ()))
+    [ Backend.Host_arm; Backend.Cim (Backend.default_cim ()) ]
+
 (* ----- compiled code on its block ----- *)
 
 (* A region's compiled unit lives on its entry block: the first compiled
@@ -1601,6 +1711,16 @@ let () =
         [ Alcotest.test_case "hooks see device ops only" `Quick test_hooks_see_device_ops;
           Alcotest.test_case "an unserved device op fails alike" `Quick
             test_unserved_device_op;
+        ] );
+      ( "apply",
+        [ Alcotest.test_case "two-result op" `Quick test_apply_two_results;
+          Alcotest.test_case "extract_slice with dynamic offsets" `Quick
+            test_apply_dynamic_slice;
+          Alcotest.test_case "rank-3 and f32 loads" `Quick test_apply_punted_load;
+          Alcotest.test_case "unserved host op and wrong result count" `Quick
+            test_apply_unserved;
+          Alcotest.test_case "compiled items bind no environment" `Quick
+            test_compiled_binds_no_env;
         ] );
       ( "code cache",
         [ Alcotest.test_case "fresh code after canonicalize" `Quick

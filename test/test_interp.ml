@@ -206,20 +206,55 @@ let test_interp_profile_counts () =
   let _, profile = Interp.run_func f [ Rtval.Tensor (iota [| 4; 4 |]); Rtval.Tensor (iota [| 4; 4 |]) ] in
   Alcotest.(check int) "muls = m*n*k" 64 profile.Profile.mul_ops
 
+(* [main] returns double(double(21)), [double] being a second function
+   of the module. Both backends give the same result and profile, and
+   fail alike when the step budget runs out at the second call, when no
+   module is in scope and when the callee is missing. *)
 let test_interp_call () =
   let m = Func.create_module () in
   let callee = Func.create ~name:"double" ~arg_tys:[ T.Scalar T.I32 ] ~result_tys:[ T.Scalar T.I32 ] in
   let b = Builder.for_func callee in
   Func_d.return b [ Arith.addi b (Func.param callee 0) (Func.param callee 0) ];
   Func.add_func m callee;
-  let main = Func.create ~name:"main" ~arg_tys:[] ~result_tys:[ T.Scalar T.I32 ] in
-  let b = Builder.for_func main in
-  let c = Arith.constant b 21 in
-  let call = Func_d.call b ~callee:"double" ~result_tys:[ T.Scalar T.I32 ] [ c ] in
-  Func_d.return b [ Ir.result call 0 ];
-  Func.add_func m main;
-  let results, _ = Interp.run_in_module m "main" [] in
-  Alcotest.(check int) "call" 42 (Rtval.as_int (List.hd results))
+  let main ~callee =
+    let f = Func.create ~name:"main" ~arg_tys:[] ~result_tys:[ T.Scalar T.I32 ] in
+    let b = Builder.for_func f in
+    let call x = Ir.result (Func_d.call b ~callee ~result_tys:[ T.Scalar T.I32 ] [ x ]) 0 in
+    Func_d.return b [ call (call (Arith.constant b 21)) ];
+    f
+  in
+  let main_f = main ~callee:"double" in
+  Func.add_func m main_f;
+  let run ?(max_steps = 0) ?modul interp f =
+    let config = { (Cinm_support.Config.default ()) with interp; max_steps } in
+    match Compile.run_func ?modul ~config f [] with
+    | results, profile ->
+      Ok (List.map Rtval.to_string results, Profile.to_string profile)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  let outcome = Alcotest.(result (pair (list string) string) string) in
+  let both what ?max_steps ?modul f =
+    let tree = run ?max_steps ?modul "tree" f in
+    Alcotest.check outcome (what ^ ": tree and compiled agree") tree
+      (run ?max_steps ?modul "compiled" f);
+    tree
+  in
+  (match both "call" ~modul:m main_f with
+  | Ok (results, _) -> Alcotest.(check (list string)) "call" [ "84" ] results
+  | Error e -> Alcotest.failf "call failed: %s" e);
+  let fails what expect = function
+    | Error e ->
+      let n = String.length expect in
+      let rec mentions i = i + n <= String.length e && (String.sub e i n = expect || mentions (i + 1)) in
+      if not (mentions 0) then Alcotest.failf "%s: %S does not mention %S" what e expect
+    | Ok _ -> Alcotest.failf "%s: expected a failure" what
+  in
+  fails "step budget" "exceeded the step budget at func.call: 2 steps (max 1)"
+    (both "step budget" ~max_steps:1 ~modul:m main_f);
+  fails "no module" "func.call outside a module context" (both "no module" main_f);
+  let m' = Func.create_module () and lost = main ~callee:"nowhere" in
+  Func.add_func m' lost;
+  fails "missing callee" "nowhere" (both "missing callee" ~modul:m' lost)
 
 (* ----- qcheck properties ----- *)
 
